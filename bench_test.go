@@ -116,8 +116,8 @@ func BenchmarkDataPlaneWallClock(b *testing.B) {
 // closed-loop op mix through the sharded front-end. The /shards1 case is a
 // single volume drained by one client; /shards4 routes the same mix across
 // four shards drained by four concurrent clients. The merged reports are
-// bit-identical across the cases' client counts (see
-// TestServeMergeDeterminism); only the wall clock differs. Two effects
+// bit-identical across the cases' client counts (see the array-serve rows
+// of cluster.TestDeterminismMatrix); only the wall clock differs. Two effects
 // compose: shards serve concurrently (toward a 4× speedup on a
 // multi-core host; pure goroutine overhead on a single-core one), and
 // independent shards cannot dedup across each other, so /shards4 does
@@ -233,9 +233,10 @@ const readWarmHitRateFloor = 0.05
 // content: the scan-resistant admission policy must keep a protected hot
 // set resident across passes (a gated hit-rate floor) — the HPDedup
 // temporal-locality argument, measured. The virtual-time report is
-// bit-identical across all cases' schedules (see TestReadBatchDeterminism);
-// only the wall clock differs — this is the read-side benchmark
-// scripts/bench-compare.sh guards, including the allocs/read-op ceiling.
+// bit-identical across all cases' schedules (see the array-readbatch row
+// of cluster.TestDeterminismMatrix); only the wall clock differs — this is
+// the read-side benchmark scripts/bench-compare.sh guards, including the
+// allocs/read-op ceiling.
 func BenchmarkReadPathWallClock(b *testing.B) {
 	spec := DefaultBootStormSpec()
 	spec.ImageBlocks = 2048
@@ -491,9 +492,9 @@ func BenchmarkE16WriteAmplification(b *testing.B) {
 // routing overhead; /nodes3r2 replicates every write to two of three
 // nodes and rides out injected node crashes (fallback reads, rejoin
 // replay), so it does ~R× the write work plus repair traffic. The merged
-// reports are bit-identical across client counts (see
-// TestClusterCrashRejoinDeterminism); only the wall clock differs.
-// Cluster construction is excluded from the timed region.
+// reports are bit-identical across client counts (see the cluster-serve row
+// of cluster.TestDeterminismMatrix); only the wall clock differs. Cluster
+// construction is excluded from the timed region.
 func BenchmarkClusterWallClock(b *testing.B) {
 	ops := 20000
 	if testing.Short() {

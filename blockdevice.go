@@ -2,7 +2,6 @@ package inlinered
 
 import (
 	"fmt"
-	"time"
 
 	"inlinered/internal/cluster"
 	"inlinered/internal/fault"
@@ -137,12 +136,12 @@ func (opts BlockDeviceOptions) clusterConfig() cluster.Config {
 // references, and Clean compacts log segments. Closed-loop: each operation
 // reports its virtual latency.
 //
-// The device is safe for concurrent use: it is backed by the sharded
-// serving front-end (1 shard by default; see BlockDeviceOptions.Shards),
-// and requests to the same shard serialize on its virtual clock.
-type BlockDevice struct {
-	inner *serve.Array
-}
+// A block device IS an Array — one implementation under two names, because
+// the device has always been the sharded serving front-end at its default
+// of one shard (see BlockDeviceOptions.Shards). So it is safe for
+// concurrent use, and requests to the same shard serialize on its virtual
+// clock.
+type BlockDevice = Array
 
 // DeviceStats reports the device's space and activity accounting, including
 // always-on per-operation latency summaries (WriteLat, ReadLat, TrimLat).
@@ -153,73 +152,14 @@ type DeviceStats = volume.Stats
 type LatencySummary = sim.LatencySummary
 
 // NewBlockDevice builds a block device on the paper platform's CPU and SSD.
-func NewBlockDevice(opts BlockDeviceOptions) (*BlockDevice, error) {
-	sc, err := opts.serveConfig()
-	if err != nil {
-		return nil, err
-	}
-	inner, err := serve.New(sc)
-	if err != nil {
-		return nil, err
-	}
-	return &BlockDevice{inner: inner}, nil
-}
-
-// Write stores one block at lba and returns the request's virtual latency.
-func (d *BlockDevice) Write(lba int64, data []byte) (time.Duration, error) {
-	return d.inner.Write(lba, data)
-}
-
-// Read returns the block at lba (zeros when unmapped) and its latency.
-func (d *BlockDevice) Read(lba int64) ([]byte, time.Duration, error) {
-	return d.inner.Read(lba)
-}
-
-// Trim unmaps a block, releasing its chunk reference, and returns the
-// request's virtual latency.
-func (d *BlockDevice) Trim(lba int64) (time.Duration, error) { return d.inner.Trim(lba) }
-
-// Clean compacts garbage-heavy log segments on every shard and returns how
-// many were reclaimed.
-func (d *BlockDevice) Clean() (int, error) { return d.inner.Clean() }
-
-// Stats returns space and activity accounting, merged across shards
-// (deterministically: counters sum and histogram buckets merge).
-func (d *BlockDevice) Stats() DeviceStats { return d.inner.Stats() }
-
-// ShardStats returns each shard's stats in shard order (one entry for an
-// unsharded device).
-func (d *BlockDevice) ShardStats() []DeviceStats { return d.inner.ShardStats() }
-
-// Shards returns the device's shard count (1 when unsharded).
-func (d *BlockDevice) Shards() int { return d.inner.Shards() }
-
-// Now returns the device's virtual clock: the slowest shard's completion
-// time.
-func (d *BlockDevice) Now() time.Duration { return d.inner.Now() }
+func NewBlockDevice(opts BlockDeviceOptions) (*BlockDevice, error) { return NewArray(opts) }
 
 // ReadBatchOptions tune a batch read run (wall clock only — nothing here
 // may affect the report or the returned bytes).
 type ReadBatchOptions = serve.ReadBatchOptions
 
-// ReadBatchReport summarizes a BlockDevice.ReadBatch run under the
+// ReadBatchReport summarizes an Array.ReadBatch run under the
 // "inlinered/serve-readbatch-report/v2" JSON schema. It excludes client
 // counts, decode parallelism, and wall clocks: runs differing only in
 // scheduling encode to identical bytes.
 type ReadBatchReport = serve.ReadBatchReport
-
-// ReadBatch executes a batch of reads through the parallel read path:
-// a sequential per-shard decision phase (cache, SSD, and virtual-clock
-// accounting in request order), one parallel decode fan-out over the
-// device's worker pool (Options.Parallelism), and a sequential commit.
-// Results stream through opts.Sink; the report is bit-identical to issuing
-// the reads serially, for any parallelism or client count.
-func (d *BlockDevice) ReadBatch(lbas []int64, opts ReadBatchOptions) (*ReadBatchReport, error) {
-	return d.inner.ReadBatch(lbas, opts)
-}
-
-// Close releases the device's decode worker pool (created on first
-// ReadBatch when Options.Parallelism > 1). Idempotent; the device stays
-// usable and a later ReadBatch recreates the pool. Devices that never use
-// ReadBatch need not call Close.
-func (d *BlockDevice) Close() { d.inner.Close() }

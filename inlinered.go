@@ -264,9 +264,9 @@ type ServeReport = serve.Report
 // Sharding parallelizes the wall clock, never the virtual one: at a fixed
 // FaultSeed and shard count, Serve's merged report and per-shard stats are
 // bit-identical for any client count and any GOMAXPROCS. The direct
-// Write/Read/Trim methods (via the embedded BlockDevice surface) are
-// goroutine-safe but interleave in arrival order, so only Serve promises
-// cross-run bit-identity.
+// Write/Read/Trim methods are goroutine-safe but interleave in arrival
+// order, so only the batch paths (Serve, ReadBatch) promise cross-run
+// bit-identity.
 type Array struct {
 	inner *serve.Array
 }
@@ -292,7 +292,8 @@ func (a *Array) Serve(ops []Op, opts ServeOptions) (*ServeReport, error) {
 	return a.inner.Serve(ops, opts)
 }
 
-// Write stores one block. Safe for concurrent use.
+// Write stores one block at lba and returns the request's virtual latency.
+// Safe for concurrent use.
 func (a *Array) Write(lba int64, data []byte) (time.Duration, error) {
 	return a.inner.Write(lba, data)
 }
@@ -301,37 +302,44 @@ func (a *Array) Write(lba int64, data []byte) (time.Duration, error) {
 // Safe for concurrent use.
 func (a *Array) Read(lba int64) ([]byte, time.Duration, error) { return a.inner.Read(lba) }
 
-// Trim unmaps one block. Safe for concurrent use.
+// Trim unmaps a block, releasing its chunk reference, and returns the
+// request's virtual latency. Safe for concurrent use.
 func (a *Array) Trim(lba int64) (time.Duration, error) { return a.inner.Trim(lba) }
 
-// Clean runs every shard's segment cleaner.
+// Clean compacts garbage-heavy log segments on every shard and returns how
+// many were reclaimed.
 func (a *Array) Clean() (int, error) { return a.inner.Clean() }
 
-// Shards returns the shard count.
+// Shards returns the shard count (1 when unsharded).
 func (a *Array) Shards() int { return a.inner.Shards() }
 
 // Now returns the array's virtual clock (the slowest shard's completion
 // time).
 func (a *Array) Now() time.Duration { return a.inner.Now() }
 
-// Stats returns deterministically merged stats across shards.
+// Stats returns space and activity accounting, merged across shards
+// (deterministically: counters sum and histogram buckets merge).
 func (a *Array) Stats() DeviceStats { return a.inner.Stats() }
 
-// ShardStats returns each shard's stats in shard order.
+// ShardStats returns each shard's stats in shard order (one entry for an
+// unsharded device).
 func (a *Array) ShardStats() []DeviceStats { return a.inner.ShardStats() }
 
 // ReadBatch executes a batch of reads through the parallel read path:
-// sequential per-shard decision phase, one decode fan-out over the array's
-// worker pool (Options.Parallelism), sequential commit. The report is
-// bit-identical to issuing the reads serially, for any parallelism or
-// client count.
+// workers claim whole shards, and each shard runs its sequential decision
+// phase (cache, SSD, and virtual-clock accounting in request order), the
+// decode fan-out over the array's worker pool (Options.Parallelism), and
+// its sequential commit under that shard's lock alone. Results stream
+// through opts.Sink; the report is bit-identical to issuing the reads
+// serially, for any parallelism or client count.
 func (a *Array) ReadBatch(lbas []int64, opts ReadBatchOptions) (*ReadBatchReport, error) {
 	return a.inner.ReadBatch(lbas, opts)
 }
 
-// Close releases the array's decode worker pool (created on first
-// ReadBatch when Options.Parallelism > 1). Idempotent; the array stays
-// usable.
+// Close stops the array's decode workers (started on first ReadBatch when
+// Options.Parallelism > 1) after any batch in flight. Idempotent; the
+// array stays usable and a later ReadBatch restarts them. Arrays that
+// never use ReadBatch need not call Close.
 func (a *Array) Close() { a.inner.Close() }
 
 // ClusterServeOptions tune a Cluster.Serve run. Only Clients affects the
@@ -434,15 +442,15 @@ type ClusterReadBatchReport = cluster.ReadBatchReport
 
 // ReadBatch executes a batch of reads across the cluster's healthy-cluster
 // fast path: sequential routing to each read's first non-stale replica,
-// then per-node batch reads through the parallel read path (plan, decode
-// fan-out, commit). The report is bit-identical to any other scheduling of
-// the same batch.
+// then per-node batch reads through the parallel read path (per shard:
+// plan, decode fan-out, commit). The report is bit-identical to any other
+// scheduling of the same batch.
 func (c *Cluster) ReadBatch(lbas []int64, opts ClusterReadBatchOptions) (*ClusterReadBatchReport, error) {
 	return c.inner.ReadBatch(lbas, opts)
 }
 
-// Close releases every node's decode worker pool. Idempotent; the cluster
-// stays usable and a later ReadBatch recreates the pools.
+// Close stops the decode workers the cluster's nodes share. Idempotent;
+// the cluster stays usable and a later ReadBatch restarts them.
 func (c *Cluster) Close() { c.inner.Close() }
 
 // StreamSpec describes a synthetic workload stream (the vdbench stand-in):

@@ -39,16 +39,16 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"inlinered/internal/fault"
 	"inlinered/internal/metrics"
 	"inlinered/internal/obs"
+	"inlinered/internal/parallel"
 	"inlinered/internal/serve"
 	"inlinered/internal/sim"
 	"inlinered/internal/volume"
@@ -75,9 +75,10 @@ type Config struct {
 	Replicas int
 	// ShardsPerNode is each node's serve.Array shard count (0 means 1).
 	ShardsPerNode int
-	// Parallelism is each node array's decode worker count for the batch
-	// read path (see serve.Config.Parallelism). Wall clock only — reports
-	// are bit-identical for any value.
+	// Parallelism is the decode worker count for the batch read path: one
+	// pool of this size, shared by every node's array (see
+	// serve.Config.Parallelism). Wall clock only — reports are bit-identical
+	// for any value.
 	Parallelism int
 	// RangeBlocks is the placement granularity: consecutive runs of this
 	// many LBAs share an owner set (0 means 64).
@@ -122,6 +123,7 @@ type Cluster struct {
 	nodes []*node
 	dir   [][]int // owner set per range, primary first
 	inj   *fault.Injector
+	pool  *parallel.Pool // the nodes' shared decode workers; nil decodes inline
 
 	// Directory-plane truth, maintained by the sequencing phase and the
 	// direct ops: last content id written per LBA (batch writes only),
@@ -131,9 +133,6 @@ type Cluster struct {
 	stale   map[stKey]bool
 
 	opBase int64 // cumulative sequenced ops, for the membership timeline
-
-	// Batch read path's reusable routing buffers (see readScratch).
-	rsc readScratch
 
 	obs  *obs.Recorder
 	lane obs.Lane
@@ -183,6 +182,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.NodeFaults.Enabled() {
 		c.inj = fault.New(cfg.NodeFaults)
 	}
+	if cfg.Parallelism > 1 {
+		c.pool = parallel.New(cfg.Parallelism)
+	}
 	if c.obs != nil {
 		c.lane = c.obs.Lane("cluster", "membership")
 	}
@@ -200,9 +202,9 @@ func New(cfg Config) (*Cluster, error) {
 // newNode builds node id's array: the full cluster config with the device
 // fault seed offset per node so each node injects from its own streams.
 func (c *Cluster) newNode(id int) (*node, error) {
-	sc := serve.Config{Volume: c.cfg.Volume, Shards: c.cfg.ShardsPerNode, Parallelism: c.cfg.Parallelism}
+	sc := serve.Config{Volume: c.cfg.Volume, Shards: c.cfg.ShardsPerNode}
 	sc.Volume.Faults.Seed += int64(id) * nodeSeedStride
-	arr, err := serve.New(sc)
+	arr, err := serve.NewWithPool(sc, c.pool)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %d: %w", id, err)
 	}
@@ -303,29 +305,19 @@ func (c *Cluster) NodeStats() []volume.Stats {
 	return out
 }
 
-// Stats returns cluster-merged stats: counters summed across nodes, and
-// latency summaries recomputed from the histograms merged across every
-// node's shards (bucket merges are order-independent, so the result is
-// deterministic for any enumeration).
+// Stats returns cluster-merged stats: the nodes' array snapshots merged
+// again (counters sum, latency summaries recomputed from the histograms
+// merged across every node's shards).
 func (c *Cluster) Stats() volume.Stats {
 	c.mu.Lock()
 	nodes := c.nodes
 	c.mu.Unlock()
-	var out volume.Stats
-	var hw, hr, ht, hjf sim.Histogram
+	var out volume.Snapshot
 	for _, n := range nodes {
-		out.AddCounters(n.arr.Stats())
-		w, r, tr, jf := n.arr.MergedHistograms()
-		hw.Merge(&w)
-		hr.Merge(&r)
-		ht.Merge(&tr)
-		hjf.Merge(&jf)
+		sn := n.arr.Snapshot()
+		out.Merge(&sn)
 	}
-	out.WriteLat = hw.Summary()
-	out.ReadLat = hr.Summary()
-	out.TrimLat = ht.Summary()
-	out.JournalFlushLat = hjf.Summary()
-	return out
+	return out.Stats()
 }
 
 // instant records a membership event on the cluster lane at the cumulative
@@ -418,19 +410,7 @@ type Report struct {
 const ReportSchema = "inlinered/cluster-report/v1"
 
 // JSON encodes the report as stable, indented JSON with a schema envelope.
-func (r *Report) JSON() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	env := struct {
-		Schema string  `json:"schema"`
-		Report *Report `json:"report"`
-	}{ReportSchema, r}
-	if err := enc.Encode(env); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func (r *Report) JSON() ([]byte, error) { return sim.EncodeReport(ReportSchema, r) }
 
 // String renders a one-look summary.
 func (r *Report) String() string {
@@ -463,14 +443,19 @@ type sequencer struct {
 // Serve executes a batch of client operations across the cluster and
 // returns the merged report.
 //
-// Phase 1 (single-threaded, under the cluster mutex): walk ops in index
-// order, driving the membership schedule from the node fault streams and
-// routing each op to the live owners — appending queued-mutation replays
-// and read-repairs as extra ops in the affected nodes' queues. Phase 2:
-// workers claim WHOLE node queues via an atomic counter and drain them
-// through serve.Array.Serve, so scheduling decides only WHEN a node
-// executes, never WHAT.
+// It is the batch skeleton with a sequencer for a partitioner. Phase 1
+// (single-threaded, under the cluster mutex): walk ops in index order,
+// driving the membership schedule from the node fault streams and routing
+// each op to the live owners — appending queued-mutation replays and
+// read-repairs as extra ops in the affected nodes' queues. Phase 2: workers
+// claim WHOLE node queues (parallel.ForEach) and drain them through
+// serve.Array.Serve, so scheduling decides only WHEN a node executes,
+// never WHAT. Then merge.
 func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
+	kinds, err := workload.CheckOps(ops, c.blocks)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	c.mu.Lock()
 	nn := len(c.nodes)
 	seq := &sequencer{
@@ -480,16 +465,6 @@ func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 		dirty:    make([]map[int64]byte, nn),
 	}
 	for i, op := range ops {
-		switch op.Kind {
-		case workload.OpWrite, workload.OpRead, workload.OpTrim:
-		default:
-			c.mu.Unlock()
-			return nil, fmt.Errorf("cluster: op %d: unknown kind %q", i, op.Kind)
-		}
-		if op.LBA < 0 || op.LBA >= c.blocks {
-			c.mu.Unlock()
-			return nil, fmt.Errorf("cluster: op %d: lba %d outside [0,%d)", i, op.LBA, c.blocks)
-		}
 		// Rejoins due at this index replay their dirty state first, so the
 		// current op sees a healed owner set when the outage just ended.
 		for n := 0; n < nn; n++ {
@@ -527,69 +502,37 @@ func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 		}
 	}
 	c.opBase += int64(len(ops))
-	fc := seq.fc
 	nodes := c.nodes
 	c.mu.Unlock()
 
 	// Phase 2: drain node queues concurrently. Claiming whole queues keeps
 	// each node's op order fixed; serve.Array.Serve is deterministic below.
-	clients := opt.Clients
-	if clients <= 0 {
-		clients = nn
-	}
 	nodeOpt := serve.RunOptions{
 		Clients:     c.cfg.ShardsPerNode,
 		ContentSeed: opt.ContentSeed,
 		Fill:        opt.Fill,
 		CleanEvery:  opt.CleanEvery,
 	}
-	per := make([]serve.Report, nn)
-	errs := make([]error, nn)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nn {
-					return
-				}
-				serveStart := metrics.Clock()
-				rep, err := nodes[i].arr.Serve(seq.queues[i], nodeOpt)
-				metrics.ClusterNodeServe.ObserveSince(serveStart)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				per[i] = *rep
-			}
-		}()
+	rep := &Report{
+		Nodes: nn, Replicas: c.replicas, Ops: len(ops), Writes: kinds.Writes, Reads: kinds.Reads, Trims: kinds.Trims,
+		Faults: seq.fc, PerNode: make([]serve.Report, nn),
 	}
-	wg.Wait()
-	for i, err := range errs {
+	err = parallel.ForEach(nn, opt.Clients, func(i int) error {
+		serveStart := metrics.Clock()
+		nodeRep, err := nodes[i].arr.Serve(seq.queues[i], nodeOpt)
+		metrics.ClusterNodeServe.ObserveSince(serveStart)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
+			return fmt.Errorf("cluster: node %d: %w", i, err)
 		}
+		rep.PerNode[i] = *nodeRep
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	rep := &Report{Nodes: nn, Replicas: c.replicas, Ops: len(ops), Faults: fc, PerNode: per}
-	for i := range per {
-		rep.Errors += per[i].Errors
-		if per[i].Elapsed > rep.Elapsed {
-			rep.Elapsed = per[i].Elapsed
-		}
-	}
-	for _, op := range ops {
-		switch op.Kind {
-		case workload.OpWrite:
-			rep.Writes++
-		case workload.OpRead:
-			rep.Reads++
-		case workload.OpTrim:
-			rep.Trims++
-		}
+	for i := range rep.PerNode {
+		rep.Errors += rep.PerNode[i].Errors
+		rep.Elapsed = max(rep.Elapsed, rep.PerNode[i].Elapsed)
 	}
 	rep.Merged = c.Stats()
 	return rep, nil
@@ -884,7 +827,7 @@ func (c *Cluster) AddNode() (*RebalanceReport, error) {
 	rep := &RebalanceReport{Node: id, Ranges: len(c.dir)}
 	for r := range c.dir {
 		oldOwners, newOwners := oldDir[r], c.dir[r]
-		if ownersEqual(oldOwners, newOwners) {
+		if slices.Equal(oldOwners, newOwners) {
 			continue
 		}
 		rep.RangesMoved++
@@ -921,19 +864,6 @@ func (c *Cluster) AddNode() (*RebalanceReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// ownersEqual reports whether two owner slices match element-wise.
-func ownersEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ownersDiff returns the members of a not present in b, in a's order.

@@ -1,14 +1,13 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"inlinered/internal/parallel"
 	"inlinered/internal/serve"
+	"inlinered/internal/sim"
 )
 
 // ReadBatchOptions tune a cluster batch read. Nothing here may affect the
@@ -23,28 +22,14 @@ type ReadBatchOptions struct {
 	Sink func(i int, block []byte, err error)
 }
 
-// NodeReadReport is one node's slice of a cluster batch read.
-type NodeReadReport struct {
-	Reads           int           `json:"reads"`
-	Errors          int64         `json:"errors"`
-	DecodedBlobs    int64         `json:"decoded_blobs"`
-	DecodedParts    int64         `json:"decoded_parts"`
-	CacheHits       int64         `json:"cache_hits"`
-	CacheMisses     int64         `json:"cache_misses"`
-	CacheAdmissions int64         `json:"cache_admissions"`
-	CacheGhostHits  int64         `json:"cache_ghost_hits"`
-	Elapsed         time.Duration `json:"elapsed_ns"`
-}
+// NodeReadReport is one node's slice of a cluster batch read: its array's
+// totals.
+type NodeReadReport = serve.ReadTotals
 
-// readScratch holds ReadBatch's reusable routing buffers. One batch owns
-// it at a time (TryLock); a concurrent ReadBatch falls back to fresh
-// allocations, so reuse never changes behavior — the serveScratch pattern.
-type readScratch struct {
-	mu     sync.Mutex
-	queues [][]int64
-	pos    [][]int
-	reps   []*serve.ReadBatchReport
-}
+// lbaPartitions recycles ReadBatch's routing buffers across calls. A call
+// takes one for its duration, so concurrent batches never share one, and
+// the buffers keep their capacity: routing a steady storm allocates nothing.
+var lbaPartitions = sync.Pool{New: func() any { return new(parallel.Partition[int64]) }}
 
 // ReadBatchReport summarizes one Cluster.ReadBatch run. Like the batch
 // Serve report it excludes client counts, decode parallelism, and wall
@@ -71,11 +56,7 @@ type ReadBatchReport struct {
 // HitRate returns the batch's cache hit fraction over lookups (0 when the
 // batch looked nothing up).
 func (r *ReadBatchReport) HitRate() float64 {
-	lookups := r.CacheHits + r.CacheMisses
-	if lookups == 0 {
-		return 0
-	}
-	return float64(r.CacheHits) / float64(lookups)
+	return serve.ReadTotals{CacheHits: r.CacheHits, CacheMisses: r.CacheMisses}.HitRate()
 }
 
 // ReadBatchReportSchema versions the cluster batch-read report envelope.
@@ -84,17 +65,7 @@ const ReadBatchReportSchema = "inlinered/cluster-readbatch-report/v2"
 
 // JSON encodes the report as stable, indented JSON with a schema envelope.
 func (r *ReadBatchReport) JSON() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	env := struct {
-		Schema string           `json:"schema"`
-		Report *ReadBatchReport `json:"report"`
-	}{ReadBatchReportSchema, r}
-	if err := enc.Encode(env); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return sim.EncodeReport(ReadBatchReportSchema, r)
 }
 
 // String renders a one-look summary.
@@ -106,8 +77,8 @@ func (r *ReadBatchReport) String() string {
 		r.Elapsed.Round(time.Microsecond))
 }
 
-// Close releases every node array's decode worker pool (see
-// serve.Array.Close). Idempotent; the cluster stays usable.
+// Close stops the shared decode workers and releases every node array's
+// batch state (see serve.Array.Close). Idempotent; the cluster stays usable.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	nodes := c.nodes
@@ -117,11 +88,11 @@ func (c *Cluster) Close() {
 	}
 }
 
-// ReadBatch executes a batch of reads across the cluster: a sequential
-// routing phase sends each read to its first non-stale replica (primary
-// unless a diverged copy is known there), then workers drain whole
-// per-node queues through serve.Array.ReadBatch — the three-stage
-// plan/decode/commit split one level down.
+// ReadBatch executes a batch of reads across the cluster — the batch
+// skeleton again: validate, a sequential routing phase that partitions the
+// reads by their first non-stale replica (primary unless a diverged copy is
+// known there), workers draining whole per-node queues through
+// serve.Array.ReadBatch, merge.
 //
 // ReadBatch is the healthy-cluster fast path (the VDI boot storm: every
 // desktop reading the golden image at once). Unlike batch Serve it
@@ -131,125 +102,58 @@ func (c *Cluster) Close() {
 // so the report is bit-identical for any Clients, Parallelism, or
 // GOMAXPROCS.
 func (c *Cluster) ReadBatch(lbas []int64, opt ReadBatchOptions) (*ReadBatchReport, error) {
-	c.mu.Lock()
 	for i, lba := range lbas {
 		if lba < 0 || lba >= c.blocks {
-			c.mu.Unlock()
 			return nil, fmt.Errorf("cluster: read %d: lba %d outside [0,%d)", i, lba, c.blocks)
 		}
 	}
+	part := lbaPartitions.Get().(*parallel.Partition[int64])
+	defer lbaPartitions.Put(part)
+	out := &ReadBatchReport{Reads: len(lbas)}
+	c.mu.Lock()
 	nodes := c.nodes
-	// Routing buffers come from the cluster scratch when it is free; the
-	// queues keep their per-node capacities across batches, so routing a
-	// steady storm allocates nothing.
-	var queues [][]int64
-	var pos [][]int
-	var reps []*serve.ReadBatchReport
-	scratch := c.rsc.mu.TryLock()
-	if scratch {
-		defer c.rsc.mu.Unlock()
-		if cap(c.rsc.queues) < len(nodes) {
-			c.rsc.queues = make([][]int64, len(nodes))
-			c.rsc.pos = make([][]int, len(nodes))
-			c.rsc.reps = make([]*serve.ReadBatchReport, len(nodes))
-		}
-		queues = c.rsc.queues[:len(nodes)]
-		pos = c.rsc.pos[:len(nodes)]
-		reps = c.rsc.reps[:len(nodes)]
-		for n := range queues {
-			queues[n] = queues[n][:0]
-			pos[n] = pos[n][:0]
-			reps[n] = nil
-		}
-	} else {
-		queues = make([][]int64, len(nodes))
-		pos = make([][]int, len(nodes))
-		reps = make([]*serve.ReadBatchReport, len(nodes))
-	}
-	var fallbacks int64
-	for i, lba := range lbas {
-		owners := c.owners(lba)
-		from := owners[0]
+	part.Split(len(lbas), len(nodes), func(i int) int {
+		owners := c.owners(lbas[i])
 		for _, n := range owners {
-			if !c.stale[stKey{n, lba}] {
-				from = n
-				break
+			if !c.stale[stKey{n, lbas[i]}] {
+				if n != owners[0] {
+					out.Fallbacks++
+				}
+				return n
 			}
 		}
-		if from != owners[0] {
-			fallbacks++
-		}
-		queues[from] = append(queues[from], lba)
-		pos[from] = append(pos[from], i)
-	}
+		return owners[0] // every copy stale: the primary's is as good as any
+	}, func(i int) int64 { return lbas[i] })
 	c.mu.Unlock()
 
-	clients := opt.Clients
-	if clients <= 0 {
-		clients = len(nodes)
-	}
-	per := make([]NodeReadReport, len(nodes))
-	var firstErr atomic.Value
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(nodes) {
-					return
-				}
-				if len(queues[n]) == 0 {
-					continue
-				}
-				var sink func(k int, block []byte, err error)
-				if opt.Sink != nil {
-					p := pos[n]
-					outer := opt.Sink
-					sink = func(k int, block []byte, err error) { outer(p[k], block, err) }
-				}
-				rep, err := nodes[n].arr.ReadBatch(queues[n], serve.ReadBatchOptions{Sink: sink})
-				if err != nil {
-					firstErr.Store(err)
-					return
-				}
-				reps[n] = rep
-			}
-		}()
-	}
-	wg.Wait()
-	if err, _ := firstErr.Load().(error); err != nil {
+	out.Nodes, out.PerNode = len(nodes), make([]NodeReadReport, len(nodes))
+	err := parallel.ForEach(len(nodes), opt.Clients, func(n int) error {
+		var sink func(k int, block []byte, err error)
+		if opt.Sink != nil {
+			pos := part.Pos[n]
+			sink = func(k int, block []byte, err error) { opt.Sink(pos[k], block, err) }
+		}
+		rep, err := nodes[n].arr.ReadBatch(part.Queues[n], serve.ReadBatchOptions{Sink: sink})
+		if err != nil {
+			return err
+		}
+		out.PerNode[n] = rep.ReadTotals
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	out := &ReadBatchReport{Nodes: len(nodes), Reads: len(lbas), Fallbacks: fallbacks, PerNode: per}
-	for n, rep := range reps {
-		if rep == nil {
-			continue
-		}
-		per[n] = NodeReadReport{
-			Reads:           rep.Reads,
-			Errors:          rep.Errors,
-			DecodedBlobs:    rep.DecodedBlobs,
-			DecodedParts:    rep.DecodedParts,
-			CacheHits:       rep.CacheHits,
-			CacheMisses:     rep.CacheMisses,
-			CacheAdmissions: rep.CacheAdmissions,
-			CacheGhostHits:  rep.CacheGhostHits,
-			Elapsed:         rep.Elapsed,
-		}
-		out.Errors += rep.Errors
-		out.DecodedBlobs += rep.DecodedBlobs
-		out.DecodedParts += rep.DecodedParts
-		out.CacheHits += rep.CacheHits
-		out.CacheMisses += rep.CacheMisses
-		out.CacheAdmissions += rep.CacheAdmissions
-		out.CacheGhostHits += rep.CacheGhostHits
-		if rep.Elapsed > out.Elapsed {
-			out.Elapsed = rep.Elapsed
-		}
+	var sum serve.ReadTotals
+	for _, t := range out.PerNode {
+		sum.Add(t)
 	}
+	out.Errors = sum.Errors
+	out.DecodedBlobs = sum.DecodedBlobs
+	out.DecodedParts = sum.DecodedParts
+	out.CacheHits = sum.CacheHits
+	out.CacheMisses = sum.CacheMisses
+	out.CacheAdmissions = sum.CacheAdmissions
+	out.CacheGhostHits = sum.CacheGhostHits
+	out.Elapsed = sum.Elapsed
 	return out, nil
 }

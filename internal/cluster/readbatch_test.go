@@ -81,31 +81,6 @@ func TestClusterReadBatchMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestClusterReadBatchDeterminism: reports encode identically across
-// client counts and decode parallelism.
-func TestClusterReadBatchDeterminism(t *testing.T) {
-	var ref []byte
-	for _, par := range []int{1, 4} {
-		for _, clients := range []int{1, 3} {
-			c, lbas := stormCluster(t, par)
-			rep, err := c.ReadBatch(lbas, ReadBatchOptions{Clients: clients})
-			if err != nil {
-				t.Fatal(err)
-			}
-			js, err := rep.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = js
-			} else if !bytes.Equal(js, ref) {
-				t.Fatalf("parallelism=%d clients=%d: cluster batch report diverged:\n%s\nwant:\n%s",
-					par, clients, js, ref)
-			}
-		}
-	}
-}
-
 // TestClusterReadBatchReadMostly: the read-mostly preset's reads replay
 // through the cluster batch path without errors after a mixed Serve pass.
 func TestClusterReadBatchReadMostly(t *testing.T) {

@@ -1053,22 +1053,10 @@ func (e *Engine) gpuBin(cpuBin uint32) uint32 {
 	return cpuBin >> uint(e.cfg.Index.BinBits-e.cfg.GPUBinBits)
 }
 
-// writeDrive issues one drive write with the shared bounded-retry policy:
-// transient errors are retried up to fault.MaxRetries times with
-// exponential backoff charged to the virtual clock; a permanent error (or
-// an exhausted retry budget) surfaces to the caller.
+// writeDrive issues one drive write under the shared bounded-retry policy
+// (fault.Retry).
 func (e *Engine) writeDrive(at time.Duration, lpn int64, pages int) (time.Duration, error) {
-	for attempt := 0; ; attempt++ {
-		end, err := e.drive.Write(at, lpn, pages)
-		if err == nil {
-			return end, nil
-		}
-		if !fault.IsTransient(err) || attempt >= fault.MaxRetries {
-			return end, err
-		}
-		e.rep.Faults.SSDWriteRetries++
-		at += fault.Backoff(attempt)
-	}
+	return fault.Retry(e.drive.Write, &e.rep.Faults.SSDWriteRetries, at, lpn, pages)
 }
 
 // journalFlush persists one bin-buffer flush record. An injected torn

@@ -1,33 +1,13 @@
 package core
 
-import (
-	"bytes"
-	"encoding/json"
-)
+import "inlinered/internal/sim"
 
 // ReportSchema versions the machine-readable report envelope. Bump it when
 // a field changes meaning or an existing key is renamed; adding fields is
 // backward compatible and does not require a bump.
 const ReportSchema = "inlinered/report/v1"
 
-// reportEnvelope is the on-the-wire form of a Report: a schema tag plus the
-// report body, so downstream tooling (the bench harness, CI diffing) can
-// reject encodings it does not understand.
-type reportEnvelope struct {
-	Schema string  `json:"schema"`
-	Report *Report `json:"report"`
-}
-
-// JSON encodes the report as stable, indented JSON with a schema envelope.
-// All durations are integer nanoseconds and all fields are tagged, so two
-// identical Reports encode to identical bytes — the machine-readable twin
-// of String, locked by the same golden test.
-func (r *Report) JSON() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(reportEnvelope{Schema: ReportSchema, Report: r}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// JSON encodes the report as stable, indented JSON with a schema envelope
+// (sim.EncodeReport) — the machine-readable twin of String, locked by the
+// same golden test.
+func (r *Report) JSON() ([]byte, error) { return sim.EncodeReport(ReportSchema, r) }

@@ -361,3 +361,20 @@ func Backoff(attempt int) time.Duration {
 	}
 	return RetryBackoffBase << uint(attempt)
 }
+
+// Retry issues one drive operation under the shared bounded-retry policy:
+// a transient error is retried up to MaxRetries times, each retry counted
+// in *retries and charged Backoff on the virtual clock; a permanent error
+// (or an exhausted retry budget) surfaces to the caller with the failed
+// attempt's completion time.
+func Retry(op func(at time.Duration, lpn int64, pages int) (time.Duration, error),
+	retries *int64, at time.Duration, lpn int64, pages int) (time.Duration, error) {
+	for attempt := 0; ; attempt++ {
+		end, err := op(at, lpn, pages)
+		if err == nil || !IsTransient(err) || attempt >= MaxRetries {
+			return end, err
+		}
+		*retries++
+		at += Backoff(attempt)
+	}
+}

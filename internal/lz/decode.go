@@ -51,50 +51,6 @@ func Decompress(dst, src []byte) ([]byte, error) {
 			return dst, fmt.Errorf("%w: decoded %d bytes, header says %d", ErrCorrupt, len(out)-base, srcLen)
 		}
 		return out, nil
-	case ModeSub:
-		parts, n2 := binary.Uvarint(payload)
-		if n2 <= 0 || parts > 1<<16 {
-			return dst, fmt.Errorf("%w: bad part count", ErrCorrupt)
-		}
-		payload = payload[n2:]
-		// Each part needs at least one table varint byte: bounding the
-		// count by the payload before allocating keeps a tiny corrupt blob
-		// from provoking a part-table allocation far larger than the input.
-		if parts > uint64(len(payload)) {
-			return dst, fmt.Errorf("%w: part count %d exceeds payload", ErrCorrupt, parts)
-		}
-		// Read the part table.
-		lens := make([]uint64, parts)
-		for i := range lens {
-			l, k := binary.Uvarint(payload)
-			if k <= 0 {
-				return dst, fmt.Errorf("%w: bad part length %d", ErrCorrupt, i)
-			}
-			lens[i] = l
-			payload = payload[k:]
-		}
-		out := dst
-		for i, l := range lens {
-			if uint64(len(payload)) < l {
-				return dst, fmt.Errorf("%w: part %d truncated", ErrCorrupt, i)
-			}
-			var err error
-			// Parts share one output buffer: matches may reach back into
-			// the previous parts' bytes (the overlap history), but never
-			// before this blob's own output start.
-			out, _, err = decodeTokens(out, payload[:l], base)
-			if err != nil {
-				return dst, fmt.Errorf("part %d: %w", i, err)
-			}
-			payload = payload[l:]
-		}
-		if len(payload) != 0 {
-			return dst, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(payload))
-		}
-		if len(out)-base != int(srcLen) {
-			return dst, fmt.Errorf("%w: decoded %d bytes, header says %d", ErrCorrupt, len(out)-base, srcLen)
-		}
-		return out, nil
 	case ModeSubIdx:
 		// The retained serial decoder for indexed containers: parts decode
 		// in order into one shared buffer (matches may reach back into the
@@ -120,7 +76,7 @@ func Decompress(dst, src []byte) ([]byte, error) {
 			}
 		}
 		return out, nil
-	default:
+	default: // including the retired ModeSub
 		return dst, fmt.Errorf("%w: unknown mode %d", ErrCorrupt, mode)
 	}
 }

@@ -3,6 +3,7 @@ package lz
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -23,7 +24,7 @@ func FuzzDecompress(f *testing.F) {
 	}
 	for _, data := range corpus() {
 		// Sub-block containers with the boundary table (what PostProcess
-		// writes) and the legacy table-less layout (decode compatibility).
+		// writes) and the retired table-less layout (must be rejected).
 		res := CompressSubBlocks(data, DefaultSubBlockParams())
 		iblob, _ := PostProcess(nil, res)
 		f.Add(iblob)
@@ -46,6 +47,9 @@ func FuzzDecompress(f *testing.F) {
 	f.Add([]byte{99, 0})
 	f.Fuzz(func(t *testing.T, junk []byte) {
 		out, err := Decompress(nil, junk)
+		if len(junk) > 0 && junk[0] == ModeSub && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("retired ModeSub blob must be ErrCorrupt, got %v", err)
+		}
 		if err == nil && len(junk) > 0 {
 			// A valid blob must re-encode/round trip consistently.
 			re, _ := Compress(nil, out, DefaultParams())

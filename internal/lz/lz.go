@@ -25,11 +25,9 @@
 //
 //	mode 0 (raw):  payload is the source verbatim.
 //	mode 1 (lzss): payload is an LZSS token stream.
-//	mode 2 (sub):  uvarint part count, then per part a uvarint payload
-//	               length, then the parts' LZSS token streams. Parts decode
-//	               sequentially into one output buffer, so a part's matches
-//	               may reach back into the previous part (the overlap).
-//	               Legacy: retained for decode compatibility only.
+//	mode 2 (sub):  retired table-less sub-block container. Nothing writes
+//	               it and nothing persists across versions, so the decoder
+//	               rejects it as corrupt; the number stays reserved.
 //	mode 4 (sub, indexed): uvarint part count, then per part a uvarint
 //	               token length AND a uvarint output length (the boundary
 //	               table), then the token streams. The output lengths let a
@@ -66,10 +64,11 @@ const (
 const (
 	ModeRaw  = 0
 	ModeLZSS = 1
-	ModeSub  = 2 // legacy sub-block container (no boundary table); decode only
+	ModeSub  = 2 // retired table-less sub-block container: reserved, rejected on decode
 	ModeQLZ  = 3
-	// ModeSubIdx is the indexed sub-block container: mode 2 plus a per-part
-	// output-length table, written so sub-blocks can decode independently.
+	// ModeSubIdx is the indexed sub-block container: per-part token streams
+	// behind a boundary table of (token length, output length) pairs,
+	// written so sub-blocks can decode independently.
 	ModeSubIdx = 4
 )
 

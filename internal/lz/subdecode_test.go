@@ -3,6 +3,7 @@ package lz
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -48,19 +49,20 @@ func litStream(lits string) []byte {
 
 // TestTruncatedPartMasking pins the decode-hardening bugfix: a part whose
 // stream was cut mid-flag-group produces short output with no intrinsic
-// error, and in the legacy mode-2 container a later part can make up the
-// bytes so the whole-blob length check passes — silent corruption. The
-// mode-4 boundary table catches it per part, in both the serial and the
-// parallel decoder.
+// error, and in the retired mode-2 container a later part could make up
+// the bytes so the whole-blob length check passed — silent corruption.
+// The decoder no longer reads mode 2 at all (any ModeSub blob is
+// ErrCorrupt), and the mode-4 boundary table catches the truncation per
+// part, in both the serial and the parallel decoder.
 func TestTruncatedPartMasking(t *testing.T) {
-	truncated := litStream("ab")   // claims to be part of "abcd"
+	truncated := litStream("ab")  // claims to be part of "abcd"
 	padded := litStream("efghij") // a later part "compensating" 2 bytes
 
-	// Legacy container: decodes without error — the masking this PR fixes.
+	// Retired container: the blob that used to decode with the truncation
+	// masked is now rejected outright.
 	v1 := buildSub(ModeSub, 8, [][]byte{truncated, padded}, nil)
-	out, err := Decompress(nil, v1)
-	if err != nil || len(out) != 8 {
-		t.Fatalf("legacy container should silently mask the truncation (got err=%v len=%d)", err, len(out))
+	if out, err := Decompress(nil, v1); !errors.Is(err, ErrCorrupt) || len(out) != 0 {
+		t.Fatalf("ModeSub container must be rejected as corrupt (got err=%v len=%d)", err, len(out))
 	}
 
 	// Indexed container: the table says part 0 produces 4 bytes; it
@@ -110,8 +112,8 @@ func TestPartCountAllocBounded(t *testing.T) {
 		{ModeSubIdx, 0x04, 0xFF, 0xFF, 0x03}, // same for the indexed mode
 	}
 	for _, blob := range blobs {
-		if _, err := Decompress(nil, blob); err == nil {
-			t.Fatal("corrupt part count must error")
+		if _, err := Decompress(nil, blob); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("corrupt part count must be ErrCorrupt, got %v", err)
 		}
 	}
 	const iters = 200
@@ -124,9 +126,10 @@ func TestPartCountAllocBounded(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perDecode := (after.TotalAlloc - before.TotalAlloc) / (2 * iters)
-	// Before the fix each decode allocated 64 KiB (mode 2: 65535 uint64s
-	// would be 512 KiB; the 1<<16 cap applies after) — with the payload
-	// bound an error costs only the wrapped error values.
+	// Before the fix each decode allocated 64 KiB (the retired mode 2:
+	// 65535 uint64s would be 512 KiB; the 1<<16 cap applied after) — with
+	// mode 2 rejected at the mode byte and mode 4's payload bound, an error
+	// costs only the wrapped error values.
 	if perDecode > 4096 {
 		t.Fatalf("corrupt blob costs %d bytes per failed decode", perDecode)
 	}

@@ -16,6 +16,12 @@
 // pool stays profitable even at 4 KB-chunk granularity, where a
 // closure-per-span dispatch spends a measurable share of its time in the
 // scheduler and the allocator.
+//
+// Beside the pool sit the two pieces every batch tier above the volume
+// shares: ForEach (workers claim WHOLE indices — one shard or node each —
+// off an atomic counter) and Partition (an order-preserving count-then-fill
+// split of a batch into per-child queues). A batch call is validate →
+// Partition → ForEach over the children → merge.
 package parallel
 
 import (
@@ -36,10 +42,18 @@ const grainShards = 4
 // usable; build one with New. A Pool with one worker runs everything
 // inline on the calling goroutine, which keeps Parallelism=1 runs strictly
 // single-threaded (useful for determinism baselines).
+//
+// Map is safe for concurrent callers: one caller at a time fans out over
+// the workers, and a caller that finds the pool busy (including an fn that
+// calls Map on its own pool) runs its items inline on its own goroutine.
+// So several batches may share one pool; the late ones just lose the
+// helpers, never correctness.
 type Pool struct {
 	workers int
-	start   sync.Once
-	closed  sync.Once
+
+	// mu is held by the one Map that owns the workers, and by Close — which
+	// therefore waits for a fan-out in flight before stopping them.
+	mu sync.Mutex
 
 	// The published job. Written by Map before the wake tokens are sent
 	// and read by workers only while holding one, so the channel provides
@@ -51,7 +65,7 @@ type Pool struct {
 	next  atomic.Int64 // next unclaimed index
 	out   atomic.Int64 // woken workers that have not yet checked out
 
-	wake chan struct{} // one token per woken worker per Map
+	wake chan struct{} // one token per woken worker per Map; nil while stopped
 	done chan struct{} // signaled by the last worker to check out
 }
 
@@ -61,51 +75,49 @@ func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	return &Pool{workers: workers}
+	return &Pool{workers: workers, done: make(chan struct{}, 1)}
 }
 
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// launch starts the worker goroutines (once).
+// launch starts the worker goroutines. Caller holds p.mu.
 func (p *Pool) launch() {
-	p.start.Do(func() {
-		p.wake = make(chan struct{}, p.workers)
-		p.done = make(chan struct{}, 1)
-		for w := 0; w < p.workers-1; w++ {
-			// Counter slot w+1; the calling goroutine records on slot 0.
-			slot := w + 1
-			go func() {
-				// End of this worker's previous busy window, or -1 when
-				// metrics were off then. Idle time is measured from there to
-				// the next wake-up this worker services.
-				idleFrom := int64(-1)
-				for range p.wake {
-					start := int64(-1)
-					if p.pubNS >= 0 {
-						start = metrics.Clock()
-					}
-					if start >= 0 {
-						metrics.PoolClaimWait.Observe(start - p.pubNS)
-						if idleFrom >= 0 {
-							metrics.PoolIdle.AddAt(slot, start-idleFrom)
-						}
-					}
-					p.run()
-					idleFrom = -1
-					if start >= 0 {
-						if end := metrics.Clock(); end >= 0 {
-							metrics.PoolBusy.AddAt(slot, end-start)
-							idleFrom = end
-						}
-					}
-					if p.out.Add(-1) == 0 {
-						p.done <- struct{}{}
+	wake := make(chan struct{}, p.workers)
+	p.wake = wake
+	for w := 0; w < p.workers-1; w++ {
+		// Counter slot w+1; the calling goroutine records on slot 0.
+		slot := w + 1
+		go func() {
+			// End of this worker's previous busy window, or -1 when
+			// metrics were off then. Idle time is measured from there to
+			// the next wake-up this worker services.
+			idleFrom := int64(-1)
+			for range wake {
+				start := int64(-1)
+				if p.pubNS >= 0 {
+					start = metrics.Clock()
+				}
+				if start >= 0 {
+					metrics.PoolClaimWait.Observe(start - p.pubNS)
+					if idleFrom >= 0 {
+						metrics.PoolIdle.AddAt(slot, start-idleFrom)
 					}
 				}
-			}()
-		}
-	})
+				p.run()
+				idleFrom = -1
+				if start >= 0 {
+					if end := metrics.Clock(); end >= 0 {
+						metrics.PoolBusy.AddAt(slot, end-start)
+						idleFrom = end
+					}
+				}
+				if p.out.Add(-1) == 0 {
+					p.done <- struct{}{}
+				}
+			}
+		}()
+	}
 }
 
 // run claims contiguous index batches until the job's range is exhausted.
@@ -139,7 +151,7 @@ func (p *Pool) Map(n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	if p.workers <= 1 || n == 1 {
+	if p.workers <= 1 || n == 1 || !p.mu.TryLock() {
 		start := metrics.Clock()
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -151,7 +163,10 @@ func (p *Pool) Map(n int, fn func(int)) {
 		}
 		return
 	}
-	p.launch()
+	defer p.mu.Unlock()
+	if p.wake == nil {
+		p.launch()
+	}
 	grain := n / (p.workers * grainShards)
 	if grain < 1 {
 		grain = 1
@@ -188,14 +203,116 @@ func (p *Pool) Map(n int, fn func(int)) {
 	p.fn = nil
 }
 
-// Close stops the worker goroutines. It is safe to call multiple times and
-// safe to call on a pool whose workers never started; Map must not be
-// called after Close.
+// Close stops the worker goroutines after any fan-out in flight has
+// finished. It is idempotent, safe on a pool whose workers never started,
+// and leaves the pool usable: a later Map starts fresh workers.
 func (p *Pool) Close() {
-	p.closed.Do(func() {
-		p.start.Do(func() {}) // mark started so a late launch cannot race Close
-		if p.wake != nil {
-			close(p.wake)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.wake != nil {
+		close(p.wake)
+		p.wake = nil
+	}
+}
+
+// ForEach runs fn(i) for every i in [0, n) on up to workers goroutines
+// (workers <= 0 means one per index), the caller among them, and returns
+// the lowest-index error. Each worker claims WHOLE indices off an atomic
+// counter, so every index runs exactly once, on one goroutine, start to
+// finish — scheduling decides only when an index runs, never what it does.
+func ForEach(n, workers int, fn func(i int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	if workers <= 0 || workers > n {
+		workers = n
+	}
+	var (
+		next   atomic.Int64
+		mu     sync.Mutex
+		first  error
+		firstI = n
+		wg     sync.WaitGroup
+	)
+	drain := func() {
+		defer wg.Done()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				mu.Lock()
+				if i < firstI {
+					first, firstI = err, i
+				}
+				mu.Unlock()
+			}
 		}
-	})
+	}
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go drain()
+	}
+	drain()
+	wg.Wait()
+	return first
+}
+
+// Partition is a reusable order-preserving split of a batch of n inputs
+// into per-bucket queues: bucket b's queue holds exactly the inputs routed
+// to b, in input order. Split counts, carves exact-size queues out of one
+// backing array, then fills — no queue ever regrows — and the buffers
+// survive from one Split to the next.
+type Partition[T any] struct {
+	// Queues[b] is bucket b's items and Pos[b][k] the input index that
+	// Queues[b][k] came from. Both alias the partition's buffers and are
+	// valid until the next Split.
+	Queues [][]T
+	Pos    [][]int
+
+	bucket []int32 // input -> bucket, kept from the count pass for the fill
+	end    []int   // per-bucket fill cursor
+	items  []T
+	pos    []int
+}
+
+// Split partitions inputs 0..n-1 over buckets queues. route(i) names input
+// i's bucket and item(i) the value queued for it; each is called once per
+// input, in input order.
+func (p *Partition[T]) Split(n, buckets int, route func(i int) int, item func(i int) T) {
+	if cap(p.end) < buckets {
+		p.Queues = make([][]T, buckets)
+		p.Pos = make([][]int, buckets)
+		p.end = make([]int, buckets)
+	}
+	if cap(p.items) < n {
+		p.bucket = make([]int32, n)
+		p.items = make([]T, n)
+		p.pos = make([]int, n)
+	}
+	p.Queues, p.Pos = p.Queues[:buckets], p.Pos[:buckets]
+	bucket, end, items, pos := p.bucket[:n], p.end[:buckets], p.items[:n], p.pos[:n]
+	clear(end)
+	for i := range bucket {
+		b := route(i)
+		bucket[i] = int32(b)
+		end[b]++
+	}
+	// Counts become start offsets; the fill advances each to its bucket's end.
+	off := 0
+	for b, c := range end {
+		end[b] = off
+		off += c
+	}
+	for i, b := range bucket {
+		k := end[b]
+		items[k], pos[k] = item(i), i
+		end[b]++
+	}
+	lo := 0
+	for b, hi := range end {
+		p.Queues[b], p.Pos[b] = items[lo:hi:hi], pos[lo:hi:hi]
+		lo = hi
+	}
 }

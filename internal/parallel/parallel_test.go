@@ -1,7 +1,11 @@
 package parallel
 
 import (
+	"errors"
+	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -138,4 +142,113 @@ func TestCloseIdempotentAndUnstarted(t *testing.T) {
 	q.Map(8, func(int) {})
 	q.Close()
 	q.Close()
+	// A closed pool restarts on demand.
+	var hit atomic.Int64
+	q.Map(64, func(int) { hit.Add(1) })
+	if hit.Load() != 64 {
+		t.Fatalf("Map after Close ran %d of 64 items", hit.Load())
+	}
+	q.Close()
+}
+
+// TestMapConcurrentCallersAndClose: several goroutines share one pool —
+// Map from all of them at once, Map from inside a Map's fn, and Close in
+// the middle of it all. Every Map must still run every index exactly once
+// (a busy pool runs the late caller inline), and nothing may panic, hang,
+// or race.
+func TestMapConcurrentCallersAndClose(t *testing.T) {
+	p := New(4)
+	defer p.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 200; round++ {
+				n := 1 + (g*31+round)%97
+				hit := make([]int32, n)
+				p.Map(n, func(i int) {
+					atomic.AddInt32(&hit[i], 1)
+					if i == 0 && round%8 == 0 {
+						var inner atomic.Int32
+						p.Map(5, func(int) { inner.Add(1) }) // reentrant: runs inline
+						if inner.Load() != 5 {
+							t.Errorf("nested Map ran %d of 5 items", inner.Load())
+						}
+					}
+				})
+				for i := range hit {
+					if hit[i] != 1 {
+						t.Errorf("caller %d round %d n=%d: index %d visited %d times", g, round, n, i, hit[i])
+						return
+					}
+				}
+				if g == 0 && round%10 == 0 {
+					p.Close()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestForEachClaimsEveryIndexOnce: every index runs exactly once for any
+// worker count (0 = one per index, 1 = inline, n, more than n), and the
+// error returned is the lowest failing index's however the host schedules.
+func TestForEachClaimsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 64} {
+		for _, workers := range []int{0, 1, n, n + 5} {
+			hit := make([]int32, n)
+			err := ForEach(n, workers, func(i int) error {
+				atomic.AddInt32(&hit[i], 1)
+				if i%3 == 2 {
+					return errors.New(string(rune('a' + i%26)))
+				}
+				return nil
+			})
+			for i := range hit {
+				if hit[i] != 1 {
+					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, workers, i, hit[i])
+				}
+			}
+			if n < 3 && err != nil {
+				t.Fatalf("n=%d workers=%d: unexpected error %v", n, workers, err)
+			}
+			if n >= 3 && (err == nil || err.Error() != "c") {
+				t.Fatalf("n=%d workers=%d: want index 2's error, got %v", n, workers, err)
+			}
+		}
+	}
+}
+
+// TestPartitionPreservesOrder: each bucket's queue is exactly the inputs
+// routed to it, in input order, with their positions — across reuse with
+// growing and shrinking shapes.
+func TestPartitionPreservesOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var p Partition[int64]
+	for _, shape := range [][2]int{{0, 3}, {100, 4}, {1000, 7}, {10, 2}, {50, 1}} {
+		n, buckets := shape[0], shape[1]
+		in := make([]int64, n)
+		route := make([]int, n)
+		for i := range in {
+			in[i], route[i] = rng.Int63(), rng.Intn(buckets)
+		}
+		p.Split(n, buckets, func(i int) int { return route[i] }, func(i int) int64 { return in[i] })
+		if len(p.Queues) != buckets || len(p.Pos) != buckets {
+			t.Fatalf("%v: %d queues, %d pos", shape, len(p.Queues), len(p.Pos))
+		}
+		for b := 0; b < buckets; b++ {
+			var wantQ []int64
+			var wantPos []int
+			for i := range in {
+				if route[i] == b {
+					wantQ, wantPos = append(wantQ, in[i]), append(wantPos, i)
+				}
+			}
+			if !slices.Equal(p.Queues[b], wantQ) || !slices.Equal(p.Pos[b], wantPos) {
+				t.Fatalf("%v bucket %d: got %v at %v, want %v at %v", shape, b, p.Queues[b], p.Pos[b], wantQ, wantPos)
+			}
+		}
+	}
 }

@@ -226,6 +226,13 @@ func TestShardStatsSumToMerged(t *testing.T) {
 	if _, err := a.Serve(testOps(t), RunOptions{ContentSeed: 9, CleanEvery: 50}); err != nil {
 		t.Fatal(err)
 	}
+	checkShardStatsSumToMerged(t, a)
+}
+
+// checkShardStatsSumToMerged asserts the accounting identity on a quiescent
+// array: summing ShardStats' counters reproduces Stats' exactly.
+func checkShardStatsSumToMerged(t *testing.T, a *Array) {
+	t.Helper()
 	var sum volume.Stats
 	for _, st := range a.ShardStats() {
 		sum.AddCounters(st)

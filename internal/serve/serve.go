@@ -20,11 +20,8 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"inlinered/internal/metrics"
@@ -54,14 +51,14 @@ type Config struct {
 	// exactly one volume's lanes). Length must be 0 or Shards.
 	Obs []*obs.Recorder
 	// Parallelism is the decode worker count for the batch read path
-	// (Array.ReadBatch): sub-block decode items fan out over one shared
-	// worker pool of this size. 0 or 1 decodes inline. Like Clients, it
-	// changes only the wall clock — reports are bit-identical for any
-	// value.
+	// (Array.ReadBatch): each shard's sub-block decode items fan out over
+	// the array's worker pool of this size. 0 or 1 decodes inline. Like
+	// Clients, it changes only the wall clock — reports are bit-identical
+	// for any value.
 	Parallelism int
 }
 
-// shard pairs a volume with the mutex that serializes direct calls into it.
+// shard pairs a volume with the mutex that serializes every call into it.
 type shard struct {
 	mu sync.Mutex
 	v  *volume.Volume
@@ -74,51 +71,38 @@ type shard struct {
 	// rb is the shard's reusable batch-read state (lazily created; owned
 	// by whoever holds mu).
 	rb *volume.ReadBatch
-	// lbas is the batch read path's per-shard queue: local LBAs plus the
-	// original batch positions for routing results back.
-	lbas []int64
-	pos  []int
 }
 
-// serveScratch holds the batch path's reusable partition and report
-// buffers. One Serve call owns it at a time (TryLock); a concurrent Serve
-// falls back to fresh allocations, so reuse never changes behavior.
-type serveScratch struct {
-	mu     sync.Mutex
-	queues [][]workload.Op
-	ops    []workload.Op // one backing array carved into per-shard queues
-	counts []int
-	per    []ShardReport
-}
-
-// readScratch holds Array.ReadBatch's reusable per-call state. ReadBatch
-// holds every shard lock for its whole run, so concurrent callers
-// serialize on shard 0's mutex and the scratch needs no lock of its own.
-type readScratch struct {
-	startNow  []time.Duration
-	prefix    []int             // per-shard item-count prefix sums
-	itemShard []int32           // global item index -> owning shard
-	per       []ReadShardReport // per-shard report slots, reused per call
-	run       func(k int)       // stage-2 body, built once per array
-}
+// The batch paths' partition buffers, recycled across calls and arrays. A
+// call takes one for its duration, so concurrent batches never share one.
+var (
+	opPartitions  = sync.Pool{New: func() any { return new(parallel.Partition[workload.Op]) }}
+	lbaPartitions = sync.Pool{New: func() any { return new(parallel.Partition[int64]) }}
+)
 
 // Array is the sharded front-end. All methods are safe for concurrent use.
 type Array struct {
-	cfg     Config
-	blocks  int64
-	shards  []*shard
-	scratch serveScratch
-	rsc     readScratch
-
-	// Decode worker pool for the batch read path, created on first use.
-	// One pool per array: parallel.Pool.Map is not reentrant, so ReadBatch
-	// issues exactly one Map over all shards' decode items.
-	poolMu sync.Mutex
-	pool   *parallel.Pool
+	cfg    Config
+	blocks int64
+	shards []*shard
+	pool   *parallel.Pool // batch-read decode workers; nil decodes inline
 }
 
-// New builds an array of cfg.Shards independent volumes.
+// New builds an array of cfg.Shards independent volumes that decodes batch
+// reads on its own pool of cfg.Parallelism workers.
 func New(cfg Config) (*Array, error) {
+	var pool *parallel.Pool
+	if cfg.Parallelism > 1 {
+		pool = parallel.New(cfg.Parallelism)
+	}
+	return NewWithPool(cfg, pool)
+}
+
+// NewWithPool is New decoding on the caller's pool instead (nil decodes
+// inline; cfg.Parallelism is ignored). Pool.Map tolerates concurrent
+// callers, so any number of arrays may share one pool — a cluster's nodes
+// do.
+func NewWithPool(cfg Config, pool *parallel.Pool) (*Array, error) {
 	n := cfg.Shards
 	if n == 0 {
 		n = 1
@@ -132,7 +116,7 @@ func New(cfg Config) (*Array, error) {
 	if len(cfg.Obs) != 0 && len(cfg.Obs) != n {
 		return nil, fmt.Errorf("serve: need 0 or %d recorders, got %d", n, len(cfg.Obs))
 	}
-	a := &Array{cfg: cfg, blocks: cfg.Volume.Blocks, shards: make([]*shard, n)}
+	a := &Array{cfg: cfg, blocks: cfg.Volume.Blocks, shards: make([]*shard, n), pool: pool}
 	for i := 0; i < n; i++ {
 		vc := cfg.Volume
 		// Shard i owns the LBAs congruent to i mod n.
@@ -250,47 +234,24 @@ func (a *Array) ShardStats() []volume.Stats {
 	return out
 }
 
-// MergedHistograms returns the array's per-op latency histograms (write,
-// read, trim, journal flush) merged across shards. Bucket merges are
-// order-independent, so the result is deterministic for any shard
-// enumeration; callers one level up (the cluster tier) merge these again
-// across arrays and recompute summaries from the merged buckets.
-func (a *Array) MergedHistograms() (write, read, trim, journalFlush sim.Histogram) {
+// Snapshot returns the array's accounting merged across shards, in the
+// mergeable form the cluster tier merges again across arrays.
+func (a *Array) Snapshot() volume.Snapshot {
+	var out volume.Snapshot
 	for _, s := range a.shards {
 		s.mu.Lock()
-		w, r, tr, jf := s.v.Histograms()
+		sn := s.v.Snapshot()
 		s.mu.Unlock()
-		write.Merge(&w)
-		read.Merge(&r)
-		trim.Merge(&tr)
-		journalFlush.Merge(&jf)
+		out.Merge(&sn)
 	}
-	return write, read, trim, journalFlush
+	return out
 }
 
 // Stats returns the merged array stats: counters sum, and the latency
-// summaries are recomputed from the merged per-shard histograms (bucket
-// counts are order-independent, so the merge is deterministic for any
-// shard enumeration).
+// summaries are recomputed from the merged per-shard histograms.
 func (a *Array) Stats() volume.Stats {
-	var out volume.Stats
-	var hw, hr, ht, hjf sim.Histogram
-	for _, s := range a.shards {
-		s.mu.Lock()
-		st := s.v.Stats()
-		w, r, tr, jf := s.v.Histograms()
-		s.mu.Unlock()
-		out.AddCounters(st)
-		hw.Merge(&w)
-		hr.Merge(&r)
-		ht.Merge(&tr)
-		hjf.Merge(&jf)
-	}
-	out.WriteLat = hw.Summary()
-	out.ReadLat = hr.Summary()
-	out.TrimLat = ht.Summary()
-	out.JournalFlushLat = hjf.Summary()
-	return out
+	sn := a.Snapshot()
+	return sn.Stats()
 }
 
 // RunOptions tune a batch Serve run. Only Clients affects the wall clock;
@@ -339,21 +300,8 @@ type Report struct {
 // ReportSchema versions the serve report envelope.
 const ReportSchema = "inlinered/serve-report/v1"
 
-// JSON encodes the report as stable, indented JSON with a schema envelope,
-// mirroring trace.Report.JSON.
-func (r *Report) JSON() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	env := struct {
-		Schema string  `json:"schema"`
-		Report *Report `json:"report"`
-	}{ReportSchema, r}
-	if err := enc.Encode(env); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// JSON encodes the report as stable, indented JSON with a schema envelope.
+func (r *Report) JSON() ([]byte, error) { return sim.EncodeReport(ReportSchema, r) }
 
 // String renders a one-look summary.
 func (r *Report) String() string {
@@ -371,129 +319,53 @@ func (r *Report) String() string {
 // Serve executes a batch of operations across the shards with concurrent
 // workers and returns the merged report.
 //
-// The op list is partitioned into per-shard queues first (an
-// order-preserving projection: shard i sees exactly the subsequence of ops
-// routed to it, in list order), then workers claim WHOLE queues via an
-// atomic counter — each shard is drained by exactly one worker, so its op
-// order, virtual clock, and fault stream never depend on how many workers
-// run or how the host schedules them. Per-op errors (injected faults) are
-// counted, not fatal: a serving front-end keeps serving.
+// It is the batch skeleton every tier shares: validate, partition the op
+// list into per-shard queues (an order-preserving projection: shard i sees
+// exactly the subsequence of ops routed to it, in list order), let workers
+// claim WHOLE queues (parallel.ForEach), merge. Each shard is drained by
+// exactly one worker, so its op order, virtual clock, and fault stream
+// never depend on how many workers run or how the host schedules them.
+// Per-op errors (injected faults) are counted, not fatal: a serving
+// front-end keeps serving.
 func (a *Array) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
-	n := int64(len(a.shards))
-	nsh := len(a.shards)
-
-	// Partition and report buffers come from the array's scratch when it is
-	// free; a concurrent Serve (legal — shards lock independently) just
-	// allocates its own set, so reuse is invisible to callers.
-	sc := &a.scratch
-	var queues [][]workload.Op
-	var backing []workload.Op
-	var counts []int
-	var per []ShardReport
-	if sc.mu.TryLock() {
-		defer sc.mu.Unlock()
-		if cap(sc.queues) < nsh {
-			sc.queues = make([][]workload.Op, nsh)
-		}
-		if cap(sc.counts) < nsh {
-			sc.counts = make([]int, nsh)
-		}
-		if cap(sc.per) < nsh {
-			sc.per = make([]ShardReport, nsh)
-		}
-		if cap(sc.ops) < len(ops) {
-			sc.ops = make([]workload.Op, len(ops))
-		}
-		queues, counts, per = sc.queues[:nsh], sc.counts[:nsh], sc.per[:nsh]
-		backing = sc.ops[:len(ops)]
-		clear(counts)
-		clear(per)
-	} else {
-		queues = make([][]workload.Op, nsh)
-		counts = make([]int, nsh)
-		per = make([]ShardReport, nsh)
-		backing = make([]workload.Op, len(ops))
-	}
-
-	// Count-then-fill: validate every op and size each shard's queue, then
-	// carve exact-capacity queues out of one backing array.
 	dispatchStart := metrics.Clock()
-	for i, op := range ops {
-		switch op.Kind {
-		case workload.OpWrite, workload.OpRead, workload.OpTrim:
-		default:
-			return nil, fmt.Errorf("serve: op %d: unknown kind %q", i, op.Kind)
-		}
-		if op.LBA < 0 || op.LBA >= a.blocks {
-			return nil, fmt.Errorf("serve: op %d: lba %d outside [0,%d)", i, op.LBA, a.blocks)
-		}
-		counts[op.LBA%n]++
+	kinds, err := workload.CheckOps(ops, a.blocks)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	off := 0
-	for s := range queues {
-		queues[s] = backing[off : off : off+counts[s]]
-		off += counts[s]
-	}
-	for _, op := range ops {
-		s := op.LBA % n
-		op.LBA /= n // shard-local address
-		queues[s] = append(queues[s], op)
-	}
+	n := int64(len(a.shards))
+	part := opPartitions.Get().(*parallel.Partition[workload.Op])
+	defer opPartitions.Put(part)
+	part.Split(len(ops), len(a.shards),
+		func(i int) int { return int(ops[i].LBA % n) },
+		func(i int) workload.Op {
+			op := ops[i]
+			op.LBA /= n // shard-local address
+			return op
+		})
 	// Dispatch ends when every shard queue is filled; from here each
 	// queue's wall time until a worker claims it is queue wait.
 	readyNS := metrics.Clock()
 	metrics.ServeDispatch.ObserveSince(dispatchStart)
 
-	clients := opt.Clients
-	if clients <= 0 {
-		clients = len(a.shards)
+	if opt.Fill == 0 {
+		opt.Fill = 0.5
 	}
-	fill := opt.Fill
-	if fill == 0 {
-		fill = 0.5
+	rep := &Report{
+		Shards: len(a.shards), Ops: len(ops), Writes: kinds.Writes, Reads: kinds.Reads, Trims: kinds.Trims,
+		PerShard: make([]ShardReport, len(a.shards)),
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(a.shards) {
-					return
-				}
-				metrics.ServeQueueWait.ObserveSince(readyNS)
-				drainStart := metrics.Clock()
-				per[i] = a.serveShard(i, queues[i], opt, fill)
-				metrics.ServeShardDrain.ObserveSince(drainStart)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// The report retains PerShard, so the scratch is copied out, never
-	// aliased.
-	perOut := make([]ShardReport, nsh)
-	copy(perOut, per)
-	rep := &Report{Shards: len(a.shards), Ops: len(ops), PerShard: perOut}
-	per = perOut
-	for i := range per {
-		rep.Errors += per[i].Errors
-		rep.Cleaned += per[i].Cleaned
-		if per[i].Elapsed > rep.Elapsed {
-			rep.Elapsed = per[i].Elapsed
-		}
-	}
-	for _, op := range ops {
-		switch op.Kind {
-		case workload.OpWrite:
-			rep.Writes++
-		case workload.OpRead:
-			rep.Reads++
-		case workload.OpTrim:
-			rep.Trims++
-		}
+	_ = parallel.ForEach(len(a.shards), opt.Clients, func(i int) error { // drains never fail
+		metrics.ServeQueueWait.ObserveSince(readyNS)
+		drainStart := metrics.Clock()
+		rep.PerShard[i] = a.serveShard(i, part.Queues[i], opt)
+		metrics.ServeShardDrain.ObserveSince(drainStart)
+		return nil
+	})
+	for i := range rep.PerShard {
+		rep.Errors += rep.PerShard[i].Errors
+		rep.Cleaned += rep.PerShard[i].Cleaned
+		rep.Elapsed = max(rep.Elapsed, rep.PerShard[i].Elapsed)
 	}
 	rep.Merged = a.Stats()
 	return rep, nil
@@ -501,8 +373,9 @@ func (a *Array) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 
 // serveShard drains one shard's queue. The shard lock is held for the
 // whole drain: the queue claim already guarantees exclusive ownership
-// among workers, and the lock only fences off concurrent direct-API calls.
-func (a *Array) serveShard(i int, queue []workload.Op, opt RunOptions, fill float64) ShardReport {
+// among this batch's workers, and the lock fences off direct-API calls and
+// other batches.
+func (a *Array) serveShard(i int, queue []workload.Op, opt RunOptions) ShardReport {
 	s := a.shards[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -513,7 +386,7 @@ func (a *Array) serveShard(i int, queue []workload.Op, opt RunOptions, fill floa
 		var err error
 		switch op.Kind {
 		case workload.OpWrite:
-			s.payload = workload.UniqueChunkInto(s.payload[:0], opt.ContentSeed, op.Content, blockSize, fill)
+			s.payload = workload.UniqueChunkInto(s.payload[:0], opt.ContentSeed, op.Content, blockSize, opt.Fill)
 			_, err = s.v.Write(op.LBA, s.payload)
 		case workload.OpRead:
 			s.readBuf, _, err = s.v.ReadInto(s.readBuf[:0], op.LBA)

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -40,21 +38,8 @@ type Latency struct {
 // ReportSchema versions the replay report envelope.
 const ReportSchema = "inlinered/trace-report/v1"
 
-// JSON encodes the report as stable, indented JSON with a schema envelope,
-// mirroring core.Report.JSON.
-func (r *Report) JSON() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	env := struct {
-		Schema string  `json:"schema"`
-		Report *Report `json:"report"`
-	}{ReportSchema, r}
-	if err := enc.Encode(env); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// JSON encodes the report as stable, indented JSON with a schema envelope.
+func (r *Report) JSON() ([]byte, error) { return sim.EncodeReport(ReportSchema, r) }
 
 func latencyOf(q *sim.Quantiles, s *sim.Stats) Latency {
 	return Latency{

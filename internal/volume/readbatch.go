@@ -310,7 +310,7 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 				it.err = nil
 			}
 		default:
-			// Raw, legacy, or wrong-size container: one whole-blob item on
+			// Raw, single-stream, or wrong-size container: one whole-blob item on
 			// the retained serial decoder.
 			jb.items = 1
 			b.items = growItem(b.items)

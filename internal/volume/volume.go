@@ -172,11 +172,8 @@ type Stats struct {
 }
 
 // AddCounters accumulates st's counter fields into s. Latency summaries
-// are deliberately left untouched: summaries cannot be merged — merge the
-// underlying histograms (Volume.Histograms, Array.MergedHistograms) and
-// recompute. Both the sharded front-end and the cluster tier merge through
-// this one helper so a new Stats counter cannot be forgotten in one of
-// them.
+// are deliberately left untouched: summaries cannot be merged — merge
+// Snapshots, which carry the underlying histograms, and recompute.
 func (s *Stats) AddCounters(st Stats) {
 	s.Writes += st.Writes
 	s.Reads += st.Reads
@@ -346,11 +343,41 @@ func (v *Volume) Stats() Stats {
 	return st
 }
 
-// Histograms returns copies of the per-op latency histograms (write, read,
-// trim, journal flush). Copies, not pointers: callers merge them across
-// shards without racing the volume's sequential commit path.
-func (v *Volume) Histograms() (write, read, trim, journalFlush sim.Histogram) {
-	return v.histW, v.histR, v.histT, v.histJF
+// Snapshot is a volume's accounting in mergeable form: the Stats counters
+// plus the four per-op latency histograms their summaries are computed
+// from. Every tier above the volume (shards of an array, nodes of a
+// cluster) merges through this one type, so a new counter or histogram
+// cannot be forgotten in one of them. Bucket merges are order-independent,
+// so the merged result is deterministic for any enumeration.
+type Snapshot struct {
+	stats                           Stats
+	write, read, trim, journalFlush sim.Histogram
+}
+
+// Snapshot returns the volume's current accounting. The histograms are
+// copies, so callers merge them without racing the volume's commit path.
+func (v *Volume) Snapshot() Snapshot {
+	return Snapshot{stats: v.Stats(), write: v.histW, read: v.histR, trim: v.histT, journalFlush: v.histJF}
+}
+
+// Merge folds o into s: counters sum and histogram buckets add.
+func (s *Snapshot) Merge(o *Snapshot) {
+	s.stats.AddCounters(o.stats)
+	s.write.Merge(&o.write)
+	s.read.Merge(&o.read)
+	s.trim.Merge(&o.trim)
+	s.journalFlush.Merge(&o.journalFlush)
+}
+
+// Stats returns the merged counters with the latency summaries recomputed
+// from the merged histograms.
+func (s *Snapshot) Stats() Stats {
+	st := s.stats
+	st.WriteLat = s.write.Summary()
+	st.ReadLat = s.read.Summary()
+	st.TrimLat = s.trim.Summary()
+	st.JournalFlushLat = s.journalFlush.Summary()
+	return st
 }
 
 // Drive exposes the underlying SSD for endurance inspection.
@@ -376,37 +403,15 @@ func (v *Volume) RecoverIndexStrict() (*dedup.BinIndex, error) {
 	return dedup.ReplayJournal(v.journal.Bytes(), v.cfg.Index)
 }
 
-// writeDrive is drive.Write with the shared bounded-retry policy: transient
-// injected errors are retried up to fault.MaxRetries times, each retry
-// charged exponential backoff on the virtual clock. Permanent errors (and
-// exhausted retries) surface to the caller.
+// writeDrive is drive.Write under the shared bounded-retry policy
+// (fault.Retry).
 func (v *Volume) writeDrive(at time.Duration, lpn int64, pages int) (time.Duration, error) {
-	for attempt := 0; ; attempt++ {
-		end, err := v.drive.Write(at, lpn, pages)
-		if err == nil {
-			return end, nil
-		}
-		if !fault.IsTransient(err) || attempt >= fault.MaxRetries {
-			return end, err
-		}
-		v.stats.SSDWriteRetries++
-		at += fault.Backoff(attempt)
-	}
+	return fault.Retry(v.drive.Write, &v.stats.SSDWriteRetries, at, lpn, pages)
 }
 
-// readDrive is drive.Read with the same bounded-retry policy.
+// readDrive is drive.Read under the same policy.
 func (v *Volume) readDrive(at time.Duration, lpn int64, pages int) (time.Duration, error) {
-	for attempt := 0; ; attempt++ {
-		end, err := v.drive.Read(at, lpn, pages)
-		if err == nil {
-			return end, nil
-		}
-		if !fault.IsTransient(err) || attempt >= fault.MaxRetries {
-			return end, err
-		}
-		v.stats.SSDReadRetries++
-		at += fault.Backoff(attempt)
-	}
+	return fault.Retry(v.drive.Read, &v.stats.SSDReadRetries, at, lpn, pages)
 }
 
 // journalFlush destages one bin-buffer flush to the sequential journal

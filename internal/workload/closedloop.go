@@ -27,6 +27,34 @@ type Op struct {
 	Content int32 // write content id; ignored for reads and trims
 }
 
+// OpCounts tallies an op list by kind.
+type OpCounts struct {
+	Writes, Reads, Trims int64
+}
+
+// CheckOps is a batch path's validation step: every op must have a known
+// kind and an LBA inside [0, blocks). It returns the per-kind tally, or the
+// first offending op's error.
+func CheckOps(ops []Op, blocks int64) (OpCounts, error) {
+	var n OpCounts
+	for i, op := range ops {
+		switch op.Kind {
+		case OpWrite:
+			n.Writes++
+		case OpRead:
+			n.Reads++
+		case OpTrim:
+			n.Trims++
+		default:
+			return n, fmt.Errorf("op %d: unknown kind %q", i, op.Kind)
+		}
+		if op.LBA < 0 || op.LBA >= blocks {
+			return n, fmt.Errorf("op %d: lba %d outside [0,%d)", i, op.LBA, blocks)
+		}
+	}
+	return n, nil
+}
+
 // ClosedLoopSpec parameterizes the closed-loop op-mix generator that feeds
 // the multi-client serving front-end.
 type ClosedLoopSpec struct {

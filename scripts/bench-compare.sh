@@ -89,7 +89,7 @@ run_bench() {
     # N between reps and skew the geomean).
     go test ./internal/chunk -run '^$' -bench 'BenchmarkGearCDC' \
         -benchtime 100x -count "$COUNT" -timeout 20m
-    go test ./internal/dedup -run '^$' -bench 'BenchmarkSumBatch|BenchmarkParallelSumBatch' \
+    go test ./internal/dedup -run '^$' -bench 'BenchmarkSumBatch' \
         -benchtime 20x -count "$COUNT" -timeout 20m
     go test ./internal/lz -run '^$' -bench 'BenchmarkSubDecode4K' \
         -benchtime 500x -count "$COUNT" -timeout 20m
