@@ -23,7 +23,6 @@ package inlinered
 
 import (
 	"io"
-	"time"
 
 	"inlinered/internal/cluster"
 	"inlinered/internal/core"
@@ -267,9 +266,10 @@ type ServeReport = serve.Report
 // Write/Read/Trim methods are goroutine-safe but interleave in arrival
 // order, so only the batch paths (Serve, ReadBatch) promise cross-run
 // bit-identity.
-type Array struct {
-	inner *serve.Array
-}
+//
+// Array is serve.Array under its public name; the methods are documented
+// on that type.
+type Array = serve.Array
 
 // NewArray builds a sharded array from block-device options (Shards > 1
 // requires Recorder to be nil: a recorder serves one volume's lanes).
@@ -278,69 +278,8 @@ func NewArray(opts BlockDeviceOptions) (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := serve.New(sc)
-	if err != nil {
-		return nil, err
-	}
-	return &Array{inner: inner}, nil
+	return serve.New(sc)
 }
-
-// Serve executes a batch of operations across the shards with
-// opts.Clients concurrent workers and returns the merged report. Per-op
-// errors (injected faults) are counted in the report, not fatal.
-func (a *Array) Serve(ops []Op, opts ServeOptions) (*ServeReport, error) {
-	return a.inner.Serve(ops, opts)
-}
-
-// Write stores one block at lba and returns the request's virtual latency.
-// Safe for concurrent use.
-func (a *Array) Write(lba int64, data []byte) (time.Duration, error) {
-	return a.inner.Write(lba, data)
-}
-
-// Read returns the block at lba (zeros when unmapped) and its latency.
-// Safe for concurrent use.
-func (a *Array) Read(lba int64) ([]byte, time.Duration, error) { return a.inner.Read(lba) }
-
-// Trim unmaps a block, releasing its chunk reference, and returns the
-// request's virtual latency. Safe for concurrent use.
-func (a *Array) Trim(lba int64) (time.Duration, error) { return a.inner.Trim(lba) }
-
-// Clean compacts garbage-heavy log segments on every shard and returns how
-// many were reclaimed.
-func (a *Array) Clean() (int, error) { return a.inner.Clean() }
-
-// Shards returns the shard count (1 when unsharded).
-func (a *Array) Shards() int { return a.inner.Shards() }
-
-// Now returns the array's virtual clock (the slowest shard's completion
-// time).
-func (a *Array) Now() time.Duration { return a.inner.Now() }
-
-// Stats returns space and activity accounting, merged across shards
-// (deterministically: counters sum and histogram buckets merge).
-func (a *Array) Stats() DeviceStats { return a.inner.Stats() }
-
-// ShardStats returns each shard's stats in shard order (one entry for an
-// unsharded device).
-func (a *Array) ShardStats() []DeviceStats { return a.inner.ShardStats() }
-
-// ReadBatch executes a batch of reads through the parallel read path:
-// workers claim whole shards, and each shard runs its sequential decision
-// phase (cache, SSD, and virtual-clock accounting in request order), the
-// decode fan-out over the array's worker pool (Options.Parallelism), and
-// its sequential commit under that shard's lock alone. Results stream
-// through opts.Sink; the report is bit-identical to issuing the reads
-// serially, for any parallelism or client count.
-func (a *Array) ReadBatch(lbas []int64, opts ReadBatchOptions) (*ReadBatchReport, error) {
-	return a.inner.ReadBatch(lbas, opts)
-}
-
-// Close stops the array's decode workers (started on first ReadBatch when
-// Options.Parallelism > 1) after any batch in flight. Idempotent; the
-// array stays usable and a later ReadBatch restarts them. Arrays that
-// never use ReadBatch need not call Close.
-func (a *Array) Close() { a.inner.Close() }
 
 // ClusterServeOptions tune a Cluster.Serve run. Only Clients affects the
 // wall clock; the report is bit-identical for any client count.
@@ -372,64 +311,17 @@ type RebalanceReport = cluster.RebalanceReport
 // they touch (Scrub sweeps the rest). The batch Serve path promises
 // bit-identical reports for any client count and GOMAXPROCS at a fixed
 // configuration — the same wall-clock-only parallelism contract as Array.
-type Cluster struct {
-	inner *cluster.Cluster
-}
+//
+// Cluster is cluster.Cluster under its public name; the methods are
+// documented on that type.
+type Cluster = cluster.Cluster
 
 // NewCluster builds a replicated cluster from block-device options: Nodes
 // arrays of opts.Shards shards each, with Replicas-way placement and
 // optional node-level fault injection (NodeFaultRate/NodeFaultSeed).
 func NewCluster(opts BlockDeviceOptions) (*Cluster, error) {
-	inner, err := cluster.New(opts.clusterConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{inner: inner}, nil
+	return cluster.New(opts.clusterConfig())
 }
-
-// Serve executes a batch of operations across the cluster with
-// opts.Clients concurrent workers and returns the merged report. Node
-// crashes, rejoins, and replica repair all happen inside the batch; a
-// Serve call always returns with every node live again.
-func (c *Cluster) Serve(ops []Op, opts ClusterServeOptions) (*ClusterReport, error) {
-	return c.inner.Serve(ops, opts)
-}
-
-// Scrub sweeps the full LBA range, compares every replica copy against its
-// primary, and repairs disagreements.
-func (c *Cluster) Scrub() (*ScrubReport, error) { return c.inner.Scrub() }
-
-// AddNode grows the cluster by one node, migrating only the ranges the new
-// node wins under rendezvous placement.
-func (c *Cluster) AddNode() (*RebalanceReport, error) { return c.inner.AddNode() }
-
-// Write stores one block on every owner replica synchronously. Safe for
-// concurrent use.
-func (c *Cluster) Write(lba int64, data []byte) (time.Duration, error) {
-	return c.inner.Write(lba, data)
-}
-
-// Read returns the block at lba from its primary replica (zeros when
-// unmapped). Safe for concurrent use.
-func (c *Cluster) Read(lba int64) ([]byte, time.Duration, error) { return c.inner.Read(lba) }
-
-// Trim unmaps one block on every owner replica. Safe for concurrent use.
-func (c *Cluster) Trim(lba int64) (time.Duration, error) { return c.inner.Trim(lba) }
-
-// Nodes returns the current node count.
-func (c *Cluster) Nodes() int { return c.inner.Nodes() }
-
-// Replicas returns the replication factor.
-func (c *Cluster) Replicas() int { return c.inner.Replicas() }
-
-// Now returns the cluster's virtual clock (the slowest node's clock).
-func (c *Cluster) Now() time.Duration { return c.inner.Now() }
-
-// Stats returns deterministically merged stats across every node.
-func (c *Cluster) Stats() DeviceStats { return c.inner.Stats() }
-
-// NodeStats returns each node's merged stats in node order.
-func (c *Cluster) NodeStats() []DeviceStats { return c.inner.NodeStats() }
 
 // ClusterReadBatchOptions tune a Cluster.ReadBatch run (wall clock only —
 // nothing here may affect the report or the returned bytes).
@@ -439,19 +331,6 @@ type ClusterReadBatchOptions = cluster.ReadBatchOptions
 // "inlinered/cluster-readbatch-report/v2" JSON schema. Like the serve-tier
 // report it excludes client counts, decode parallelism, and wall clocks.
 type ClusterReadBatchReport = cluster.ReadBatchReport
-
-// ReadBatch executes a batch of reads across the cluster's healthy-cluster
-// fast path: sequential routing to each read's first non-stale replica,
-// then per-node batch reads through the parallel read path (per shard:
-// plan, decode fan-out, commit). The report is bit-identical to any other
-// scheduling of the same batch.
-func (c *Cluster) ReadBatch(lbas []int64, opts ClusterReadBatchOptions) (*ClusterReadBatchReport, error) {
-	return c.inner.ReadBatch(lbas, opts)
-}
-
-// Close stops the decode workers the cluster's nodes share. Idempotent;
-// the cluster stays usable and a later ReadBatch restarts them.
-func (c *Cluster) Close() { c.inner.Close() }
 
 // StreamSpec describes a synthetic workload stream (the vdbench stand-in):
 // both knobs the paper's evaluation uses, calibrated against this

@@ -9,14 +9,13 @@ import (
 	"time"
 
 	"inlinered/internal/chunk"
-	"inlinered/internal/cpusim"
 	"inlinered/internal/dedup"
 	"inlinered/internal/fault"
 	"inlinered/internal/gpu"
 	"inlinered/internal/lz"
 	"inlinered/internal/metrics"
-	"inlinered/internal/obs"
 	"inlinered/internal/parallel"
+	"inlinered/internal/reduce"
 	"inlinered/internal/sim"
 	"inlinered/internal/ssd"
 )
@@ -26,39 +25,29 @@ import (
 // NewEngine, call Process once, then read the Report. It is not safe for
 // concurrent use.
 type Engine struct {
-	plat  Platform
-	cfg   Config
-	cpu   *cpusim.CPU
+	plat Platform
+	cfg  Config
+	// sub is the reduction substrate shared with internal/volume: CPU,
+	// drive, bin index, journal region, and their fault and trace wiring.
+	// Its fault injector and recorder are driven only from the sequential
+	// commit path (drive writes, journal flushes, index inserts), never in
+	// the read-only prediction pass, so a fixed seed stays bit-identical
+	// across Parallelism settings.
+	sub   *reduce.Substrate
+	enc   reduce.Encoder // unique chunk → blob; its Sub is set while the GPU owns compression
 	dev   *gpu.Device
-	drive *ssd.Drive
-	index *dedup.BinIndex
 	gbins *dedup.GPUBins
 
-	dataCursor   int64 // next free data byte (blobs pack into pages log-structured)
-	dataLimit    int64 // data region size in bytes
-	journalBase  int64 // first page of the journal region
-	journalCur   int64
-	journalLimit int64
+	dataCursor int64 // next free data byte (blobs pack into pages log-structured)
+	dataLimit  int64 // data region size in bytes
 
 	pendGPU  []gpuPending // unique chunks awaiting a GPU compression kernel
 	retired  []retiredBatch
 	inflight map[dedup.Fingerprint]*inflightRef
 
-	journal *dedup.JournalWriter // durable image of every bin-buffer flush
+	gpuLost bool // the device died; all GPU work re-routes to the CPU
 
-	// Fault machinery. The injector is consulted only on the sequential
-	// commit path (drive writes, journal flushes, kernel launches, index
-	// inserts), never in the read-only prediction pass, so a fixed fault
-	// seed stays bit-identical across Parallelism settings.
-	faults      *fault.Injector
-	gpuLost     bool // the device died; all GPU work re-routes to the CPU
-	journalDead bool // journal writes failed permanently; index is memory-only
-
-	// Observability. Like the fault injector, the recorder is driven only
-	// from the sequential commit path, so a fixed seed traces identically
-	// for any Parallelism; nil means off and bit-identical to HEAD.
-	obs          *obs.Recorder
-	cpuLanes     []obs.Lane // one trace lane per virtual hardware thread
+	// Latency histograms, observed only with Config.Obs set.
 	histJournal  sim.Histogram
 	histGPUBatch sim.Histogram
 
@@ -79,25 +68,19 @@ type Engine struct {
 
 	// Per-batch scratch, reused across batches.
 	ready       []time.Duration            // stage-2 ready times (hashEnd copy)
-	pre         []preChunk                 // parallel pass results by chunk index
+	pre         []reduce.Encoded           // parallel pass results by chunk index (nil Blob: none)
 	uniq        []int                      // predicted-unique chunk indices
 	seen        map[dedup.Fingerprint]bool // batch-local first occurrences
 	hbFree      []*hashedBatch             // recycled batch headers
 	batchSlices [][][]byte                 // recycled chunk-pointer slices
 
 	// The precompute fan-out body, built once in NewEngine so the
-	// per-batch Map call allocates no closure; its inputs ride in the
-	// pre* fields below, published before Map and read only by workers
-	// inside it.
-	preFn        func(int)
-	preChunks    [][]byte
-	preGPUMode   bool
-	preThreshold float64
+	// per-batch Map call allocates no closure; its input rides in
+	// preChunks, published before Map and read only by workers inside it.
+	preFn     func(int)
+	preChunks [][]byte
 
-	// GPU compression batch scratch, reused across kernel launches.
-	subResults []lz.SubBlockResult
-	subErrs    []error
-	perLane    []float64
+	perLane []float64 // GPU kernel lane costs, reused across launches
 }
 
 // bufPool is a LIFO free list of byte buffers. Unlike sync.Pool it never
@@ -137,7 +120,8 @@ func (b *bufPool) Put(buf []byte) {
 
 // gpuPending is one unique chunk queued for the GPU compression kernel.
 type gpuPending struct {
-	data  []byte
+	data  []byte         // source chunk, kept until the kernel's fate is known
+	enc   reduce.Encoded // the sub-block encode the kernel is priced on
 	fp    dedup.Fingerprint
 	ready time.Duration // index decision completed
 	idx   int64         // stream chunk index (Verify bookkeeping)
@@ -147,9 +131,8 @@ type gpuPending struct {
 // virtual time t; its CPU post-processing is scheduled once the CPU
 // frontier catches up, so the commit order matches the virtual-time order.
 type retiredBatch struct {
-	t     time.Duration
-	pend  []gpuPending
-	blobs [][]byte
+	t    time.Duration
+	pend []gpuPending
 }
 
 // inflightRef tracks a unique chunk between its index miss and its index
@@ -171,63 +154,42 @@ func NewEngine(plat Platform, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: mode %s needs a GPU but the platform has none", cfg.Mode)
 	}
 	e := &Engine{plat: plat, cfg: cfg}
-	e.cpu = cpusim.New(plat.CPU)
-	e.drive = ssd.New(plat.SSD)
-	if plat.HasGPU && needGPU {
-		e.dev = gpu.New(plat.GPU)
-	}
+	var index *dedup.IndexConfig
 	if cfg.Dedup {
-		idx, err := dedup.NewBinIndex(cfg.Index)
+		index = &cfg.Index
+	}
+	sub, err := reduce.New(plat.CPU, plat.SSD, index, cfg.Faults)
+	if err != nil {
+		return nil, err
+	}
+	e.sub = sub
+	e.enc = reduce.Encoder{Compress: cfg.Compress, Codec: cfg.Codec, LZ: cfg.LZ,
+		SkipIncompressible: cfg.SkipIncompressible, EntropyThreshold: cfg.EntropyThreshold}
+	if needGPU {
+		e.dev = gpu.New(plat.GPU)
+		e.dev.SetFaultInjector(sub.Faults)
+		if cfg.Compress && cfg.Mode.UsesGPUCompress() {
+			e.enc.Sub = cfg.Sub
+			e.enc.Sub.SubBlocks = max(cfg.Sub.SubBlocks, 1) // the kernel runs at least one lane per chunk
+		}
+	}
+	if cfg.Dedup && cfg.Mode.UsesGPUDedup() {
+		if cfg.GPUBinBits > cfg.Index.BinBits {
+			return nil, fmt.Errorf("core: GPU bins (%d bits) must be no finer than CPU bins (%d bits) so one flush lands in one GPU bin",
+				cfg.GPUBinBits, cfg.Index.BinBits)
+		}
+		g, err := dedup.NewGPUBins(e.dev, cfg.GPUBinBits, cfg.GPUBinCap, cfg.Index.PrefixBytes, 1)
 		if err != nil {
 			return nil, err
 		}
-		e.index = idx
-		e.journal = dedup.NewJournalWriter(cfg.Index.PrefixBytes)
-		if cfg.Mode.UsesGPUDedup() {
-			if cfg.GPUBinBits > cfg.Index.BinBits {
-				return nil, fmt.Errorf("core: GPU bins (%d bits) must be no finer than CPU bins (%d bits) so one flush lands in one GPU bin",
-					cfg.GPUBinBits, cfg.Index.BinBits)
-			}
-			g, err := dedup.NewGPUBins(e.dev, cfg.GPUBinBits, cfg.GPUBinCap, cfg.Index.PrefixBytes, 1)
-			if err != nil {
-				return nil, err
-			}
-			e.gbins = g
-		}
+		e.gbins = g
 	}
-	// Carve the journal region out of the top of the logical space.
-	logical := e.drive.LogicalPages()
-	reserve := logical / 16
-	if reserve < 1 {
-		reserve = 1
-	}
-	e.journalBase = logical - reserve
-	e.journalCur = e.journalBase
-	e.journalLimit = logical
-	e.dataLimit = e.journalBase * int64(e.drive.PageSize)
-	if cfg.Faults.Enabled() {
-		e.faults = fault.New(cfg.Faults)
-		e.drive.SetFaultInjector(e.faults)
-		if e.dev != nil {
-			e.dev.SetFaultInjector(e.faults)
-		}
-		if e.index != nil {
-			e.index.SetFaultInjector(e.faults)
-		}
-	}
-	if cfg.Obs != nil {
-		e.obs = cfg.Obs
-		// Lane registration order fixes the pid/tid assignment: CPU hardware
-		// threads first, then the SSD channels, then the GPU queue and link.
-		e.cpuLanes = make([]obs.Lane, e.cpu.Pool.Servers())
-		for i := range e.cpuLanes {
-			e.cpuLanes[i] = cfg.Obs.Lane("cpu", fmt.Sprintf("t%d", i))
-		}
-		e.drive.SetRecorder(cfg.Obs)
-		e.drive.MarkJournalRegion(e.journalBase)
-		if e.dev != nil {
-			e.dev.SetRecorder(cfg.Obs)
-		}
+	e.dataLimit = sub.Journal.FirstPage() * int64(sub.Drive.PageSize)
+	// Lane registration order fixes the pid/tid assignment: CPU hardware
+	// threads first, then the SSD channels, then the GPU queue and link.
+	sub.Trace(cfg.Obs)
+	if e.dev != nil {
+		e.dev.SetRecorder(cfg.Obs)
 	}
 	if cfg.Verify {
 		e.blobs = make(map[int64][]byte)
@@ -242,21 +204,7 @@ func NewEngine(plat Platform, cfg Config) (*Engine, error) {
 	e.preFn = func(k int) {
 		i := e.uniq[k]
 		c := e.preChunks[i]
-		pc := &e.pre[i]
-		if e.cfg.SkipIncompressible {
-			pc.entropy = true
-			pc.incompressible = lz.LikelyIncompressible(c, e.preThreshold)
-			if pc.incompressible {
-				pc.blob = lz.StoreRaw(e.blobBufs.Get(len(c)+blobHeadroom), c)
-				pc.done = true
-				return
-			}
-		}
-		if e.preGPUMode {
-			return // the chunk joins the GPU pending queue instead
-		}
-		pc.blob, pc.stats = lz.CompressCodec(e.cfg.Codec, e.blobBufs.Get(len(c)+blobHeadroom), c, e.cfg.LZ)
-		pc.done = true
+		e.pre[i] = e.enc.Encode(e.blobBufs.Get(len(c)+blobHeadroom), c)
 	}
 	if cfg.Dedup {
 		e.seen = make(map[dedup.Fingerprint]bool)
@@ -267,19 +215,14 @@ func NewEngine(plat Platform, cfg Config) (*Engine, error) {
 
 // Drive exposes the engine's SSD for post-run inspection (endurance
 // experiments).
-func (e *Engine) Drive() *ssd.Drive { return e.drive }
+func (e *Engine) Drive() *ssd.Drive { return e.sub.Drive }
 
 // Index exposes the engine's CPU bin index for post-run inspection.
-func (e *Engine) Index() *dedup.BinIndex { return e.index }
+func (e *Engine) Index() *dedup.BinIndex { return e.sub.Index }
 
 // JournalImage returns the serialized index journal — the durable form of
 // every bin-buffer flush the run wrote to the SSD's journal region.
-func (e *Engine) JournalImage() []byte {
-	if e.journal == nil {
-		return nil
-	}
-	return e.journal.Bytes()
-}
+func (e *Engine) JournalImage() []byte { return e.sub.Journal.Image.Bytes() }
 
 // RecoverIndex rebuilds an index from the run's journal — what a restart
 // after a crash would reconstruct. Recovery is lenient: a trailing torn or
@@ -289,20 +232,20 @@ func (e *Engine) JournalImage() []byte {
 // buffers at the crash point (never journaled) are absent; their future
 // duplicates would be stored again, the memory-only-index tradeoff of §3.1.
 func (e *Engine) RecoverIndex() (*dedup.BinIndex, dedup.Recovery, error) {
-	if e.journal == nil {
+	if !e.cfg.Dedup {
 		return nil, dedup.Recovery{}, fmt.Errorf("core: no journal: deduplication disabled")
 	}
-	return dedup.RecoverJournal(e.journal.Bytes(), e.cfg.Index)
+	return dedup.RecoverJournal(e.JournalImage(), e.cfg.Index)
 }
 
 // RecoverIndexStrict replays the journal refusing any corruption: a torn
 // or bit-flipped record fails the whole replay with dedup.ErrJournalCorrupt.
 // Use it when the journal is expected pristine (clean shutdown).
 func (e *Engine) RecoverIndexStrict() (*dedup.BinIndex, error) {
-	if e.journal == nil {
+	if !e.cfg.Dedup {
 		return nil, fmt.Errorf("core: no journal: deduplication disabled")
 	}
-	return dedup.ReplayJournal(e.journal.Bytes(), e.cfg.Index)
+	return dedup.ReplayJournal(e.JournalImage(), e.cfg.Index)
 }
 
 // Process runs the whole stream through the pipeline and returns the run
@@ -437,7 +380,7 @@ type hashedBatch struct {
 func (e *Engine) hashBatch(chunks [][]byte) *hashedBatch {
 	hashStart := metrics.Clock()
 	defer metrics.StageHash.ObserveSince(hashStart)
-	cost := e.cpu.Cost
+	cost := e.sub.CPU.Cost
 	var hb *hashedBatch
 	if n := len(e.hbFree); n > 0 {
 		hb, e.hbFree = e.hbFree[n-1], e.hbFree[:n-1]
@@ -457,9 +400,7 @@ func (e *Engine) hashBatch(chunks [][]byte) *hashedBatch {
 		if e.cfg.Dedup {
 			hashCycles = cost.HashCycles(len(c))
 		}
-		var start time.Duration
-		start, hb.hashEnd[i] = e.cpu.Run(0, chunkCycles+hashCycles)
-		e.cpuSpan("chunk+hash", start, hb.hashEnd[i])
+		hb.hashEnd[i] = e.sub.Run("chunk+hash", 0, chunkCycles+hashCycles)
 		hb.ready = sim.MaxTime(hb.ready, hb.hashEnd[i])
 		e.rep.Stages.Chunking += e.seconds(chunkCycles)
 		e.rep.Stages.Hashing += e.seconds(hashCycles)
@@ -484,7 +425,7 @@ func (e *Engine) screen(hb *hashedBatch) {
 	// — a backlogged queue (compression kernels in GPUBoth, or a slow
 	// device) means the batch takes the CPU path instead. This is also
 	// §3.1(3)'s "still some work to do" guard.
-	at := sim.MaxTime(hb.ready, e.cpu.Pool.NextFree())
+	at := sim.MaxTime(hb.ready, e.sub.CPU.Pool.NextFree())
 	if e.dev.NextFree() > at {
 		return
 	}
@@ -497,9 +438,8 @@ func (e *Engine) screen(hb *hashedBatch) {
 		return
 	}
 	// Host-side result merge: one staging pass over the batch.
-	mergeCycles := e.cpu.Cost.MemcpyCycles(8*len(hb.fps)) + e.cpu.Cost.StageOverheadCycles
-	mergeStart, mergeEnd := e.cpu.Run(gdone, mergeCycles)
-	e.cpuSpan("merge-results", mergeStart, mergeEnd)
+	mergeCycles := e.sub.CPU.Cost.MemcpyCycles(8*len(hb.fps)) + e.sub.CPU.Cost.StageOverheadCycles
+	mergeEnd := e.sub.Run("merge-results", gdone, mergeCycles)
 	e.rep.Stages.GPUMerge += e.seconds(mergeCycles)
 	hb.screened = true
 	hb.ghits = ghits
@@ -508,43 +448,20 @@ func (e *Engine) screen(hb *hashedBatch) {
 	e.rep.GPUIndexedChunks += int64(len(hb.fps))
 }
 
-// preChunk is one chunk's precomputed real computation: the entropy
-// decision and, when the chunk stays on the CPU, its finished blob and
-// encode stats. Produced by the parallel pass, consumed (or returned to
-// the buffer pool) by the commit pass.
-type preChunk struct {
-	entropy        bool // incompressible below is valid
-	incompressible bool
-	done           bool // blob (and stats, for compressed blobs) are valid
-	blob           []byte
-	stats          lz.Stats
-}
-
-// entropyThreshold returns the bypass cutoff in bits/byte.
-func (e *Engine) entropyThreshold() float64 {
-	if e.cfg.EntropyThreshold != 0 {
-		return e.cfg.EntropyThreshold
-	}
-	return 7.2
-}
-
 // precompute is the wall-clock fan-out half of the tentpole: a sequential
 // dedup-decision pass predicts which chunks the commit pass will treat as
 // unique (cheap read-only probes, first-occurrence semantics), then the
-// persistent worker pool runs the real computation — entropy pre-checks
-// and CPU LZSS/QLZ encodes — for those chunks concurrently. The commit
-// pass remains the source of truth: it re-probes with interleaved inserts
-// so the virtual-time accounting is bit-identical to a serial run, and it
-// falls back to inline computation for the rare chunk whose prediction was
-// upset by a concurrent-capacity eviction. Returns nil when there is
-// nothing worth fanning out (serial runs, GPU-owned compression).
-func (e *Engine) precompute(hb *hashedBatch) []preChunk {
+// persistent worker pool runs the real computation — the shared encoder:
+// entropy pre-check, then the CPU codec or the GPU kernel's sub-block lanes
+// — for those chunks concurrently. The commit pass remains the source of
+// truth: it re-probes with interleaved inserts so the virtual-time
+// accounting is bit-identical to a serial run, and it falls back to inline
+// computation for the rare chunk whose prediction was upset by a
+// concurrent-capacity eviction. Returns nil when there is nothing worth
+// fanning out (serial runs, compression off).
+func (e *Engine) precompute(hb *hashedBatch) []reduce.Encoded {
 	if e.par <= 1 || !e.cfg.Compress {
 		return nil
-	}
-	gpuMode := e.cfg.Mode.UsesGPUCompress() && !e.gpuLost
-	if gpuMode && !e.cfg.SkipIncompressible {
-		return nil // all real compression happens in the GPU batch path
 	}
 	chunks, fps := hb.chunks, hb.fps
 
@@ -565,9 +482,9 @@ func (e *Engine) precompute(hb *hashedBatch) []preChunk {
 			}
 			var found bool
 			if hb.screened {
-				found = e.index.LookupBuffer(fps[i]).Found
+				found = e.sub.Index.LookupBuffer(fps[i]).Found
 			} else {
-				found = e.index.Lookup(fps[i]).Found
+				found = e.sub.Index.Lookup(fps[i]).Found
 			}
 			if found {
 				continue
@@ -593,12 +510,10 @@ func (e *Engine) precompute(hb *hashedBatch) []preChunk {
 	// allocates nothing.
 	pre := e.pre[:0]
 	for len(pre) < len(chunks) {
-		pre = append(pre, preChunk{})
+		pre = append(pre, reduce.Encoded{})
 	}
 	e.pre = pre
 	e.preChunks = chunks
-	e.preGPUMode = gpuMode
-	e.preThreshold = e.entropyThreshold()
 	compressStart := metrics.Clock()
 	e.pool.Map(len(uniq), e.preFn)
 	metrics.StageCompress.ObserveSince(compressStart)
@@ -612,12 +527,12 @@ const blobHeadroom = 16
 
 // releasePre returns an unconsumed precomputed blob to the pool (the
 // chunk turned out to be a duplicate).
-func (e *Engine) releasePre(pre []preChunk, i int) {
-	if pre == nil || !pre[i].done {
+func (e *Engine) releasePre(pre []reduce.Encoded, i int) {
+	if pre == nil {
 		return
 	}
-	e.blobBufs.Put(pre[i].blob)
-	pre[i] = preChunk{}
+	e.blobBufs.Put(pre[i].Blob)
+	pre[i] = reduce.Encoded{}
 }
 
 // downstream pushes a hashed batch through index → compress → insert/destage.
@@ -625,7 +540,7 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 	if err := e.retireDue(); err != nil {
 		return err
 	}
-	cost := e.cpu.Cost
+	cost := e.sub.CPU.Cost
 	chunks, fps := hb.chunks, hb.fps
 
 	// Parallel pass: fan the batch's real computation out across the host
@@ -670,14 +585,12 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 				// chunks take the full path: bin buffer, then bin tree.
 				var p dedup.Probe
 				if hb.screened {
-					p = e.index.LookupBuffer(fps[i])
+					p = e.sub.Index.LookupBuffer(fps[i])
 				} else {
-					p = e.index.Lookup(fps[i])
+					p = e.sub.Index.Lookup(fps[i])
 				}
 				probeCycles := cost.ProbeCycles(p.BufferScanned, p.TreeSteps)
-				start, end := e.cpu.Run(ready[i], probeCycles)
-				e.cpuSpan("probe", start, end)
-				ready[i] = end
+				ready[i] = e.sub.Run("probe", ready[i], probeCycles)
 				e.rep.Stages.Indexing += e.seconds(probeCycles)
 				if p.Found {
 					dup = true
@@ -716,42 +629,23 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 		}
 		e.rep.UniqueChunks++
 		e.rep.UniqueBytes += int64(len(c))
-		skipCycles := 0.0
-		if e.cfg.Compress && e.cfg.SkipIncompressible {
-			skipCycles = cost.EntropyCycles(len(c))
-			var incompressible bool
-			if pre != nil && pre[i].entropy {
-				incompressible = pre[i].incompressible
-			} else {
-				incompressible = lz.LikelyIncompressible(c, e.entropyThreshold())
-			}
-			if incompressible {
-				// Bypass: store raw; the histogram pass is the only cost.
-				e.rep.SkippedIncompressible++
-				var blob []byte
-				if pre != nil && pre[i].done {
-					blob = pre[i].blob
-					pre[i] = preChunk{}
-				} else {
-					blob = lz.StoreRaw(e.blobBufs.Get(len(c)+blobHeadroom), c)
-				}
-				base := skipCycles + cost.MemcpyCycles(len(blob)) + cost.StageOverheadCycles
-				e.rep.Stages.Compression += e.seconds(base)
-				err := e.finishUnique(fps[i], blob, ready[i], base, int(e.rep.Chunks-1), "store-raw")
-				e.chunkBufs.Put(c)
-				if err != nil {
-					return err
-				}
-				continue
-			}
+		// The blob normally comes from the parallel pass; the inline encode
+		// covers serial runs and prediction upsets (see precompute).
+		var enc reduce.Encoded
+		if pre != nil && pre[i].Blob != nil {
+			enc, pre[i] = pre[i], reduce.Encoded{}
+		} else {
+			enc = e.enc.Encode(e.blobBufs.Get(len(c)+blobHeadroom), c)
 		}
-		if e.cfg.Compress && e.cfg.Mode.UsesGPUCompress() && !e.gpuLost {
+		if enc.Kind == reduce.KindSub {
+			// The GPU owns compression: the lanes just computed are what the
+			// next kernel launch is priced on.
 			if e.cfg.Dedup {
 				e.inflight[fps[i]] = &inflightRef{}
 			}
-			// The chunk buffer rides along: it is recycled when the GPU
-			// batch's blobs have been computed (flushGPUCompress).
-			e.pendGPU = append(e.pendGPU, gpuPending{data: c, fp: fps[i], ready: ready[i], idx: e.rep.Chunks - 1})
+			// The chunk buffer rides along: it is recycled once the kernel's
+			// fate is known (flushGPUCompress).
+			e.pendGPU = append(e.pendGPU, gpuPending{data: c, enc: enc, fp: fps[i], ready: ready[i], idx: e.rep.Chunks - 1})
 			if e.cfg.Verify {
 				e.locs = append(e.locs, -1) // patched when the GPU batch retires
 			}
@@ -762,30 +656,15 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 			}
 			continue
 		}
-		// CPU compression (or raw store when compression is off). The
-		// compress and index-insert work is fused into one CPU job: the
-		// worker thread that compressed the chunk finishes it. The blob
-		// and stats normally come from the parallel pass; the inline path
-		// covers serial runs and prediction upsets (see precompute).
-		var blob []byte
-		var baseCycles float64
-		spanName := "store-raw"
-		if e.cfg.Compress {
-			var st lz.Stats
-			if pre != nil && pre[i].done {
-				blob, st = pre[i].blob, pre[i].stats
-				pre[i] = preChunk{}
-			} else {
-				blob, st = lz.CompressCodec(e.cfg.Codec, e.blobBufs.Get(len(c)+blobHeadroom), c, e.cfg.LZ)
-			}
-			baseCycles = skipCycles + cost.CompressCycles(st.Positions, st.SearchSteps, st.DstBytes) + cost.StageOverheadCycles
-			spanName = "compress+insert"
-		} else {
-			blob = lz.StoreRaw(e.blobBufs.Get(len(c)+blobHeadroom), c)
-			baseCycles = cost.MemcpyCycles(len(blob)) + cost.StageOverheadCycles
+		// CPU compression, entropy bypass, or raw store when compression is
+		// off. The encode and index-insert work is fused into one CPU job:
+		// the worker thread that produced the blob files it.
+		if enc.Kind == reduce.KindBypass {
+			e.rep.SkippedIncompressible++
 		}
+		baseCycles := e.enc.Cycles(cost, enc)
 		e.rep.Stages.Compression += e.seconds(baseCycles)
-		err := e.finishUnique(fps[i], blob, ready[i], baseCycles, int(e.rep.Chunks-1), spanName)
+		err := e.finishUnique(fps[i], enc.Blob, ready[i], baseCycles, int(e.rep.Chunks-1), cpuSpans[enc.Kind])
 		e.chunkBufs.Put(c)
 		if err != nil {
 			return err
@@ -794,10 +673,14 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 	return nil
 }
 
+// cpuSpans names the fused CPU job of a unique chunk by how it was encoded.
+var cpuSpans = [...]string{reduce.KindRaw: "store-raw", reduce.KindBypass: "store-raw", reduce.KindCodec: "compress+insert"}
+
 // flushGPUCompress launches one GPU compression kernel over the pending
 // unique chunks (§3.2(2)): DMA the chunk batch to the device, run
 // SubBlocks lanes per chunk, DMA the raw lane streams back, and
-// post-process each chunk on the CPU.
+// post-process each chunk on the CPU. The real computation already
+// happened in the shared encoder's sub-block branch; here it is priced.
 func (e *Engine) flushGPUCompress() error {
 	if len(e.pendGPU) == 0 {
 		return nil
@@ -820,29 +703,18 @@ func (e *Engine) flushGPUCompress() error {
 	t := e.dev.TransferToDevice(batchReady, srcBytes)
 
 	// The kernel: every chunk gets Sub.SubBlocks lanes, each compressing
-	// its own sub-block for real. Lane costs come from the real encoder
-	// work; wavefront lockstep and divergence are charged by the profile.
-	// The result/lane-cost slices are engine scratch, reused per launch.
-	results := e.subResults[:0]
-	for len(results) < len(pend) {
-		results = append(results, lz.SubBlockResult{})
-	}
-	e.subResults = results
-	gpuCompressStart := metrics.Clock()
-	e.pool.Map(len(pend), func(i int) {
-		results[i] = lz.CompressSubBlocks(pend[i].data, e.cfg.Sub)
-	})
-	metrics.StageCompress.ObserveSince(gpuCompressStart)
+	// its own sub-block. Lane costs come from the real encoder work;
+	// wavefront lockstep and divergence are charged by the profile.
 	perLane := e.perLane[:0]
 	rawBytes := 0
-	for _, res := range results {
-		for _, l := range res.Lanes {
+	for _, p := range pend {
+		for _, l := range p.enc.Sub.Lanes {
 			perLane = append(perLane, gcost.CompressBaseCycles+
 				float64(l.Stats.Positions)*gcost.CompressCyclesPerPosition+
 				float64(l.Stats.SearchSteps)*gcost.MatchStepCycles+
 				float64(l.Stats.DstBytes)*gcost.EmitCyclesPerByte)
 		}
-		rawBytes += res.RawBytes()
+		rawBytes += p.enc.Sub.RawBytes()
 	}
 	e.perLane = perLane
 	kernel := gpu.KernelFunc{Label: "subblock-lz", Fn: func() gpu.Profile {
@@ -864,69 +736,60 @@ func (e *Engine) flushGPUCompress() error {
 		return e.fallbackCPUCompress(pend, t)
 	}
 	t = e.dev.TransferFromDevice(t, rawBytes+8*len(pend))
-	if e.obs != nil {
+	if e.cfg.Obs != nil {
 		// GPU batch turnaround: from the batch being ready on the host to
 		// the compressed lanes landing back in host memory.
 		e.histGPUBatch.Observe(t - batchReady)
 	}
 
-	// CPU post-processing: stitch each chunk's lanes into the final blob.
-	// The blobs are computed now, but their CPU jobs are committed when the
-	// CPU frontier reaches the kernel completion time (retireDue), so the
-	// virtual pool stays work-conserving.
-	blobs := make([][]byte, len(pend)) // escapes into the retired batch
-	errs := e.subErrs[:0]
-	for len(errs) < len(pend) {
-		errs = append(errs, nil)
-	}
-	e.subErrs = errs
-	postStart := metrics.Clock()
-	e.pool.Map(len(pend), func(i int) {
-		blobs[i], _, errs[i] = lz.PostProcessOrRaw(e.blobBufs.Get(len(pend[i].data)+blobHeadroom), pend[i].data, results[i])
-	})
-	metrics.StageCompress.ObserveSince(postStart)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	// The blobs are self-contained copies, so the chunk payload buffers are
-	// dead from here on.
+	// CPU post-processing stitched each chunk's lanes into its final blob;
+	// that CPU job is committed when the CPU frontier reaches the kernel
+	// completion time (retireDue), so the virtual pool stays
+	// work-conserving. The blobs are self-contained copies, so the chunk
+	// payload buffers and raw lane streams are dead from here on.
 	for i := range pend {
 		e.chunkBufs.Put(pend[i].data)
 		pend[i].data = nil
+		pend[i].enc.Sub = lz.SubBlockResult{}
 	}
-	e.retired = append(e.retired, retiredBatch{t: t, pend: pend, blobs: blobs})
+	e.retired = append(e.retired, retiredBatch{t: t, pend: pend})
 	return nil
 }
 
 // gpuDied records an injected device loss: the GPU is dead for the rest of
-// the run, and all of its work re-routes to the CPU paths.
+// the run, and all of its work re-routes to the CPU paths — the encoder
+// drops to its single-stream codec, and sub-block blobs the parallel pass
+// already produced for the batch in commit are discarded.
 func (e *Engine) gpuDied() {
 	e.gpuLost = true
 	e.rep.Faults.GPUDeviceLost = true
+	e.enc.Sub = lz.SubBlockParams{}
+	for i := range e.pre {
+		if e.pre[i].Kind == reduce.KindSub {
+			e.releasePre(e.pre, i)
+		}
+	}
 }
 
 // fallbackCPUCompress is the degraded path for a GPU compression batch whose
-// kernel could not run: the pending unique chunks are compressed with the
+// kernel could not run: the pending unique chunks are re-encoded with the
 // CPU codec (fanned out across host workers for wall-clock, charged to the
 // virtual CPU pool in stream order) and committed exactly as CPU-mode
-// uniques. The chunks become ready no earlier than at, the virtual time the
-// host learned of the loss.
+// uniques, minus the entropy pre-check they already passed. The chunks
+// become ready no earlier than at, the virtual time the host learned of
+// the loss.
 func (e *Engine) fallbackCPUCompress(pend []gpuPending, at time.Duration) error {
 	e.rep.Faults.GPUFallbackBatches++
-	cost := e.cpu.Cost
-	blobs := make([][]byte, len(pend))
-	stats := make([]lz.Stats, len(pend))
+	codec := reduce.Encoder{Compress: true, Codec: e.cfg.Codec, LZ: e.cfg.LZ}
 	fbStart := metrics.Clock()
 	e.pool.Map(len(pend), func(i int) {
-		blobs[i], stats[i] = lz.CompressCodec(e.cfg.Codec, e.blobBufs.Get(len(pend[i].data)+blobHeadroom), pend[i].data, e.cfg.LZ)
+		pend[i].enc = codec.Encode(pend[i].enc.Blob[:0], pend[i].data)
 	})
 	metrics.StageCompress.ObserveSince(fbStart)
 	for i, p := range pend {
-		base := cost.CompressCycles(stats[i].Positions, stats[i].SearchSteps, stats[i].DstBytes) + cost.StageOverheadCycles
+		base := codec.Cycles(e.sub.CPU.Cost, p.enc)
 		e.rep.Stages.Compression += e.seconds(base)
-		err := e.finishUnique(p.fp, blobs[i], sim.MaxTime(p.ready, at), base, int(p.idx), "cpu-fallback")
+		err := e.finishUnique(p.fp, p.enc.Blob, sim.MaxTime(p.ready, at), base, int(p.idx), "cpu-fallback")
 		e.chunkBufs.Put(pend[i].data)
 		pend[i].data = nil
 		if err != nil {
@@ -939,7 +802,7 @@ func (e *Engine) fallbackCPUCompress(pend []gpuPending, at time.Duration) error 
 // retireDue commits the post-processing of every GPU compression batch
 // whose kernel has completed by the current CPU frontier.
 func (e *Engine) retireDue() error {
-	for len(e.retired) > 0 && e.retired[0].t <= e.cpu.Pool.NextFree() {
+	for len(e.retired) > 0 && e.retired[0].t <= e.sub.CPU.Pool.NextFree() {
 		if err := e.retireBatch(e.retired[0]); err != nil {
 			return err
 		}
@@ -951,11 +814,11 @@ func (e *Engine) retireDue() error {
 // retireBatch schedules a retired GPU batch's CPU post-processing and
 // finishes its chunks.
 func (e *Engine) retireBatch(rb retiredBatch) error {
-	cost := e.cpu.Cost
-	for i, p := range rb.pend {
-		base := cost.PostProcessCycles(len(rb.blobs[i])) + cost.StageOverheadCycles
+	cost := e.sub.CPU.Cost
+	for _, p := range rb.pend {
+		base := cost.PostProcessCycles(len(p.enc.Blob)) + cost.StageOverheadCycles
 		e.rep.Stages.PostProcess += e.seconds(base)
-		if err := e.finishUnique(p.fp, rb.blobs[i], rb.t, base, int(p.idx), "post-process+insert"); err != nil {
+		if err := e.finishUnique(p.fp, p.enc.Blob, rb.t, base, int(p.idx), "post-process+insert"); err != nil {
 			return err
 		}
 	}
@@ -972,12 +835,11 @@ func (e *Engine) retireBatch(rb retiredBatch) error {
 // byte offset, and the destage write covers exactly the pages the blob
 // completes, so compression savings translate into page savings.
 func (e *Engine) finishUnique(fp dedup.Fingerprint, blob []byte, ready time.Duration, baseCycles float64, chunkIdx int, spanName string) error {
-	cost := e.cpu.Cost
 	loc := e.dataCursor
 	if loc+int64(len(blob)) > e.dataLimit {
 		return fmt.Errorf("core: drive full: data region needs byte %d of %d", loc+int64(len(blob)), e.dataLimit)
 	}
-	pageSize := int64(e.drive.PageSize)
+	pageSize := int64(e.sub.Drive.PageSize)
 	firstPage := loc / pageSize
 	e.dataCursor += int64(len(blob))
 	pages := e.dataCursor/pageSize - firstPage // pages this blob completes
@@ -1000,28 +862,22 @@ func (e *Engine) finishUnique(fp dedup.Fingerprint, blob []byte, ready time.Dura
 			}
 			delete(e.inflight, fp)
 		}
-		ir := e.index.Insert(fp, dedup.Entry{Loc: loc, Size: uint32(len(blob))})
-		insCycles := cost.InsertCycles + float64(ir.BufferScanned)*cost.BufferEntryCycles
-		if ir.Flush != nil {
-			insCycles += float64(ir.Flush.TreeSteps) * cost.TreeStepCycles
-			flush = ir.Flush
-		}
+		var insCycles float64
+		flush, insCycles = e.sub.Insert(fp, dedup.Entry{Loc: loc, Size: uint32(len(blob))})
 		cycles += insCycles
 		e.rep.Stages.Insert += e.seconds(insCycles)
 	}
-	start, end := e.cpu.Run(ready, cycles)
-	e.cpuSpan(spanName, start, end)
+	end := e.sub.Run(spanName, ready, cycles)
+	// Crash-consistent ordering: the data lands before the journal record
+	// that points at it.
 	if pages > 0 {
-		if _, err := e.writeDrive(end, firstPage, int(pages)); err != nil {
+		if _, err := e.sub.WriteDrive(end, firstPage, int(pages)); err != nil {
 			return err
 		}
 	}
 	if flush != nil {
-		e.journalFlush(end, flush)
-		if e.gbins != nil && !e.gpuLost {
-			if _, err := e.gbins.Update(end, e.gpuBin(flush.Bin), flush.Keys(), flush.Values()); err != nil {
-				return err
-			}
+		if err := e.persistFlush(end, flush); err != nil {
+			return err
 		}
 	}
 	if !e.cfg.Verify {
@@ -1037,110 +893,57 @@ func (e *Engine) seconds(cycles float64) float64 {
 	return cycles / e.plat.CPU.ClockHz
 }
 
-// cpuSpan records one committed CPU job on the trace lane of the virtual
-// hardware thread that ran it (the server the pool just placed the job on).
-// Must be called immediately after the e.cpu.Run that scheduled the job.
-func (e *Engine) cpuSpan(name string, start, end time.Duration) {
-	if e.obs == nil {
-		return
-	}
-	e.obs.Span(e.cpuLanes[e.cpu.Pool.LastServer()], name, start, end)
-}
-
 // gpuBin maps a CPU bin id onto the coarser GPU bin grid: both are leading
 // fingerprint bits, so the GPU bin is the CPU bin's top GPUBinBits bits.
 func (e *Engine) gpuBin(cpuBin uint32) uint32 {
 	return cpuBin >> uint(e.cfg.Index.BinBits-e.cfg.GPUBinBits)
 }
 
-// writeDrive issues one drive write under the shared bounded-retry policy
-// (fault.Retry).
-func (e *Engine) writeDrive(at time.Duration, lpn int64, pages int) (time.Duration, error) {
-	return fault.Retry(e.drive.Write, &e.rep.Faults.SSDWriteRetries, at, lpn, pages)
-}
-
-// journalFlush persists one bin-buffer flush record. An injected torn
-// record simulates a crash mid-write: only the leading bytes of the record
-// reach the image, so recovery truncates the journal there. A permanent
-// journal-write failure degrades gracefully — journaling stops, the run
-// continues with a memory-only index (§3.3's documented tradeoff), and the
-// failure is counted.
-func (e *Engine) journalFlush(at time.Duration, f *dedup.Flush) {
-	if e.journal == nil || e.journalDead {
-		return
-	}
+// persistFlush makes one bin-buffer flush durable and visible to the
+// device: the sequential journal write through the shared journal region,
+// then the GPU bin update (Figure 1).
+func (e *Engine) persistFlush(at time.Duration, f *dedup.Flush) error {
 	flushStart := metrics.Clock()
-	defer metrics.StageJournalCore.ObserveSince(flushStart)
-	if frac, torn := e.faults.TornFraction(); torn {
-		e.journal.AppendTorn(f, frac)
-		e.rep.Faults.JournalTornRecords++
-		_, _ = e.writeJournal(at, f.Bytes) // the partial write still happened
-		return
-	}
-	end, err := e.writeJournal(at, f.Bytes)
-	if err != nil {
-		e.journalDead = true
-		e.rep.Faults.JournalWriteFailures++
-		return
-	}
-	if e.obs != nil {
+	end, st := e.sub.Journal.Flush(at, f)
+	metrics.StageJournalCore.ObserveSince(flushStart)
+	if st == reduce.FlushWritten && e.cfg.Obs != nil {
 		e.histJournal.Observe(end - at)
 	}
-	e.journal.Append(f)
-}
-
-// writeJournal appends one bin-buffer flush to the sequential journal
-// region ("this creates the appropriate sequential writes for the SSD",
-// §3.3), wrapping at the region end.
-func (e *Engine) writeJournal(at time.Duration, bytes int) (time.Duration, error) {
-	pages := int64(e.drive.Pages(bytes))
-	if pages == 0 {
-		pages = 1
+	if e.gbins == nil || e.gpuLost {
+		return nil
 	}
-	if e.journalCur+pages > e.journalLimit {
-		e.journalCur = e.journalBase
-	}
-	end, err := e.writeDrive(at, e.journalCur, int(pages))
-	if err != nil {
-		return end, err
-	}
-	e.journalCur += pages
-	e.rep.JournalBytes += int64(bytes)
-	e.rep.JournalWrites++
-	return end, nil
+	_, err := e.gbins.Update(at, e.gpuBin(f.Bin), f.Keys(), f.Values())
+	return err
 }
 
 // finalFlush writes the final partial data page and drains the bin buffers
 // at end of stream.
 func (e *Engine) finalFlush() {
-	at := e.cpu.Pool.Horizon()
-	if e.dataCursor%int64(e.drive.PageSize) != 0 {
+	at := e.sub.CPU.Pool.Horizon()
+	if e.dataCursor%int64(e.sub.Drive.PageSize) != 0 {
 		// The final partial page of the data log.
-		_, _ = e.writeDrive(at, e.dataCursor/int64(e.drive.PageSize), 1)
+		_, _ = e.sub.WriteDrive(at, e.dataCursor/int64(e.sub.Drive.PageSize), 1)
 	}
-	if e.index == nil {
+	if e.sub.Index == nil {
 		return
 	}
-	for _, f := range e.index.FlushAll() {
-		var start time.Duration
-		start, at = e.cpu.Run(at, float64(f.TreeSteps)*e.cpu.Cost.TreeStepCycles)
-		e.cpuSpan("flush-drain", start, at)
-		e.journalFlush(at, f)
-		if e.gbins != nil && !e.gpuLost {
-			_, _ = e.gbins.Update(at, e.gpuBin(f.Bin), f.Keys(), f.Values())
-		}
+	for _, f := range e.sub.Index.FlushAll() {
+		at = e.sub.Run("flush-drain", at, float64(f.TreeSteps)*e.sub.CPU.Cost.TreeStepCycles)
+		// End of stream: a device lost during this update has no later work
+		// to re-route, so its error changes nothing.
+		_ = e.persistFlush(at, f)
 	}
 }
 
 // finish computes the report's derived figures.
 func (e *Engine) finish() {
 	r := &e.rep
-	elapsed := e.cpu.Pool.Horizon()
+	elapsed := e.sub.CPU.Pool.Horizon()
 	if e.dev != nil {
 		elapsed = sim.MaxTime(elapsed, e.dev.Horizon())
 	}
 	if e.cfg.IncludeDestage {
-		elapsed = sim.MaxTime(elapsed, e.drive.Horizon())
+		elapsed = sim.MaxTime(elapsed, e.sub.Drive.Horizon())
 	}
 	r.Elapsed = elapsed
 	r.IOPS = sim.Throughput(float64(r.Chunks), elapsed)
@@ -1152,30 +955,32 @@ func (e *Engine) finish() {
 		r.CompRatio = float64(r.UniqueBytes) / float64(r.StoredBytes)
 		r.ReductionRatio = float64(r.Bytes) / float64(r.StoredBytes)
 	}
-	r.CPUUtil = e.cpu.Utilization(elapsed)
+	r.CPUUtil = e.sub.CPU.Utilization(elapsed)
 	if e.dev != nil {
 		r.GPUUtil = e.dev.Utilization(elapsed)
 		r.GPULinkUtil = e.dev.LinkUtilization(elapsed)
 		r.GPUKernels = e.dev.Kernels()
 	}
-	r.SSDUtil = e.drive.Utilization(elapsed)
-	r.SSD = e.drive.Stats()
+	r.SSDUtil = e.sub.Drive.Utilization(elapsed)
+	r.SSD = e.sub.Drive.Stats()
 	r.SSDWriteAmp = r.SSD.WriteAmplification()
-	r.MaxErase = e.drive.MaxErase()
-	if e.index != nil {
-		r.IndexEntries = e.index.Len()
-		r.IndexMemory = e.index.MemoryBytes()
-		r.IndexEvictions = e.index.Evicted()
+	r.MaxErase = e.sub.Drive.MaxErase()
+	if e.sub.Index != nil {
+		r.IndexEntries = e.sub.Index.Len()
+		r.IndexMemory = e.sub.Index.MemoryBytes()
+		r.IndexEvictions = e.sub.Index.Evicted()
 	}
 	r.Latency.JournalFlush = e.histJournal.Summary()
 	r.Latency.GPUBatch = e.histGPUBatch.Summary()
-	if e.faults != nil {
+	j := &e.sub.Journal
+	r.JournalBytes, r.JournalWrites = j.Bytes, j.Writes
+	r.Faults.SSDWriteRetries = e.sub.WriteRetries
+	r.Faults.JournalWriteFailures = j.Failures
+	if e.sub.Faults != nil {
 		r.Faults.LatencySpikes = r.SSD.LatencySpikes
-		if e.journal != nil {
-			r.Faults.JournalTornRecords = int64(e.journal.TornRecords())
-		}
-		if e.index != nil {
-			r.Faults.IndexEvictions = e.index.FaultEvicted()
+		r.Faults.JournalTornRecords = int64(j.Image.TornRecords())
+		if e.sub.Index != nil {
+			r.Faults.IndexEvictions = e.sub.Index.FaultEvicted()
 		}
 	}
 }

@@ -295,18 +295,21 @@ func TestJournalWriteFailureDegrades(t *testing.T) {
 			flush = ir.Flush
 		}
 	}
-	eng.journalFlush(0, flush)
-	if !eng.journalDead {
+	if err := eng.persistFlush(0, flush); err != nil {
+		t.Fatal(err)
+	}
+	j := &eng.sub.Journal
+	if !j.Dead() {
 		t.Fatal("permanent journal-write failure must degrade journaling off")
 	}
-	if eng.rep.Faults.JournalWriteFailures != 1 {
-		t.Fatalf("JournalWriteFailures = %d, want 1", eng.rep.Faults.JournalWriteFailures)
+	if j.Failures != 1 {
+		t.Fatalf("journal write failures = %d, want 1", j.Failures)
 	}
 	if len(eng.JournalImage()) != 0 {
 		t.Fatal("a record whose write failed must not reach the journal image")
 	}
-	eng.journalFlush(0, flush) // dead journal: silent no-op
-	if eng.rep.Faults.JournalWriteFailures != 1 {
+	_ = eng.persistFlush(0, flush) // dead journal: silent no-op
+	if j.Failures != 1 {
 		t.Fatal("dead journal must not count further failures")
 	}
 }

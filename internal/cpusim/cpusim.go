@@ -159,6 +159,13 @@ func (m CostModel) ProbeCycles(bufEntries, treeSteps int) float64 {
 	return m.ProbeBaseCycles + float64(bufEntries)*m.BufferEntryCycles + float64(treeSteps)*m.TreeStepCycles
 }
 
+// IndexInsertCycles returns the cycle cost of one index insert that scanned
+// bufEntries bin-buffer entries and, when it filled the buffer, descended
+// flushTreeSteps tree nodes draining it into the bin tree (0 otherwise).
+func (m CostModel) IndexInsertCycles(bufEntries, flushTreeSteps int) float64 {
+	return m.InsertCycles + float64(bufEntries)*m.BufferEntryCycles + float64(flushTreeSteps)*m.TreeStepCycles
+}
+
 // CompressCycles returns the cycle cost of an encode that processed the
 // given number of positions, examined searchSteps match candidates, and
 // emitted dstBytes.

@@ -4,25 +4,21 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"inlinered/internal/cpusim"
 	"inlinered/internal/fault"
+	"inlinered/internal/lz"
 	"inlinered/internal/obs"
 )
 
 // armFaults swaps in a fresh injector mid-run, so a test can build clean
 // state first and then fault a specific operation.
-func armFaults(v *Volume, cfg fault.Config) {
-	v.faults = fault.New(cfg)
-	v.drive.SetFaultInjector(v.faults)
-}
+func armFaults(v *Volume, cfg fault.Config) { v.sub.SetFaultInjector(fault.New(cfg)) }
 
-func disarmFaults(v *Volume) {
-	v.faults = nil
-	v.drive.SetFaultInjector(nil)
-}
+func disarmFaults(v *Volume) { v.sub.SetFaultInjector(nil) }
 
 // segGarbage recomputes the garbage invariant from first principles:
 // Stats.GarbageBytes must equal the dead bytes summed over all segments.
@@ -330,6 +326,51 @@ func TestDegradedFlushesNotObserved(t *testing.T) {
 	v.journalFlush(0, flush) // degraded: dropped silently
 	if got := v.Stats().JournalFlushLat.Count; got != before {
 		t.Fatalf("dropped flushes counted in the histogram: %d, want %d", got, before)
+	}
+}
+
+// TestJournalFlushDegradeKeepsRetryTime: a journal write that exhausts its
+// six transient retries spent Σ fault.Backoff(0..5) = 12.6 ms backing off.
+// That time is counted in SSDWriteRetries, so it must also come back from
+// journalFlush for the write to commit — the clock never loses time.
+func TestJournalFlushDegradeKeepsRetryTime(t *testing.T) {
+	v := newVolume(t, faultConfig())
+	armFaults(v, fault.Config{Seed: 3, Rates: fault.Rates{SSDWriteTransient: 1}})
+	const at = 2 * time.Millisecond
+	end := v.journalFlush(at, fabricateFlush(t))
+	if want := at + 12600*time.Microsecond; end != want {
+		t.Fatalf("failed journal flush ends at %v, want %v", end, want)
+	}
+	st := v.Stats()
+	if st.JournalWriteFailures != 1 || st.SSDWriteRetries != fault.MaxRetries || !v.sub.Journal.Dead() {
+		t.Fatalf("failures=%d retries=%d dead=%v; want 1, %d, true",
+			st.JournalWriteFailures, st.SSDWriteRetries, v.sub.Journal.Dead(), fault.MaxRetries)
+	}
+}
+
+// TestLogFullWriteChargesEncode: a unique write the log rejects ran the
+// fingerprint, the probe AND the encoder before alloc refused it, so all
+// three jobs stay on the clock and in the write histogram.
+func TestLogFullWriteChargesEncode(t *testing.T) {
+	cfg := faultConfig()
+	cfg.Compress = false // raw store: the encode job is one staging copy
+	v := newVolume(t, cfg)
+	v.maxSegs = len(v.segments)         // no segment left to open...
+	v.cur.off = int64(cfg.SegmentBytes) // ...and the open one is full
+	data := block(1)
+	lat, err := v.Write(0, data)
+	if err == nil || !strings.Contains(err.Error(), "log full") {
+		t.Fatalf("want a log-full rejection, got %v", err)
+	}
+	cpu, cost := v.sub.CPU, v.sub.CPU.Cost
+	want := cpu.Time(cost.ChunkCycles(len(data))+cost.HashCycles(len(data))+cost.StageOverheadCycles) +
+		cpu.Time(cost.ProbeCycles(0, 0)) +
+		cpu.Time(cost.MemcpyCycles(len(lz.StoreRaw(nil, data)))+cost.StageOverheadCycles)
+	if lat != want || v.Now() != want {
+		t.Fatalf("rejected write committed %v (clock %v), want hash+probe+encode = %v", lat, v.Now(), want)
+	}
+	if st := v.Stats(); st.Writes != 1 || st.WriteLat.Count != 1 || st.StoredBytes != 0 {
+		t.Fatalf("rejected write accounting: %+v", st)
 	}
 }
 

@@ -273,27 +273,25 @@ func TestVolumeJournalWriteFailureDegrades(t *testing.T) {
 	v := newVolume(t, faultConfig())
 	// Arm a permanent-write injector directly (uniform injection can't
 	// reach this path: a data write would fail first and surface).
-	v.faults = fault.New(fault.Config{Seed: 3, Rates: fault.Rates{SSDWritePermanent: 1}})
-	v.drive.SetFaultInjector(v.faults)
+	armFaults(v, fault.Config{Seed: 3, Rates: fault.Rates{SSDWritePermanent: 1}})
 
 	flush := fabricateFlush(t)
 	v.journalFlush(0, flush)
-	if !v.journalDead {
+	if !v.sub.Journal.Dead() {
 		t.Fatal("permanent journal-write failure must degrade journaling off")
 	}
-	if v.stats.JournalWriteFailures != 1 {
-		t.Fatalf("failures: %d", v.stats.JournalWriteFailures)
+	if got := v.Stats().JournalWriteFailures; got != 1 {
+		t.Fatalf("failures: %d", got)
 	}
 	if len(v.JournalImage()) != 0 {
 		t.Fatal("a failed journal write must not reach the durable image")
 	}
 	// Degraded mode: later flushes are dropped silently, the volume lives on.
 	v.journalFlush(0, flush)
-	if v.stats.JournalWriteFailures != 1 {
+	if v.Stats().JournalWriteFailures != 1 {
 		t.Fatal("degraded journaling must not re-count failures")
 	}
-	v.faults = nil
-	v.drive.SetFaultInjector(nil)
+	disarmFaults(v)
 	if _, err := v.Write(0, block(1)); err != nil {
 		t.Fatalf("degraded volume must keep serving writes: %v", err)
 	}

@@ -192,7 +192,7 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 	} else {
 		b.buf = b.buf[:need]
 	}
-	cost := v.cpu.Cost
+	cost := v.sub.CPU.Cost
 
 	for i, lba := range lbas {
 		start := v.now
@@ -202,31 +202,17 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 		fp, ok := v.lbaMap[lba]
 		if !ok {
 			// Unmapped: zero-fill, charged like ReadInto's.
-			zs, t := v.cpu.Run(v.now, cost.MemcpyCycles(bs)+cost.StageOverheadCycles)
-			v.cpuSpan("zero-fill", zs, t)
-			v.stats.Reads++
-			v.now = t
-			v.histR.Observe(t - start)
-			if v.obs != nil {
-				v.obs.SpanN(v.laneOps, "read", start, t, "lba", lba)
-			}
+			t := v.sub.Run("zero-fill", v.now, cost.MemcpyCycles(bs)+cost.StageOverheadCycles)
 			clear(region)
 			op.src = srcZero
-			op.lat = t - start
+			op.lat = v.commitRead(start, t, lba)
 			b.ops = append(b.ops, op)
 			continue
 		}
 
 		if e, hit := v.cache.getRef(fp); hit {
-			ms, t := v.cpu.Run(v.now, cost.MemcpyCycles(bs)+cost.StageOverheadCycles)
-			v.cpuSpan("cache-copy", ms, t)
-			v.stats.Reads++
-			v.now = t
-			v.histR.Observe(t - start)
-			if v.obs != nil {
-				v.obs.SpanN(v.laneOps, "read", start, t, "lba", lba)
-			}
-			op.lat = t - start
+			t := v.sub.Run("cache-copy", v.now, cost.MemcpyCycles(bs)+cost.StageOverheadCycles)
+			op.lat = v.commitRead(start, t, lba)
 			if j, pend := b.pending[fp]; pend {
 				// The entry was reserved by an earlier read in this batch;
 				// its bytes exist only after that job decodes. Copy at
@@ -245,10 +231,8 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 		// the parallel phase.
 		ref := v.chunks[fp]
 		blob := v.blobs[ref.loc]
-		pageSize := int64(v.drive.PageSize)
-		first := ref.loc / pageSize
-		last := (ref.loc + int64(ref.size) - 1) / pageSize
-		t, err := v.readDrive(v.now, first, int(last-first+1))
+		first, pages := v.pageSpan(ref.loc, int(ref.size))
+		t, err := v.readDrive(v.now, first, pages)
 		if err != nil {
 			op.err = fmt.Errorf("volume: lba %d: %w", lba, err)
 			op.lat = v.failRead(start, t, lba)
@@ -256,15 +240,8 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 			b.ops = append(b.ops, op)
 			continue
 		}
-		ds, t := v.cpu.Run(t, cost.DecompressCycles(bs)+cost.StageOverheadCycles)
-		v.cpuSpan("decompress", ds, t)
-		v.stats.Reads++
-		v.now = t
-		v.histR.Observe(t - start)
-		if v.obs != nil {
-			v.obs.SpanN(v.laneOps, "read", start, t, "lba", lba)
-		}
-		op.lat = t - start
+		t = v.sub.Run("decompress", t, cost.DecompressCycles(bs)+cost.StageOverheadCycles)
+		op.lat = v.commitRead(start, t, lba)
 		op.src = srcDecode
 
 		j := len(b.jobs)

@@ -29,6 +29,7 @@ import (
 	"inlinered/internal/lz"
 	"inlinered/internal/metrics"
 	"inlinered/internal/obs"
+	"inlinered/internal/reduce"
 	"inlinered/internal/sim"
 	"inlinered/internal/ssd"
 )
@@ -210,10 +211,11 @@ func (s Stats) ReductionRatio() float64 {
 // Volume is a deduplicating, compressing block device on the virtual clock.
 // It is not safe for concurrent use.
 type Volume struct {
-	cfg   Config
-	cpu   *cpusim.CPU
-	drive *ssd.Drive
-	index *dedup.BinIndex
+	cfg Config
+	// sub is the reduction substrate shared with internal/core: CPU, drive,
+	// bin index, journal region, and their fault and trace wiring.
+	sub *reduce.Substrate
+	enc reduce.Encoder // unique block → stored blob
 
 	lbaMap map[int64]dedup.Fingerprint // mapped blocks
 	chunks map[dedup.Fingerprint]*chunkRef
@@ -224,18 +226,6 @@ type Volume struct {
 	cur      logCursor
 	maxSegs  int
 
-	// The index journal mirrors internal/core: bin-buffer flushes destage
-	// as sequential writes into a region carved from the top of the drive's
-	// logical space, and the serialized image is what a post-crash restart
-	// replays.
-	journal      *dedup.JournalWriter
-	journalBase  int64 // first page of the journal region
-	journalCur   int64
-	journalLimit int64
-	journalDead  bool // a permanent journal-write failure degraded journaling off
-
-	faults *fault.Injector // nil when injection is off
-
 	cache *blockCache
 
 	// compScratch is the reusable compression output buffer for the write
@@ -245,13 +235,12 @@ type Volume struct {
 
 	// Observability. Latency histograms are always on (the closed-loop
 	// volume exists to measure latency); span recording needs Config.Obs.
-	obs      *obs.Recorder
-	laneOps  obs.Lane   // one lane for the sequential request stream
-	cpuLanes []obs.Lane // one lane per virtual CPU thread
-	histW    sim.Histogram
-	histR    sim.Histogram
-	histT    sim.Histogram
-	histJF   sim.Histogram
+	obs     *obs.Recorder
+	laneOps obs.Lane // one lane for the sequential request stream
+	histW   sim.Histogram
+	histR   sim.Histogram
+	histT   sim.Histogram
+	histJF  sim.Histogram
 
 	now   time.Duration // closed-loop clock: completion of the last request
 	stats Stats
@@ -262,63 +251,39 @@ func New(cfg Config) (*Volume, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	sub, err := reduce.New(cfg.CPU, cfg.SSD, &cfg.Index, cfg.Faults)
+	if err != nil {
+		return nil, err
+	}
 	v := &Volume{
 		cfg:    cfg,
-		cpu:    cpusim.New(cfg.CPU),
-		drive:  ssd.New(cfg.SSD),
+		sub:    sub,
+		enc:    reduce.Encoder{Compress: cfg.Compress, Codec: cfg.Codec, LZ: cfg.LZ},
 		lbaMap: make(map[int64]dedup.Fingerprint),
 		chunks: make(map[dedup.Fingerprint]*chunkRef),
 		blobs:  make(map[int64][]byte),
 	}
-	idx, err := dedup.NewBinIndex(cfg.Index)
-	if err != nil {
-		return nil, err
+	if cfg.SubBlocks > 1 {
+		// Independent lanes plus the indexed container the parallel read
+		// path needs.
+		v.enc.Sub = lz.SubBlockParams{Params: cfg.LZ, SubBlocks: cfg.SubBlocks, Overlap: lz.Window / 8}
 	}
-	v.index = idx
-	// Carve the journal region out of the top of the logical space; the
-	// log segments pack into what remains.
-	logical := v.drive.LogicalPages()
-	reserve := logical / 16
-	if reserve < 1 {
-		reserve = 1
-	}
-	v.journalBase = logical - reserve
-	v.journalCur = v.journalBase
-	v.journalLimit = logical
-	v.journal = dedup.NewJournalWriter(cfg.Index.PrefixBytes)
-	logBytes := v.journalBase * int64(v.drive.PageSize)
+	// The log segments pack into what the journal region leaves.
+	logBytes := sub.Journal.FirstPage() * int64(sub.Drive.PageSize)
 	v.maxSegs = int(logBytes / int64(cfg.SegmentBytes))
 	if v.maxSegs < 2 {
 		return nil, fmt.Errorf("volume: drive too small for two %d-byte segments", cfg.SegmentBytes)
 	}
 	v.segments = append(v.segments, segment{})
 	v.cache = newBlockCache(cfg.CacheBytes)
-	if cfg.Faults.Enabled() {
-		v.faults = fault.New(cfg.Faults)
-		v.drive.SetFaultInjector(v.faults)
-		v.index.SetFaultInjector(v.faults)
-	}
 	if cfg.Obs != nil {
+		// Lane registration order fixes the trace's pid/tid assignment: the
+		// request stream first, then the substrate's CPU and SSD lanes.
 		v.obs = cfg.Obs
 		v.laneOps = cfg.Obs.Lane("volume", "ops")
-		v.cpuLanes = make([]obs.Lane, v.cpu.Pool.Servers())
-		for i := range v.cpuLanes {
-			v.cpuLanes[i] = cfg.Obs.Lane("cpu", fmt.Sprintf("t%d", i))
-		}
-		v.drive.SetRecorder(cfg.Obs)
-		v.drive.MarkJournalRegion(v.journalBase)
+		sub.Trace(cfg.Obs)
 	}
 	return v, nil
-}
-
-// cpuSpan records one committed CPU job on the trace lane of the virtual
-// hardware thread that ran it. Must be called immediately after the
-// v.cpu.Run that scheduled the job.
-func (v *Volume) cpuSpan(name string, start, end time.Duration) {
-	if v.obs == nil {
-		return
-	}
-	v.obs.Span(v.cpuLanes[v.cpu.Pool.LastServer()], name, start, end)
 }
 
 // Now returns the volume's virtual clock (completion time of the last
@@ -336,10 +301,14 @@ func (v *Volume) Stats() Stats {
 	st.CacheMisses = v.cache.misses
 	st.CacheAdmissions = v.cache.admissions
 	st.CacheGhostHits = v.cache.ghostHits
-	st.JournalRecords = int64(v.journal.Records())
-	st.JournalTornRecords = int64(v.journal.TornRecords())
-	st.LatencySpikes = v.drive.Stats().LatencySpikes
-	st.IndexEvictions = v.index.FaultEvicted()
+	j := &v.sub.Journal
+	st.JournalRecords = int64(j.Image.Records())
+	st.JournalBytes = j.Bytes
+	st.JournalTornRecords = int64(j.Image.TornRecords())
+	st.JournalWriteFailures = j.Failures
+	st.SSDWriteRetries = v.sub.WriteRetries
+	st.LatencySpikes = v.sub.Drive.Stats().LatencySpikes
+	st.IndexEvictions = v.sub.Index.FaultEvicted()
 	return st
 }
 
@@ -381,11 +350,11 @@ func (s *Snapshot) Stats() Stats {
 }
 
 // Drive exposes the underlying SSD for endurance inspection.
-func (v *Volume) Drive() *ssd.Drive { return v.drive }
+func (v *Volume) Drive() *ssd.Drive { return v.sub.Drive }
 
 // JournalImage returns the serialized index journal — the durable form of
 // every bin-buffer flush the volume destaged to the journal region.
-func (v *Volume) JournalImage() []byte { return v.journal.Bytes() }
+func (v *Volume) JournalImage() []byte { return v.sub.Journal.Image.Bytes() }
 
 // RecoverIndex rebuilds an index from the volume's journal — what a restart
 // after a crash would reconstruct. Recovery is lenient: a trailing torn or
@@ -394,80 +363,40 @@ func (v *Volume) JournalImage() []byte { return v.journal.Bytes() }
 // Entries still in bin buffers at the crash point (never journaled) are
 // absent; their future duplicates would be stored again.
 func (v *Volume) RecoverIndex() (*dedup.BinIndex, dedup.Recovery, error) {
-	return dedup.RecoverJournal(v.journal.Bytes(), v.cfg.Index)
+	return dedup.RecoverJournal(v.JournalImage(), v.cfg.Index)
 }
 
 // RecoverIndexStrict replays the journal refusing any corruption: a torn or
 // bit-flipped record fails the whole replay with dedup.ErrJournalCorrupt.
 func (v *Volume) RecoverIndexStrict() (*dedup.BinIndex, error) {
-	return dedup.ReplayJournal(v.journal.Bytes(), v.cfg.Index)
+	return dedup.ReplayJournal(v.JournalImage(), v.cfg.Index)
 }
 
-// writeDrive is drive.Write under the shared bounded-retry policy
-// (fault.Retry).
-func (v *Volume) writeDrive(at time.Duration, lpn int64, pages int) (time.Duration, error) {
-	return fault.Retry(v.drive.Write, &v.stats.SSDWriteRetries, at, lpn, pages)
-}
-
-// readDrive is drive.Read under the same policy.
+// readDrive is drive.Read under the shared bounded-retry policy
+// (fault.Retry); writes go through the substrate's WriteDrive.
 func (v *Volume) readDrive(at time.Duration, lpn int64, pages int) (time.Duration, error) {
-	return fault.Retry(v.drive.Read, &v.stats.SSDReadRetries, at, lpn, pages)
+	return fault.Retry(v.sub.Drive.Read, &v.stats.SSDReadRetries, at, lpn, pages)
 }
 
-// journalFlush destages one bin-buffer flush to the sequential journal
-// region and appends it to the durable image. Crash semantics under
-// injection: a torn record persists only its prefix (recovery truncates
-// there), and a permanent write failure degrades journaling off for the
-// rest of the run — the volume keeps serving I/O from the in-memory index,
-// it just loses crash recoverability, and the failure is counted. Returns
-// the completion time of the journal write.
+// journalFlush destages one bin-buffer flush through the substrate's
+// journal region (torn-record and degrade-to-memory-only semantics live
+// there) and returns the completion time of the journal write — on a
+// permanent failure, the time the failed attempt's retries reached.
 //
 // Histogram contract: torn flushes COUNT in the journal-flush histogram —
 // the partial write consumed real drive time, and hiding it would make
 // JournalFlushLat lie about the time the volume spent flushing. So
 // JournalFlushLat.Count == JournalRecords + JournalTornRecords. Flushes
-// dropped by a permanent write failure (or while journaling is degraded
-// off) consume no drive time and are NOT observed.
+// lost to a permanent write failure (or dropped while journaling is
+// degraded off) persist nothing and are NOT observed.
 func (v *Volume) journalFlush(at time.Duration, f *dedup.Flush) time.Duration {
-	if v.journalDead {
-		return at
-	}
 	flushStart := metrics.Clock()
-	defer metrics.VolumeJournalFlush.ObserveSince(flushStart)
-	if frac, torn := v.faults.TornFraction(); torn {
-		v.journal.AppendTorn(f, frac)
-		end, _ := v.writeJournal(at, f.Bytes) // the partial write still happened
+	end, st := v.sub.Journal.Flush(at, f)
+	metrics.VolumeJournalFlush.ObserveSince(flushStart)
+	if st != reduce.FlushLost {
 		v.histJF.Observe(end - at)
-		return end
 	}
-	end, err := v.writeJournal(at, f.Bytes)
-	if err != nil {
-		v.journalDead = true
-		v.stats.JournalWriteFailures++
-		return at
-	}
-	v.histJF.Observe(end - at)
-	v.journal.Append(f)
 	return end
-}
-
-// writeJournal appends one flush record to the sequential journal region,
-// wrapping at the region end.
-func (v *Volume) writeJournal(at time.Duration, bytes int) (time.Duration, error) {
-	pages := int64(v.drive.Pages(bytes))
-	if pages == 0 {
-		pages = 1
-	}
-	if v.journalCur+pages > v.journalLimit {
-		v.journalCur = v.journalBase
-	}
-	end, err := v.writeDrive(at, v.journalCur, int(pages))
-	if err != nil {
-		return at, err
-	}
-	v.journalCur += pages
-	v.stats.JournalBytes += int64(bytes)
-	return end, nil
 }
 
 func (v *Volume) segOf(loc int64) int { return int(loc / int64(v.cfg.SegmentBytes)) }
@@ -493,15 +422,13 @@ func (v *Volume) Write(lba int64, data []byte) (time.Duration, error) {
 		return 0, fmt.Errorf("volume: write of %d bytes, block size is %d", len(data), v.cfg.BlockSize)
 	}
 	start := v.now
-	cost := v.cpu.Cost
+	cost := v.sub.CPU.Cost
 
 	// Fingerprint + index probe (Figure 1's CPU path).
 	fp := dedup.Sum(data)
-	cs, t := v.cpu.Run(v.now, cost.ChunkCycles(len(data))+cost.HashCycles(len(data))+cost.StageOverheadCycles)
-	v.cpuSpan("chunk+hash", cs, t)
-	p := v.index.Lookup(fp)
-	ps, t := v.cpu.Run(t, cost.ProbeCycles(p.BufferScanned, p.TreeSteps))
-	v.cpuSpan("probe", ps, t)
+	t := v.sub.Run("chunk+hash", v.now, cost.ChunkCycles(len(data))+cost.HashCycles(len(data))+cost.StageOverheadCycles)
+	p := v.sub.Index.Lookup(fp)
+	t = v.sub.Run("probe", t, cost.ProbeCycles(p.BufferScanned, p.TreeSteps))
 
 	// The chunk store is authoritative for the duplicate decision (the
 	// probe above charges the index work); a stored chunk is referenced
@@ -510,60 +437,31 @@ func (v *Volume) Write(lba int64, data []byte) (time.Duration, error) {
 		ref.refs++
 		v.stats.DedupHits++
 	} else {
-		// Unique: compress, append to the log, then index it.
-		// Encode into the reusable scratch buffer, then retain an
-		// exact-size copy: the blob lives in v.blobs for the chunk's
-		// lifetime, so right-sizing it beats keeping the encoder's
-		// capacity-grown slice alive.
-		var cycles float64
-		spanName := "store-raw"
-		if v.cfg.Compress && v.cfg.SubBlocks > 1 {
-			// Sub-block mode: independent lanes plus the indexed container
-			// the parallel read path needs (raw fallback when the container
-			// would not pay for itself).
-			sp := lz.SubBlockParams{Params: v.cfg.LZ, SubBlocks: v.cfg.SubBlocks, Overlap: lz.Window / 8}
-			res := lz.CompressSubBlocks(data, sp)
-			var st lz.Stats
-			var perr error
-			v.compScratch, st, perr = lz.PostProcessOrRaw(v.compScratch[:0], data, res)
-			if perr != nil {
-				return 0, perr // impossible by construction: res came from data
-			}
-			cycles = cost.CompressCycles(st.Positions, st.SearchSteps, st.DstBytes)
-			spanName = "compress-sub"
-		} else if v.cfg.Compress {
-			var st lz.Stats
-			v.compScratch, st = lz.CompressCodec(v.cfg.Codec, v.compScratch[:0], data, v.cfg.LZ)
-			cycles = cost.CompressCycles(st.Positions, st.SearchSteps, st.DstBytes)
-			spanName = "compress"
-		} else {
-			v.compScratch = lz.StoreRaw(v.compScratch[:0], data)
-			cycles = cost.MemcpyCycles(len(v.compScratch))
-		}
-		blob := append([]byte(nil), v.compScratch...)
-		loc, err := v.alloc(len(blob))
+		// Unique: compress, append to the log, then index it. The encoder
+		// appends into the reusable scratch buffer; the encode job is charged
+		// as soon as it has run, so a write the log then rejects still pays
+		// for it.
+		enc := v.enc.Encode(v.compScratch[:0], data)
+		v.compScratch = enc.Blob
+		t = v.sub.Run(encodeSpans[enc.Kind], t, v.enc.Cycles(cost, enc))
+		loc, err := v.alloc(len(enc.Blob))
 		if err != nil {
 			return v.failWrite(start, t, lba), err
 		}
-		var zs time.Duration
-		zs, t = v.cpu.Run(t, cycles+cost.StageOverheadCycles)
-		v.cpuSpan(spanName, zs, t)
+		// Retain an exact-size copy: the blob lives in v.blobs for the
+		// chunk's lifetime, so right-sizing it beats keeping the encoder's
+		// capacity-grown slice alive.
+		blob := append([]byte(nil), enc.Blob...)
 		// Crash-consistent ordering: the data lands in the log before any
 		// index or journal record can point at it.
 		t, err = v.appendBlob(t, fp, loc, blob)
 		if err != nil {
 			return v.failWrite(start, t, lba), err
 		}
-		ir := v.index.Insert(fp, dedup.Entry{Loc: loc, Size: uint32(len(blob))})
-		icycles := cost.InsertCycles + float64(ir.BufferScanned)*cost.BufferEntryCycles
-		if ir.Flush != nil {
-			icycles += float64(ir.Flush.TreeSteps) * cost.TreeStepCycles
-		}
-		var is time.Duration
-		is, t = v.cpu.Run(t, icycles)
-		v.cpuSpan("insert", is, t)
-		if ir.Flush != nil {
-			t = v.journalFlush(t, ir.Flush)
+		flush, insertCycles := v.sub.Insert(fp, dedup.Entry{Loc: loc, Size: uint32(len(blob))})
+		t = v.sub.Run("insert", t, insertCycles)
+		if flush != nil {
+			t = v.journalFlush(t, flush)
 		}
 	}
 
@@ -575,27 +473,30 @@ func (v *Volume) Write(lba int64, data []byte) (time.Duration, error) {
 		v.stats.LogicalBytes += int64(v.cfg.BlockSize)
 	}
 	v.lbaMap[lba] = fp
-	v.stats.Writes++
-	v.now = t
-	v.histW.Observe(t - start)
-	if v.obs != nil {
-		v.obs.SpanN(v.laneOps, "write", start, t, "lba", lba)
-	}
-	return t - start, nil
+	return v.commit(&v.stats.Writes, &v.histW, "write", start, t, lba), nil
 }
 
-// failWrite commits a failed write to the clock, the stats, and the
-// latency histogram — the same error-path accounting contract as failRead:
-// CPU work and retry/backoff time a rejected write really consumed stays on
-// the clock and in the latency summaries.
-func (v *Volume) failWrite(start, end time.Duration, lba int64) time.Duration {
-	v.stats.Writes++
+// encodeSpans names a unique block's encode job by how it was encoded.
+var encodeSpans = [...]string{reduce.KindRaw: "store-raw", reduce.KindCodec: "compress", reduce.KindSub: "compress-sub"}
+
+// commit lands one request on the clock, in its counter and latency
+// histogram, and on the request trace lane, and returns its latency. Failed
+// requests come through here too (the error-path accounting contract): CPU
+// work, retries and backoff a request really consumed never vanish from the
+// clock or the latency summaries.
+func (v *Volume) commit(count *int64, hist *sim.Histogram, span string, start, end time.Duration, lba int64) time.Duration {
+	*count++
 	v.now = end
-	v.histW.Observe(end - start)
+	hist.Observe(end - start)
 	if v.obs != nil {
-		v.obs.SpanN(v.laneOps, "write-error", start, end, "lba", lba)
+		v.obs.SpanN(v.laneOps, span, start, end, "lba", lba)
 	}
 	return end - start
+}
+
+// failWrite commits a write that errored after argument validation.
+func (v *Volume) failWrite(start, end time.Duration, lba int64) time.Duration {
+	return v.commit(&v.stats.Writes, &v.histW, "write-error", start, end, lba)
 }
 
 // curLoc returns the byte offset of the current append position.
@@ -651,10 +552,15 @@ func (v *Volume) appendBlob(at time.Duration, fp dedup.Fingerprint, loc int64, b
 // writeLog charges the SSD pages covering [loc, loc+n), absorbing
 // transient faults through the bounded-retry policy.
 func (v *Volume) writeLog(at time.Duration, loc int64, n int) (time.Duration, error) {
-	pageSize := int64(v.drive.PageSize)
-	first := loc / pageSize
-	last := (loc + int64(n) - 1) / pageSize
-	return v.writeDrive(at, first, int(last-first+1))
+	first, pages := v.pageSpan(loc, n)
+	return v.sub.WriteDrive(at, first, pages)
+}
+
+// pageSpan returns the SSD pages covering log bytes [loc, loc+n).
+func (v *Volume) pageSpan(loc int64, n int) (first int64, pages int) {
+	pageSize := int64(v.sub.Drive.PageSize)
+	first = loc / pageSize
+	return first, int((loc+int64(n)-1)/pageSize - first + 1)
 }
 
 // deref drops one reference to fp, reclaiming the chunk at zero.
@@ -668,7 +574,7 @@ func (v *Volume) deref(fp dedup.Fingerprint) {
 		return
 	}
 	// Last reference gone: drop from index, store, and space accounting.
-	v.index.Remove(fp)
+	v.sub.Index.Remove(fp)
 	delete(v.chunks, fp)
 	delete(v.blobs, ref.loc)
 	v.segAt(v.segOf(ref.loc)).live -= int64(ref.size)
@@ -699,44 +605,29 @@ func (v *Volume) ReadInto(dst []byte, lba int64) ([]byte, time.Duration, error) 
 	}
 	start := v.now
 	base := len(dst)
+	cost := v.sub.CPU.Cost
 	fp, ok := v.lbaMap[lba]
 	if !ok {
 		// Unmapped: the array synthesizes zeros without touching media, but
 		// the staging copy into the caller's buffer is real work — charged
 		// exactly like a cache hit's copy, so an unmapped read can never be
 		// cheaper than a cached one.
-		zs, t := v.cpu.Run(v.now, v.cpu.Cost.MemcpyCycles(v.cfg.BlockSize)+v.cpu.Cost.StageOverheadCycles)
-		v.cpuSpan("zero-fill", zs, t)
-		v.stats.Reads++
-		v.now = t
-		v.histR.Observe(t - start)
-		if v.obs != nil {
-			v.obs.SpanN(v.laneOps, "read", start, t, "lba", lba)
-		}
-		return appendZeros(dst, v.cfg.BlockSize), t - start, nil
+		t := v.sub.Run("zero-fill", v.now, cost.MemcpyCycles(v.cfg.BlockSize)+cost.StageOverheadCycles)
+		return appendZeros(dst, v.cfg.BlockSize), v.commitRead(start, t, lba), nil
 	}
 	// Content-addressed cache: a hit skips the SSD and the decoder, paying
 	// one staging copy.
 	if data := v.cache.get(fp); data != nil {
-		ms, t := v.cpu.Run(v.now, v.cpu.Cost.MemcpyCycles(len(data))+v.cpu.Cost.StageOverheadCycles)
-		v.cpuSpan("cache-copy", ms, t)
-		v.stats.Reads++
-		v.now = t
-		v.histR.Observe(t - start)
-		if v.obs != nil {
-			v.obs.SpanN(v.laneOps, "read", start, t, "lba", lba)
-		}
-		return append(dst, data...), t - start, nil
+		t := v.sub.Run("cache-copy", v.now, cost.MemcpyCycles(len(data))+cost.StageOverheadCycles)
+		return append(dst, data...), v.commitRead(start, t, lba), nil
 	}
 
 	ref := v.chunks[fp]
 	blob := v.blobs[ref.loc]
 
 	// SSD read of the pages holding the blob, then CPU decompression.
-	pageSize := int64(v.drive.PageSize)
-	first := ref.loc / pageSize
-	last := (ref.loc + int64(ref.size) - 1) / pageSize
-	t, err := v.readDrive(v.now, first, int(last-first+1))
+	first, pages := v.pageSpan(ref.loc, int(ref.size))
+	t, err := v.readDrive(v.now, first, pages)
 	if err != nil {
 		return dst, v.failRead(start, t, lba), fmt.Errorf("volume: lba %d: %w", lba, err)
 	}
@@ -744,16 +635,9 @@ func (v *Volume) ReadInto(dst []byte, lba int64) ([]byte, time.Duration, error) 
 	if err != nil {
 		return dst, v.failRead(start, t, lba), fmt.Errorf("volume: lba %d: %w", lba, err)
 	}
-	ds, t := v.cpu.Run(t, v.cpu.Cost.DecompressCycles(len(out)-base)+v.cpu.Cost.StageOverheadCycles)
-	v.cpuSpan("decompress", ds, t)
+	t = v.sub.Run("decompress", t, cost.DecompressCycles(len(out)-base)+cost.StageOverheadCycles)
 	v.cache.put(fp, out[base:])
-	v.stats.Reads++
-	v.now = t
-	v.histR.Observe(t - start)
-	if v.obs != nil {
-		v.obs.SpanN(v.laneOps, "read", start, t, "lba", lba)
-	}
-	return out, t - start, nil
+	return out, v.commitRead(start, t, lba), nil
 }
 
 // appendZeros appends n zero bytes to dst, reusing capacity when possible.
@@ -769,19 +653,15 @@ func appendZeros(dst []byte, n int) []byte {
 	return out
 }
 
-// failRead commits a failed read to the clock, the stats, and the latency
-// histogram (the error-path accounting contract: time a request really
-// spent — retries, backoff, the partial work before the failure — never
-// vanishes). Returns the request's latency for the caller to surface
-// alongside the error.
+// commitRead commits a served read.
+func (v *Volume) commitRead(start, end time.Duration, lba int64) time.Duration {
+	return v.commit(&v.stats.Reads, &v.histR, "read", start, end, lba)
+}
+
+// failRead commits a read that errored after argument validation, and
+// returns its latency for the caller to surface alongside the error.
 func (v *Volume) failRead(start, end time.Duration, lba int64) time.Duration {
-	v.stats.Reads++
-	v.now = end
-	v.histR.Observe(end - start)
-	if v.obs != nil {
-		v.obs.SpanN(v.laneOps, "read-error", start, end, "lba", lba)
-	}
-	return end - start
+	return v.commit(&v.stats.Reads, &v.histR, "read-error", start, end, lba)
 }
 
 // Trim unmaps a block, releasing its chunk reference, and returns the
@@ -792,20 +672,13 @@ func (v *Volume) Trim(lba int64) (time.Duration, error) {
 		return 0, fmt.Errorf("volume: lba %d outside [0,%d)", lba, v.cfg.Blocks)
 	}
 	start := v.now
-	ts, t := v.cpu.Run(v.now, v.cpu.Cost.StageOverheadCycles)
-	v.cpuSpan("trim", ts, t)
+	t := v.sub.Run("trim", v.now, v.sub.CPU.Cost.StageOverheadCycles)
 	if fp, ok := v.lbaMap[lba]; ok {
 		delete(v.lbaMap, lba)
 		v.deref(fp)
 		v.stats.LogicalBytes -= int64(v.cfg.BlockSize)
 	}
-	v.stats.Trims++
-	v.now = t
-	v.histT.Observe(t - start)
-	if v.obs != nil {
-		v.obs.SpanN(v.laneOps, "trim", start, t, "lba", lba)
-	}
-	return t - start, nil
+	return v.commit(&v.stats.Trims, &v.histT, "trim", start, t, lba), nil
 }
 
 // Clean compacts log segments whose garbage fraction exceeds the threshold:
@@ -868,13 +741,11 @@ func (v *Volume) cleanSegment(i int) error {
 		}
 		v.now = t
 	}()
-	pageSize := int64(v.drive.PageSize)
 	for _, ref := range live {
 		blob := v.blobs[ref.loc]
 		// Read the blob's pages, re-append at the log head.
-		first := ref.loc / pageSize
-		last := (ref.loc + int64(ref.size) - 1) / pageSize
-		end, err := v.readDrive(t, first, int(last-first+1))
+		first, pages := v.pageSpan(ref.loc, int(ref.size))
+		end, err := v.readDrive(t, first, pages)
 		t = end
 		if err != nil {
 			return fmt.Errorf("volume: during cleaning: %w", err)
@@ -896,7 +767,7 @@ func (v *Volume) cleanSegment(i int) error {
 		// Keep the index pointing at the moved blob; a flush it triggers is
 		// journaled like any other (the moved location must win over the
 		// stale one in any post-crash replay).
-		if ir := v.index.Insert(ref.fp, dedup.Entry{Loc: newLoc, Size: uint32(ref.size)}); ir.Flush != nil {
+		if ir := v.sub.Index.Insert(ref.fp, dedup.Entry{Loc: newLoc, Size: uint32(ref.size)}); ir.Flush != nil {
 			t = v.journalFlush(t, ir.Flush)
 		}
 		ns := v.segAt(v.segOf(newLoc))
@@ -909,9 +780,7 @@ func (v *Volume) cleanSegment(i int) error {
 		v.stats.GarbageBytes += int64(ref.size)
 		v.stats.MovedBytes += int64(ref.size)
 		v.stats.LogBytes += int64(ref.size)
-		var mvs time.Duration
-		mvs, t = v.cpu.Run(t, v.cpu.Cost.MemcpyCycles(len(blob)))
-		v.cpuSpan("gc-copy", mvs, t)
+		t = v.sub.Run("gc-copy", t, v.sub.CPU.Cost.MemcpyCycles(len(blob)))
 	}
 	// Every live blob has moved out: retire the garbage the segment still
 	// holds (its originally dead bytes plus the copies the moves above just
@@ -921,7 +790,7 @@ func (v *Volume) cleanSegment(i int) error {
 	seg.live, seg.used = 0, 0
 	v.freeSegs = append(v.freeSegs, i)
 	// Trim the reclaimed segment's pages so the FTL can reuse them.
-	segStartPage := int64(i) * int64(v.cfg.SegmentBytes) / pageSize
-	v.drive.Trim(segStartPage, v.cfg.SegmentBytes/int(pageSize))
+	pageSize := int64(v.sub.Drive.PageSize)
+	v.sub.Drive.Trim(segStart/pageSize, v.cfg.SegmentBytes/int(pageSize))
 	return nil
 }
