@@ -112,6 +112,36 @@ func BenchmarkDataPlaneWallClock(b *testing.B) {
 	}
 }
 
+// newEngineAllocCeiling and newEngineByteCeiling bound what constructing
+// one engine may allocate. Every Run pays the constructor serially before
+// its first chunk, so it is part of every round; it measures ~80
+// allocations / 0.5 MB now that the drive allocates a block's page state
+// on first program (8,382 / 17.4 MB when New zeroed all 1 M pages).
+const (
+	newEngineAllocCeiling = 512
+	newEngineByteCeiling  = 2 << 20
+)
+
+// BenchmarkNewEngine measures the fixed prologue of a Run: building the
+// engine (drive, index, journal, worker pool) for the paper platform.
+func BenchmarkNewEngine(b *testing.B) {
+	var m0, m1 runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < b.N; i++ {
+		if _, err := NewEngine(PaperPlatform(), Options{Mode: CPUOnly}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	allocs := float64(m1.Mallocs-m0.Mallocs) / float64(b.N)
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(b.N)
+	if allocs > newEngineAllocCeiling || bytes > newEngineByteCeiling {
+		b.Fatalf("NewEngine allocates %.0f objects / %.0f B, ceilings are %d / %d",
+			allocs, bytes, newEngineAllocCeiling, newEngineByteCeiling)
+	}
+}
+
 // BenchmarkServeWallClock measures the real (host) cost of serving a fixed
 // closed-loop op mix through the sharded front-end. The /shards1 case is a
 // single volume drained by one client; /shards4 routes the same mix across

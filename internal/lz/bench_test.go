@@ -116,10 +116,14 @@ func BenchmarkSubDecode4K(b *testing.B) {
 	})
 }
 
-func BenchmarkSubBlocks4Lanes(b *testing.B) {
+// BenchmarkCompressSubBlocks4K is the GPU-shaped encode of one chunk: one
+// chain build, four lane parses, and one allocation per retained lane
+// stream plus the lane slice (TestSubBlockAllocs holds the count).
+func BenchmarkCompressSubBlocks4K(b *testing.B) {
 	data := benchChunk(0.5)
 	p := DefaultSubBlockParams()
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		CompressSubBlocks(data, p)
 	}

@@ -17,6 +17,9 @@
 // Every encoder reports Stats with the real work performed (bytes, tokens,
 // match-search steps), which the CPU and GPU cost models convert into
 // virtual time — so compressible data is faster, exactly as on hardware.
+// The search steps are defined by a contract on the hash chains (see walk),
+// not by how the host traverses them: it may skip work for candidates the
+// contract counts but can never take.
 //
 // # Format
 //
@@ -133,7 +136,10 @@ type Stats struct {
 	Positions int // encoder positions processed (literals + matches); the
 	// dominant work term — long matches advance many bytes per position,
 	// which is why compressible data encodes faster
-	SearchSteps int // hash-chain candidates examined
+
+	// SearchSteps counts hash-chain candidates examined, as the contract on
+	// walk defines it — not the byte compares the host happened to need.
+	SearchSteps int
 }
 
 // Ratio returns SrcBytes/DstBytes (the paper's "compression ratio"), or 0
@@ -149,114 +155,73 @@ func hash4(v uint32) uint32 {
 	return (v * 2654435761) >> hashShift
 }
 
-// matcher is a hash-chain match finder over one contiguous buffer. The
-// head table stores position+1 (0 = empty chain), so resetting it is one
-// memclr instead of a -1 fill; prev stores real positions (-1 = end).
-type matcher struct {
-	head [1 << hashBits]int32
-	prev []int32
+// link is one hash-chain entry: a position + 1, with 0 ending the chain, so
+// clearing the head table is one memclr.
+type link interface{ ~uint16 | ~uint32 }
+
+// chains are the hash chains of one buffer. The encoder links every
+// hashable position exactly once, in increasing order, before any later
+// position is searched, so the chains are a function of the bytes alone:
+// build makes them in one pass and the parse only walks them. head[h] is
+// the last position hashing to h and prev[i] the last position before i
+// with i's hash, both as links.
+type chains[L link] struct {
+	head [1 << hashBits]L
+	prev []L
 	data []byte
-	size int // pool size class (see matcherPools)
+	pool *sync.Pool
 }
 
-// matcherPools recycle matchers across encodes, bucketed by the prev
-// chain's power-of-two size class: the head table and prev chain together
-// are ~48 KB per 4 KB chunk, by far the codec's largest allocation, and
-// resetting them is much cheaper than reallocating under GC pressure.
-// Bucketing by size keeps a matcher sized for 4 KB chunks from ping-ponging
-// with the sub-block encoder's much smaller lanes (or an occasional large
-// buffer), so a Get almost never reallocates prev. Each pool is safe for
-// the engine's concurrent compression workers.
-var matcherPools [32]sync.Pool
-
-// matcherSizeClass returns the bucket index for a buffer of n bytes: the
-// smallest power of two >= n (class 0 holds n <= 1).
-func matcherSizeClass(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
+// matchFinder is a buffer's chains behind either link width.
+type matchFinder interface {
+	// parse encodes data[from:end] as one token stream appended to out,
+	// letting matches reach back to data[lo] (lo <= from: the preloaded
+	// history) and no further than the format window.
+	parse(out []byte, lo, from, end int, p Params) ([]byte, Stats)
+	// release recycles the chains; the caller must not use them afterwards.
+	release()
 }
 
-func newMatcher(data []byte) *matcher {
-	class := matcherSizeClass(len(data))
-	m, _ := matcherPools[class].Get().(*matcher)
-	if m == nil {
-		m = &matcher{prev: make([]int32, 1<<class), size: class}
+// Chains are by far the codec's largest allocation, and clearing them is
+// much cheaper than reallocating under GC pressure, so each width recycles
+// its own. Both pools are safe for the engine's concurrent workers.
+var narrowChains, wideChains sync.Pool
+
+// buildChains links every hashable position of data. Links are 16-bit
+// whenever every position + 1 fits one — every fixed and Gear chunk, whose
+// head and prev tables then sit in L1 beside the chunk — and 32-bit
+// otherwise, through the same code.
+func buildChains(data []byte) matchFinder {
+	if len(data) < 1<<16 {
+		return build[uint16](&narrowChains, data)
 	}
-	m.data = data
-	m.prev = m.prev[:len(data)]
-	clear(m.head[:])
-	return m
+	return build[uint32](&wideChains, data)
 }
 
-// release returns the matcher to the pool; the caller must not use it
-// afterwards.
-func (m *matcher) release() {
-	m.data = nil
-	matcherPools[m.size].Put(m)
+func build[L link](pool *sync.Pool, data []byte) *chains[L] {
+	c, _ := pool.Get().(*chains[L])
+	if c == nil {
+		c = &chains[L]{pool: pool}
+	}
+	n := max(len(data)-3, 0) // positions with a 4-byte group to hash
+	if cap(c.prev) < n {
+		// Round up so chunks of drifting sizes settle on one allocation.
+		c.prev = make([]L, 1<<bits.Len(uint(n-1)))
+	}
+	c.data, c.prev = data, c.prev[:n]
+	clear(c.head[:])
+	head, prev := &c.head, c.prev
+	for i := range prev {
+		h := hash4(binary.LittleEndian.Uint32(data[i:]))
+		prev[i] = head[h]
+		head[h] = L(i + 1)
+	}
+	return c
 }
 
-func (m *matcher) insert(pos int) {
-	if pos+4 > len(m.data) {
-		return
-	}
-	h := hash4(binary.LittleEndian.Uint32(m.data[pos:]))
-	m.prev[pos] = m.head[h] - 1
-	m.head[h] = int32(pos) + 1
-}
-
-// find returns the best match for pos looking back at most `reach` bytes
-// (bounded by the format window) and reports the chain steps examined.
-//
-// The steps accounting is part of the virtual-time cost model and counts
-// chain candidates EXAMINED, exactly as the original scalar walk did; the
-// best-len-first rejection probe below only avoids the full matchLen walk
-// for candidates that cannot beat the current best (their byte at offset
-// bestLen differs, so their match length is <= bestLen), never changing
-// which candidates count as a step or what the function returns.
-func (m *matcher) find(pos, reach, maxChain int) (offset, length, steps int) {
-	if pos+4 > len(m.data) {
-		// Too close to the end to hash a 4-byte group; emit literals.
-		return 0, 0, 0
-	}
-	if reach > Window {
-		reach = Window
-	}
-	limit := pos - reach
-	if limit < 0 {
-		limit = 0
-	}
-	maxLen := len(m.data) - pos
-	if maxLen > MaxMatch {
-		maxLen = MaxMatch
-	}
-	h := hash4(binary.LittleEndian.Uint32(m.data[pos:]))
-	cand := m.head[h] - 1
-	bestLen, bestOff := 0, 0
-	data := m.data
-	for cand >= 0 && int(cand) >= limit && steps < maxChain {
-		steps++
-		c := int(cand)
-		// Rejection probe: while bestLen < maxLen (guaranteed — a maxLen
-		// match breaks out below), a candidate whose byte at bestLen
-		// mismatches can only match <= bestLen bytes and cannot improve
-		// the result; skip its compare loop entirely.
-		if c < pos && data[c+bestLen] == data[pos+bestLen] {
-			l := matchLen(data, c, pos, maxLen)
-			if l > bestLen {
-				bestLen, bestOff = l, pos-c
-				if l == maxLen {
-					break
-				}
-			}
-		}
-		cand = m.prev[cand]
-	}
-	if bestLen < MinMatch {
-		return 0, 0, steps
-	}
-	return bestOff, bestLen, steps
+func (c *chains[L]) release() {
+	c.data = nil
+	c.pool.Put(c)
 }
 
 // matchLen returns how many of the first max bytes at data[a:] and
@@ -281,41 +246,139 @@ func matchLen(data []byte, a, b, max int) int {
 	return n
 }
 
-// tokenWriter emits the flag-interleaved token stream.
+// tokenWriter is the write state of a flag-interleaved token stream going
+// into a buffer sized for the worst case, so no item checks for room. Its
+// methods take and return it by value so the parse keeps it in registers.
 type tokenWriter struct {
-	out      []byte
-	flagPos  int // index of the pending flag byte
-	flagBit  uint
-	literals int
-	matches  int
+	n       int // bytes written
+	flagPos int // index of the pending flag byte
+	items   int
+	matches int
 }
 
-func (w *tokenWriter) item(isMatch bool) {
-	if w.flagBit == 0 {
-		w.flagPos = len(w.out)
-		w.out = append(w.out, 0)
-		w.flagBit = 1
+func (w tokenWriter) literal(out []byte, b byte) tokenWriter {
+	if w.items&7 == 0 {
+		w.flagPos = w.n
+		out[w.n] = 0
+		w.n++
 	}
-	if isMatch {
-		w.out[w.flagPos] |= byte(w.flagBit)
-	}
-	w.flagBit <<= 1
-	if w.flagBit == 1<<8 {
-		w.flagBit = 0
-	}
+	out[w.n] = b
+	w.n++
+	w.items++
+	return w
 }
 
-func (w *tokenWriter) literal(b byte) {
-	w.item(false)
-	w.out = append(w.out, b)
-	w.literals++
-}
-
-func (w *tokenWriter) match(offset, length int) {
-	w.item(true)
+func (w tokenWriter) match(out []byte, offset, length int) tokenWriter {
+	if w.items&7 == 0 {
+		w.flagPos = w.n
+		out[w.n] = 0
+		w.n++
+	}
+	out[w.flagPos] |= 1 << (uint(w.items) & 7)
 	v := uint16(offset-1)<<4 | uint16(length-MinMatch)
-	w.out = append(w.out, byte(v>>8), byte(v))
+	out[w.n], out[w.n+1] = byte(v>>8), byte(v)
+	w.n += 2
+	w.items++
 	w.matches++
+	return w
+}
+
+// first returns the nearest candidate for pos and the lowest position a
+// match for pos may start at; no candidate is in reach when cand < limit.
+// The last three positions before end hold no 4-byte group inside the range
+// and have none.
+func (c *chains[L]) first(pos, lo, end int) (cand, limit int) {
+	if pos+4 > end {
+		return -1, 0
+	}
+	return int(c.prev[pos]) - 1, max(pos-Window, lo)
+}
+
+// walk searches pos's chain from cand >= limit on. What it returns is a
+// contract, because SearchSteps feeds the virtual-time cost model: steps
+// counts the candidates EXAMINED — chain entries at or above limit, nearest
+// first, up to maxChain, stopping early at one of length maxLen — and the
+// match is the first of them to attain the greatest length >= MinMatch
+// (length 0 for none). The two probes before matchLen skip only candidates
+// that cannot be taken — fewer than MinMatch bytes shared, or a mismatch at
+// the best length so far — and those still count. walk is out of line so the
+// chain loop gets registers of its own; parse settles the common
+// no-candidate case inline.
+func (c *chains[L]) walk(pos, cand, limit, maxLen, maxChain int) (off, l, steps int) {
+	data, prev := c.data, c.prev
+	cur := binary.LittleEndian.Uint32(data[pos:])
+	l = MinMatch - 1
+	for {
+		steps++
+		if (binary.LittleEndian.Uint32(data[cand:])^cur)&0xFFFFFF == 0 && data[cand+l] == data[pos+l] {
+			if n := matchLen(data, cand, pos, maxLen); n > l {
+				off, l = pos-cand, n
+				if n == maxLen {
+					break
+				}
+			}
+		}
+		cand = int(prev[cand]) - 1
+		if cand < limit || steps >= maxChain {
+			break
+		}
+	}
+	if off == 0 {
+		l = 0
+	}
+	return off, l, steps
+}
+
+func (c *chains[L]) parse(out []byte, lo, from, end int, p Params) ([]byte, Stats) {
+	maxChain := max(p.MaxChain, 1)
+	data := c.data
+	// Size out once for the worst case, all literals: a byte each plus a
+	// flag byte per 8 items (a match spends 2 bytes on >= 3 of source).
+	base, n := len(out), end-from
+	if need := base + n + (n+7)/8; cap(out) < need {
+		out = append(make([]byte, 0, need), out...)
+	}
+	tokens := out[base:cap(out)]
+	var w tokenWriter
+	searchSteps := 0
+	for pos := from; pos < end; {
+		cand, limit := c.first(pos, lo, end)
+		if cand < limit {
+			w = w.literal(tokens, data[pos])
+			pos++
+			continue
+		}
+		off, l, steps := c.walk(pos, cand, limit, min(end-pos, MaxMatch), maxChain)
+		searchSteps += steps
+		if l >= MinMatch && p.Lazy && pos+1 < end && l < MaxMatch {
+			// One-step lazy evaluation: if the match starting one byte
+			// later is strictly longer, emit this byte as a literal and
+			// take the longer match instead.
+			if cand, limit := c.first(pos+1, lo, end); cand >= limit {
+				off2, l2, steps2 := c.walk(pos+1, cand, limit, min(end-pos-1, MaxMatch), maxChain)
+				searchSteps += steps2
+				if l2 > l {
+					w = w.literal(tokens, data[pos])
+					pos++
+					off, l = off2, l2
+				}
+			}
+		}
+		if l >= MinMatch {
+			w = w.match(tokens, off, l)
+			pos += l
+		} else {
+			w = w.literal(tokens, data[pos])
+			pos++
+		}
+	}
+	return out[:base+w.n], Stats{
+		SrcBytes:    end - from,
+		Literals:    w.items - w.matches,
+		Matches:     w.matches,
+		Positions:   w.items,
+		SearchSteps: searchSteps,
+	}
 }
 
 // encodeRange compresses data[from:] as one token stream appended to out
@@ -323,63 +386,9 @@ func (w *tokenWriter) match(offset, length int) {
 // matches to reach back into data[:from] (the preloaded history). It
 // returns the token stream and stats for the encoded range.
 func encodeRange(out, data []byte, from int, p Params) ([]byte, Stats) {
-	if p.MaxChain < 1 {
-		p.MaxChain = 1
-	}
-	m := newMatcher(data)
+	m := buildChains(data)
 	defer m.release()
-	for i := 0; i < from; i++ {
-		m.insert(i)
-	}
-	w := tokenWriter{out: out}
-	var st Stats
-	st.SrcBytes = len(data) - from
-	pos := from
-	for pos < len(data) {
-		off, l, steps := m.find(pos, pos, p.MaxChain)
-		st.SearchSteps += steps
-		if l >= MinMatch && p.Lazy && pos+1 < len(data) && l < MaxMatch {
-			// One-step lazy evaluation: if the match starting one byte
-			// later is strictly longer, emit this byte as a literal and
-			// take the longer match on the next iteration.
-			m.insert(pos)
-			off2, l2, steps2 := m.find(pos+1, pos+1, p.MaxChain)
-			st.SearchSteps += steps2
-			if l2 > l {
-				w.literal(data[pos])
-				pos++
-				off, l = off2, l2
-			} else {
-				// Keep the current match; pos is already inserted.
-				w.match(off, l)
-				for i := 1; i < l; i++ {
-					m.insert(pos + i)
-				}
-				pos += l
-				continue
-			}
-			w.match(off, l)
-			for i := 0; i < l; i++ {
-				m.insert(pos + i)
-			}
-			pos += l
-			continue
-		}
-		if l >= MinMatch {
-			w.match(off, l)
-			for i := 0; i < l; i++ {
-				m.insert(pos + i)
-			}
-			pos += l
-		} else {
-			w.literal(data[pos])
-			m.insert(pos)
-			pos++
-		}
-	}
-	st.Literals, st.Matches = w.literals, w.matches
-	st.Positions = w.literals + w.matches
-	return w.out, st
+	return m.parse(out, 0, from, len(data), p)
 }
 
 // StoreRaw encodes src as a mode-0 (uncompressed) blob appended to dst.

@@ -57,34 +57,25 @@ func (r SubBlockResult) RawBytes() int {
 // The result is intentionally unrefined — assembling a decodable container
 // is the CPU's post-processing job (PostProcess), as in the paper.
 func CompressSubBlocks(src []byte, p SubBlockParams) SubBlockResult {
-	if p.SubBlocks < 1 {
-		p.SubBlocks = 1
-	}
-	if p.Overlap < 0 {
-		p.Overlap = 0
-	}
-	if p.Overlap > Window {
-		p.Overlap = Window
-	}
+	p.Overlap = min(max(p.Overlap, 0), Window)
 	res := SubBlockResult{SrcLen: len(src)}
 	if len(src) == 0 {
 		return res
 	}
-	n := p.SubBlocks
-	if n > len(src) {
-		n = len(src)
-	}
-	for i := 0; i < n; i++ {
+	n := min(max(p.SubBlocks, 1), len(src))
+	// One chain build serves every lane: chains are strictly decreasing, so
+	// the part of the chunk's chain at or above a lane's history start is
+	// exactly the chain the lane would have built over its own buffer.
+	m := buildChains(src)
+	defer m.release()
+	res.Lanes = make([]LaneResult, n)
+	for i := range res.Lanes {
 		start := i * len(src) / n
 		end := (i + 1) * len(src) / n
-		histStart := start - p.Overlap
-		if histStart < 0 {
-			histStart = 0
-		}
+		histStart := max(start-p.Overlap, 0)
 		// Lane token streams are retained in the result (they travel back
 		// over the simulated PCIe link), so they are not scratch-pooled.
-		tokens, st := encodeRange(nil, src[histStart:end], start-histStart, p.Params)
-		res.Lanes = append(res.Lanes, LaneResult{Tokens: tokens, Stats: st})
+		res.Lanes[i].Tokens, res.Lanes[i].Stats = m.parse(nil, histStart, start, end, p.Params)
 	}
 	return res
 }

@@ -2,6 +2,7 @@ package lz
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,23 @@ func TestSubBlockLaneCount(t *testing.T) {
 	}
 	if res.RawBytes() <= 0 {
 		t.Fatal("raw payload accounting broken")
+	}
+}
+
+// TestSubBlockAllocs: a chunk costs one allocation per retained lane stream
+// (sized once for the worst case) plus the lane slice; the chains are pooled.
+func TestSubBlockAllocs(t *testing.T) {
+	data := benchChunk(0.5)
+	p := DefaultSubBlockParams()
+	// The least of several runs: a sync.Pool may drop the chains (the race
+	// detector makes it, at random), and rebuilding them is not the
+	// encoder's steady state.
+	got := math.Inf(1)
+	for i := 0; i < 10; i++ {
+		got = min(got, testing.AllocsPerRun(1, func() { CompressSubBlocks(data, p) }))
+	}
+	if got > float64(p.SubBlocks+1) {
+		t.Fatalf("CompressSubBlocks: %v allocs per chunk, want <= %d", got, p.SubBlocks+1)
 	}
 }
 

@@ -91,7 +91,7 @@ type ppn struct {
 }
 
 type block struct {
-	state    []pageState
+	state    []pageState // nil until the block is first programmed
 	valid    int
 	erases   int
 	nextFree int
@@ -138,16 +138,18 @@ func New(cfg Config) *Drive {
 	if cfg.GCFreeBlocks < 1 {
 		cfg.GCFreeBlocks = 1
 	}
-	d := &Drive{Config: cfg, l2p: make(map[int64]ppn), journalBase: -1}
+	d := &Drive{Config: cfg, chans: make([]*channel, 0, cfg.Channels), l2p: make(map[int64]ppn), journalBase: -1}
 	for c := 0; c < cfg.Channels; c++ {
+		// Page state is allocated when a block is first opened (allocPage),
+		// so construction costs O(channels + blocks) whatever the block size.
 		ch := &channel{
 			pool:   sim.NewPool(fmt.Sprintf("ssd:%s:ch%d", cfg.Name, c), 1),
 			blocks: make([]block, cfg.BlocksPerChannel),
+			free:   make([]int, cfg.BlocksPerChannel),
 			active: -1,
 		}
-		for b := range ch.blocks {
-			ch.blocks[b].state = make([]pageState, cfg.PagesPerBlock)
-			ch.free = append(ch.free, b)
+		for b := range ch.free {
+			ch.free[b] = b
 		}
 		d.chans = append(d.chans, ch)
 	}
@@ -402,6 +404,9 @@ func (d *Drive) allocPage(at time.Duration, ci int, ch *channel) (blk, page int,
 	ch.free = ch.free[:len(ch.free)-1]
 	ch.active = b
 	ch.blocks[b].nextFree = 1
+	if ch.blocks[b].state == nil {
+		ch.blocks[b].state = make([]pageState, d.PagesPerBlock)
+	}
 	return b, 0, nil
 }
 
@@ -438,9 +443,7 @@ func (d *Drive) collect(at time.Duration, ci int, ch *channel) {
 		vb.erases++
 		vb.nextFree = 0
 		vb.valid = 0
-		for p := range vb.state {
-			vb.state[p] = pageState{}
-		}
+		clear(vb.state)
 		ch.free = append(ch.free, victim)
 	}
 }
@@ -449,17 +452,13 @@ func (d *Drive) collect(at time.Duration, ci int, ch *channel) {
 // free nor active, or -1 if none would free space.
 func (d *Drive) pickVictim(ch *channel) int {
 	best, bestValid := -1, d.PagesPerBlock+1
-	isFree := make(map[int]bool, len(ch.free))
-	for _, f := range ch.free {
-		isFree[f] = true
-	}
 	for b := range ch.blocks {
-		if b == ch.active || isFree[b] {
+		if b == ch.active {
 			continue
 		}
 		blk := &ch.blocks[b]
 		if blk.nextFree == 0 {
-			continue // never written
+			continue // free: never written, or erased and not yet reopened
 		}
 		// Erasing a fully valid block frees nothing; skip.
 		if blk.valid >= blk.nextFree && blk.nextFree == d.PagesPerBlock {

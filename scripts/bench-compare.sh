@@ -314,8 +314,19 @@ for bcase in "${CASES[@]}"; do
     for spec in "ns/op:$TIME_TOLERANCE_PCT" "allocs/op:$ALLOC_TOLERANCE_PCT"; do
         unit="${spec%%:*}"
         tol="${spec##*:}"
-        base="$(geomean "$BASELINE" "$bcase" "$unit")"
-        cur="$(geomean "$CURRENT" "$bcase" "$unit")"
+        # A unit the baseline never recorded (SubDecode4K reports no
+        # allocs/op) has nothing to gate; without this the NaN exit of
+        # geomean ends the script under set -e. One the baseline has and
+        # this run lost is a failure, not a skip.
+        base="$(geomean "$BASELINE" "$bcase" "$unit")" || {
+            printf '%-36s %-10s not in baseline, skipped\n' "$bcase" "$unit"
+            continue
+        }
+        cur="$(geomean "$CURRENT" "$bcase" "$unit")" || {
+            printf '%-36s %-10s base=%-12s MISSING from this run\n' "$bcase" "$unit" "$base"
+            fail=1
+            continue
+        }
         limit=$(( base + base * tol / 100 ))
         status=ok
         if (( cur > limit )); then
