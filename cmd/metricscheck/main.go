@@ -2,7 +2,8 @@
 // written by -metrics-out (reducerun, tracerun): it parses the full 0.0.4
 // line grammar, enforces histogram invariants (cumulative buckets,
 // mandatory +Inf, _count agreement), and — with -require — checks that
-// named metric families are present. CI runs it on every snapshot it
+// named metric families (or, with a {label="value"} selector, series) are
+// present. CI runs it on every snapshot it
 // produces, so "the output is valid expfmt" is machine-checked.
 //
 // Usage:
@@ -32,6 +33,7 @@ var defaultRequired = []string{
 	"inlinered_pool_batch_claim_wait_seconds",
 	"inlinered_pool_batch_size_items",
 	"inlinered_stage_wall_seconds",
+	`inlinered_stage_wall_seconds{subsystem="core",stage="front_wait"}`,
 	"go_goroutines",
 	"go_memory_heap_objects_bytes",
 	"go_gc_pause_estimate_seconds",

@@ -106,9 +106,9 @@ type Options struct {
 	// content-defined chunker.
 	ContentDefined bool
 	// Parallelism is the number of host worker threads used for the real
-	// computation (hashing, compression). It affects only how fast the
-	// simulation runs on the host: the Report is bit-identical for every
-	// value. 0 means runtime.NumCPU(); 1 forces a serial run.
+	// computation (chunking, hashing, compression). It affects only how
+	// fast the simulation runs on the host: the Report is bit-identical for
+	// every value. 0 means runtime.NumCPU(); 1 forces a serial run.
 	Parallelism int
 	// FaultRate enables deterministic fault injection: every survivable
 	// fault kind (transient SSD errors, latency spikes, torn journal

@@ -15,10 +15,11 @@ import (
 // reports allocations, so an allocation regression in the scan or the fill
 // path fails the bench-compare gate even when ns/op noise hides it.
 
-// benchGear drains a Gear chunker over data in the engine's steady-state
-// configuration — pooled payload buffers, reused reader — so the benchmark
-// measures the chunker (scan + payload copy + read-ahead fill), not the
-// allocator zeroing fresh 4 KB payloads per chunk.
+// benchGear drains a Gear chunker over data with pooled payload buffers and
+// a reused reader — the configuration the benchmark module's chunk.busy_s
+// replay uses — so it measures the chunker (scan + payload copy + read-ahead
+// fill), not the allocator. The engine itself attaches no pool and takes
+// views: that path is BenchmarkGearCDCViews.
 func benchGear(b *testing.B, data []byte, ref bool) {
 	pool := &testPool{}
 	r := bytes.NewReader(data)
@@ -51,6 +52,25 @@ func BenchmarkGearCDC(b *testing.B) {
 func BenchmarkGearCDCRef(b *testing.B) {
 	for _, c := range goldenCorpora() {
 		b.Run(c.name, func(b *testing.B) { benchGear(b, c.data, true) })
+	}
+}
+
+// BenchmarkGearCDCViews is the engine's path: no pool, chunks are views into
+// the read slabs, so allocs/op is the slab count and there is no payload copy.
+func BenchmarkGearCDCViews(b *testing.B) {
+	data := goldenCorpora()[0].data
+	r := bytes.NewReader(data)
+	g := NewGear(r, DefaultGearConfig())
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Reset(data)
+		g.Reset(r)
+		for {
+			if _, err := g.Next(); err != nil {
+				break
+			}
+		}
 	}
 }
 

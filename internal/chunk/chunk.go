@@ -20,8 +20,12 @@ type Chunk struct {
 // chunk has been returned.
 type Chunker interface {
 	// Next returns the next chunk. The returned Data is a fresh slice the
-	// caller may retain — unless a Buffers pool was attached, in which case
-	// the caller owns Data until it returns it to the pool.
+	// caller may retain: a capacity-clipped view into the chunker's current
+	// read slab, which is never written again (a full slab is replaced, not
+	// compacted, and slabs are plain GC-managed memory), so no copy is made
+	// and a retained chunk keeps its whole slab alive. With a Buffers pool
+	// attached Data is instead a copy in a pool buffer, which the caller
+	// owns until it returns it to the pool.
 	Next() (Chunk, error)
 }
 
@@ -47,6 +51,7 @@ type Fixed struct {
 	offset int64
 	done   bool
 	bufs   Buffers
+	slab   []byte // view mode: the part of the current slab no chunk has been cut from
 }
 
 // NewFixed returns a fixed-size chunker over r. It panics if size < 1.
@@ -75,7 +80,15 @@ func (f *Fixed) Next() (Chunk, error) {
 	if f.done {
 		return Chunk{}, io.EOF
 	}
-	buf := alloc(f.bufs, f.size)
+	var buf []byte
+	if f.bufs != nil {
+		buf = f.bufs.Get(f.size)[:f.size]
+	} else {
+		if len(f.slab) < f.size {
+			f.slab = make([]byte, max(slabBytes/f.size, 1)*f.size)
+		}
+		buf = f.slab[:f.size]
+	}
 	n, err := io.ReadFull(f.r, buf)
 	switch err {
 	case nil:
@@ -90,6 +103,9 @@ func (f *Fixed) Next() (Chunk, error) {
 		return Chunk{}, err
 	}
 	c := Chunk{Data: buf[:n], Offset: f.offset}
+	if f.bufs == nil {
+		c.Data, f.slab = buf[:n:n], f.slab[n:]
+	}
 	f.offset += int64(n)
 	return c, nil
 }
@@ -118,14 +134,13 @@ type Gear struct {
 	mask  uint64
 	ref   bool // force the scalar reference scan (differential tests/benches)
 	r     io.Reader
-	// The read-ahead window lives in a fixed buffer allocated once at
-	// construction: read[start:end] is the unconsumed data. fill compacts
-	// the window to the front instead of growing, so steady-state chunking
-	// performs zero read-path allocations. The buffer is several Max
-	// lengths long so compaction runs once per readSlack consumed Max
-	// windows, not once per chunk — at 2*Max every byte was memmoved an
-	// extra time through the compaction, a tax both the fast and the
-	// reference scan paid.
+	// read[start:end] is the unconsumed read-ahead, in a slab several Max
+	// lengths long so tail room runs out once per readSlack consumed Max
+	// windows, not once per chunk. What happens then depends on who owns
+	// chunk bytes (see fill): with a Buffers pool the one slab is compacted
+	// in place and steady-state chunking allocates nothing; without one the
+	// chunks handed out are views into it, so a new slab takes over and
+	// only the unconsumed tail (< Max bytes) is carried across.
 	read   []byte
 	start  int
 	end    int
@@ -144,7 +159,7 @@ func NewGear(r io.Reader, cfg GearConfig) *Gear {
 	if cfg.Avg&(cfg.Avg-1) != 0 {
 		panic(fmt.Sprintf("chunk: Avg must be a power of two, got %d", cfg.Avg))
 	}
-	g := &Gear{cfg: cfg, r: r, read: make([]byte, (readSlack+1)*cfg.Max)}
+	g := &Gear{cfg: cfg, r: r}
 	// The mask selects log2(Avg) bits in the high half of the hash so the
 	// expected distance between boundaries is Avg.
 	bits := 0
@@ -169,9 +184,13 @@ func NewGear(r io.Reader, cfg GearConfig) *Gear {
 func (g *Gear) SetBuffers(b Buffers) { g.bufs = b }
 
 // Reset re-targets the chunker at a new stream, keeping its gear table,
-// read-ahead buffer, and buffer pool: a steady-state pipeline chunks any
-// number of streams with zero construction allocations.
+// buffer pool and, with a pool attached, its read slab: a steady-state
+// pooled pipeline chunks any number of streams with zero construction
+// allocations. Without a pool the slab is dropped — views into it are out.
 func (g *Gear) Reset(r io.Reader) {
+	if g.bufs == nil {
+		g.read = nil
+	}
 	g.r = r
 	g.start, g.end = 0, 0
 	g.offset = 0
@@ -188,19 +207,25 @@ func (g *Gear) Next() (Chunk, error) {
 		return Chunk{}, io.EOF
 	}
 	cut := g.findBoundary(window)
-	data := alloc(g.bufs, cut)
-	copy(data, window[:cut])
+	data := window[:cut:cut]
+	if g.bufs != nil {
+		data = append(g.bufs.Get(cut)[:0], data...)
+	}
 	g.start += cut
 	c := Chunk{Data: data, Offset: g.offset}
 	g.offset += int64(cut)
 	return c, nil
 }
 
-// readSlack is how many Max-length windows the read-ahead buffer holds
-// beyond the one fill must guarantee: compaction copies at most Max bytes
-// once per readSlack*Max consumed, so the amortized compaction cost is
-// 1/readSlack of a memmove per byte instead of a full one.
+// readSlack is how many Max-length windows the read slab holds beyond the
+// one fill must guarantee: making tail room moves at most Max bytes once
+// per readSlack*Max consumed, so the amortized cost is 1/readSlack of a
+// memmove per byte instead of a full one.
 const readSlack = 7
+
+// slabBytes is the fixed chunker's view-mode slab size (whole chunks, at
+// least one): the same 128 KiB the Gear slab has at the default Max.
+const slabBytes = 128 << 10
 
 // gearWindow is how many trailing bytes the 64-bit Gear state can depend
 // on: every step shifts the hash left one bit, so a byte's table
@@ -372,13 +397,18 @@ func (g *Gear) findBoundaryRef(buf []byte) int {
 }
 
 // fill tops the read-ahead window up to want bytes (or EOF), reading
-// directly into the fixed buffer. When the window's tail room runs out it
-// is compacted to the front — no temporary slices, no append growth.
+// directly into the slab. When the slab's tail room runs out the window
+// moves to the front: of the same slab when chunks are copied into a pool,
+// of a new one when they are views (which must never be overwritten).
 func (g *Gear) fill(want int) error {
 	for g.end-g.start < want && !g.eof {
-		if g.start > 0 && len(g.read)-g.start < want {
-			g.end = copy(g.read, g.read[g.start:g.end])
-			g.start = 0
+		if len(g.read)-g.start < want {
+			dst := g.read
+			if dst == nil || g.bufs == nil {
+				dst = make([]byte, (readSlack+1)*g.cfg.Max)
+			}
+			g.end = copy(dst, g.read[g.start:g.end])
+			g.read, g.start = dst, 0
 		}
 		n, err := g.r.Read(g.read[g.end:])
 		g.end += n
@@ -391,15 +421,6 @@ func (g *Gear) fill(want int) error {
 		}
 	}
 	return nil
-}
-
-// alloc returns a length-n buffer from the pool (or the heap when no pool
-// is attached).
-func alloc(b Buffers, n int) []byte {
-	if b == nil {
-		return make([]byte, n)
-	}
-	return b.Get(n)[:n]
 }
 
 // release returns an unused buffer to the pool, if any.

@@ -112,7 +112,8 @@ func TestGearFindBoundaryMatchesReferenceRaw(t *testing.T) {
 
 // FuzzGearBoundaries fuzzes arbitrary content against arbitrary (valid)
 // Min/Avg/Max configurations: the full chunker run through the fast scan
-// must produce boundaries bit-identical to the scalar reference.
+// must produce boundaries bit-identical to the scalar reference — in view
+// mode (boundaryList attaches no pool) and, chunk for chunk, in pooled mode.
 func FuzzGearBoundaries(f *testing.F) {
 	rng := rand.New(rand.NewSource(31))
 	big := make([]byte, 8192)
@@ -131,6 +132,9 @@ func FuzzGearBoundaries(f *testing.F) {
 		if !boundariesEqual(fast, slow) {
 			t.Fatalf("cfg %+v over %d bytes: fast %v != ref %v", cfg, len(data), fast, slow)
 		}
+		pooled := NewGear(nil, cfg)
+		pooled.SetBuffers(&testPool{})
+		sameChunks(t, "fuzz", NewGear(nil, cfg), pooled, data, viewReaders[0].wrap)
 	})
 }
 

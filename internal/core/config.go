@@ -161,10 +161,13 @@ type Config struct {
 	// memory proportional to the stored unique bytes; meant for tests.
 	Verify bool
 
-	// Parallelism is the number of host worker threads the engine uses for
-	// its real computation (hashing, compression, GPU-batch post-processing).
-	// It changes wall-clock speed only: the simulated virtual-time results
-	// are bit-identical for every value. 0 means runtime.NumCPU().
+	// Parallelism is the number of goroutines the engine does its real
+	// computation on: the front stage (one chunking, the rest hashing) runs
+	// on Parallelism-1 of them ahead of the commit pass, which runs on the
+	// caller's and fans the encoder out Parallelism wide. 1 starts no
+	// goroutine at all. It changes wall-clock speed only: the simulated
+	// virtual-time results are bit-identical for every value. 0 means
+	// runtime.NumCPU().
 	Parallelism int
 
 	// Faults schedules deterministic fault injection across the drive, the

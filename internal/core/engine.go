@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"inlinered/internal/chunk"
@@ -57,65 +59,62 @@ type Engine struct {
 	locs  []int64          // per chunk -> loc of its stored content (Verify only)
 
 	// Wall-clock machinery. None of this affects the virtual clock: the
-	// pool fans real computation out across host cores, and the buffer
-	// pools recycle chunk payloads and blob destinations so the steady
-	// state allocates nothing per chunk.
-	par       int                // host workers (Config.Parallelism; 0 → NumCPU)
-	pool      *parallel.Pool     // persistent workers for hash/compress fan-out
-	hasher    *dedup.BatchHasher // batched fingerprinting through pool
-	chunkBufs bufPool            // chunk payload buffers (chunker → pipeline)
-	blobBufs  bufPool            // compression destination buffers
+	// front stage chunks and fingerprints ahead of the commit pass, the
+	// pool fans the encoder out across host cores, the blob pool recycles
+	// encode destinations. Chunk payloads are views into the chunker's
+	// GC-managed slabs: nothing recycles them.
+	par      int            // host workers (Config.Parallelism; 0 → NumCPU)
+	pool     *parallel.Pool // persistent workers for the compress fan-out
+	front    *front         // chunk+hash stage; set while Process runs
+	blobBufs bufPool        // compression destination buffers
 
 	// Per-batch scratch, reused across batches.
-	ready       []time.Duration            // stage-2 ready times (hashEnd copy)
-	pre         []reduce.Encoded           // parallel pass results by chunk index (nil Blob: none)
-	uniq        []int                      // predicted-unique chunk indices
-	seen        map[dedup.Fingerprint]bool // batch-local first occurrences
-	hbFree      []*hashedBatch             // recycled batch headers
-	batchSlices [][][]byte                 // recycled chunk-pointer slices
-
-	// The precompute fan-out body, built once in NewEngine so the
-	// per-batch Map call allocates no closure; its input rides in
-	// preChunks, published before Map and read only by workers inside it.
-	preFn     func(int)
-	preChunks [][]byte
+	pre  []reduce.Encoded           // parallel pass results by chunk index (nil Blob: none)
+	uniq []int                      // predicted-unique chunk indices
+	seen map[dedup.Fingerprint]bool // batch-local first occurrences
 
 	perLane []float64 // GPU kernel lane costs, reused across launches
 }
 
-// bufPool is a LIFO free list of byte buffers. Unlike sync.Pool it never
-// boxes the slice header into an interface, so a steady-state Get/Put
-// cycle is allocation-free (the whole point of threading it through the
-// data plane). Safe for concurrent use by the compression workers.
+// bufPool keeps a LIFO free list of blob buffers per size class: class k
+// holds capacities of 4 KiB<<k + blobHeadroom, so any buffer of a request's
+// class fits it and none is dropped (one mixed list discarded every small
+// buffer stacked above a fitting one, and Gear chunks span three classes).
+// Unlike sync.Pool it never boxes the slice header into an interface, so a
+// steady-state Get/Put cycle is allocation-free. Safe for concurrent use by
+// the compression workers.
 type bufPool struct {
 	mu   sync.Mutex
-	free [][]byte
+	free [32][][]byte
+	made int // buffers allocated so far
+}
+
+// blobClass is the smallest size class whose buffers hold capacity bytes.
+func blobClass(capacity int) int {
+	return bits.Len(uint(max(capacity-blobHeadroom, 1)-1) >> 12)
 }
 
 // Get returns a zero-length buffer with at least the requested capacity.
 func (b *bufPool) Get(capacity int) []byte {
+	k := blobClass(capacity)
 	b.mu.Lock()
-	for n := len(b.free); n > 0; n = len(b.free) {
-		buf := b.free[n-1]
-		b.free = b.free[:n-1]
-		if cap(buf) >= capacity {
-			b.mu.Unlock()
-			return buf
-		}
-		// Undersized stragglers (e.g. a short final chunk) are dropped.
+	defer b.mu.Unlock()
+	if n := len(b.free[k]) - 1; n >= 0 {
+		buf := b.free[k][n]
+		b.free[k] = b.free[k][:n]
+		return buf
 	}
-	b.mu.Unlock()
-	return make([]byte, 0, capacity)
+	b.made++
+	return make([]byte, 0, 4096<<k+blobHeadroom)
 }
 
 // Put returns a buffer to the pool once its contents are dead.
 func (b *bufPool) Put(buf []byte) {
-	if cap(buf) == 0 {
-		return
+	if k := blobClass(cap(buf)+1) - 1; k >= 0 { // the largest class cap(buf) satisfies
+		b.mu.Lock()
+		b.free[k] = append(b.free[k], buf[:0])
+		b.mu.Unlock()
 	}
-	b.mu.Lock()
-	b.free = append(b.free, buf[:0])
-	b.mu.Unlock()
 }
 
 // gpuPending is one unique chunk queued for the GPU compression kernel.
@@ -200,12 +199,6 @@ func NewEngine(plat Platform, cfg Config) (*Engine, error) {
 		e.par = runtime.NumCPU()
 	}
 	e.pool = parallel.New(e.par)
-	e.hasher = dedup.NewBatchHasher(e.pool)
-	e.preFn = func(k int) {
-		i := e.uniq[k]
-		c := e.preChunks[i]
-		e.pre[i] = e.enc.Encode(e.blobBufs.Get(len(c)+blobHeadroom), c)
-	}
 	if cfg.Dedup {
 		e.seen = make(map[dedup.Fingerprint]bool)
 	}
@@ -258,47 +251,45 @@ func (e *Engine) Process(r io.Reader) (*Report, error) {
 
 	defer e.pool.Close()
 
-	// Chunking/hashing has no dependency on anything downstream, so batch
-	// N+1's hashing is scheduled before batch N's indexing and compression:
-	// this keeps the virtual CPU pool work-conserving, the way an open-loop
-	// pipeline with a full input queue behaves on real hardware.
-	ck := e.newChunker(r)
+	// Chunking/hashing has no dependency on anything downstream, so it runs
+	// ahead as a stage of its own (front.go), and batch N+1's hashing is
+	// scheduled before batch N's indexing and compression: this keeps the
+	// virtual CPU pool work-conserving, the way an open-loop pipeline with
+	// a full input queue behaves on real hardware. Every virtual-time
+	// charge, report field, journal byte, index update, fault draw and span
+	// happens on this goroutine, in stream order, whatever the stage did.
+	e.front = e.newFront(r)
+	defer func() {
+		// Single-use: keep no stream bytes or scratch blobs reachable.
+		e.front.close()
+		e.front = nil
+		clear(e.blobBufs.free[:])
+	}()
 	var window []*hashedBatch
-	batch := e.getBatchSlice()
 	for {
-		// Wall-clock chunk stage (metrics side channel; the virtual-time
-		// charge for chunking happens in hashBatch, untouched).
-		ckStart := metrics.Clock()
-		c, err := ck.Next()
-		metrics.StageChunk.ObserveSince(ckStart)
+		hb, err := e.front.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: reading stream: %w", err)
 		}
-		batch = append(batch, c.Data)
-		if len(batch) == e.cfg.Batch {
-			window = append(window, e.hashBatch(batch))
-			batch = e.getBatchSlice()
-			if len(window) > e.cfg.Lookahead {
-				// Screen the batch that will be processed next while this
-				// one runs: the GPU round trip hides behind one batch of
-				// CPU work, and the device snapshot is at most one batch
-				// stale.
-				if len(window) > 1 {
-					e.screen(window[1])
-				}
-				if err := e.downstream(window[0]); err != nil {
-					return nil, err
-				}
-				e.recycleBatch(window[0])
-				window = window[1:]
+		e.hashBatch(hb)
+		window = append(window, hb)
+		if len(window) > e.cfg.Lookahead {
+			// Screen the batch that will be processed next while this
+			// one runs: the GPU round trip hides behind one batch of
+			// CPU work, and the device snapshot is at most one batch
+			// stale.
+			if len(window) > 1 {
+				e.screen(window[1])
 			}
+			if err := e.downstream(window[0]); err != nil {
+				return nil, err
+			}
+			window[0] = nil
+			window = window[1:]
 		}
-	}
-	if len(batch) > 0 {
-		window = append(window, e.hashBatch(batch))
 	}
 	for i, hb := range window {
 		if i+1 < len(window) {
@@ -307,7 +298,7 @@ func (e *Engine) Process(r io.Reader) (*Report, error) {
 		if err := e.downstream(hb); err != nil {
 			return nil, err
 		}
-		e.recycleBatch(hb)
+		window[i] = nil
 	}
 	if err := e.flushGPUCompress(); err != nil {
 		return nil, err
@@ -323,49 +314,25 @@ func (e *Engine) Process(r io.Reader) (*Report, error) {
 	return &e.rep, nil
 }
 
-// newChunker builds the configured chunker over r, with chunk payload
-// buffers drawn from the engine's pool (the pipeline returns each buffer
-// once the chunk's data is dead).
+// newChunker builds the configured chunker over r. No buffer pool is
+// attached, so chunk payloads are views into the chunker's read slabs.
 func (e *Engine) newChunker(r io.Reader) chunk.Chunker {
 	if e.cfg.Chunker == CDCChunking {
-		g := chunk.NewGear(r, e.cfg.Gear)
-		g.SetBuffers(&e.chunkBufs)
-		return g
+		return chunk.NewGear(r, e.cfg.Gear)
 	}
-	f := chunk.NewFixed(r, e.cfg.ChunkSize)
-	f.SetBuffers(&e.chunkBufs)
-	return f
-}
-
-// getBatchSlice returns an empty chunk-pointer slice, recycled from a
-// completed batch when possible.
-func (e *Engine) getBatchSlice() [][]byte {
-	if n := len(e.batchSlices); n > 0 {
-		s := e.batchSlices[n-1]
-		e.batchSlices = e.batchSlices[:n-1]
-		return s
-	}
-	return make([][]byte, 0, e.cfg.Batch)
-}
-
-// recycleBatch reclaims a fully processed batch's header and slices. The
-// chunk payload buffers themselves were already returned as each chunk
-// committed (or handed to the GPU pending queue).
-func (e *Engine) recycleBatch(hb *hashedBatch) {
-	e.batchSlices = append(e.batchSlices, hb.chunks[:0])
-	hb.chunks = nil
-	hb.ghits = nil
-	hb.screened = false
-	hb.ready = 0
-	hb.screenEnd = 0
-	e.hbFree = append(e.hbFree, hb)
+	return chunk.NewFixed(r, e.cfg.ChunkSize)
 }
 
 // hashedBatch is a batch that has been through stage 1 (chunk + hash) and,
 // when the GPU owns dedup, GPU screening.
 type hashedBatch struct {
-	chunks  [][]byte
+	chunks [][]byte
+	// fps is filled in by the front stage's hash jobs; it may be read only
+	// after front.wait (done is closed when pending drops to zero).
 	fps     []dedup.Fingerprint
+	pending atomic.Int32
+	done    chan struct{}
+
 	hashEnd []time.Duration
 	ready   time.Duration // max hash end
 
@@ -374,27 +341,15 @@ type hashedBatch struct {
 	screenEnd time.Duration
 }
 
-// hashBatch schedules stage 1: chunking + fingerprinting on the CPU pool
-// (no cross-chunk dependency, §3.1 — every hardware thread hashes chunks
-// independently; every chunk "arrives" at time zero, open loop).
-func (e *Engine) hashBatch(chunks [][]byte) *hashedBatch {
-	hashStart := metrics.Clock()
-	defer metrics.StageHash.ObserveSince(hashStart)
+// hashBatch schedules stage 1 on the virtual clock: chunking +
+// fingerprinting on the CPU pool (no cross-chunk dependency, §3.1 — every
+// hardware thread hashes chunks independently; every chunk "arrives" at
+// time zero, open loop). The charges need only chunk lengths, so they do
+// not wait for the fingerprints the front stage may still be computing.
+func (e *Engine) hashBatch(hb *hashedBatch) {
 	cost := e.sub.CPU.Cost
-	var hb *hashedBatch
-	if n := len(e.hbFree); n > 0 {
-		hb, e.hbFree = e.hbFree[n-1], e.hbFree[:n-1]
-	} else {
-		hb = &hashedBatch{}
-	}
-	hb.chunks = chunks
-	hb.fps = e.hasher.SumInto(hb.fps, chunks)
-	if cap(hb.hashEnd) >= len(chunks) {
-		hb.hashEnd = hb.hashEnd[:len(chunks)]
-	} else {
-		hb.hashEnd = make([]time.Duration, len(chunks))
-	}
-	for i, c := range chunks {
+	hb.hashEnd = make([]time.Duration, len(hb.chunks))
+	for i, c := range hb.chunks {
 		chunkCycles := cost.ChunkCycles(len(c)) + cost.StageOverheadCycles
 		hashCycles := 0.0
 		if e.cfg.Dedup {
@@ -405,7 +360,6 @@ func (e *Engine) hashBatch(chunks [][]byte) *hashedBatch {
 		e.rep.Stages.Chunking += e.seconds(chunkCycles)
 		e.rep.Stages.Hashing += e.seconds(hashCycles)
 	}
-	return hb
 }
 
 // screen runs the GPU batch-indexing round trip for a freshly hashed batch
@@ -429,6 +383,7 @@ func (e *Engine) screen(hb *hashedBatch) {
 	if e.dev.NextFree() > at {
 		return
 	}
+	e.front.wait(hb)
 	gdone, ghits, _, err := e.gbins.BatchIndex(at, hb.fps)
 	if err != nil {
 		// The only failure a batch probe can hit is device loss. The batch
@@ -505,19 +460,18 @@ func (e *Engine) precompute(hb *hashedBatch) []reduce.Encoded {
 		return nil
 	}
 
-	// Pass 2 — parallel real computation over the predicted uniques,
-	// through the persistent closure (preFn) so the per-batch Map call
-	// allocates nothing.
+	// Pass 2 — parallel real computation over the predicted uniques.
 	pre := e.pre[:0]
 	for len(pre) < len(chunks) {
 		pre = append(pre, reduce.Encoded{})
 	}
 	e.pre = pre
-	e.preChunks = chunks
 	compressStart := metrics.Clock()
-	e.pool.Map(len(uniq), e.preFn)
+	e.pool.Map(len(uniq), func(k int) {
+		c := chunks[uniq[k]]
+		pre[uniq[k]] = e.enc.Encode(e.blobBufs.Get(len(c)+blobHeadroom), c)
+	})
 	metrics.StageCompress.ObserveSince(compressStart)
-	e.preChunks = nil
 	return pre
 }
 
@@ -541,6 +495,7 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 		return err
 	}
 	cost := e.sub.CPU.Cost
+	e.front.wait(hb)
 	chunks, fps := hb.chunks, hb.fps
 
 	// Parallel pass: fan the batch's real computation out across the host
@@ -558,10 +513,9 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 	// insert → destage. Running probe and insert in stream order keeps
 	// within-batch duplicates exact: a chunk's probe sees every earlier
 	// chunk's insert (or its in-flight entry while the GPU compressor
-	// holds it). The ready times are a scratch copy so the per-chunk
-	// updates below never mutate the batch's own hashEnd record.
-	ready := append(e.ready[:0], hb.hashEnd...)
-	e.ready = ready
+	// holds it). The batch is dropped after this pass, so its hashEnd
+	// record doubles as the per-chunk ready times.
+	ready := hb.hashEnd
 	if hb.screened {
 		for i := range ready {
 			ready[i] = hb.screenEnd
@@ -613,7 +567,6 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 						e.locs = append(e.locs, -1)
 					}
 					e.releasePre(pre, i)
-					e.chunkBufs.Put(c)
 					continue
 				}
 			}
@@ -624,7 +577,6 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 				e.locs = append(e.locs, dupLoc)
 			}
 			e.releasePre(pre, i)
-			e.chunkBufs.Put(c)
 			continue
 		}
 		e.rep.UniqueChunks++
@@ -643,8 +595,8 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 			if e.cfg.Dedup {
 				e.inflight[fps[i]] = &inflightRef{}
 			}
-			// The chunk buffer rides along: it is recycled once the kernel's
-			// fate is known (flushGPUCompress).
+			// The chunk rides along until the kernel's fate is known
+			// (flushGPUCompress).
 			e.pendGPU = append(e.pendGPU, gpuPending{data: c, enc: enc, fp: fps[i], ready: ready[i], idx: e.rep.Chunks - 1})
 			if e.cfg.Verify {
 				e.locs = append(e.locs, -1) // patched when the GPU batch retires
@@ -664,9 +616,7 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 		}
 		baseCycles := e.enc.Cycles(cost, enc)
 		e.rep.Stages.Compression += e.seconds(baseCycles)
-		err := e.finishUnique(fps[i], enc.Blob, ready[i], baseCycles, int(e.rep.Chunks-1), cpuSpans[enc.Kind])
-		e.chunkBufs.Put(c)
-		if err != nil {
+		if err := e.finishUnique(fps[i], enc.Blob, ready[i], baseCycles, int(e.rep.Chunks-1), cpuSpans[enc.Kind]); err != nil {
 			return err
 		}
 	}
@@ -746,9 +696,8 @@ func (e *Engine) flushGPUCompress() error {
 	// that CPU job is committed when the CPU frontier reaches the kernel
 	// completion time (retireDue), so the virtual pool stays
 	// work-conserving. The blobs are self-contained copies, so the chunk
-	// payload buffers and raw lane streams are dead from here on.
+	// payloads and raw lane streams are dead from here on.
 	for i := range pend {
-		e.chunkBufs.Put(pend[i].data)
 		pend[i].data = nil
 		pend[i].enc.Sub = lz.SubBlockResult{}
 	}
@@ -789,10 +738,8 @@ func (e *Engine) fallbackCPUCompress(pend []gpuPending, at time.Duration) error 
 	for i, p := range pend {
 		base := codec.Cycles(e.sub.CPU.Cost, p.enc)
 		e.rep.Stages.Compression += e.seconds(base)
-		err := e.finishUnique(p.fp, p.enc.Blob, sim.MaxTime(p.ready, at), base, int(p.idx), "cpu-fallback")
-		e.chunkBufs.Put(pend[i].data)
 		pend[i].data = nil
-		if err != nil {
+		if err := e.finishUnique(p.fp, p.enc.Blob, sim.MaxTime(p.ready, at), base, int(p.idx), "cpu-fallback"); err != nil {
 			return err
 		}
 	}
@@ -1017,9 +964,7 @@ func (e *Engine) VerifyAgainst(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("core: chunk %d: %w", i, err)
 		}
-		match := string(out) == string(c.Data)
-		e.chunkBufs.Put(c.Data)
-		if !match {
+		if string(out) != string(c.Data) {
 			return fmt.Errorf("core: chunk %d: stored data does not reconstruct the source", i)
 		}
 	}

@@ -15,7 +15,8 @@ func BenchmarkSum4K(b *testing.B) {
 }
 
 // BenchmarkSumBatch fingerprints a 1024×4 KB batch through a persistent
-// parallel.Pool by a reused BatchHasher — the engine's actual hash stage. allocs/op is the
+// parallel.Pool by a reused BatchHasher — the batch form the benchmark module's
+// dedup layer replays (the engine hashes group by group, core/front.go). allocs/op is the
 // regression guard for the zero-alloc dispatch.
 func BenchmarkSumBatch(b *testing.B) {
 	chunks := make([][]byte, 1024)

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -322,18 +323,31 @@ func (e *Exposition) checkHistograms() error {
 }
 
 // Validate parses data and additionally requires every named family to be
-// present with at least one sample. Used by cmd/metricscheck and CI.
+// present with at least one sample. A name may carry a label selector —
+// `family{stage="front_wait"}` — to require one series of the family rather
+// than any. Used by cmd/metricscheck and CI.
 func Validate(data []byte, requiredFamilies ...string) error {
 	exp, err := ParseExposition(data)
 	if err != nil {
 		return err
 	}
-	seen := make(map[string]bool)
-	for _, s := range exp.Samples {
-		seen[familyOf(s.Name, exp.Types)] = true
-	}
 	for _, name := range requiredFamilies {
-		if !seen[name] {
+		fam, sel, _ := strings.Cut(name, "{")
+		var want map[string]string
+		if sel != "" {
+			if want, _, err = parseLabels(sel); err != nil {
+				return fmt.Errorf("expfmt: required family %s: %v", name, err)
+			}
+		}
+		matches := func(s Sample) bool {
+			for k, v := range want {
+				if s.Labels[k] != v {
+					return false
+				}
+			}
+			return familyOf(s.Name, exp.Types) == fam
+		}
+		if !slices.ContainsFunc(exp.Samples, matches) {
 			return fmt.Errorf("expfmt: required family %s absent from exposition", name)
 		}
 	}

@@ -48,6 +48,12 @@ var (
 	StageCompress    = stageHist("core", "compress")
 	StageCommit      = stageHist("core", "commit")
 	StageJournalCore = stageHist("core", "journal_flush")
+	// StageFrontWait is the time the commit goroutine spends in the front
+	// (chunk+hash) stage's hands — blocked on it or hashing for it — per
+	// batch: near zero when the commit pass is the bottleneck, most of the
+	// run when the front stage is (and zero at Parallelism 1, where the
+	// stage runs inline and only chunk and hash record).
+	StageFrontWait = stageHist("core", "front_wait")
 
 	// Sharded serving front-end (internal/serve).
 	ServeDispatch   = stageHist("serve", "dispatch")

@@ -258,6 +258,15 @@ func TestParserAcceptsValid(t *testing.T) {
 	if err := Validate([]byte(in), "missing"); err == nil {
 		t.Error("Validate should fail on absent required family")
 	}
+	// A label selector requires one series of the family, not just any.
+	if err := Validate([]byte(in), `h{shard="1"}`); err != nil {
+		t.Errorf("Validate with a selector: %v", err)
+	}
+	for _, bad := range []string{`h{shard="2"}`, `a{shard="0"}`, `h{shard=0}`} {
+		if err := Validate([]byte(in), bad); err == nil {
+			t.Errorf("Validate should fail on %s", bad)
+		}
+	}
 }
 
 func TestBucketUpper(t *testing.T) {

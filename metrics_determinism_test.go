@@ -202,7 +202,7 @@ func TestMetricsSnapshotFromRealRun(t *testing.T) {
 	if n, _ := metrics.SeriesValue("inlinered_pool_map_calls_total", "subsystem", "parallel"); n == 0 {
 		t.Error("pipeline run recorded no pool Map calls")
 	}
-	for _, stage := range []string{"chunk", "hash", "dedup_decide", "compress", "commit"} {
+	for _, stage := range []string{"chunk", "hash", "front_wait", "dedup_decide", "compress", "commit"} {
 		if n, ok := metrics.SeriesValue("inlinered_stage_wall_seconds", "subsystem", "core", "stage", stage); !ok || n == 0 {
 			t.Errorf("core stage %q recorded no wall-clock samples (ok=%v n=%d)", stage, ok, n)
 		}
