@@ -33,8 +33,10 @@ type BlockDeviceOptions struct {
 	// read path"). 0 or 1 keeps single-stream compression.
 	SubBlocks int
 	// Parallelism is the decode worker count for ReadBatch (0 or 1
-	// decodes inline). Wall clock only: reports and results are
-	// bit-identical for any value.
+	// decodes inline). It does not bound Serve: the goroutines that drain
+	// queues and run the write front ahead of them are the Clients of
+	// ServeOptions / ClusterServeOptions. Wall clock only: reports and
+	// results are bit-identical for any value.
 	Parallelism int
 	// FaultRate enables deterministic fault injection on the device's
 	// drive, journal, and index (transient SSD errors, latency spikes, torn

@@ -34,6 +34,13 @@ var defaultRequired = []string{
 	"inlinered_pool_batch_size_items",
 	"inlinered_stage_wall_seconds",
 	`inlinered_stage_wall_seconds{subsystem="core",stage="front_wait"}`,
+	`inlinered_stage_wall_seconds{subsystem="volume",stage="write_prepare"}`,
+	`inlinered_stage_wall_seconds{subsystem="volume",stage="write_encode"}`,
+	`inlinered_stage_wall_seconds{subsystem="volume",stage="write_commit"}`,
+	`inlinered_stage_wall_seconds{subsystem="serve",stage="front_wait"}`,
+	`inlinered_volume_write_encodes_total{how="speculated"}`,
+	`inlinered_volume_write_encodes_total{how="inline"}`,
+	`inlinered_volume_write_encodes_total{how="wasted"}`,
 	"go_goroutines",
 	"go_memory_heap_objects_bytes",
 	"go_gc_pause_estimate_seconds",

@@ -123,7 +123,7 @@ type Cluster struct {
 	nodes []*node
 	dir   [][]int // owner set per range, primary first
 	inj   *fault.Injector
-	pool  *parallel.Pool // the nodes' shared decode workers; nil decodes inline
+	pool  *parallel.Pool // shared with every node's array: decode workers and posted write-front tasks
 
 	// Directory-plane truth, maintained by the sequencing phase and the
 	// direct ops: last content id written per LBA (batch writes only),
@@ -161,12 +161,12 @@ func New(cfg Config) (*Cluster, error) {
 	if rb < 1 {
 		return nil, fmt.Errorf("cluster: range blocks must be >= 1, got %d", rb)
 	}
-	min, max := cfg.RejoinMinOps, cfg.RejoinMaxOps
-	if min == 0 && max == 0 {
-		min, max = 50, 200
+	lo, hi := cfg.RejoinMinOps, cfg.RejoinMaxOps
+	if lo == 0 && hi == 0 {
+		lo, hi = 50, 200
 	}
-	if min < 1 || max < min {
-		return nil, fmt.Errorf("cluster: rejoin delay bounds [%d,%d] invalid", min, max)
+	if lo < 1 || hi < lo {
+		return nil, fmt.Errorf("cluster: rejoin delay bounds [%d,%d] invalid", lo, hi)
 	}
 	c := &Cluster{
 		cfg:         cfg,
@@ -178,13 +178,11 @@ func New(cfg Config) (*Cluster, error) {
 		stale:       make(map[stKey]bool),
 		obs:         cfg.Obs,
 	}
-	c.cfg.RejoinMinOps, c.cfg.RejoinMaxOps = min, max
+	c.cfg.RejoinMinOps, c.cfg.RejoinMaxOps = lo, hi
 	if cfg.NodeFaults.Enabled() {
 		c.inj = fault.New(cfg.NodeFaults)
 	}
-	if cfg.Parallelism > 1 {
-		c.pool = parallel.New(cfg.Parallelism)
-	}
+	c.pool = parallel.New(max(cfg.Parallelism, 1))
 	if c.obs != nil {
 		c.lane = c.obs.Lane("cluster", "membership")
 	}
@@ -372,7 +370,10 @@ func (f FaultCounters) Total() int64 {
 // cluster's configuration may affect the report.
 type RunOptions struct {
 	// Clients is the number of workers draining node queues (0 means one
-	// per node). Each node's array fans out further across its own shards.
+	// per node). Each node's array fans out further across its own shards,
+	// so a Serve call runs at most Clients x ShardsPerNode goroutines. A
+	// worker that finds no node left hashes and encodes ahead for the
+	// shards of the nodes still draining (see serve.RunOptions.Clients).
 	Clients int
 	// ContentSeed derives write payloads from content ids. Keep it stable
 	// across the batches of one cluster: repair payloads are re-derived
@@ -448,7 +449,7 @@ type sequencer struct {
 // driving the membership schedule from the node fault streams and routing
 // each op to the live owners — appending queued-mutation replays and
 // read-repairs as extra ops in the affected nodes' queues. Phase 2: workers
-// claim WHOLE node queues (parallel.ForEach) and drain them through
+// claim WHOLE node queues (Pool.ForEach) and drain them through
 // serve.Array.Serve, so scheduling decides only WHEN a node executes,
 // never WHAT. Then merge.
 func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
@@ -517,7 +518,7 @@ func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 		Nodes: nn, Replicas: c.replicas, Ops: len(ops), Writes: kinds.Writes, Reads: kinds.Reads, Trims: kinds.Trims,
 		Faults: seq.fc, PerNode: make([]serve.Report, nn),
 	}
-	err = parallel.ForEach(nn, opt.Clients, func(i int) error {
+	err = c.pool.ForEach(nn, opt.Clients, func(i int) error {
 		serveStart := metrics.Clock()
 		nodeRep, err := nodes[i].arr.Serve(seq.queues[i], nodeOpt)
 		metrics.ClusterNodeServe.ObserveSince(serveStart)

@@ -127,7 +127,7 @@ func (c *Cluster) ReadBatch(lbas []int64, opt ReadBatchOptions) (*ReadBatchRepor
 	c.mu.Unlock()
 
 	out.Nodes, out.PerNode = len(nodes), make([]NodeReadReport, len(nodes))
-	err := parallel.ForEach(len(nodes), opt.Clients, func(n int) error {
+	err := c.pool.ForEach(len(nodes), opt.Clients, func(n int) error {
 		var sink func(k int, block []byte, err error)
 		if opt.Sink != nil {
 			pos := part.Pos[n]

@@ -29,45 +29,3 @@ func TestSumBatchMatchesSerial(t *testing.T) {
 		pool.Close()
 	}
 }
-
-func TestBatchHasherReusesDst(t *testing.T) {
-	pool := parallel.New(2)
-	defer pool.Close()
-	h := NewBatchHasher(pool)
-	if got := h.SumInto(nil, nil); len(got) != 0 {
-		t.Fatal("empty batch should produce empty result")
-	}
-	big := [][]byte{{1}, {2}, {3}, {4}}
-	first := h.SumInto(nil, big)
-	// A smaller follow-up batch must reuse the same backing array.
-	small := h.SumInto(first, big[:2])
-	if &first[0] != &small[0] {
-		t.Fatal("SumInto reallocated although capacity sufficed")
-	}
-	for i, c := range big[:2] {
-		if small[i] != Sum(c) {
-			t.Fatalf("chunk %d mismatch after reuse", i)
-		}
-	}
-}
-
-// TestBatchHasherSteadyStateAllocFree pins the zero-alloc dispatch claim:
-// once the fingerprint slice has grown to batch size, repeated SumInto
-// calls allocate nothing.
-func TestBatchHasherSteadyStateAllocFree(t *testing.T) {
-	pool := parallel.New(1) // inline execution keeps AllocsPerRun exact
-	defer pool.Close()
-	h := NewBatchHasher(pool)
-	chunks := make([][]byte, 64)
-	for i := range chunks {
-		chunks[i] = make([]byte, 512)
-		chunks[i][0] = byte(i)
-	}
-	var fps []Fingerprint
-	fps = h.SumInto(fps, chunks)
-	if avg := testing.AllocsPerRun(50, func() {
-		fps = h.SumInto(fps, chunks)
-	}); avg != 0 {
-		t.Fatalf("steady-state SumInto allocates %v per batch, want 0", avg)
-	}
-}

@@ -15,9 +15,9 @@ func BenchmarkSum4K(b *testing.B) {
 }
 
 // BenchmarkSumBatch fingerprints a 1024×4 KB batch through a persistent
-// parallel.Pool by a reused BatchHasher — the batch form the benchmark module's
-// dedup layer replays (the engine hashes group by group, core/front.go). allocs/op is the
-// regression guard for the zero-alloc dispatch.
+// parallel.Pool — the batch form the benchmark module's dedup layer replays
+// (the engine hashes group by group, core/front.go; the volume's write
+// front window by window, volume/writebatch.go).
 func BenchmarkSumBatch(b *testing.B) {
 	chunks := make([][]byte, 1024)
 	for i := range chunks {
@@ -26,13 +26,11 @@ func BenchmarkSumBatch(b *testing.B) {
 	}
 	pool := parallel.New(8)
 	defer pool.Close()
-	h := NewBatchHasher(pool)
-	var fps []Fingerprint
 	b.SetBytes(int64(len(chunks)) * 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fps = h.SumInto(fps, chunks)
+		SumBatch(pool, chunks)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
+
+	"inlinered/internal/parallel"
 )
 
 // FingerprintSize is the size of a chunk fingerprint (SHA-1, as in the
@@ -21,6 +23,16 @@ type Fingerprint [FingerprintSize]byte
 
 // Sum fingerprints a chunk payload.
 func Sum(data []byte) Fingerprint { return sha1.Sum(data) }
+
+// SumBatch fingerprints chunks through pool in one call; results are
+// positionally aligned with chunks. Hashing has no cross-chunk dependency
+// (§3.1), so the pool's atomic batch claiming is all the coordination the
+// stage needs.
+func SumBatch(pool *parallel.Pool, chunks [][]byte) []Fingerprint {
+	out := make([]Fingerprint, len(chunks))
+	pool.Map(len(chunks), func(i int) { out[i] = Sum(chunks[i]) })
+	return out
+}
 
 // String renders the fingerprint in hex.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }

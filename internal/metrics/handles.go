@@ -19,6 +19,13 @@ func stageHist(subsystem, stage string) *Histogram {
 		"subsystem", subsystem, "stage", stage)
 }
 
+// writeEncodes registers one series of the volume's encode-placement counter.
+func writeEncodes(how string) *Counter {
+	return NewCounter("inlinered_volume_write_encodes_total",
+		"Unique-block encodes on the volume write path, by where they ran.",
+		"subsystem", "volume", "how", how)
+}
+
 var (
 	// Worker pool (internal/parallel): where the fan-out's host time goes.
 	PoolMapCalls = NewCounter("inlinered_pool_map_calls_total",
@@ -59,6 +66,11 @@ var (
 	ServeDispatch   = stageHist("serve", "dispatch")
 	ServeQueueWait  = stageHist("serve", "queue_wait")
 	ServeShardDrain = stageHist("serve", "shard_drain")
+	// ServeFrontWait is the time a shard drain spends in the write front's
+	// hands per window — posting it, speculating, blocked on it or running
+	// its tasks: near zero when lent goroutines keep the front ahead of the
+	// commit, the whole pure half of the writes when nobody lends.
+	ServeFrontWait = stageHist("serve", "front_wait")
 
 	// Replicated cluster tier (internal/cluster).
 	ClusterNodeServe = stageHist("cluster", "node_serve")
@@ -66,6 +78,20 @@ var (
 
 	// Volume (internal/volume).
 	VolumeJournalFlush = stageHist("volume", "journal_flush")
+	// The write path's stages. Prepare (materialise + fingerprint) is
+	// recorded once per posted group of the write front; encode once per
+	// posted group, or once per op when it runs inline; commit is the
+	// ordered half, once per op, and contains an inline encode (the direct
+	// path, or a write the front did not predict unique).
+	VolumeWritePrepare = stageHist("volume", "write_prepare")
+	VolumeWriteEncode  = stageHist("volume", "write_encode")
+	VolumeWriteCommit  = stageHist("volume", "write_commit")
+	// Where unique blocks were encoded: ahead of the commit on the front's
+	// guess, inline at commit, or ahead of time for a block that then
+	// turned out to be a duplicate.
+	WriteEncodesSpeculated = writeEncodes("speculated")
+	WriteEncodesInline     = writeEncodes("inline")
+	WriteEncodesWasted     = writeEncodes("wasted")
 
 	// Chunk read cache (internal/volume): the scan-resistant admission
 	// policy's wall-clock counters. These mirror the virtual-time Stats

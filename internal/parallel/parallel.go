@@ -17,9 +17,10 @@
 // closure-per-span dispatch spends a measurable share of its time in the
 // scheduler and the allocator.
 //
-// Beside the pool sit the two pieces every batch tier above the volume
-// shares: ForEach (workers claim WHOLE indices — one shard or node each —
-// off an atomic counter) and Partition (an order-preserving count-then-fill
+// Beside the pool sit the pieces every batch tier above the volume shares:
+// ForEach (workers claim WHOLE indices — one shard or node each — off an
+// atomic counter; one with no index left runs the pure tasks an index has
+// published with Post) and Partition (an order-preserving count-then-fill
 // split of a batch into per-child queues). A batch call is validate →
 // Partition → ForEach over the children → merge.
 package parallel
@@ -37,6 +38,11 @@ import (
 // items sheds load to the others, large enough that the atomic counter is
 // not contended per item.
 const grainShards = 4
+
+// taskQueue is how many posted tasks may wait for a taker before Post runs
+// the next one itself. A shard drain keeps at most a dozen in flight
+// (volume.WriteBatch), so 64 covers five drains on one pool.
+const taskQueue = 64
 
 // Pool is a fixed-size persistent worker pool. The zero value is not
 // usable; build one with New. A Pool with one worker runs everything
@@ -67,6 +73,8 @@ type Pool struct {
 
 	wake chan struct{} // one token per woken worker per Map; nil while stopped
 	done chan struct{} // signaled by the last worker to check out
+
+	tasks chan task // posted tasks waiting for a taker; never closed
 }
 
 // New returns a pool with the given number of workers; workers <= 0 means
@@ -75,7 +83,7 @@ func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	return &Pool{workers: workers, done: make(chan struct{}, 1)}
+	return &Pool{workers: workers, done: make(chan struct{}, 1), tasks: make(chan task, taskQueue)}
 }
 
 // Workers returns the pool's worker count.
@@ -215,48 +223,133 @@ func (p *Pool) Close() {
 	}
 }
 
+// Tasks tracks one round of posted tasks at a time: Post opens a round,
+// Wait closes it. It belongs to the goroutine that posts and waits.
+type Tasks struct {
+	open     bool
+	pending  atomic.Int32
+	done     chan struct{}       // one token per round, from whoever finishes its last task
+	panicked atomic.Pointer[any] // a task's panic, re-raised by Wait
+}
+
+// task is one posted index range.
+type task struct {
+	fn     func(lo, hi int)
+	lo, hi int
+	t      *Tasks
+}
+
+// run parks a panic, so the round still completes and a lender survives.
+func (tk task) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			v := r // escapes: allocated here, on the panic path only
+			tk.t.panicked.CompareAndSwap(nil, &v)
+		}
+		if tk.t.pending.Add(-1) == 0 {
+			tk.t.done <- struct{}{}
+		}
+	}()
+	tk.fn(tk.lo, tk.hi)
+}
+
+// Post publishes fn over [lo, hi), grain indices to a task, for any
+// goroutine lending itself to p — the poster's own Wait included — and
+// returns without waiting. fn must be pure computation on state owned by
+// its indices: no lock, nothing that blocks. t's last round must be closed.
+func (p *Pool) Post(t *Tasks, lo, hi, grain int, fn func(lo, hi int)) {
+	if hi <= lo {
+		return
+	}
+	if t.done == nil {
+		t.done = make(chan struct{}, 1)
+	}
+	t.open = true
+	t.pending.Store(int32((hi - lo + grain - 1) / grain))
+	for ; lo < hi; lo += grain {
+		tk := task{fn, lo, min(lo+grain, hi), t}
+		select {
+		case p.tasks <- tk:
+		default:
+			tk.run()
+		}
+	}
+}
+
+// Wait returns once every task of t's open round has run (at once when
+// none is open), running posted tasks — anyone's — while it waits, so with
+// nobody lending the round simply runs here. It re-raises a parked panic.
+func (p *Pool) Wait(t *Tasks) {
+	if !t.open {
+		return
+	}
+	t.open = false
+	p.lend(t.done)
+	if v := t.panicked.Swap(nil); v != nil {
+		panic(*v)
+	}
+}
+
+// lend runs posted tasks until stop is ready.
+func (p *Pool) lend(stop <-chan struct{}) {
+	for {
+		select {
+		case <-stop:
+			return
+		case tk := <-p.tasks:
+			tk.run()
+		}
+	}
+}
+
 // ForEach runs fn(i) for every i in [0, n) on up to workers goroutines
 // (workers <= 0 means one per index), the caller among them, and returns
 // the lowest-index error. Each worker claims WHOLE indices off an atomic
 // counter, so every index runs exactly once, on one goroutine, start to
 // finish — scheduling decides only when an index runs, never what it does.
-func ForEach(n, workers int, fn func(i int) error) error {
+// A worker that finds no index left runs the tasks posted on p until the
+// last index has finished.
+func (p *Pool) ForEach(n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	if workers <= 0 || workers > n {
 		workers = n
 	}
-	var (
-		next   atomic.Int64
-		mu     sync.Mutex
-		first  error
-		firstI = n
-		wg     sync.WaitGroup
-	)
+	// One escaping variable, not one per field: a batch call allocates it once.
+	var s struct {
+		next, claiming atomic.Int64 // next unclaimed index; workers still claiming
+		mu             sync.Mutex
+		first          error
+		firstI         int
+		wg             sync.WaitGroup
+	}
+	s.firstI = n
+	finished := make(chan struct{}) // closed when the last claimer runs out
 	drain := func() {
-		defer wg.Done()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
+		defer s.wg.Done()
+		for i := int(s.next.Add(1)) - 1; i < n; i = int(s.next.Add(1)) - 1 {
 			if err := fn(i); err != nil {
-				mu.Lock()
-				if i < firstI {
-					first, firstI = err, i
+				s.mu.Lock()
+				if i < s.firstI {
+					s.first, s.firstI = err, i
 				}
-				mu.Unlock()
+				s.mu.Unlock()
 			}
 		}
+		if s.claiming.Add(-1) == 0 {
+			close(finished)
+		}
+		p.lend(finished)
 	}
-	wg.Add(workers)
+	s.claiming.Store(int64(workers))
+	s.wg.Add(workers)
 	for w := 1; w < workers; w++ {
 		go drain()
 	}
 	drain()
-	wg.Wait()
-	return first
+	s.wg.Wait()
+	return s.first
 }
 
 // Partition is a reusable order-preserving split of a batch of n inputs

@@ -199,7 +199,7 @@ func TestForEachClaimsEveryIndexOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 64} {
 		for _, workers := range []int{0, 1, n, n + 5} {
 			hit := make([]int32, n)
-			err := ForEach(n, workers, func(i int) error {
+			err := New(1).ForEach(n, workers, func(i int) error {
 				atomic.AddInt32(&hit[i], 1)
 				if i%3 == 2 {
 					return errors.New(string(rune('a' + i%26)))
@@ -250,5 +250,113 @@ func TestPartitionPreservesOrder(t *testing.T) {
 				t.Fatalf("%v bucket %d: got %v at %v, want %v at %v", shape, b, p.Queues[b], p.Pos[b], wantQ, wantPos)
 			}
 		}
+	}
+}
+
+// TestPostWaitCoversEveryIndex: every index of every round runs exactly
+// once before Wait returns, for rounds smaller than, equal to and larger
+// than the task queue, with the poster alone (the round runs in its Wait,
+// on no other goroutine) and with ForEach workers lending.
+func TestPostWaitCoversEveryIndex(t *testing.T) {
+	for _, lenders := range []int{0, 1, 3} {
+		p := New(1)
+		_ = p.ForEach(1+lenders, 0, func(w int) error {
+			if w != 0 {
+				return nil // no index left: lend
+			}
+			before := runtime.NumGoroutine()
+			var a, b Tasks
+			for _, n := range []int{0, 1, 7, 64, 5 * taskQueue} {
+				hitA, hitB := make([]int32, n), make([]int32, n)
+				mark := func(hit []int32) func(lo, hi int) {
+					return func(lo, hi int) {
+						for i := lo; i < hi; i++ {
+							atomic.AddInt32(&hit[i], 1)
+						}
+					}
+				}
+				p.Post(&a, 0, n, 3, mark(hitA)) // two rounds in flight at once
+				p.Post(&b, 0, n, 1, mark(hitB))
+				p.Wait(&b)
+				p.Wait(&a)
+				p.Wait(&a) // no round open: returns at once
+				for i := 0; i < n; i++ {
+					if hitA[i] != 1 || hitB[i] != 1 {
+						t.Errorf("lenders=%d n=%d: index %d ran %d and %d times", lenders, n, i, hitA[i], hitB[i])
+					}
+				}
+			}
+			if lenders == 0 && runtime.NumGoroutine() > before {
+				t.Errorf("a lone poster started goroutines: %d, %d before", runtime.NumGoroutine(), before)
+			}
+			return nil
+		})
+	}
+}
+
+// TestForEachWorkersLend: a worker with no index left runs posted tasks
+// until the last index finishes — here index 0 never runs a task itself
+// (it blocks until its round is done elsewhere), so only a lender can.
+func TestForEachWorkersLend(t *testing.T) {
+	p := New(1)
+	var ran atomic.Int32
+	err := p.ForEach(2, 2, func(i int) error {
+		if i == 1 {
+			return nil
+		}
+		var ts Tasks
+		done := make(chan struct{})
+		p.Post(&ts, 0, 4, 1, func(lo, hi int) {
+			if ran.Add(1) == 4 {
+				close(done)
+			}
+		})
+		<-done
+		p.Wait(&ts)
+		return nil
+	})
+	if err != nil || ran.Load() != 4 {
+		t.Fatalf("err %v, %d of 4 tasks ran", err, ran.Load())
+	}
+}
+
+// TestWriteFrontTaskPanic: a panic inside a posted task is parked wherever
+// the task ran — on a goroutine lending itself, which must survive it, or
+// in the poster's own Wait — and re-raised on the goroutine that posted it,
+// by Wait, after the rest of the round has run. Many rounds, so both
+// placements occur.
+func TestWriteFrontTaskPanic(t *testing.T) {
+	p := New(1)
+	var raised, ranRest atomic.Int32
+	const rounds = 200
+	err := p.ForEach(3, 3, func(w int) error {
+		if w != 0 {
+			return nil
+		}
+		for r := 0; r < rounds; r++ {
+			func() {
+				defer func() {
+					if v := recover(); v == "boom" {
+						raised.Add(1)
+					} else if v != nil {
+						panic(v)
+					}
+				}()
+				var ts Tasks
+				p.Post(&ts, 0, 8, 1, func(lo, hi int) {
+					if lo == 3 {
+						panic("boom")
+					}
+					ranRest.Add(1)
+				})
+				p.Wait(&ts)
+				t.Error("Wait returned normally from a round with a panicked task")
+			}()
+		}
+		return nil
+	})
+	if err != nil || raised.Load() != rounds || ranRest.Load() != 7*rounds {
+		t.Fatalf("err %v: %d of %d panics re-raised on the poster, %d of %d other tasks ran",
+			err, raised.Load(), rounds, ranRest.Load(), 7*rounds)
 	}
 }

@@ -3,9 +3,12 @@ package reduce_test
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"reflect"
 	"testing"
 
 	"inlinered/internal/core"
+	"inlinered/internal/parallel"
 	"inlinered/internal/volume"
 	"inlinered/internal/workload"
 )
@@ -16,7 +19,8 @@ import (
 // index, codec and encoder parameters. They must store the same bytes, find
 // the same duplicates, and journal the same flush records in the same
 // order: the volume's journal image is a byte prefix of the engine's, which
-// additionally drains its bin buffers at end of stream.
+// additionally drains its bin buffers at end of stream. The volume is fed
+// twice, per op and through its write front, and must not tell the two apart.
 func TestFrontEndsAgreeOnOneStream(t *testing.T) {
 	spec := workload.Spec{TotalBytes: 6 << 20, ChunkSize: 4096, DedupRatio: 2, CompRatio: 2, Seed: 1}
 
@@ -42,6 +46,31 @@ func TestFrontEndsAgreeOnOneStream(t *testing.T) {
 		}
 	}
 	vs := vol.Stats()
+
+	batched, err := volume.New(vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream.Reset()
+	all := make([]byte, spec.TotalBytes)
+	if _, err := io.ReadFull(stream, all); err != nil {
+		t.Fatal(err)
+	}
+	pool := parallel.New(1)
+	wb := batched.NewWriteBatch(pool, int(vc.Blocks), func(dst []byte, i int) []byte {
+		return append(dst, all[i*spec.ChunkSize:(i+1)*spec.ChunkSize]...)
+	})
+	_ = pool.ForEach(2, 2, func(w int) error { // index 1 returns at once and lends itself
+		for lba := int64(0); w == 0 && lba < vc.Blocks; lba++ {
+			if _, err := wb.Write(lba); err != nil {
+				t.Errorf("batched write %d: %v", lba, err)
+			}
+		}
+		return nil
+	})
+	if bs := batched.Stats(); !reflect.DeepEqual(bs, vs) || !bytes.Equal(batched.JournalImage(), vol.JournalImage()) {
+		t.Fatalf("the write front changed the volume:\n%+v\n%+v", bs, vs)
+	}
 	if vs.DedupHits == 0 || vs.JournalRecords == 0 {
 		t.Fatalf("stream exercised nothing: %d duplicates, %d journal records", vs.DedupHits, vs.JournalRecords)
 	}

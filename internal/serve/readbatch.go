@@ -103,13 +103,12 @@ func (r *ReadBatchReport) String() string {
 }
 
 // Close stops the decode workers and returns every shard's batch state to
-// the package recycling pool. It waits for batches in flight, is
+// the package recycling pool. It waits for batches in flight (a Serve holds
+// a shard's lock until the shard's last posted task has run), is
 // idempotent, and leaves the array usable — a later ReadBatch restarts
 // both. Arrays that never call ReadBatch need not call Close.
 func (a *Array) Close() {
-	if a.pool != nil {
-		a.pool.Close()
-	}
+	a.pool.Close()
 	for _, s := range a.shards {
 		s.mu.Lock()
 		s.rb.Release()
@@ -144,7 +143,7 @@ func (a *Array) ReadBatch(lbas []int64, opt ReadBatchOptions) (*ReadBatchReport,
 		func(i int) int64 { return lbas[i] / n })
 
 	rep := &ReadBatchReport{Shards: len(a.shards), PerShard: make([]ReadShardReport, len(a.shards))}
-	err := parallel.ForEach(len(a.shards), opt.Clients, func(i int) (err error) {
+	err := a.pool.ForEach(len(a.shards), opt.Clients, func(i int) (err error) {
 		rep.PerShard[i], err = a.readShard(i, part.Queues[i], part.Pos[i], opt.Sink)
 		return err
 	})

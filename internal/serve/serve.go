@@ -52,9 +52,10 @@ type Config struct {
 	Obs []*obs.Recorder
 	// Parallelism is the decode worker count for the batch read path
 	// (Array.ReadBatch): each shard's sub-block decode items fan out over
-	// the array's worker pool of this size. 0 or 1 decodes inline. Like
-	// Clients, it changes only the wall clock — reports are bit-identical
-	// for any value.
+	// the array's worker pool of this size. 0 or 1 decodes inline. It does
+	// not bound Serve, whose goroutines all come from RunOptions.Clients.
+	// Like Clients, it changes only the wall clock — reports are
+	// bit-identical for any value.
 	Parallelism int
 }
 
@@ -62,11 +63,9 @@ type Config struct {
 type shard struct {
 	mu sync.Mutex
 	v  *volume.Volume
-	// payload and readBuf are the batch path's per-op staging buffers,
-	// reused across ops and Serve calls under mu. The volume retains
-	// neither: Write copies what it keeps and ReadInto appends into the
-	// caller's buffer.
-	payload []byte
+	// readBuf is the batch path's read staging buffer, reused across ops
+	// and Serve calls under mu; the volume retains nothing of it (ReadInto
+	// appends into the caller's buffer).
 	readBuf []byte
 	// rb is the shard's reusable batch-read state (lazily created; owned
 	// by whoever holds mu).
@@ -85,23 +84,21 @@ type Array struct {
 	cfg    Config
 	blocks int64
 	shards []*shard
-	pool   *parallel.Pool // batch-read decode workers; nil decodes inline
+	// pool carries the batch-read decode workers (none at Parallelism <= 1)
+	// and the tasks write fronts post for batch workers with no queue left.
+	pool *parallel.Pool
 }
 
 // New builds an array of cfg.Shards independent volumes that decodes batch
 // reads on its own pool of cfg.Parallelism workers.
 func New(cfg Config) (*Array, error) {
-	var pool *parallel.Pool
-	if cfg.Parallelism > 1 {
-		pool = parallel.New(cfg.Parallelism)
-	}
-	return NewWithPool(cfg, pool)
+	return NewWithPool(cfg, parallel.New(max(cfg.Parallelism, 1)))
 }
 
-// NewWithPool is New decoding on the caller's pool instead (nil decodes
-// inline; cfg.Parallelism is ignored). Pool.Map tolerates concurrent
-// callers, so any number of arrays may share one pool — a cluster's nodes
-// do.
+// NewWithPool is New on the caller's pool instead (cfg.Parallelism is
+// ignored). Pool.Map and posted tasks tolerate concurrent callers, so any
+// number of arrays may share one pool — a cluster's nodes do, which is how
+// a cluster worker with no node left lends itself to another node's shards.
 func NewWithPool(cfg Config, pool *parallel.Pool) (*Array, error) {
 	n := cfg.Shards
 	if n == 0 {
@@ -258,8 +255,11 @@ func (a *Array) Stats() volume.Stats {
 // nothing in RunOptions besides the op list and the array's seed/shard
 // count may affect the report.
 type RunOptions struct {
-	// Clients is the number of worker goroutines draining shard queues
-	// (0 means one per shard). It appears nowhere in the Report.
+	// Clients is the number of goroutines Serve runs, the caller among
+	// them (0 or more than the shard count means one per shard). Each
+	// claims whole shard queues and commits them in order; one that finds
+	// none left hashes and encodes ahead for the shards still draining. It
+	// appears nowhere in the Report.
 	Clients int
 	// ContentSeed derives write payloads from op content ids.
 	ContentSeed int64
@@ -322,9 +322,11 @@ func (r *Report) String() string {
 // It is the batch skeleton every tier shares: validate, partition the op
 // list into per-shard queues (an order-preserving projection: shard i sees
 // exactly the subsequence of ops routed to it, in list order), let workers
-// claim WHOLE queues (parallel.ForEach), merge. Each shard is drained by
+// claim WHOLE queues (Pool.ForEach), merge. Each shard is drained by
 // exactly one worker, so its op order, virtual clock, and fault stream
-// never depend on how many workers run or how the host schedules them.
+// never depend on how many workers run or how the host schedules them;
+// workers left without a queue only run the pure half of other shards'
+// writes (volume.WriteBatch), which touches none of those.
 // Per-op errors (injected faults) are counted, not fatal: a serving
 // front-end keeps serving.
 func (a *Array) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
@@ -355,7 +357,7 @@ func (a *Array) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 		Shards: len(a.shards), Ops: len(ops), Writes: kinds.Writes, Reads: kinds.Reads, Trims: kinds.Trims,
 		PerShard: make([]ShardReport, len(a.shards)),
 	}
-	_ = parallel.ForEach(len(a.shards), opt.Clients, func(i int) error { // drains never fail
+	_ = a.pool.ForEach(len(a.shards), opt.Clients, func(i int) error { // drains never fail
 		metrics.ServeQueueWait.ObserveSince(readyNS)
 		drainStart := metrics.Clock()
 		rep.PerShard[i] = a.serveShard(i, part.Queues[i], opt)
@@ -381,13 +383,23 @@ func (a *Array) serveShard(i int, queue []workload.Op, opt RunOptions) ShardRepo
 	defer s.mu.Unlock()
 	start := s.v.Now()
 	rep := ShardReport{Ops: len(queue)}
+	// Writes go through a write front, which materialises, fingerprints
+	// and encodes them ahead of their in-order commit and owns the payloads.
+	contents := make([]int32, 0, len(queue))
+	for _, op := range queue {
+		if op.Kind == workload.OpWrite {
+			contents = append(contents, op.Content)
+		}
+	}
 	blockSize := a.cfg.Volume.BlockSize
+	wb := s.v.NewWriteBatch(a.pool, len(contents), func(dst []byte, i int) []byte {
+		return workload.UniqueChunkInto(dst, opt.ContentSeed, contents[i], blockSize, opt.Fill)
+	})
 	for k, op := range queue {
 		var err error
 		switch op.Kind {
 		case workload.OpWrite:
-			s.payload = workload.UniqueChunkInto(s.payload[:0], opt.ContentSeed, op.Content, blockSize, opt.Fill)
-			_, err = s.v.Write(op.LBA, s.payload)
+			_, err = wb.Write(op.LBA)
 		case workload.OpRead:
 			s.readBuf, _, err = s.v.ReadInto(s.readBuf[:0], op.LBA)
 		case workload.OpTrim:

@@ -414,18 +414,31 @@ func (v *Volume) segAt(i int) *segment {
 // the request's elapsed virtual time is committed to the clock and the
 // write histogram, and the request counts in Stats.Writes, success or
 // failure.
+//
+// Write runs a write's pure half (fingerprint, encode if unique) inline;
+// WriteBatch runs it ahead of time for a whole run of writes.
 func (v *Volume) Write(lba int64, data []byte) (time.Duration, error) {
+	return v.commitWrite(lba, data, dedup.Sum(data), nil)
+}
+
+// commitWrite is the ordered half of a write, the only place one touches the
+// clock, the fault streams, the index, the log, the journal or the recorder.
+// fp is data's fingerprint; spec, when non-nil, is data's stored form,
+// encoded ahead on the guess that the block is unique. A unique block
+// without one is encoded here and a duplicate ignores it: the encoder is
+// pure, so the guess decides only when the encoding ran.
+func (v *Volume) commitWrite(lba int64, data []byte, fp dedup.Fingerprint, spec *reduce.Encoded) (time.Duration, error) {
 	if lba < 0 || lba >= v.cfg.Blocks {
 		return 0, fmt.Errorf("volume: lba %d outside [0,%d)", lba, v.cfg.Blocks)
 	}
 	if len(data) != v.cfg.BlockSize {
 		return 0, fmt.Errorf("volume: write of %d bytes, block size is %d", len(data), v.cfg.BlockSize)
 	}
+	defer metrics.VolumeWriteCommit.ObserveSince(metrics.Clock())
 	start := v.now
 	cost := v.sub.CPU.Cost
 
 	// Fingerprint + index probe (Figure 1's CPU path).
-	fp := dedup.Sum(data)
 	t := v.sub.Run("chunk+hash", v.now, cost.ChunkCycles(len(data))+cost.HashCycles(len(data))+cost.StageOverheadCycles)
 	p := v.sub.Index.Lookup(fp)
 	t = v.sub.Run("probe", t, cost.ProbeCycles(p.BufferScanned, p.TreeSteps))
@@ -436,22 +449,32 @@ func (v *Volume) Write(lba int64, data []byte) (time.Duration, error) {
 	if ref, ok := v.chunks[fp]; ok {
 		ref.refs++
 		v.stats.DedupHits++
+		if spec != nil && metrics.Enabled() {
+			metrics.WriteEncodesWasted.Add(1)
+		}
 	} else {
-		// Unique: compress, append to the log, then index it. The encoder
-		// appends into the reusable scratch buffer; the encode job is charged
-		// as soon as it has run, so a write the log then rejects still pays
-		// for it.
-		enc := v.enc.Encode(v.compScratch[:0], data)
-		v.compScratch = enc.Blob
-		t = v.sub.Run(encodeSpans[enc.Kind], t, v.enc.Cycles(cost, enc))
-		loc, err := v.alloc(len(enc.Blob))
+		// Unique: compress, append to the log, then index it. An inline
+		// encode appends into the reusable scratch buffer; the encode job is
+		// charged as soon as it is known to be needed, so a write the log
+		// then rejects still pays for it.
+		if spec == nil {
+			encStart := metrics.Clock()
+			enc := v.enc.Encode(v.compScratch[:0], data)
+			v.compScratch, spec = enc.Blob, &enc
+			if encStart >= 0 {
+				metrics.VolumeWriteEncode.ObserveSince(encStart)
+				metrics.WriteEncodesInline.Add(1)
+			}
+		}
+		t = v.sub.Run(encodeSpans[spec.Kind], t, v.enc.Cycles(cost, *spec))
+		loc, err := v.alloc(len(spec.Blob))
 		if err != nil {
 			return v.failWrite(start, t, lba), err
 		}
 		// Retain an exact-size copy: the blob lives in v.blobs for the
 		// chunk's lifetime, so right-sizing it beats keeping the encoder's
 		// capacity-grown slice alive.
-		blob := append([]byte(nil), enc.Blob...)
+		blob := append([]byte(nil), spec.Blob...)
 		// Crash-consistent ordering: the data lands in the log before any
 		// index or journal record can point at it.
 		t, err = v.appendBlob(t, fp, loc, blob)

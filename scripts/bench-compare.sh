@@ -42,7 +42,8 @@ BASELINE=bench_baseline.txt
 BENCH='BenchmarkDataPlaneWallClock|BenchmarkServeWallClock|BenchmarkClusterWallClock|BenchmarkReadPathWallClock'
 # Every guarded benchmark/subbenchmark pair, for the fallback comparison.
 # A trailing slash scopes a prefix to its own subbenchmarks only
-# (BenchmarkGearCDC/ does not match BenchmarkGearCDCRef/...).
+# (BenchmarkGearCDC/ does not match BenchmarkGearCDCRef/...); nodes3r2 is
+# anchored so it does not also average in nodes3r2/clients2.
 CASES=(
     BenchmarkDataPlaneWallClock/serial
     BenchmarkDataPlaneWallClock/parallel
@@ -50,7 +51,8 @@ CASES=(
     BenchmarkServeWallClock/shards1
     BenchmarkServeWallClock/shards4
     BenchmarkClusterWallClock/nodes1
-    BenchmarkClusterWallClock/nodes3r2
+    'BenchmarkClusterWallClock/nodes3r2(-[0-9]+)?$'
+    BenchmarkClusterWallClock/nodes3r2/clients2
     BenchmarkReadPathWallClock/serial
     BenchmarkReadPathWallClock/parallel
     BenchmarkReadPathWallClock/warm
@@ -243,7 +245,7 @@ write_json() {
         printf '          {"name": "ratio: ServeWallClock shards1/shards4", "value": %s, "unit": "x", "extra": "geomean ns/op ratio"},\n' \
             "$(ratio "$raw" BenchmarkServeWallClock/shards1 BenchmarkServeWallClock/shards4)"
         printf '          {"name": "ratio: ClusterWallClock nodes3r2/nodes1", "value": %s, "unit": "x", "extra": "geomean ns/op ratio (replication overhead)"},\n' \
-            "$(ratio "$raw" BenchmarkClusterWallClock/nodes3r2 BenchmarkClusterWallClock/nodes1)"
+            "$(ratio "$raw" 'BenchmarkClusterWallClock/nodes3r2(-[0-9]+)?$' BenchmarkClusterWallClock/nodes1)"
         printf '          {"name": "ratio: ReadPathWallClock serial/parallel", "value": %s, "unit": "x", "extra": "geomean ns/op ratio (boot-storm decode fan-out)"},\n' \
             "$(ratio "$raw" BenchmarkReadPathWallClock/serial BenchmarkReadPathWallClock/parallel)"
         printf '          {"name": "ratio: SubDecode4K serial/indexed", "value": %s, "unit": "x", "extra": "geomean ns/op ratio (two-pass decode overhead on one goroutine)"},\n' \
@@ -269,7 +271,7 @@ if [[ "${1:-}" == "--record" ]]; then
         echo "# ns/op geomean ratios at record time (>1.00 means the second case is faster):"
         echo "#   DataPlaneWallClock serial/parallel = $(ratio "$RAW" BenchmarkDataPlaneWallClock/serial BenchmarkDataPlaneWallClock/parallel)"
         echo "#   ServeWallClock shards1/shards4     = $(ratio "$RAW" BenchmarkServeWallClock/shards1 BenchmarkServeWallClock/shards4)"
-        echo "#   ClusterWallClock nodes3r2/nodes1   = $(ratio "$RAW" BenchmarkClusterWallClock/nodes3r2 BenchmarkClusterWallClock/nodes1)"
+        echo "#   ClusterWallClock nodes3r2/nodes1   = $(ratio "$RAW" 'BenchmarkClusterWallClock/nodes3r2(-[0-9]+)?$' BenchmarkClusterWallClock/nodes1)"
         echo "#   ReadPathWallClock serial/parallel  = $(ratio "$RAW" BenchmarkReadPathWallClock/serial BenchmarkReadPathWallClock/parallel)"
         echo "#   SubDecode4K serial/indexed         = $(ratio "$RAW" BenchmarkSubDecode4K/serial BenchmarkSubDecode4K/indexed)"
         echo "#   GearCDC ref/fast (all corpora)     = $(ratio "$RAW" BenchmarkGearCDCRef/ BenchmarkGearCDC/)"
@@ -318,6 +320,9 @@ for bcase in "${CASES[@]}"; do
         # allocs/op) has nothing to gate; without this the NaN exit of
         # geomean ends the script under set -e. One the baseline has and
         # this run lost is a failure, not a skip.
+        # SumBatch returns a fresh slice per call since the zero-alloc
+        # BatchHasher went (PR 18): its allocs/op is the batch's, not a leak.
+        [[ "$bcase" == BenchmarkSumBatch && "$unit" == allocs/op ]] && continue
         base="$(geomean "$BASELINE" "$bcase" "$unit")" || {
             printf '%-36s %-10s not in baseline, skipped\n' "$bcase" "$unit"
             continue
