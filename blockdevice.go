@@ -32,11 +32,11 @@ type BlockDeviceOptions struct {
 	// batch read path decode them in parallel (see DESIGN.md "Parallel
 	// read path"). 0 or 1 keeps single-stream compression.
 	SubBlocks int
-	// Parallelism is the decode worker count for ReadBatch (0 or 1
-	// decodes inline). It does not bound Serve: the goroutines that drain
-	// queues and run the write front ahead of them are the Clients of
-	// ServeOptions / ClusterServeOptions. Wall clock only: reports and
-	// results are bit-identical for any value.
+	// Parallelism sizes the device's worker pool (0 or 1: no workers, batch
+	// reads decode inline). Its Parallelism-1 goroutines run whatever is
+	// posted — ReadBatch's decodes, Serve's write front — beside the Clients
+	// of ServeOptions / ClusterServeOptions, who drain the queues. Wall
+	// clock only: reports and results are bit-identical for any value.
 	Parallelism int
 	// FaultRate enables deterministic fault injection on the device's
 	// drive, journal, and index (transient SSD errors, latency spikes, torn

@@ -105,8 +105,9 @@ type Options struct {
 	// ContentDefined switches chunking from fixed-size to the Gear
 	// content-defined chunker.
 	ContentDefined bool
-	// Parallelism is the number of host worker threads used for the real
-	// computation (chunking, hashing, compression). It affects only how
+	// Parallelism sizes the one pool of host workers the real computation
+	// (hashing, compression) is posted to; the caller and a chunking
+	// goroutine run beside its Parallelism-1 workers. It affects only how
 	// fast the simulation runs on the host: the Report is bit-identical for
 	// every value. 0 means runtime.NumCPU(); 1 forces a serial run.
 	Parallelism int

@@ -84,7 +84,7 @@ func BenchmarkFixed4K(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Split(NewFixed(bytes.NewReader(c.data), 4096)); err != nil {
+				if _, err := split(NewFixed(bytes.NewReader(c.data), 4096)); err != nil {
 					b.Fatal(err)
 				}
 			}

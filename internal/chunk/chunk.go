@@ -429,19 +429,3 @@ func release(b Buffers, buf []byte) {
 		b.Put(buf)
 	}
 }
-
-// Split is a convenience that runs a chunker to completion and returns all
-// chunks. Intended for tests and small inputs.
-func Split(c Chunker) ([]Chunk, error) {
-	var out []Chunk
-	for {
-		ch, err := c.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, ch)
-	}
-}

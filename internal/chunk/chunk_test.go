@@ -18,7 +18,7 @@ func reassemble(chunks []Chunk) []byte {
 
 func TestFixedExactMultiple(t *testing.T) {
 	data := bytes.Repeat([]byte{1, 2, 3, 4}, 256) // 1024 bytes
-	chunks, err := Split(NewFixed(bytes.NewReader(data), 256))
+	chunks, err := split(NewFixed(bytes.NewReader(data), 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestFixedExactMultiple(t *testing.T) {
 
 func TestFixedShortTail(t *testing.T) {
 	data := make([]byte, 1000)
-	chunks, err := Split(NewFixed(bytes.NewReader(data), 256))
+	chunks, err := split(NewFixed(bytes.NewReader(data), 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestFixedShortTail(t *testing.T) {
 }
 
 func TestFixedEmptyInput(t *testing.T) {
-	chunks, err := Split(NewFixed(bytes.NewReader(nil), 256))
+	chunks, err := split(NewFixed(bytes.NewReader(nil), 256))
 	if err != nil || len(chunks) != 0 {
 		t.Fatalf("empty input: %d chunks, err %v", len(chunks), err)
 	}
@@ -81,7 +81,7 @@ func TestGearReassembles(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data := make([]byte, 1<<18)
 	rng.Read(data)
-	chunks, err := Split(NewGear(bytes.NewReader(data), DefaultGearConfig()))
+	chunks, err := split(NewGear(bytes.NewReader(data), DefaultGearConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestGearRespectsBounds(t *testing.T) {
 	data := make([]byte, 1<<19)
 	rng.Read(data)
 	cfg := DefaultGearConfig()
-	chunks, err := Split(NewGear(bytes.NewReader(data), cfg))
+	chunks, err := split(NewGear(bytes.NewReader(data), cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestGearAverageNearTarget(t *testing.T) {
 	data := make([]byte, 1<<21)
 	rng.Read(data)
 	cfg := DefaultGearConfig()
-	chunks, err := Split(NewGear(bytes.NewReader(data), cfg))
+	chunks, err := split(NewGear(bytes.NewReader(data), cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,8 @@ func TestGearContentDefined(t *testing.T) {
 	rng.Read(prefix)
 
 	cfg := DefaultGearConfig()
-	a, _ := Split(NewGear(bytes.NewReader(content), cfg))
-	b, _ := Split(NewGear(bytes.NewReader(append(append([]byte{}, prefix...), content...)), cfg))
+	a, _ := split(NewGear(bytes.NewReader(content), cfg))
+	b, _ := split(NewGear(bytes.NewReader(append(append([]byte{}, prefix...), content...)), cfg))
 
 	// Collect chunk payload hashes from both runs; the overwhelming
 	// majority of a's chunks must reappear verbatim in b.
@@ -158,8 +158,8 @@ func TestGearContentDefined(t *testing.T) {
 func TestGearDeterministic(t *testing.T) {
 	data := make([]byte, 1<<16)
 	rand.New(rand.NewSource(9)).Read(data)
-	a, _ := Split(NewGear(bytes.NewReader(data), DefaultGearConfig()))
-	b, _ := Split(NewGear(bytes.NewReader(data), DefaultGearConfig()))
+	a, _ := split(NewGear(bytes.NewReader(data), DefaultGearConfig()))
+	b, _ := split(NewGear(bytes.NewReader(data), DefaultGearConfig()))
 	if len(a) != len(b) {
 		t.Fatalf("nondeterministic chunk count: %d vs %d", len(a), len(b))
 	}
@@ -199,7 +199,7 @@ func TestChunkersLosslessProperty(t *testing.T) {
 			NewFixed(bytes.NewReader(data), fixedSize),
 			NewGear(bytes.NewReader(data), cfg),
 		} {
-			chunks, err := Split(c)
+			chunks, err := split(c)
 			if err != nil {
 				return false
 			}
@@ -263,5 +263,20 @@ func TestChunkerSteadyStateAllocFree(t *testing.T) {
 		if got := testing.AllocsPerRun(5, run); got > 8 {
 			t.Errorf("%s: %.0f allocs per full-stream pass; want <= 8 (no per-chunk allocation)", name, got)
 		}
+	}
+}
+
+// split runs a chunker to completion and returns all chunks.
+func split(c Chunker) ([]Chunk, error) {
+	var out []Chunk
+	for {
+		ch, err := c.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, ch)
 	}
 }

@@ -47,7 +47,7 @@ func boundaryList(t testing.TB, data []byte, cfg GearConfig, ref bool) []int64 {
 	t.Helper()
 	g := NewGear(bytes.NewReader(data), cfg)
 	g.ref = ref
-	chunks, err := Split(g)
+	chunks, err := split(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +281,11 @@ func TestGearResetReuse(t *testing.T) {
 
 	fresh := boundaryList(t, b, DefaultGearConfig(), false)
 	g := NewGear(bytes.NewReader(a), DefaultGearConfig())
-	if _, err := Split(g); err != nil {
+	if _, err := split(g); err != nil {
 		t.Fatal(err)
 	}
 	g.Reset(bytes.NewReader(b))
-	chunks, err := Split(g)
+	chunks, err := split(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +298,11 @@ func TestGearResetReuse(t *testing.T) {
 	}
 
 	f := NewFixed(bytes.NewReader(a), 4096)
-	if _, err := Split(f); err != nil {
+	if _, err := split(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Reset(bytes.NewReader(b))
-	fixed, err := Split(f)
+	fixed, err := split(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestGearRefModeSplitsIdentically(t *testing.T) {
 	rng.Read(data)
 	g := NewGear(bytes.NewReader(data), DefaultGearConfig())
 	g.ref = true
-	chunks, err := Split(g)
+	chunks, err := split(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,11 +50,11 @@ func sameChunks(t testing.TB, what string, view, pooled resetter, data []byte, w
 	t.Helper()
 	view.Reset(wrap(bytes.NewReader(data)))
 	pooled.Reset(wrap(bytes.NewReader(data)))
-	got, err := Split(view)
+	got, err := split(view)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Split(pooled)
+	want, err := split(pooled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestViewChunksSurviveTheStream(t *testing.T) {
 		"gear":  NewGear(&shortReads{bytes.NewReader(data), rand.New(rand.NewSource(4))}, DefaultGearConfig()),
 		"fixed": NewFixed(&shortReads{bytes.NewReader(data), rand.New(rand.NewSource(4))}, 4096),
 	} {
-		chunks, err := Split(ck)
+		chunks, err := split(ck)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,10 +75,10 @@ type Config struct {
 	Replicas int
 	// ShardsPerNode is each node's serve.Array shard count (0 means 1).
 	ShardsPerNode int
-	// Parallelism is the decode worker count for the batch read path: one
-	// pool of this size, shared by every node's array (see
-	// serve.Config.Parallelism). Wall clock only — reports are bit-identical
-	// for any value.
+	// Parallelism sizes the one worker pool every node's array shares: its
+	// Parallelism-1 goroutines run the decodes and write-front groups any
+	// node posts (see serve.Config.Parallelism). Wall clock only — reports
+	// are bit-identical for any value.
 	Parallelism int
 	// RangeBlocks is the placement granularity: consecutive runs of this
 	// many LBAs share an owner set (0 means 64).
@@ -132,7 +132,8 @@ type Cluster struct {
 	mapped  map[int64]bool
 	stale   map[stKey]bool
 
-	opBase int64 // cumulative sequenced ops, for the membership timeline
+	opBase   int64 // cumulative sequenced ops, for the membership timeline
+	draining int   // Serve and ReadBatch calls draining node queues outside mu
 
 	obs  *obs.Recorder
 	lane obs.Lane
@@ -504,6 +505,7 @@ func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 	}
 	c.opBase += int64(len(ops))
 	nodes := c.nodes
+	c.draining++
 	c.mu.Unlock()
 
 	// Phase 2: drain node queues concurrently. Claiming whole queues keeps
@@ -528,6 +530,7 @@ func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 		rep.PerNode[i] = *nodeRep
 		return nil
 	})
+	c.drained()
 	if err != nil {
 		return nil, err
 	}
@@ -537,6 +540,13 @@ func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 	}
 	rep.Merged = c.Stats()
 	return rep, nil
+}
+
+// drained ends the drain phase a batch call announced with c.draining++.
+func (c *Cluster) drained() {
+	c.mu.Lock()
+	c.draining--
+	c.mu.Unlock()
 }
 
 // rejoin replays node n's dirty state (in ascending LBA order, so the
@@ -813,10 +823,14 @@ type RebalanceReport struct {
 // rendezvous owner set changed: mapped blocks are copied from the old
 // primary to newly-added owners and trimmed from displaced ones.
 // Rendezvous hashing guarantees only ranges the new node wins move, so the
-// migration is minimal. Must not run concurrently with Serve.
+// migration is minimal. A batch in flight owns the node arrays it is
+// draining, so AddNode fails while one is: retry once it has returned.
 func (c *Cluster) AddNode() (*RebalanceReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.draining > 0 {
+		return nil, fmt.Errorf("cluster: AddNode: %d batch calls in flight", c.draining)
+	}
 	id := len(c.nodes)
 	n, err := c.newNode(id)
 	if err != nil {

@@ -212,6 +212,68 @@ func TestClusterDivergenceReadRepair(t *testing.T) {
 	}
 }
 
+// TestAddNodeDuringServe: a batch in flight owns the node arrays it drains,
+// so an AddNode issued meanwhile is refused instead of migrating blocks
+// underneath queues that were routed against the old directory; once the
+// batch has returned the same call rebalances cleanly. Whatever the timing,
+// the replicas agree afterwards and every block reads as on a cluster that
+// was never disturbed.
+func TestAddNodeDuringServe(t *testing.T) {
+	cfg := testConfig(3, 2, 0, 0)
+	cfg.NodeFaults = fault.Config{}
+	ops := testOps(t, 4000)
+	opt := RunOptions{Clients: 2, ContentSeed: 9, CleanEvery: 100}
+	quiet, _, _ := runCluster(t, cfg, ops, 2)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := 0
+	for round := 0; round < 20 && refused == 0; round++ {
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Serve(ops, opt)
+			done <- err
+		}()
+		for draining := false; !draining && len(done) == 0; {
+			c.mu.Lock()
+			draining = c.draining > 0
+			c.mu.Unlock()
+		}
+		if _, err := c.AddNode(); err != nil {
+			if !strings.Contains(err.Error(), "in flight") {
+				t.Fatal(err)
+			}
+			refused++
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if round > 0 { // the undisturbed cluster serves the same batches
+			if _, err := quiet.Serve(ops, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if refused == 0 {
+		t.Error("AddNode was never refused in 20 batches it was issued against")
+	}
+	before := c.Nodes()
+	if reb, err := c.AddNode(); err != nil || reb.Node != before || c.Nodes() != before+1 {
+		t.Fatalf("AddNode on an idle cluster: %+v, %v (%d nodes before, %d after)", reb, err, before, c.Nodes())
+	}
+	for lba := int64(0); lba < c.Blocks(); lba += 7 {
+		got, _, err := c.Read(lba)
+		want, _, werr := quiet.Read(lba)
+		if err != nil || werr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("lba %d differs from the undisturbed cluster's (%v, %v)", lba, err, werr)
+		}
+	}
+	if scrub, err := c.Scrub(); err != nil || scrub.Mismatched != 0 {
+		t.Fatalf("replicas disagree after the rebalance: %+v, %v", scrub, err)
+	}
+}
+
 // TestClusterRebalance: adding a node moves only the ranges the new node
 // wins (rendezvous placement), data survives the migration byte-for-byte,
 // and the grown cluster is in full replica agreement.

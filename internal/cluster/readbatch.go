@@ -124,6 +124,7 @@ func (c *Cluster) ReadBatch(lbas []int64, opt ReadBatchOptions) (*ReadBatchRepor
 		}
 		return owners[0] // every copy stale: the primary's is as good as any
 	}, func(i int) int64 { return lbas[i] })
+	c.draining++
 	c.mu.Unlock()
 
 	out.Nodes, out.PerNode = len(nodes), make([]NodeReadReport, len(nodes))
@@ -140,6 +141,7 @@ func (c *Cluster) ReadBatch(lbas []int64, opt ReadBatchOptions) (*ReadBatchRepor
 		out.PerNode[n] = rep.ReadTotals
 		return nil
 	})
+	c.drained()
 	if err != nil {
 		return nil, err
 	}

@@ -161,13 +161,12 @@ type Config struct {
 	// memory proportional to the stored unique bytes; meant for tests.
 	Verify bool
 
-	// Parallelism is the number of goroutines the engine does its real
-	// computation on: the front stage (one chunking, the rest hashing) runs
-	// on Parallelism-1 of them ahead of the commit pass, which runs on the
-	// caller's and fans the encoder out Parallelism wide. 1 starts no
-	// goroutine at all. It changes wall-clock speed only: the simulated
-	// virtual-time results are bit-identical for every value. 0 means
-	// runtime.NumCPU().
+	// Parallelism sizes the engine's worker pool: Parallelism-1 goroutines
+	// that run whatever is posted — hash groups, encodes — beside the
+	// caller's (the commit pass) and one that chunks ahead of it, so at most
+	// Parallelism+1 in all; 1 starts no goroutine at all. It changes
+	// wall-clock speed only: the simulated virtual-time results are
+	// bit-identical for every value. 0 means runtime.NumCPU().
 	Parallelism int
 
 	// Faults schedules deterministic fault injection across the drive, the

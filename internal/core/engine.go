@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"inlinered/internal/chunk"
@@ -59,12 +57,11 @@ type Engine struct {
 	locs  []int64          // per chunk -> loc of its stored content (Verify only)
 
 	// Wall-clock machinery. None of this affects the virtual clock: the
-	// front stage chunks and fingerprints ahead of the commit pass, the
-	// pool fans the encoder out across host cores, the blob pool recycles
-	// encode destinations. Chunk payloads are views into the chunker's
-	// GC-managed slabs: nothing recycles them.
-	par      int            // host workers (Config.Parallelism; 0 → NumCPU)
-	pool     *parallel.Pool // persistent workers for the compress fan-out
+	// front stage chunks ahead of the commit pass, the pool's workers run
+	// the hash groups it posts and the encodes the commit pass fans out,
+	// the blob pool recycles encode destinations. Chunk payloads are views
+	// into the chunker's GC-managed slabs: nothing recycles them.
+	pool     *parallel.Pool // the task queue and its Parallelism-1 workers (0 → NumCPU)
 	front    *front         // chunk+hash stage; set while Process runs
 	blobBufs bufPool        // compression destination buffers
 
@@ -194,11 +191,7 @@ func NewEngine(plat Platform, cfg Config) (*Engine, error) {
 		e.blobs = make(map[int64][]byte)
 	}
 	e.inflight = make(map[dedup.Fingerprint]*inflightRef)
-	e.par = cfg.Parallelism
-	if e.par <= 0 {
-		e.par = runtime.NumCPU()
-	}
-	e.pool = parallel.New(e.par)
+	e.pool = parallel.New(cfg.Parallelism)
 	if cfg.Dedup {
 		e.seen = make(map[dedup.Fingerprint]bool)
 	}
@@ -327,11 +320,10 @@ func (e *Engine) newChunker(r io.Reader) chunk.Chunker {
 // when the GPU owns dedup, GPU screening.
 type hashedBatch struct {
 	chunks [][]byte
-	// fps is filled in by the front stage's hash jobs; it may be read only
-	// after front.wait (done is closed when pending drops to zero).
-	fps     []dedup.Fingerprint
-	pending atomic.Int32
-	done    chan struct{}
+	// fps is filled in by the front stage's hash tasks, the round hashes; it
+	// may be read only after front.wait.
+	fps    []dedup.Fingerprint
+	hashes parallel.Tasks
 
 	hashEnd []time.Duration
 	ready   time.Duration // max hash end
@@ -415,7 +407,7 @@ func (e *Engine) screen(hb *hashedBatch) {
 // concurrent-capacity eviction. Returns nil when there is nothing worth
 // fanning out (serial runs, compression off).
 func (e *Engine) precompute(hb *hashedBatch) []reduce.Encoded {
-	if e.par <= 1 || !e.cfg.Compress {
+	if e.pool.Workers() <= 1 || !e.cfg.Compress {
 		return nil
 	}
 	chunks, fps := hb.chunks, hb.fps

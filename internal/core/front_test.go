@@ -41,8 +41,8 @@ func (s *shortReader) Read(p []byte) (int, error) {
 	return s.r.Read(p)
 }
 
-// settle waits for the goroutine count to fall back to base: the stage's
-// goroutines are joined before Process returns, the encode pool's exit on
+// settle waits for the goroutine count to fall back to base: the chunking
+// goroutine is joined before Process returns, the pool's workers exit on
 // their own just after.
 func settle(t *testing.T, base int) {
 	t.Helper()
@@ -231,13 +231,14 @@ func TestFrontReaderError(t *testing.T) {
 	}
 }
 
-// TestFrontReaderPanic: a panic on a stage goroutine (here the reader's) is
-// re-raised on the goroutine that called Process, after the stage has shut
-// down, exactly as a serial run would let it propagate.
+// TestFrontReaderPanic: a panic on the chunking goroutine (here the reader's)
+// is re-raised on the goroutine that called Process, after the stage has shut
+// down, exactly as a serial run would let it propagate. (A hash task's would
+// come back through its round's Wait: parallel's TestWriteFrontTaskPanic.)
 func TestFrontReaderPanic(t *testing.T) {
 	data := streamBytes(t, 4<<20, 2, 2)
 	boom := errors.New("boom")
-	for _, par := range []int{1, 2, 8} {
+	for _, par := range []int{1, 2, 4, 8} {
 		before := runtime.NumGoroutine()
 		cfg := testConfig(CPUOnly)
 		cfg.Parallelism = par
@@ -321,16 +322,19 @@ type readerFunc func([]byte) (int, error)
 
 func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
 
-// TestSerialProcessStartsNoGoroutine: Parallelism 1 runs the stage inline.
-func TestSerialProcessStartsNoGoroutine(t *testing.T) {
-	data := streamBytes(t, 2<<20, 2, 2)
+// peakGoroutines runs a compressing Process at the given Parallelism and
+// returns the goroutine count before it and the highest seen from inside the
+// reader.
+func peakGoroutines(t *testing.T, par int) (before, peak int) {
+	t.Helper()
+	data := streamBytes(t, 8<<20, 2, 2)
 	cfg := testConfig(CPUOnly)
-	cfg.Parallelism = 1
+	cfg.Parallelism, cfg.Lookahead = par, 1 // the encode fan-out starts while most of the stream is unread
 	eng, err := NewEngine(PaperPlatform(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, peak := runtime.NumGoroutine(), 0
+	before = runtime.NumGoroutine()
 	src := bytes.NewReader(data)
 	if _, err := eng.Process(readerFunc(func(p []byte) (int, error) {
 		peak = max(peak, runtime.NumGoroutine())
@@ -338,8 +342,25 @@ func TestSerialProcessStartsNoGoroutine(t *testing.T) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	if peak > before {
+	settle(t, before)
+	return before, peak
+}
+
+// TestSerialProcessStartsNoGoroutine: Parallelism 1 runs the stage inline.
+func TestSerialProcessStartsNoGoroutine(t *testing.T) {
+	if before, peak := peakGoroutines(t, 1); peak > before {
 		t.Errorf("%d goroutines during a serial Process, %d before it", peak, before)
+	}
+}
+
+// TestProcessGoroutineBudget: an engine at Parallelism p runs at most p+1
+// goroutines — the caller, the chunking goroutine and the pool's p-1
+// workers, who hash, encode or decode, whatever is posted.
+func TestProcessGoroutineBudget(t *testing.T) {
+	for _, par := range []int{2, 4} {
+		if before, peak := peakGoroutines(t, par); peak-before > par {
+			t.Errorf("Parallelism %d: %d goroutines started (caller excluded), want at most %d", par, peak-before, par)
+		}
 	}
 }
 

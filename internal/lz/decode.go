@@ -123,13 +123,3 @@ func decodeTokens(dst, stream []byte, base int) ([]byte, int, error) {
 	}
 	return dst, produced, nil
 }
-
-// MustDecompress decodes or panics; for tests and examples where the input
-// is known good.
-func MustDecompress(src []byte) []byte {
-	out, err := Decompress(nil, src)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}

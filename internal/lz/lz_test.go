@@ -151,15 +151,6 @@ func TestDecompressLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestMustDecompressPanicsOnBadInput(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustDecompress should panic on corrupt input")
-		}
-	}()
-	MustDecompress([]byte{77})
-}
-
 func TestMatchTokenBounds(t *testing.T) {
 	// Exercise maximum-length matches and window-distance matches.
 	data := make([]byte, 0, 8192)

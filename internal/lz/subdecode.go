@@ -260,28 +260,3 @@ func ResolveDeferred(out []byte, deferred []DeferredCopy) {
 		}
 	}
 }
-
-// DecodeSub is the one-call driver over the two-pass scheme: parts decode
-// in order on the calling goroutine, then deferred copies resolve. It
-// exists for callers that want the indexed decode path without managing a
-// worker pool (and as the reference the parallel drivers must match
-// byte-for-byte). out must be exactly lay.SrcLen bytes. Returns total
-// tokens decoded.
-func DecodeSub(out []byte, lay *SubLayout, deferred []DeferredCopy) (int, error) {
-	if len(out) != lay.SrcLen {
-		return 0, fmt.Errorf("lz: output buffer is %d bytes, layout needs %d", len(out), lay.SrcLen)
-	}
-	deferred = deferred[:0]
-	tokens := 0
-	for i := range lay.Parts {
-		var t int
-		var err error
-		deferred, t, err = DecodeSubPart(out, lay, i, deferred)
-		if err != nil {
-			return tokens, err
-		}
-		tokens += t
-	}
-	ResolveDeferred(out, deferred)
-	return tokens, nil
-}

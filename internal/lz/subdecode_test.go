@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -81,7 +82,7 @@ func TestTruncatedPartMasking(t *testing.T) {
 		t.Fatalf("resolve: ok=%v err=%v", ok, err)
 	}
 	buf := make([]byte, lay.SrcLen)
-	if _, err := DecodeSub(buf, &lay, nil); err == nil {
+	if _, err := decodeSub(buf, &lay, nil); err == nil {
 		t.Fatal("parallel decode must catch the truncated part")
 	}
 }
@@ -139,7 +140,7 @@ func TestPartCountAllocBounded(t *testing.T) {
 // by its token stream's maximum expansion at parse time. Without the bound,
 // a few-byte table claiming tl=0/ol=SrcLen passes every resolve-time
 // cross-check and only fails at decode — after an external caller sizing
-// its buffer from lay.SrcLen (as DecodeSub requires) has allocated up to
+// its buffer from lay.SrcLen (as decodeSub requires) has allocated up to
 // 1 GiB from a handful of corrupt input bytes.
 func TestImplausibleOutLenRejectedAtParse(t *testing.T) {
 	cases := map[string][]byte{
@@ -223,11 +224,11 @@ func TestSubDecodeParallelDifferential(t *testing.T) {
 
 				// And through the one-call driver.
 				out2 := make([]byte, lay.SrcLen)
-				if _, err := DecodeSub(out2, &lay, nil); err != nil {
-					t.Fatalf("%s/%d/%d: DecodeSub: %v", name, subs, overlap, err)
+				if _, err := decodeSub(out2, &lay, nil); err != nil {
+					t.Fatalf("%s/%d/%d: decodeSub: %v", name, subs, overlap, err)
 				}
 				if !bytes.Equal(out2, serial) {
-					t.Fatalf("%s/%d/%d: DecodeSub diverges from serial", name, subs, overlap)
+					t.Fatalf("%s/%d/%d: decodeSub diverges from serial", name, subs, overlap)
 				}
 			}
 		}
@@ -264,7 +265,7 @@ func FuzzSubDecodeParallel(f *testing.F) {
 			return
 		}
 		out := make([]byte, lay.SrcLen)
-		_, perr := DecodeSub(out, &lay, nil)
+		_, perr := decodeSub(out, &lay, nil)
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("serial err=%v, parallel err=%v", serr, perr)
 		}
@@ -272,4 +273,27 @@ func FuzzSubDecodeParallel(f *testing.F) {
 			t.Fatal("parallel decode diverges from serial")
 		}
 	})
+}
+
+// decodeSub is the one-call driver over the two-pass scheme: parts decode
+// in order on the calling goroutine, then deferred copies resolve — the
+// reference the parallel drivers must match byte-for-byte. out must be
+// exactly lay.SrcLen bytes. Returns total tokens decoded.
+func decodeSub(out []byte, lay *SubLayout, deferred []DeferredCopy) (int, error) {
+	if len(out) != lay.SrcLen {
+		return 0, fmt.Errorf("lz: output buffer is %d bytes, layout needs %d", len(out), lay.SrcLen)
+	}
+	deferred = deferred[:0]
+	tokens := 0
+	for i := range lay.Parts {
+		var t int
+		var err error
+		deferred, t, err = DecodeSubPart(out, lay, i, deferred)
+		if err != nil {
+			return tokens, err
+		}
+		tokens += t
+	}
+	ResolveDeferred(out, deferred)
+	return tokens, nil
 }

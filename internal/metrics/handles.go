@@ -27,24 +27,27 @@ func writeEncodes(how string) *Counter {
 }
 
 var (
-	// Worker pool (internal/parallel): where the fan-out's host time goes.
+	// Task queue (internal/parallel): where the fan-out's host time goes.
+	// The two Map counters count Map calls only; the other four see every
+	// posted task — Map's, the ingest front's hash groups, the write front's
+	// hash and encode groups.
 	PoolMapCalls = NewCounter("inlinered_pool_map_calls_total",
-		"Map fan-out calls on the persistent worker pool.",
+		"Map fan-out calls on the pool.",
 		"subsystem", "parallel")
 	PoolItems = NewCounter("inlinered_pool_items_total",
-		"Work items distributed across pool workers by Map calls.",
+		"Work items distributed by Map calls.",
 		"subsystem", "parallel")
 	PoolBusy = NewSecondsCounter("inlinered_pool_worker_busy_seconds_total",
-		"Wall-clock time pool participants (workers and the calling goroutine) spent executing claimed batches.",
+		"Wall-clock time goroutines (pool workers and everyone lending itself to the queue) spent executing posted tasks.",
 		"subsystem", "parallel")
 	PoolIdle = NewSecondsCounter("inlinered_pool_worker_idle_seconds_total",
-		"Wall-clock time woken pool workers spent parked between batch executions.",
+		"Wall-clock time pool workers spent parked on the queue between two tasks.",
 		"subsystem", "parallel")
 	PoolClaimWait = NewSecondsHistogram("inlinered_pool_batch_claim_wait_seconds",
-		"Latency from a Map publishing its job to each woken worker claiming its first batch.",
+		"Latency from a task being posted to a goroutine starting to run it.",
 		"subsystem", "parallel")
 	PoolBatchSize = NewValueHistogram("inlinered_pool_batch_size_items",
-		"Distribution of contiguous index-batch sizes claimed off the shared counter.",
+		"Distribution of indices per posted task.",
 		"subsystem", "parallel")
 
 	// Core pipeline stages (internal/core): wall clock per batch-level
@@ -56,10 +59,10 @@ var (
 	StageCommit      = stageHist("core", "commit")
 	StageJournalCore = stageHist("core", "journal_flush")
 	// StageFrontWait is the time the commit goroutine spends in the front
-	// (chunk+hash) stage's hands — blocked on it or hashing for it — per
-	// batch: near zero when the commit pass is the bottleneck, most of the
-	// run when the front stage is (and zero at Parallelism 1, where the
-	// stage runs inline and only chunk and hash record).
+	// (chunk+hash) stage's hands — blocked on it or running posted tasks for
+	// it — per batch: near zero when the commit pass is the bottleneck, most
+	// of the run when the front stage is (at Parallelism 1 it is the batch's
+	// hashing, which then runs here and nowhere else).
 	StageFrontWait = stageHist("core", "front_wait")
 
 	// Sharded serving front-end (internal/serve).

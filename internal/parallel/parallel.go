@@ -1,28 +1,33 @@
-// Package parallel provides the persistent worker pool the data plane
-// fans real computation out on. It exists for wall-clock speed only: the
-// simulated virtual clock never depends on how many goroutines executed
-// the work, so callers are free to size the pool to the host (the paper's
-// "keep up with the storage device" argument applied to the reproduction
-// itself).
+// Package parallel is how the data plane gets real computation onto other
+// goroutines. It exists for wall-clock speed only: the simulated virtual
+// clock never depends on which goroutine executed the work, so callers are
+// free to size the pool to the host (the paper's "keep up with the storage
+// device" argument applied to the reproduction itself).
 //
-// A Pool's goroutines are started lazily on the first Map call and live
-// until Close, so per-batch fan-out does not pay goroutine creation. Work
-// distribution is deliberately low-overhead: a Map publishes one job
-// (fn, n) and wakes the workers, and every participant — workers and the
-// calling goroutine alike — claims contiguous index batches off a shared
-// atomic counter until the range is exhausted. Steady-state Map calls
-// allocate nothing and perform no per-task channel operations (one
-// buffered-channel token per woken worker per Map, not per index), so the
-// pool stays profitable even at 4 KB-chunk granularity, where a
-// closure-per-span dispatch spends a measurable share of its time in the
-// scheduler and the allocator.
+// There is one mechanism: a Pool is a bounded queue of posted tasks — an
+// index range and the function to run over it — and a task is run by whoever
+// is lending itself to the queue at the time: the pool's workers-1
+// goroutines (started on first use, parked on the queue until Close), every
+// goroutine waiting on the pool (Wait, Recv, Send), every ForEach worker
+// that has run out of indices, and the poster itself when the queue is
+// full. So workers bounds the goroutines the pool owns, not who may compute:
+// hash groups, encodes and decodes posted by different callers share one
+// population, and correctness never depends on a worker existing — with
+// nobody else lending, a round runs in its poster's Wait. Map is one posted
+// round plus that Wait, allocation-free in steady state.
+//
+// A task must be pure computation on state owned by its index range. It must
+// not wait for anything a lender could be holding — a shard lock, a channel,
+// a round other than one it posted itself — because the goroutine that picks
+// it up may be the holder (a nested Map is fine: its Wait lends; so is a
+// leaf mutex around a free list).
 //
 // Beside the pool sit the pieces every batch tier above the volume shares:
 // ForEach (workers claim WHOLE indices — one shard or node each — off an
-// atomic counter; one with no index left runs the pure tasks an index has
-// published with Post) and Partition (an order-preserving count-then-fill
-// split of a batch into per-child queues). A batch call is validate →
-// Partition → ForEach over the children → merge.
+// atomic counter, on goroutines of their own because an index takes locks)
+// and Partition (an order-preserving count-then-fill split of a batch into
+// per-child queues). A batch call is validate → Partition → ForEach over
+// the children → merge.
 package parallel
 
 import (
@@ -33,48 +38,29 @@ import (
 	"inlinered/internal/metrics"
 )
 
-// grainShards is how many claimable batches each worker's fair share is
-// split into: small enough that an unlucky worker stuck with expensive
-// items sheds load to the others, large enough that the atomic counter is
-// not contended per item.
+// grainShards is how many tasks each worker's fair share of a Map is split
+// into: small enough that an unlucky lender stuck with expensive items
+// sheds load to the others, large enough that the queue is not contended
+// per item.
 const grainShards = 4
 
 // taskQueue is how many posted tasks may wait for a taker before Post runs
 // the next one itself. A shard drain keeps at most a dozen in flight
-// (volume.WriteBatch), so 64 covers five drains on one pool.
+// (volume.WriteBatch), an ingest two batches of hash groups and a Map four
+// per worker. Neighbouring values tried: CHANGES.md, PR 18 and PR 19.
 const taskQueue = 64
 
-// Pool is a fixed-size persistent worker pool. The zero value is not
-// usable; build one with New. A Pool with one worker runs everything
-// inline on the calling goroutine, which keeps Parallelism=1 runs strictly
-// single-threaded (useful for determinism baselines).
-//
-// Map is safe for concurrent callers: one caller at a time fans out over
-// the workers, and a caller that finds the pool busy (including an fn that
-// calls Map on its own pool) runs its items inline on its own goroutine.
-// So several batches may share one pool; the late ones just lose the
-// helpers, never correctness.
+// Pool is a task queue and the workers-1 goroutines parked on it. The zero
+// value is not usable; build one with New. A Pool with one worker owns no
+// goroutine: Map runs inline on the caller and posted rounds run in their
+// posters' Wait (or on ForEach workers), which keeps Parallelism=1 runs
+// strictly single-threaded. Every method is safe for concurrent callers.
 type Pool struct {
 	workers int
+	tasks   chan task // posted tasks waiting for a taker; never closed
 
-	// mu is held by the one Map that owns the workers, and by Close — which
-	// therefore waits for a fan-out in flight before stopping them.
-	mu sync.Mutex
-
-	// The published job. Written by Map before the wake tokens are sent
-	// and read by workers only while holding one, so the channel provides
-	// the happens-before edges; valid until Map returns.
-	fn    func(int)
-	n     int
-	grain int
-	pubNS int64        // metrics.Clock() at publish time, -1 when metrics are off
-	next  atomic.Int64 // next unclaimed index
-	out   atomic.Int64 // woken workers that have not yet checked out
-
-	wake chan struct{} // one token per woken worker per Map; nil while stopped
-	done chan struct{} // signaled by the last worker to check out
-
-	tasks chan task // posted tasks waiting for a taker; never closed
+	mu   sync.Mutex
+	quit chan struct{} // closed by Close; nil while no worker is running
 }
 
 // New returns a pool with the given number of workers; workers <= 0 means
@@ -83,195 +69,155 @@ func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	return &Pool{workers: workers, done: make(chan struct{}, 1), tasks: make(chan task, taskQueue)}
+	return &Pool{workers: workers, tasks: make(chan task, taskQueue)}
 }
 
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// launch starts the worker goroutines. Caller holds p.mu.
-func (p *Pool) launch() {
-	wake := make(chan struct{}, p.workers)
-	p.wake = wake
-	for w := 0; w < p.workers-1; w++ {
-		// Counter slot w+1; the calling goroutine records on slot 0.
-		slot := w + 1
-		go func() {
-			// End of this worker's previous busy window, or -1 when
-			// metrics were off then. Idle time is measured from there to
-			// the next wake-up this worker services.
-			idleFrom := int64(-1)
-			for range wake {
-				start := int64(-1)
-				if p.pubNS >= 0 {
-					start = metrics.Clock()
-				}
-				if start >= 0 {
-					metrics.PoolClaimWait.Observe(start - p.pubNS)
-					if idleFrom >= 0 {
-						metrics.PoolIdle.AddAt(slot, start-idleFrom)
-					}
-				}
-				p.run()
-				idleFrom = -1
-				if start >= 0 {
-					if end := metrics.Clock(); end >= 0 {
-						metrics.PoolBusy.AddAt(slot, end-start)
-						idleFrom = end
-					}
-				}
-				if p.out.Add(-1) == 0 {
-					p.done <- struct{}{}
-				}
-			}
-		}()
+// start launches the workers if none is running.
+func (p *Pool) start() {
+	if p.workers <= 1 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.quit == nil {
+		p.quit = make(chan struct{})
+		for w := 1; w < p.workers; w++ {
+			go recv(p, p.quit, w) // counter slot w; every other lender records on slot 0
+		}
 	}
 }
 
-// run claims contiguous index batches until the job's range is exhausted.
-func (p *Pool) run() {
-	fn, n, grain := p.fn, p.n, p.grain
-	record := p.pubNS >= 0
-	for {
-		lo := int(p.next.Add(int64(grain))) - grain
-		if lo >= n {
-			return
-		}
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		if record {
-			metrics.PoolBatchSize.Observe(int64(hi - lo))
-		}
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
+// Close stops the worker goroutines; one in the middle of a task finishes
+// it first. Tasks still queued run in their posters' Wait. It is idempotent,
+// safe on a pool whose workers never started, and leaves the pool usable: a
+// later Post or Map starts fresh workers.
+func (p *Pool) Close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.quit != nil {
+		close(p.quit)
+		p.quit = nil
 	}
 }
 
 // Map runs fn(i) for every i in [0, n) and returns when all calls have
-// completed. The calling goroutine always participates, so a W-worker pool
-// uses exactly W threads; workers are woken only when there are enough
-// batches to share. fn must be safe to call concurrently for distinct
-// indices and must only write state owned by its own index.
+// completed: one round of tasks of n/(4·workers) indices each, and the
+// caller lends itself until the round is done. fn must be safe to call
+// concurrently for distinct indices and must only write state owned by its
+// own index. A panic in fn is re-raised here once the round has run.
 func (p *Pool) Map(n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	if p.workers <= 1 || n == 1 || !p.mu.TryLock() {
-		start := metrics.Clock()
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		if start >= 0 {
-			metrics.PoolMapCalls.Add(1)
-			metrics.PoolItems.Add(int64(n))
-			metrics.PoolBusy.AddSince(0, start)
-		}
-		return
-	}
-	defer p.mu.Unlock()
-	if p.wake == nil {
-		p.launch()
-	}
-	grain := n / (p.workers * grainShards)
-	if grain < 1 {
-		grain = 1
-	}
-	// Never wake more workers than there are batches beyond the caller's
-	// own first claim; surplus wake-ups would only bounce off the counter.
-	helpers := p.workers - 1
-	if max := (n+grain-1)/grain - 1; helpers > max {
-		helpers = max
-	}
-	// pubNS rides to the workers with the job fields: the wake channel's
-	// happens-before edge covers it, and a -1 (metrics off at publish)
-	// suppresses every clock read this Map would otherwise cause.
-	p.fn, p.n, p.grain, p.pubNS = fn, n, grain, metrics.Clock()
-	if p.pubNS >= 0 {
+	start := metrics.Clock()
+	if start >= 0 {
 		metrics.PoolMapCalls.Add(1)
 		metrics.PoolItems.Add(int64(n))
 	}
-	p.next.Store(0)
-	if helpers > 0 {
-		p.out.Store(int64(helpers))
-		for i := 0; i < helpers; i++ {
-			p.wake <- struct{}{}
+	if p.workers <= 1 || n == 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
+		metrics.PoolBusy.AddSince(0, start)
+		return
 	}
-	p.run()
-	metrics.PoolBusy.AddSince(0, p.pubNS)
-	if helpers > 0 {
-		// Wait for every woken worker to check out: the job fields above
-		// are reused by the next Map, and completion of all fn calls is
-		// exactly "all participants returned from run".
-		<-p.done
-	}
-	p.fn = nil
+	t := mapRounds.Get().(*Tasks)
+	p.post(t, 0, n, max(n/(p.workers*grainShards), 1), nil, fn)
+	p.Wait(t)
+	mapRounds.Put(t)
 }
 
-// Close stops the worker goroutines after any fan-out in flight has
-// finished. It is idempotent, safe on a pool whose workers never started,
-// and leaves the pool usable: a later Map starts fresh workers.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.wake != nil {
-		close(p.wake)
-		p.wake = nil
-	}
-}
+// mapRounds recycles Map's rounds, so a steady-state Map allocates nothing.
+var mapRounds = sync.Pool{New: func() any { return new(Tasks) }}
 
-// Tasks tracks one round of posted tasks at a time: Post opens a round,
-// Wait closes it. It belongs to the goroutine that posts and waits.
+// Tasks tracks one round of posted tasks at a time: the first Post opens a
+// round, later ones add to it, Wait closes it. One goroutine at a time owns
+// it — the poster, or whoever the poster handed the round to (through a
+// channel, say) once it had posted the last task.
 type Tasks struct {
 	open     bool
-	pending  atomic.Int32
-	done     chan struct{}       // one token per round, from whoever finishes its last task
+	pending  atomic.Int32        // tasks not yet run, plus one while the round is open
+	done     chan struct{}       // one token per round, from whoever finishes its last task after Wait began
 	panicked atomic.Pointer[any] // a task's panic, re-raised by Wait
 }
 
-// task is one posted index range.
+// task is one posted index range: fn over all of it, or each over every
+// index (Map's form — the caller's func rides along, no closure per call).
 type task struct {
 	fn     func(lo, hi int)
+	each   func(int)
 	lo, hi int
 	t      *Tasks
+	posted int64 // metrics.Clock() at Post; -1 (metrics off) suppresses every clock read
 }
 
-// run parks a panic, so the round still completes and a lender survives.
-func (tk task) run() {
+// run executes the task on counter slot slot and returns when it started
+// and ended on the metrics clock (-1: not recorded). A panic is parked, so
+// the round still completes and a lender survives.
+func (tk task) run(slot int) (start, end int64) {
+	start, end = -1, -1
+	if tk.posted >= 0 {
+		if start = metrics.Clock(); start >= 0 {
+			metrics.PoolClaimWait.Observe(start - tk.posted)
+			metrics.PoolBatchSize.Observe(int64(tk.hi - tk.lo))
+		}
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			v := r // escapes: allocated here, on the panic path only
 			tk.t.panicked.CompareAndSwap(nil, &v)
 		}
+		if start >= 0 {
+			if end = metrics.Clock(); end >= 0 {
+				metrics.PoolBusy.AddAt(slot, end-start)
+			}
+		}
 		if tk.t.pending.Add(-1) == 0 {
 			tk.t.done <- struct{}{}
 		}
 	}()
-	tk.fn(tk.lo, tk.hi)
+	if tk.each == nil {
+		tk.fn(tk.lo, tk.hi)
+		return
+	}
+	for i := tk.lo; i < tk.hi; i++ {
+		tk.each(i)
+	}
+	return
 }
 
 // Post publishes fn over [lo, hi), grain indices to a task, for any
 // goroutine lending itself to p — the poster's own Wait included — and
 // returns without waiting. fn must be pure computation on state owned by
-// its indices: no lock, nothing that blocks. t's last round must be closed.
+// its indices (see the package comment for what a task may not do).
 func (p *Pool) Post(t *Tasks, lo, hi, grain int, fn func(lo, hi int)) {
+	p.post(t, lo, hi, grain, fn, nil)
+}
+
+// post is Post for either form of task.
+func (p *Pool) post(t *Tasks, lo, hi, grain int, fn func(lo, hi int), each func(int)) {
 	if hi <= lo {
 		return
 	}
-	if t.done == nil {
-		t.done = make(chan struct{}, 1)
+	if !t.open {
+		if t.done == nil {
+			t.done = make(chan struct{}, 1)
+		}
+		t.open = true
+		t.pending.Add(1) // the open round itself: no task can be the last until Wait
 	}
-	t.open = true
-	t.pending.Store(int32((hi - lo + grain - 1) / grain))
+	t.pending.Add(int32((hi - lo + grain - 1) / grain))
+	p.start()
+	posted := metrics.Clock()
 	for ; lo < hi; lo += grain {
-		tk := task{fn, lo, min(lo+grain, hi), t}
+		tk := task{fn, each, lo, min(lo+grain, hi), t, posted}
 		select {
 		case p.tasks <- tk:
 		default:
-			tk.run()
+			tk.run(0)
 		}
 	}
 }
@@ -284,20 +230,48 @@ func (p *Pool) Wait(t *Tasks) {
 		return
 	}
 	t.open = false
-	p.lend(t.done)
+	if t.pending.Add(-1) != 0 {
+		Recv(p, t.done)
+	}
 	if v := t.panicked.Swap(nil); v != nil {
 		panic(*v)
 	}
 }
 
-// lend runs posted tasks until stop is ready.
-func (p *Pool) lend(stop <-chan struct{}) {
+// Recv receives from c, running posted tasks until a value is ready (or c
+// is closed): what a goroutine does instead of blocking on a stage that the
+// tasks may be feeding.
+func Recv[T any](p *Pool, c <-chan T) (T, bool) { return recv(p, c, 0) }
+
+// recv is Recv on counter slot slot; a pool worker (slot > 0) also records
+// the time between its tasks as idle.
+func recv[T any](p *Pool, c <-chan T, slot int) (v T, ok bool) {
+	idleFrom := int64(-1)
 	for {
 		select {
-		case <-stop:
-			return
+		case v, ok = <-c:
+			return v, ok
 		case tk := <-p.tasks:
-			tk.run()
+			start, end := tk.run(slot)
+			if slot > 0 && idleFrom >= 0 && start >= 0 {
+				metrics.PoolIdle.AddAt(slot, start-idleFrom)
+			}
+			idleFrom = end
+		}
+	}
+}
+
+// Send sends v on c, running posted tasks while c is full. It gives up and
+// reports false once stop is ready.
+func Send[T any](p *Pool, c chan<- T, v T, stop <-chan struct{}) bool {
+	for {
+		select {
+		case c <- v:
+			return true
+		case <-stop:
+			return false
+		case tk := <-p.tasks:
+			tk.run(0)
 		}
 	}
 }
@@ -340,7 +314,7 @@ func (p *Pool) ForEach(n, workers int, fn func(i int) error) error {
 		if s.claiming.Add(-1) == 0 {
 			close(finished)
 		}
-		p.lend(finished)
+		Recv(p, finished)
 	}
 	s.claiming.Store(int64(workers))
 	s.wg.Add(workers)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"inlinered/internal/metrics"
 )
@@ -63,8 +64,8 @@ func TestDefaultWorkers(t *testing.T) {
 }
 
 // TestMapZeroAllocSteadyState: after warm-up, Map itself must not
-// allocate — the whole point of the persistent-worker, atomic-claim
-// dispatch (the engine calls Map once per batch on the 4 KB-chunk path).
+// allocate — tasks travel by value and the round is recycled (the engine
+// calls Map once per batch on the 4 KB-chunk path).
 func TestMapZeroAllocSteadyState(t *testing.T) {
 	p := New(4)
 	defer p.Close()
@@ -103,8 +104,8 @@ func TestMapZeroAllocWithMetrics(t *testing.T) {
 	}
 }
 
-// TestMapManyRoundsStress hammers the claim/check-out protocol: uneven
-// item costs, varying n (including n < workers), back-to-back rounds.
+// TestMapManyRoundsStress hammers post/wait/recycle: uneven item costs,
+// varying n (including n < workers), back-to-back rounds.
 func TestMapManyRoundsStress(t *testing.T) {
 	p := New(8)
 	defer p.Close()
@@ -154,8 +155,8 @@ func TestCloseIdempotentAndUnstarted(t *testing.T) {
 // TestMapConcurrentCallersAndClose: several goroutines share one pool —
 // Map from all of them at once, Map from inside a Map's fn, and Close in
 // the middle of it all. Every Map must still run every index exactly once
-// (a busy pool runs the late caller inline), and nothing may panic, hang,
-// or race.
+// (whoever is lending at the time runs it: workers that come and go, the
+// callers themselves), and nothing may panic, hang, or race.
 func TestMapConcurrentCallersAndClose(t *testing.T) {
 	p := New(4)
 	defer p.Close()
@@ -171,7 +172,7 @@ func TestMapConcurrentCallersAndClose(t *testing.T) {
 					atomic.AddInt32(&hit[i], 1)
 					if i == 0 && round%8 == 0 {
 						var inner atomic.Int32
-						p.Map(5, func(int) { inner.Add(1) }) // reentrant: runs inline
+						p.Map(5, func(int) { inner.Add(1) }) // nested: a round like any other
 						if inner.Load() != 5 {
 							t.Errorf("nested Map ran %d of 5 items", inner.Load())
 						}
@@ -190,6 +191,151 @@ func TestMapConcurrentCallersAndClose(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// meet blocks until n callers have arrived — which takes n goroutines — and
+// reports false if they have not within the timeout.
+type meet struct {
+	n       int32
+	arrived atomic.Int32
+	all     chan struct{}
+}
+
+func newMeet(n int) *meet { return &meet{n: int32(n), all: make(chan struct{})} }
+
+func (m *meet) wait() bool {
+	if m.arrived.Add(1) == m.n {
+		close(m.all)
+	}
+	select {
+	case <-m.all:
+		return true
+	case <-time.After(5 * time.Second):
+		return false
+	}
+}
+
+// TestMapCallersShareTheLenders: nobody loses the helpers for coming late.
+// Two goroutines Map two items each on one 4-worker pool, and no item
+// returns before all four have started: both rounds are in flight at once
+// and each runs on more than one goroutine. The same for a Map issued from
+// inside a Map's item. (A pool that runs a busy pool's late caller inline
+// would park its first item waiting for the second.)
+func TestMapCallersShareTheLenders(t *testing.T) {
+	p := New(4)
+	defer p.Close()
+	four := newMeet(4)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.Map(2, func(int) {
+				if !four.wait() {
+					t.Error("two concurrent Maps: their four items never ran at the same time")
+				}
+			})
+		}()
+	}
+	wg.Wait()
+
+	outer, inner := newMeet(2), newMeet(2)
+	p.Map(2, func(i int) {
+		if !outer.wait() {
+			t.Error("outer Map ran its two items on one goroutine")
+		}
+		if i == 0 {
+			p.Map(2, func(int) {
+				if !inner.wait() {
+					t.Error("nested Map ran its two items on one goroutine")
+				}
+			})
+		}
+	})
+}
+
+// TestCloseWithTasksQueued: Close with rounds still queued loses nothing —
+// each completes in its poster's Wait — leaves no goroutine behind, and the
+// next Map starts fresh workers.
+func TestCloseWithTasksQueued(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := New(4)
+	for r := 0; r < 50; r++ {
+		var a, b Tasks
+		hit := make([]int32, 40)
+		mark := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hit[i], 1)
+			}
+		}
+		p.Post(&a, 0, 20, 1, mark)
+		p.Post(&b, 20, 40, 3, mark)
+		p.Close()
+		p.Wait(&b)
+		p.Wait(&a)
+		for i := range hit {
+			if hit[i] != 1 {
+				t.Fatalf("round %d: index %d ran %d times", r, i, hit[i])
+			}
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), base)
+		}
+	}
+	both := newMeet(2)
+	p.Map(2, func(int) {
+		if !both.wait() {
+			t.Error("no worker after Close: Map ran both items on the caller")
+		}
+	})
+	p.Close()
+}
+
+// TestRoundHandOff: a round may be added to while it is open and waited for
+// by a goroutine other than its poster, given a channel hand-off in between
+// (the ingest front stage's shape: one goroutine posts a batch's groups as
+// it cuts them, another waits for the batch).
+func TestRoundHandOff(t *testing.T) {
+	type batch struct {
+		round Tasks
+		hit   []int32
+	}
+	for _, workers := range []int{1, 3} {
+		p := New(workers)
+		out := make(chan *batch, 1)
+		go func() {
+			defer close(out)
+			for r := 0; r < 200; r++ {
+				b := &batch{hit: make([]int32, 1+r%37)}
+				for lo := 0; lo < len(b.hit); lo += 5 {
+					p.Post(&b.round, lo, min(lo+5, len(b.hit)), 2, func(lo, hi int) {
+						for i := lo; i < hi; i++ {
+							b.hit[i]++ // owned by the task until the round is waited for
+						}
+					})
+				}
+				if !Send(p, out, b, nil) {
+					return
+				}
+			}
+		}()
+		n := 0
+		for b, ok := Recv(p, out); ok; b, ok = Recv(p, out) {
+			p.Wait(&b.round)
+			for i, h := range b.hit {
+				if h != 1 {
+					t.Fatalf("workers=%d batch %d: index %d ran %d times", workers, n, i, h)
+				}
+			}
+			n++
+		}
+		if n != 200 {
+			t.Fatalf("workers=%d: received %d of 200 batches", workers, n)
+		}
+		p.Close()
+	}
 }
 
 // TestForEachClaimsEveryIndexOnce: every index runs exactly once for any
@@ -255,12 +401,13 @@ func TestPartitionPreservesOrder(t *testing.T) {
 
 // TestPostWaitCoversEveryIndex: every index of every round runs exactly
 // once before Wait returns, for rounds smaller than, equal to and larger
-// than the task queue, with the poster alone (the round runs in its Wait,
-// on no other goroutine) and with ForEach workers lending.
+// than the task queue, one of them posted in two halves (added to while
+// open), with the poster alone (the round runs in its Wait, on no other
+// goroutine), with ForEach workers lending and with the pool's own workers.
 func TestPostWaitCoversEveryIndex(t *testing.T) {
-	for _, lenders := range []int{0, 1, 3} {
-		p := New(1)
-		_ = p.ForEach(1+lenders, 0, func(w int) error {
+	for _, c := range []struct{ workers, lenders int }{{1, 0}, {1, 1}, {1, 3}, {4, 0}} {
+		p := New(c.workers)
+		_ = p.ForEach(1+c.lenders, 0, func(w int) error {
 			if w != 0 {
 				return nil // no index left: lend
 			}
@@ -275,22 +422,24 @@ func TestPostWaitCoversEveryIndex(t *testing.T) {
 						}
 					}
 				}
-				p.Post(&a, 0, n, 3, mark(hitA)) // two rounds in flight at once
+				p.Post(&a, 0, n/2, 3, mark(hitA)) // two rounds in flight at once
 				p.Post(&b, 0, n, 1, mark(hitB))
+				p.Post(&a, n/2, n, 3, mark(hitA))
 				p.Wait(&b)
 				p.Wait(&a)
 				p.Wait(&a) // no round open: returns at once
 				for i := 0; i < n; i++ {
 					if hitA[i] != 1 || hitB[i] != 1 {
-						t.Errorf("lenders=%d n=%d: index %d ran %d and %d times", lenders, n, i, hitA[i], hitB[i])
+						t.Errorf("%+v n=%d: index %d ran %d and %d times", c, n, i, hitA[i], hitB[i])
 					}
 				}
 			}
-			if lenders == 0 && runtime.NumGoroutine() > before {
+			if c.workers == 1 && c.lenders == 0 && runtime.NumGoroutine() > before {
 				t.Errorf("a lone poster started goroutines: %d, %d before", runtime.NumGoroutine(), before)
 			}
 			return nil
 		})
+		p.Close()
 	}
 }
 
@@ -320,43 +469,55 @@ func TestForEachWorkersLend(t *testing.T) {
 	}
 }
 
-// TestWriteFrontTaskPanic: a panic inside a posted task is parked wherever
-// the task ran — on a goroutine lending itself, which must survive it, or
-// in the poster's own Wait — and re-raised on the goroutine that posted it,
-// by Wait, after the rest of the round has run. Many rounds, so both
-// placements occur.
+// TestWriteFrontTaskPanic: a panic inside a task — a posted round's or a
+// Map's item — is parked wherever the task ran — on a goroutine lending
+// itself (a ForEach worker, a pool worker), which must survive it, or in the
+// poster's own Wait — and re-raised on the goroutine that posted it, after
+// the rest of the round has run. Many rounds, so every placement occurs.
 func TestWriteFrontTaskPanic(t *testing.T) {
-	p := New(1)
-	var raised, ranRest atomic.Int32
 	const rounds = 200
-	err := p.ForEach(3, 3, func(w int) error {
-		if w != 0 {
-			return nil
+	for _, workers := range []int{1, 4} {
+		p := New(workers)
+		var raised, ranRest atomic.Int32
+		boom := func(lo, hi int) {
+			if lo == 3 {
+				panic("boom")
+			}
+			ranRest.Add(1)
 		}
-		for r := 0; r < rounds; r++ {
-			func() {
-				defer func() {
-					if v := recover(); v == "boom" {
-						raised.Add(1)
-					} else if v != nil {
-						panic(v)
+		err := p.ForEach(3, 3, func(w int) error {
+			if w != 0 {
+				return nil
+			}
+			for r := 0; r < 2*rounds; r++ {
+				func() {
+					defer func() {
+						if v := recover(); v == "boom" {
+							raised.Add(1)
+						} else if v != nil {
+							panic(v)
+						}
+					}()
+					if r%2 == 0 {
+						var ts Tasks
+						p.Post(&ts, 0, 8, 1, boom)
+						p.Wait(&ts)
+					} else {
+						p.Map(8, func(i int) { boom(i, i+1) })
 					}
+					t.Error("a round with a panicked task returned normally")
 				}()
-				var ts Tasks
-				p.Post(&ts, 0, 8, 1, func(lo, hi int) {
-					if lo == 3 {
-						panic("boom")
-					}
-					ranRest.Add(1)
-				})
-				p.Wait(&ts)
-				t.Error("Wait returned normally from a round with a panicked task")
-			}()
+			}
+			return nil
+		})
+		p.Close()
+		rest := int32(14 * rounds)
+		if workers == 1 {
+			rest = 10 * rounds // an inline Map is a plain loop: it stops at the panic
 		}
-		return nil
-	})
-	if err != nil || raised.Load() != rounds || ranRest.Load() != 7*rounds {
-		t.Fatalf("err %v: %d of %d panics re-raised on the poster, %d of %d other tasks ran",
-			err, raised.Load(), rounds, ranRest.Load(), 7*rounds)
+		if err != nil || raised.Load() != 2*rounds || ranRest.Load() != rest {
+			t.Fatalf("workers=%d, err %v: %d of %d panics re-raised on the poster, %d of %d other tasks ran",
+				workers, err, raised.Load(), 2*rounds, ranRest.Load(), rest)
+		}
 	}
 }

@@ -50,12 +50,13 @@ type Config struct {
 	// Obs optionally attaches one recorder per shard (a recorder serves
 	// exactly one volume's lanes). Length must be 0 or Shards.
 	Obs []*obs.Recorder
-	// Parallelism is the decode worker count for the batch read path
-	// (Array.ReadBatch): each shard's sub-block decode items fan out over
-	// the array's worker pool of this size. 0 or 1 decodes inline. It does
-	// not bound Serve, whose goroutines all come from RunOptions.Clients.
-	// Like Clients, it changes only the wall clock — reports are
-	// bit-identical for any value.
+	// Parallelism sizes the array's worker pool: Parallelism-1 goroutines
+	// that run whatever is posted — each shard's sub-block decode items
+	// (Array.ReadBatch), the write front's hash and encode groups (Serve) —
+	// beside the RunOptions.Clients goroutines draining queues. 0 or 1
+	// starts none: batch reads decode inline and only clients run the
+	// write front. Like Clients, it changes only the wall clock — reports
+	// are bit-identical for any value.
 	Parallelism int
 }
 
@@ -84,8 +85,8 @@ type Array struct {
 	cfg    Config
 	blocks int64
 	shards []*shard
-	// pool carries the batch-read decode workers (none at Parallelism <= 1)
-	// and the tasks write fronts post for batch workers with no queue left.
+	// pool is the task queue batch reads post decodes on and write fronts
+	// their hash and encode groups, and its workers (none at Parallelism <= 1).
 	pool *parallel.Pool
 }
 
@@ -96,9 +97,9 @@ func New(cfg Config) (*Array, error) {
 }
 
 // NewWithPool is New on the caller's pool instead (cfg.Parallelism is
-// ignored). Pool.Map and posted tasks tolerate concurrent callers, so any
-// number of arrays may share one pool — a cluster's nodes do, which is how
-// a cluster worker with no node left lends itself to another node's shards.
+// ignored). Concurrent callers share a pool's workers, so any number of
+// arrays may share one pool — a cluster's nodes do, which is how a cluster
+// worker with no node left lends itself to another node's shards.
 func NewWithPool(cfg Config, pool *parallel.Pool) (*Array, error) {
 	n := cfg.Shards
 	if n == 0 {
