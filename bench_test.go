@@ -61,57 +61,6 @@ func runExperiment(b *testing.B, id string, metrics map[string]string) {
 	}
 }
 
-// BenchmarkDataPlaneWallClock measures the real (host) cost of the data
-// plane end to end: one full CPU-only dedup+compress run over a 64 MiB
-// stream (16 MiB with -short), reported in actual elapsed time and
-// allocations. The /serial case pins Parallelism to one worker; /parallel
-// uses every host core; /cdc is the parallel case with content-defined
-// (Gear) chunking in place of fixed 4 KB, so the chunker's multi-byte scan
-// shows up in an end-to-end number. Reports are bit-identical across
-// Parallelism (see TestParallelismDeterminism); only the wall clock and
-// allocation profile differ — these are the benchmarks
-// scripts/bench-compare.sh guards.
-func BenchmarkDataPlaneWallClock(b *testing.B) {
-	bytes := int64(64 << 20)
-	if testing.Short() {
-		bytes = 16 << 20
-	}
-	for _, bc := range []struct {
-		name        string
-		parallelism int
-		cdc         bool
-	}{
-		{"serial", 1, false},
-		{"parallel", 0, false}, // 0 = NumCPU
-		{"cdc", 0, true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			stream, err := NewStream(StreamSpec{
-				TotalBytes: bytes, DedupRatio: 2, CompressionRatio: 2, Seed: 11,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(bytes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stream.Reset()
-				rep, err := Run(PaperPlatform(), Options{
-					Mode: CPUOnly, Parallelism: bc.parallelism,
-					ContentDefined: bc.cdc,
-				}, stream)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Chunks == 0 {
-					b.Fatal("empty report")
-				}
-			}
-		})
-	}
-}
-
 // newEngineAllocCeiling and newEngineByteCeiling bound what constructing
 // one engine may allocate. Every Run pays the constructor serially before
 // its first chunk, so it is part of every round; it measures ~80
@@ -153,10 +102,10 @@ func BenchmarkNewEngine(b *testing.B) {
 // independent shards cannot dedup across each other, so /shards4 does
 // more real encoding work at a fixed dedup ratio. Array construction is
 // excluded from the timed region (it allocates each shard's drive,
-// cache, and index up front). scripts/bench-compare.sh guards both
-// cases against regression, and the benchmark itself enforces
-// serveAllocsPerOpCeiling so an allocation regression fails even a bare
-// `go test -bench ServeWallClock` with no baseline around.
+// cache, and index up front). The benchmark itself enforces
+// serveAllocsPerOpCeiling, so an allocation regression fails a bare
+// `go test -bench ServeWallClock` (CI's bench-smoke job); how fast the tier
+// is is the repository benchmark's serve-mixed workload (benchmark/).
 //
 // serveAllocsPerOpCeiling bounds heap allocations per storage op across the
 // Serve call. The zero-alloc serve path measures ~1.3 (shards1) to ~2.6
@@ -264,9 +213,10 @@ const readWarmHitRateFloor = 0.05
 // set resident across passes (a gated hit-rate floor) — the HPDedup
 // temporal-locality argument, measured. The virtual-time report is
 // bit-identical across all cases' schedules (see the array-readbatch row
-// of cluster.TestDeterminismMatrix); only the wall clock differs — this is
-// the read-side benchmark scripts/bench-compare.sh guards, including the
-// allocs/read-op ceiling.
+// of cluster.TestDeterminismMatrix); only the wall clock differs. The
+// benchmark enforces readAllocsPerOpCeiling and readWarmHitRateFloor
+// itself (CI's bench-smoke job runs it); how fast the read path is is the
+// repository benchmark's boot-storm workload (benchmark/).
 func BenchmarkReadPathWallClock(b *testing.B) {
 	spec := DefaultBootStormSpec()
 	spec.ImageBlocks = 2048
@@ -513,71 +463,4 @@ func BenchmarkE16WriteAmplification(b *testing.B) {
 		"wa_random_op7": "WA-rand@7%",
 		"wa_seq_op7":    "WA-seq@7%",
 	})
-}
-
-// BenchmarkClusterWallClock measures the real (host) cost of serving a
-// read-mostly closed-loop mix through the replicated cluster tier. The
-// /nodes1 case degenerates to a single sharded array behind the cluster's
-// sequencing phase, so its gap to BenchmarkServeWallClock bounds the
-// routing overhead; /nodes3r2 replicates every write to two of three
-// nodes and rides out injected node crashes (fallback reads, rejoin
-// replay), so it does ~R× the write work plus repair traffic. The merged
-// reports are bit-identical across client counts (see the cluster-serve row
-// of cluster.TestDeterminismMatrix); only the wall clock differs.
-// /nodes3r2/clients2 is the repository benchmark's cluster-replicated shape:
-// one shard per node, so three whole queues meet two workers and the one
-// that runs out of nodes lends itself to the last node's write front.
-// Cluster construction is excluded from the timed region.
-func BenchmarkClusterWallClock(b *testing.B) {
-	ops := 20000
-	if testing.Short() {
-		ops = 6000
-	}
-	const blocks = 8192
-	list, err := NewOps(ReadMostlyOps(ops, blocks, 11))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name      string
-		nodes     int
-		replicas  int
-		shards    int
-		clients   int
-		faultRate float64
-	}{
-		{"nodes1", 1, 1, 2, 1, 0},
-		{"nodes3r2", 3, 2, 2, 3, 0.002},
-		{"nodes3r2/clients2", 3, 2, 1, 2, 0.002},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.SetBytes(int64(len(list)) * 4096)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cl, err := NewCluster(BlockDeviceOptions{
-					Blocks: blocks, Shards: bc.shards,
-					Nodes: bc.nodes, Replicas: bc.replicas,
-					NodeFaultRate: bc.faultRate, NodeFaultSeed: 1337,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				rep, err := cl.Serve(list, ClusterServeOptions{
-					Clients: bc.clients, ContentSeed: 11, CleanEvery: 4096,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Ops == 0 {
-					b.Fatal("empty report")
-				}
-				if rep.Faults.ReadsUnserved != 0 {
-					b.Fatalf("reads went unserved: %+v", rep.Faults)
-				}
-			}
-		})
-	}
 }

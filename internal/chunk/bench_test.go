@@ -13,7 +13,7 @@ import (
 // on the stripe cadence; zero runs coast to Max (the best case for the
 // skip); the shifted corpus pins content-defined behavior. Every benchmark
 // reports allocations, so an allocation regression in the scan or the fill
-// path fails the bench-compare gate even when ns/op noise hides it.
+// path shows in allocs/op even when ns/op noise hides it.
 
 // benchGear drains a Gear chunker over data with pooled payload buffers and
 // a reused reader — the configuration the benchmark module's chunk.busy_s
@@ -47,8 +47,7 @@ func BenchmarkGearCDC(b *testing.B) {
 }
 
 // BenchmarkGearCDCRef is the same measurement through the retained scalar
-// reference scan — the denominator for the chunker speedup the
-// bench-compare script stamps into the baseline and BENCH_*.json.
+// reference scan — the denominator of the chunker's ref/fast speedup.
 func BenchmarkGearCDCRef(b *testing.B) {
 	for _, c := range goldenCorpora() {
 		b.Run(c.name, func(b *testing.B) { benchGear(b, c.data, true) })

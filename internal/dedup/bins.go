@@ -150,9 +150,6 @@ func NewBinIndex(cfg IndexConfig) (*BinIndex, error) {
 // Config returns the index configuration.
 func (x *BinIndex) Config() IndexConfig { return x.cfg }
 
-// Bins returns the number of bins.
-func (x *BinIndex) Bins() int { return len(x.bins) }
-
 // Len returns the number of resident entries (buffers + trees).
 func (x *BinIndex) Len() int64 { return x.entries.Load() }
 

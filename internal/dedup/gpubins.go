@@ -74,9 +74,6 @@ func NewGPUBins(dev *gpu.Device, binBits, capPerBin, prefixBytes, seed int) (*GP
 	}, nil
 }
 
-// Bins returns the bin count.
-func (g *GPUBins) Bins() int { return len(g.counts) }
-
 // Len returns the number of resident device entries.
 func (g *GPUBins) Len() int {
 	n := 0

@@ -65,29 +65,6 @@ func (p *Pool) Acquire(at, d time.Duration) (start, end time.Duration) {
 	return start, end
 }
 
-// AcquireAll schedules a job that needs every server simultaneously (for
-// example a barrier-style flush). It starts when the last server frees up.
-func (p *Pool) AcquireAll(at, d time.Duration) (start, end time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	start = at
-	for _, f := range p.free {
-		start = MaxTime(start, f.free)
-	}
-	end = start + d
-	for i := range p.free {
-		p.free[i].free = end
-	}
-	heap.Init(&p.free)
-	p.busy += d * time.Duration(len(p.free))
-	p.jobs++
-	if end > p.horizon {
-		p.horizon = end
-	}
-	return start, end
-}
-
 // NextFree reports when the earliest server becomes free.
 func (p *Pool) NextFree() time.Duration { return p.free[0].free }
 

@@ -46,21 +46,6 @@ func TestPoolNegativeServiceClamped(t *testing.T) {
 	}
 }
 
-func TestPoolAcquireAll(t *testing.T) {
-	p := NewPool("cpu", 3)
-	p.Acquire(0, 10)
-	p.Acquire(0, 20)
-	s, e := p.AcquireAll(0, 5)
-	if s != 20 || e != 25 {
-		t.Fatalf("AcquireAll: got start=%v end=%v, want 20,25", s, e)
-	}
-	// Every server busy until 25 now.
-	s2, _ := p.Acquire(0, 1)
-	if s2 != 25 {
-		t.Fatalf("job after AcquireAll: got start=%v, want 25", s2)
-	}
-}
-
 func TestPoolSaturatedAndBacklog(t *testing.T) {
 	p := NewPool("cpu", 2)
 	if p.Saturated(0) {

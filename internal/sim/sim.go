@@ -71,11 +71,3 @@ func MaxTime(a, b time.Duration) time.Duration {
 	}
 	return b
 }
-
-// MinTime returns the earlier of two virtual times.
-func MinTime(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -62,9 +62,6 @@ func TestMinMaxTime(t *testing.T) {
 	if MaxTime(1, 2) != 2 || MaxTime(3, 2) != 3 {
 		t.Fatal("MaxTime broken")
 	}
-	if MinTime(1, 2) != 1 || MinTime(3, 2) != 2 {
-		t.Fatal("MinTime broken")
-	}
 }
 
 func TestStatsBasics(t *testing.T) {
@@ -92,6 +89,9 @@ func TestQuantiles(t *testing.T) {
 	var q Quantiles
 	for i := 1; i <= 100; i++ {
 		q.Add(float64(i))
+	}
+	if q.N() != 100 {
+		t.Fatalf("N: got %d, want 100", q.N())
 	}
 	if got := q.At(0.5); got != 50 {
 		t.Fatalf("p50: got %g, want 50", got)
@@ -207,18 +207,5 @@ func TestAccessorsAndHorizon(t *testing.T) {
 	}
 	if l.Utilization(0) != 0 {
 		t.Fatal("utilization over empty window")
-	}
-}
-
-func TestStatsAddDuration(t *testing.T) {
-	var s Stats
-	s.AddDuration(2 * time.Second)
-	if s.Mean() != 2 {
-		t.Fatalf("AddDuration: mean %g", s.Mean())
-	}
-	var q Quantiles
-	q.Add(1)
-	if q.N() != 1 {
-		t.Fatalf("quantiles N: %d", q.N())
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"sort"
-	"time"
 )
 
 // Stats accumulates a stream of float64 samples and reports summary
@@ -31,9 +30,6 @@ func (s *Stats) Add(v float64) {
 	s.sum += v
 	s.sumSq += v * v
 }
-
-// AddDuration records a duration sample in seconds.
-func (s *Stats) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 
 // N returns the sample count.
 func (s *Stats) N() int64 { return s.n }

@@ -1,6 +1,7 @@
 package volume
 
 import (
+	"fmt"
 	"time"
 
 	"inlinered/internal/dedup"
@@ -76,9 +77,13 @@ func (v *Volume) NewWriteBatch(pool *parallel.Pool, n int, fill func(dst []byte,
 func (b *WriteBatch) slot(i int) *preparedWrite { return &b.slots[i%len(b.slots)] }
 
 // Write commits the run's next write at lba: Volume.Write of fill's
-// payload, bit for bit.
+// payload, bit for bit. A call past the run's n writes is refused before it
+// reaches a slot: the ring would hand it an earlier write's payload.
 func (b *WriteBatch) Write(lba int64) (time.Duration, error) {
 	i := b.next
+	if i >= b.n {
+		return 0, fmt.Errorf("volume: WriteBatch: write %d of a %d-write run", i+1, b.n)
+	}
 	b.next++
 	if i%writeWindow == 0 {
 		b.advance(i / writeWindow)

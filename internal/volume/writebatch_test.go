@@ -285,3 +285,33 @@ func TestLogFullWriteChargesEncodeBatch(t *testing.T) {
 	}
 	requireSameRun(t, want, runFront(t, cfg, full, ops, 1))
 }
+
+// TestWriteBatchOverrun: a Write past the run's n writes is an error that
+// leaves the volume as it was — no virtual time, no stats, no journal entry —
+// instead of committing an earlier write's payload from the wrapped slot
+// ring; a run of no writes refuses its first.
+func TestWriteBatchOverrun(t *testing.T) {
+	for _, n := range []int{3, 0} {
+		v := newVolume(t, faultConfig())
+		pool := parallel.New(1)
+		wb := v.NewWriteBatch(pool, n, func(dst []byte, i int) []byte { return append(dst, block(i)...) })
+		for i := 0; i < n; i++ {
+			if _, err := wb.Write(int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stats, now, journal := v.Stats(), v.Now(), v.JournalImage()
+		for k := 0; k < 2; k++ {
+			lat, err := wb.Write(10)
+			if want := fmt.Sprintf("volume: WriteBatch: write %d of a %d-write run", n+1, n); err == nil || err.Error() != want || lat != 0 {
+				t.Fatalf("n=%d: overrun write returned (%v, %v), want error %q", n, lat, err, want)
+			}
+		}
+		if !reflect.DeepEqual(stats, v.Stats()) || now != v.Now() || !bytes.Equal(journal, v.JournalImage()) {
+			t.Fatalf("n=%d: the refused write changed the volume", n)
+		}
+		if got, _, err := v.ReadInto(nil, 10); err != nil || !bytes.Equal(got, make([]byte, len(got))) {
+			t.Fatalf("n=%d: LBA 10 reads %x… (%v), want zeros", n, got[:8], err)
+		}
+	}
+}
