@@ -1,5 +1,5 @@
 // Command metricscheck validates a Prometheus text-format exposition file
-// written by -metrics-out (reducerun, tracerun): it parses the full 0.0.4
+// written by reducerun -metrics-out: it parses the full 0.0.4
 // line grammar, enforces histogram invariants (cumulative buckets,
 // mandatory +Inf, _count agreement), and — with -require — checks that
 // named metric families (or, with a {label="value"} selector, series) are

@@ -10,10 +10,11 @@
 //	          [-faults SEED:RATE] [-json] [-trace-out FILE]
 //	          [-metrics-out FILE [-metrics-interval N]]
 //	          [-cpuprofile FILE] [-memprofile FILE]
-//	reducerun -shards N [-clients C] [-serve-ops N] [-blocks N]
-//	          [-dedup R] [-seed N] [-faults SEED:RATE] [-json]
-//	reducerun -nodes N [-replicas R] [-node-faults SEED:RATE] [-shards S]
-//	          [-clients C] [-serve-ops N] [-blocks N] [-json]
+//	reducerun -shards N | -nodes N [-replicas R] [-node-faults SEED:RATE]
+//	          [-ops-in FILE | -serve-ops N -writes F -trims F -hotspot F
+//	          -dedup R] [-ops-out FILE] [-blocks N] [-clean-every N]
+//	          [-clients C] [-par P] [-no-compress] [-seed N]
+//	          [-faults SEED:RATE] [-json] [-trace-out FILE]
 //	reducerun -boot-storm [-shards N | -nodes N [-replicas R]]
 //	          [-storm-clients C] [-sub-blocks K] [-par P] [-clients C]
 //	          [-seed N] [-json]
@@ -35,17 +36,23 @@
 // on or off.
 //
 // -shards switches from the stream pipeline to the sharded serving
-// front-end: a deterministic closed-loop op mix is served across N
-// independent volume shards by -clients concurrent workers. Client count
-// and GOMAXPROCS affect only the wall clock — the report is bit-identical
-// at a fixed seed and shard count.
+// front-end: a block-op list is served across N independent volume shards
+// by -clients concurrent workers. The list is an op file (-ops-in; the
+// text format of internal/workload: "W lba id", "R lba", "T lba") or the
+// deterministic closed-loop generator's: a fill of -blocks, then
+// -serve-ops ops in the -writes/-trims/-hotspot/-dedup mix; -ops-out saves
+// the list served. -shards 1 is the one-volume replay, the only shape
+// -trace-out can record (a recorder serves one volume's lanes). Client
+// count, -par and GOMAXPROCS affect only the wall clock — the report is
+// bit-identical at a fixed seed and shard count.
 //
-// -nodes switches further to the replicated cluster tier: a read-mostly
-// closed-loop mix is served across N nodes (each an array of -shards
-// shards) with -replicas-way placement. -node-faults arms node crashes and
-// replica divergence, ridden out by fallback reads, rejoin replay, and
-// read-repair; the run ends with a full-range scrub. The report stays
-// bit-identical for any -clients and GOMAXPROCS at fixed seeds.
+// -nodes switches further to the replicated cluster tier: the op list
+// (read-mostly unless -writes/-trims say otherwise) is served across N
+// nodes (each an array of -shards shards) with -replicas-way placement.
+// -node-faults arms node crashes and replica divergence, ridden out by
+// fallback reads, rejoin replay, and read-repair; the run ends with a
+// full-range scrub. The report stays bit-identical for any -clients and
+// GOMAXPROCS at fixed seeds.
 //
 // -boot-storm runs the VDI boot-storm scenario through the parallel batch
 // read path instead of a closed-loop mix: -storm-clients desktops install
@@ -69,13 +76,14 @@ import (
 
 	"inlinered"
 	"inlinered/internal/metrics"
+	"inlinered/internal/workload"
 )
 
 func main() {
 	mode := flag.String("mode", "auto", "integration mode: cpu-only, gpu-dedup, gpu-compress, gpu-both, auto")
 	in := flag.String("in", "", "input file (default: generated stream)")
 	mb := flag.Int64("mb", 256, "generated stream size in MiB")
-	dd := flag.Float64("dedup", 2.0, "generated stream dedup ratio")
+	dd := flag.Float64("dedup", 2.0, "generated stream (or op list) dedup ratio")
 	cr := flag.Float64("comp", 2.0, "generated stream compression ratio")
 	chunkSize := flag.Int("chunk", 4096, "chunk size in bytes")
 	noDedup := flag.Bool("no-dedup", false, "disable deduplication")
@@ -86,9 +94,9 @@ func main() {
 	qlz := flag.Bool("qlz", false, "use the QuickLZ-class CPU codec instead of LZSS")
 	bypass := flag.Bool("entropy-bypass", false, "store high-entropy chunks raw without compressing")
 	cdc := flag.Bool("cdc", false, "content-defined (Gear) chunking instead of fixed-size")
-	par := flag.Int("par", 0, "host worker threads for the real computation (0 = all cores, 1 = serial; results are identical)")
+	par := flag.Int("par", 0, "host worker threads for the real computation (stream: 0 = all cores, 1 = serial; block modes: 0 or 1 = clients only; results are identical)")
 	faults := flag.String("faults", "", "deterministic fault injection as SEED:RATE (e.g. 7:0.01); empty disables")
-	shards := flag.Int("shards", 0, "serve a closed-loop op mix across N volume shards instead of running the stream pipeline")
+	shards := flag.Int("shards", 0, "serve a block-op list across N volume shards instead of running the stream pipeline (1 = one-volume replay)")
 	nodes := flag.Int("nodes", 0, "serve across a replicated cluster of N nodes (each an array of -shards shards)")
 	replicas := flag.Int("replicas", 1, "cluster replication factor with -nodes (<= nodes)")
 	nodeFaults := flag.String("node-faults", "", "node-level fault injection with -nodes as SEED:RATE (crashes + replica divergence); empty disables")
@@ -97,15 +105,23 @@ func main() {
 	stormClients := flag.Int("storm-clients", 0, "booting desktops with -boot-storm (0 = the default 32)")
 	stormPasses := flag.Int("storm-passes", 1, "storm repetitions with -boot-storm; the report covers the last pass, so passes >= 2 shows the warm-cache hit rate")
 	subBlocks := flag.Int("sub-blocks", 4, "independent sub-blocks per unique chunk with -boot-storm (parallel-decode fan-out width)")
-	serveOps := flag.Int("serve-ops", 20000, "closed-loop operations with -shards")
-	blocks := flag.Int64("blocks", 16384, "LBA space in blocks with -shards")
+	serveOps := flag.Int("serve-ops", 20000, "generated operations (after the fill pass) with -shards/-nodes")
+	blocks := flag.Int64("blocks", 16384, "LBA space in blocks with -shards/-nodes")
+	writeFrac := flag.Float64("writes", 0.6, "generated write fraction (0.09 when not given with -nodes)")
+	trimFrac := flag.Float64("trims", 0.05, "generated trim fraction (0.01 when not given with -nodes)")
+	hotspot := flag.Float64("hotspot", 0.5, "generated fraction of ops on the hot 10% of blocks")
+	cleanEvery := flag.Int("clean-every", 4096, "run a shard's segment cleaner every N of its ops with -shards/-nodes (0 = never)")
+	opsIn := flag.String("ops-in", "", "serve this op file with -shards/-nodes instead of a generated list")
+	opsOut := flag.String("ops-out", "", "also write the op list served to this file")
 	jsonOut := flag.Bool("json", false, "print the report as JSON on stdout (status goes to stderr)")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file of the run's virtual-time spans")
+	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file of the run's virtual-time spans (block modes: -shards 1 only)")
 	metricsOut := flag.String("metrics-out", "", "write wall-clock metrics (Prometheus text format) to this file; a pure side channel — reports are bit-identical with it on or off")
 	metricsInterval := flag.Int("metrics-interval", 0, "seconds between -metrics-out snapshot rewrites while running (0 = final snapshot only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU pprof profile to this file")
 	memProfile := flag.String("memprofile", "", "write a host heap pprof profile to this file")
 	flag.Parse()
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 
 	// Human-readable chatter goes to stdout normally, but must not corrupt
 	// the machine-readable stream under -json.
@@ -127,11 +143,6 @@ func main() {
 		}()
 	}
 
-	faultSeed, faultRate, err := parseFaults(*faults)
-	if err != nil {
-		fatal(err)
-	}
-
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -143,24 +154,33 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
+	defer writeMemProfile(*memProfile)
 
+	if *bootStorm || (*nodes == 0 && *shards == 0) {
+		for _, name := range []string{"ops-in", "ops-out", "writes", "trims", "hotspot", "clean-every"} {
+			if given[name] {
+				fatal(fmt.Errorf("-%s needs -shards or -nodes, without -boot-storm", name))
+			}
+		}
+	}
 	if *bootStorm {
 		runBootStorm(*nodes, *replicas, *shards, *clients, *stormClients, *subBlocks,
 			*par, *stormPasses, *blocks, *seed, *jsonOut, info)
 		return
 	}
-	if *nodes > 0 {
-		nodeSeed, nodeRate, err := parseSeedRate("-node-faults", *nodeFaults)
-		if err != nil {
-			fatal(err)
-		}
-		runCluster(*nodes, *replicas, *shards, *clients, *serveOps, *blocks,
-			*seed, faultSeed, faultRate, nodeSeed, nodeRate, *jsonOut, info)
+	if *nodes > 0 || *shards > 0 {
+		runBlock(blockFlags{
+			shards: *shards, nodes: *nodes, replicas: *replicas, par: *par, noCompress: *noCompress,
+			faults: *faults, nodeFaults: *nodeFaults, traceOut: *traceOut, opsIn: *opsIn, opsOut: *opsOut,
+			serveOps: *serveOps, blocks: *blocks, seed: *seed, clients: *clients, cleanEvery: *cleanEvery,
+			writes: *writeFrac, trims: *trimFrac, dedup: *dd, hotspot: *hotspot, given: given,
+		}, *jsonOut, info)
 		return
 	}
-	if *shards > 0 {
-		runServe(*shards, *clients, *serveOps, *blocks, *dd, *seed, faultSeed, faultRate, *jsonOut, info)
-		return
+
+	faultSeed, faultRate, err := parseSeedRate("-faults", *faults)
+	if err != nil {
+		fatal(err)
 	}
 
 	plat := inlinered.PaperPlatform()
@@ -235,90 +255,121 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	writeTrace(*traceOut, opts.Recorder, info)
+	printReport(rep, "", *jsonOut)
+}
 
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := opts.Recorder.WriteTrace(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(info, "wrote %d trace events to %s\n", opts.Recorder.Events(), *traceOut)
+// report is what every mode prints: stable JSON under -json, a summary
+// otherwise.
+type report interface {
+	JSON() ([]byte, error)
+	String() string
+}
+
+// printReport writes the report (and a mode's trailing summary lines) to
+// stdout.
+func printReport(rep report, tail string, jsonOut bool) {
+	if !jsonOut {
+		fmt.Println(rep.String() + tail)
+		return
 	}
-
-	if *jsonOut {
-		out, err := rep.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		os.Stdout.Write(out)
-	} else {
-		fmt.Println(rep)
+	out, err := rep.JSON()
+	if err != nil {
+		fatal(err)
 	}
+	os.Stdout.Write(out)
+}
 
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+// writeTrace writes the recorder's Chrome trace-event file, if one was asked
+// for.
+func writeTrace(path string, rec *inlinered.Recorder, info *os.File) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := rec.WriteTrace(f); err != nil {
+		f.Close()
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+	fmt.Fprintf(info, "wrote %d trace events to %s\n", rec.Events(), path)
+}
+
+// writeMemProfile writes a host heap profile, if one was asked for.
+func writeMemProfile(path string) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
 	}
 }
 
-// runServe drives the sharded serving front-end with a deterministic
-// closed-loop op mix and prints the merged report.
-func runServe(shards, clients, ops int, blocks int64, dedup float64, seed, faultSeed int64, faultRate float64, jsonOut bool, info *os.File) {
-	arr, err := inlinered.NewArray(inlinered.BlockDeviceOptions{
-		Blocks:    blocks,
-		Shards:    shards,
-		FaultSeed: faultSeed,
-		FaultRate: faultRate,
-	})
-	if err != nil {
-		fatal(err)
+// blockFlags is the command line as the op-list modes (-shards, -nodes)
+// read it; given holds the names of the flags that were set explicitly.
+type blockFlags struct {
+	shards, nodes, replicas, par, serveOps, clients, cleanEvery int
+	blocks, seed                                                int64
+	writes, trims, dedup, hotspot                               float64
+	noCompress                                                  bool
+	faults, nodeFaults, traceOut, opsIn, opsOut                 string
+	given                                                       map[string]bool
+}
+
+// plan turns the flags into the device to build and the generator spec of
+// the op list to serve (unused when -ops-in supplies the list). A mix flag
+// that was not given keeps the mode's preset: the flag defaults under
+// -shards, the read-mostly mix under -nodes.
+func (f blockFlags) plan() (opts inlinered.BlockDeviceOptions, spec inlinered.OpsSpec, err error) {
+	opts = inlinered.BlockDeviceOptions{
+		Blocks: f.blocks, Shards: f.shards, Nodes: f.nodes, Replicas: f.replicas,
+		Parallelism: f.par, DisableCompression: f.noCompress,
 	}
-	list, err := inlinered.NewOps(inlinered.OpsSpec{
-		Ops:        ops,
-		Blocks:     blocks,
-		WriteFrac:  0.6,
-		TrimFrac:   0.05,
-		DedupRatio: dedup,
-		Hotspot:    0.5,
-		Seed:       seed,
-	})
-	if err != nil {
-		fatal(err)
+	if opts.FaultSeed, opts.FaultRate, err = parseSeedRate("-faults", f.faults); err != nil {
+		return opts, spec, err
 	}
-	fmt.Fprintf(info, "serving %d ops (plus %d-block fill) across %d shards\n\n", ops, blocks, shards)
-	rep, err := arr.Serve(list, inlinered.ServeOptions{
-		Clients:     clients,
-		ContentSeed: seed,
-		CleanEvery:  4096,
-	})
-	if err != nil {
-		fatal(err)
+	if opts.NodeFaultSeed, opts.NodeFaultRate, err = parseSeedRate("-node-faults", f.nodeFaults); err != nil {
+		return opts, spec, err
 	}
-	if jsonOut {
-		out, err := rep.JSON()
-		if err != nil {
-			fatal(err)
+	if f.traceOut != "" {
+		if f.nodes > 0 || f.shards > 1 {
+			return opts, spec, fmt.Errorf("-trace-out requires -shards 1 and no -nodes (a recorder serves one volume's lanes)")
 		}
-		os.Stdout.Write(out)
-	} else {
-		fmt.Println(rep)
+		opts.Recorder = inlinered.NewRecorder()
 	}
+	spec = inlinered.OpsSpec{Ops: f.serveOps, Blocks: f.blocks, WriteFrac: f.writes, TrimFrac: f.trims,
+		DedupRatio: f.dedup, Hotspot: f.hotspot, Seed: f.seed}
+	if f.nodes > 0 { // read-mostly differs from the flag defaults in these two only
+		pre := inlinered.ReadMostlyOps(f.serveOps, f.blocks, f.seed)
+		if !f.given["writes"] {
+			spec.WriteFrac = pre.WriteFrac
+		}
+		if !f.given["trims"] {
+			spec.TrimFrac = pre.TrimFrac
+		}
+	}
+	if f.opsIn != "" {
+		for _, name := range []string{"serve-ops", "writes", "trims", "hotspot", "dedup"} {
+			if f.given[name] {
+				return opts, spec, fmt.Errorf("-ops-in serves the file as it is: it cannot be combined with the generator flag -%s", name)
+			}
+		}
+	}
+	return opts, spec, nil
 }
 
 // runBootStorm installs the golden image, then replays the interleaved
@@ -354,8 +405,7 @@ func runBootStorm(nodes, replicas, shards, clients, stormClients, subBlocks, par
 	fmt.Fprintf(info, "boot storm: %d clients x %d reads over a %d-block golden image (sub-blocks %d, decode workers %d, passes %d)\n\n",
 		spec.Clients, spec.ReadsPerClient, spec.ImageBlocks, subBlocks, par, passes)
 
-	var out []byte
-	var summary string
+	var rep report
 	if nodes > 0 {
 		opts.Nodes = nodes
 		opts.Replicas = replicas
@@ -367,17 +417,11 @@ func runBootStorm(nodes, replicas, shards, clients, stormClients, subBlocks, par
 		if _, err := cl.Serve(fill, inlinered.ClusterServeOptions{ContentSeed: seed}); err != nil {
 			fatal(err)
 		}
-		var rep *inlinered.ClusterReadBatchReport
 		for p := 0; p < passes; p++ {
-			rep, err = cl.ReadBatch(lbas, inlinered.ClusterReadBatchOptions{Clients: clients})
-			if err != nil {
+			if rep, err = cl.ReadBatch(lbas, inlinered.ClusterReadBatchOptions{Clients: clients}); err != nil {
 				fatal(err)
 			}
 		}
-		if out, err = rep.JSON(); err != nil {
-			fatal(err)
-		}
-		summary = rep.String()
 	} else {
 		arr, err := inlinered.NewArray(opts)
 		if err != nil {
@@ -387,77 +431,94 @@ func runBootStorm(nodes, replicas, shards, clients, stormClients, subBlocks, par
 		if _, err := arr.Serve(fill, inlinered.ServeOptions{ContentSeed: seed}); err != nil {
 			fatal(err)
 		}
-		var rep *inlinered.ReadBatchReport
 		for p := 0; p < passes; p++ {
-			rep, err = arr.ReadBatch(lbas, inlinered.ReadBatchOptions{Clients: clients})
-			if err != nil {
+			if rep, err = arr.ReadBatch(lbas, inlinered.ReadBatchOptions{Clients: clients}); err != nil {
 				fatal(err)
 			}
 		}
-		if out, err = rep.JSON(); err != nil {
-			fatal(err)
-		}
-		summary = rep.String()
 	}
-	if jsonOut {
-		os.Stdout.Write(out)
-	} else {
-		fmt.Println(summary)
-	}
+	printReport(rep, "", jsonOut)
 }
 
-// runCluster serves a read-mostly closed-loop mix across a replicated
-// cluster, rides out injected node faults, and finishes with a scrub.
-func runCluster(nodes, replicas, shards, clients, ops int, blocks int64,
-	seed, faultSeed int64, faultRate float64, nodeSeed int64, nodeRate float64,
-	jsonOut bool, info *os.File) {
-	cl, err := inlinered.NewCluster(inlinered.BlockDeviceOptions{
-		Blocks:        blocks,
-		Shards:        shards,
-		Nodes:         nodes,
-		Replicas:      replicas,
-		FaultSeed:     faultSeed,
-		FaultRate:     faultRate,
-		NodeFaultSeed: nodeSeed,
-		NodeFaultRate: nodeRate,
-	})
+// runBlock serves a block-op list — an op file's, or the closed-loop
+// generator's — on a sharded array, or with -nodes across a replicated
+// cluster that rides out injected node faults and finishes with a scrub.
+func runBlock(f blockFlags, jsonOut bool, info *os.File) {
+	opts, spec, err := f.plan()
 	if err != nil {
 		fatal(err)
 	}
-	list, err := inlinered.NewOps(inlinered.ReadMostlyOps(ops, blocks, seed))
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(info, "serving %d read-mostly ops (plus %d-block fill) across %d nodes (R=%d)\n\n",
-		ops, blocks, nodes, replicas)
-	rep, err := cl.Serve(list, inlinered.ClusterServeOptions{
-		Clients:     clients,
-		ContentSeed: seed,
-		CleanEvery:  4096,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	scrub, err := cl.Scrub()
-	if err != nil {
-		fatal(err)
-	}
-	if jsonOut {
-		out, err := rep.JSON()
+	var list []inlinered.Op
+	var what string
+	if f.opsIn != "" {
+		file, err := os.Open(f.opsIn)
 		if err != nil {
 			fatal(err)
 		}
-		os.Stdout.Write(out)
+		defer file.Close()
+		if list, err = workload.ParseOps(file); err != nil {
+			fatal(err)
+		}
+		what = fmt.Sprintf("%d ops from %s", len(list), f.opsIn)
 	} else {
-		fmt.Println(rep)
-		fmt.Printf("  scrub: compared=%d mismatched=%d repaired=%d errors=%d\n",
-			scrub.Compared, scrub.Mismatched, scrub.Repaired, scrub.Errors)
+		if list, err = inlinered.NewOps(spec); err != nil {
+			fatal(err)
+		}
+		mix := ""
+		if spec == inlinered.ReadMostlyOps(spec.Ops, spec.Blocks, spec.Seed) {
+			mix = "read-mostly "
+		}
+		what = fmt.Sprintf("%d %sops (plus %d-block fill)", spec.Ops, mix, spec.Blocks)
 	}
-}
+	if f.opsOut != "" {
+		file, err := os.Create(f.opsOut)
+		if err != nil {
+			fatal(err)
+		}
+		if err := workload.FormatOps(file, list); err != nil {
+			fatal(err)
+		}
+		if err := file.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(info, "wrote %d ops to %s\n", len(list), f.opsOut)
+	}
 
-// parseFaults parses the -faults knob: "SEED:RATE" with RATE in [0,1].
-func parseFaults(s string) (seed int64, rate float64, err error) {
-	return parseSeedRate("-faults", s)
+	var rep report
+	var tail string
+	if f.nodes > 0 {
+		cl, err := inlinered.NewCluster(opts)
+		if err != nil {
+			fatal(err)
+		}
+		defer cl.Close()
+		fmt.Fprintf(info, "serving %s across %d nodes (R=%d)\n\n", what, f.nodes, f.replicas)
+		if rep, err = cl.Serve(list, inlinered.ClusterServeOptions{
+			Clients: f.clients, ContentSeed: f.seed, CleanEvery: f.cleanEvery,
+		}); err != nil {
+			fatal(err)
+		}
+		scrub, err := cl.Scrub()
+		if err != nil {
+			fatal(err)
+		}
+		tail = fmt.Sprintf("\n  scrub: compared=%d mismatched=%d repaired=%d errors=%d",
+			scrub.Compared, scrub.Mismatched, scrub.Repaired, scrub.Errors)
+	} else {
+		arr, err := inlinered.NewArray(opts)
+		if err != nil {
+			fatal(err)
+		}
+		defer arr.Close()
+		fmt.Fprintf(info, "serving %s across %d shards\n\n", what, f.shards)
+		if rep, err = arr.Serve(list, inlinered.ServeOptions{
+			Clients: f.clients, ContentSeed: f.seed, CleanEvery: f.cleanEvery,
+		}); err != nil {
+			fatal(err)
+		}
+	}
+	writeTrace(f.traceOut, opts.Recorder, info)
+	printReport(rep, tail, jsonOut)
 }
 
 // parseSeedRate parses a SEED:RATE fault knob with RATE in [0,1].

@@ -33,12 +33,9 @@ import (
 // and the deterministic test suite pay one atomic load per site.
 var enabled atomic.Bool
 
-// Enable turns wall-clock metric collection on and publishes the expvar
-// export (once). Safe to call multiple times and from any goroutine.
-func Enable() {
-	enabled.Store(true)
-	publishExpvarOnce()
-}
+// Enable turns wall-clock metric collection on. Safe to call multiple
+// times and from any goroutine.
+func Enable() { enabled.Store(true) }
 
 // Disable turns collection off. Recorded values are kept (snapshots still
 // export them); new observations are skipped.

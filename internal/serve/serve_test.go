@@ -50,7 +50,8 @@ func testOps(t *testing.T) []workload.Op {
 }
 
 // TestServeOneShardMatchesRawVolume proves the 1-shard array is the raw
-// volume: same routing (identity), same seed, same clock, same stats.
+// volume: same routing (identity), same seed, same clock, same stats —
+// through the direct API, then through batch Serve.
 func TestServeOneShardMatchesRawVolume(t *testing.T) {
 	cfg := testConfig(1)
 	a, err := New(cfg)
@@ -80,6 +81,61 @@ func TestServeOneShardMatchesRawVolume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Stats(), v.Stats()) {
 		t.Fatalf("1-shard stats diverged from raw volume:\n%+v\n%+v", a.Stats(), v.Stats())
+	}
+
+	// The batch leg: Serve with a clean cadence and a recorder against the
+	// raw volume's per-op loop cleaning at the same cadence — a one-volume
+	// replay IS Serve on one shard, down to the trace bytes.
+	const cleanEvery = 256
+	cfg.Volume.SegmentBytes = 64 << 10 // small segments, so the cleaner has work
+	recA, recV := obs.NewRecorder(), obs.NewRecorder()
+	cfg.Obs = []*obs.Recorder{recA}
+	if a, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	vc := cfg.Volume
+	vc.Obs = recV
+	if v, err = volume.New(vc); err != nil {
+		t.Fatal(err)
+	}
+	ops := testOps(t)
+	rep, err := a.Serve(ops, RunOptions{ContentSeed: 9, CleanEvery: cleanEvery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cleaned int
+	for k, op := range ops {
+		switch op.Kind {
+		case workload.OpWrite:
+			v.Write(op.LBA, workload.UniqueChunk(9, op.Content, vc.BlockSize, 0.5))
+		case workload.OpRead:
+			v.Read(op.LBA)
+		case workload.OpTrim:
+			v.Trim(op.LBA)
+		}
+		if (k+1)%cleanEvery == 0 {
+			n, _ := v.Clean()
+			cleaned += n
+		}
+	}
+	if rep.Cleaned == 0 || rep.Cleaned != cleaned {
+		t.Fatalf("Serve cleaned %d segments, the per-op loop %d (want equal, non-zero)", rep.Cleaned, cleaned)
+	}
+	if a.Now() != v.Now() || rep.Elapsed != v.Now() {
+		t.Fatalf("batch clock %v (elapsed %v) != raw volume clock %v", a.Now(), rep.Elapsed, v.Now())
+	}
+	if !reflect.DeepEqual(rep.Merged, v.Stats()) {
+		t.Fatalf("batch stats diverged from raw volume:\n%+v\n%+v", rep.Merged, v.Stats())
+	}
+	var traceA, traceV bytes.Buffer
+	if err := recA.WriteTrace(&traceA); err != nil {
+		t.Fatal(err)
+	}
+	if err := recV.WriteTrace(&traceV); err != nil {
+		t.Fatal(err)
+	}
+	if traceA.Len() == 0 || !bytes.Equal(traceA.Bytes(), traceV.Bytes()) {
+		t.Fatalf("trace bytes differ: Serve %d bytes, per-op loop %d", traceA.Len(), traceV.Len())
 	}
 }
 
@@ -340,5 +396,18 @@ func TestServeConfigValidation(t *testing.T) {
 		if _, err := New(c); err == nil {
 			t.Errorf("case %d: bad config accepted", i)
 		}
+	}
+	// A batch is validated whole before any op runs (workload.CheckOps).
+	a, err := New(testConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []workload.Op{{Kind: 'X'}, {Kind: workload.OpWrite, LBA: 1 << 40, Content: 1}, {Kind: workload.OpRead, LBA: -1}} {
+		if _, err := a.Serve([]workload.Op{{Kind: workload.OpWrite, LBA: 0, Content: 1}, op}, RunOptions{}); err == nil {
+			t.Errorf("batch with %+v accepted", op)
+		}
+	}
+	if st := a.Stats(); st.Writes != 0 {
+		t.Errorf("a rejected batch ran %d writes", st.Writes)
 	}
 }

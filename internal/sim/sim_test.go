@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -61,78 +59,6 @@ func TestFormatRate(t *testing.T) {
 func TestMinMaxTime(t *testing.T) {
 	if MaxTime(1, 2) != 2 || MaxTime(3, 2) != 3 {
 		t.Fatal("MaxTime broken")
-	}
-}
-
-func TestStatsBasics(t *testing.T) {
-	var s Stats
-	for _, v := range []float64{1, 2, 3, 4} {
-		s.Add(v)
-	}
-	if s.N() != 4 || s.Sum() != 10 || s.Mean() != 2.5 || s.Min() != 1 || s.Max() != 4 {
-		t.Fatalf("stats: n=%d sum=%g mean=%g min=%g max=%g", s.N(), s.Sum(), s.Mean(), s.Min(), s.Max())
-	}
-	want := math.Sqrt(1.25)
-	if d := math.Abs(s.StdDev() - want); d > 1e-12 {
-		t.Fatalf("stddev: got %g, want %g", s.StdDev(), want)
-	}
-}
-
-func TestStatsEmpty(t *testing.T) {
-	var s Stats
-	if s.Mean() != 0 || s.StdDev() != 0 || s.Min() != 0 || s.Max() != 0 {
-		t.Fatal("empty stats should report zeros")
-	}
-}
-
-func TestQuantiles(t *testing.T) {
-	var q Quantiles
-	for i := 1; i <= 100; i++ {
-		q.Add(float64(i))
-	}
-	if q.N() != 100 {
-		t.Fatalf("N: got %d, want 100", q.N())
-	}
-	if got := q.At(0.5); got != 50 {
-		t.Fatalf("p50: got %g, want 50", got)
-	}
-	if got := q.At(0.99); got != 99 {
-		t.Fatalf("p99: got %g, want 99", got)
-	}
-	if got := q.At(0); got != 1 {
-		t.Fatalf("p0: got %g, want 1", got)
-	}
-	if got := q.At(1); got != 100 {
-		t.Fatalf("p1: got %g, want 100", got)
-	}
-}
-
-func TestQuantilesEmpty(t *testing.T) {
-	var q Quantiles
-	if q.At(0.5) != 0 {
-		t.Fatal("empty quantiles should report 0")
-	}
-}
-
-// Property: mean is always within [min, max].
-func TestStatsMeanBoundedProperty(t *testing.T) {
-	f := func(vs []float64) bool {
-		var s Stats
-		ok := true
-		for _, v := range vs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			// Keep magnitudes small enough that the running sum can't
-			// overflow; the property is about ordering, not range.
-			v = math.Mod(v, 1e9)
-			s.Add(v)
-			ok = ok && s.Mean() >= s.Min()-1e-9 && s.Mean() <= s.Max()+1e-9
-		}
-		return ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

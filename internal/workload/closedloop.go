@@ -19,8 +19,8 @@ const (
 
 // Op is one closed-loop block operation. Content ids stand in for payloads
 // (two writes with the same id carry identical bytes), so op lists stay
-// compact and dedup behaviour is encoded in the list itself — the same
-// convention as the trace format.
+// compact and dedup behaviour is encoded in the list itself; FormatOps and
+// ParseOps carry a list as text.
 type Op struct {
 	Kind    OpKind
 	LBA     int64
