@@ -82,15 +82,6 @@ type CostModel struct {
 	MatchStepCycles           float64
 	EmitCyclesPerByte         float64
 
-	// Decompression: dispatch 1 (boundary resolution) costs
-	// DecodeBaseCycles + tableEntries*DecodeCyclesPerToken per blob lane;
-	// dispatch 2 (sub-block decode) costs DecodeBaseCycles
-	// + tokens*DecodeCyclesPerToken + outBytes*DecodeCyclesPerByte per
-	// sub-block lane (tokens/bytes from the real decode of that lane).
-	DecodeBaseCycles     float64
-	DecodeCyclesPerToken float64
-	DecodeCyclesPerByte  float64
-
 	// HashCyclesPerByte is the per-lane cost of fingerprinting a chunk
 	// (SHA-1 is a serial dependency chain per chunk: one lane per chunk,
 	// ALU-bound rounds plus global-memory loads of the chunk words).
@@ -119,15 +110,6 @@ func DefaultCostModel() CostModel {
 		CompressCyclesPerPosition: 4300,
 		MatchStepCycles:           25,
 		EmitCyclesPerByte:         10,
-
-		// Decode is a serial dependency chain per lane (flag byte, token,
-		// copy), every step a dependent global/local access, but with none
-		// of compression's match search: per token roughly one load pair,
-		// per output byte one store. Still far slower per lane than a host
-		// core — the win is thousands of lanes.
-		DecodeBaseCycles:     1500,
-		DecodeCyclesPerToken: 30,
-		DecodeCyclesPerByte:  2,
 
 		HashCyclesPerByte: 55,
 

@@ -122,9 +122,9 @@ func (a *Array) Close() {
 // volume.ReadBatch as the per-shard drain: under that shard's lock alone,
 // the sequential plan phase (cache, SSD, and virtual-clock accounting in
 // the shard's op order), the decode fan-out over the array's worker pool
-// (one item per sub-block of an indexed container; a pool busy with
-// another shard's items runs these inline on the claiming worker), and the
-// sequential commit, after which results go to opt.Sink.
+// (one item per sub-block of an indexed container: one more round on the
+// queue all shards share, the claiming worker lending itself until it is
+// done), and the sequential commit, after which results go to opt.Sink.
 //
 // Shard queues are an order-preserving partition of lbas, so each shard's
 // virtual state is a pure function of its subsequence — the report is

@@ -298,19 +298,9 @@ func (c *blockCache) lazyInit(n int) {
 	}
 }
 
-// get returns the cached block and promotes it, or nil on a miss.
-func (c *blockCache) get(fp dedup.Fingerprint) []byte {
-	e, ok := c.getRef(fp)
-	if !ok {
-		return nil
-	}
-	return e.data
-}
-
-// getRef is get returning the entry itself: the batch read path needs the
-// hit/promote bookkeeping of a lookup while sourcing the bytes elsewhere
-// (an entry reserved earlier in the same batch holds its data only at
-// commit). Same counters, sketch update, and segment movement as get.
+// getRef looks fp up, counts the hit or miss, feeds the sketch and promotes
+// a probation hit. It returns the entry rather than its bytes: one reserved
+// earlier in the same batch holds its data only at commit.
 func (c *blockCache) getRef(fp dedup.Fingerprint) (*cacheEntry, bool) {
 	if c.capBytes <= 0 {
 		return nil, false
@@ -410,10 +400,14 @@ func (c *blockCache) node() *cacheEntry {
 	return &cacheEntry{}
 }
 
-// insert places a new n-byte entry for fp and returns it (nil when the
-// cache is off or n oversized). Shared by put and reserve, so the serial
-// read path and the batch plan phase drive identical admission decisions.
-func (c *blockCache) insert(fp dedup.Fingerprint, n int) *cacheEntry {
+// reserve places a new n-byte entry for fp, which a getRef just missed, and
+// returns its data slice for the caller to fill (nil when the cache is off or
+// n oversized). planRead reserves at decision time, so admission, eviction
+// and segment state advance in request order even when the decoded bytes
+// only land at a batch's commit. The slice stays valid if the entry is
+// evicted before the fill — filling an orphan is harmless (eviction drops
+// the buffer, it never reassigns it).
+func (c *blockCache) reserve(fp dedup.Fingerprint, n int) []byte {
 	if c.capBytes <= 0 || int64(n) > c.capBytes {
 		return nil
 	}
@@ -468,39 +462,7 @@ func (c *blockCache) insert(fp dedup.Fingerprint, n int) *cacheEntry {
 	}
 	c.byFP[fp] = e
 	c.usedBytes += int64(n)
-	return e
-}
-
-// reserve inserts an n-byte entry whose bytes the caller fills later and
-// returns its data slice (nil when the cache is off or n oversized). The
-// batch read path reserves at decision time so admission, eviction, and
-// segment state advance exactly as the serial path's put would, even
-// though the decoded bytes only land at commit. The returned slice stays
-// valid if the entry is evicted before the fill — filling an orphan is
-// harmless (eviction drops the buffer, it never reassigns it).
-func (c *blockCache) reserve(fp dedup.Fingerprint, n int) []byte {
-	if c.capBytes <= 0 || int64(n) > c.capBytes {
-		return nil
-	}
-	if e, ok := c.byFP[fp]; ok {
-		c.touch(e)
-		return e.data
-	}
-	e := c.insert(fp, n)
-	if e == nil {
-		return nil
-	}
 	return e.data
-}
-
-// touch refreshes an already-present entry on a re-insert (put/reserve of
-// a resident fingerprint): protected entries move to the LRU front;
-// probation entries stay put — promotion evidence comes only from getRef
-// hits, and put/reserve always follow a getRef that already saw the entry.
-func (c *blockCache) touch(e *cacheEntry) {
-	if e.where == inProtected {
-		c.prot.moveToFront(e)
-	}
 }
 
 // remove drops fp's entry if present (a failed decode un-reserves its
@@ -522,22 +484,6 @@ func (c *blockCache) remove(fp dedup.Fingerprint) {
 	delete(c.byFP, e.fp)
 	c.usedBytes -= int64(len(e.data))
 	c.recycle(e)
-}
-
-// put inserts a block through the admission policy, evicting to stay
-// within capacity. Oversized blocks are simply not cached. The cache owns
-// a private copy: the caller keeps (and may mutate) its slice.
-func (c *blockCache) put(fp dedup.Fingerprint, data []byte) {
-	if c.capBytes <= 0 || int64(len(data)) > c.capBytes {
-		return
-	}
-	if e, ok := c.byFP[fp]; ok {
-		c.touch(e)
-		return
-	}
-	if e := c.insert(fp, len(data)); e != nil {
-		copy(e.data, data)
-	}
 }
 
 // len returns the number of cached blocks.

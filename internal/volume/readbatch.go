@@ -13,10 +13,10 @@ import (
 // The batch read path splits a group of reads into the same three phases
 // the write-side pipeline uses:
 //
-//	Plan   — sequential decision phase: for each LBA, run exactly the
-//	         lookup / cache / SSD / accounting steps the serial ReadInto
-//	         would, on the virtual clock, in request order. Decode work is
-//	         *charged* here but recorded as jobs instead of executed.
+//	Plan   — sequential decision phase: planRead per LBA, in request
+//	         order — the same ordered half the serial ReadInto runs, so
+//	         every charge on the virtual clock is made here. Decode work is
+//	         recorded as jobs instead of executed.
 //	Run    — parallel work phase: decode items (one per sub-block of an
 //	         indexed container, one per whole blob otherwise) execute in
 //	         any order, on any number of goroutines, writing only their
@@ -27,17 +27,8 @@ import (
 //	         pending-decode cache entry copy their bytes out.
 //
 // Because every virtual-clock mutation happens in Plan, in request order,
-// the report is bit-identical to the serial loop for any worker count.
-// The only divergences from N serial ReadInto calls are corrupt-data
-// corner cases, documented on ReadBatch.
-
-// batchOp source kinds.
-const (
-	srcZero    = int8(iota) // unmapped: zeros synthesized at plan time
-	srcCache                // cache hit on a filled entry: copied at plan time
-	srcPending              // cache hit on an entry reserved earlier in this batch
-	srcDecode               // cache miss: bytes arrive via this op's decode job
-)
+// the report is bit-identical to the serial loop for any worker count. The
+// one divergence from N serial ReadInto calls is documented on ReadBatch.
 
 type batchOp struct {
 	lba int64
@@ -53,8 +44,7 @@ type batchJob struct {
 	op        int // owning op: the job decodes into that op's buffer region
 	fp        dedup.Fingerprint
 	blob      []byte
-	sub       bool         // indexed container: one item per sub-block
-	lay       lz.SubLayout // valid when sub
+	lay       lz.SubLayout // indexed container: one item per sub-block
 	cacheSlot []byte       // reserved cache entry bytes, nil when not cached
 	firstItem int
 	items     int
@@ -77,12 +67,12 @@ type batchItem struct {
 // distinct items are safe to run concurrently; everything else must be
 // called from one goroutine.
 //
-// Corrupt-data divergences from the serial path (healthy volumes are
-// bit-identical): the decompression cycles charged at plan time stand even
-// if the decode later fails, a read hitting the cache entry of a decode
-// that fails is priced as a cache hit but reports the decode error, and a
-// blob that decodes to the wrong size is an error here (the serial path
-// returns whatever the blob holds).
+// The one divergence from the serial path is inherent to batching, and
+// needs a corrupt blob (healthy volumes are bit-identical): a read hitting
+// the cache entry an earlier read of the same batch reserved is priced as a
+// cache hit, and when that decode then fails it reports the decode error —
+// serially the first read would have un-reserved the entry and the second
+// would have missed.
 type ReadBatch struct {
 	v       *Volume
 	buf     []byte // len(ops) × BlockSize output regions
@@ -167,8 +157,8 @@ func growItem(sl []batchItem) []batchItem {
 
 // Plan is the sequential decision phase. It validates every LBA up front
 // (an invalid LBA fails the whole batch before any accounting, mirroring
-// the serial path's pre-validation), then charges each read on the virtual
-// clock exactly as ReadInto would, recording decode work as items for the
+// the serial path's pre-validation), then runs planRead per read — the
+// ordered half ReadInto runs — recording decode work as items for the
 // parallel phase. After Plan returns, Items reports how much parallel work
 // there is.
 func (b *ReadBatch) Plan(lbas []int64) error {
@@ -182,8 +172,6 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 	b.jobs = b.jobs[:0]
 	b.items = b.items[:0]
 	clear(b.pending) // no-op on the nil map of a batch that never missed
-	b.cacheHits, b.cacheMisses = 0, 0
-	b.cacheAdmissions, b.cacheGhostHits = 0, 0
 	h0, m0 := v.cache.hits, v.cache.misses
 	a0, g0 := v.cache.admissions, v.cache.ghostHits
 	bs := v.cfg.BlockSize
@@ -192,116 +180,79 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 	} else {
 		b.buf = b.buf[:need]
 	}
-	cost := v.sub.CPU.Cost
-
 	for i, lba := range lbas {
-		start := v.now
 		region := b.buf[i*bs : (i+1)*bs]
-		op := batchOp{lba: lba, job: -1}
-
-		fp, ok := v.lbaMap[lba]
-		if !ok {
-			// Unmapped: zero-fill, charged like ReadInto's.
-			t := v.sub.Run("zero-fill", v.now, cost.MemcpyCycles(bs)+cost.StageOverheadCycles)
+		p := v.planRead(lba)
+		op := batchOp{lba: lba, src: p.src, job: -1, lat: p.lat, err: p.err}
+		switch {
+		case p.src == srcZero:
 			clear(region)
-			op.src = srcZero
-			op.lat = v.commitRead(start, t, lba)
-			b.ops = append(b.ops, op)
-			continue
-		}
-
-		if e, hit := v.cache.getRef(fp); hit {
-			t := v.sub.Run("cache-copy", v.now, cost.MemcpyCycles(bs)+cost.StageOverheadCycles)
-			op.lat = v.commitRead(start, t, lba)
-			if j, pend := b.pending[fp]; pend {
+		case p.src == srcCache:
+			if j, pend := b.pending[p.fp]; pend {
 				// The entry was reserved by an earlier read in this batch;
 				// its bytes exist only after that job decodes. Copy at
 				// commit.
-				op.src = srcPending
-				op.job = j
+				op.src, op.job = srcPending, j
 			} else {
-				op.src = srcCache
-				copy(region, e.data)
+				copy(region, p.cached)
 			}
-			b.ops = append(b.ops, op)
-			continue
+		case p.err == nil:
+			op.job = b.addJob(i, &p)
 		}
-
-		// Cache miss: SSD pages, then a decode charged now and executed in
-		// the parallel phase.
-		ref := v.chunks[fp]
-		blob := v.blobs[ref.loc]
-		first, pages := v.pageSpan(ref.loc, int(ref.size))
-		t, err := v.readDrive(v.now, first, pages)
-		if err != nil {
-			op.err = fmt.Errorf("volume: lba %d: %w", lba, err)
-			op.lat = v.failRead(start, t, lba)
-			op.src = srcDecode
-			b.ops = append(b.ops, op)
-			continue
-		}
-		t = v.sub.Run("decompress", t, cost.DecompressCycles(bs)+cost.StageOverheadCycles)
-		op.lat = v.commitRead(start, t, lba)
-		op.src = srcDecode
-
-		j := len(b.jobs)
-		b.jobs = growJob(b.jobs)
-		jb := &b.jobs[j]
-		jb.op = i
-		jb.fp = fp
-		jb.blob = blob
-		jb.sub = false
-		jb.err = nil
-		jb.firstItem = len(b.items)
-		jb.items = 0
-		// Reserve the cache slot at decision time so admission and eviction
-		// state advance exactly as the serial path's put would. Only a
-		// reserved slot can produce a pending hit, so the map (allocated
-		// lazily, on the first cached miss ever) stays empty — and untouched
-		// — on cache-disabled volumes.
-		jb.cacheSlot = v.cache.reserve(fp, bs)
-		if jb.cacheSlot != nil {
-			if b.pending == nil {
-				b.pending = make(map[dedup.Fingerprint]int32, 64)
-			}
-			b.pending[fp] = int32(j)
-		}
-		op.job = int32(j)
 		b.ops = append(b.ops, op)
-
-		// Boundary resolution (pass 1 of the two-pass decode): table-only,
-		// cheap, and sequential — it decides how many parallel items the
-		// blob contributes.
-		indexed, rerr := lz.ResolveSubBlocks(&jb.lay, blob)
-		switch {
-		case rerr != nil:
-			jb.err = rerr // corrupt table: surfaces at commit
-		case indexed && jb.lay.SrcLen == bs:
-			jb.sub = true
-			jb.items = len(jb.lay.Parts)
-			for p := 0; p < jb.items; p++ {
-				b.items = growItem(b.items)
-				it := &b.items[len(b.items)-1]
-				it.job = int32(j)
-				it.part = int32(p)
-				it.err = nil
-			}
-		default:
-			// Raw, single-stream, or wrong-size container: one whole-blob item on
-			// the retained serial decoder.
-			jb.items = 1
-			b.items = growItem(b.items)
-			it := &b.items[len(b.items)-1]
-			it.job = int32(j)
-			it.part = -1
-			it.err = nil
-		}
 	}
 	b.cacheHits = v.cache.hits - h0
 	b.cacheMisses = v.cache.misses - m0
 	b.cacheAdmissions = v.cache.admissions - a0
 	b.cacheGhostHits = v.cache.ghostHits - g0
 	return nil
+}
+
+// addJob records read i's planned miss as a decode job and returns its index.
+func (b *ReadBatch) addJob(i int, p *readPlan) int32 {
+	j := int32(len(b.jobs))
+	b.jobs = growJob(b.jobs)
+	jb := &b.jobs[j]
+	jb.op = i
+	jb.fp = p.fp
+	jb.blob = p.blob
+	jb.firstItem = len(b.items)
+	// Only a reserved slot can produce a pending hit, so the map (allocated
+	// lazily, on the first cached miss ever) stays empty — and untouched —
+	// on cache-disabled volumes.
+	jb.cacheSlot = p.slot
+	if p.slot != nil {
+		if b.pending == nil {
+			b.pending = make(map[dedup.Fingerprint]int32, 64)
+		}
+		b.pending[p.fp] = j
+	}
+	// Boundary resolution (pass 1 of the two-pass decode): table-only,
+	// cheap, and sequential — it decides how many parallel items the blob
+	// contributes: none for a corrupt table (the error surfaces at commit),
+	// one on the serial decoder for a raw, single-stream or wrong-size blob.
+	indexed, err := lz.ResolveSubBlocks(&jb.lay, p.blob)
+	sub := err == nil && indexed && jb.lay.SrcLen == b.v.cfg.BlockSize
+	jb.err = err
+	switch {
+	case err != nil:
+		jb.items = 0
+	case sub:
+		jb.items = len(jb.lay.Parts)
+	default:
+		jb.items = 1
+	}
+	for part := int32(0); int(part) < jb.items; part++ {
+		b.items = growItem(b.items)
+		it := &b.items[len(b.items)-1]
+		it.job = j
+		it.part = -1
+		if sub {
+			it.part = part
+		}
+		it.err = nil
+	}
+	return j
 }
 
 // CacheHits returns how many of the batch's reads were served from cache
@@ -349,18 +300,12 @@ func (b *ReadBatch) RunItem(i int) {
 	// list here would corrupt the freshly decoded block.
 	it.deferred = it.deferred[:0]
 	// Three-index slice: region's capacity must not leak into the next
-	// op's region if a corrupt blob over-decodes (append would reallocate
-	// instead, and the size check below rejects it).
-	out, err := lz.Decompress(region[0:0:bs], jb.blob)
+	// op's region if a corrupt blob over-decodes (append reallocates
+	// instead, and decodeBlock rejects the size).
+	out, err := decodeBlock(region[0:0:bs], jb.blob, bs)
 	if err != nil {
 		it.err = err
-		return
-	}
-	if len(out) != bs {
-		it.err = fmt.Errorf("volume: blob decoded to %d bytes, block size is %d", len(out), bs)
-		return
-	}
-	if &out[0] != &region[0] {
+	} else if &out[0] != &region[0] {
 		copy(region, out)
 	}
 }
@@ -449,8 +394,9 @@ func (b *ReadBatch) DecodedParts() int { return len(b.items) }
 // ReadBatch plans, decodes, and commits lbas in one call. The parallel
 // phase fans out over pool when it is non-nil (a nil pool decodes inline,
 // the determinism baseline). b may be nil to allocate a fresh batch;
-// passing a previous batch back in recycles its buffers. The returned
-// batch holds the per-read results.
+// passing a previous batch back in — this volume's or another's — recycles
+// its buffers and binds it to v. The returned batch holds the per-read
+// results.
 //
 // Virtual-time accounting is bit-identical to calling ReadInto per LBA in
 // order, for any pool size — the clock only advances in Plan.
@@ -458,6 +404,7 @@ func (v *Volume) ReadBatch(b *ReadBatch, lbas []int64, pool *parallel.Pool) (*Re
 	if b == nil {
 		b = v.NewReadBatch()
 	}
+	b.v = v // Plan resets everything else
 	if err := b.Plan(lbas); err != nil {
 		return b, err
 	}

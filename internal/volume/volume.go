@@ -622,45 +622,105 @@ func (v *Volume) Read(lba int64) ([]byte, time.Duration, error) {
 // issue many reads can recycle one buffer instead of allocating a block per
 // request. On error the original dst is returned unchanged; virtual-time
 // accounting is identical to Read.
+//
+// A miss decodes inline on the retained serial decoder, which keeps this
+// path a differential oracle for ReadBatch's parallel decode; everything a
+// read is charged comes from planRead on both.
 func (v *Volume) ReadInto(dst []byte, lba int64) ([]byte, time.Duration, error) {
 	if lba < 0 || lba >= v.cfg.Blocks {
 		return dst, 0, fmt.Errorf("volume: lba %d outside [0,%d)", lba, v.cfg.Blocks)
 	}
-	start := v.now
-	base := len(dst)
-	cost := v.sub.CPU.Cost
+	p := v.planRead(lba)
+	switch {
+	case p.err != nil:
+		return dst, p.lat, p.err
+	case p.src == srcZero:
+		return appendZeros(dst, v.cfg.BlockSize), p.lat, nil
+	case p.src == srcCache:
+		return append(dst, p.cached...), p.lat, nil
+	}
+	out, err := decodeBlock(dst, p.blob, v.cfg.BlockSize)
+	if err != nil {
+		// Un-reserve: a garbage block must never serve later reads.
+		v.cache.remove(p.fp)
+		return dst, p.lat, fmt.Errorf("volume: lba %d: %w", lba, err)
+	}
+	copy(p.slot, out[len(dst):])
+	return out, p.lat, nil
+}
+
+// Where a planned read's bytes come from.
+const (
+	srcZero    = int8(iota) // unmapped: zeros
+	srcCache                // cache hit: the entry's bytes
+	srcPending              // ReadBatch only: a hit on an entry reserved earlier in the batch
+	srcDecode               // cache miss: the stored blob, decoded by the caller
+)
+
+// readPlan is what planRead decided about one read.
+type readPlan struct {
+	src    int8
+	fp     dedup.Fingerprint // zero when unmapped
+	cached []byte            // srcCache: the entry's bytes, owned by the cache
+	blob   []byte            // srcDecode: the stored blob
+	slot   []byte            // srcDecode: the reserved cache entry to fill, nil when not cached
+	lat    time.Duration
+	err    error // srcDecode: the drive read failed, nothing to decode
+}
+
+// planRead is the ordered half of a read, the only place one touches the
+// clock, the fault stream, the cache's admission state, the drive model or
+// the recorder; lba is in range. The caller supplies the bytes: it copies
+// zeros or the cached block, or decodes p.blob and then fills p.slot — or,
+// when the blob turns out corrupt, removes p.fp from the cache. The decode
+// is charged here, before it runs, and the slot is reserved here, so
+// admission and eviction advance in request order whenever the decode
+// happens; a corrupt blob's read is therefore a "read" span with the decode
+// on it, and only a drive failure is a "read-error".
+func (v *Volume) planRead(lba int64) (p readPlan) {
+	start, span := v.now, "read"
+	bs, cost := v.cfg.BlockSize, v.sub.CPU.Cost
+	var t time.Duration
 	fp, ok := v.lbaMap[lba]
+	p.fp = fp
 	if !ok {
 		// Unmapped: the array synthesizes zeros without touching media, but
 		// the staging copy into the caller's buffer is real work — charged
 		// exactly like a cache hit's copy, so an unmapped read can never be
 		// cheaper than a cached one.
-		t := v.sub.Run("zero-fill", v.now, cost.MemcpyCycles(v.cfg.BlockSize)+cost.StageOverheadCycles)
-		return appendZeros(dst, v.cfg.BlockSize), v.commitRead(start, t, lba), nil
+		t = v.sub.Run("zero-fill", v.now, cost.MemcpyCycles(bs)+cost.StageOverheadCycles)
+	} else if e, hit := v.cache.getRef(fp); hit {
+		// Content-addressed cache: a hit skips the SSD and the decoder,
+		// paying one staging copy.
+		p.src, p.cached = srcCache, e.data
+		t = v.sub.Run("cache-copy", v.now, cost.MemcpyCycles(bs)+cost.StageOverheadCycles)
+	} else {
+		// SSD read of the pages holding the blob, then CPU decompression.
+		p.src = srcDecode
+		ref := v.chunks[fp]
+		first, pages := v.pageSpan(ref.loc, int(ref.size))
+		t, p.err = v.readDrive(v.now, first, pages)
+		if p.err != nil {
+			p.err = fmt.Errorf("volume: lba %d: %w", lba, p.err)
+			span = "read-error"
+		} else {
+			t = v.sub.Run("decompress", t, cost.DecompressCycles(bs)+cost.StageOverheadCycles)
+			p.blob = v.blobs[ref.loc]
+			p.slot = v.cache.reserve(fp, bs)
+		}
 	}
-	// Content-addressed cache: a hit skips the SSD and the decoder, paying
-	// one staging copy.
-	if data := v.cache.get(fp); data != nil {
-		t := v.sub.Run("cache-copy", v.now, cost.MemcpyCycles(len(data))+cost.StageOverheadCycles)
-		return append(dst, data...), v.commitRead(start, t, lba), nil
-	}
+	p.lat = v.commit(&v.stats.Reads, &v.histR, span, start, t, lba)
+	return p
+}
 
-	ref := v.chunks[fp]
-	blob := v.blobs[ref.loc]
-
-	// SSD read of the pages holding the blob, then CPU decompression.
-	first, pages := v.pageSpan(ref.loc, int(ref.size))
-	t, err := v.readDrive(v.now, first, pages)
-	if err != nil {
-		return dst, v.failRead(start, t, lba), fmt.Errorf("volume: lba %d: %w", lba, err)
+// decodeBlock appends blob's block to dst on the serial decoder. A blob that
+// decodes to anything but one block is corrupt; dst comes back unchanged.
+func decodeBlock(dst, blob []byte, bs int) ([]byte, error) {
+	out, err := lz.Decompress(dst, blob) // dst itself on error
+	if err == nil && len(out)-len(dst) != bs {
+		return dst, fmt.Errorf("volume: blob decoded to %d bytes, block size is %d", len(out)-len(dst), bs)
 	}
-	out, err := lz.Decompress(dst, blob)
-	if err != nil {
-		return dst, v.failRead(start, t, lba), fmt.Errorf("volume: lba %d: %w", lba, err)
-	}
-	t = v.sub.Run("decompress", t, cost.DecompressCycles(len(out)-base)+cost.StageOverheadCycles)
-	v.cache.put(fp, out[base:])
-	return out, v.commitRead(start, t, lba), nil
+	return out, err
 }
 
 // appendZeros appends n zero bytes to dst, reusing capacity when possible.
@@ -674,17 +734,6 @@ func appendZeros(dst []byte, n int) []byte {
 	out := make([]byte, base+n)
 	copy(out, dst)
 	return out
-}
-
-// commitRead commits a served read.
-func (v *Volume) commitRead(start, end time.Duration, lba int64) time.Duration {
-	return v.commit(&v.stats.Reads, &v.histR, "read", start, end, lba)
-}
-
-// failRead commits a read that errored after argument validation, and
-// returns its latency for the caller to surface alongside the error.
-func (v *Volume) failRead(start, end time.Duration, lba int64) time.Duration {
-	return v.commit(&v.stats.Reads, &v.histR, "read-error", start, end, lba)
 }
 
 // Trim unmaps a block, releasing its chunk reference, and returns the
