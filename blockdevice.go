@@ -5,7 +5,6 @@ import (
 
 	"inlinered/internal/cluster"
 	"inlinered/internal/fault"
-	"inlinered/internal/lz"
 	"inlinered/internal/obs"
 	"inlinered/internal/serve"
 	"inlinered/internal/sim"
@@ -15,15 +14,11 @@ import (
 // BlockDeviceOptions tunes a deduplicating, compressing block device (the
 // volume extension — see DESIGN.md).
 type BlockDeviceOptions struct {
-	// BlockSize is the LBA block (= chunk) size; 0 means 4 KB.
-	BlockSize int
-	// Blocks is the logical capacity in blocks; 0 means 2^18 (1 GiB at
-	// 4 KB blocks).
+	// Blocks is the logical capacity in 4 KB blocks (the paper's chunk); 0
+	// means 2^18 (1 GiB).
 	Blocks int64
 	// DisableCompression stores unique chunks raw.
 	DisableCompression bool
-	// QuickLZ selects the QuickLZ-class codec instead of LZSS.
-	QuickLZ bool
 	// CacheBytes bounds the content-addressed read cache; 0 keeps the
 	// 16 MiB default, negative disables caching.
 	CacheBytes int64
@@ -76,16 +71,10 @@ type BlockDeviceOptions struct {
 // volumeConfig converts the device-level options into a volume config.
 func (opts BlockDeviceOptions) volumeConfig() volume.Config {
 	cfg := volume.DefaultConfig()
-	if opts.BlockSize > 0 {
-		cfg.BlockSize = opts.BlockSize
-	}
 	if opts.Blocks > 0 {
 		cfg.Blocks = opts.Blocks
 	}
 	cfg.Compress = !opts.DisableCompression
-	if opts.QuickLZ {
-		cfg.Codec = lz.CodecQLZ
-	}
 	if opts.CacheBytes > 0 {
 		cfg.CacheBytes = opts.CacheBytes
 	} else if opts.CacheBytes < 0 {
@@ -157,7 +146,9 @@ type LatencySummary = sim.LatencySummary
 func NewBlockDevice(opts BlockDeviceOptions) (*BlockDevice, error) { return NewArray(opts) }
 
 // ReadBatchOptions tune a batch read run (wall clock only — nothing here
-// may affect the report or the returned bytes).
+// may affect the report or the returned bytes): Clients, and a Sink that
+// receives each read's block. Sink runs with no lock held, so it may call
+// back into the device.
 type ReadBatchOptions = serve.ReadBatchOptions
 
 // ReadBatchReport summarizes an Array.ReadBatch run under the

@@ -12,23 +12,19 @@ import (
 	"testing"
 )
 
-// TestNoUnreferencedTypes fails when a top-level type declared in a non-test
-// file under internal/ or cmd/ is named by no non-test file anywhere in the
-// repository (benchmark/ and examples/ included) other than in its own
-// declaration and its methods' receivers: such a type, with every method on
-// it, is reachable only from its tests. A function-level scan cannot see
-// this: the methods of a type that satisfies an interface (a gpu.Kernel,
-// say) look called through it. Syntactic on purpose (go/parser, no type
-// checker): same-named identifiers can only hide a dead type, never condemn
-// a live one. The root package's public aliases are not under internal/ or
-// cmd/, so they are exempt — and count as uses.
-func TestNoUnreferencedTypes(t *testing.T) {
-	type decl struct{ dir, name string }
-	var decls []decl
-	localUses := map[decl]bool{}      // named in its own package
-	selected := map[string][]string{} // type name -> dirs of the packages it was selected from
-	fset := token.NewFileSet()
+// srcFile is one parsed non-test Go file of the repository.
+type srcFile struct {
+	dir     string // slash-separated, relative to the repository root ("." is the root package)
+	ast     *ast.File
+	imports map[string]string // local import name -> dir of the imported in-module package
+}
 
+// parseRepo parses every non-test Go file under the repository root,
+// benchmark/ and examples/ included (go/parser only, no type checker).
+func parseRepo(t *testing.T) (*token.FileSet, []srcFile) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []srcFile
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -46,22 +42,50 @@ func TestNoUnreferencedTypes(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-
-		// Local import name -> directory of the imported in-module package.
 		imports := map[string]string{}
 		for _, im := range f.Imports {
 			p, _ := strconv.Unquote(im.Path.Value)
-			rel, ok := strings.CutPrefix(p, "inlinered/")
-			if !ok {
+			rel, ok := strings.CutPrefix(p, "inlinered")
+			if !ok || (rel != "" && rel[0] != '/') {
 				continue
 			}
+			rel = strings.TrimPrefix(rel, "/")
 			name := rel[strings.LastIndex(rel, "/")+1:]
+			if rel == "" {
+				rel, name = ".", "inlinered"
+			}
 			if im.Name != nil {
 				name = im.Name.Name
 			}
 			imports[name] = rel
 		}
+		files = append(files, srcFile{filepath.ToSlash(filepath.Dir(path)), f, imports})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+// TestNoUnreferencedTypes fails when a top-level type declared in a non-test
+// file under internal/ or cmd/ is named by no non-test file anywhere in the
+// repository (benchmark/ and examples/ included) other than in its own
+// declaration and its methods' receivers: such a type, with every method on
+// it, is reachable only from its tests. A function-level scan cannot see
+// this: the methods of a type that satisfies an interface look called
+// through it. Syntactic on purpose (go/parser, no type checker): same-named
+// identifiers can only hide a dead type, never condemn a live one. The root
+// package's public aliases are not under internal/ or cmd/, so they are
+// exempt — and count as uses.
+func TestNoUnreferencedTypes(t *testing.T) {
+	type decl struct{ dir, name string }
+	var decls []decl
+	localUses := map[decl]bool{}      // named in its own package
+	selected := map[string][]string{} // type name -> dirs of the packages it was selected from
+	_, files := parseRepo(t)
+	for _, file := range files {
+		f, dir, imports := file.ast, file.dir, file.imports
 
 		skip := map[*ast.Ident]bool{} // declaration names and receiver types
 		for _, d := range f.Decls {
@@ -106,10 +130,6 @@ func TestNoUnreferencedTypes(t *testing.T) {
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	var dead []string

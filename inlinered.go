@@ -244,8 +244,11 @@ func DefaultBootStormSpec() BootStormSpec { return workload.DefaultBootStormSpec
 // the bridge from NewOps/ReadMostlyOps output to ReadBatch input.
 func ReadOps(ops []Op) []int64 { return serve.ReadOps(ops) }
 
-// ServeOptions tune an Array.Serve run. Only Clients affects the wall
-// clock; the report is bit-identical for any client count.
+// ServeOptions tune an Array.Serve run: Clients (goroutines draining shard
+// queues; wall clock only, the report is bit-identical for any count),
+// ContentSeed (what turns an Op's content id into its payload; the payload's
+// random-byte fraction is fixed at 0.5) and CleanEvery (run a shard's
+// cleaner every N of its ops).
 type ServeOptions = serve.RunOptions
 
 // ServeReport summarizes an Array.Serve run: merged stats (counters sum,
@@ -282,8 +285,11 @@ func NewArray(opts BlockDeviceOptions) (*Array, error) {
 	return serve.New(sc)
 }
 
-// ClusterServeOptions tune a Cluster.Serve run. Only Clients affects the
-// wall clock; the report is bit-identical for any client count.
+// ClusterServeOptions tune a Cluster.Serve run. They are ServeOptions one
+// tier up: Clients counts the workers draining node queues (each node's array
+// fans out across its own shards below that), and ContentSeed is fixed by the
+// cluster's first batch — repairs re-derive payloads from remembered content
+// ids, so Serve returns an error for a later batch under another seed.
 type ClusterServeOptions = cluster.RunOptions
 
 // ClusterReport summarizes a Cluster.Serve run under the
@@ -324,8 +330,8 @@ func NewCluster(opts BlockDeviceOptions) (*Cluster, error) {
 	return cluster.New(opts.clusterConfig())
 }
 
-// ClusterReadBatchOptions tune a Cluster.ReadBatch run (wall clock only —
-// nothing here may affect the report or the returned bytes).
+// ClusterReadBatchOptions tune a Cluster.ReadBatch run: ReadBatchOptions,
+// with Clients counting the workers that drain node batches.
 type ClusterReadBatchOptions = cluster.ReadBatchOptions
 
 // ClusterReadBatchReport summarizes a Cluster.ReadBatch run under the

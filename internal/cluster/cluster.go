@@ -33,15 +33,16 @@
 // sequencing phase remembers the last content id written per LBA, so a
 // repair is just another op in the rejoined node's queue and node queues
 // stay independent — no cross-node data dependency at drain time, which is
-// what keeps the execution phase embarrassingly parallel. This requires a
-// stable ContentSeed across the batches of one cluster's lifetime.
+// what keeps the execution phase embarrassingly parallel. It requires one
+// ContentSeed for the batches of a cluster's lifetime, so Serve refuses a
+// batch that changes it.
 package cluster
 
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -98,11 +99,6 @@ type Config struct {
 	Obs *obs.Recorder
 }
 
-// node is one cluster member.
-type node struct {
-	arr *serve.Array
-}
-
 // stKey identifies a (node, LBA) replica copy known to be stale.
 type stKey struct {
 	node int
@@ -120,17 +116,20 @@ type Cluster struct {
 	replicas    int
 
 	mu    sync.Mutex
-	nodes []*node
-	dir   [][]int // owner set per range, primary first
+	nodes []*serve.Array // grows by append only (AddNode), so a snapshot taken under mu stays valid
+	dir   [][]int        // owner set per range, primary first
 	inj   *fault.Injector
 	pool  *parallel.Pool // shared with every node's array: decode workers and posted write-front tasks
 
 	// Directory-plane truth, maintained by the sequencing phase and the
-	// direct ops: last content id written per LBA (batch writes only),
-	// mapped-ness, and known-stale replica copies.
-	content map[int64]int32
-	mapped  map[int64]bool
+	// direct ops: per mapped LBA the content id a batch last wrote there
+	// (or direct), and the replica copies known stale.
+	content map[int64]int64
 	stale   map[stKey]bool
+	// seed is the ContentSeed of every batch so far, once seeded: the one
+	// the remembered content ids turn back into the bytes clients stored.
+	seed   int64
+	seeded bool
 
 	opBase   int64 // cumulative sequenced ops, for the membership timeline
 	draining int   // Serve and ReadBatch calls draining node queues outside mu
@@ -174,8 +173,7 @@ func New(cfg Config) (*Cluster, error) {
 		blocks:      cfg.Volume.Blocks,
 		rangeBlocks: rb,
 		replicas:    rr,
-		content:     make(map[int64]int32),
-		mapped:      make(map[int64]bool),
+		content:     make(map[int64]int64),
 		stale:       make(map[stKey]bool),
 		obs:         cfg.Obs,
 	}
@@ -200,14 +198,14 @@ func New(cfg Config) (*Cluster, error) {
 
 // newNode builds node id's array: the full cluster config with the device
 // fault seed offset per node so each node injects from its own streams.
-func (c *Cluster) newNode(id int) (*node, error) {
+func (c *Cluster) newNode(id int) (*serve.Array, error) {
 	sc := serve.Config{Volume: c.cfg.Volume, Shards: c.cfg.ShardsPerNode}
 	sc.Volume.Faults.Seed += int64(id) * nodeSeedStride
 	arr, err := serve.NewWithPool(sc, c.pool)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %d: %w", id, err)
 	}
-	return &node{arr: arr}, nil
+	return arr, nil
 }
 
 // mix64 is the SplitMix64 finalizer, the same mixer the fault package uses
@@ -237,9 +235,7 @@ func (c *Cluster) buildDirectory(nn int) [][]int {
 	taken := make([]bool, nn)
 	for r := range dir {
 		owners := backing[r*c.replicas : (r+1)*c.replicas]
-		for i := range taken {
-			taken[i] = false
-		}
+		clear(taken)
 		for k := 0; k < c.replicas; k++ {
 			best, bestScore := -1, uint64(0)
 			for n := 0; n < nn; n++ {
@@ -264,12 +260,26 @@ func (c *Cluster) owners(lba int64) []int {
 	return c.dir[lba/c.rangeBlocks]
 }
 
-// Nodes returns the node count.
-func (c *Cluster) Nodes() int {
+// direct marks, in content, a block whose bytes a direct Write stored: it
+// is mapped, but no content id names what it holds (ids are int32s).
+const direct = math.MaxInt64
+
+// contentID returns the content id a batch last wrote at lba; false when the
+// block is unmapped or holds directly-written bytes. Caller holds c.mu.
+func (c *Cluster) contentID(lba int64) (int32, bool) {
+	id, ok := c.content[lba]
+	return int32(id), ok && id != direct
+}
+
+// members returns the node arrays, in node order.
+func (c *Cluster) members() []*serve.Array {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.nodes)
+	return c.nodes
 }
+
+// Nodes returns the node count.
+func (c *Cluster) Nodes() int { return len(c.members()) }
 
 // Replicas returns the replication factor.
 func (c *Cluster) Replicas() int { return c.replicas }
@@ -280,26 +290,19 @@ func (c *Cluster) Blocks() int64 { return c.blocks }
 // Now returns the cluster's virtual clock: the slowest node's clock (nodes
 // run concurrently in simulated time).
 func (c *Cluster) Now() time.Duration {
-	c.mu.Lock()
-	nodes := c.nodes
-	c.mu.Unlock()
 	var now time.Duration
-	for _, n := range nodes {
-		if t := n.arr.Now(); t > now {
-			now = t
-		}
+	for _, a := range c.members() {
+		now = max(now, a.Now())
 	}
 	return now
 }
 
 // NodeStats returns each node's merged array stats, in node order.
 func (c *Cluster) NodeStats() []volume.Stats {
-	c.mu.Lock()
-	nodes := c.nodes
-	c.mu.Unlock()
+	nodes := c.members()
 	out := make([]volume.Stats, len(nodes))
-	for i, n := range nodes {
-		out[i] = n.arr.Stats()
+	for i, a := range nodes {
+		out[i] = a.Stats()
 	}
 	return out
 }
@@ -308,15 +311,20 @@ func (c *Cluster) NodeStats() []volume.Stats {
 // again (counters sum, latency summaries recomputed from the histograms
 // merged across every node's shards).
 func (c *Cluster) Stats() volume.Stats {
-	c.mu.Lock()
-	nodes := c.nodes
-	c.mu.Unlock()
 	var out volume.Snapshot
-	for _, n := range nodes {
-		sn := n.arr.Snapshot()
+	for _, a := range c.members() {
+		sn := a.Snapshot()
 		out.Merge(&sn)
 	}
 	return out.Stats()
+}
+
+// Close stops the shared decode workers and releases every node array's
+// batch state (see serve.Array.Close). Idempotent; the cluster stays usable.
+func (c *Cluster) Close() {
+	for _, a := range c.members() {
+		a.Close()
+	}
 }
 
 // instant records a membership event on the cluster lane at the cumulative
@@ -366,26 +374,16 @@ func (f FaultCounters) Total() int64 {
 		f.ReadRepairs + f.RepairWrites + f.RepairReads
 }
 
-// RunOptions tune a batch Serve run. As with serve.RunOptions, only
-// Clients affects the wall clock; nothing here besides the op list and the
-// cluster's configuration may affect the report.
-type RunOptions struct {
-	// Clients is the number of workers draining node queues (0 means one
-	// per node). Each node's array fans out further across its own shards,
-	// so a Serve call runs at most Clients x ShardsPerNode goroutines. A
-	// worker that finds no node left hashes and encodes ahead for the
-	// shards of the nodes still draining (see serve.RunOptions.Clients).
-	Clients int
-	// ContentSeed derives write payloads from content ids. Keep it stable
-	// across the batches of one cluster: repair payloads are re-derived
-	// from remembered content ids, so changing the seed mid-life would
-	// repair with different bytes than the original write stored.
-	ContentSeed int64
-	// Fill is the compressibility fill for payloads (0 means 0.5).
-	Fill float64
-	// CleanEvery runs each shard's cleaner every N ops on that shard.
-	CleanEvery int
-}
+// RunOptions tune a batch Serve run: serve's options, read one tier up.
+// Clients is the number of workers draining node queues (0 means one per
+// node); each node's array fans out further across its own shards, so a
+// Serve call runs at most Clients x ShardsPerNode goroutines, and a worker
+// with no node left hashes and encodes ahead for the nodes still draining.
+// ContentSeed is fixed by a cluster's first batch: repair payloads are
+// re-derived from remembered content ids, so Serve refuses a later batch
+// under another seed — it would repair with bytes no client stored. Only
+// Clients affects the wall clock; nothing here affects the report.
+type RunOptions = serve.RunOptions
 
 // Report summarizes a batch Serve run. Like serve.Report it excludes the
 // client count and wall-clock measurements: two runs differing only in
@@ -459,6 +457,11 @@ func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	c.mu.Lock()
+	if c.seeded && opt.ContentSeed != c.seed {
+		c.mu.Unlock()
+		return nil, fmt.Errorf("cluster: Serve: ContentSeed %d differs from %d used by earlier batches", opt.ContentSeed, c.seed)
+	}
+	c.seed, c.seeded = opt.ContentSeed, true
 	nn := len(c.nodes)
 	seq := &sequencer{
 		queues:   make([][]workload.Op, nn),
@@ -510,19 +513,15 @@ func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 
 	// Phase 2: drain node queues concurrently. Claiming whole queues keeps
 	// each node's op order fixed; serve.Array.Serve is deterministic below.
-	nodeOpt := serve.RunOptions{
-		Clients:     c.cfg.ShardsPerNode,
-		ContentSeed: opt.ContentSeed,
-		Fill:        opt.Fill,
-		CleanEvery:  opt.CleanEvery,
-	}
+	clients := opt.Clients
+	opt.Clients = c.cfg.ShardsPerNode
 	rep := &Report{
 		Nodes: nn, Replicas: c.replicas, Ops: len(ops), Writes: kinds.Writes, Reads: kinds.Reads, Trims: kinds.Trims,
 		Faults: seq.fc, PerNode: make([]serve.Report, nn),
 	}
-	err = c.pool.ForEach(nn, opt.Clients, func(i int) error {
+	err = c.pool.ForEach(nn, clients, func(i int) error {
 		serveStart := metrics.Clock()
-		nodeRep, err := nodes[i].arr.Serve(seq.queues[i], nodeOpt)
+		nodeRep, err := nodes[i].Serve(seq.queues[i], opt)
 		metrics.ClusterNodeServe.ObserveSince(serveStart)
 		if err != nil {
 			return fmt.Errorf("cluster: node %d: %w", i, err)
@@ -559,14 +558,14 @@ func (c *Cluster) rejoin(seq *sequencer, n int, opIdx int) {
 	for lba := range seq.dirty[n] {
 		lbas = append(lbas, lba)
 	}
-	sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
+	slices.Sort(lbas)
 	for _, lba := range lbas {
 		switch seq.dirty[n][lba] {
 		case 'T':
 			seq.queues[n] = append(seq.queues[n], workload.Op{Kind: workload.OpTrim, LBA: lba})
 			seq.fc.RepairWrites++
 		case 'W':
-			content, ok := c.content[lba]
+			content, ok := c.contentID(lba)
 			if !ok {
 				continue
 			}
@@ -595,8 +594,7 @@ func (c *Cluster) rejoin(seq *sequencer, n int, opIdx int) {
 // dirty, a live non-primary may silently diverge (dropped by injection),
 // everyone else gets the op. Caller holds the cluster mutex.
 func (c *Cluster) routeWrite(seq *sequencer, op workload.Op, owners []int) {
-	c.content[op.LBA] = op.Content
-	c.mapped[op.LBA] = true
+	c.content[op.LBA] = int64(op.Content)
 	for j, n := range owners {
 		if seq.down[n] {
 			seq.dirty[n][op.LBA] = 'W'
@@ -620,7 +618,6 @@ func (c *Cluster) routeWrite(seq *sequencer, op workload.Op, owners []int) {
 // replay. Caller holds the cluster mutex.
 func (c *Cluster) routeTrim(seq *sequencer, op workload.Op, owners []int) {
 	delete(c.content, op.LBA)
-	delete(c.mapped, op.LBA)
 	for _, n := range owners {
 		// The trim supersedes any missed write, so staleness clears even
 		// on a down owner (its replayed trim restores agreement).
@@ -650,7 +647,7 @@ func (c *Cluster) routeRead(seq *sequencer, op workload.Op, owners []int) {
 			serveAt, serveIdx = n, j
 		}
 		if c.stale[stKey{n, op.LBA}] {
-			if content, ok := c.content[op.LBA]; ok {
+			if content, ok := c.contentID(op.LBA); ok {
 				seq.queues[n] = append(seq.queues[n],
 					workload.Op{Kind: workload.OpWrite, LBA: op.LBA, Content: content})
 				seq.fc.ReadRepairs++
@@ -675,22 +672,23 @@ func (c *Cluster) routeRead(seq *sequencer, op workload.Op, owners []int) {
 	seq.queues[serveAt] = append(seq.queues[serveAt], op)
 }
 
-// Write stores one block on every owner synchronously (membership only
-// changes inside a batch, so all owners are live here). Returns the
-// slowest replica's latency — a replicated write completes when its last
-// copy does.
-func (c *Cluster) Write(lba int64, data []byte) (time.Duration, error) {
-	c.mu.Lock()
+// mutate is a direct write or trim: it records what lba now holds (direct,
+// or nothing), clears the staleness the op supersedes, and applies do to
+// every owner synchronously (membership only changes inside a batch, so all
+// owners are live here). It returns the slowest replica's latency — a
+// replicated mutation completes when its last copy does — and the first
+// error.
+func (c *Cluster) mutate(lba int64, mapped bool, do func(*serve.Array) (time.Duration, error)) (time.Duration, error) {
 	if lba < 0 || lba >= c.blocks {
-		c.mu.Unlock()
 		return 0, fmt.Errorf("cluster: lba %d outside [0,%d)", lba, c.blocks)
 	}
-	owners := c.owners(lba)
-	nodes := c.nodes
-	c.mapped[lba] = true
-	// Direct writes carry raw bytes, not content ids; drop any stale
-	// content-id memory so a later repair never resurrects old bytes.
-	delete(c.content, lba)
+	c.mu.Lock()
+	owners, nodes := c.owners(lba), c.nodes
+	if mapped {
+		c.content[lba] = direct
+	} else {
+		delete(c.content, lba)
+	}
 	for _, n := range owners {
 		delete(c.stale, stKey{n, lba})
 	}
@@ -698,10 +696,8 @@ func (c *Cluster) Write(lba int64, data []byte) (time.Duration, error) {
 	var worst time.Duration
 	var firstErr error
 	for _, n := range owners {
-		lat, err := nodes[n].arr.Write(lba, data)
-		if lat > worst {
-			worst = lat
-		}
+		lat, err := do(nodes[n])
+		worst = max(worst, lat)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -709,53 +705,41 @@ func (c *Cluster) Write(lba int64, data []byte) (time.Duration, error) {
 	return worst, firstErr
 }
 
-// Read fetches one block from the primary replica (zeros when unmapped).
-func (c *Cluster) Read(lba int64) ([]byte, time.Duration, error) {
-	c.mu.Lock()
-	if lba < 0 || lba >= c.blocks {
-		c.mu.Unlock()
-		return nil, 0, fmt.Errorf("cluster: lba %d outside [0,%d)", lba, c.blocks)
-	}
-	owners := c.owners(lba)
-	from := owners[0]
-	for _, n := range owners {
-		if !c.stale[stKey{n, lba}] {
-			from = n
-			break
-		}
-	}
-	nodes := c.nodes
-	c.mu.Unlock()
-	return nodes[from].arr.Read(lba)
+// Write stores one block on every owner. Direct writes carry raw bytes, not
+// content ids, so the directory forgets any id a batch wrote there: a later
+// repair never resurrects the old bytes.
+func (c *Cluster) Write(lba int64, data []byte) (time.Duration, error) {
+	return c.mutate(lba, true, func(a *serve.Array) (time.Duration, error) { return a.Write(lba, data) })
 }
 
 // Trim unmaps one block on every owner.
 func (c *Cluster) Trim(lba int64) (time.Duration, error) {
-	c.mu.Lock()
-	if lba < 0 || lba >= c.blocks {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("cluster: lba %d outside [0,%d)", lba, c.blocks)
-	}
+	return c.mutate(lba, false, func(a *serve.Array) (time.Duration, error) { return a.Trim(lba) })
+}
+
+// fresh returns the node a healthy-cluster read of lba is served by: the
+// first owner whose copy is not known stale — the primary unless it diverged
+// — or the primary when every copy is stale (its copy is as good as any).
+// Caller holds c.mu.
+func (c *Cluster) fresh(lba int64) int {
 	owners := c.owners(lba)
-	nodes := c.nodes
-	delete(c.content, lba)
-	delete(c.mapped, lba)
 	for _, n := range owners {
-		delete(c.stale, stKey{n, lba})
+		if !c.stale[stKey{n, lba}] {
+			return n
+		}
 	}
+	return owners[0]
+}
+
+// Read fetches one block from its first fresh replica (zeros when unmapped).
+func (c *Cluster) Read(lba int64) ([]byte, time.Duration, error) {
+	if lba < 0 || lba >= c.blocks {
+		return nil, 0, fmt.Errorf("cluster: lba %d outside [0,%d)", lba, c.blocks)
+	}
+	c.mu.Lock()
+	from := c.nodes[c.fresh(lba)]
 	c.mu.Unlock()
-	var worst time.Duration
-	var firstErr error
-	for _, n := range owners {
-		lat, err := nodes[n].arr.Trim(lba)
-		if lat > worst {
-			worst = lat
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return worst, firstErr
+	return from.Read(lba)
 }
 
 // ScrubReport summarizes a full-range replica-agreement sweep.
@@ -778,13 +762,13 @@ func (c *Cluster) Scrub() (*ScrubReport, error) {
 	rep := &ScrubReport{Blocks: c.blocks}
 	for lba := int64(0); lba < c.blocks; lba++ {
 		owners := c.owners(lba)
-		want, _, err := c.nodes[owners[0]].arr.Read(lba)
+		want, _, err := c.nodes[owners[0]].Read(lba)
 		if err != nil {
 			rep.Errors++
 			continue
 		}
 		for _, n := range owners[1:] {
-			got, _, err := c.nodes[n].arr.Read(lba)
+			got, _, err := c.nodes[n].Read(lba)
 			if err != nil {
 				rep.Errors++
 				continue
@@ -794,10 +778,10 @@ func (c *Cluster) Scrub() (*ScrubReport, error) {
 				continue
 			}
 			rep.Mismatched++
-			if c.mapped[lba] {
-				_, err = c.nodes[n].arr.Write(lba, want)
+			if _, mapped := c.content[lba]; mapped {
+				_, err = c.nodes[n].Write(lba, want)
 			} else {
-				_, err = c.nodes[n].arr.Trim(lba)
+				_, err = c.nodes[n].Trim(lba)
 			}
 			if err != nil {
 				rep.Errors++
@@ -854,23 +838,23 @@ func (c *Cluster) AddNode() (*RebalanceReport, error) {
 			hi = c.blocks
 		}
 		for lba := lo; lba < hi; lba++ {
-			if !c.mapped[lba] {
+			if _, mapped := c.content[lba]; !mapped {
 				continue
 			}
 			if len(added) > 0 {
-				data, _, err := c.nodes[oldOwners[0]].arr.Read(lba)
+				data, _, err := c.nodes[oldOwners[0]].Read(lba)
 				if err != nil {
 					return rep, fmt.Errorf("cluster: migrate lba %d: %w", lba, err)
 				}
 				for _, a := range added {
-					if _, err := c.nodes[a].arr.Write(lba, data); err != nil {
+					if _, err := c.nodes[a].Write(lba, data); err != nil {
 						return rep, fmt.Errorf("cluster: migrate lba %d to node %d: %w", lba, a, err)
 					}
 					rep.BlocksCopied++
 				}
 			}
 			for _, rm := range removed {
-				if _, err := c.nodes[rm].arr.Trim(lba); err != nil {
+				if _, err := c.nodes[rm].Trim(lba); err != nil {
 					return rep, fmt.Errorf("cluster: evict lba %d from node %d: %w", lba, rm, err)
 				}
 				rep.BlocksTrimmed++
@@ -883,18 +867,5 @@ func (c *Cluster) AddNode() (*RebalanceReport, error) {
 
 // ownersDiff returns the members of a not present in b, in a's order.
 func ownersDiff(a, b []int) []int {
-	var out []int
-	for _, x := range a {
-		found := false
-		for _, y := range b {
-			if x == y {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, x)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(a), func(n int) bool { return slices.Contains(b, n) })
 }

@@ -361,7 +361,7 @@ func TestClusterDirectOps(t *testing.T) {
 		t.Fatal("direct read returned different bytes")
 	}
 	for _, n := range c.owners(lba) {
-		copyGot, _, err := c.nodes[n].arr.Read(lba)
+		copyGot, _, err := c.nodes[n].Read(lba)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,23 +8,17 @@ import (
 	"inlinered/internal/parallel"
 	"inlinered/internal/serve"
 	"inlinered/internal/sim"
+	"inlinered/internal/volume"
 )
 
-// ReadBatchOptions tune a cluster batch read. Nothing here may affect the
-// report.
-type ReadBatchOptions struct {
-	// Clients is the number of worker goroutines draining node batches
-	// (0 means one per node). Wall clock only.
-	Clients int
-	// Sink receives every read's result during commit, keyed by the
-	// read's position in the batch. Called concurrently; block aliases
-	// internal buffers and is valid only for the duration of the call.
-	Sink func(i int, block []byte, err error)
-}
+// ReadBatchOptions tune a cluster batch read: serve's options, with
+// Clients counting the workers that drain node batches (0 means one per
+// node). Nothing here may affect the report.
+type ReadBatchOptions = serve.ReadBatchOptions
 
 // NodeReadReport is one node's slice of a cluster batch read: its array's
 // totals.
-type NodeReadReport = serve.ReadTotals
+type NodeReadReport = volume.ReadTotals
 
 // lbaPartitions recycles ReadBatch's routing buffers across calls. A call
 // takes one for its duration, so concurrent batches never share one, and
@@ -35,28 +29,13 @@ var lbaPartitions = sync.Pool{New: func() any { return new(parallel.Partition[in
 // Serve report it excludes client counts, decode parallelism, and wall
 // clocks: runs differing only in scheduling encode to identical bytes.
 type ReadBatchReport struct {
-	Nodes        int   `json:"nodes"`
-	Reads        int   `json:"reads"`
-	Errors       int64 `json:"errors"`
-	Fallbacks    int64 `json:"fallbacks"` // reads served off-primary (stale primary copy)
-	DecodedBlobs int64 `json:"decoded_blobs"`
-	DecodedParts int64 `json:"decoded_parts"`
-
-	// Chunk-cache accounting summed over nodes (deterministic: every
-	// counter moves in the per-shard sequential plan phases).
-	CacheHits       int64 `json:"cache_hits"`
-	CacheMisses     int64 `json:"cache_misses"`
-	CacheAdmissions int64 `json:"cache_admissions"`
-	CacheGhostHits  int64 `json:"cache_ghost_hits"`
-
-	Elapsed time.Duration    `json:"elapsed_ns"` // slowest node's virtual elapsed time
-	PerNode []NodeReadReport `json:"per_node"`
-}
-
-// HitRate returns the batch's cache hit fraction over lookups (0 when the
-// batch looked nothing up).
-func (r *ReadBatchReport) HitRate() float64 {
-	return serve.ReadTotals{CacheHits: r.CacheHits, CacheMisses: r.CacheMisses}.HitRate()
+	Nodes int `json:"nodes"`
+	// The nodes' totals merged: counters sum (the cache counters all move in
+	// the per-shard sequential plan phases, so they are deterministic) and
+	// Elapsed is the slowest node's.
+	volume.ReadTotals
+	Fallbacks int64            `json:"fallbacks"` // reads served off-primary (stale primary copy)
+	PerNode   []NodeReadReport `json:"per_node"`
 }
 
 // ReadBatchReportSchema versions the cluster batch-read report envelope.
@@ -75,17 +54,6 @@ func (r *ReadBatchReport) String() string {
 		r.Nodes, r.Reads, r.Errors, r.Fallbacks, r.DecodedBlobs, r.DecodedParts,
 		r.CacheHits, r.CacheHits+r.CacheMisses, 100*r.HitRate(),
 		r.Elapsed.Round(time.Microsecond))
-}
-
-// Close stops the shared decode workers and releases every node array's
-// batch state (see serve.Array.Close). Idempotent; the cluster stays usable.
-func (c *Cluster) Close() {
-	c.mu.Lock()
-	nodes := c.nodes
-	c.mu.Unlock()
-	for _, n := range nodes {
-		n.arr.Close()
-	}
 }
 
 // ReadBatch executes a batch of reads across the cluster — the batch
@@ -109,32 +77,26 @@ func (c *Cluster) ReadBatch(lbas []int64, opt ReadBatchOptions) (*ReadBatchRepor
 	}
 	part := lbaPartitions.Get().(*parallel.Partition[int64])
 	defer lbaPartitions.Put(part)
-	out := &ReadBatchReport{Reads: len(lbas)}
 	c.mu.Lock()
 	nodes := c.nodes
+	out := &ReadBatchReport{Nodes: len(nodes), PerNode: make([]NodeReadReport, len(nodes))}
 	part.Split(len(lbas), len(nodes), func(i int) int {
-		owners := c.owners(lbas[i])
-		for _, n := range owners {
-			if !c.stale[stKey{n, lbas[i]}] {
-				if n != owners[0] {
-					out.Fallbacks++
-				}
-				return n
-			}
+		n := c.fresh(lbas[i])
+		if n != c.owners(lbas[i])[0] {
+			out.Fallbacks++
 		}
-		return owners[0] // every copy stale: the primary's is as good as any
+		return n
 	}, func(i int) int64 { return lbas[i] })
 	c.draining++
 	c.mu.Unlock()
 
-	out.Nodes, out.PerNode = len(nodes), make([]NodeReadReport, len(nodes))
 	err := c.pool.ForEach(len(nodes), opt.Clients, func(n int) error {
 		var sink func(k int, block []byte, err error)
 		if opt.Sink != nil {
 			pos := part.Pos[n]
 			sink = func(k int, block []byte, err error) { opt.Sink(pos[k], block, err) }
 		}
-		rep, err := nodes[n].arr.ReadBatch(part.Queues[n], serve.ReadBatchOptions{Sink: sink})
+		rep, err := nodes[n].ReadBatch(part.Queues[n], ReadBatchOptions{Sink: sink})
 		if err != nil {
 			return err
 		}
@@ -145,17 +107,8 @@ func (c *Cluster) ReadBatch(lbas []int64, opt ReadBatchOptions) (*ReadBatchRepor
 	if err != nil {
 		return nil, err
 	}
-	var sum serve.ReadTotals
 	for _, t := range out.PerNode {
-		sum.Add(t)
+		out.Add(t)
 	}
-	out.Errors = sum.Errors
-	out.DecodedBlobs = sum.DecodedBlobs
-	out.DecodedParts = sum.DecodedParts
-	out.CacheHits = sum.CacheHits
-	out.CacheMisses = sum.CacheMisses
-	out.CacheAdmissions = sum.CacheAdmissions
-	out.CacheGhostHits = sum.CacheGhostHits
-	out.Elapsed = sum.Elapsed
 	return out, nil
 }

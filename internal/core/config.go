@@ -141,13 +141,11 @@ type Config struct {
 	Sub   lz.SubBlockParams
 
 	// SkipIncompressible enables the entropy bypass: chunks whose byte
-	// entropy exceeds EntropyThreshold bits/byte are stored raw without
-	// running the encoder (or, on the GPU path, without the PCIe round
-	// trip). Already-compressed or encrypted content costs one histogram
-	// pass instead of a full match search.
+	// entropy exceeds 7.2 bits/byte are stored raw without running the
+	// encoder (or, on the GPU path, without the PCIe round trip).
+	// Already-compressed or encrypted content costs one histogram pass
+	// instead of a full match search.
 	SkipIncompressible bool
-	// EntropyThreshold is the bypass cutoff in bits/byte; 0 means 7.2.
-	EntropyThreshold float64
 
 	// IncludeDestage counts SSD destage completion in the pipeline
 	// makespan. The paper reports the throughput of the data reduction

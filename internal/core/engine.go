@@ -159,8 +159,7 @@ func NewEngine(plat Platform, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.sub = sub
-	e.enc = reduce.Encoder{Compress: cfg.Compress, Codec: cfg.Codec, LZ: cfg.LZ,
-		SkipIncompressible: cfg.SkipIncompressible, EntropyThreshold: cfg.EntropyThreshold}
+	e.enc = reduce.Encoder{Compress: cfg.Compress, Codec: cfg.Codec, LZ: cfg.LZ, SkipIncompressible: cfg.SkipIncompressible}
 	if needGPU {
 		e.dev = gpu.New(plat.GPU)
 		e.dev.SetFaultInjector(sub.Faults)
@@ -348,7 +347,7 @@ func (e *Engine) hashBatch(hb *hashedBatch) {
 			hashCycles = cost.HashCycles(len(c))
 		}
 		hb.hashEnd[i] = e.sub.Run("chunk+hash", 0, chunkCycles+hashCycles)
-		hb.ready = sim.MaxTime(hb.ready, hb.hashEnd[i])
+		hb.ready = max(hb.ready, hb.hashEnd[i])
 		e.rep.Stages.Chunking += e.seconds(chunkCycles)
 		e.rep.Stages.Hashing += e.seconds(hashCycles)
 	}
@@ -371,7 +370,7 @@ func (e *Engine) screen(hb *hashedBatch) {
 	// — a backlogged queue (compression kernels in GPUBoth, or a slow
 	// device) means the batch takes the CPU path instead. This is also
 	// §3.1(3)'s "still some work to do" guard.
-	at := sim.MaxTime(hb.ready, e.sub.CPU.Pool.NextFree())
+	at := max(hb.ready, e.sub.CPU.Pool.NextFree())
 	if e.dev.NextFree() > at {
 		return
 	}
@@ -633,7 +632,7 @@ func (e *Engine) flushGPUCompress() error {
 	batchReady := time.Duration(0)
 	srcBytes := 0
 	for _, p := range pend {
-		batchReady = sim.MaxTime(batchReady, p.ready)
+		batchReady = max(batchReady, p.ready)
 		srcBytes += len(p.data)
 	}
 	if e.gpuLost {
@@ -659,13 +658,12 @@ func (e *Engine) flushGPUCompress() error {
 		rawBytes += p.enc.Sub.RawBytes()
 	}
 	e.perLane = perLane
-	kernel := gpu.KernelFunc{Label: "subblock-lz", Fn: func() gpu.Profile {
+	var err error
+	t, _, err = e.dev.Launch(t, "subblock-lz", func() gpu.Profile {
 		p := gpu.Wavefronts(perLane, e.dev.WavefrontSize)
 		p.LocalBytes = int64(srcBytes)
 		return p
-	}}
-	var err error
-	t, _, err = e.dev.Launch(t, kernel)
+	})
 	if err != nil {
 		if !errors.Is(err, fault.ErrDeviceLost) {
 			return err
@@ -731,7 +729,7 @@ func (e *Engine) fallbackCPUCompress(pend []gpuPending, at time.Duration) error 
 		base := codec.Cycles(e.sub.CPU.Cost, p.enc)
 		e.rep.Stages.Compression += e.seconds(base)
 		pend[i].data = nil
-		if err := e.finishUnique(p.fp, p.enc.Blob, sim.MaxTime(p.ready, at), base, int(p.idx), "cpu-fallback"); err != nil {
+		if err := e.finishUnique(p.fp, p.enc.Blob, max(p.ready, at), base, int(p.idx), "cpu-fallback"); err != nil {
 			return err
 		}
 	}
@@ -879,10 +877,10 @@ func (e *Engine) finish() {
 	r := &e.rep
 	elapsed := e.sub.CPU.Pool.Horizon()
 	if e.dev != nil {
-		elapsed = sim.MaxTime(elapsed, e.dev.Horizon())
+		elapsed = max(elapsed, e.dev.Horizon())
 	}
 	if e.cfg.IncludeDestage {
-		elapsed = sim.MaxTime(elapsed, e.sub.Drive.Horizon())
+		elapsed = max(elapsed, e.sub.Drive.Horizon())
 	}
 	r.Elapsed = elapsed
 	r.IOPS = sim.Throughput(float64(r.Chunks), elapsed)

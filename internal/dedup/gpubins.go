@@ -118,7 +118,7 @@ func (g *GPUBins) BatchIndex(at time.Duration, fps []Fingerprint) (time.Duration
 	cost := g.dev.Cost
 	perItem := make([]float64, len(fps))
 	var localBytes int64
-	kernel := gpu.KernelFunc{Label: "bin-index", Fn: func() gpu.Profile {
+	t, prof, err := g.dev.Launch(t, "bin-index", func() gpu.Profile {
 		for i, fp := range fps {
 			bin := fp.Bin(g.binBits)
 			key := fp.Suffix(FingerprintSize - g.keySize)
@@ -140,8 +140,7 @@ func (g *GPUBins) BatchIndex(at time.Duration, fps []Fingerprint) (time.Duration
 		p := gpu.Wavefronts(perItem, g.dev.WavefrontSize)
 		p.LocalBytes = localBytes
 		return p
-	}}
-	t, prof, err := g.dev.Launch(t, kernel)
+	})
 	if err != nil {
 		return t, nil, gpu.Profile{}, err
 	}

@@ -32,7 +32,7 @@ func GPUBatchHash(dev *gpu.Device, at time.Duration, chunks [][]byte) (time.Dura
 	fps := make([]Fingerprint, len(chunks))
 	cost := dev.Cost
 	perLane := make([]float64, len(chunks))
-	kernel := gpu.KernelFunc{Label: "batch-sha1", Fn: func() gpu.Profile {
+	t, prof, err := dev.Launch(t, "batch-sha1", func() gpu.Profile {
 		for i, c := range chunks {
 			fps[i] = Sum(c) // the real digest
 			perLane[i] = float64(len(c)) * cost.HashCyclesPerByte
@@ -40,8 +40,7 @@ func GPUBatchHash(dev *gpu.Device, at time.Duration, chunks [][]byte) (time.Dura
 		p := gpu.Wavefronts(perLane, dev.WavefrontSize)
 		p.LocalBytes = int64(total)
 		return p
-	}}
-	t, prof, err := dev.Launch(t, kernel)
+	})
 	if err != nil {
 		return t, nil, gpu.Profile{}, err
 	}

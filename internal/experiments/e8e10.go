@@ -61,7 +61,7 @@ func E8BinScaling(cfg Config) (*Result, error) {
 				float64(w.BufferScanned)*cost.BufferEntryCycles +
 				float64(w.TreeSteps)*cost.TreeStepCycles +
 				float64(w.Items)*cost.InsertCycles/2
-			makespan = sim.MaxTime(makespan, sim.Cycles(cycles, clock))
+			makespan = max(makespan, sim.Cycles(cycles, clock))
 		}
 		binsMops := float64(ops) / makespan.Seconds() / 1e6
 

@@ -170,26 +170,6 @@ func Wavefronts(perItemCycles []float64, w int) Profile {
 	return p
 }
 
-// Kernel is a unit of GPU work. Run executes the kernel functionally
-// (producing real results in device buffers or host memory) and returns the
-// work profile the device charges for.
-type Kernel interface {
-	Name() string
-	Run() Profile
-}
-
-// KernelFunc adapts a function to the Kernel interface.
-type KernelFunc struct {
-	Label string
-	Fn    func() Profile
-}
-
-// Name returns the kernel's label.
-func (k KernelFunc) Name() string { return k.Label }
-
-// Run invokes the wrapped function.
-func (k KernelFunc) Run() Profile { return k.Fn() }
-
 // Device is a simulated GPU. The command queue is in-order (one kernel at a
 // time), matching the single OpenCL queue the paper's design uses; the PCIe
 // link is shared by both transfer directions. Device is not safe for
@@ -276,30 +256,32 @@ func (d *Device) SetRecorder(r *obs.Recorder) {
 // loss remain valid (they were already copied back or retired).
 func (d *Device) Lost() bool { return d.lost }
 
-// Launch runs kernel k, enqueued at virtual time at, and returns the kernel
-// completion time together with the kernel's profile. The launch pays the
-// fixed dispatch overhead and then the profile's compute time; kernels on
-// the queue serialize.
+// Launch runs the kernel called name, enqueued at virtual time at: run
+// executes it functionally (producing real results in device buffers or host
+// memory) and returns the work profile the device charges for. Launch
+// returns the kernel completion time together with that profile. The launch
+// pays the fixed dispatch overhead and then the profile's compute time;
+// kernels on the queue serialize.
 //
 // A launch on a lost device fails with fault.ErrDeviceLost without running
 // the kernel. An injected device loss fires during dispatch: the launch
 // overhead is charged (the host only learns of the loss from the failed
 // dispatch), the kernel does not run, and the device is dead from then on.
-func (d *Device) Launch(at time.Duration, k Kernel) (end time.Duration, p Profile, err error) {
+func (d *Device) Launch(at time.Duration, name string, run func() Profile) (end time.Duration, p Profile, err error) {
 	if d.lost {
-		return at, Profile{}, fmt.Errorf("gpu: launch %s: %w", k.Name(), fault.ErrDeviceLost)
+		return at, Profile{}, fmt.Errorf("gpu: launch %s: %w", name, fault.ErrDeviceLost)
 	}
 	if d.faults.DeviceLost() {
 		d.lost = true
 		_, end = d.queue.Acquire(at, d.LaunchOverhead)
 		d.rec.Instant(d.laneKernel, "device-lost", end)
-		return end, Profile{}, fmt.Errorf("gpu: launch %s: %w", k.Name(), fault.ErrDeviceLost)
+		return end, Profile{}, fmt.Errorf("gpu: launch %s: %w", name, fault.ErrDeviceLost)
 	}
-	p = k.Run()
+	p = run()
 	dur := d.LaunchOverhead + d.ComputeTime(p)
 	var start time.Duration
 	start, end = d.queue.Acquire(at, dur)
-	d.rec.SpanN(d.laneKernel, k.Name(), start, end, "items", int64(p.Items))
+	d.rec.SpanN(d.laneKernel, name, start, end, "items", int64(p.Items))
 	d.kernels++
 	d.profiles.Items += int64(p.Items)
 	d.profiles.Waves += int64(p.Waves)
@@ -335,7 +317,7 @@ func (d *Device) NextFree() time.Duration { return d.queue.NextFree() }
 // Horizon reports the device's latest scheduled completion (kernels and
 // transfers).
 func (d *Device) Horizon() time.Duration {
-	return sim.MaxTime(d.queue.Horizon(), d.link.Horizon())
+	return max(d.queue.Horizon(), d.link.Horizon())
 }
 
 // Kernels reports the number of kernels launched so far.

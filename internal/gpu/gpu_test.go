@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -63,10 +64,10 @@ func TestDivergenceFactor(t *testing.T) {
 func TestLaunchChargesOverheadAndCompute(t *testing.T) {
 	d := New(testConfig())
 	// 2 waves of 1000 cycles each on 2 CUs -> 1000 cycles at 1 GHz = 1 µs.
-	k := KernelFunc{Label: "k", Fn: func() Profile {
+	k := func() Profile {
 		return Profile{Items: 8, Waves: 2, SumWaveCycles: 2000, LaneCycles: 8000}
-	}}
-	end, _, _ := d.Launch(0, k)
+	}
+	end, _, _ := d.Launch(0, "k", k)
 	want := 10*time.Microsecond + time.Microsecond
 	if end != want {
 		t.Fatalf("launch end: got %v, want %v", end, want)
@@ -78,9 +79,9 @@ func TestLaunchChargesOverheadAndCompute(t *testing.T) {
 
 func TestLaunchSerializesOnQueue(t *testing.T) {
 	d := New(testConfig())
-	k := KernelFunc{Label: "k", Fn: func() Profile { return Profile{} }}
-	end1, _, _ := d.Launch(0, k)
-	end2, _, _ := d.Launch(0, k)
+	k := func() Profile { return Profile{} }
+	end1, _, _ := d.Launch(0, "k", k)
+	end2, _, _ := d.Launch(0, "k", k)
 	if end2 != end1+d.LaunchOverhead {
 		t.Fatalf("second kernel should queue: end1=%v end2=%v", end1, end2)
 	}
@@ -93,10 +94,10 @@ func TestLaunchOverheadFloor(t *testing.T) {
 	// The architectural point of §3.1(3): tiny kernels cost the launch
 	// overhead no matter how little work they do.
 	d := New(testConfig())
-	k := KernelFunc{Label: "tiny", Fn: func() Profile {
+	k := func() Profile {
 		return Wavefronts([]float64{1}, d.WavefrontSize)
-	}}
-	end, _, _ := d.Launch(0, k)
+	}
+	end, _, _ := d.Launch(0, "k", k)
 	if end < d.LaunchOverhead {
 		t.Fatalf("kernel finished before launch overhead: %v < %v", end, d.LaunchOverhead)
 	}
@@ -141,7 +142,7 @@ func TestResetKeepsBuffers(t *testing.T) {
 	d := New(testConfig())
 	b, _ := d.Alloc("persistent", 128)
 	b.Data[0] = 42
-	d.Launch(0, KernelFunc{Label: "k", Fn: func() Profile { return Profile{} }})
+	d.Launch(0, "k", func() Profile { return Profile{} })
 	d.Reset()
 	if d.Kernels() != 0 || d.Busy(0) {
 		t.Fatal("reset should clear timeline")
@@ -222,13 +223,10 @@ func TestDeviceAccessors(t *testing.T) {
 	if d.TransferTime(0) != cfg.PCIeSetup {
 		t.Fatalf("zero-byte transfer should cost setup only: %v", d.TransferTime(0))
 	}
-	k := KernelFunc{Label: "acc", Fn: func() Profile {
+	k := func() Profile {
 		return Wavefronts([]float64{100, 200}, 2)
-	}}
-	if k.Name() != "acc" {
-		t.Fatal("kernel name")
 	}
-	end, _, _ := d.Launch(0, k)
+	end, _, _ := d.Launch(0, "acc", k)
 	if d.NextFree() != end {
 		t.Fatalf("NextFree: %v vs %v", d.NextFree(), end)
 	}
@@ -261,11 +259,11 @@ func TestDeviceLostKillsLaunches(t *testing.T) {
 		Rates: fault.Rates{GPUDeviceLost: 1},
 	}))
 	ran := false
-	k := KernelFunc{Label: "victim", Fn: func() Profile { ran = true; return Profile{} }}
+	k := func() Profile { ran = true; return Profile{} }
 
-	end, _, err := d.Launch(0, k)
-	if err == nil || !errors.Is(err, fault.ErrDeviceLost) {
-		t.Fatalf("want ErrDeviceLost, got %v", err)
+	end, _, err := d.Launch(0, "victim", k)
+	if err == nil || !errors.Is(err, fault.ErrDeviceLost) || !strings.Contains(err.Error(), "launch victim") {
+		t.Fatalf("want ErrDeviceLost naming the kernel, got %v", err)
 	}
 	if ran {
 		t.Fatal("kernel must not run on a lost device")
@@ -282,7 +280,7 @@ func TestDeviceLostKillsLaunches(t *testing.T) {
 	}
 
 	// Every later launch fails fast, without further timeline charges.
-	end2, _, err := d.Launch(end, k)
+	end2, _, err := d.Launch(end, "victim", k)
 	if err == nil || !errors.Is(err, fault.ErrDeviceLost) {
 		t.Fatalf("launch after loss: want ErrDeviceLost, got %v", err)
 	}
@@ -298,10 +296,10 @@ func TestDeviceLossIsDeterministic(t *testing.T) {
 			Seed:  99,
 			Rates: fault.Rates{GPUDeviceLost: 0.05},
 		}))
-		k := KernelFunc{Label: "k", Fn: func() Profile { return Profile{Items: 1} }}
+		k := func() Profile { return Profile{Items: 1} }
 		var at time.Duration
 		for i := 0; i < 400; i++ {
-			end, _, err := d.Launch(at, k)
+			end, _, err := d.Launch(at, "k", k)
 			if err != nil {
 				return i
 			}

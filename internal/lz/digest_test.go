@@ -45,11 +45,8 @@ func encodeDigests() string {
 		p    Params
 	}{
 		{"default", DefaultParams()},
-		{"best", BestParams()},
 		{"chain0", Params{}},
 		{"chain1", Params{MaxChain: 1}},
-		{"chain4-lazy", Params{MaxChain: 4, Lazy: true}},
-		{"chain16-lazy", Params{MaxChain: 16, Lazy: true}},
 		{"chain64", Params{MaxChain: 64}},
 	}
 	lanes := []struct {
@@ -58,7 +55,6 @@ func encodeDigests() string {
 	}{
 		{"sub-default", DefaultSubBlockParams()},
 		{"sub2x0", SubBlockParams{Params: DefaultParams(), SubBlocks: 2}},
-		{"sub7x100-best", SubBlockParams{Params: BestParams(), SubBlocks: 7, Overlap: 100}},
 		{"sub3x5000", SubBlockParams{Params: DefaultParams(), SubBlocks: 3, Overlap: 5000}},
 	}
 	var sb strings.Builder

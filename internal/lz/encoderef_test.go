@@ -145,33 +145,6 @@ func encodeRangeRef(out, data []byte, from int, p Params) ([]byte, Stats) {
 	for pos < len(data) {
 		off, l, steps := m.find(pos, pos, p.MaxChain)
 		st.SearchSteps += steps
-		if l >= MinMatch && p.Lazy && pos+1 < len(data) && l < MaxMatch {
-			// One-step lazy evaluation: if the match starting one byte
-			// later is strictly longer, emit this byte as a literal and
-			// take the longer match on the next iteration.
-			m.insert(pos)
-			off2, l2, steps2 := m.find(pos+1, pos+1, p.MaxChain)
-			st.SearchSteps += steps2
-			if l2 > l {
-				w.literal(data[pos])
-				pos++
-				off, l = off2, l2
-			} else {
-				// Keep the current match; pos is already inserted.
-				w.match(off, l)
-				for i := 1; i < l; i++ {
-					m.insert(pos + i)
-				}
-				pos += l
-				continue
-			}
-			w.match(off, l)
-			for i := 0; i < l; i++ {
-				m.insert(pos + i)
-			}
-			pos += l
-			continue
-		}
 		if l >= MinMatch {
 			w.match(off, l)
 			for i := 0; i < l; i++ {
@@ -291,12 +264,12 @@ func checkEncodeMatchesRef(t *testing.T, name string, data []byte, from int, p P
 // TestEncodeMatchesRef holds the chain-walking encoder to the incremental
 // one: equal token bytes and equal Stats (all six fields) whatever the
 // content, the length (both link widths and the switch between them), the
-// search depth, the parse and the history split.
+// search depth and the history split.
 func TestEncodeMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	var params []Params
 	for _, mc := range []int{0, 1, 4, 16, 64} {
-		params = append(params, Params{MaxChain: mc}, Params{MaxChain: mc, Lazy: true})
+		params = append(params, Params{MaxChain: mc})
 	}
 	froms := func(n int) []int {
 		if n == 0 {
@@ -321,7 +294,7 @@ func TestEncodeMatchesRef(t *testing.T) {
 	}
 	// 1 MiB: far into 32-bit links. One shallow and one deep search.
 	data := sizedBuffer(1 << 20)
-	for _, p := range []Params{DefaultParams(), BestParams()} {
+	for _, p := range []Params{DefaultParams(), {MaxChain: 64}} {
 		for _, from := range froms(len(data)) {
 			checkEncodeMatchesRef(t, "1MiB", data, from, p)
 		}
@@ -339,7 +312,7 @@ func TestSubBlocksMatchRef(t *testing.T) {
 				continue // one lane per byte is covered by the 4 KiB chunks
 			}
 			for _, overlap := range []int{0, 5, 100, 512, 5000} {
-				for _, pp := range []Params{DefaultParams(), BestParams()} {
+				for _, pp := range []Params{DefaultParams(), {MaxChain: 64}} {
 					p := SubBlockParams{Params: pp, SubBlocks: subs, Overlap: overlap}
 					want, got := compressSubBlocksRef(data, p), CompressSubBlocks(data, p)
 					if got.SrcLen != want.SrcLen || len(got.Lanes) != len(want.Lanes) {
@@ -359,23 +332,23 @@ func TestSubBlocksMatchRef(t *testing.T) {
 	}
 }
 
-// FuzzEncodeMatchesRef: any buffer, history split, search depth and parse
+// FuzzEncodeMatchesRef: any buffer, history split and search depth
 // encodes to the reference's tokens and Stats, and the blob round-trips.
 func FuzzEncodeMatchesRef(f *testing.F) {
 	for _, data := range refCorpus() {
-		f.Add(data, 0, 16, false)
-		f.Add(data, len(data)/3, 64, true)
-		f.Add(data, len(data)-1, 1, true)
+		f.Add(data, 0, 16)
+		f.Add(data, len(data)/3, 64)
+		f.Add(data, len(data)-1, 1)
 	}
 	for _, data := range corpus() {
-		f.Add(data, 0, 4, true)
+		f.Add(data, 0, 4)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, from, maxChain int, lazy bool) {
+	f.Fuzz(func(t *testing.T, data []byte, from, maxChain int) {
 		if from < 0 {
 			from = -(from + 1)
 		}
 		from %= len(data) + 1
-		p := Params{MaxChain: maxChain % 128, Lazy: lazy}
+		p := Params{MaxChain: maxChain % 128}
 		checkEncodeMatchesRef(t, "fuzz", data, from, p)
 		blob, _ := Compress(nil, data, p)
 		out, err := Decompress(nil, blob)

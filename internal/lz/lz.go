@@ -113,19 +113,10 @@ type Params struct {
 	// effort/ratio knob. Higher finds better matches but costs more
 	// search steps (virtual time).
 	MaxChain int
-	// Lazy enables one-step lazy matching: when a match is found, the
-	// encoder also tries the next position and emits a literal instead if
-	// the deferred match is strictly longer. Better ratio for roughly one
-	// extra search per match.
-	Lazy bool
 }
 
 // DefaultParams returns the fast, storage-inline-grade search depth.
 func DefaultParams() Params { return Params{MaxChain: 16} }
-
-// BestParams returns the slower, better-ratio configuration (deep chains
-// plus lazy matching) for offline or background recompression.
-func BestParams() Params { return Params{MaxChain: 64, Lazy: true} }
 
 // Stats reports the real work an encode performed.
 type Stats struct {
@@ -350,20 +341,6 @@ func (c *chains[L]) parse(out []byte, lo, from, end int, p Params) ([]byte, Stat
 		}
 		off, l, steps := c.walk(pos, cand, limit, min(end-pos, MaxMatch), maxChain)
 		searchSteps += steps
-		if l >= MinMatch && p.Lazy && pos+1 < end && l < MaxMatch {
-			// One-step lazy evaluation: if the match starting one byte
-			// later is strictly longer, emit this byte as a literal and
-			// take the longer match instead.
-			if cand, limit := c.first(pos+1, lo, end); cand >= limit {
-				off2, l2, steps2 := c.walk(pos+1, cand, limit, min(end-pos-1, MaxMatch), maxChain)
-				searchSteps += steps2
-				if l2 > l {
-					w = w.literal(tokens, data[pos])
-					pos++
-					off, l = off2, l2
-				}
-			}
-		}
 		if l >= MinMatch {
 			w = w.match(tokens, off, l)
 			pos += l

@@ -221,58 +221,3 @@ func TestDecoderTotalProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestLazyRoundTripProperty(t *testing.T) {
-	f := func(data []byte, chainRaw uint8) bool {
-		p := Params{MaxChain: int(chainRaw%64) + 1, Lazy: true}
-		blob, _ := Compress(nil, data, p)
-		out, err := Decompress(nil, blob)
-		return err == nil && bytes.Equal(out, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLazyNeverWorseOnCorpus(t *testing.T) {
-	for name, data := range corpus() {
-		_, greedy := Compress(nil, data, Params{MaxChain: 32})
-		_, lazy := Compress(nil, data, Params{MaxChain: 32, Lazy: true})
-		if lazy.DstBytes > greedy.DstBytes+greedy.DstBytes/50 {
-			t.Errorf("%s: lazy clearly worse: %d vs %d", name, lazy.DstBytes, greedy.DstBytes)
-		}
-	}
-}
-
-func TestLazyImprovesAdversarialInput(t *testing.T) {
-	// Classic lazy-matching win: a short match at pos hides a longer one
-	// at pos+1. Layout: "ab" + X + "b" + Y where a greedy encoder takes
-	// the short "ab" match and misses the long run starting at "b".
-	long := bytes.Repeat([]byte("0123456789ABCDEF"), 8)
-	data := append([]byte{}, []byte("ab")...)
-	data = append(data, long...)
-	data = append(data, 'a') // greedy bait: matches "ab" prefix...
-	data = append(data, 'b')
-	data = append(data, long...) // ...hiding this full repeat at +1
-	_, greedy := Compress(nil, data, Params{MaxChain: 64})
-	_, lazy := Compress(nil, data, Params{MaxChain: 64, Lazy: true})
-	if lazy.DstBytes > greedy.DstBytes {
-		t.Fatalf("lazy should not lose on the adversarial layout: %d vs %d", lazy.DstBytes, greedy.DstBytes)
-	}
-	if lazy.SearchSteps < greedy.SearchSteps {
-		t.Fatal("lazy matching should never search less than greedy")
-	}
-}
-
-func TestBestParams(t *testing.T) {
-	p := BestParams()
-	if !p.Lazy || p.MaxChain <= DefaultParams().MaxChain {
-		t.Fatalf("BestParams should be deeper and lazy: %+v", p)
-	}
-	data := corpus()["text"]
-	_, def := Compress(nil, data, DefaultParams())
-	_, best := Compress(nil, data, BestParams())
-	if best.DstBytes > def.DstBytes {
-		t.Fatalf("BestParams compressed worse: %d vs %d", best.DstBytes, def.DstBytes)
-	}
-}

@@ -100,28 +100,20 @@ var encoderGoldens = []struct {
 	sum       string
 }{
 	{"empty", "default", 0, 2, "96a296d224f285c6"},
-	{"empty", "best", 0, 2, "96a296d224f285c6"},
 	{"empty", "qlz", 0, 2, "96a296d224f285c6"},
 	{"mixed", "default", 366, 2551, "78df75e04e7d6353"},
-	{"mixed", "best", 367, 2551, "78df75e04e7d6353"},
 	{"mixed", "qlz", 235, 2336, "97efdc6ebdf9d168"},
 	{"onebyte", "default", 0, 3, "e5d8594f7b3e3d1e"},
-	{"onebyte", "best", 0, 3, "e5d8594f7b3e3d1e"},
 	{"onebyte", "qlz", 0, 3, "e5d8594f7b3e3d1e"},
 	{"periodic", "default", 272, 589, "e60c8a8ace704e4a"},
-	{"periodic", "best", 273, 589, "e60c8a8ace704e4a"},
 	{"periodic", "qlz", 19, 71, "912ecf7681035c72"},
 	{"random", "default", 1093, 4099, "c4fa2661692f006e"},
-	{"random", "best", 1093, 4099, "c4fa2661692f006e"},
 	{"random", "qlz", 904, 4099, "c4fa2661692f006e"},
 	{"text", "default", 299, 580, "7d131088e8c64e0f"},
-	{"text", "best", 301, 579, "9a815dfe9155002b"},
 	{"text", "qlz", 20, 111, "dbab4789fa0057d7"},
 	{"tiny", "default", 0, 5, "757f0dea9aa0c1f8"},
-	{"tiny", "best", 0, 5, "757f0dea9aa0c1f8"},
 	{"tiny", "qlz", 0, 5, "757f0dea9aa0c1f8"},
 	{"zeros", "default", 228, 489, "edb395802de7131d"},
-	{"zeros", "best", 229, 489, "edb395802de7131d"},
 	{"zeros", "qlz", 16, 56, "f24b930d5df6fc17"},
 }
 
@@ -133,8 +125,6 @@ func TestEncoderOutputUnchangedByMatcherOptimization(t *testing.T) {
 		switch g.cfg {
 		case "default":
 			blob, st = Compress(nil, data[g.name], DefaultParams())
-		case "best":
-			blob, st = Compress(nil, data[g.name], BestParams())
 		case "qlz":
 			blob, st = CompressQLZ(nil, data[g.name])
 		default:

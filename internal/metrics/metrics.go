@@ -130,15 +130,12 @@ const histBuckets = 64
 
 // Histogram is a lock-free log-bucket histogram of nanosecond durations
 // (or raw values, for size distributions). Unlike sim.Histogram it is
-// safe for concurrent use: bucket counts, n, and sum are atomic adds;
-// min/max converge by CAS. Build with NewSecondsHistogram or
-// NewValueHistogram.
+// safe for concurrent use: bucket counts, n, and sum are atomic adds.
+// Build with NewSecondsHistogram or NewValueHistogram.
 type Histogram struct {
 	counts [histBuckets]atomic.Int64
 	n      atomic.Int64
 	sum    atomic.Int64
-	min    atomic.Int64 // initialized to MaxInt64 by the constructors
-	max    atomic.Int64
 }
 
 // Observe records one sample. Negative values clamp to zero. Safe for
@@ -150,18 +147,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[bits.Len64(uint64(v))].Add(1)
 	h.n.Add(1)
 	h.sum.Add(v)
-	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
 }
 
 // ObserveSince records the elapsed monotonic time since start (a Clock()
@@ -186,18 +171,11 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // without a global lock, so a snapshot taken during concurrent writes may
 // be mid-update by one sample; exposition tolerates that (counts are
 // monotone and the sum is reported separately).
-func (h *Histogram) snapshot() (counts [histBuckets]int64, n, sum, min, max int64) {
+func (h *Histogram) snapshot() (counts [histBuckets]int64, n, sum int64) {
 	for i := range h.counts {
 		counts[i] = h.counts[i].Load()
 	}
-	n = h.n.Load()
-	sum = h.sum.Load()
-	min = h.min.Load()
-	max = h.max.Load()
-	if n == 0 {
-		min = 0
-	}
-	return
+	return counts, h.n.Load(), h.sum.Load()
 }
 
 // metricKind is the Prometheus type of a family.
@@ -323,7 +301,6 @@ func NewSecondsGauge(name, help string, labelPairs ...string) *Gauge {
 
 func newHistogram(name, help string, scale float64, labelPairs []string) *Histogram {
 	h := &Histogram{}
-	h.min.Store(int64(1<<63 - 1))
 	register(name, help, kindHistogram, scale, &series{h: h}, labelPairs)
 	return h
 }

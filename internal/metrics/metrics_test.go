@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"math"
+	"math/bits"
 	"os"
 	"strings"
 	"sync"
@@ -90,7 +91,6 @@ func TestClockDisabledSentinel(t *testing.T) {
 		t.Fatalf("Clock() with metrics off = %d, want -1", c)
 	}
 	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
 	h.ObserveSince(-1) // must be a no-op
 	h.ObserveSince(Clock())
 	if h.N() != 0 {
@@ -114,7 +114,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	Enable()
 	defer Disable()
 	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
 	var c Counter
 	if n := testing.AllocsPerRun(200, func() {
 		c.AddAt(3, 1)
@@ -144,15 +143,26 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
+// TestHistogramMinMax: the extremes survive to bucket resolution — the
+// lowest and highest occupied buckets are the smallest and largest sample's
+// — and a negative sample clamps to zero.
 func TestHistogramMinMax(t *testing.T) {
 	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
 	for _, v := range []int64{50, 3, 900, -7} { // -7 clamps to 0
 		h.Observe(v)
 	}
-	_, n, sum, min, max := h.snapshot()
-	if n != 4 || sum != 953 || min != 0 || max != 900 {
-		t.Errorf("snapshot = n=%d sum=%d min=%d max=%d, want 4/953/0/900", n, sum, min, max)
+	counts, n, sum := h.snapshot()
+	lo, hi := -1, -1
+	for b, c := range counts {
+		if c > 0 {
+			if lo < 0 {
+				lo = b
+			}
+			hi = b
+		}
+	}
+	if n != 4 || sum != 953 || lo != 0 || hi != bits.Len64(900) {
+		t.Errorf("snapshot = n=%d sum=%d buckets %d..%d, want 4/953/0..%d", n, sum, lo, hi, bits.Len64(900))
 	}
 }
 

@@ -95,7 +95,7 @@ func WriteTo(w io.Writer) error {
 					return err
 				}
 			case s.h != nil:
-				counts, n, sum, _, _ := s.h.snapshot()
+				counts, n, sum := s.h.snapshot()
 				if err := writeHistogram(w, f.name, s.labels, counts, n, sum, f.scale); err != nil {
 					return err
 				}

@@ -31,11 +31,14 @@ type Encoder struct {
 	// algorithm in the engine, the parallel-decode format in the volume; the
 	// zero value keeps the single-stream codec.
 	Sub lz.SubBlockParams
-	// SkipIncompressible enables the entropy bypass at EntropyThreshold
-	// bits/byte (0 means 7.2).
+	// SkipIncompressible enables the entropy bypass.
 	SkipIncompressible bool
-	EntropyThreshold   float64
 }
+
+// entropyThreshold is the bypass cutoff in bits/byte: ordinary text, code
+// and zero-padded data stay below it, already-compressed or encrypted
+// content does not.
+const entropyThreshold = 7.2
 
 // Encoded is one unique chunk's stored form and the work producing it took.
 type Encoded struct {
@@ -56,14 +59,8 @@ func (e *Encoder) Encode(dst, chunk []byte) Encoded {
 	if !e.Compress {
 		return storeRaw(dst, chunk, KindRaw)
 	}
-	if e.SkipIncompressible {
-		threshold := e.EntropyThreshold
-		if threshold == 0 {
-			threshold = 7.2
-		}
-		if lz.LikelyIncompressible(chunk, threshold) {
-			return storeRaw(dst, chunk, KindBypass)
-		}
+	if e.SkipIncompressible && lz.LikelyIncompressible(chunk, entropyThreshold) {
+		return storeRaw(dst, chunk, KindBypass)
 	}
 	if e.Sub.SubBlocks >= 1 {
 		lanes := lz.CompressSubBlocks(chunk, e.Sub)

@@ -6,6 +6,7 @@ import (
 
 	"inlinered/internal/parallel"
 	"inlinered/internal/sim"
+	"inlinered/internal/volume"
 	"inlinered/internal/workload"
 )
 
@@ -20,53 +21,14 @@ type ReadBatchOptions struct {
 	// buffers and is valid only for the duration of the call. Sink is
 	// called concurrently from multiple goroutines (at most one per shard
 	// at a time), so it must be safe for concurrent use — writing to
-	// distinct per-i slots is the intended pattern. Sink runs under the
-	// lock of the one shard that served read i (the others stay open to
-	// writers), so it must not call back into the Array: a call that routes
-	// to the same shard deadlocks.
+	// distinct per-i slots is the intended pattern. No lock is held while it
+	// runs, so it may call back into the Array.
 	Sink func(i int, block []byte, err error)
 }
 
 // ReadTotals is the accounting every level of a batch-read report carries
-// — one shard's, one array's, one node's — and the unit the levels merge
-// by. The cache counters are all taken during the sequential plan phases,
-// so they are as deterministic as the virtual clock. Hits + misses can
-// undercount Reads: unmapped reads never consult the cache.
-type ReadTotals struct {
-	Reads           int           `json:"reads"`
-	Errors          int64         `json:"errors"`
-	DecodedBlobs    int64         `json:"decoded_blobs"` // blob decodes executed (misses)
-	DecodedParts    int64         `json:"decoded_parts"` // parallel decode items (sub-blocks)
-	CacheHits       int64         `json:"cache_hits"`
-	CacheMisses     int64         `json:"cache_misses"`
-	CacheAdmissions int64         `json:"cache_admissions"`
-	CacheGhostHits  int64         `json:"cache_ghost_hits"`
-	Elapsed         time.Duration `json:"elapsed_ns"` // virtual; the slowest child's once merged
-}
-
-// Add merges a child's totals into t: counters sum, and Elapsed is the
-// slowest child's (children run concurrently in simulated time).
-func (t *ReadTotals) Add(o ReadTotals) {
-	t.Reads += o.Reads
-	t.Errors += o.Errors
-	t.DecodedBlobs += o.DecodedBlobs
-	t.DecodedParts += o.DecodedParts
-	t.CacheHits += o.CacheHits
-	t.CacheMisses += o.CacheMisses
-	t.CacheAdmissions += o.CacheAdmissions
-	t.CacheGhostHits += o.CacheGhostHits
-	t.Elapsed = max(t.Elapsed, o.Elapsed)
-}
-
-// HitRate returns the cache hit fraction over lookups (0 when nothing was
-// looked up).
-func (t ReadTotals) HitRate() float64 {
-	lookups := t.CacheHits + t.CacheMisses
-	if lookups == 0 {
-		return 0
-	}
-	return float64(t.CacheHits) / float64(lookups)
-}
+// and merges by; the volume's batch produces it.
+type ReadTotals = volume.ReadTotals
 
 // ReadShardReport is one shard's slice of a batch read.
 type ReadShardReport struct {
@@ -124,7 +86,8 @@ func (a *Array) Close() {
 // the shard's op order), the decode fan-out over the array's worker pool
 // (one item per sub-block of an indexed container: one more round on the
 // queue all shards share, the claiming worker lending itself until it is
-// done), and the sequential commit, after which results go to opt.Sink.
+// done), and the sequential commit; results go to opt.Sink once the lock is
+// released.
 //
 // Shard queues are an order-preserving partition of lbas, so each shard's
 // virtual state is a pure function of its subsequence — the report is
@@ -157,34 +120,37 @@ func (a *Array) ReadBatch(lbas []int64, opt ReadBatchOptions) (*ReadBatchReport,
 }
 
 // readShard drains one shard's queue of shard-local LBAs through the
-// volume's plan / decode / commit, holding the shard lock throughout — the
-// decode workers touch shard state, which must stay fenced from direct
-// calls — and hands read k's result to sink as batch position pos[k].
+// volume's plan / decode / commit under the shard lock — the decode workers
+// touch shard state, which must stay fenced from direct calls — and then,
+// with the lock released and the shard's batch checked out (s.rb is nil
+// meanwhile, so the next batch on the shard takes a fresh one), hands read
+// k's result to sink as batch position pos[k].
 func (a *Array) readShard(i int, lbas []int64, pos []int, sink func(int, []byte, error)) (ReadShardReport, error) {
 	s := a.shards[i]
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := s.v.Now()
-	var err error
-	if s.rb, err = s.v.ReadBatch(s.rb, lbas, a.pool); err != nil {
+	rb, err := s.v.ReadBatch(s.rb, lbas, a.pool)
+	s.rb = rb
+	if err != nil {
+		s.mu.Unlock()
 		return ReadShardReport{}, err
 	}
-	rep := ReadShardReport{Now: s.v.Now(), ReadTotals: ReadTotals{
-		Reads:           s.rb.Len(),
-		Errors:          int64(s.rb.Errors()),
-		DecodedBlobs:    int64(s.rb.DecodedBlobs()),
-		DecodedParts:    int64(s.rb.DecodedParts()),
-		CacheHits:       s.rb.CacheHits(),
-		CacheMisses:     s.rb.CacheMisses(),
-		CacheAdmissions: s.rb.CacheAdmissions(),
-		CacheGhostHits:  s.rb.CacheGhostHits(),
-	}}
-	rep.Elapsed = rep.Now - start
-	if sink != nil {
-		for k, at := range pos {
-			sink(at, s.rb.Block(k), s.rb.Err(k))
-		}
+	rep := ReadShardReport{ReadTotals: rb.Totals(), Now: s.v.Now()}
+	if sink == nil {
+		s.mu.Unlock()
+		return rep, nil
 	}
+	s.rb = nil
+	s.mu.Unlock()
+	for k, at := range pos {
+		sink(at, rb.Block(k), rb.Err(k))
+	}
+	s.mu.Lock()
+	if s.rb == nil {
+		s.rb = rb
+	} else {
+		rb.Release()
+	}
+	s.mu.Unlock()
 	return rep, nil
 }
 

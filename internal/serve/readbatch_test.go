@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"inlinered/internal/volume"
 	"inlinered/internal/workload"
@@ -118,9 +119,9 @@ func TestReadBatchShardEquivalence(t *testing.T) {
 	if v.Now() != rep.PerShard[0].Now {
 		t.Fatalf("1-shard array clock %v, raw volume %v", rep.PerShard[0].Now, v.Now())
 	}
-	if int64(b.DecodedBlobs()) != rep.DecodedBlobs || int64(b.DecodedParts()) != rep.DecodedParts {
+	if int64(b.DecodedBlobs()) != rep.DecodedBlobs || b.Totals().DecodedParts != rep.DecodedParts {
 		t.Fatalf("decode counters diverge: (%d,%d) vs (%d,%d)",
-			b.DecodedBlobs(), b.DecodedParts(), rep.DecodedBlobs, rep.DecodedParts)
+			b.DecodedBlobs(), b.Totals().DecodedParts, rep.DecodedBlobs, rep.DecodedParts)
 	}
 }
 
@@ -409,4 +410,55 @@ func TestServeReadBatchDirectStress(t *testing.T) {
 	}
 	wg.Wait()
 	checkShardStatsSumToMerged(t, a)
+}
+
+// TestSinkMayReenter: Sink runs with no shard lock held, so it may call back
+// into the array — a direct Read of the block it was just handed (same
+// shard: this deadlocked while Sink ran under the lock) and a nested
+// ReadBatch, which finds the shard's batch checked out and takes its own.
+// The bytes Sink was handed stay valid for the whole call.
+func TestSinkMayReenter(t *testing.T) {
+	a, lbas := storm(t, batchConfig(2, 2))
+	lbas = lbas[:256]
+	var nested atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.ReadBatch(lbas, ReadBatchOptions{Clients: 2, Sink: func(i int, block []byte, err error) {
+			if err != nil {
+				t.Errorf("read %d: %v", i, err)
+				return
+			}
+			again, _, err := a.Read(lbas[i])
+			if err != nil || !bytes.Equal(again, block) {
+				t.Errorf("read %d: re-entrant Read disagrees with the batch (%v)", i, err)
+			}
+			if i%64 == 0 {
+				_, err := a.ReadBatch(lbas[i:i+1], ReadBatchOptions{Sink: func(_ int, inner []byte, err error) {
+					if err != nil || !bytes.Equal(inner, block) {
+						t.Errorf("read %d: nested ReadBatch disagrees with the batch (%v)", i, err)
+					}
+					nested.Add(1)
+				}})
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("ReadBatch did not return: Sink deadlocked calling back into the array")
+	}
+	if nested.Load() != 4 {
+		t.Fatalf("%d nested batches ran, want 4", nested.Load())
+	}
+	// The shards kept one batch each; the array still serves.
+	if rep, err := a.ReadBatch(lbas, ReadBatchOptions{}); err != nil || rep.Errors != 0 {
+		t.Fatalf("batch after re-entrant sinks: %+v, %v", rep, err)
+	}
 }

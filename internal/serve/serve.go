@@ -37,6 +37,10 @@ import (
 // array reproduces a raw volume exactly.
 const shardSeedStride = 0x6A09E667F3BCC909
 
+// payloadFill is the random-byte fraction (workload.UniqueChunk's fill) of
+// every payload Serve materialises from a content id.
+const payloadFill = 0.5
+
 // Config describes a sharded array.
 type Config struct {
 	// Volume is the per-array configuration. Blocks is the ARRAY's logical
@@ -212,11 +216,8 @@ func (a *Array) Now() time.Duration {
 	var now time.Duration
 	for _, s := range a.shards {
 		s.mu.Lock()
-		t := s.v.Now()
+		now = max(now, s.v.Now())
 		s.mu.Unlock()
-		if t > now {
-			now = t
-		}
 	}
 	return now
 }
@@ -264,9 +265,6 @@ type RunOptions struct {
 	Clients int
 	// ContentSeed derives write payloads from op content ids.
 	ContentSeed int64
-	// Fill is the compressibility fill for payloads (0 means 0.5, the
-	// replayer's default; use workload.CalibrateFill for a target ratio).
-	Fill float64
 	// CleanEvery runs a shard's segment cleaner every N ops executed on
 	// that shard (0 disables periodic cleaning).
 	CleanEvery int
@@ -351,9 +349,6 @@ func (a *Array) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 	readyNS := metrics.Clock()
 	metrics.ServeDispatch.ObserveSince(dispatchStart)
 
-	if opt.Fill == 0 {
-		opt.Fill = 0.5
-	}
 	rep := &Report{
 		Shards: len(a.shards), Ops: len(ops), Writes: kinds.Writes, Reads: kinds.Reads, Trims: kinds.Trims,
 		PerShard: make([]ShardReport, len(a.shards)),
@@ -394,7 +389,7 @@ func (a *Array) serveShard(i int, queue []workload.Op, opt RunOptions) ShardRepo
 	}
 	blockSize := a.cfg.Volume.BlockSize
 	wb := s.v.NewWriteBatch(a.pool, len(contents), func(dst []byte, i int) []byte {
-		return workload.UniqueChunkInto(dst, opt.ContentSeed, contents[i], blockSize, opt.Fill)
+		return workload.UniqueChunkInto(dst, opt.ContentSeed, contents[i], blockSize, payloadFill)
 	})
 	for k, op := range queue {
 		var err error

@@ -326,7 +326,7 @@ func TestServeBatchMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := batch.Serve(ops, RunOptions{ContentSeed: 9, Fill: 0.5})
+	rep, err := batch.Serve(ops, RunOptions{ContentSeed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

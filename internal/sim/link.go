@@ -45,7 +45,7 @@ func (l *Link) TransferTime(n int) time.Duration {
 // returns its start and completion times.
 func (l *Link) Transfer(at time.Duration, n int) (start, end time.Duration) {
 	d := l.TransferTime(n)
-	start = MaxTime(at, l.free)
+	start = max(at, l.free)
 	end = start + d
 	l.free = end
 	l.busy += d

@@ -49,7 +49,7 @@ func (p *Pool) Acquire(at, d time.Duration) (start, end time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	start = MaxTime(at, p.free[0].free)
+	start = max(at, p.free[0].free)
 	if at > p.free[0].free {
 		p.gap += at - p.free[0].free
 	}

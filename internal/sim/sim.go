@@ -63,11 +63,3 @@ func FormatRate(bytesPerSec float64) string {
 		return fmt.Sprintf("%.2f B/s", bytesPerSec)
 	}
 }
-
-// MaxTime returns the later of two virtual times.
-func MaxTime(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}

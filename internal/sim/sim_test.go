@@ -56,12 +56,6 @@ func TestFormatRate(t *testing.T) {
 	}
 }
 
-func TestMinMaxTime(t *testing.T) {
-	if MaxTime(1, 2) != 2 || MaxTime(3, 2) != 3 {
-		t.Fatal("MaxTime broken")
-	}
-}
-
 func TestLinkTransfer(t *testing.T) {
 	// 10 µs setup, 1 GB/s.
 	l := NewLink("pcie", 10*time.Microsecond, 1e9)

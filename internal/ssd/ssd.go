@@ -250,7 +250,7 @@ func (d *Drive) Write(at time.Duration, lpn int64, n int) (time.Duration, error)
 		if err != nil {
 			return end, err
 		}
-		end = sim.MaxTime(end, e)
+		end = max(end, e)
 	}
 	return end, nil
 }
@@ -281,7 +281,7 @@ func (d *Drive) Read(at time.Duration, lpn int64, n int) (time.Duration, error) 
 		d.rec.Span(d.lane(ci), "read", s, e)
 		d.stats.NANDReadPages++
 		d.stats.HostReadPages++
-		end = sim.MaxTime(end, e)
+		end = max(end, e)
 	}
 	return end, nil
 }
@@ -330,7 +330,7 @@ func (d *Drive) Utilization(until time.Duration) float64 {
 func (d *Drive) Horizon() time.Duration {
 	var h time.Duration
 	for _, ch := range d.chans {
-		h = sim.MaxTime(h, ch.pool.Horizon())
+		h = max(h, ch.pool.Horizon())
 	}
 	return h
 }

@@ -259,8 +259,8 @@ func TestVolumeTornJournalRecovers(t *testing.T) {
 		if !ok {
 			t.Fatalf("recovered entry points at unknown loc %d", e.Loc)
 		}
-		if uint32(ref.size) != e.Size {
-			t.Fatalf("recovered size %d != stored %d at loc %d", e.Size, ref.size, e.Loc)
+		if uint32(len(ref.blob)) != e.Size {
+			t.Fatalf("recovered size %d != stored %d at loc %d", e.Size, len(ref.blob), e.Loc)
 		}
 		return true
 	})
@@ -364,7 +364,7 @@ func TestVolumeCrashPoints(t *testing.T) {
 			if !ok {
 				t.Fatalf("cut %d: recovered entry references unwritten loc %d", cut, e.Loc)
 			}
-			if uint32(ref.size) != e.Size {
+			if uint32(len(ref.blob)) != e.Size {
 				t.Fatalf("cut %d: size mismatch at loc %d", cut, e.Loc)
 			}
 			if !verified[e.Loc] {

@@ -81,8 +81,62 @@ type ReadBatch struct {
 	items   []batchItem
 	pending map[dedup.Fingerprint]int32 // fp -> job decoding it this batch
 
-	// Cache-counter deltas over the last Plan, for batch reports.
+	// What the last Plan moved: the cache counters and the clock.
 	cacheHits, cacheMisses, cacheAdmissions, cacheGhostHits int64
+	elapsed                                                 time.Duration
+}
+
+// ReadTotals is the accounting every level of a batch-read report carries
+// — one volume's batch, one shard's, one array's, one node's — and the unit
+// the levels merge by. The cache counters are all taken during the
+// sequential plan phases, so they are as deterministic as the virtual
+// clock. Hits + misses can undercount Reads: unmapped reads never consult
+// the cache.
+type ReadTotals struct {
+	Reads           int           `json:"reads"`
+	Errors          int64         `json:"errors"`
+	DecodedBlobs    int64         `json:"decoded_blobs"` // blob decodes executed (misses)
+	DecodedParts    int64         `json:"decoded_parts"` // parallel decode items (sub-blocks; a whole-blob decode counts one)
+	CacheHits       int64         `json:"cache_hits"`    // pending hits on entries reserved earlier in the batch included
+	CacheMisses     int64         `json:"cache_misses"`
+	CacheAdmissions int64         `json:"cache_admissions"` // entries admitted to (or promoted into) the protected segment
+	CacheGhostHits  int64         `json:"cache_ghost_hits"` // inserts that re-referenced a recently evicted fingerprint
+	Elapsed         time.Duration `json:"elapsed_ns"`       // virtual; the slowest child's once merged
+}
+
+// Add merges a child's totals into t: counters sum, and Elapsed is the
+// slowest child's (children run concurrently in simulated time).
+func (t *ReadTotals) Add(o ReadTotals) {
+	t.Reads += o.Reads
+	t.Errors += o.Errors
+	t.DecodedBlobs += o.DecodedBlobs
+	t.DecodedParts += o.DecodedParts
+	t.CacheHits += o.CacheHits
+	t.CacheMisses += o.CacheMisses
+	t.CacheAdmissions += o.CacheAdmissions
+	t.CacheGhostHits += o.CacheGhostHits
+	t.Elapsed = max(t.Elapsed, o.Elapsed)
+}
+
+// HitRate returns the cache hit fraction over lookups (0 when nothing was
+// looked up).
+func (t ReadTotals) HitRate() float64 {
+	lookups := t.CacheHits + t.CacheMisses
+	if lookups == 0 {
+		return 0
+	}
+	return float64(t.CacheHits) / float64(lookups)
+}
+
+// Totals returns the committed batch's accounting.
+func (b *ReadBatch) Totals() ReadTotals {
+	return ReadTotals{
+		Reads: len(b.ops), Errors: int64(b.Errors()),
+		DecodedBlobs: int64(len(b.jobs)), DecodedParts: int64(len(b.items)),
+		CacheHits: b.cacheHits, CacheMisses: b.cacheMisses,
+		CacheAdmissions: b.cacheAdmissions, CacheGhostHits: b.cacheGhostHits,
+		Elapsed: b.elapsed,
+	}
 }
 
 // batchPool recycles whole ReadBatch values — backing buffer, op/job/item
@@ -174,6 +228,7 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 	clear(b.pending) // no-op on the nil map of a batch that never missed
 	h0, m0 := v.cache.hits, v.cache.misses
 	a0, g0 := v.cache.admissions, v.cache.ghostHits
+	start := v.now
 	bs := v.cfg.BlockSize
 	if need := len(lbas) * bs; cap(b.buf) < need {
 		b.buf = make([]byte, need)
@@ -205,6 +260,7 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 	b.cacheMisses = v.cache.misses - m0
 	b.cacheAdmissions = v.cache.admissions - a0
 	b.cacheGhostHits = v.cache.ghostHits - g0
+	b.elapsed = v.now - start
 	return nil
 }
 
@@ -254,22 +310,6 @@ func (b *ReadBatch) addJob(i int, p *readPlan) int32 {
 	}
 	return j
 }
-
-// CacheHits returns how many of the batch's reads were served from cache
-// (including pending hits on entries reserved earlier in the batch).
-func (b *ReadBatch) CacheHits() int64 { return b.cacheHits }
-
-// CacheMisses returns how many of the batch's reads missed the cache.
-// Unmapped reads look nothing up, so hits+misses can be less than Len.
-func (b *ReadBatch) CacheMisses() int64 { return b.cacheMisses }
-
-// CacheAdmissions returns how many entries the batch admitted to (or
-// promoted into) the cache's protected segment.
-func (b *ReadBatch) CacheAdmissions() int64 { return b.cacheAdmissions }
-
-// CacheGhostHits returns how many of the batch's inserts re-referenced a
-// recently evicted fingerprint.
-func (b *ReadBatch) CacheGhostHits() int64 { return b.cacheGhostHits }
 
 // Items returns the number of parallel decode items Plan produced.
 func (b *ReadBatch) Items() int { return len(b.items) }
@@ -355,9 +395,6 @@ func (b *ReadBatch) Commit() {
 	}
 }
 
-// Len returns the number of reads in the committed batch.
-func (b *ReadBatch) Len() int { return len(b.ops) }
-
 // Block returns read i's bytes (zeros when unmapped, garbage when Err(i)
 // is non-nil). The slice aliases the batch's buffer and is valid until the
 // next Plan.
@@ -386,10 +423,6 @@ func (b *ReadBatch) Errors() int {
 // DecodedBlobs returns how many blob decodes the batch executed (cache
 // hits, pending hits, and unmapped reads decode nothing).
 func (b *ReadBatch) DecodedBlobs() int { return len(b.jobs) }
-
-// DecodedParts returns how many parallel sub-block decode items ran
-// (whole-blob fallback decodes count one each).
-func (b *ReadBatch) DecodedParts() int { return len(b.items) }
 
 // ReadBatch plans, decodes, and commits lbas in one call. The parallel
 // phase fans out over pool when it is non-nil (a nil pool decodes inline,

@@ -81,8 +81,8 @@ func TestReadBatchMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b.Len() != len(lbas) {
-				t.Fatalf("batch len %d, want %d", b.Len(), len(lbas))
+			if n := b.Totals().Reads; n != len(lbas) {
+				t.Fatalf("batch len %d, want %d", n, len(lbas))
 			}
 			for i := range lbas {
 				if err := b.Err(i); err != nil {
@@ -130,9 +130,9 @@ func TestReadBatchDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if ref == nil {
 			ref, refB = v, b
-			if b.DecodedParts() <= b.DecodedBlobs() {
+			if b.Totals().DecodedParts <= b.Totals().DecodedBlobs {
 				t.Fatalf("sub-block mode produced no parallel fan-out: %d parts over %d blobs",
-					b.DecodedParts(), b.DecodedBlobs())
+					b.Totals().DecodedParts, b.Totals().DecodedBlobs)
 			}
 			continue
 		}
@@ -216,8 +216,8 @@ func TestReadBatchReuseIndexedThenRaw(t *testing.T) {
 	if !bytes.Equal(b.Block(0), indexed) {
 		t.Fatal("indexed read returned wrong bytes")
 	}
-	if b.DecodedParts() < 2 {
-		t.Fatalf("indexed blob decoded as %d items; the scenario needs sub-part fan-out", b.DecodedParts())
+	if parts := b.Totals().DecodedParts; parts < 2 {
+		t.Fatalf("indexed blob decoded as %d items; the scenario needs sub-part fan-out", parts)
 	}
 	deferred := 0
 	for i := range b.items {
@@ -286,8 +286,7 @@ func TestReadBatchCorruptBlob(t *testing.T) {
 	// Corrupt lba 2's stored blob in place (flip a token byte, keeping the
 	// container header plausible).
 	fp := v.lbaMap[2]
-	ref := v.chunks[fp]
-	blob := v.blobs[ref.loc]
+	blob := v.chunks[fp].blob
 	blob[len(blob)-1] ^= 0xFF
 	lbas := []int64{0, 2, 1, 2}
 	b, err := v.ReadBatch(nil, lbas, nil)
@@ -311,5 +310,54 @@ func TestReadBatchCorruptBlob(t *testing.T) {
 	}
 	if b.Err(0) == nil {
 		t.Fatal("corrupt blob served from cache after a failed decode")
+	}
+}
+
+// TestReadBatchTotals: Totals() is the batch's whole accounting — the four
+// cache counters as deltas of the volume's, the clock the plan advanced, and
+// the read / error / decode counts — over a miss, a pending hit on the entry
+// that miss reserved, an unmapped read, a plain hit and a drive error.
+func TestReadBatchTotals(t *testing.T) {
+	v := newVolume(t, subConfig())
+	fillVolume(t, v, 16)
+	var b *ReadBatch
+	run := func(lbas ...int64) ReadTotals {
+		t.Helper()
+		before, start := v.Stats(), v.Now()
+		var err error
+		if b, err = v.ReadBatch(b, lbas, nil); err != nil {
+			t.Fatal(err)
+		}
+		st, got := v.Stats(), b.Totals()
+		want := ReadTotals{
+			Reads: len(lbas), Errors: int64(b.Errors()),
+			DecodedBlobs: int64(b.DecodedBlobs()), DecodedParts: int64(len(b.items)),
+			CacheHits: st.CacheHits - before.CacheHits, CacheMisses: st.CacheMisses - before.CacheMisses,
+			CacheAdmissions: st.CacheAdmissions - before.CacheAdmissions,
+			CacheGhostHits:  st.CacheGhostHits - before.CacheGhostHits,
+			Elapsed:         v.Now() - start,
+		}
+		if got != want {
+			t.Fatalf("Totals() = %+v, the volume's own deltas say %+v", got, want)
+		}
+		return got
+	}
+	cold := run(0, 0, 4000, 1) // miss, pending hit, unmapped, miss
+	if cold.Reads != 4 || cold.CacheHits != 1 || cold.CacheMisses != 2 || cold.DecodedBlobs != 2 ||
+		cold.DecodedParts <= cold.DecodedBlobs || cold.Errors != 0 || cold.Elapsed <= 0 {
+		t.Fatalf("cold batch: %+v", cold)
+	}
+	if warm := run(0); warm.CacheHits != 1 || warm.CacheMisses != 0 || warm.DecodedBlobs != 0 || warm.HitRate() != 1 {
+		t.Fatalf("warm batch: %+v", warm)
+	}
+	armFaults(v, fault.Config{Seed: 11, Rates: fault.Rates{SSDReadTransient: 1}})
+	if failed := run(2, 4001); failed.Reads != 2 || failed.Errors != 1 || failed.CacheMisses != 1 || failed.DecodedBlobs != 0 {
+		t.Fatalf("batch with a drive error: %+v", failed)
+	}
+	var sum ReadTotals
+	sum.Add(cold)
+	sum.Add(ReadTotals{Reads: 1, Elapsed: cold.Elapsed + 1})
+	if sum.Reads != 5 || sum.CacheHits != cold.CacheHits || sum.Elapsed != cold.Elapsed+1 {
+		t.Fatalf("Add: counters must sum and Elapsed be the slowest child's: %+v", sum)
 	}
 }

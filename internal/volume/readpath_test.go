@@ -11,15 +11,15 @@ import (
 	"inlinered/internal/lz"
 )
 
-// storedBlob returns the log offset of lba's stored blob, so a test can
-// plant a different one in v.blobs.
-func storedBlob(t *testing.T, v *Volume, lba int64) int64 {
+// storedBlob returns the record of lba's stored chunk, so a test can plant
+// a different blob in it.
+func storedBlob(t *testing.T, v *Volume, lba int64) *chunkRef {
 	t.Helper()
 	fp, ok := v.lbaMap[lba]
 	if !ok {
 		t.Fatalf("lba %d is unmapped", lba)
 	}
-	return v.chunks[fp].loc
+	return v.chunks[fp]
 }
 
 // runPattern is a block of one short repeating pattern: every lane of its
@@ -37,7 +37,7 @@ func TestReadIntoWrongSizeBlob(t *testing.T) {
 	if _, err := v.Write(3, block(3)); err != nil {
 		t.Fatal(err)
 	}
-	v.blobs[storedBlob(t, v, 3)] = lz.StoreRaw(nil, block(3)[:bs/2])
+	storedBlob(t, v, 3).blob = lz.StoreRaw(nil, block(3)[:bs/2])
 	want := fmt.Sprintf("volume: lba 3: volume: blob decoded to %d bytes, block size is %d", bs/2, bs)
 
 	dst := []byte("keep")
@@ -78,18 +78,18 @@ func TestReadIntoMatchesBatchOnErrors(t *testing.T) {
 		{"flipped-token-byte", func(t *testing.T, v *Volume) {
 			// Clear the length nibble of the last lane's final match: the
 			// lane comes up short of its boundary-table entry.
-			blob := v.blobs[storedBlob(t, v, lba)]
+			blob := storedBlob(t, v, lba).blob
 			if blob[0] != lz.ModeSubIdx || blob[len(blob)-1]&0x0F == 0 {
 				t.Fatalf("mode %d, last token byte %#x: not the container this case needs", blob[0], blob[len(blob)-1])
 			}
 			blob[len(blob)-1] &^= 0x0F
 		}, "boundary table says"},
 		{"truncated-boundary-table", func(t *testing.T, v *Volume) {
-			loc := storedBlob(t, v, lba)
-			v.blobs[loc] = v.blobs[loc][:5] // header, part count, one table byte
+			ref := storedBlob(t, v, lba)
+			ref.blob = ref.blob[:5] // header, part count, one table byte
 		}, "exceeds payload"},
 		{"wrong-size-raw-blob", func(t *testing.T, v *Volume) {
-			v.blobs[storedBlob(t, v, lba)] = lz.StoreRaw(nil, make([]byte, v.cfg.BlockSize/2))
+			storedBlob(t, v, lba).blob = lz.StoreRaw(nil, make([]byte, v.cfg.BlockSize/2))
 		}, "block size is"},
 		{"drive-read-fault", func(t *testing.T, v *Volume) {
 			armFaults(v, fault.Config{Seed: 11, Rates: fault.Rates{SSDReadTransient: 1}})
@@ -152,7 +152,7 @@ func TestReadIntoDuplicateInBatchDiverges(t *testing.T) {
 		if _, err := v.Write(2, block(2)); err != nil {
 			t.Fatal(err)
 		}
-		v.blobs[storedBlob(t, v, 2)] = lz.StoreRaw(nil, block(2)[:100])
+		storedBlob(t, v, 2).blob = lz.StoreRaw(nil, block(2)[:100])
 		return v
 	}
 	vs, vb := build(), build()

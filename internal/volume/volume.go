@@ -38,8 +38,7 @@ import (
 type Config struct {
 	BlockSize int   // block = chunk size in bytes
 	Blocks    int64 // logical capacity in blocks
-	Compress  bool  // compress unique chunks
-	Codec     lz.Codec
+	Compress  bool  // compress unique chunks (LZSS)
 	Index     dedup.IndexConfig
 	LZ        lz.Params
 	CPU       cpusim.Config
@@ -107,8 +106,8 @@ func (c Config) Validate() error {
 // chunkRef is the refcounted record of one stored unique chunk.
 type chunkRef struct {
 	fp   dedup.Fingerprint
-	loc  int64 // byte offset in the log
-	size int32 // stored blob bytes
+	loc  int64  // byte offset in the log
+	blob []byte // the stored blob (host copy), exact-size
 	refs int32
 }
 
@@ -219,7 +218,6 @@ type Volume struct {
 
 	lbaMap map[int64]dedup.Fingerprint // mapped blocks
 	chunks map[dedup.Fingerprint]*chunkRef
-	blobs  map[int64][]byte // log offset -> stored blob (host copy)
 
 	segments []segment
 	freeSegs []int // cleaned segments available for reuse
@@ -258,10 +256,9 @@ func New(cfg Config) (*Volume, error) {
 	v := &Volume{
 		cfg:    cfg,
 		sub:    sub,
-		enc:    reduce.Encoder{Compress: cfg.Compress, Codec: cfg.Codec, LZ: cfg.LZ},
+		enc:    reduce.Encoder{Compress: cfg.Compress, LZ: cfg.LZ},
 		lbaMap: make(map[int64]dedup.Fingerprint),
 		chunks: make(map[dedup.Fingerprint]*chunkRef),
-		blobs:  make(map[int64][]byte),
 	}
 	if cfg.SubBlocks > 1 {
 		// Independent lanes plus the indexed container the parallel read
@@ -471,7 +468,7 @@ func (v *Volume) commitWrite(lba int64, data []byte, fp dedup.Fingerprint, spec 
 		if err != nil {
 			return v.failWrite(start, t, lba), err
 		}
-		// Retain an exact-size copy: the blob lives in v.blobs for the
+		// Retain an exact-size copy: the blob lives in its chunkRef for the
 		// chunk's lifetime, so right-sizing it beats keeping the encoder's
 		// capacity-grown slice alive.
 		blob := append([]byte(nil), spec.Blob...)
@@ -562,8 +559,7 @@ func (v *Volume) appendBlob(at time.Duration, fp dedup.Fingerprint, loc int64, b
 	if err != nil {
 		return end, err
 	}
-	v.blobs[loc] = blob
-	v.chunks[fp] = &chunkRef{fp: fp, loc: loc, size: int32(len(blob)), refs: 1}
+	v.chunks[fp] = &chunkRef{fp: fp, loc: loc, blob: blob, refs: 1}
 	seg := v.segAt(v.segOf(loc))
 	seg.live += int64(len(blob))
 	seg.used += int64(len(blob))
@@ -599,10 +595,10 @@ func (v *Volume) deref(fp dedup.Fingerprint) {
 	// Last reference gone: drop from index, store, and space accounting.
 	v.sub.Index.Remove(fp)
 	delete(v.chunks, fp)
-	delete(v.blobs, ref.loc)
-	v.segAt(v.segOf(ref.loc)).live -= int64(ref.size)
-	v.stats.StoredBytes -= int64(ref.size)
-	v.stats.GarbageBytes += int64(ref.size)
+	size := int64(len(ref.blob))
+	v.segAt(v.segOf(ref.loc)).live -= size
+	v.stats.StoredBytes -= size
+	v.stats.GarbageBytes += size
 }
 
 // Read returns the block at lba (zeros when unmapped) and the request's
@@ -698,14 +694,14 @@ func (v *Volume) planRead(lba int64) (p readPlan) {
 		// SSD read of the pages holding the blob, then CPU decompression.
 		p.src = srcDecode
 		ref := v.chunks[fp]
-		first, pages := v.pageSpan(ref.loc, int(ref.size))
+		first, pages := v.pageSpan(ref.loc, len(ref.blob))
 		t, p.err = v.readDrive(v.now, first, pages)
 		if p.err != nil {
 			p.err = fmt.Errorf("volume: lba %d: %w", lba, p.err)
 			span = "read-error"
 		} else {
 			t = v.sub.Run("decompress", t, cost.DecompressCycles(bs)+cost.StageOverheadCycles)
-			p.blob = v.blobs[ref.loc]
+			p.blob = ref.blob
 			p.slot = v.cache.reserve(fp, bs)
 		}
 	}
@@ -814,9 +810,9 @@ func (v *Volume) cleanSegment(i int) error {
 		v.now = t
 	}()
 	for _, ref := range live {
-		blob := v.blobs[ref.loc]
+		blob, size := ref.blob, int64(len(ref.blob))
 		// Read the blob's pages, re-append at the log head.
-		first, pages := v.pageSpan(ref.loc, int(ref.size))
+		first, pages := v.pageSpan(ref.loc, len(blob))
 		end, err := v.readDrive(t, first, pages)
 		t = end
 		if err != nil {
@@ -833,25 +829,23 @@ func (v *Volume) cleanSegment(i int) error {
 			// belongs to no segment's accounting and is simply lost capacity.
 			return fmt.Errorf("volume: during cleaning: %w", err)
 		}
-		delete(v.blobs, ref.loc)
-		v.blobs[newLoc] = blob
 		ref.loc = newLoc
 		// Keep the index pointing at the moved blob; a flush it triggers is
 		// journaled like any other (the moved location must win over the
 		// stale one in any post-crash replay).
-		if ir := v.sub.Index.Insert(ref.fp, dedup.Entry{Loc: newLoc, Size: uint32(ref.size)}); ir.Flush != nil {
+		if ir := v.sub.Index.Insert(ref.fp, dedup.Entry{Loc: newLoc, Size: uint32(size)}); ir.Flush != nil {
 			t = v.journalFlush(t, ir.Flush)
 		}
 		ns := v.segAt(v.segOf(newLoc))
-		ns.live += int64(ref.size)
-		ns.used += int64(ref.size)
+		ns.live += size
+		ns.used += size
 		// The chunk has left the source segment: its old copy is garbage
 		// now, not at end-of-segment reconciliation time. (segAt, not a
 		// held pointer: alloc may have grown v.segments.)
-		v.segAt(i).live -= int64(ref.size)
-		v.stats.GarbageBytes += int64(ref.size)
-		v.stats.MovedBytes += int64(ref.size)
-		v.stats.LogBytes += int64(ref.size)
+		v.segAt(i).live -= size
+		v.stats.GarbageBytes += size
+		v.stats.MovedBytes += size
+		v.stats.LogBytes += size
 		t = v.sub.Run("gc-copy", t, v.sub.CPU.Cost.MemcpyCycles(len(blob)))
 	}
 	// Every live blob has moved out: retire the garbage the segment still
