@@ -207,7 +207,7 @@ const readWarmHitRateFloor = 0.05
 // /serial and /parallel disable the read cache so every read decodes its
 // sub-block container, making them a pure decode-throughput contest:
 // /serial pins Parallelism to 1 (the decode fan-out runs inline),
-// /parallel spreads sub-block decodes across the worker pool. /warm runs
+// /parallel spreads the blob decodes across the worker pool. /warm runs
 // the storm against a cache deliberately smaller than the image's unique
 // content: the scan-resistant admission policy must keep a protected hot
 // set resident across passes (a gated hit-rate floor) — the HPDedup

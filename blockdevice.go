@@ -23,15 +23,15 @@ type BlockDeviceOptions struct {
 	// 16 MiB default, negative disables caching.
 	CacheBytes int64
 	// SubBlocks > 1 compresses each unique chunk as that many independent
-	// sub-blocks in an indexed container whose boundary table lets the
-	// batch read path decode them in parallel (see DESIGN.md "Parallel
-	// read path"). 0 or 1 keeps single-stream compression.
+	// sub-blocks in an indexed container, which decodes part by part faster
+	// than the single-stream decoder, even on one goroutine (DESIGN.md
+	// "Parallel read path"). 0 or 1 keeps single-stream compression.
 	SubBlocks int
 	// Parallelism sizes the device's worker pool (0 or 1: no workers, batch
 	// reads decode inline). Its Parallelism-1 goroutines run whatever is
-	// posted — ReadBatch's decodes, Serve's write front — beside the Clients
-	// of ServeOptions / ClusterServeOptions, who drain the queues. Wall
-	// clock only: reports and results are bit-identical for any value.
+	// posted — ReadBatch's blob decodes, Serve's write front — beside the
+	// Clients of ServeOptions / ClusterServeOptions, who drain the queues.
+	// Wall clock only: reports and results are bit-identical for any value.
 	Parallelism int
 	// FaultRate enables deterministic fault injection on the device's
 	// drive, journal, and index (transient SSD errors, latency spikes, torn

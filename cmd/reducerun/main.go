@@ -15,9 +15,11 @@
 //	          -dedup R] [-ops-out FILE] [-blocks N] [-clean-every N]
 //	          [-clients C] [-par P] [-no-compress] [-seed N]
 //	          [-faults SEED:RATE] [-json] [-trace-out FILE]
-//	reducerun -boot-storm [-shards N | -nodes N [-replicas R]]
-//	          [-storm-clients C] [-sub-blocks K] [-par P] [-clients C]
-//	          [-seed N] [-json]
+//	reducerun -boot-storm [-shards N | -nodes N [-replicas R]
+//	          [-node-faults SEED:RATE]] [-storm-clients C]
+//	          [-storm-passes N] [-sub-blocks K] [-blocks N] [-par P]
+//	          [-clients C] [-no-compress] [-seed N] [-faults SEED:RATE]
+//	          [-json] [-trace-out FILE]
 //
 // With -mode auto, the dummy-I/O calibration pass of §4(3) picks the
 // fastest integration option for the platform first.
@@ -57,10 +59,13 @@
 // -boot-storm runs the VDI boot-storm scenario through the parallel batch
 // read path instead of a closed-loop mix: -storm-clients desktops install
 // one golden image (heavy dedup), then all of them re-read it at once.
-// Unique chunks compress as -sub-blocks independent sub-blocks so the
-// batch decode fans each blob out across -par workers; -clients drains
-// shard (or node) queues. Both knobs are wall clock only — the batch
-// report is bit-identical for any -par, -clients, and GOMAXPROCS.
+// Unique chunks compress as -sub-blocks independent sub-blocks (the
+// indexed container, whose decoder is faster even on one goroutine); the
+// batch decode spreads the missed blobs, one per task, across -par
+// workers, and -clients drains shard (or node) queues. Both knobs are wall
+// clock only — the batch report is bit-identical for any -par, -clients,
+// and GOMAXPROCS. The device flags mean what they mean for -shards and
+// -nodes; -storm-clients, -storm-passes and -sub-blocks need -boot-storm.
 package main
 
 import (
@@ -104,7 +109,7 @@ func main() {
 	bootStorm := flag.Bool("boot-storm", false, "run the VDI boot-storm batch-read scenario instead of a closed-loop mix")
 	stormClients := flag.Int("storm-clients", 0, "booting desktops with -boot-storm (0 = the default 32)")
 	stormPasses := flag.Int("storm-passes", 1, "storm repetitions with -boot-storm; the report covers the last pass, so passes >= 2 shows the warm-cache hit rate")
-	subBlocks := flag.Int("sub-blocks", 4, "independent sub-blocks per unique chunk with -boot-storm (parallel-decode fan-out width)")
+	subBlocks := flag.Int("sub-blocks", 4, "independent sub-blocks per unique chunk with -boot-storm (the indexed decode container)")
 	serveOps := flag.Int("serve-ops", 20000, "generated operations (after the fill pass) with -shards/-nodes")
 	blocks := flag.Int64("blocks", 16384, "LBA space in blocks with -shards/-nodes")
 	writeFrac := flag.Float64("writes", 0.6, "generated write fraction (0.09 when not given with -nodes)")
@@ -156,25 +161,23 @@ func main() {
 	}
 	defer writeMemProfile(*memProfile)
 
-	if *bootStorm || (*nodes == 0 && *shards == 0) {
-		for _, name := range []string{"ops-in", "ops-out", "writes", "trims", "hotspot", "clean-every"} {
-			if given[name] {
-				fatal(fmt.Errorf("-%s needs -shards or -nodes, without -boot-storm", name))
-			}
-		}
+	f := blockFlags{
+		shards: *shards, nodes: *nodes, replicas: *replicas, par: *par, noCompress: *noCompress,
+		faults: *faults, nodeFaults: *nodeFaults, traceOut: *traceOut, opsIn: *opsIn, opsOut: *opsOut,
+		serveOps: *serveOps, blocks: *blocks, seed: *seed, clients: *clients, cleanEvery: *cleanEvery,
+		writes: *writeFrac, trims: *trimFrac, dedup: *dd, hotspot: *hotspot, given: given,
+		bootStorm: *bootStorm, stormClients: *stormClients, stormPasses: *stormPasses, subBlocks: *subBlocks,
+	}
+	blockOpts, spec, err := f.plan() // also rejects flags the mode would ignore
+	if err != nil {
+		fatal(err)
 	}
 	if *bootStorm {
-		runBootStorm(*nodes, *replicas, *shards, *clients, *stormClients, *subBlocks,
-			*par, *stormPasses, *blocks, *seed, *jsonOut, info)
+		runBootStorm(f, blockOpts, *jsonOut, info)
 		return
 	}
 	if *nodes > 0 || *shards > 0 {
-		runBlock(blockFlags{
-			shards: *shards, nodes: *nodes, replicas: *replicas, par: *par, noCompress: *noCompress,
-			faults: *faults, nodeFaults: *nodeFaults, traceOut: *traceOut, opsIn: *opsIn, opsOut: *opsOut,
-			serveOps: *serveOps, blocks: *blocks, seed: *seed, clients: *clients, cleanEvery: *cleanEvery,
-			writes: *writeFrac, trims: *trimFrac, dedup: *dd, hotspot: *hotspot, given: given,
-		}, *jsonOut, info)
+		runBlock(f, blockOpts, spec, *jsonOut, info)
 		return
 	}
 
@@ -319,25 +322,42 @@ func writeMemProfile(path string) {
 	}
 }
 
-// blockFlags is the command line as the op-list modes (-shards, -nodes)
-// read it; given holds the names of the flags that were set explicitly.
+// blockFlags is the command line as the block modes (-shards, -nodes,
+// -boot-storm) read it; given holds the names of the flags that were set
+// explicitly.
 type blockFlags struct {
 	shards, nodes, replicas, par, serveOps, clients, cleanEvery int
+	stormClients, stormPasses, subBlocks                        int
 	blocks, seed                                                int64
 	writes, trims, dedup, hotspot                               float64
-	noCompress                                                  bool
+	noCompress, bootStorm                                       bool
 	faults, nodeFaults, traceOut, opsIn, opsOut                 string
 	given                                                       map[string]bool
 }
 
 // plan turns the flags into the device to build and the generator spec of
-// the op list to serve (unused when -ops-in supplies the list). A mix flag
+// the op list to serve (unused when -ops-in supplies the list, or under
+// -boot-storm), and rejects a flag the chosen mode would ignore. A mix flag
 // that was not given keeps the mode's preset: the flag defaults under
 // -shards, the read-mostly mix under -nodes.
 func (f blockFlags) plan() (opts inlinered.BlockDeviceOptions, spec inlinered.OpsSpec, err error) {
+	opList := !f.bootStorm && (f.shards > 0 || f.nodes > 0)
+	for _, name := range []string{"ops-in", "ops-out", "writes", "trims", "hotspot", "clean-every"} {
+		if f.given[name] && !opList {
+			return opts, spec, fmt.Errorf("-%s needs -shards or -nodes, without -boot-storm", name)
+		}
+	}
+	for _, name := range []string{"storm-clients", "storm-passes", "sub-blocks"} {
+		if f.given[name] && !f.bootStorm {
+			return opts, spec, fmt.Errorf("-%s needs -boot-storm", name)
+		}
+	}
 	opts = inlinered.BlockDeviceOptions{
 		Blocks: f.blocks, Shards: f.shards, Nodes: f.nodes, Replicas: f.replicas,
 		Parallelism: f.par, DisableCompression: f.noCompress,
+	}
+	if f.bootStorm {
+		opts.SubBlocks = f.subBlocks
 	}
 	if opts.FaultSeed, opts.FaultRate, err = parseSeedRate("-faults", f.faults); err != nil {
 		return opts, spec, err
@@ -378,13 +398,12 @@ func (f blockFlags) plan() (opts inlinered.BlockDeviceOptions, spec inlinered.Op
 // With passes >= 2 the same storm repeats and the report covers the last
 // pass: the warm-cache picture, where the admission policy's retained hot
 // set shows up as the report's cache hit rate.
-func runBootStorm(nodes, replicas, shards, clients, stormClients, subBlocks, par, passes int,
-	blocks int64, seed int64, jsonOut bool, info *os.File) {
+func runBootStorm(f blockFlags, opts inlinered.BlockDeviceOptions, jsonOut bool, info *os.File) {
 	spec := inlinered.DefaultBootStormSpec()
-	if stormClients > 0 {
-		spec.Clients = stormClients
+	if f.stormClients > 0 {
+		spec.Clients = f.stormClients
 	}
-	spec.Seed = seed
+	spec.Seed = f.seed
 	fill, err := spec.Fill()
 	if err != nil {
 		fatal(err)
@@ -393,32 +412,22 @@ func runBootStorm(nodes, replicas, shards, clients, stormClients, subBlocks, par
 	if err != nil {
 		fatal(err)
 	}
-	if passes < 1 {
-		passes = 1
-	}
-	opts := inlinered.BlockDeviceOptions{
-		Blocks:      blocks,
-		Shards:      shards,
-		SubBlocks:   subBlocks,
-		Parallelism: par,
-	}
+	passes := max(f.stormPasses, 1)
 	fmt.Fprintf(info, "boot storm: %d clients x %d reads over a %d-block golden image (sub-blocks %d, decode workers %d, passes %d)\n\n",
-		spec.Clients, spec.ReadsPerClient, spec.ImageBlocks, subBlocks, par, passes)
+		spec.Clients, spec.ReadsPerClient, spec.ImageBlocks, f.subBlocks, f.par, passes)
 
 	var rep report
-	if nodes > 0 {
-		opts.Nodes = nodes
-		opts.Replicas = replicas
+	if f.nodes > 0 {
 		cl, err := inlinered.NewCluster(opts)
 		if err != nil {
 			fatal(err)
 		}
 		defer cl.Close()
-		if _, err := cl.Serve(fill, inlinered.ClusterServeOptions{ContentSeed: seed}); err != nil {
+		if _, err := cl.Serve(fill, inlinered.ClusterServeOptions{ContentSeed: f.seed}); err != nil {
 			fatal(err)
 		}
 		for p := 0; p < passes; p++ {
-			if rep, err = cl.ReadBatch(lbas, inlinered.ClusterReadBatchOptions{Clients: clients}); err != nil {
+			if rep, err = cl.ReadBatch(lbas, inlinered.ClusterReadBatchOptions{Clients: f.clients}); err != nil {
 				fatal(err)
 			}
 		}
@@ -428,26 +437,23 @@ func runBootStorm(nodes, replicas, shards, clients, stormClients, subBlocks, par
 			fatal(err)
 		}
 		defer arr.Close()
-		if _, err := arr.Serve(fill, inlinered.ServeOptions{ContentSeed: seed}); err != nil {
+		if _, err := arr.Serve(fill, inlinered.ServeOptions{ContentSeed: f.seed}); err != nil {
 			fatal(err)
 		}
 		for p := 0; p < passes; p++ {
-			if rep, err = arr.ReadBatch(lbas, inlinered.ReadBatchOptions{Clients: clients}); err != nil {
+			if rep, err = arr.ReadBatch(lbas, inlinered.ReadBatchOptions{Clients: f.clients}); err != nil {
 				fatal(err)
 			}
 		}
 	}
+	writeTrace(f.traceOut, opts.Recorder, info)
 	printReport(rep, "", jsonOut)
 }
 
 // runBlock serves a block-op list — an op file's, or the closed-loop
 // generator's — on a sharded array, or with -nodes across a replicated
 // cluster that rides out injected node faults and finishes with a scrub.
-func runBlock(f blockFlags, jsonOut bool, info *os.File) {
-	opts, spec, err := f.plan()
-	if err != nil {
-		fatal(err)
-	}
+func runBlock(f blockFlags, opts inlinered.BlockDeviceOptions, spec inlinered.OpsSpec, jsonOut bool, info *os.File) {
 	var list []inlinered.Op
 	var what string
 	if f.opsIn != "" {
@@ -461,6 +467,7 @@ func runBlock(f blockFlags, jsonOut bool, info *os.File) {
 		}
 		what = fmt.Sprintf("%d ops from %s", len(list), f.opsIn)
 	} else {
+		var err error
 		if list, err = inlinered.NewOps(spec); err != nil {
 			fatal(err)
 		}

@@ -9,12 +9,13 @@ import (
 )
 
 // TestBlockFlagsPlan pins the flags → device options / op source step of
-// the op-list modes: every device flag reaches its option, -trace-out is
-// an error wherever a recorder cannot serve, a mix flag that is not given
-// keeps the mode's preset, and -ops-in refuses the generator's flags.
+// the block modes: every device flag reaches its option (under -boot-storm
+// too), -trace-out is an error wherever a recorder cannot serve, a mix flag
+// that is not given keeps the mode's preset, -ops-in refuses the
+// generator's flags, and a flag the mode would ignore is an error.
 func TestBlockFlagsPlan(t *testing.T) {
 	base := blockFlags{shards: 1, replicas: 1, serveOps: 3000, blocks: 1024, seed: 1,
-		writes: 0.6, trims: 0.05, dedup: 2, hotspot: 0.5}
+		writes: 0.6, trims: 0.05, dedup: 2, hotspot: 0.5, stormPasses: 1, subBlocks: 4}
 	shardMix := inlinered.OpsSpec{Ops: 3000, Blocks: 1024, WriteFrac: 0.6, TrimFrac: 0.05, DedupRatio: 2, Hotspot: 0.5, Seed: 1}
 	cases := []struct {
 		name    string
@@ -101,6 +102,41 @@ func TestBlockFlagsPlan(t *testing.T) {
 		{name: "ops-in with trims", mut: func(f *blockFlags) { f.opsIn = "ops.txt" }, given: "trims", wantErr: "-trims"},
 		{name: "ops-in with hotspot", mut: func(f *blockFlags) { f.opsIn = "ops.txt" }, given: "hotspot", wantErr: "-hotspot"},
 		{name: "ops-in with dedup", mut: func(f *blockFlags) { f.opsIn = "ops.txt" }, given: "dedup", wantErr: "-dedup"},
+		{name: "boot-storm device flags reach the device", given: "faults no-compress sub-blocks",
+			mut: func(f *blockFlags) {
+				f.bootStorm = true
+				f.shards = 2
+				f.faults = "7:0.3"
+				f.noCompress = true
+				f.subBlocks = 8
+			},
+			check: func(t *testing.T, o inlinered.BlockDeviceOptions, _ inlinered.OpsSpec) {
+				want := inlinered.BlockDeviceOptions{Blocks: 1024, Shards: 2, Replicas: 1,
+					DisableCompression: true, SubBlocks: 8, FaultSeed: 7, FaultRate: 0.3}
+				if !reflect.DeepEqual(o, want) {
+					t.Errorf("opts %+v, want %+v", o, want)
+				}
+			}},
+		{name: "boot-storm node faults reach the cluster", mut: func(f *blockFlags) { f.bootStorm = true; f.nodes = 3; f.nodeFaults = "9:0.01" },
+			check: func(t *testing.T, o inlinered.BlockDeviceOptions, _ inlinered.OpsSpec) {
+				if o.Nodes != 3 || o.NodeFaultSeed != 9 || o.NodeFaultRate != 0.01 || o.SubBlocks != 4 {
+					t.Errorf("opts %+v", o)
+				}
+			}},
+		{name: "boot-storm trace-out at one shard", mut: func(f *blockFlags) { f.bootStorm = true; f.traceOut = "t.json" },
+			check: func(t *testing.T, o inlinered.BlockDeviceOptions, _ inlinered.OpsSpec) {
+				if o.Recorder == nil {
+					t.Error("no recorder attached")
+				}
+			}},
+		{name: "boot-storm trace-out above one shard", mut: func(f *blockFlags) { f.bootStorm = true; f.traceOut = "t.json"; f.shards = 4 },
+			wantErr: "-trace-out requires"},
+		{name: "boot-storm with ops-out", mut: func(f *blockFlags) { f.bootStorm = true }, given: "ops-out", wantErr: "-ops-out"},
+		{name: "storm-clients without boot-storm", given: "storm-clients", wantErr: "-storm-clients needs -boot-storm"},
+		{name: "storm-passes without boot-storm", given: "storm-passes", wantErr: "-storm-passes needs -boot-storm"},
+		{name: "sub-blocks without boot-storm", given: "sub-blocks", wantErr: "-sub-blocks needs -boot-storm"},
+		{name: "sub-blocks in the stream pipeline", mut: func(f *blockFlags) { f.shards = 0 }, given: "sub-blocks",
+			wantErr: "-sub-blocks needs -boot-storm"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -63,8 +63,9 @@ func main() {
 // bootStorm is the read-side half of the VDI story: the golden image is
 // written once (every clone dedups against it), then all desktops boot at
 // the same time. Each unique chunk was compressed as 4 independent
-// sub-blocks, so the batch read path fans every blob's decode across the
-// worker pool — same virtual-time report, less wall-clock time.
+// sub-blocks (decoded part by part), and the batch read path spreads the
+// blob decodes across the worker pool — same virtual-time report, less
+// wall-clock time.
 func bootStorm() {
 	spec := inlinered.DefaultBootStormSpec()
 	fill, err := spec.Fill()

@@ -101,7 +101,7 @@ func arrayReadBatchTier() batchTier {
 		},
 		verify: func(t *testing.T) {
 			if last.DecodedParts <= last.DecodedBlobs {
-				t.Fatalf("no sub-block fan-out to schedule: %d parts over %d blobs", last.DecodedParts, last.DecodedBlobs)
+				t.Fatalf("no indexed containers decoded part by part: %d parts over %d blobs", last.DecodedParts, last.DecodedBlobs)
 			}
 		},
 	}

@@ -77,7 +77,7 @@ func TestClusterReadBatchMatchesDirect(t *testing.T) {
 		t.Fatalf("healthy-cluster report: %+v", rep)
 	}
 	if rep.DecodedParts <= rep.DecodedBlobs {
-		t.Fatalf("sub-block fan-out missing: %d parts over %d blobs", rep.DecodedParts, rep.DecodedBlobs)
+		t.Fatalf("no indexed containers decoded part by part: %d parts over %d blobs", rep.DecodedParts, rep.DecodedBlobs)
 	}
 }
 

@@ -125,19 +125,15 @@ type Config struct {
 	Dedup    bool
 	Compress bool
 
-	// Index configures the CPU bin index; GPUBinBits/GPUBinCap configure
-	// the device-resident linear bins (fewer, deeper bins than the CPU
-	// side — linear tables suit the GPU's layout, §3.1(2)).
-	Index      dedup.IndexConfig
-	GPUBinBits int
-	GPUBinCap  int
+	// Index configures the CPU bin index (the GPU's bins are gpuBinBits /
+	// gpuBinCap).
+	Index dedup.IndexConfig
 
 	// Codec selects the CPU compression algorithm (LZSS by default; the
-	// QuickLZ-class codec matches the paper's CPU baseline family). LZ
-	// tunes the LZSS encoder; Sub tunes the GPU sub-block kernel (always
-	// LZSS — the paper's GPU algorithm).
+	// QuickLZ-class codec matches the paper's CPU baseline family). Sub
+	// tunes the GPU sub-block kernel (always LZSS — the paper's GPU
+	// algorithm).
 	Codec lz.Codec
-	LZ    lz.Params
 	Sub   lz.SubBlockParams
 
 	// SkipIncompressible enables the entropy bypass: chunks whose byte
@@ -197,12 +193,16 @@ func DefaultConfig() Config {
 		Dedup:            true,
 		Compress:         true,
 		Index:            dedup.DefaultIndexConfig(),
-		GPUBinBits:       6,
-		GPUBinCap:        16384,
-		LZ:               lz.DefaultParams(),
 		Sub:              lz.DefaultSubBlockParams(),
 	}
 }
+
+// The device-resident linear bins: fewer, deeper bins than the CPU side —
+// linear tables suit the GPU's layout, §3.1(2).
+const (
+	gpuBinBits = 6
+	gpuBinCap  = 16384
+)
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {

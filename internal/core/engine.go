@@ -159,7 +159,7 @@ func NewEngine(plat Platform, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.sub = sub
-	e.enc = reduce.Encoder{Compress: cfg.Compress, Codec: cfg.Codec, LZ: cfg.LZ, SkipIncompressible: cfg.SkipIncompressible}
+	e.enc = reduce.Encoder{Compress: cfg.Compress, Codec: cfg.Codec, SkipIncompressible: cfg.SkipIncompressible}
 	if needGPU {
 		e.dev = gpu.New(plat.GPU)
 		e.dev.SetFaultInjector(sub.Faults)
@@ -169,11 +169,11 @@ func NewEngine(plat Platform, cfg Config) (*Engine, error) {
 		}
 	}
 	if cfg.Dedup && cfg.Mode.UsesGPUDedup() {
-		if cfg.GPUBinBits > cfg.Index.BinBits {
+		if gpuBinBits > cfg.Index.BinBits {
 			return nil, fmt.Errorf("core: GPU bins (%d bits) must be no finer than CPU bins (%d bits) so one flush lands in one GPU bin",
-				cfg.GPUBinBits, cfg.Index.BinBits)
+				gpuBinBits, cfg.Index.BinBits)
 		}
-		g, err := dedup.NewGPUBins(e.dev, cfg.GPUBinBits, cfg.GPUBinCap, cfg.Index.PrefixBytes, 1)
+		g, err := dedup.NewGPUBins(e.dev, gpuBinBits, gpuBinCap, cfg.Index.PrefixBytes, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -719,7 +719,7 @@ func (e *Engine) gpuDied() {
 // the loss.
 func (e *Engine) fallbackCPUCompress(pend []gpuPending, at time.Duration) error {
 	e.rep.Faults.GPUFallbackBatches++
-	codec := reduce.Encoder{Compress: true, Codec: e.cfg.Codec, LZ: e.cfg.LZ}
+	codec := reduce.Encoder{Compress: true, Codec: e.cfg.Codec}
 	fbStart := metrics.Clock()
 	e.pool.Map(len(pend), func(i int) {
 		pend[i].enc = codec.Encode(pend[i].enc.Blob[:0], pend[i].data)
@@ -831,9 +831,9 @@ func (e *Engine) seconds(cycles float64) float64 {
 }
 
 // gpuBin maps a CPU bin id onto the coarser GPU bin grid: both are leading
-// fingerprint bits, so the GPU bin is the CPU bin's top GPUBinBits bits.
+// fingerprint bits, so the GPU bin is the CPU bin's top gpuBinBits bits.
 func (e *Engine) gpuBin(cpuBin uint32) uint32 {
-	return cpuBin >> uint(e.cfg.Index.BinBits-e.cfg.GPUBinBits)
+	return cpuBin >> uint(e.cfg.Index.BinBits-gpuBinBits)
 }
 
 // persistFlush makes one bin-buffer flush durable and visible to the

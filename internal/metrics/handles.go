@@ -96,22 +96,9 @@ var (
 	WriteEncodesInline     = writeEncodes("inline")
 	WriteEncodesWasted     = writeEncodes("wasted")
 
-	// Chunk read cache (internal/volume): the scan-resistant admission
-	// policy's wall-clock counters. These mirror the virtual-time Stats
-	// fields one-to-one; like every metric they are a side channel and
-	// never feed back into reports.
-	CacheHitsM = NewCounter("inlinered_cache_hits_total",
-		"Read-cache lookups served from a resident entry.",
-		"subsystem", "volume")
-	CacheMissesM = NewCounter("inlinered_cache_misses_total",
-		"Read-cache lookups that found no resident entry.",
-		"subsystem", "volume")
-	CacheAdmissionsM = NewCounter("inlinered_cache_admissions_total",
-		"Entries admitted to (or promoted into) the protected segment.",
-		"subsystem", "volume")
-	CacheGhostHitsM = NewCounter("inlinered_cache_ghost_hits_total",
-		"Inserts whose fingerprint was found on the ghost list of recent evictions.",
-		"subsystem", "volume")
+	// Chunk read cache (internal/volume): evictions, which no report counts.
+	// Hits, misses, admissions and ghost hits are volume.Stats and
+	// volume.ReadTotals fields, counted once, on the virtual clock.
 	CacheEvictionsM = NewCounter("inlinered_cache_evictions_total",
 		"Entries evicted from the read cache to make room.",
 		"subsystem", "volume")

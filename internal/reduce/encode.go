@@ -26,7 +26,6 @@ const (
 type Encoder struct {
 	Compress bool
 	Codec    lz.Codec
-	LZ       lz.Params
 	// Sub.SubBlocks >= 1 selects the sub-block container — the GPU kernel's
 	// algorithm in the engine, the parallel-decode format in the volume; the
 	// zero value keeps the single-stream codec.
@@ -69,7 +68,7 @@ func (e *Encoder) Encode(dst, chunk []byte) Encoded {
 		blob, st, _ := lz.PostProcessOrRaw(dst, chunk, lanes)
 		return Encoded{Blob: blob, Stats: st, Kind: KindSub, Sub: lanes}
 	}
-	blob, st := lz.CompressCodec(e.Codec, dst, chunk, e.LZ)
+	blob, st := lz.CompressCodec(e.Codec, dst, chunk, lz.DefaultParams())
 	return Encoded{Blob: blob, Stats: st, Kind: KindCodec}
 }
 

@@ -78,7 +78,7 @@ func TestFrontEndsAgreeOnOneStream(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
 			ec := core.DefaultConfig()
-			ec.Index, ec.LZ = vc.Index, vc.LZ
+			ec.Index = vc.Index
 			ec.Parallelism = par
 			eng, err := core.NewEngine(core.PaperPlatform(), ec)
 			if err != nil {

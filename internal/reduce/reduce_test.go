@@ -161,29 +161,29 @@ func TestEncodeMatchesDirectCalls(t *testing.T) {
 		{"raw", Encoder{}, compressible, KindRaw,
 			func(src []byte) ([]byte, lz.Stats) { return lz.StoreRaw(nil, src), lz.Stats{} },
 			func(blob []byte, _ lz.Stats) float64 { return cost.MemcpyCycles(len(blob)) + cost.StageOverheadCycles }},
-		{"bypass", Encoder{Compress: true, SkipIncompressible: true, LZ: lz.DefaultParams()}, random, KindBypass,
+		{"bypass", Encoder{Compress: true, SkipIncompressible: true}, random, KindBypass,
 			func(src []byte) ([]byte, lz.Stats) { return lz.StoreRaw(nil, src), lz.Stats{} },
 			func(blob []byte, _ lz.Stats) float64 {
 				return cost.EntropyCycles(4096) + cost.MemcpyCycles(len(blob)) + cost.StageOverheadCycles
 			}},
-		{"screened-lzss", Encoder{Compress: true, SkipIncompressible: true, LZ: lz.DefaultParams()}, compressible, KindCodec,
+		{"screened-lzss", Encoder{Compress: true, SkipIncompressible: true}, compressible, KindCodec,
 			func(src []byte) ([]byte, lz.Stats) {
 				return lz.CompressCodec(lz.CodecLZSS, nil, src, lz.DefaultParams())
 			},
 			func(_ []byte, st lz.Stats) float64 { return cost.EntropyCycles(4096) + codecCycles(st) }},
-		{"lzss", Encoder{Compress: true, LZ: lz.DefaultParams()}, compressible, KindCodec,
+		{"lzss", Encoder{Compress: true}, compressible, KindCodec,
 			func(src []byte) ([]byte, lz.Stats) {
 				return lz.CompressCodec(lz.CodecLZSS, nil, src, lz.DefaultParams())
 			},
 			func(_ []byte, st lz.Stats) float64 { return codecCycles(st) }},
-		{"qlz", Encoder{Compress: true, Codec: lz.CodecQLZ, LZ: lz.DefaultParams()}, compressible, KindCodec,
+		{"qlz", Encoder{Compress: true, Codec: lz.CodecQLZ}, compressible, KindCodec,
 			func(src []byte) ([]byte, lz.Stats) {
 				return lz.CompressCodec(lz.CodecQLZ, nil, src, lz.DefaultParams())
 			},
 			func(_ []byte, st lz.Stats) float64 { return codecCycles(st) }},
-		{"sub", Encoder{Compress: true, LZ: lz.DefaultParams(), Sub: sub}, compressible, KindSub, subBlob,
+		{"sub", Encoder{Compress: true, Sub: sub}, compressible, KindSub, subBlob,
 			func(_ []byte, st lz.Stats) float64 { return codecCycles(st) }},
-		{"sub-raw-fallback", Encoder{Compress: true, LZ: lz.DefaultParams(), Sub: sub}, random, KindSub, subBlob,
+		{"sub-raw-fallback", Encoder{Compress: true, Sub: sub}, random, KindSub, subBlob,
 			func(_ []byte, st lz.Stats) float64 { return codecCycles(st) }},
 	}
 	for _, tc := range cases {

@@ -79,7 +79,7 @@ func TestReadBatchMatchesSerialReads(t *testing.T) {
 		t.Fatalf("report: %+v", rep)
 	}
 	if rep.DecodedParts <= rep.DecodedBlobs {
-		t.Fatalf("sub-block fan-out missing: %d parts over %d blobs", rep.DecodedParts, rep.DecodedBlobs)
+		t.Fatalf("no indexed containers decoded part by part: %d parts over %d blobs", rep.DecodedParts, rep.DecodedBlobs)
 	}
 	if rep.Elapsed <= 0 {
 		t.Fatal("batch must consume virtual time")

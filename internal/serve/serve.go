@@ -55,8 +55,9 @@ type Config struct {
 	// exactly one volume's lanes). Length must be 0 or Shards.
 	Obs []*obs.Recorder
 	// Parallelism sizes the array's worker pool: Parallelism-1 goroutines
-	// that run whatever is posted — each shard's sub-block decode items
-	// (Array.ReadBatch), the write front's hash and encode groups (Serve) —
+	// that run whatever is posted — each shard's blob decodes, one item per
+	// missed blob (Array.ReadBatch), the write front's hash and encode
+	// groups (Serve) —
 	// beside the RunOptions.Clients goroutines draining queues. 0 or 1
 	// starts none: batch reads decode inline and only clients run the
 	// write front. Like Clients, it changes only the wall clock — reports

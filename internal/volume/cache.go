@@ -58,7 +58,7 @@ type blockCache struct {
 	ghost  ghostList
 	sketch freqSketch
 
-	hits, misses, admissions, ghostHits, evictions int64
+	hits, misses, admissions, ghostHits int64
 }
 
 // segment tags for cacheEntry.where.
@@ -309,15 +309,9 @@ func (c *blockCache) getRef(fp dedup.Fingerprint) (*cacheEntry, bool) {
 	e, ok := c.byFP[fp]
 	if !ok {
 		c.misses++
-		if metrics.Enabled() {
-			metrics.CacheMissesM.Add(1)
-		}
 		return nil, false
 	}
 	c.hits++
-	if metrics.Enabled() {
-		metrics.CacheHitsM.Add(1)
-	}
 	if e.where == inProtected {
 		c.prot.moveToFront(e)
 	} else {
@@ -330,9 +324,6 @@ func (c *blockCache) getRef(fp dedup.Fingerprint) (*cacheEntry, bool) {
 		c.prot.pushFront(e)
 		c.protBytes += int64(len(e.data))
 		c.admissions++
-		if metrics.Enabled() {
-			metrics.CacheAdmissionsM.Add(1)
-		}
 		c.rebalance()
 	}
 	return e, true
@@ -372,7 +363,6 @@ func (c *blockCache) evictOne() {
 	delete(c.byFP, e.fp)
 	c.usedBytes -= int64(len(e.data))
 	c.ghost.push(e.fp)
-	c.evictions++
 	if metrics.Enabled() {
 		metrics.CacheEvictionsM.Add(1)
 	}
@@ -418,9 +408,6 @@ func (c *blockCache) reserve(fp dedup.Fingerprint, n int) []byte {
 	qualified := ghostHit || c.sketch.estimate(fp) >= admitEstimateMin
 	if ghostHit {
 		c.ghostHits++
-		if metrics.Enabled() {
-			metrics.CacheGhostHitsM.Add(1)
-		}
 		c.ghost.removeIfPresent(fp)
 	}
 
@@ -451,9 +438,6 @@ func (c *blockCache) reserve(fp dedup.Fingerprint, n int) []byte {
 		c.prot.pushFront(e)
 		c.protBytes += int64(n)
 		c.admissions++
-		if metrics.Enabled() {
-			metrics.CacheAdmissionsM.Add(1)
-		}
 		c.rebalance()
 	} else {
 		e.where = inProbation

@@ -144,7 +144,7 @@ func TestUnmappedReadObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu := cpusim.New(cfg.CPU)
+	cpu := cpusim.New(cpusim.DefaultConfig())
 	_, want := cpu.Run(0, cpu.Cost.MemcpyCycles(cfg.BlockSize)+cpu.Cost.StageOverheadCycles)
 	if lat != want {
 		t.Fatalf("unmapped read latency = %v, want the zero-fill copy charge %v", lat, want)

@@ -15,16 +15,15 @@ import (
 //
 //	Plan   — sequential decision phase: planRead per LBA, in request
 //	         order — the same ordered half the serial ReadInto runs, so
-//	         every charge on the virtual clock is made here. Decode work is
-//	         recorded as jobs instead of executed.
-//	Run    — parallel work phase: decode items (one per sub-block of an
-//	         indexed container, one per whole blob otherwise) execute in
-//	         any order, on any number of goroutines, writing only their
-//	         own disjoint output ranges.
-//	Commit — sequential commit phase: per-job deferred overlap copies are
-//	         patched in job order, reserved cache slots are filled (or
-//	         un-reserved on decode failure), and reads that hit a
-//	         pending-decode cache entry copy their bytes out.
+//	         every charge on the virtual clock is made here. Each miss is
+//	         recorded as a decode job instead of executed.
+//	Run    — parallel work phase: one item per job, in any order, on any
+//	         number of goroutines. An item owns its blob's whole decode —
+//	         table parse, part-by-part decode, overlap patch-up — and the
+//	         fill of its reserved cache slot, writing only its own region.
+//	Commit — sequential commit phase: failed jobs' errors are wrapped and
+//	         their slots un-reserved, and reads that hit a pending-decode
+//	         cache entry copy their bytes out.
 //
 // Because every virtual-clock mutation happens in Plan, in request order,
 // the report is bit-identical to the serial loop for any worker count. The
@@ -38,25 +37,16 @@ type batchOp struct {
 	err error
 }
 
-// batchJob is one blob decode charged at plan time and executed in the
-// parallel phase.
+// batchJob is one blob decode charged at plan time and executed by RunItem.
 type batchJob struct {
 	op        int // owning op: the job decodes into that op's buffer region
 	fp        dedup.Fingerprint
 	blob      []byte
-	lay       lz.SubLayout // indexed container: one item per sub-block
-	cacheSlot []byte       // reserved cache entry bytes, nil when not cached
-	firstItem int
-	items     int
-	err       error
-}
-
-// batchItem is one unit of parallel decode work: a (job, sub-block) pair,
-// or a whole-blob serial decode when part < 0.
-type batchItem struct {
-	job      int32
-	part     int32
+	cacheSlot []byte // reserved cache entry bytes, nil when not cached
+	// Decode scratch, recycled across batches and reset by every RunItem.
+	lay      lz.SubLayout
 	deferred []lz.DeferredCopy
+	parts    int // sub-blocks decoded: 1 for a whole-blob decode, 0 for a corrupt table
 	err      error
 }
 
@@ -64,8 +54,8 @@ type batchItem struct {
 // commit split. A ReadBatch is reusable: each Plan call resets it, and its
 // buffers (including sub-block layouts and deferred-copy lists) are
 // recycled across batches. Between Plan and Commit, RunItem calls for
-// distinct items are safe to run concurrently; everything else must be
-// called from one goroutine.
+// distinct items — one per blob to decode — are safe to run concurrently;
+// everything else must be called from one goroutine.
 //
 // The one divergence from the serial path is inherent to batching, and
 // needs a corrupt blob (healthy volumes are bit-identical): a read hitting
@@ -78,12 +68,12 @@ type ReadBatch struct {
 	buf     []byte // len(ops) × BlockSize output regions
 	ops     []batchOp
 	jobs    []batchJob
-	items   []batchItem
 	pending map[dedup.Fingerprint]int32 // fp -> job decoding it this batch
 
 	// What the last Plan moved: the cache counters and the clock.
 	cacheHits, cacheMisses, cacheAdmissions, cacheGhostHits int64
 	elapsed                                                 time.Duration
+	parts                                                   int64 // summed by Commit
 }
 
 // ReadTotals is the accounting every level of a batch-read report carries
@@ -96,7 +86,7 @@ type ReadTotals struct {
 	Reads           int           `json:"reads"`
 	Errors          int64         `json:"errors"`
 	DecodedBlobs    int64         `json:"decoded_blobs"` // blob decodes executed (misses)
-	DecodedParts    int64         `json:"decoded_parts"` // parallel decode items (sub-blocks; a whole-blob decode counts one)
+	DecodedParts    int64         `json:"decoded_parts"` // sub-blocks decoded (a whole-blob decode counts one, a corrupt table zero)
 	CacheHits       int64         `json:"cache_hits"`    // pending hits on entries reserved earlier in the batch included
 	CacheMisses     int64         `json:"cache_misses"`
 	CacheAdmissions int64         `json:"cache_admissions"` // entries admitted to (or promoted into) the protected segment
@@ -132,14 +122,14 @@ func (t ReadTotals) HitRate() float64 {
 func (b *ReadBatch) Totals() ReadTotals {
 	return ReadTotals{
 		Reads: len(b.ops), Errors: int64(b.Errors()),
-		DecodedBlobs: int64(len(b.jobs)), DecodedParts: int64(len(b.items)),
+		DecodedBlobs: int64(len(b.jobs)), DecodedParts: b.parts,
 		CacheHits: b.cacheHits, CacheMisses: b.cacheMisses,
 		CacheAdmissions: b.cacheAdmissions, CacheGhostHits: b.cacheGhostHits,
 		Elapsed: b.elapsed,
 	}
 }
 
-// batchPool recycles whole ReadBatch values — backing buffer, op/job/item
+// batchPool recycles whole ReadBatch values — backing buffer, op/job
 // arrays, sub-block layouts, deferred-copy lists, and the pending map all
 // survive from one batch's lifetime to the next, so a fresh
 // NewReadBatch/Release cycle costs no steady-state allocations. Entries
@@ -159,7 +149,7 @@ func (v *Volume) NewReadBatch() *ReadBatch {
 
 // Release scrubs the batch's references into volume-owned memory (blobs,
 // cache slots, token streams) and returns it to the package pool. The
-// capacities that make reuse cheap — buffer, op/job/item arrays, layouts,
+// capacities that make reuse cheap — buffer, op/job arrays, layouts,
 // deferred lists, the pending map — are kept. The batch must not be used
 // after Release.
 func (b *ReadBatch) Release() {
@@ -177,24 +167,19 @@ func (b *ReadBatch) Release() {
 			parts[p].Tokens = nil
 		}
 	}
-	items := b.items[:cap(b.items)]
-	for i := range items {
-		items[i].err = nil
-	}
 	ops := b.ops[:cap(b.ops)]
 	for i := range ops {
 		ops[i].err = nil
 	}
 	b.ops = b.ops[:0]
 	b.jobs = b.jobs[:0]
-	b.items = b.items[:0]
 	clear(b.pending)
 	b.v = nil
 	batchPool.Put(b)
 }
 
-// grow extends sl by one without clearing the recycled element's backing
-// arrays (layouts, deferred lists). Callers must reset every scalar field.
+// growJob extends sl by one without clearing the recycled element's backing
+// arrays (layout, deferred list). Callers must reset every scalar field.
 func growJob(sl []batchJob) []batchJob {
 	if len(sl) < cap(sl) {
 		return sl[:len(sl)+1]
@@ -202,17 +187,10 @@ func growJob(sl []batchJob) []batchJob {
 	return append(sl, batchJob{})
 }
 
-func growItem(sl []batchItem) []batchItem {
-	if len(sl) < cap(sl) {
-		return sl[:len(sl)+1]
-	}
-	return append(sl, batchItem{})
-}
-
 // Plan is the sequential decision phase. It validates every LBA up front
 // (an invalid LBA fails the whole batch before any accounting, mirroring
 // the serial path's pre-validation), then runs planRead per read — the
-// ordered half ReadInto runs — recording decode work as items for the
+// ordered half ReadInto runs — recording each miss as a decode job for the
 // parallel phase. After Plan returns, Items reports how much parallel work
 // there is.
 func (b *ReadBatch) Plan(lbas []int64) error {
@@ -224,7 +202,6 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 	}
 	b.ops = b.ops[:0]
 	b.jobs = b.jobs[:0]
-	b.items = b.items[:0]
 	clear(b.pending) // no-op on the nil map of a batch that never missed
 	h0, m0 := v.cache.hits, v.cache.misses
 	a0, g0 := v.cache.admissions, v.cache.ghostHits
@@ -252,7 +229,19 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 				copy(region, p.cached)
 			}
 		case p.err == nil:
-			op.job = b.addJob(i, &p)
+			op.job = int32(len(b.jobs))
+			b.jobs = growJob(b.jobs)
+			jb := &b.jobs[op.job]
+			jb.op, jb.fp, jb.blob, jb.cacheSlot = i, p.fp, p.blob, p.slot
+			// Only a reserved slot can produce a pending hit, so the map
+			// (allocated lazily, on the first cached miss ever) stays empty —
+			// and untouched — on cache-disabled volumes.
+			if p.slot != nil {
+				if b.pending == nil {
+					b.pending = make(map[dedup.Fingerprint]int32, 64)
+				}
+				b.pending[p.fp] = op.job
+			}
 		}
 		b.ops = append(b.ops, op)
 	}
@@ -264,121 +253,77 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 	return nil
 }
 
-// addJob records read i's planned miss as a decode job and returns its index.
-func (b *ReadBatch) addJob(i int, p *readPlan) int32 {
-	j := int32(len(b.jobs))
-	b.jobs = growJob(b.jobs)
+// Items returns the number of parallel decode items Plan produced: one per
+// blob to decode, so it equals DecodedBlobs.
+func (b *ReadBatch) Items() int { return len(b.jobs) }
+
+// RunItem decodes job j's blob into its op's region and, on success, fills
+// the job's reserved cache slot. Distinct items may run concurrently: each
+// writes only its own region, slot and job record.
+func (b *ReadBatch) RunItem(j int) {
 	jb := &b.jobs[j]
-	jb.op = i
-	jb.fp = p.fp
-	jb.blob = p.blob
-	jb.firstItem = len(b.items)
-	// Only a reserved slot can produce a pending hit, so the map (allocated
-	// lazily, on the first cached miss ever) stays empty — and untouched —
-	// on cache-disabled volumes.
-	jb.cacheSlot = p.slot
-	if p.slot != nil {
-		if b.pending == nil {
-			b.pending = make(map[dedup.Fingerprint]int32, 64)
-		}
-		b.pending[p.fp] = j
-	}
-	// Boundary resolution (pass 1 of the two-pass decode): table-only,
-	// cheap, and sequential — it decides how many parallel items the blob
-	// contributes: none for a corrupt table (the error surfaces at commit),
-	// one on the serial decoder for a raw, single-stream or wrong-size blob.
-	indexed, err := lz.ResolveSubBlocks(&jb.lay, p.blob)
-	sub := err == nil && indexed && jb.lay.SrcLen == b.v.cfg.BlockSize
-	jb.err = err
-	switch {
-	case err != nil:
-		jb.items = 0
-	case sub:
-		jb.items = len(jb.lay.Parts)
-	default:
-		jb.items = 1
-	}
-	for part := int32(0); int(part) < jb.items; part++ {
-		b.items = growItem(b.items)
-		it := &b.items[len(b.items)-1]
-		it.job = j
-		it.part = -1
-		if sub {
-			it.part = part
-		}
-		it.err = nil
-	}
-	return j
-}
-
-// Items returns the number of parallel decode items Plan produced.
-func (b *ReadBatch) Items() int { return len(b.items) }
-
-// RunItem executes decode item i. Distinct items may run concurrently:
-// each writes only its own output range and its own item record.
-func (b *ReadBatch) RunItem(i int) {
-	it := &b.items[i]
-	jb := &b.jobs[it.job]
-	if jb.err != nil {
-		return // boundary resolution already failed at plan time
-	}
 	bs := b.v.cfg.BlockSize
 	region := b.buf[jb.op*bs : (jb.op+1)*bs]
-	if it.part >= 0 {
-		if it.deferred == nil {
-			// Presize cold slots: deferred lists are short (overlap history
+	jb.parts, jb.err = jb.decode(region)
+	if jb.err == nil {
+		copy(jb.cacheSlot, region) // no-op on a nil slot
+	}
+}
+
+// decode writes jb's block into region and returns how many sub-blocks it
+// decoded. An indexed container of the block's size decodes part by part
+// (the indexed decoder beats the serial one even on one goroutine), its
+// overlap copies patched after the last part; a corrupt table decodes
+// nothing; anything else — raw, single-stream, a wrong-size container —
+// goes whole to the serial decoder.
+func (jb *batchJob) decode(region []byte) (int, error) {
+	bs := len(region)
+	indexed, err := lz.ResolveSubBlocks(&jb.lay, jb.blob)
+	if err != nil {
+		return 0, err
+	}
+	if indexed && jb.lay.SrcLen == bs {
+		if jb.deferred == nil {
+			// Presize a cold job: deferred lists are short (overlap history
 			// plus hole chains), so one up-front block replaces append's
 			// doubling walk on the first batch through this slot.
-			it.deferred = make([]lz.DeferredCopy, 0, 16)
+			jb.deferred = make([]lz.DeferredCopy, 0, 64)
 		}
-		it.deferred = it.deferred[:0]
-		it.deferred, _, it.err = lz.DecodeSubPart(region, &jb.lay, int(it.part), it.deferred)
-		return
+		jb.deferred = jb.deferred[:0]
+		for p := range jb.lay.Parts {
+			if jb.deferred, _, err = lz.DecodeSubPart(region, &jb.lay, p, jb.deferred); err != nil {
+				return len(jb.lay.Parts), err
+			}
+		}
+		lz.ResolveDeferred(region, jb.deferred)
+		return len(jb.lay.Parts), nil
 	}
-	// A recycled item slot may hold deferred copies from an earlier batch's
-	// sub-part decode; Commit patches deferred unconditionally, so a stale
-	// list here would corrupt the freshly decoded block.
-	it.deferred = it.deferred[:0]
 	// Three-index slice: region's capacity must not leak into the next
 	// op's region if a corrupt blob over-decodes (append reallocates
 	// instead, and decodeBlock rejects the size).
 	out, err := decodeBlock(region[0:0:bs], jb.blob, bs)
-	if err != nil {
-		it.err = err
-	} else if &out[0] != &region[0] {
+	if err == nil && &out[0] != &region[0] {
 		copy(region, out)
 	}
+	return 1, err
 }
 
-// Commit is the sequential commit phase: deferred overlap copies are
-// patched per job in item order, reserved cache entries are filled (or
-// removed when their decode failed), and pending-hit reads copy out of the
-// decoding op's region. After Commit, Block/Err/Latency are valid.
+// Commit is the sequential commit phase: failed decodes' errors are
+// wrapped onto their reads and their reserved cache entries removed, and
+// pending-hit reads copy out of the decoding op's region. After Commit,
+// Block/Err/Latency/Totals are valid.
 func (b *ReadBatch) Commit() {
 	v := b.v
 	bs := v.cfg.BlockSize
+	b.parts = 0
 	for j := range b.jobs {
 		jb := &b.jobs[j]
-		region := b.buf[jb.op*bs : (jb.op+1)*bs]
-		if jb.err == nil {
-			for k := jb.firstItem; k < jb.firstItem+jb.items; k++ {
-				it := &b.items[k]
-				if it.err != nil {
-					jb.err = it.err
-					break
-				}
-				// Per-part deferred lists patched in part order are exactly
-				// the concatenated global list.
-				lz.ResolveDeferred(region, it.deferred)
-			}
-		}
+		b.parts += int64(jb.parts)
 		if jb.err != nil {
 			op := &b.ops[jb.op]
 			op.err = fmt.Errorf("volume: lba %d: %w", op.lba, jb.err)
 			// Un-reserve: a garbage block must never serve later reads.
 			v.cache.remove(jb.fp)
-		} else if jb.cacheSlot != nil {
-			copy(jb.cacheSlot, region)
 		}
 	}
 	for i := range b.ops {
@@ -425,8 +370,9 @@ func (b *ReadBatch) Errors() int {
 func (b *ReadBatch) DecodedBlobs() int { return len(b.jobs) }
 
 // ReadBatch plans, decodes, and commits lbas in one call. The parallel
-// phase fans out over pool when it is non-nil (a nil pool decodes inline,
-// the determinism baseline). b may be nil to allocate a fresh batch;
+// phase — one item per blob to decode — fans out over pool when it is
+// non-nil (a nil pool decodes inline, the determinism baseline). b may be
+// nil to allocate a fresh batch;
 // passing a previous batch back in — this volume's or another's — recycles
 // its buffers and binds it to v. The returned batch holds the per-read
 // results.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"inlinered/internal/fault"
+	"inlinered/internal/lz"
 	"inlinered/internal/parallel"
 )
 
@@ -220,8 +222,8 @@ func TestReadBatchReuseIndexedThenRaw(t *testing.T) {
 		t.Fatalf("indexed blob decoded as %d items; the scenario needs sub-part fan-out", parts)
 	}
 	deferred := 0
-	for i := range b.items {
-		deferred += len(b.items[i].deferred)
+	for i := range b.jobs {
+		deferred += len(b.jobs[i].deferred)
 	}
 	if deferred == 0 {
 		t.Fatal("indexed decode produced no deferred copies; the scenario needs stale entries to leak")
@@ -237,6 +239,126 @@ func TestReadBatchReuseIndexedThenRaw(t *testing.T) {
 		}
 		if !bytes.Equal(b.Block(i), want) {
 			t.Fatalf("raw read %d corrupted by stale deferred copies from the previous batch", i)
+		}
+	}
+}
+
+// TestReadBatchItemsAnyOrder: each item owns its whole blob — table parse,
+// part decodes, overlap patch-up, cache fill — so the order items run in
+// cannot show. Over indexed, raw and single-stream blobs, a corrupt
+// boundary table, a corrupt token in one part and pending hits on a healthy
+// and on each corrupt blob, running the items in order, reversed and in a
+// seeded permutation leaves identical blocks, errors, totals, stats and
+// cache contents — and the same blocks and failing reads as serial ReadInto
+// on a twin volume.
+func TestReadBatchItemsAnyOrder(t *testing.T) {
+	bs := smallConfig().BlockSize
+	build := func() *Volume {
+		v := newVolume(t, subConfig())
+		rng := rand.New(rand.NewSource(3))
+		for lba := int64(0); lba < 12; lba++ {
+			data := block(int(lba))
+			switch {
+			case lba == 8 || lba == 9: // incompressible: the raw fallback
+				data = make([]byte, bs)
+				rng.Read(data)
+			case lba == 10:
+				v.enc.Sub = lz.SubBlockParams{} // single-stream codec from here on
+			}
+			if _, err := v.Write(lba, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for lba, mode := range map[int64]byte{0: lz.ModeSubIdx, 8: lz.ModeRaw, 10: lz.ModeLZSS} {
+			if got := v.chunks[v.lbaMap[lba]].blob[0]; got != mode {
+				t.Fatalf("lba %d stored as mode %d, want %d", lba, got, mode)
+			}
+		}
+		// lba 2: the header claims 4095 bytes, the table's parts sum to 4096.
+		copy(v.chunks[v.lbaMap[2]].blob[1:3], []byte{0xFF, 0x1F})
+		if _, err := lz.ResolveSubBlocks(new(lz.SubLayout), v.chunks[v.lbaMap[2]].blob); err == nil {
+			t.Fatal("lba 2's boundary table still parses")
+		}
+		// lba 5: part 0 opens with a match, which has no history to copy from.
+		var lay lz.SubLayout
+		if _, err := lz.ResolveSubBlocks(&lay, v.chunks[v.lbaMap[5]].blob); err != nil {
+			t.Fatal(err)
+		}
+		lay.Parts[0].Tokens[0] = 0x01
+		return v
+	}
+	// Misses of every kind, a pending hit on a healthy, a corrupt-table and a
+	// corrupt-token blob, and an unmapped read.
+	lbas := []int64{0, 1, 2, 3, 5, 8, 9, 10, 11, 0, 2, 4000, 5}
+
+	type outcome struct {
+		blocks [][]byte
+		errs   []string
+		totals ReadTotals
+		stats  Stats
+		cache  [][]byte // fingerprint + bytes of each entry, protected then probation, MRU first
+	}
+	run := func(order func(n int) []int) outcome {
+		v := build()
+		b := &ReadBatch{v: v}
+		if err := b.Plan(lbas); err != nil {
+			t.Fatal(err)
+		}
+		if b.Items() != b.DecodedBlobs() {
+			t.Fatalf("%d items for %d blobs", b.Items(), b.DecodedBlobs())
+		}
+		for _, j := range order(b.Items()) {
+			b.RunItem(j)
+		}
+		b.Commit()
+		var o outcome
+		for i := range lbas {
+			o.blocks = append(o.blocks, append([]byte(nil), b.Block(i)...))
+			o.errs = append(o.errs, fmt.Sprint(b.Err(i)))
+		}
+		o.totals, o.stats = b.Totals(), v.Stats()
+		for _, l := range []cacheList{v.cache.prot, v.cache.prob} {
+			for e := l.head; e != nil; e = e.next {
+				o.cache = append(o.cache, append(e.fp[:len(e.fp):len(e.fp)], e.data...))
+			}
+		}
+		return o
+	}
+	inOrder := run(func(n int) []int {
+		o := make([]int, n)
+		for i := range o {
+			o[i] = i
+		}
+		return o
+	})
+	// Three indexed jobs of four parts, the corrupt-token one's four, the
+	// corrupt table's none, two raw and two single-stream blobs.
+	if tt := inOrder.totals; tt.DecodedBlobs != 9 || tt.DecodedParts != 20 || tt.Errors != 4 || tt.CacheHits != 3 {
+		t.Fatalf("scenario drifted: %+v", tt)
+	}
+	for name, order := range map[string]func(n int) []int{
+		"reversed": func(n int) []int {
+			o := make([]int, n)
+			for i := range o {
+				o[i] = n - 1 - i
+			}
+			return o
+		},
+		"permuted": func(n int) []int { return rand.New(rand.NewSource(42)).Perm(n) },
+	} {
+		if got := run(order); !reflect.DeepEqual(got, inOrder) {
+			t.Errorf("%s: items run out of order changed the batch:\n%+v\n%+v", name, got.totals, inOrder.totals)
+		}
+	}
+
+	twin := build()
+	for i, lba := range lbas {
+		out, _, err := twin.ReadInto(nil, lba)
+		if failed := inOrder.errs[i] != "<nil>"; failed != (err != nil) {
+			t.Fatalf("read %d (lba %d): batch failed %v, serial error %v", i, lba, failed, err)
+		}
+		if err == nil && !bytes.Equal(out, inOrder.blocks[i]) {
+			t.Fatalf("read %d (lba %d): batch bytes diverge from serial", i, lba)
 		}
 	}
 }
@@ -329,9 +451,13 @@ func TestReadBatchTotals(t *testing.T) {
 			t.Fatal(err)
 		}
 		st, got := v.Stats(), b.Totals()
+		var parts int64
+		for i := range b.jobs {
+			parts += int64(b.jobs[i].parts)
+		}
 		want := ReadTotals{
 			Reads: len(lbas), Errors: int64(b.Errors()),
-			DecodedBlobs: int64(b.DecodedBlobs()), DecodedParts: int64(len(b.items)),
+			DecodedBlobs: int64(b.DecodedBlobs()), DecodedParts: parts,
 			CacheHits: st.CacheHits - before.CacheHits, CacheMisses: st.CacheMisses - before.CacheMisses,
 			CacheAdmissions: st.CacheAdmissions - before.CacheAdmissions,
 			CacheGhostHits:  st.CacheGhostHits - before.CacheGhostHits,

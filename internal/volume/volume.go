@@ -40,8 +40,6 @@ type Config struct {
 	Blocks    int64 // logical capacity in blocks
 	Compress  bool  // compress unique chunks (LZSS)
 	Index     dedup.IndexConfig
-	LZ        lz.Params
-	CPU       cpusim.Config
 	SSD       ssd.Config
 	// SegmentBytes is the log segment size for space accounting and
 	// cleaning; CleanThreshold is the garbage fraction at which a segment
@@ -77,8 +75,6 @@ func DefaultConfig() Config {
 		Blocks:         1 << 18, // 1 GiB logical
 		Compress:       true,
 		Index:          dedup.DefaultIndexConfig(),
-		LZ:             lz.DefaultParams(),
-		CPU:            cpusim.DefaultConfig(),
 		SSD:            ssd.DefaultConfig(),
 		SegmentBytes:   4 << 20,
 		CleanThreshold: 0.5,
@@ -249,21 +245,21 @@ func New(cfg Config) (*Volume, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sub, err := reduce.New(cfg.CPU, cfg.SSD, &cfg.Index, cfg.Faults)
+	sub, err := reduce.New(cpusim.DefaultConfig(), cfg.SSD, &cfg.Index, cfg.Faults)
 	if err != nil {
 		return nil, err
 	}
 	v := &Volume{
 		cfg:    cfg,
 		sub:    sub,
-		enc:    reduce.Encoder{Compress: cfg.Compress, LZ: cfg.LZ},
+		enc:    reduce.Encoder{Compress: cfg.Compress},
 		lbaMap: make(map[int64]dedup.Fingerprint),
 		chunks: make(map[dedup.Fingerprint]*chunkRef),
 	}
 	if cfg.SubBlocks > 1 {
 		// Independent lanes plus the indexed container the parallel read
 		// path needs.
-		v.enc.Sub = lz.SubBlockParams{Params: cfg.LZ, SubBlocks: cfg.SubBlocks, Overlap: lz.Window / 8}
+		v.enc.Sub = lz.SubBlockParams{Params: lz.DefaultParams(), SubBlocks: cfg.SubBlocks, Overlap: lz.Window / 8}
 	}
 	// The log segments pack into what the journal region leaves.
 	logBytes := sub.Journal.FirstPage() * int64(sub.Drive.PageSize)

@@ -87,7 +87,7 @@ func TestUnmappedReadsZeros(t *testing.T) {
 	// The zero block never touches media, but the staging copy into the
 	// caller's buffer is charged like a cache hit's copy: pin the latency to
 	// exactly the memcpy + stage-overhead cost on an idle CPU.
-	cpu := cpusim.New(cfg.CPU)
+	cpu := cpusim.New(cpusim.DefaultConfig())
 	_, want := cpu.Run(0, cpu.Cost.MemcpyCycles(cfg.BlockSize)+cpu.Cost.StageOverheadCycles)
 	if lat != want {
 		t.Fatalf("unmapped read latency = %v, want the zero-fill copy charge %v", lat, want)

@@ -31,9 +31,8 @@ var optionStructs = []typeID{
 }
 
 // testSeams are the option fields no caller sets, each with why it is still
-// a field: a seam tests turn, or a part of the simulated platform that only
-// DefaultConfig has ever filled in (a constant in waiting, see ROADMAP). An
-// entry that some caller does set fails the test too.
+// a field: a seam tests turn, or a value a caller outside the package reads.
+// An entry that some caller does set fails the test too.
 var testSeams = map[string]string{
 	"internal/cluster.Config.RangeBlocks":   "placement granularity; tests shrink it so 1,024 blocks span many ranges",
 	"internal/cluster.Config.RejoinMinOps":  "outage length; tests shorten it so several crashes fit one small batch",
@@ -46,14 +45,7 @@ var testSeams = map[string]string{
 	"internal/volume.Config.Index":          "index geometry; tests shrink bins and buffers to force flushes",
 	"internal/volume.Config.SSD":            "drive geometry; tests shrink it so the log fills and the FTL collects",
 	"internal/volume.Config.BlockSize":      "4 KiB everywhere; the validation tests set a bad one, serve reads it to size payloads",
-
-	"internal/core.Config.GPUBinBits": "platform: only DefaultConfig sets it, tests included",
-	"internal/core.Config.GPUBinCap":  "as GPUBinBits",
-	"internal/core.Config.Gear":       "platform: only DefaultConfig sets it, tests included",
-	"internal/core.Config.LZ":         "lz.DefaultParams everywhere (lz.Params is MaxChain alone)",
-	"internal/volume.Config.LZ":       "as core.Config.LZ",
-	"internal/reduce.Encoder.LZ":      "forwards core.Config.LZ / volume.Config.LZ",
-	"internal/volume.Config.CPU":      "platform: only DefaultConfig sets it, tests included",
+	"internal/core.Config.Gear":             "only DefaultConfig sets it; benchmark/layers_ingest.go reads it to build its chunker",
 }
 
 // TestEveryOptionIsSet fails when an exported field of an options or config
