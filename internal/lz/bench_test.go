@@ -62,14 +62,41 @@ func BenchmarkCompress4KZeros(b *testing.B) {
 	}
 }
 
+// BenchmarkDecompress4K decodes one LZSS block per match shape the token
+// loop copies differently: the storm payload (half its matches offset-1
+// overlaps), all zeros (offset 1 throughout), period-42 text (offsets of 8
+// and up) and incompressible input (literals only). Each decodes into a
+// reused dst, so it allocates nothing, and checks the round trip.
 func BenchmarkDecompress4K(b *testing.B) {
-	data := bytes.Repeat([]byte("inline data reduction on primary storage "), 100)[:4096]
-	blob, _ := Compress(nil, data, DefaultParams())
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(nil, blob); err != nil {
-			b.Fatal(err)
-		}
+	shapes := []struct {
+		name string
+		data []byte
+	}{
+		{"storm", benchChunk(0.5)},
+		{"zeros", make([]byte, 4096)},
+		{"text", bytes.Repeat([]byte("inline data reduction on primary storage "), 100)[:4096]},
+		{"incompressible", benchChunk(1.0)},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			blob, _ := Compress(nil, sh.data, DefaultParams())
+			if blob[0] != ModeLZSS {
+				// Compress stores incompressible input raw; the token
+				// loop's all-literal case is built by hand.
+				blob = appendUvarint([]byte{ModeLZSS}, uint64(len(sh.data)))
+				blob = append(blob, litStream(string(sh.data))...)
+			}
+			dst := make([]byte, 0, len(sh.data))
+			b.SetBytes(int64(len(sh.data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := Decompress(dst[:0], blob)
+				if err != nil || !bytes.Equal(out, sh.data) {
+					b.Fatalf("round trip failed: %v", err)
+				}
+			}
+		})
 	}
 }
 
@@ -88,8 +115,8 @@ func BenchmarkSubDecode4K(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var err error
 			out, err = Decompress(out[:0], blob)
-			if err != nil {
-				b.Fatal(err)
+			if err != nil || !bytes.Equal(out, data) {
+				b.Fatalf("round trip failed: %v", err)
 			}
 		}
 	})
@@ -112,6 +139,9 @@ func BenchmarkSubDecode4K(b *testing.B) {
 				}
 			}
 			ResolveDeferred(out, deferred)
+			if !bytes.Equal(out, data) {
+				b.Fatal("round trip failed")
+			}
 		}
 	})
 }

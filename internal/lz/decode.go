@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -16,7 +17,9 @@ var errOverrun = fmt.Errorf("%w: stream decodes past its end", ErrCorrupt)
 // Decompress decodes a blob produced by Compress or PostProcess, appending
 // the output to dst. It validates the format strictly: bad modes, offsets
 // reaching before the output start, truncated streams, and length
-// mismatches all return errors wrapping ErrCorrupt, with dst unchanged.
+// mismatches all return errors wrapping ErrCorrupt, with dst's length and
+// contents unchanged. Its spare capacity may have been written: the
+// token-stream modes decode in place there, word slack included.
 //
 // The token-stream modes check the header's length against the payload's
 // maximum expansion first, then grow dst once and decode in place, so a
@@ -96,6 +99,12 @@ func Decompress(dst, src []byte) ([]byte, error) {
 // caller names the length it was promised), the number of tokens decoded
 // (the GPU cost model's work term), and the first corruption found, an
 // overrun of end included.
+//
+// Copies are word-granular. Up to 24 bytes past what a token produces may
+// be written, but never at or past end: that slack lies in [pos, end),
+// which the stream overwrites later, so lanes sharing out never touch each
+// other's bytes. A match within 24 bytes of end, or with offset 2–7, takes
+// the exact-length copyMatch instead.
 func decodeInto(out, stream []byte, pos, end, lo int, deferred []DeferredCopy) ([]DeferredCopy, int, int, error) {
 	tokens := 0
 	holes := len(deferred) // this stream's own deferred entries start here
@@ -108,31 +117,35 @@ func decodeInto(out, stream []byte, pos, end, lo int, deferred []DeferredCopy) (
 			// provably truncated.
 			return deferred, pos, tokens, fmt.Errorf("%w: dangling flag byte", ErrCorrupt)
 		}
-		if flags == 0 {
-			// All-literal group — the dominant case for poorly-compressible
-			// data: one bounds check and one copy in place of eight bit
-			// tests and eight byte stores.
-			n := min(len(stream)-i, 8)
-			if pos+n > end {
-				return deferred, pos, tokens, errOverrun
-			}
-			copy(out[pos:pos+n], stream[i:i+n])
-			pos += n
-			i += n
-			tokens += n
+		if flags == 0 && pos+8 <= end && i+8 <= len(stream) {
+			// A full all-literal group — the dominant case for poorly
+			// compressible data — is one word.
+			binary.LittleEndian.PutUint64(out[pos:], binary.LittleEndian.Uint64(stream[i:]))
+			i += 8
+			pos += 8
+			tokens += 8
 			continue
 		}
-		for bit := 0; bit < 8 && i < len(stream); bit++ {
+		for bit := 0; bit < 8 && i < len(stream); {
 			if flags&(1<<uint(bit)) == 0 {
-				if pos >= end {
+				// A run of literal bits is one bounds check and, with 8
+				// bytes of room, one word.
+				n := min(bits.TrailingZeros8(flags>>uint(bit)), 8-bit, len(stream)-i)
+				if pos+n > end {
 					return deferred, pos, tokens, errOverrun
 				}
-				out[pos] = stream[i]
-				i++
-				pos++
-				tokens++
+				if pos+8 <= end && i+8 <= len(stream) {
+					binary.LittleEndian.PutUint64(out[pos:], binary.LittleEndian.Uint64(stream[i:]))
+				} else {
+					copy(out[pos:pos+n], stream[i:i+n])
+				}
+				i += n
+				pos += n
+				tokens += n
+				bit += n
 				continue
 			}
+			bit++
 			if i+2 > len(stream) {
 				return deferred, pos, tokens, fmt.Errorf("%w: truncated match token", ErrCorrupt)
 			}
@@ -153,20 +166,42 @@ func decodeInto(out, stream []byte, pos, end, lo int, deferred []DeferredCopy) (
 				pos += length
 				continue
 			}
-			if offset >= length {
-				// Source and destination are disjoint: memmove beats the
-				// byte loop for every length over a few bytes.
-				copy(out[pos:pos+length], out[src:src+length])
+			if pos+3*8 > end || offset > 1 && offset < 8 {
+				copyMatch(out, pos, src, length)
+				pos += length
+				continue
+			}
+			// Three words cover MaxMatch; the slack past pos+length stays in
+			// [pos, end). Output byte pos+j for j < length reads only
+			// out[src+j%offset] — never a hole or a byte below lo — so a
+			// word's other bytes can only feed the slack.
+			d := out[pos : pos+3*8]
+			if offset == 1 {
+				w := uint64(out[src]) * 0x0101010101010101
+				binary.LittleEndian.PutUint64(d, w)
+				binary.LittleEndian.PutUint64(d[8:], w)
+				binary.LittleEndian.PutUint64(d[16:], w)
 			} else {
-				// An overlapping self-copy replicates byte by byte.
-				for j := 0; j < length; j++ {
-					out[pos+j] = out[src+j]
-				}
+				// Each word's source lies wholly before its destination.
+				binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(out[src:]))
+				binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(out[src+8:]))
+				binary.LittleEndian.PutUint64(d[16:], binary.LittleEndian.Uint64(out[src+16:]))
 			}
 			pos += length
 		}
 	}
 	return deferred, pos, tokens, nil
+}
+
+// copyMatch is LZ77's self-copy out[dst:dst+n] = out[src:src+n], src <
+// dst, as if byte by byte: where the ranges overlap the output repeats
+// with period dst-src. Each copy doubles the final run it reads from.
+func copyMatch(out []byte, dst, src, n int) {
+	for n > 0 {
+		k := copy(out[dst:dst+n], out[src:dst])
+		dst += k
+		n -= k
+	}
 }
 
 // overlapsHole reports whether [src, src+length) intersects any hole in

@@ -64,6 +64,10 @@ func FuzzDecompress(f *testing.F) {
 		}
 		f.Add(legacy)
 	}
+	lzssShapes, subShapes := shapeSeeds()
+	for _, blob := range append(lzssShapes, subShapes...) {
+		f.Add(blob)
+	}
 	f.Add([]byte{ModeSub, 4, 2, 1, 1, 0, 0})
 	f.Add([]byte{ModeSub, 0x04, 0xFF, 0xFF, 0x03})    // part count > payload
 	f.Add([]byte{ModeSubIdx, 0x04, 0xFF, 0xFF, 0x03}) // same, indexed mode

@@ -167,12 +167,11 @@ func decodePart(out []byte, lay *SubLayout, part, lo int, deferred []DeferredCop
 // Entries must be in the order DecodeSubPart produced them, parts in
 // ascending order — the list is then ascending in Dst, so every entry's
 // source bytes (always at lower offsets) are final before it runs, and
-// byte order within an entry replicates overlapping self-copies exactly
-// like the serial decoder.
+// copyMatch replicates overlapping self-copies exactly like the serial
+// decoder. It writes each entry's exact length: the bytes after a hole are
+// already final, so there is no room for word slack.
 func ResolveDeferred(out []byte, deferred []DeferredCopy) {
 	for _, d := range deferred {
-		for j := int32(0); j < d.Len; j++ {
-			out[d.Dst+j] = out[d.Src+j]
-		}
+		copyMatch(out, int(d.Dst), int(d.Src), int(d.Len))
 	}
 }

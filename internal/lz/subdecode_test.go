@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -181,59 +182,104 @@ func TestImplausibleOutLenRejectedAtParse(t *testing.T) {
 
 // TestSubDecodeParallelDifferential: the two-pass parallel decoder must be
 // byte-identical to the reference decoder (decompressRef — Decompress shares
-// the parallel decoder's token loop) across all golden corpora,
-// lane counts, and overlaps — including when parts decode out of order
-// (reverse here), which is exactly what a worker pool does.
+// the parallel decoder's token loop) across all golden corpora, lane
+// counts and overlaps, and every boundary shape (a match ending right at a
+// part boundary) — including when parts decode out of order (reverse
+// here), which is exactly what a worker pool does, and when every part
+// runs on its own goroutine over one shared output.
 func TestSubDecodeParallelDifferential(t *testing.T) {
+	type container struct{ blob, want []byte }
+	containers := map[string]container{}
 	for name, data := range corpus() {
 		for _, subs := range []int{1, 2, 4, 8} {
 			for _, overlap := range []int{0, Window / 8, Window} {
 				res := CompressSubBlocks(data, SubBlockParams{Params: DefaultParams(), SubBlocks: subs, Overlap: overlap})
 				blob, _ := PostProcess(nil, res)
-				serial, err := decompressRef(nil, blob)
-				if err != nil {
-					t.Fatalf("%s/%d/%d: serial: %v", name, subs, overlap, err)
-				}
-				if !bytes.Equal(serial, data) {
-					t.Fatalf("%s/%d/%d: serial decode mismatch", name, subs, overlap)
-				}
-
-				var lay SubLayout
-				ok, err := ResolveSubBlocks(&lay, blob)
-				if !ok || err != nil {
-					t.Fatalf("%s/%d/%d: resolve: ok=%v err=%v", name, subs, overlap, ok, err)
-				}
-				// Reverse part order: each part's writes and deferred list
-				// must be independent of scheduling.
-				out := make([]byte, lay.SrcLen)
-				defs := make([][]DeferredCopy, len(lay.Parts))
-				for i := len(lay.Parts) - 1; i >= 0; i-- {
-					var derr error
-					defs[i], _, derr = DecodeSubPart(out, &lay, i, nil)
-					if derr != nil {
-						t.Fatalf("%s/%d/%d: part %d: %v", name, subs, overlap, i, derr)
-					}
-				}
-				var all []DeferredCopy
-				for _, d := range defs {
-					all = append(all, d...)
-				}
-				ResolveDeferred(out, all)
-				if !bytes.Equal(out, serial) {
-					t.Fatalf("%s/%d/%d: parallel (reverse order) diverges from serial", name, subs, overlap)
-				}
-
-				// And through the one-call driver.
-				out2 := make([]byte, lay.SrcLen)
-				if _, err := decodeSub(out2, &lay, nil); err != nil {
-					t.Fatalf("%s/%d/%d: decodeSub: %v", name, subs, overlap, err)
-				}
-				if !bytes.Equal(out2, serial) {
-					t.Fatalf("%s/%d/%d: decodeSub diverges from serial", name, subs, overlap)
-				}
+				containers[fmt.Sprintf("%s/%d/%d", name, subs, overlap)] = container{blob, data}
 			}
 		}
 	}
+	for _, sh := range boundaryShapes(27, nil, nil) {
+		containers[sh.name] = container{sh.sub, sh.want}
+	}
+	for name, c := range containers {
+		serial, err := decompressRef(nil, c.blob)
+		if err != nil {
+			t.Fatalf("%s: serial: %v", name, err)
+		}
+		if !bytes.Equal(serial, c.want) {
+			t.Fatalf("%s: serial decode mismatch", name)
+		}
+
+		var lay SubLayout
+		ok, err := ResolveSubBlocks(&lay, c.blob)
+		if !ok || err != nil {
+			t.Fatalf("%s: resolve: ok=%v err=%v", name, ok, err)
+		}
+		// Reverse part order: each part's writes and deferred list must be
+		// independent of scheduling, and a part writes nothing outside
+		// [OutStart, OutStart+OutLen), word slack included — the promise
+		// that lets lanes share one output.
+		out := bytes.Repeat([]byte{0xA5}, lay.SrcLen)
+		before := make([]byte, lay.SrcLen)
+		defs := make([][]DeferredCopy, len(lay.Parts))
+		for i := len(lay.Parts) - 1; i >= 0; i-- {
+			copy(before, out)
+			var derr error
+			defs[i], _, derr = DecodeSubPart(out, &lay, i, nil)
+			if derr != nil {
+				t.Fatalf("%s: part %d: %v", name, i, derr)
+			}
+			lo, hi := lay.Parts[i].OutStart, lay.Parts[i].OutStart+lay.Parts[i].OutLen
+			if !bytes.Equal(out[:lo], before[:lo]) || !bytes.Equal(out[hi:], before[hi:]) {
+				t.Fatalf("%s: part %d wrote outside [%d, %d)", name, i, lo, hi)
+			}
+		}
+		ResolveDeferred(out, concatDeferred(defs))
+		if !bytes.Equal(out, serial) {
+			t.Fatalf("%s: parallel (reverse order) diverges from serial", name)
+		}
+
+		// One goroutine per part, as lanes run: under -race a write past
+		// a part's end is a reported race.
+		out = make([]byte, lay.SrcLen)
+		errs := make([]error, len(lay.Parts))
+		var wg sync.WaitGroup
+		for i := range lay.Parts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defs[i], _, errs[i] = DecodeSubPart(out, &lay, i, nil)
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("%s: concurrent parts: %v", name, err)
+		}
+		ResolveDeferred(out, concatDeferred(defs))
+		if !bytes.Equal(out, serial) {
+			t.Fatalf("%s: concurrent parts diverge from serial", name)
+		}
+
+		// And through the one-call driver.
+		out = make([]byte, lay.SrcLen)
+		if _, err := decodeSub(out, &lay, nil); err != nil {
+			t.Fatalf("%s: decodeSub: %v", name, err)
+		}
+		if !bytes.Equal(out, serial) {
+			t.Fatalf("%s: decodeSub diverges from serial", name)
+		}
+	}
+}
+
+// concatDeferred joins per-part deferred lists in part order, the order
+// ResolveDeferred needs.
+func concatDeferred(defs [][]DeferredCopy) []DeferredCopy {
+	var all []DeferredCopy
+	for _, d := range defs {
+		all = append(all, d...)
+	}
+	return all
 }
 
 // FuzzSubDecodeParallel: for arbitrary bytes, the parallel two-pass decode
@@ -250,6 +296,10 @@ func FuzzSubDecodeParallel(f *testing.F) {
 			f.Add(bad)
 			f.Add(blob[:len(blob)-3])
 		}
+	}
+	_, subShapes := shapeSeeds()
+	for _, blob := range subShapes {
+		f.Add(blob)
 	}
 	f.Add(buildSub(ModeSubIdx, 8, [][]byte{litStream("ab"), litStream("efghij")}, []int{4, 4}))
 	f.Fuzz(func(t *testing.T, junk []byte) {
