@@ -427,12 +427,12 @@ func BenchmarkE12VolumeLifecycle(b *testing.B) {
 	})
 }
 
-// BenchmarkE13CodecAblation — extension: LZSS (hash chains) vs the
-// QuickLZ-class single-probe codec the paper baselines against.
+// BenchmarkE13CodecAblation — extension: the LZSS search depth, from the
+// QuickLZ-class single probe the paper baselines against to DefaultParams.
 func BenchmarkE13CodecAblation(b *testing.B) {
 	runExperiment(b, "e13", map[string]string{
-		"iops_lzss_r2.0": "lzss-IOPS@r2",
-		"iops_qlz_r2.0":  "qlz-IOPS@r2",
+		"iops_d16_r2.0": "d16-IOPS@r2",
+		"iops_d1_r2.0":  "d1-IOPS@r2",
 	})
 }
 

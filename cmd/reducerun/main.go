@@ -96,7 +96,6 @@ func main() {
 	destage := flag.Bool("destage", false, "include SSD destage completion in the makespan")
 	seed := flag.Int64("seed", 1, "workload seed")
 	noGPU := flag.Bool("no-gpu", false, "run on a platform without a GPU")
-	qlz := flag.Bool("qlz", false, "use the QuickLZ-class CPU codec instead of LZSS")
 	bypass := flag.Bool("entropy-bypass", false, "store high-entropy chunks raw without compressing")
 	cdc := flag.Bool("cdc", false, "content-defined (Gear) chunking instead of fixed-size")
 	par := flag.Int("par", 0, "host worker threads for the real computation (stream: 0 = all cores, 1 = serial; block modes: 0 or 1 = clients only; results are identical)")
@@ -195,7 +194,6 @@ func main() {
 		DisableCompression: *noCompress,
 		ChunkSize:          *chunkSize,
 		IncludeDestage:     *destage,
-		QuickLZ:            *qlz,
 		EntropyBypass:      *bypass,
 		ContentDefined:     *cdc,
 		Parallelism:        *par,

@@ -27,7 +27,6 @@ import (
 	"inlinered/internal/cluster"
 	"inlinered/internal/core"
 	"inlinered/internal/fault"
-	"inlinered/internal/lz"
 	"inlinered/internal/obs"
 	"inlinered/internal/serve"
 	"inlinered/internal/workload"
@@ -96,9 +95,6 @@ type Options struct {
 	// Verify retains stored blobs so the run can be checked bit-for-bit
 	// against the source stream (memory-proportional; for tests).
 	Verify bool
-	// QuickLZ selects the QuickLZ-class CPU codec (the paper's baseline
-	// family) instead of the default hash-chain LZSS.
-	QuickLZ bool
 	// EntropyBypass stores high-entropy (incompressible) chunks raw
 	// without running the encoder.
 	EntropyBypass bool
@@ -146,9 +142,6 @@ func (o Options) config() core.Config {
 	}
 	cfg.IncludeDestage = o.IncludeDestage
 	cfg.Verify = o.Verify
-	if o.QuickLZ {
-		cfg.Codec = lz.CodecQLZ
-	}
 	cfg.SkipIncompressible = o.EntropyBypass
 	if o.ContentDefined {
 		cfg.Chunker = core.CDCChunking

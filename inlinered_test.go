@@ -89,12 +89,12 @@ func TestTemporalLocalityOption(t *testing.T) {
 
 func TestExtensionOptions(t *testing.T) {
 	stream, _ := NewStream(StreamSpec{TotalBytes: 4 << 20, DedupRatio: 2, CompressionRatio: 2, Seed: 5})
-	rep, err := Run(PaperPlatform(), Options{QuickLZ: true, EntropyBypass: true, Verify: true}, stream)
+	rep, err := Run(PaperPlatform(), Options{EntropyBypass: true, Verify: true}, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.CompRatio < 1.5 {
-		t.Fatalf("qlz run ratio %g", rep.CompRatio)
+		t.Fatalf("entropy-bypass run ratio %g", rep.CompRatio)
 	}
 	stream2, _ := NewStream(StreamSpec{TotalBytes: 4 << 20, DedupRatio: 2, CompressionRatio: 2, Seed: 5})
 	eng, err := NewEngine(PaperPlatform(), Options{ContentDefined: true, Verify: true})

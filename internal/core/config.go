@@ -129,12 +129,9 @@ type Config struct {
 	// gpuBinCap).
 	Index dedup.IndexConfig
 
-	// Codec selects the CPU compression algorithm (LZSS by default; the
-	// QuickLZ-class codec matches the paper's CPU baseline family). Sub
-	// tunes the GPU sub-block kernel (always LZSS — the paper's GPU
-	// algorithm).
-	Codec lz.Codec
-	Sub   lz.SubBlockParams
+	// Sub tunes the GPU sub-block kernel (LZSS, like the CPU codec — the
+	// paper's GPU algorithm).
+	Sub lz.SubBlockParams
 
 	// SkipIncompressible enables the entropy bypass: chunks whose byte
 	// entropy exceeds 7.2 bits/byte are stored raw without running the

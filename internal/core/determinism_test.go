@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"inlinered/internal/lz"
 	"inlinered/internal/obs"
 	"inlinered/internal/workload"
 )
@@ -16,8 +15,7 @@ import (
 // it computes. A serial run (Parallelism=1) and a fanned-out run
 // (Parallelism=4) must produce bit-identical Reports, identical journal
 // images, and both must verify against the source stream, across every
-// integration mode and the extension paths (CDC chunking, entropy bypass,
-// QuickLZ).
+// integration mode and the extension paths (CDC chunking, entropy bypass).
 func TestParallelismDeterminism(t *testing.T) {
 	type variant struct {
 		name string
@@ -42,10 +40,6 @@ func TestParallelismDeterminism(t *testing.T) {
 		{"entropy-bypass-gpu", PaperPlatform(), 1.5, 1.0, func(c *Config) {
 			c.Mode = GPUCompress
 			c.SkipIncompressible = true
-		}},
-		{"qlz", PaperPlatform(), 2.0, 2.0, func(c *Config) {
-			c.Mode = CPUOnly
-			c.Codec = lz.CodecQLZ
 		}},
 		{"no-dedup", PaperPlatform(), 1.0, 2.0, func(c *Config) {
 			c.Mode = CPUOnly

@@ -159,7 +159,7 @@ func NewEngine(plat Platform, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.sub = sub
-	e.enc = reduce.Encoder{Compress: cfg.Compress, Codec: cfg.Codec, SkipIncompressible: cfg.SkipIncompressible}
+	e.enc = reduce.Encoder{Compress: cfg.Compress, SkipIncompressible: cfg.SkipIncompressible}
 	if needGPU {
 		e.dev = gpu.New(plat.GPU)
 		e.dev.SetFaultInjector(sub.Faults)
@@ -719,7 +719,7 @@ func (e *Engine) gpuDied() {
 // the loss.
 func (e *Engine) fallbackCPUCompress(pend []gpuPending, at time.Duration) error {
 	e.rep.Faults.GPUFallbackBatches++
-	codec := reduce.Encoder{Compress: true, Codec: e.cfg.Codec}
+	codec := reduce.Encoder{Compress: true}
 	fbStart := metrics.Clock()
 	e.pool.Map(len(pend), func(i int) {
 		pend[i].enc = codec.Encode(pend[i].enc.Blob[:0], pend[i].data)

@@ -19,7 +19,7 @@ func benchChunk(fill float64) []byte {
 
 // BenchmarkMatchLen measures the innermost compare loop at the match
 // lengths that dominate real streams: barely-minimum (4), typical (16),
-// and long raw runs (256, the sub-block/QLZ regime).
+// and a compare longer than any token (256: the word loop's steady state).
 func BenchmarkMatchLen(b *testing.B) {
 	for _, ml := range []int{4, 16, 256} {
 		b.Run(fmt.Sprintf("len%d", ml), func(b *testing.B) {

@@ -58,15 +58,6 @@ func Decompress(dst, src []byte) ([]byte, error) {
 			return dst, err
 		}
 		return out, nil
-	case ModeQLZ:
-		out, err := decodeQLZ(dst, payload, base)
-		if err != nil {
-			return dst, err
-		}
-		if len(out)-base != int(srcLen) {
-			return dst, fmt.Errorf("%w: decoded %d bytes, header says %d", ErrCorrupt, len(out)-base, srcLen)
-		}
-		return out, nil
 	case ModeSubIdx:
 		// Parts decode in order into one output, so a match reaching into an
 		// earlier part (the overlap history) finds its bytes written and
@@ -85,7 +76,7 @@ func Decompress(dst, src []byte) ([]byte, error) {
 			}
 		}
 		return out, nil
-	default: // including the retired ModeSub
+	default: // including the retired ModeSub and ModeQLZ
 		return dst, fmt.Errorf("%w: unknown mode %d", ErrCorrupt, mode)
 	}
 }

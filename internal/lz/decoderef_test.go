@@ -40,15 +40,6 @@ func decompressRef(dst, src []byte) ([]byte, error) {
 			return dst, fmt.Errorf("%w: decoded %d bytes, header says %d", ErrCorrupt, len(out)-base, srcLen)
 		}
 		return out, nil
-	case ModeQLZ:
-		out, err := decodeQLZ(dst, payload, base)
-		if err != nil {
-			return dst, err
-		}
-		if len(out)-base != int(srcLen) {
-			return dst, fmt.Errorf("%w: decoded %d bytes, header says %d", ErrCorrupt, len(out)-base, srcLen)
-		}
-		return out, nil
 	case ModeSubIdx:
 		var lay SubLayout
 		if _, err := ResolveSubBlocks(&lay, src); err != nil {

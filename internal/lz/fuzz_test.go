@@ -28,23 +28,20 @@ func decompressMeasured(prefix, src []byte) (out []byte, err error, allocated ui
 // FuzzDecompress: the decoder must never panic; on arbitrary input after a
 // non-empty dst prefix it must agree with decompressRef on accept or reject,
 // on the bytes when both accept, and on leaving dst as it was when both
-// reject; an N-byte input allocates no more than a fixed 8 KiB plus c·N;
-// and valid blobs from both codecs must round trip.
+// reject; an N-byte input allocates no more than a fixed 8 KiB plus 32·N;
+// and valid blobs must round trip.
 //
-// c is per mode. The token-stream containers share c = 32: an LZSS stream
-// expands at most MaxMatch/2 = 9× (a 2-byte match token for 18 bytes),
-// output is sized once and rounded to a size class (≤ 12.5 %), and an
-// indexed table of more than eight parts costs a 40-byte SubPart and an
-// 8-byte length per part, a part taking at least two table bytes. QLZ has
-// c = 1024: a 3-byte match token expands to 258 bytes (86×), and its
-// decoder appends, so it pays append's growth series — at most 5× the
-// final capacity past 256 bytes, itself ≤ 1.5× the length.
+// The factor 32 covers every mode: an LZSS stream expands at most
+// MaxMatch/2 = 9× (a 2-byte match token for 18 bytes), output is sized
+// once and rounded to a size class (≤ 12.5 %), and an indexed table of more
+// than eight parts costs a 40-byte SubPart and an 8-byte length per part, a
+// part taking at least two table bytes.
 func FuzzDecompress(f *testing.F) {
 	for _, data := range corpus() {
 		blob, _ := Compress(nil, data, DefaultParams())
 		f.Add(blob)
-		qblob, _ := CompressQLZ(nil, data)
-		f.Add(qblob)
+		// The same payload under the retired mode 3 must be rejected.
+		f.Add(append([]byte{ModeQLZ}, blob[1:]...))
 	}
 	for _, data := range corpus() {
 		// Sub-block containers with the boundary table (what PostProcess
@@ -97,13 +94,9 @@ func FuzzDecompress(f *testing.F) {
 	f.Fuzz(func(t *testing.T, junk []byte) {
 		out, err, alloc := decompressMeasured(prefix, junk)
 		_, _, alloc2 := decompressMeasured(prefix, junk)
-		c := uint64(32)
-		if len(junk) > 0 && junk[0] == ModeQLZ {
-			c = 1024
-		}
 		// The smaller of two runs keeps a background allocation out of the
 		// verdict.
-		if limit := 8<<10 + c*uint64(len(junk)); min(alloc, alloc2) > limit {
+		if limit := 8<<10 + 32*uint64(len(junk)); min(alloc, alloc2) > limit {
 			t.Fatalf("%d-byte input allocated %d bytes (limit %d)", len(junk), min(alloc, alloc2), limit)
 		}
 		ref, rerr := decompressRef(append([]byte(nil), prefix...), junk)
@@ -119,8 +112,8 @@ func FuzzDecompress(f *testing.F) {
 		if !bytes.Equal(out, ref) {
 			t.Fatal("Decompress diverges from the reference decoder")
 		}
-		if len(junk) > 0 && junk[0] == ModeSub {
-			t.Fatal("retired ModeSub blob accepted")
+		if len(junk) > 0 && (junk[0] == ModeSub || junk[0] == ModeQLZ) {
+			t.Fatalf("retired mode %d blob accepted", junk[0])
 		}
 		// A valid blob must re-encode/round trip consistently.
 		re, _ := Compress(nil, out[len(prefix):], DefaultParams())
@@ -174,18 +167,14 @@ func FuzzMatchLen(f *testing.F) {
 	})
 }
 
-// FuzzCompressRoundTrip: both codecs must round trip any input.
+// FuzzCompressRoundTrip: the codec must round trip any input.
 func FuzzCompressRoundTrip(f *testing.F) {
 	for _, data := range corpus() {
-		f.Add(data, true)
-		f.Add(data, false)
+		f.Add(data)
+		f.Add(bytes.Repeat(data, 2)) // the second copy repeats from one input length back
 	}
-	f.Fuzz(func(t *testing.T, data []byte, useQLZ bool) {
-		codec := CodecLZSS
-		if useQLZ {
-			codec = CodecQLZ
-		}
-		blob, st := CompressCodec(codec, nil, data, DefaultParams())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		blob, st := Compress(nil, data, DefaultParams())
 		if st.DstBytes != len(blob) {
 			t.Fatal("stats mismatch")
 		}

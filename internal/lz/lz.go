@@ -31,6 +31,8 @@
 //	mode 2 (sub):  retired table-less sub-block container. Nothing writes
 //	               it and nothing persists across versions, so the decoder
 //	               rejects it as corrupt; the number stays reserved.
+//	mode 3 (qlz):  retired QuickLZ-class token stream, rejected and
+//	               reserved the same way.
 //	mode 4 (sub, indexed): uvarint part count, then per part a uvarint
 //	               token length AND a uvarint output length (the boundary
 //	               table), then the token streams. The output lengths let a
@@ -48,7 +50,6 @@ package lz
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"sync"
 )
@@ -68,42 +69,23 @@ const (
 	ModeRaw  = 0
 	ModeLZSS = 1
 	ModeSub  = 2 // retired table-less sub-block container: reserved, rejected on decode
-	ModeQLZ  = 3
+	ModeQLZ  = 3 // retired QuickLZ-class token stream: reserved, rejected on decode
 	// ModeSubIdx is the indexed sub-block container: per-part token streams
 	// behind a boundary table of (token length, output length) pairs,
 	// written so sub-blocks can decode independently.
 	ModeSubIdx = 4
 )
 
-// Codec selects the CPU compression algorithm.
+// Codec names the CPU compression algorithm; LZSS is the only one.
 type Codec int
 
-const (
-	// CodecLZSS is the hash-chain LZSS encoder (better ratio).
-	CodecLZSS Codec = iota
-	// CodecQLZ is the QuickLZ-class single-probe encoder (faster, the
-	// paper's CPU baseline family).
-	CodecQLZ
-)
+// CodecLZSS is the hash-chain LZSS encoder.
+const CodecLZSS Codec = 0
 
-// String names the codec.
-func (c Codec) String() string {
-	switch c {
-	case CodecLZSS:
-		return "lzss"
-	case CodecQLZ:
-		return "qlz"
-	default:
-		return fmt.Sprintf("codec(%d)", int(c))
-	}
-}
-
-// CompressCodec dispatches to the selected codec. Params applies to LZSS
-// only (QLZ has no tuning knobs, like its namesake's level 1).
-func CompressCodec(c Codec, dst, src []byte, p Params) ([]byte, Stats) {
-	if c == CodecQLZ {
-		return CompressQLZ(dst, src)
-	}
+// CompressCodec is Compress. It and Codec remain only because the
+// repository benchmark (benchmark/, kept unchanged so its results compare
+// across commits) calls them by name.
+func CompressCodec(_ Codec, dst, src []byte, p Params) ([]byte, Stats) {
 	return Compress(dst, src, p)
 }
 

@@ -127,10 +127,13 @@ func TestDecompressRejectsCorruption(t *testing.T) {
 		"bad mode":  {99, 1, 'a'},
 		"truncated": blob[:len(blob)/2],
 		"short raw": {ModeRaw, 10, 'a'},
+		// A valid token stream under the retired QuickLZ-class mode.
+		"mode 3": append([]byte{ModeQLZ}, blob[1:]...),
 	}
 	for name, b := range cases {
-		if _, err := Decompress(nil, b); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
+		dst := []byte("pre")
+		if out, err := Decompress(dst, b); !errors.Is(err, ErrCorrupt) || string(out) != "pre" || string(dst) != "pre" {
+			t.Errorf("%s: want ErrCorrupt and dst unchanged, got %v, %.8q (%d bytes)", name, err, out, len(out))
 		}
 	}
 }
@@ -203,6 +206,77 @@ func TestRepetitiveRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: repeated patterns round trip and never expand past the raw
+// fallback bound under both encoders: the single-stream codec and the
+// sub-block container.
+func TestBothCodecsBoundedExpansionProperty(t *testing.T) {
+	f := func(pat []byte, repRaw uint8) bool {
+		if len(pat) == 0 {
+			pat = []byte{0}
+		}
+		data := bytes.Repeat(pat, int(repRaw)+1)
+		if len(data) > 1<<16 {
+			data = data[:1<<16]
+		}
+		single, _ := Compress(nil, data, DefaultParams())
+		sub, _, err := PostProcessOrRaw(nil, data, CompressSubBlocks(data, DefaultSubBlockParams()))
+		if err != nil {
+			return false
+		}
+		for _, blob := range [][]byte{single, sub} {
+			if len(blob) > len(data)+6 {
+				return false
+			}
+			out, err := Decompress(nil, blob)
+			if err != nil || !bytes.Equal(out, data) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCodecDispatch: CompressCodec, kept for the benchmark's callers, is
+// Compress — same bytes, same Stats.
+func TestCodecDispatch(t *testing.T) {
+	for name, data := range corpus() {
+		want, wst := Compress(nil, data, DefaultParams())
+		got, gst := CompressCodec(CodecLZSS, nil, data, DefaultParams())
+		if !bytes.Equal(got, want) || gst != wst {
+			t.Fatalf("%s: CompressCodec diverges from Compress: %+v vs %+v", name, gst, wst)
+		}
+	}
+}
+
+func TestEntropy(t *testing.T) {
+	if Entropy(nil) != 0 {
+		t.Fatal("empty entropy should be 0")
+	}
+	if Entropy(make([]byte, 1024)) != 0 {
+		t.Fatal("constant input entropy should be 0")
+	}
+	uniform := make([]byte, 256*16)
+	for i := range uniform {
+		uniform[i] = byte(i)
+	}
+	if h := Entropy(uniform); h < 7.99 || h > 8.01 {
+		t.Fatalf("uniform bytes entropy %g, want ~8", h)
+	}
+	text := corpus()["text"]
+	if h := Entropy(text); h <= 2 || h >= 6 {
+		t.Fatalf("english-ish text entropy %g, want mid-range", h)
+	}
+	if !LikelyIncompressible(corpus()["random"], 7.2) {
+		t.Fatal("random bytes should be flagged incompressible")
+	}
+	if LikelyIncompressible(text, 7.2) {
+		t.Fatal("text should not be flagged incompressible")
 	}
 }
 

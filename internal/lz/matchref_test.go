@@ -87,12 +87,12 @@ func TestMatchLenOverlapping(t *testing.T) {
 	}
 }
 
-// encoderGoldens pins Compress/CompressQLZ output bytes (sha256 prefix) and
+// encoderGoldens pins Compress output bytes (sha256 prefix) and
 // SearchSteps on the shared test corpus to the values recorded with the
 // scalar matcher, before matchLen went word-wise and find gained the
 // best-len rejection probe. SearchSteps feeds the virtual-time cost model,
 // and the token bytes feed the golden Report/trace files in internal/core —
-// neither may move.
+// neither may move. cfg names the Params: DefaultParams for every row.
 var encoderGoldens = []struct {
 	name, cfg string
 	steps     int
@@ -100,36 +100,19 @@ var encoderGoldens = []struct {
 	sum       string
 }{
 	{"empty", "default", 0, 2, "96a296d224f285c6"},
-	{"empty", "qlz", 0, 2, "96a296d224f285c6"},
 	{"mixed", "default", 366, 2551, "78df75e04e7d6353"},
-	{"mixed", "qlz", 235, 2336, "97efdc6ebdf9d168"},
 	{"onebyte", "default", 0, 3, "e5d8594f7b3e3d1e"},
-	{"onebyte", "qlz", 0, 3, "e5d8594f7b3e3d1e"},
 	{"periodic", "default", 272, 589, "e60c8a8ace704e4a"},
-	{"periodic", "qlz", 19, 71, "912ecf7681035c72"},
 	{"random", "default", 1093, 4099, "c4fa2661692f006e"},
-	{"random", "qlz", 904, 4099, "c4fa2661692f006e"},
 	{"text", "default", 299, 580, "7d131088e8c64e0f"},
-	{"text", "qlz", 20, 111, "dbab4789fa0057d7"},
 	{"tiny", "default", 0, 5, "757f0dea9aa0c1f8"},
-	{"tiny", "qlz", 0, 5, "757f0dea9aa0c1f8"},
 	{"zeros", "default", 228, 489, "edb395802de7131d"},
-	{"zeros", "qlz", 16, 56, "f24b930d5df6fc17"},
 }
 
 func TestEncoderOutputUnchangedByMatcherOptimization(t *testing.T) {
 	data := corpus()
 	for _, g := range encoderGoldens {
-		var blob []byte
-		var st Stats
-		switch g.cfg {
-		case "default":
-			blob, st = Compress(nil, data[g.name], DefaultParams())
-		case "qlz":
-			blob, st = CompressQLZ(nil, data[g.name])
-		default:
-			t.Fatalf("unknown config %q", g.cfg)
-		}
+		blob, st := Compress(nil, data[g.name], DefaultParams())
 		if st.SearchSteps != g.steps {
 			t.Errorf("%s/%s: SearchSteps %d, golden %d (virtual-time cost model would shift)", g.name, g.cfg, st.SearchSteps, g.steps)
 		}

@@ -14,7 +14,7 @@ const (
 	// KindBypass: the entropy pre-check found the chunk incompressible; it
 	// is stored raw without running the encoder.
 	KindBypass
-	// KindCodec: one token stream from the CPU codec (LZSS or QuickLZ).
+	// KindCodec: one token stream from the CPU codec (LZSS).
 	KindCodec
 	// KindSub: independent sub-block lanes stitched into an indexed
 	// container (or its raw fallback when the container would not pay).
@@ -25,7 +25,6 @@ const (
 // fields of the front-end's configuration that decide it, nothing else.
 type Encoder struct {
 	Compress bool
-	Codec    lz.Codec
 	// Sub.SubBlocks >= 1 selects the sub-block container — the GPU kernel's
 	// algorithm in the engine, its output format in the volume; the zero
 	// value keeps the single-stream codec.
@@ -68,7 +67,7 @@ func (e *Encoder) Encode(dst, chunk []byte) Encoded {
 		blob, st, _ := lz.PostProcessOrRaw(dst, chunk, lanes)
 		return Encoded{Blob: blob, Stats: st, Kind: KindSub, Sub: lanes}
 	}
-	blob, st := lz.CompressCodec(e.Codec, dst, chunk, lz.DefaultParams())
+	blob, st := lz.Compress(dst, chunk, lz.DefaultParams())
 	return Encoded{Blob: blob, Stats: st, Kind: KindCodec}
 }
 

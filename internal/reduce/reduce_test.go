@@ -167,19 +167,10 @@ func TestEncodeMatchesDirectCalls(t *testing.T) {
 				return cost.EntropyCycles(4096) + cost.MemcpyCycles(len(blob)) + cost.StageOverheadCycles
 			}},
 		{"screened-lzss", Encoder{Compress: true, SkipIncompressible: true}, compressible, KindCodec,
-			func(src []byte) ([]byte, lz.Stats) {
-				return lz.CompressCodec(lz.CodecLZSS, nil, src, lz.DefaultParams())
-			},
+			func(src []byte) ([]byte, lz.Stats) { return lz.Compress(nil, src, lz.DefaultParams()) },
 			func(_ []byte, st lz.Stats) float64 { return cost.EntropyCycles(4096) + codecCycles(st) }},
 		{"lzss", Encoder{Compress: true}, compressible, KindCodec,
-			func(src []byte) ([]byte, lz.Stats) {
-				return lz.CompressCodec(lz.CodecLZSS, nil, src, lz.DefaultParams())
-			},
-			func(_ []byte, st lz.Stats) float64 { return codecCycles(st) }},
-		{"qlz", Encoder{Compress: true, Codec: lz.CodecQLZ}, compressible, KindCodec,
-			func(src []byte) ([]byte, lz.Stats) {
-				return lz.CompressCodec(lz.CodecQLZ, nil, src, lz.DefaultParams())
-			},
+			func(src []byte) ([]byte, lz.Stats) { return lz.Compress(nil, src, lz.DefaultParams()) },
 			func(_ []byte, st lz.Stats) float64 { return codecCycles(st) }},
 		{"sub", Encoder{Compress: true, Sub: sub}, compressible, KindSub, subBlob,
 			func(_ []byte, st lz.Stats) float64 { return codecCycles(st) }},

@@ -40,7 +40,6 @@ var testSeams = map[string]string{
 	"internal/core.Config.Batch":            "pipeline batch; the engine tests shrink it so small streams span many batches",
 	"internal/core.Config.GPUCompressBatch": "kernel batch; the engine tests sweep it",
 	"internal/core.Config.Lookahead":        "run-ahead window; the front-stage tests sweep it",
-	"internal/lz.Params.MaxChain":           "search depth; the encoder's reference, digest and fuzz tests sweep it",
 	"internal/volume.Config.CleanThreshold": "cleaning trigger; the cleaner tests lower it",
 	"internal/volume.Config.Index":          "index geometry; tests shrink bins and buffers to force flushes",
 	"internal/volume.Config.SSD":            "drive geometry; tests shrink it so the log fills and the FTL collects",
