@@ -41,6 +41,7 @@ var defaultRequired = []string{
 	`inlinered_volume_write_encodes_total{how="speculated"}`,
 	`inlinered_volume_write_encodes_total{how="inline"}`,
 	`inlinered_volume_write_encodes_total{how="wasted"}`,
+	`inlinered_volume_write_encodes_total{how="shared"}`,
 	"go_goroutines",
 	"go_memory_heap_objects_bytes",
 	"go_gc_pause_estimate_seconds",

@@ -31,11 +31,16 @@
 //
 // Repair payloads are synthesized from content ids, not copied bytes: the
 // sequencing phase remembers the last content id written per LBA, so a
-// repair is just another op in the rejoined node's queue and node queues
-// stay independent — no cross-node data dependency at drain time, which is
-// what keeps the execution phase embarrassingly parallel. It requires one
+// repair is just another op in the rejoined node's queue. It requires one
 // ContentSeed for the batches of a cluster's lifetime, so Serve refuses a
 // batch that changes it.
+//
+// Nodes share read-only prepared writes and never wait on one another: the
+// sequencer counts each content id's writes across all node queues, and the
+// writes of an id named more than once prepare through one
+// volume.SharedWrite, so a batch fingerprints and encodes each id once. Each
+// node still decides uniqueness against its own chunk store and commits
+// alone, so its report is what it would be alone.
 package cluster
 
 import (
@@ -378,7 +383,8 @@ func (f FaultCounters) Total() int64 {
 // Clients is the number of workers draining node queues (0 means one per
 // node); each node's array fans out further across its own shards, so a
 // Serve call runs at most Clients x ShardsPerNode goroutines, and a worker
-// with no node left hashes and encodes ahead for the nodes still draining.
+// with no node left hashes and encodes ahead for the nodes still draining;
+// nodes share read-only prepared writes and never wait on one another.
 // ContentSeed is fixed by a cluster's first batch: repair payloads are
 // re-derived from remembered content ids, so Serve refuses a later batch
 // under another seed — it would repair with bytes no client stored. Only
@@ -430,7 +436,7 @@ func (r *Report) String() string {
 		r.Merged.ReductionRatio(), r.Merged.DedupHits)
 }
 
-// sequencer holds the batch sequencing phase's per-call state.
+// sequencer holds a batch's sequencing state and what it hands the drain.
 type sequencer struct {
 	queues   [][]workload.Op
 	down     []bool
@@ -438,6 +444,9 @@ type sequencer struct {
 	dirty    []map[int64]byte // per down node: lba -> 'W' or 'T'
 	downCnt  int
 	fc       FaultCounters
+	rep      *Report                       // the batch's report, node results still to fill in
+	nodes    []*serve.Array                // the arrays the queues were routed to
+	shared   map[int32]*volume.SharedWrite // content ids two or more queued writes name
 }
 
 // Serve executes a batch of client operations across the cluster and
@@ -449,9 +458,19 @@ type sequencer struct {
 // each op to the live owners — appending queued-mutation replays and
 // read-repairs as extra ops in the affected nodes' queues. Phase 2: workers
 // claim WHOLE node queues (Pool.ForEach) and drain them through
-// serve.Array.Serve, so scheduling decides only WHEN a node executes,
+// serve.Array.ServeShared, so scheduling decides only WHEN a node executes,
 // never WHAT. Then merge.
 func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
+	seq, err := c.sequence(ops, opt)
+	if err != nil {
+		return nil, err
+	}
+	return c.drain(seq, opt)
+}
+
+// sequence is Serve's phase 1. It leaves the batch announced as draining:
+// drain (or drained) must follow.
+func (c *Cluster) sequence(ops []workload.Op, opt RunOptions) (*sequencer, error) {
 	kinds, err := workload.CheckOps(ops, c.blocks)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -507,21 +526,47 @@ func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 		}
 	}
 	c.opBase += int64(len(ops))
-	nodes := c.nodes
+	seq.nodes = c.nodes
 	c.draining++
 	c.mu.Unlock()
-
-	// Phase 2: drain node queues concurrently. Claiming whole queues keeps
-	// each node's op order fixed; serve.Array.Serve is deterministic below.
-	clients := opt.Clients
-	opt.Clients = c.cfg.ShardsPerNode
-	rep := &Report{
+	seq.rep = &Report{
 		Nodes: nn, Replicas: c.replicas, Ops: len(ops), Writes: kinds.Writes, Reads: kinds.Reads, Trims: kinds.Trims,
 		Faults: seq.fc, PerNode: make([]serve.Report, nn),
 	}
-	err = c.pool.ForEach(nn, clients, func(i int) error {
+	seq.shared = shareWrites(seq.queues)
+	return seq, nil
+}
+
+// shareWrites returns the batch's shared-write table: a slot, counting its
+// writes, per content id two or more queued writes name — live owners,
+// rejoin replays, read-repairs and repeats alike.
+func shareWrites(queues [][]workload.Op) map[int32]*volume.SharedWrite {
+	writes := make(map[int32]int)
+	for _, q := range queues {
+		for _, op := range q {
+			if op.Kind == workload.OpWrite {
+				writes[op.Content]++
+			}
+		}
+	}
+	shared := make(map[int32]*volume.SharedWrite)
+	for id, n := range writes {
+		if n > 1 {
+			shared[id] = volume.NewSharedWrite(n)
+		}
+	}
+	return shared
+}
+
+// drain is Serve's phase 2: claiming whole queues keeps each node's op order
+// fixed, and what the nodes' write fronts share is pure.
+func (c *Cluster) drain(seq *sequencer, opt RunOptions) (*Report, error) {
+	clients := opt.Clients
+	opt.Clients = c.cfg.ShardsPerNode
+	rep := seq.rep
+	err := c.pool.ForEach(len(seq.nodes), clients, func(i int) error {
 		serveStart := metrics.Clock()
-		nodeRep, err := nodes[i].Serve(seq.queues[i], opt)
+		nodeRep, err := seq.nodes[i].ServeShared(seq.queues[i], opt, seq.shared)
 		metrics.ClusterNodeServe.ObserveSince(serveStart)
 		if err != nil {
 			return fmt.Errorf("cluster: node %d: %w", i, err)

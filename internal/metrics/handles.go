@@ -91,10 +91,13 @@ var (
 	VolumeWriteCommit  = stageHist("volume", "write_commit")
 	// Where unique blocks were encoded: ahead of the commit on the front's
 	// guess, inline at commit, or ahead of time for a block that then
-	// turned out to be a duplicate.
+	// turned out to be a duplicate. Shared counts the speculated and inline
+	// ones copied from an encode another write of the batch ran
+	// (volume.SharedWrite), so speculated - shared + inline encodes ran.
 	WriteEncodesSpeculated = writeEncodes("speculated")
 	WriteEncodesInline     = writeEncodes("inline")
 	WriteEncodesWasted     = writeEncodes("wasted")
+	WriteEncodesShared     = writeEncodes("shared")
 
 	// Chunk read cache (internal/volume): evictions, which no report counts.
 	// Hits, misses, admissions and ghost hits are volume.Stats and

@@ -330,6 +330,15 @@ func (r *Report) String() string {
 // Per-op errors (injected faults) are counted, not fatal: a serving
 // front-end keeps serving.
 func (a *Array) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
+	return a.ServeShared(ops, opt, nil)
+}
+
+// ServeShared is Serve for a batch whose contents other arrays' batches
+// write at the same time: shared maps a content id to the volume.SharedWrite
+// every write of it, in any of those arrays, prepares through. A cluster
+// hands one table to all its nodes; nil shares nothing. The table must not
+// change while the call runs, and the report is Serve's, bit for bit.
+func (a *Array) ServeShared(ops []workload.Op, opt RunOptions, shared map[int32]*volume.SharedWrite) (*Report, error) {
 	dispatchStart := metrics.Clock()
 	kinds, err := workload.CheckOps(ops, a.blocks)
 	if err != nil {
@@ -357,7 +366,7 @@ func (a *Array) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 	_ = a.pool.ForEach(len(a.shards), opt.Clients, func(i int) error { // drains never fail
 		metrics.ServeQueueWait.ObserveSince(readyNS)
 		drainStart := metrics.Clock()
-		rep.PerShard[i] = a.serveShard(i, part.Queues[i], opt)
+		rep.PerShard[i] = a.serveShard(i, part.Queues[i], opt, shared)
 		metrics.ServeShardDrain.ObserveSince(drainStart)
 		return nil
 	})
@@ -374,7 +383,7 @@ func (a *Array) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 // whole drain: the queue claim already guarantees exclusive ownership
 // among this batch's workers, and the lock fences off direct-API calls and
 // other batches.
-func (a *Array) serveShard(i int, queue []workload.Op, opt RunOptions) ShardReport {
+func (a *Array) serveShard(i int, queue []workload.Op, opt RunOptions, shared map[int32]*volume.SharedWrite) ShardReport {
 	s := a.shards[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -389,9 +398,9 @@ func (a *Array) serveShard(i int, queue []workload.Op, opt RunOptions) ShardRepo
 		}
 	}
 	blockSize := a.cfg.Volume.BlockSize
-	wb := s.v.NewWriteBatch(a.pool, len(contents), func(dst []byte, i int) []byte {
+	wb := s.v.NewSharedWriteBatch(a.pool, len(contents), func(dst []byte, i int) []byte {
 		return workload.UniqueChunkInto(dst, opt.ContentSeed, contents[i], blockSize, payloadFill)
-	})
+	}, func(i int) *volume.SharedWrite { return shared[contents[i]] })
 	for k, op := range queue {
 		var err error
 		switch op.Kind {

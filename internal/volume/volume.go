@@ -412,16 +412,18 @@ func (v *Volume) segAt(i int) *segment {
 // Write runs a write's pure half (fingerprint, encode if unique) inline;
 // WriteBatch runs it ahead of time for a whole run of writes.
 func (v *Volume) Write(lba int64, data []byte) (time.Duration, error) {
-	return v.commitWrite(lba, data, dedup.Sum(data), nil)
+	return v.commitWrite(lba, data, dedup.Sum(data), nil, nil)
 }
 
 // commitWrite is the ordered half of a write, the only place one touches the
 // clock, the fault streams, the index, the log, the journal or the recorder.
 // fp is data's fingerprint; spec, when non-nil, is data's stored form,
 // encoded ahead on the guess that the block is unique. A unique block
-// without one is encoded here and a duplicate ignores it: the encoder is
-// pure, so the guess decides only when the encoding ran.
-func (v *Volume) commitWrite(lba int64, data []byte, fp dedup.Fingerprint, spec *reduce.Encoded) (time.Duration, error) {
+// without one is encoded here — or copied from shared, the batch's slot for
+// data, when another write front already encoded it — and a duplicate
+// ignores it: the encoder is pure, so the guess decides only when the
+// encoding ran.
+func (v *Volume) commitWrite(lba int64, data []byte, fp dedup.Fingerprint, spec *reduce.Encoded, shared *SharedWrite) (time.Duration, error) {
 	if lba < 0 || lba >= v.cfg.Blocks {
 		return 0, fmt.Errorf("volume: lba %d outside [0,%d)", lba, v.cfg.Blocks)
 	}
@@ -453,7 +455,7 @@ func (v *Volume) commitWrite(lba int64, data []byte, fp dedup.Fingerprint, spec 
 		// then rejects still pays for it.
 		if spec == nil {
 			encStart := metrics.Clock()
-			enc := v.enc.Encode(v.compScratch[:0], data)
+			enc := shared.encode(&v.enc, v.compScratch[:0], data)
 			v.compScratch, spec = enc.Blob, &enc
 			if encStart >= 0 {
 				metrics.VolumeWriteEncode.ObserveSince(encStart)

@@ -1,7 +1,9 @@
 package volume
 
 import (
+	"bytes"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"inlinered/internal/dedup"
@@ -29,6 +31,79 @@ type preparedWrite struct {
 	fp      dedup.Fingerprint
 	unique  bool           // predicted unique: enc is payload's stored form
 	enc     reduce.Encoded // its Blob doubles as the slot's encode scratch
+	shared  *SharedWrite   // the write's batch-wide slot, or nil
+}
+
+// SharedWrite is the pure half of one content's writes across the write
+// fronts of one batch (a cluster write's replicas, repairs and repeats). The
+// first front to prepare it publishes its payload and fingerprint, the first
+// to encode it its Encoded; the others copy them instead of running fill,
+// dedup.Sum or Encode. No front waits on it: one that finds a half not yet
+// published prepares its own copy, the same bytes. The slot drops its bytes
+// when the last of its writes has committed, failed or not.
+type SharedWrite struct {
+	left     atomic.Int32 // writes yet to commit
+	prepared atomic.Pointer[preparedWrite]
+	encoded  atomic.Pointer[reduce.Encoded]
+}
+
+// NewSharedWrite returns the slot of a content the batch writes writes times.
+func NewSharedWrite(writes int) *SharedWrite {
+	w := new(SharedWrite)
+	w.left.Store(int32(writes))
+	return w
+}
+
+// Outstanding returns how many of the slot's writes have yet to commit.
+func (w *SharedWrite) Outstanding() int { return int(w.left.Load()) }
+
+// prepare sets s's payload and fingerprint: copies of the slot's published
+// ones, or fill's and dedup.Sum's, which it publishes when no other front
+// has yet. A nil slot only prepares.
+func (w *SharedWrite) prepare(s *preparedWrite, fill func(dst []byte, i int) []byte, i int) {
+	if w != nil {
+		if p := w.prepared.Load(); p != nil {
+			s.payload, s.fp = append(s.payload[:0], p.payload...), p.fp
+			return
+		}
+	}
+	s.payload = fill(s.payload[:0], i)
+	s.fp = dedup.Sum(s.payload)
+	if w != nil {
+		w.prepared.CompareAndSwap(nil, &preparedWrite{payload: bytes.Clone(s.payload), fp: s.fp})
+	}
+}
+
+// encode returns payload's stored form, appended to dst: a copy of the
+// slot's published Encoded (counted as shared) or enc's own, which it
+// publishes when no other front has yet. A nil slot only encodes.
+func (w *SharedWrite) encode(enc *reduce.Encoder, dst, payload []byte) reduce.Encoded {
+	if w != nil {
+		if p := w.encoded.Load(); p != nil {
+			if metrics.Enabled() {
+				metrics.WriteEncodesShared.Add(1)
+			}
+			e := *p
+			e.Blob = append(dst, p.Blob...)
+			return e
+		}
+	}
+	e := enc.Encode(dst, payload)
+	if w != nil {
+		pub := e
+		pub.Blob = bytes.Clone(e.Blob[len(dst):])
+		w.encoded.CompareAndSwap(nil, &pub)
+	}
+	return e
+}
+
+// committed counts one of the slot's writes committed, failed or not, and
+// drops the slot's bytes after the last.
+func (w *SharedWrite) committed() {
+	if w != nil && w.left.Add(-1) == 0 {
+		w.prepared.Store(nil)
+		w.encoded.Store(nil)
+	}
 }
 
 // WriteBatch is the run-ahead front of the write path, the mirror image of
@@ -54,12 +129,21 @@ type WriteBatch struct {
 	rounds          [writeWindows]parallel.Tasks
 	pending         map[dedup.Fingerprint]struct{} // predicted unique, not yet committed
 	hashFn, encFn   func(lo, hi int)
+	share           func(i int) *SharedWrite
 }
 
 // NewWriteBatch starts a run of n writes: fill(dst, i) appends the i-th
 // write's payload to dst and must be a pure function of i.
 func (v *Volume) NewWriteBatch(pool *parallel.Pool, n int, fill func(dst []byte, i int) []byte) *WriteBatch {
-	b := &WriteBatch{v: v, pool: pool, fill: fill, n: n, pending: make(map[dedup.Fingerprint]struct{})}
+	return v.NewSharedWriteBatch(pool, n, fill, nil)
+}
+
+// NewSharedWriteBatch is NewWriteBatch for a run whose contents other runs
+// of the same batch write too: share(i) is the i-th write's SharedWrite, or
+// nil when no other write names its content. share is called from posted
+// tasks, so it must only read.
+func (v *Volume) NewSharedWriteBatch(pool *parallel.Pool, n int, fill func(dst []byte, i int) []byte, share func(i int) *SharedWrite) *WriteBatch {
+	b := &WriteBatch{v: v, pool: pool, fill: fill, share: share, n: n, pending: make(map[dedup.Fingerprint]struct{})}
 	b.slots = make([]preparedWrite, min(n, writeWindows*writeWindow))
 	// One slab for the run's payload and blob scratch (a raw store adds a
 	// short header; a blob that outgrows its share just reallocates):
@@ -94,7 +178,9 @@ func (b *WriteBatch) Write(lba int64) (time.Duration, error) {
 		spec = &s.enc
 		delete(b.pending, s.fp)
 	}
-	return b.v.commitWrite(lba, s.payload, s.fp, spec)
+	lat, err := b.v.commitWrite(lba, s.payload, s.fp, spec, s.shared)
+	s.shared.committed()
+	return lat, err
 }
 
 // advance brings the front to where window k may commit: windows up to k+2
@@ -139,13 +225,16 @@ func (b *WriteBatch) speculate(lo, hi int) bool {
 }
 
 // hash and encode are the posted tasks: pure functions of the run's
-// payloads, each writing only the slots of its own index range.
+// payloads, each writing only the slots of its own index range (and
+// publishing into SharedWrites, which take no lock and never wait).
 func (b *WriteBatch) hash(lo, hi int) {
 	defer metrics.VolumeWritePrepare.ObserveSince(metrics.Clock())
 	for i := lo; i < hi; i++ {
 		s := b.slot(i)
-		s.payload = b.fill(s.payload[:0], i)
-		s.fp = dedup.Sum(s.payload)
+		if s.shared = nil; b.share != nil {
+			s.shared = b.share(i)
+		}
+		s.shared.prepare(s, b.fill, i)
 	}
 }
 
@@ -153,7 +242,7 @@ func (b *WriteBatch) encode(lo, hi int) {
 	defer metrics.VolumeWriteEncode.ObserveSince(metrics.Clock())
 	for i := lo; i < hi; i++ {
 		if s := b.slot(i); s.unique {
-			s.enc = b.v.enc.Encode(s.enc.Blob[:0], s.payload)
+			s.enc = s.shared.encode(&b.v.enc, s.enc.Blob[:0], s.payload)
 		}
 	}
 }
