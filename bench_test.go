@@ -214,8 +214,9 @@ const readWarmHitRateFloor = 0.05
 // temporal-locality argument, measured. The virtual-time report is
 // bit-identical across all cases' schedules (see the array-readbatch row
 // of cluster.TestDeterminismMatrix); only the wall clock differs. The
-// benchmark enforces readAllocsPerOpCeiling and readWarmHitRateFloor
-// itself (CI's bench-smoke job runs it); how fast the read path is is the
+// benchmark enforces readAllocsPerOpCeiling on all three cases and
+// readWarmHitRateFloor on /warm itself (CI's bench-smoke job runs it); how
+// fast the read path is is the
 // repository benchmark's boot-storm workload (benchmark/).
 func BenchmarkReadPathWallClock(b *testing.B) {
 	spec := DefaultBootStormSpec()
@@ -294,17 +295,13 @@ func BenchmarkReadPathWallClock(b *testing.B) {
 			mallocs = m1.Mallocs - m0.Mallocs
 			perOp := float64(mallocs) / float64(b.N) / float64(len(lbas))
 			b.ReportMetric(perOp, "allocs/read-op")
-			if bc.cache < 0 {
-				// The zero-alloc contract holds on the decode path; the warm
-				// case additionally allocates one payload buffer per miss
-				// insert (cache entry buffers are deliberately not pooled —
-				// a recycled buffer could alias a still-pending reserve
-				// slot), so its gate is the hit-rate floor below instead.
-				if perOp > readAllocsPerOpCeiling {
-					b.Fatalf("read path allocates %.4f objects per read op, ceiling is %.2f",
-						perOp, readAllocsPerOpCeiling)
-				}
-			} else {
+			// The zero-alloc contract holds with the cache on too: an
+			// admitted miss decodes into a recycled entry buffer.
+			if perOp > readAllocsPerOpCeiling {
+				b.Fatalf("read path allocates %.4f objects per read op, ceiling is %.2f",
+					perOp, readAllocsPerOpCeiling)
+			}
+			if bc.cache >= 0 {
 				hr := rep.HitRate()
 				b.ReportMetric(hr, "cache-hit-rate")
 				if hr < readWarmHitRateFloor {

@@ -147,8 +147,9 @@ func NewBlockDevice(opts BlockDeviceOptions) (*BlockDevice, error) { return NewA
 
 // ReadBatchOptions tune a batch read run (wall clock only — nothing here
 // may affect the report or the returned bytes): Clients, and a Sink that
-// receives each read's block. Sink runs with no lock held, so it may call
-// back into the device.
+// receives each read's block. The block is read-only, since it may alias
+// the device's cache, and valid only during the call. Sink runs with no
+// lock held, so it may call back into the device.
 type ReadBatchOptions = serve.ReadBatchOptions
 
 // ReadBatchReport summarizes an Array.ReadBatch run under the

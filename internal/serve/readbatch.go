@@ -17,8 +17,9 @@ type ReadBatchOptions struct {
 	// (0 means one per shard). Wall clock only.
 	Clients int
 	// Sink, when non-nil, receives every read's result as its shard
-	// commits: i is the read's position in the batch, block aliases internal
-	// buffers and is valid only for the duration of the call. Sink is
+	// commits: i is the read's position in the batch, and block is
+	// read-only — it may alias the shard's cache memory — and valid only
+	// for the duration of the call; copy it to keep it. Sink is
 	// called concurrently from multiple goroutines (at most one per shard
 	// at a time), so it must be safe for concurrent use — writing to
 	// distinct per-i slots is the intended pattern. No lock is held while it

@@ -458,3 +458,63 @@ func TestSinkMayReenter(t *testing.T) {
 		t.Fatalf("batch after re-entrant sinks: %+v, %v", rep, err)
 	}
 }
+
+// TestReadBatchSinkOutlivesEviction: a checked-out batch's blocks alias its
+// shard's cache. Here the Sink's first call runs, on the same shard, a
+// nested ReadBatch and direct Reads that evict every entry the outer batch
+// aliases and refill the cache with other blocks many times over. Every
+// block the outer batch hands its Sink, that first one included, must
+// still be byte for byte what was written.
+func TestReadBatchSinkOutlivesEviction(t *testing.T) {
+	cfg := batchConfig(1, 2)
+	cfg.Volume.CacheBytes = 16 * int64(cfg.Volume.BlockSize)
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Close)
+	want := make([][]byte, 256)
+	for lba := range want {
+		want[lba] = workload.UniqueChunk(4, int32(lba), cfg.Volume.BlockSize, 0.5)
+		if _, err := a.Write(int64(lba), want[lba]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The outer batch misses 16 blocks and hits each again (pending hits);
+	// the nested traffic reads 64 others three times over, so they outrank
+	// the outer entries in the admission sketch and displace them.
+	var outer, other []int64
+	for pass := 0; pass < 2; pass++ {
+		for lba := int64(0); lba < 16; lba++ {
+			outer = append(outer, lba)
+		}
+	}
+	for pass := 0; pass < 3; pass++ {
+		for lba := int64(100); lba < 164; lba++ {
+			other = append(other, lba)
+		}
+	}
+	_, err = a.ReadBatch(outer, ReadBatchOptions{Sink: func(i int, block []byte, err error) {
+		if i == 0 {
+			if _, err := a.ReadBatch(other, ReadBatchOptions{}); err != nil {
+				t.Error(err)
+			}
+			for _, lba := range other {
+				if _, _, err := a.Read(lba); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		if err != nil || !bytes.Equal(block, want[outer[i]]) {
+			t.Errorf("read %d (lba %d) changed under the Sink (%v)", i, outer[i], err)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every entry the outer batch aliased was evicted meanwhile.
+	rep, err := a.ReadBatch(outer[:16], ReadBatchOptions{})
+	if err != nil || rep.CacheHits != 0 {
+		t.Fatalf("outer entries survived the nested traffic: %+v, %v", rep, err)
+	}
+}

@@ -47,16 +47,25 @@ type blockCache struct {
 	protBytes  int64
 	probBytes  int64
 
-	// Intrusive doubly-linked lists (front = most recent / newest) plus a
-	// free list of recycled nodes, so steady-state cache maintenance
-	// allocates only entry payloads.
+	// Intrusive doubly-linked lists (front = most recent / newest) plus
+	// free lists of recycled nodes and payload buffers, so steady-state
+	// cache maintenance allocates nothing.
 	prot cacheList // protected LRU
 	prob cacheList // probation FIFO
 	byFP map[dedup.Fingerprint]*cacheEntry
 	free *cacheEntry
+	bufs [][]byte
 
 	ghost  ghostList
 	sketch freqSketch
+
+	// Leases: a batch read aliases entry bytes under one, from its Plan to
+	// its next Plan or Release. Every live lease was granted at or after
+	// epoch. retired holds evicted buffers a live lease may still alias, at
+	// most retiredCap of them: the largest batch planned.
+	lastLease, epoch uint64
+	live, retiredCap int
+	retired          [][]byte
 
 	hits, misses, admissions, ghostHits int64
 }
@@ -70,6 +79,7 @@ const (
 type cacheEntry struct {
 	fp         dedup.Fingerprint
 	data       []byte
+	lease      uint64 // newest lease that aliased data, 0 if none
 	where      int8
 	prev, next *cacheEntry
 }
@@ -299,9 +309,11 @@ func (c *blockCache) lazyInit(n int) {
 }
 
 // getRef looks fp up, counts the hit or miss, feeds the sketch and promotes
-// a probation hit. It returns the entry rather than its bytes: one reserved
-// earlier in the same batch holds its data only at commit.
-func (c *blockCache) getRef(fp dedup.Fingerprint) (*cacheEntry, bool) {
+// a probation hit, stamping it with lease (the planning batch's, 0 for a
+// read that copies out at once). It returns the entry rather than its
+// bytes: one reserved earlier in the same batch holds its data only after
+// its decode.
+func (c *blockCache) getRef(fp dedup.Fingerprint, lease uint64) (*cacheEntry, bool) {
 	if c.capBytes <= 0 {
 		return nil, false
 	}
@@ -312,6 +324,7 @@ func (c *blockCache) getRef(fp dedup.Fingerprint) (*cacheEntry, bool) {
 		return nil, false
 	}
 	c.hits++
+	e.lease = max(e.lease, lease)
 	if e.where == inProtected {
 		c.prot.moveToFront(e)
 	} else {
@@ -369,16 +382,43 @@ func (c *blockCache) evictOne() {
 	c.recycle(e)
 }
 
-// recycle returns a node to the free list. The payload is dropped, not
-// reused: the batch read path may still hold the old data slice as a
-// pending fill target (reserve's contract — filling an orphan is
-// harmless), so handing that buffer to a new fingerprint would let a
-// stale fill poison fresh content.
+// recycle returns a node to the free list, and its payload to the buffer
+// free list unless a live lease may still alias it (a batch's hit, or its
+// pending decode into the slot). Such a buffer is retired until no lease
+// is live — or, past retiredCap, dropped: the aliases keep it alive, and
+// nothing reuses it, so the GC is always safe; only reuse needs the lease.
 func (c *blockCache) recycle(e *cacheEntry) {
-	e.data = nil
+	switch {
+	case c.live == 0 || e.lease < c.epoch:
+		c.bufs = append(c.bufs, e.data)
+	case len(c.retired) < c.retiredCap:
+		c.retired = append(c.retired, e.data)
+	}
+	e.data, e.lease = nil, 0
 	e.prev = nil
 	e.next = c.free
 	c.free = e
+}
+
+// acquire grants a lease to a batch about to plan n reads.
+func (c *blockCache) acquire(n int) uint64 {
+	c.lastLease++
+	if c.live == 0 {
+		c.epoch = c.lastLease
+	}
+	c.live++
+	c.retiredCap = max(c.retiredCap, n)
+	return c.lastLease
+}
+
+// release ends a lease. Once none is live, nothing can alias a retired
+// buffer.
+func (c *blockCache) release() {
+	if c.live--; c.live == 0 {
+		c.bufs = append(c.bufs, c.retired...)
+		clear(c.retired)
+		c.retired = c.retired[:0]
+	}
 }
 
 func (c *blockCache) node() *cacheEntry {
@@ -390,14 +430,16 @@ func (c *blockCache) node() *cacheEntry {
 	return &cacheEntry{}
 }
 
-// reserve places a new n-byte entry for fp, which a getRef just missed, and
-// returns its data slice for the caller to fill (nil when the cache is off or
-// n oversized). planRead reserves at decision time, so admission, eviction
-// and segment state advance in request order even when the decoded bytes
-// only land at a batch's commit. The slice stays valid if the entry is
-// evicted before the fill — filling an orphan is harmless (eviction drops
-// the buffer, it never reassigns it).
-func (c *blockCache) reserve(fp dedup.Fingerprint, n int) []byte {
+// reserve places a new n-byte entry for fp, which a getRef just missed,
+// stamped with lease, and returns its data slice for the caller to fill
+// (nil when the cache is off or n oversized). planRead reserves at decision
+// time, so admission, eviction and segment state advance in request order
+// even when the decoded bytes only land after a batch's plan. The slice
+// stays valid if the entry is evicted before the fill: filling an orphan is
+// harmless, because a buffer the lease may alias is never reassigned. The
+// buffer comes off the free list when it has one; a volume has one block
+// size, so every buffer there is n bytes.
+func (c *blockCache) reserve(fp dedup.Fingerprint, n int, lease uint64) []byte {
 	if c.capBytes <= 0 || int64(n) > c.capBytes {
 		return nil
 	}
@@ -431,8 +473,13 @@ func (c *blockCache) reserve(fp dedup.Fingerprint, n int) []byte {
 	}
 
 	e := c.node()
-	e.fp = fp
-	e.data = make([]byte, n)
+	e.fp, e.lease = fp, lease
+	if k := len(c.bufs); k > 0 {
+		e.data = c.bufs[k-1]
+		c.bufs[k-1], c.bufs = nil, c.bufs[:k-1]
+	} else {
+		e.data = make([]byte, n)
+	}
 	if toProtected {
 		e.where = inProtected
 		c.prot.pushFront(e)

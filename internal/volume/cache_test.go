@@ -19,12 +19,12 @@ func tfp(i uint64) dedup.Fingerprint {
 // hit and fill are the read path's two cache calls: planRead's lookup, and
 // its reserve on a miss with the caller's fill of the slot.
 func hit(c *blockCache, fp dedup.Fingerprint) bool {
-	_, ok := c.getRef(fp)
+	_, ok := c.getRef(fp, 0)
 	return ok
 }
 
 func fill(c *blockCache, fp dedup.Fingerprint, data []byte) {
-	copy(c.reserve(fp, len(data)), data)
+	copy(c.reserve(fp, len(data), 0), data)
 }
 
 func TestFreqSketchEstimateAndAging(t *testing.T) {

@@ -18,31 +18,39 @@ import (
 //	         recorded as a decode job instead of executed.
 //	Run    — parallel work phase: one item per job, in any order, on any
 //	         number of goroutines. An item decodes its blob whole, the
-//	         call ReadInto makes, and fills its reserved cache slot,
-//	         writing only its own region.
-//	Commit — sequential commit phase: failed jobs' errors are wrapped and
-//	         their slots un-reserved, and reads that hit a pending-decode
-//	         cache entry copy their bytes out.
+//	         call ReadInto makes, straight into its read's bytes, writing
+//	         nothing else.
+//	Commit — sequential commit phase: failed jobs' errors are wrapped onto
+//	         their reads (pending hits included) and their slots
+//	         un-reserved.
+//
+// No phase copies a block. A read's bytes are where they already live: the
+// cache entry a hit found or a miss reserved (the miss decodes into it), a
+// block of zeros, or — for a miss the cache did not take — a region of the
+// batch buffer. The batch holds a lease on the cache from Plan to its next
+// Plan or Release, so no buffer it aliases is handed to another fingerprint
+// meanwhile (blockCache.recycle).
 //
 // Because every virtual-clock mutation happens in Plan, in request order,
 // the report is bit-identical to the serial loop for any worker count. The
 // one divergence from N serial ReadInto calls is documented on ReadBatch.
 
 type batchOp struct {
-	lba int64
-	src int8
-	job int32 // decode job index (srcDecode/srcPending), -1 otherwise
-	lat time.Duration
-	err error
+	lba  int64
+	data []byte // the read's bytes: a cache entry, zeros, or a buf region
+	src  int8
+	job  int32 // decode job index (srcDecode/srcPending), -1 otherwise
+	lat  time.Duration
+	err  error
 }
 
-// batchJob is one blob decode charged at plan time and executed by RunItem.
+// batchJob is one blob decode charged at plan time and executed by RunItem
+// into its op's bytes.
 type batchJob struct {
-	op        int // owning op: the job decodes into that op's buffer region
-	fp        dedup.Fingerprint
-	blob      []byte
-	cacheSlot []byte // reserved cache entry bytes, nil when not cached
-	err       error
+	op   int // owning op
+	fp   dedup.Fingerprint
+	blob []byte
+	err  error
 }
 
 // ReadBatch executes batches of reads through the phased plan / run /
@@ -59,7 +67,10 @@ type batchJob struct {
 // would have missed.
 type ReadBatch struct {
 	v       *Volume
-	buf     []byte // len(ops) × BlockSize output regions
+	leased  *blockCache // the cache that granted lease, nil when none is held
+	lease   uint64
+	buf     []byte // regions for misses with no cache slot
+	zero    []byte // one block of zeros: every unmapped read's bytes
 	ops     []batchOp
 	jobs    []batchJob
 	pending map[dedup.Fingerprint]int32 // fp -> job decoding it this batch
@@ -129,21 +140,23 @@ var batchPool = sync.Pool{New: func() any { return new(ReadBatch) }}
 // NewReadBatch returns an empty batch bound to v, recycled from the
 // package pool when one is available. Pass it back to Release when done
 // with it (serve shards do this on Array.Close) — or don't: an unreleased
-// batch is ordinary garbage.
+// batch is ordinary garbage. Its lease then never ends, which costs the
+// cache the reuse of buffers it evicts, never memory (blockCache.recycle).
 func (v *Volume) NewReadBatch() *ReadBatch {
 	b := batchPool.Get().(*ReadBatch)
 	b.v = v
 	return b
 }
 
-// Release scrubs the batch's references into volume-owned memory (blobs,
-// cache slots, errors) and returns it to the package pool. The capacities
-// that make reuse cheap — buffer, op/job arrays, the pending map — are
-// kept. The batch must not be used after Release.
+// Release ends the batch's lease, scrubs its references into volume-owned
+// memory (blobs, cache entries, errors) and returns it to the package pool.
+// The capacities that make reuse cheap — buffer, op/job arrays, the pending
+// map — are kept. The batch must not be used after Release.
 func (b *ReadBatch) Release() {
 	if b == nil {
 		return
 	}
+	b.endLease()
 	clear(b.jobs[:cap(b.jobs)])
 	clear(b.ops[:cap(b.ops)])
 	b.ops = b.ops[:0]
@@ -153,12 +166,21 @@ func (b *ReadBatch) Release() {
 	batchPool.Put(b)
 }
 
+// endLease ends the batch's lease on the cache that granted it, which is
+// not b.v's once the batch has been rebound to another volume.
+func (b *ReadBatch) endLease() {
+	if b.leased != nil {
+		b.leased.release()
+		b.leased = nil
+	}
+}
+
 // Plan is the sequential decision phase. It validates every LBA up front
 // (an invalid LBA fails the whole batch before any accounting, mirroring
-// the serial path's pre-validation), then runs planRead per read — the
-// ordered half ReadInto runs — recording each miss as a decode job for the
-// parallel phase. After Plan returns, Items reports how much parallel work
-// there is.
+// the serial path's pre-validation), ends the previous batch's lease and
+// takes a new one, then runs planRead per read — the ordered half ReadInto
+// runs — recording each miss as a decode job for the parallel phase. After
+// Plan returns, Items reports how much parallel work there is.
 func (b *ReadBatch) Plan(lbas []int64) error {
 	v := b.v
 	for _, lba := range lbas {
@@ -166,46 +188,44 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 			return fmt.Errorf("volume: lba %d outside [0,%d)", lba, v.cfg.Blocks)
 		}
 	}
+	b.endLease()
+	b.leased, b.lease = v.cache, v.cache.acquire(len(lbas))
 	b.ops = b.ops[:0]
 	b.jobs = b.jobs[:0]
+	b.buf = b.buf[:0]
 	clear(b.pending) // no-op on the nil map of a batch that never missed
 	h0, m0 := v.cache.hits, v.cache.misses
 	a0, g0 := v.cache.admissions, v.cache.ghostHits
 	start := v.now
 	bs := v.cfg.BlockSize
-	if need := len(lbas) * bs; cap(b.buf) < need {
-		b.buf = make([]byte, need)
-	} else {
-		b.buf = b.buf[:need]
+	if len(b.zero) != bs {
+		b.zero = make([]byte, bs)
 	}
 	for i, lba := range lbas {
-		region := b.buf[i*bs : (i+1)*bs]
-		p := v.planRead(lba)
-		op := batchOp{lba: lba, src: p.src, job: -1, lat: p.lat, err: p.err}
+		p := v.planRead(lba, b.lease)
+		op := batchOp{lba: lba, data: b.zero, src: p.src, job: -1, lat: p.lat, err: p.err}
 		switch {
-		case p.src == srcZero:
-			clear(region)
 		case p.src == srcCache:
+			op.data = p.cached
 			if j, pend := b.pending[p.fp]; pend {
-				// The entry was reserved by an earlier read in this batch;
-				// its bytes exist only after that job decodes. Copy at
-				// commit.
+				// The entry was reserved by an earlier read in this batch:
+				// its bytes, and its error, come from that job's decode.
 				op.src, op.job = srcPending, j
-			} else {
-				copy(region, p.cached)
 			}
-		case p.err == nil:
-			op.job = int32(len(b.jobs))
-			b.jobs = append(b.jobs, batchJob{op: i, fp: p.fp, blob: p.blob, cacheSlot: p.slot})
+		case p.src == srcDecode && p.err == nil:
+			op.job, op.data = int32(len(b.jobs)), p.slot
+			b.jobs = append(b.jobs, batchJob{op: i, fp: p.fp, blob: p.blob})
+			if p.slot == nil {
+				op.data = b.region(bs)
+				break
+			}
 			// Only a reserved slot can produce a pending hit, so the map
 			// (allocated lazily, on the first cached miss ever) stays empty —
 			// and untouched — on cache-disabled volumes.
-			if p.slot != nil {
-				if b.pending == nil {
-					b.pending = make(map[dedup.Fingerprint]int32, 64)
-				}
-				b.pending[p.fp] = op.job
+			if b.pending == nil {
+				b.pending = make(map[dedup.Fingerprint]int32, 64)
 			}
+			b.pending[p.fp] = op.job
 		}
 		b.ops = append(b.ops, op)
 	}
@@ -217,64 +237,59 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 	return nil
 }
 
+// region hands out the next bs bytes of the batch buffer. A full buffer is
+// replaced rather than grown in place: the regions handed out keep the old
+// one alive.
+func (b *ReadBatch) region(bs int) []byte {
+	n := len(b.buf)
+	if n+bs > cap(b.buf) {
+		b.buf, n = make([]byte, 0, 2*cap(b.buf)+16*bs), 0
+	}
+	b.buf = b.buf[:n+bs]
+	return b.buf[n : n+bs : n+bs]
+}
+
 // Items returns the number of parallel decode items Plan produced: one per
 // blob to decode, so it equals DecodedBlobs.
 func (b *ReadBatch) Items() int { return len(b.jobs) }
 
-// RunItem decodes job j's blob into its op's region through decodeBlock,
-// the call ReadInto makes, and on success fills the job's reserved cache
-// slot. Distinct items may run concurrently: each writes only its own
-// region, slot and job record.
+// RunItem decodes job j's blob through decodeBlock, the call ReadInto
+// makes, into its read's bytes: the reserved cache slot, or a region of the
+// batch buffer. Distinct items may run concurrently: each writes only its
+// own bytes and job record.
 func (b *ReadBatch) RunItem(j int) {
 	jb := &b.jobs[j]
-	bs := b.v.cfg.BlockSize
-	region := b.buf[jb.op*bs : (jb.op+1)*bs]
-	// Decoding appends to region[:0]: a block-size result fits its capacity,
-	// so on success the bytes are in region. The three-index slice keeps a
-	// corrupt blob that over-decodes out of the next op's region (the
-	// output moves instead, and decodeBlock rejects the size).
-	if _, jb.err = decodeBlock(region[0:0:bs], jb.blob, bs); jb.err == nil {
-		copy(jb.cacheSlot, region) // no-op on a nil slot
-	}
+	out := b.ops[jb.op].data
+	// Decoding appends to out[:0]: out's capacity is one block, so on
+	// success the bytes are in out. A corrupt blob that over-decodes moves
+	// to a new array instead, and decodeBlock rejects the size.
+	_, jb.err = decodeBlock(out[:0], jb.blob, len(out))
 }
 
 // Commit is the sequential commit phase: failed decodes' errors are
-// wrapped onto their reads and their reserved cache entries removed, and
-// pending-hit reads copy out of the decoding op's region. After Commit,
-// Block/Err/Latency/Totals are valid.
+// wrapped onto their reads, pending hits included, and their reserved
+// cache entries removed. After Commit, Block/Err/Latency/Totals are valid.
 func (b *ReadBatch) Commit() {
-	v := b.v
-	bs := v.cfg.BlockSize
 	for j := range b.jobs {
-		jb := &b.jobs[j]
-		if jb.err != nil {
+		if jb := &b.jobs[j]; jb.err != nil {
 			op := &b.ops[jb.op]
 			op.err = fmt.Errorf("volume: lba %d: %w", op.lba, jb.err)
 			// Un-reserve: a garbage block must never serve later reads.
-			v.cache.remove(jb.fp)
+			b.v.cache.remove(jb.fp)
 		}
 	}
 	for i := range b.ops {
-		op := &b.ops[i]
-		if op.src != srcPending {
-			continue
+		if op := &b.ops[i]; op.src == srcPending && b.jobs[op.job].err != nil {
+			op.err = fmt.Errorf("volume: lba %d: %w", op.lba, b.jobs[op.job].err)
 		}
-		jb := &b.jobs[op.job]
-		if jb.err != nil {
-			op.err = fmt.Errorf("volume: lba %d: %w", op.lba, jb.err)
-			continue
-		}
-		copy(b.buf[i*bs:(i+1)*bs], b.buf[jb.op*bs:(jb.op+1)*bs])
 	}
 }
 
 // Block returns read i's bytes (zeros when unmapped, garbage when Err(i)
-// is non-nil). The slice aliases the batch's buffer and is valid until the
-// next Plan.
-func (b *ReadBatch) Block(i int) []byte {
-	bs := b.v.cfg.BlockSize
-	return b.buf[i*bs : (i+1)*bs]
-}
+// is non-nil). The slice is read-only: it may alias a cache entry, or the
+// zeros every unmapped read of the batch shares. It is valid until the
+// next Plan or Release.
+func (b *ReadBatch) Block(i int) []byte { return b.ops[i].data }
 
 // Latency returns read i's virtual latency.
 func (b *ReadBatch) Latency(i int) time.Duration { return b.ops[i].lat }
@@ -302,8 +317,8 @@ func (b *ReadBatch) DecodedBlobs() int { return len(b.jobs) }
 // non-nil (a nil pool decodes inline, the determinism baseline). b may be
 // nil to allocate a fresh batch;
 // passing a previous batch back in — this volume's or another's — recycles
-// its buffers and binds it to v. The returned batch holds the per-read
-// results.
+// its buffers, ends its lease and binds it to v. The returned batch holds
+// the per-read results.
 //
 // Virtual-time accounting is bit-identical to calling ReadInto per LBA in
 // order, for any pool size — the clock only advances in Plan.

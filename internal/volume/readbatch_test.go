@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"inlinered/internal/fault"
@@ -463,5 +464,84 @@ func TestReadBatchTotals(t *testing.T) {
 	sum.Add(ReadTotals{Reads: 1, Elapsed: cold.Elapsed + 1})
 	if sum.Reads != 5 || sum.CacheHits != cold.CacheHits || sum.Elapsed != cold.Elapsed+1 {
 		t.Fatalf("Add: counters must sum and Elapsed be the slowest child's: %+v", sum)
+	}
+}
+
+// TestReadBatchAliasedBuffersNotReused: a batch's blocks alias the cache
+// entries its hits found and its misses decoded into, and this storm's
+// misses cycle an 8-entry cache dozens of times inside the one batch,
+// evicting entries that earlier reads of the batch still alias. Every block
+// must still equal the serial ReadInto bytes after Commit: a buffer a live
+// batch may alias is never handed to another fingerprint.
+func TestReadBatchAliasedBuffersNotReused(t *testing.T) {
+	cfg := subConfig()
+	cfg.CacheBytes = 8 * int64(cfg.BlockSize)
+	vs, vb := newVolume(t, cfg), newVolume(t, cfg)
+	fillVolume(t, vs, 64)
+	fillVolume(t, vb, 64)
+	rng := rand.New(rand.NewSource(5))
+	lbas := make([]int64, 600)
+	for i := range lbas {
+		lbas[i] = int64(rng.Intn(64))
+		if i%5 == 4 {
+			lbas[i] = lbas[i-1] // a pending hit, or a hit on the entry just reserved
+		}
+	}
+	pool := parallel.New(2)
+	defer pool.Close()
+	b, err := vb.ReadBatch(nil, lbas, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tt := b.Totals(); tt.CacheHits < 100 || tt.DecodedBlobs < 4*8 {
+		t.Fatalf("storm does not cycle the cache under aliased hits: %+v", tt)
+	}
+	for i, lba := range lbas {
+		want, _, err := vs.ReadInto(nil, lba)
+		if err != nil || b.Err(i) != nil {
+			t.Fatalf("read %d: serial %v, batch %v", i, err, b.Err(i))
+		}
+		if !bytes.Equal(b.Block(i), want) {
+			t.Fatalf("read %d (lba %d): an aliased buffer was refilled with another block", i, lba)
+		}
+	}
+}
+
+// TestReadBatchUnreleasedBoundsCacheBuffers: a batch nobody releases keeps
+// its lease for good. That may stop the cache reusing the buffers it
+// evicts, but never grows memory: over 1,000 forgotten batches the buffers
+// the cache owns — resident, free and retired — stay within its capacity
+// in blocks plus the largest batch planned, and the heap after a GC stays
+// flat.
+func TestReadBatchUnreleasedBoundsCacheBuffers(t *testing.T) {
+	cfg := subConfig()
+	cfg.CacheBytes = 8 * int64(cfg.BlockSize)
+	v := newVolume(t, cfg)
+	fillVolume(t, v, 64)
+	lbas := stormLBAs(64, 100)
+	bound := 8 + len(lbas)
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	var base int64
+	for i := 0; i < 1000; i++ {
+		if _, err := v.ReadBatch(nil, lbas, nil); err != nil {
+			t.Fatal(err)
+		}
+		if owned := v.cache.len() + len(v.cache.bufs) + len(v.cache.retired); owned > bound {
+			t.Fatalf("batch %d: the cache owns %d buffers, bound %d", i, owned, bound)
+		}
+		if i == 99 {
+			base = heap()
+		}
+	}
+	if len(v.cache.retired) == 0 {
+		t.Fatal("forgotten leases retired nothing: the test no longer exercises the bound")
+	}
+	if grew := heap() - base; grew > 256<<10 {
+		t.Fatalf("heap grew %d bytes over 900 unreleased batches", grew)
 	}
 }

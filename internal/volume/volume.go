@@ -624,7 +624,7 @@ func (v *Volume) ReadInto(dst []byte, lba int64) ([]byte, time.Duration, error) 
 	if lba < 0 || lba >= v.cfg.Blocks {
 		return dst, 0, fmt.Errorf("volume: lba %d outside [0,%d)", lba, v.cfg.Blocks)
 	}
-	p := v.planRead(lba)
+	p := v.planRead(lba, 0)
 	switch {
 	case p.err != nil:
 		return dst, p.lat, p.err
@@ -670,8 +670,10 @@ type readPlan struct {
 // is charged here, before it runs, and the slot is reserved here, so
 // admission and eviction advance in request order whenever the decode
 // happens; a corrupt blob's read is therefore a "read" span with the decode
-// on it, and only a drive failure is a "read-error".
-func (v *Volume) planRead(lba int64) (p readPlan) {
+// on it, and only a drive failure is a "read-error". lease is the planning
+// batch's (0 when the caller copies out at once); the cache entry the read
+// touches is stamped with it.
+func (v *Volume) planRead(lba int64, lease uint64) (p readPlan) {
 	start, span := v.now, "read"
 	bs, cost := v.cfg.BlockSize, v.sub.CPU.Cost
 	var t time.Duration
@@ -683,7 +685,7 @@ func (v *Volume) planRead(lba int64) (p readPlan) {
 		// exactly like a cache hit's copy, so an unmapped read can never be
 		// cheaper than a cached one.
 		t = v.sub.Run("zero-fill", v.now, cost.MemcpyCycles(bs)+cost.StageOverheadCycles)
-	} else if e, hit := v.cache.getRef(fp); hit {
+	} else if e, hit := v.cache.getRef(fp, lease); hit {
 		// Content-addressed cache: a hit skips the SSD and the decoder,
 		// paying one staging copy.
 		p.src, p.cached = srcCache, e.data
@@ -700,7 +702,7 @@ func (v *Volume) planRead(lba int64) (p readPlan) {
 		} else {
 			t = v.sub.Run("decompress", t, cost.DecompressCycles(bs)+cost.StageOverheadCycles)
 			p.blob = ref.blob
-			p.slot = v.cache.reserve(fp, bs)
+			p.slot = v.cache.reserve(fp, bs, lease)
 		}
 	}
 	p.lat = v.commit(&v.stats.Reads, &v.histR, span, start, t, lba)
