@@ -31,7 +31,9 @@ type BlockDeviceOptions struct {
 	// reads decode inline). Its Parallelism-1 goroutines run whatever is
 	// posted — ReadBatch's blob decodes, Serve's write front — beside the
 	// Clients of ServeOptions / ClusterServeOptions, who drain the queues.
-	// Wall clock only: reports and results are bit-identical for any value.
+	// They start on the first Serve or ReadBatch and stay parked until the
+	// device's Close. Wall clock only: reports and results are
+	// bit-identical for any value.
 	Parallelism int
 	// FaultRate enables deterministic fault injection on the device's
 	// drive, journal, and index (transient SSD errors, latency spikes, torn

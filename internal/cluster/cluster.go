@@ -324,8 +324,10 @@ func (c *Cluster) Stats() volume.Stats {
 	return out.Stats()
 }
 
-// Close stops the shared decode workers and releases every node array's
-// batch state (see serve.Array.Close). Idempotent; the cluster stays usable.
+// Close stops the workers of the pool the nodes share — started by the
+// first Serve or ReadBatch on any node, parked until Close — and releases
+// every node array's batch state (see serve.Array.Close). Idempotent; the
+// cluster stays usable.
 func (c *Cluster) Close() {
 	for _, a := range c.members() {
 		a.Close()

@@ -4,8 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
-	"sync"
+	"slices"
 	"time"
 
 	"inlinered/internal/chunk"
@@ -57,61 +56,23 @@ type Engine struct {
 	locs  []int64          // per chunk -> loc of its stored content (Verify only)
 
 	// Wall-clock machinery. None of this affects the virtual clock: the
-	// front stage chunks ahead of the commit pass, the pool's workers run
-	// the hash groups it posts and the encodes the commit pass fans out,
-	// the blob pool recycles encode destinations. Chunk payloads are views
-	// into the chunker's GC-managed slabs: nothing recycles them.
-	pool     *parallel.Pool // the task queue and its Parallelism-1 workers (0 → NumCPU)
-	front    *front         // chunk+hash stage; set while Process runs
-	blobBufs bufPool        // compression destination buffers
+	// front stage chunks ahead of the commit pass, and the pool's workers
+	// run the hash groups it posts and the encodes the commit pass fans
+	// out. Chunk payloads are views into the chunker's GC-managed slabs:
+	// nothing recycles them.
+	pool  *parallel.Pool // the task queue and its Parallelism-1 workers (0 → NumCPU)
+	front *front         // chunk+hash stage; set while Process runs
 
-	// Per-batch scratch, reused across batches.
-	pre  []reduce.Encoded           // parallel pass results by chunk index (nil Blob: none)
-	uniq []int                      // predicted-unique chunk indices
-	seen map[dedup.Fingerprint]bool // batch-local first occurrences
+	// Per-batch scratch, rewritten every batch. Encodes land in slab (the
+	// parallel pass) or scratch (inline encodes); a blob that outlives its
+	// batch — one queued for the GPU kernel, one Verify keeps — is copied.
+	pre     []reduce.Encoded           // parallel pass results by chunk index (nil Blob: none)
+	slab    []byte                     // the parallel pass's encode destinations
+	scratch []byte                     // the inline encode's destination
+	uniq    []int                      // predicted-unique chunk indices
+	seen    map[dedup.Fingerprint]bool // batch-local first occurrences
 
 	perLane []float64 // GPU kernel lane costs, reused across launches
-}
-
-// bufPool keeps a LIFO free list of blob buffers per size class: class k
-// holds capacities of 4 KiB<<k + blobHeadroom, so any buffer of a request's
-// class fits it and none is dropped (one mixed list discarded every small
-// buffer stacked above a fitting one, and Gear chunks span three classes).
-// Unlike sync.Pool it never boxes the slice header into an interface, so a
-// steady-state Get/Put cycle is allocation-free. Safe for concurrent use by
-// the compression workers.
-type bufPool struct {
-	mu   sync.Mutex
-	free [32][][]byte
-	made int // buffers allocated so far
-}
-
-// blobClass is the smallest size class whose buffers hold capacity bytes.
-func blobClass(capacity int) int {
-	return bits.Len(uint(max(capacity-blobHeadroom, 1)-1) >> 12)
-}
-
-// Get returns a zero-length buffer with at least the requested capacity.
-func (b *bufPool) Get(capacity int) []byte {
-	k := blobClass(capacity)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n := len(b.free[k]) - 1; n >= 0 {
-		buf := b.free[k][n]
-		b.free[k] = b.free[k][:n]
-		return buf
-	}
-	b.made++
-	return make([]byte, 0, 4096<<k+blobHeadroom)
-}
-
-// Put returns a buffer to the pool once its contents are dead.
-func (b *bufPool) Put(buf []byte) {
-	if k := blobClass(cap(buf)+1) - 1; k >= 0 { // the largest class cap(buf) satisfies
-		b.mu.Lock()
-		b.free[k] = append(b.free[k], buf[:0])
-		b.mu.Unlock()
-	}
 }
 
 // gpuPending is one unique chunk queued for the GPU compression kernel.
@@ -252,10 +213,11 @@ func (e *Engine) Process(r io.Reader) (*Report, error) {
 	// happens on this goroutine, in stream order, whatever the stage did.
 	e.front = e.newFront(r)
 	defer func() {
-		// Single-use: keep no stream bytes or scratch blobs reachable.
+		// Single-use: keep no stream bytes or scratch blobs reachable
+		// (pre's blobs alias the slab).
 		e.front.close()
 		e.front = nil
-		clear(e.blobBufs.free[:])
+		e.pre, e.slab, e.scratch = nil, nil, nil
 	}()
 	var window []*hashedBatch
 	for {
@@ -451,16 +413,26 @@ func (e *Engine) precompute(hb *hashedBatch) []reduce.Encoded {
 		return nil
 	}
 
-	// Pass 2 — parallel real computation over the predicted uniques.
-	pre := e.pre[:0]
-	for len(pre) < len(chunks) {
-		pre = append(pre, reduce.Encoded{})
-	}
+	// Pass 2 — parallel real computation over the predicted uniques, each
+	// encoding into its own region of the batch's slab.
+	pre := slices.Grow(e.pre[:0], len(chunks))[:len(chunks)]
+	clear(pre)
 	e.pre = pre
+	need := 0
+	for _, i := range uniq {
+		need += len(chunks[i]) + blobHeadroom
+	}
+	e.slab = slices.Grow(e.slab[:0], need)
+	off := 0
+	for _, i := range uniq {
+		n := len(chunks[i]) + blobHeadroom
+		pre[i].Blob = e.slab[off : off : off+n]
+		off += n
+	}
 	compressStart := metrics.Clock()
 	e.pool.Map(len(uniq), func(k int) {
-		c := chunks[uniq[k]]
-		pre[uniq[k]] = e.enc.Encode(e.blobBufs.Get(len(c)+blobHeadroom), c)
+		i := uniq[k]
+		pre[i] = e.enc.Encode(pre[i].Blob, chunks[i])
 	})
 	metrics.StageCompress.ObserveSince(compressStart)
 	return pre
@@ -469,16 +441,6 @@ func (e *Engine) precompute(hb *hashedBatch) []reduce.Encoded {
 // blobHeadroom is the extra destination capacity beyond the source length
 // a blob may need (mode byte + uvarint length for the raw fallback).
 const blobHeadroom = 16
-
-// releasePre returns an unconsumed precomputed blob to the pool (the
-// chunk turned out to be a duplicate).
-func (e *Engine) releasePre(pre []reduce.Encoded, i int) {
-	if pre == nil {
-		return
-	}
-	e.blobBufs.Put(pre[i].Blob)
-	pre[i] = reduce.Encoded{}
-}
 
 // downstream pushes a hashed batch through index → compress → insert/destage.
 func (e *Engine) downstream(hb *hashedBatch) error {
@@ -557,7 +519,6 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 						ref.waiters = append(ref.waiters, e.rep.Chunks-1)
 						e.locs = append(e.locs, -1)
 					}
-					e.releasePre(pre, i)
 					continue
 				}
 			}
@@ -567,7 +528,6 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 			if e.cfg.Verify {
 				e.locs = append(e.locs, dupLoc)
 			}
-			e.releasePre(pre, i)
 			continue
 		}
 		e.rep.UniqueChunks++
@@ -576,9 +536,10 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 		// covers serial runs and prediction upsets (see precompute).
 		var enc reduce.Encoded
 		if pre != nil && pre[i].Blob != nil {
-			enc, pre[i] = pre[i], reduce.Encoded{}
+			enc = pre[i]
 		} else {
-			enc = e.enc.Encode(e.blobBufs.Get(len(c)+blobHeadroom), c)
+			e.scratch = slices.Grow(e.scratch[:0], len(c)+blobHeadroom)
+			enc = e.enc.Encode(e.scratch, c)
 		}
 		if enc.Kind == reduce.KindSub {
 			// The GPU owns compression: the lanes just computed are what the
@@ -587,7 +548,9 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 				e.inflight[fps[i]] = &inflightRef{}
 			}
 			// The chunk rides along until the kernel's fate is known
-			// (flushGPUCompress).
+			// (flushGPUCompress). The kernel batch spans CPU batches, so its
+			// blob leaves the batch's scratch.
+			enc.Blob = slices.Clone(enc.Blob)
 			e.pendGPU = append(e.pendGPU, gpuPending{data: c, enc: enc, fp: fps[i], ready: ready[i], idx: e.rep.Chunks - 1})
 			if e.cfg.Verify {
 				e.locs = append(e.locs, -1) // patched when the GPU batch retires
@@ -705,7 +668,7 @@ func (e *Engine) gpuDied() {
 	e.enc.Sub = lz.SubBlockParams{}
 	for i := range e.pre {
 		if e.pre[i].Kind == reduce.KindSub {
-			e.releasePre(e.pre, i)
+			e.pre[i] = reduce.Encoded{}
 		}
 	}
 }
@@ -782,7 +745,7 @@ func (e *Engine) finishUnique(fp dedup.Fingerprint, blob []byte, ready time.Dura
 	pages := e.dataCursor/pageSize - firstPage // pages this blob completes
 	e.rep.StoredBytes += int64(len(blob))
 	if e.cfg.Verify {
-		e.blobs[loc] = blob
+		e.blobs[loc] = slices.Clone(blob) // blob is the batch's scratch
 		if chunkIdx < len(e.locs) && e.locs[chunkIdx] == -1 {
 			e.locs[chunkIdx] = loc // GPU-batched chunk retiring late
 		} else {
@@ -816,10 +779,6 @@ func (e *Engine) finishUnique(fp dedup.Fingerprint, blob []byte, ready time.Dura
 		if err := e.persistFlush(end, flush); err != nil {
 			return err
 		}
-	}
-	if !e.cfg.Verify {
-		// Verify retains the blob in e.blobs; otherwise it is dead now.
-		e.blobBufs.Put(blob)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -364,69 +365,66 @@ func TestProcessGoroutineBudget(t *testing.T) {
 	}
 }
 
-// TestBlobPoolNeverDrops: whatever order sizes come back in, a request is
-// served from the pool whenever a buffer of its class is there.
-func TestBlobPoolNeverDrops(t *testing.T) {
-	var p bufPool
-	sizes := []int{2048, 4096, 4097, 8192, 12000, 16384, 16385, 100}
-	for round := 0; round < 3; round++ {
-		var got [][]byte
-		for _, n := range sizes {
-			b := p.Get(n + blobHeadroom)
-			if cap(b) < n+blobHeadroom || len(b) != 0 {
-				t.Fatalf("Get(%d): len %d cap %d", n+blobHeadroom, len(b), cap(b))
-			}
-			got = append(got, b)
+// encodeAllocCeiling bounds the allocations per chunk of an all-unique
+// stream, fixed or Gear, at any Parallelism. Encodes write into scratch the
+// engine owns and rewrites every batch, so a run measures under 3 (2.72
+// fixed, 2.93 Gear); a fresh destination per encode adds one per chunk.
+const encodeAllocCeiling = 3.3
+
+// raceBuild reports whether the test binary runs under the race detector,
+// which makes sync.Pool drop items at random: allocation counts then
+// measure the detector (4.24 per Gear chunk), not the engine.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
 		}
-		for _, b := range got { // small ones end up stacked above large ones
-			p.Put(b)
-		}
 	}
-	if p.made != len(sizes) {
-		t.Errorf("allocated %d buffers for %d live at a time", p.made, len(sizes))
-	}
-	p.Put(make([]byte, 0, 100)) // too small for any class: ignored
-	if b := p.Get(1); cap(b) < 4096+blobHeadroom {
-		t.Errorf("pool handed out a foreign undersized buffer (cap %d)", cap(b))
-	}
+	return false
 }
 
-// TestBlobPoolSteadyStateCDC: on a long content-defined stream the blob pool
-// reaches a steady state — serial runs need one buffer per size class, and
-// fanned-out runs about one batch of them (the parallel pass holds a batch
-// of blobs at once), not several per chunk — and the report does not care.
-func TestBlobPoolSteadyStateCDC(t *testing.T) {
-	size := int64(32 << 20)
-	if testing.Short() {
-		size = 8 << 20 // two batches still recycle the first one's buffers
-	}
-	data := streamBytes(t, size, 1, 2)
-	cfg := DefaultConfig()
-	cfg.Chunker = CDCChunking
-	var reports [][]byte
-	for _, par := range []int{1, 2} {
-		cfg.Parallelism = par
-		eng, err := NewEngine(PaperPlatform(), cfg)
-		if err != nil {
-			t.Fatal(err)
+// TestEncodeScratchPerBatch: encode destinations are not allocated per
+// chunk, whether the parallel pass or the inline path encodes, and where a
+// blob lands does not reach the report. Under -race only the reports are
+// compared, while the parallel pass's encodes share one slab.
+func TestEncodeScratchPerBatch(t *testing.T) {
+	data := streamBytes(t, 32<<20, 1, 2) // at 8 MiB the engine's fixed costs alone reach 3.4 per chunk
+	countAllocs := !raceBuild()
+	for _, cdc := range []bool{false, true} {
+		cfg := DefaultConfig()
+		if cdc {
+			cfg.Chunker = CDCChunking
 		}
-		rep, err := eng.Process(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
+		var reports [][]byte
+		for _, par := range []int{1, 2} {
+			cfg.Parallelism = par
+			eng, err := NewEngine(PaperPlatform(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			rep, err := eng.Process(bytes.NewReader(data))
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perChunk := float64(m1.Mallocs-m0.Mallocs) / float64(rep.Chunks)
+			t.Logf("cdc=%v par=%d: %.2f allocations per chunk", cdc, par, perChunk)
+			if countAllocs && perChunk > encodeAllocCeiling {
+				t.Errorf("cdc=%v par=%d: %.2f allocations per chunk over %d chunks, ceiling %.1f",
+					cdc, par, perChunk, rep.Chunks, encodeAllocCeiling)
+			}
+			js, _ := rep.JSON()
+			reports = append(reports, js)
 		}
-		classes := blobClass(cfg.Gear.Max+blobHeadroom) + 1
-		limit := classes
-		if par > 1 {
-			limit = cfg.Batch + cfg.Batch/4 + classes*par
+		if !bytes.Equal(reports[0], reports[1]) {
+			t.Errorf("cdc=%v: reports differ between Parallelism 1 and 2", cdc)
 		}
-		if eng.blobBufs.made > limit {
-			t.Errorf("par=%d: %d blob buffers allocated over %d chunks, want <= %d", par, eng.blobBufs.made, rep.Chunks, limit)
-		}
-		js, _ := rep.JSON()
-		reports = append(reports, js)
-	}
-	if !bytes.Equal(reports[0], reports[1]) {
-		t.Error("reports differ between Parallelism 1 and 2")
 	}
 }
 

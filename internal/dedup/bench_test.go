@@ -74,17 +74,6 @@ func BenchmarkBinIndexInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkLockedMapLookupOrInsert(b *testing.B) {
-	m := NewLockedMap()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			m.LookupOrInsert(fpFor(i%100000), Entry{Loc: int64(i)})
-			i++
-		}
-	})
-}
-
 func BenchmarkParallelIndexer8Workers(b *testing.B) {
 	fps := make([]Fingerprint, 1<<16)
 	for i := range fps {

@@ -3,7 +3,6 @@ package dedup
 import (
 	"encoding/binary"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -104,51 +103,5 @@ func TestParallelIndexerFirstOccurrenceSemantics(t *testing.T) {
 		if d.Probe.Entry.Loc != int64(i) {
 			t.Fatalf("dup %d resolved to loc %d, want %d", i, d.Probe.Entry.Loc, i)
 		}
-	}
-}
-
-func TestLockedMapBasics(t *testing.T) {
-	m := NewLockedMap()
-	fp := fpFor(1)
-	if _, ok := m.Lookup(fp); ok {
-		t.Fatal("empty map hit")
-	}
-	m.Insert(fp, Entry{Loc: 5})
-	if e, ok := m.Lookup(fp); !ok || e.Loc != 5 {
-		t.Fatalf("lookup: %v %v", e, ok)
-	}
-	e, dup := m.LookupOrInsert(fp, Entry{Loc: 9})
-	if !dup || e.Loc != 5 {
-		t.Fatalf("LookupOrInsert dup: %v %v", e, dup)
-	}
-	_, dup = m.LookupOrInsert(fpFor(2), Entry{Loc: 9})
-	if dup {
-		t.Fatal("fresh key reported dup")
-	}
-	if m.Len() != 2 {
-		t.Fatalf("len: %d", m.Len())
-	}
-	lookups, inserts := m.Ops()
-	if lookups != 4 || inserts != 2 {
-		t.Fatalf("ops: %d lookups %d inserts", lookups, inserts)
-	}
-}
-
-func TestLockedMapConcurrent(t *testing.T) {
-	// Run with -race: the global lock must make concurrent use safe.
-	m := NewLockedMap()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				m.LookupOrInsert(fpFor(i), Entry{Loc: int64(i)})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if m.Len() != 500 {
-		t.Fatalf("len: %d, want 500", m.Len())
 	}
 }

@@ -16,12 +16,13 @@ import (
 // E8BinScaling is the design ablation behind §3.1(1): partitioning the hash
 // table into bins lets computing threads index "at the same time without
 // locking mechanism". It indexes the same fingerprint stream through the
-// bin-partitioned index (each bin owned by one worker) and through a single
-// global locked table, across thread counts, in virtual time.
+// bin-partitioned index (each bin owned by one worker), across thread
+// counts, in virtual time, and prices a single global locked table against
+// it.
 //
-// The locked baseline charges the same per-op index work but holds one
-// global lock for the duration of each critical section, plus a cache-line
-// handoff cost that grows with the number of contending threads.
+// The locked baseline is a cost model: it charges the bins run's per-op
+// index work, serialized through one global lock for the duration of each
+// critical section, plus a cache-line handoff once threads contend.
 func E8BinScaling(cfg Config) (*Result, error) {
 	ops := 1 << 18
 	uniques := ops / 4
@@ -65,11 +66,11 @@ func E8BinScaling(cfg Config) (*Result, error) {
 		}
 		binsMops := float64(ops) / makespan.Seconds() / 1e6
 
-		// Locked: the same per-op index work (the data structure is shared,
-		// not sharded), serialized through one global lock, plus a
-		// cache-line handoff once the lock is contended. Threads feed the
-		// lock as fast as they can, so the serialized critical sections
-		// are the makespan.
+		// Locked: a cost model, not a run. The same per-op index work (the
+		// data structure is shared, not sharded), serialized through one
+		// global lock — a one-server pool — plus a cache-line handoff once
+		// the lock is contended. Threads feed the lock as fast as they can,
+		// so the serialized critical sections are the makespan.
 		var totalCycles float64
 		for _, w := range work {
 			totalCycles += float64(w.Items)*cost.ProbeBaseCycles +
@@ -78,11 +79,9 @@ func E8BinScaling(cfg Config) (*Result, error) {
 				float64(w.Items)*cost.InsertCycles/2
 		}
 		perOp := totalCycles / float64(ops)
-		locked := dedup.NewLockedMap()
 		lockPool := sim.NewPool("lock", 1)
 		var at time.Duration
-		for i, fp := range fps {
-			locked.LookupOrInsert(fp, dedup.Entry{Loc: int64(i)})
+		for range fps {
 			cycles := perOp
 			if threads > 1 {
 				cycles += lockHandoffCycles
@@ -106,7 +105,8 @@ func E8BinScaling(cfg Config) (*Result, error) {
 	}
 	table.Notes = append(table.Notes,
 		cell("%d lookups over %d unique fingerprints; insert-on-miss", ops, uniques),
-		"bin ownership is worker-exclusive, so the partitioned run takes no locks at all")
+		"bin ownership is worker-exclusive, so the partitioned run takes no locks at all",
+		"the locked column is priced, not run: the same per-op work through one lock, plus a handoff once contended")
 	return &Result{Table: table, Metrics: metrics}, nil
 }
 

@@ -59,7 +59,7 @@ func TestFrontEndsAgreeOnOneStream(t *testing.T) {
 	pool := parallel.New(1)
 	wb := batched.NewWriteBatch(pool, int(vc.Blocks), func(dst []byte, i int) []byte {
 		return append(dst, all[i*spec.ChunkSize:(i+1)*spec.ChunkSize]...)
-	})
+	}, nil)
 	_ = pool.ForEach(2, 2, func(w int) error { // index 1 returns at once and lends itself
 		for lba := int64(0); w == 0 && lba < vc.Blocks; lba++ {
 			if _, err := wb.Write(lba); err != nil {

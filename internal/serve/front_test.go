@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"inlinered/internal/metrics"
 	"inlinered/internal/volume"
@@ -77,6 +78,47 @@ func TestCloseDuringServeFront(t *testing.T) {
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("batch %d: report changed under concurrent Close:\n%s\nwant:\n%s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestServeOnlyArrayCloseStopsWorkers: Serve's write front posts to the
+// array's pool, which starts its workers on first use, so an array that
+// only serves still owns Parallelism-1 parked goroutines until Close — and
+// a Serve after Close restarts them without changing a byte.
+func TestServeOnlyArrayCloseStopsWorkers(t *testing.T) {
+	ops := testOps(t)
+	batches := [][]workload.Op{ops[:len(ops)/2], ops[len(ops)/2:]}
+	opt := RunOptions{Clients: 2, ContentSeed: 9, CleanEvery: 64}
+	cfg := testConfig(2)
+	cfg.Parallelism = 4
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	want := serveRounds(t, ref, batches, opt)
+
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	got := serveRounds(t, a, batches[:1], opt)
+	if n := runtime.NumGoroutine(); n <= before {
+		t.Fatalf("%d goroutines after Serve at Parallelism 4, %d before: the write front started no worker", n, before)
+	}
+	a.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5 s after Close, %d before Serve", runtime.NumGoroutine(), before)
+		}
+	}
+	got = append(got, serveRounds(t, a, batches[1:], opt)...)
+	a.Close()
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("batch %d: report changed across Close:\n%s\nwant:\n%s", i, got[i], want[i])
 		}
 	}
 }

@@ -66,21 +66,6 @@ func (r *ReadBatchReport) String() string {
 		r.Elapsed.Round(time.Microsecond))
 }
 
-// Close stops the decode workers and returns every shard's batch state to
-// the package recycling pool. It waits for batches in flight (a Serve holds
-// a shard's lock until the shard's last posted task has run), is
-// idempotent, and leaves the array usable — a later ReadBatch restarts
-// both. Arrays that never call ReadBatch need not call Close.
-func (a *Array) Close() {
-	a.pool.Close()
-	for _, s := range a.shards {
-		s.mu.Lock()
-		s.rb.Release()
-		s.rb = nil
-		s.mu.Unlock()
-	}
-}
-
 // ReadBatch executes a batch of reads across the shards. It is the Serve
 // skeleton — validate, partition, workers claim whole shards, merge — with
 // volume.ReadBatch as the per-shard drain: under that shard's lock alone,

@@ -57,11 +57,11 @@ type Config struct {
 	// Parallelism sizes the array's worker pool: Parallelism-1 goroutines
 	// that run whatever is posted — each shard's blob decodes, one item per
 	// missed blob (Array.ReadBatch), the write front's hash and encode
-	// groups (Serve) —
-	// beside the RunOptions.Clients goroutines draining queues. 0 or 1
-	// starts none: batch reads decode inline and only clients run the
-	// write front. Like Clients, it changes only the wall clock — reports
-	// are bit-identical for any value.
+	// groups (Serve) — beside the RunOptions.Clients goroutines draining
+	// queues. They start on the first Serve or ReadBatch and stay parked
+	// until Array.Close. 0 or 1 starts none: batch reads decode inline and
+	// only clients run the write front. Like Clients, it changes only the
+	// wall clock — reports are bit-identical for any value.
 	Parallelism int
 }
 
@@ -142,6 +142,24 @@ func NewWithPool(cfg Config, pool *parallel.Pool) (*Array, error) {
 		a.shards[i] = &shard{v: v}
 	}
 	return a, nil
+}
+
+// Close stops the pool's workers and returns every shard's batch state to
+// the package recycling pool. The workers start on the pool's first posted
+// task — a ReadBatch's decodes or a Serve's write front — and stay parked
+// until Close, so an array whose Parallelism is above 1 needs it once
+// either has run. Close waits for batches in flight (a Serve or ReadBatch
+// holds a shard's lock until the shard's last posted task has run), is
+// idempotent, and leaves the array usable: a later Serve or ReadBatch
+// restarts the workers.
+func (a *Array) Close() {
+	a.pool.Close()
+	for _, s := range a.shards {
+		s.mu.Lock()
+		s.rb.Release()
+		s.rb = nil
+		s.mu.Unlock()
+	}
 }
 
 // Shards returns the shard count.
@@ -398,7 +416,7 @@ func (a *Array) serveShard(i int, queue []workload.Op, opt RunOptions, shared ma
 		}
 	}
 	blockSize := a.cfg.Volume.BlockSize
-	wb := s.v.NewSharedWriteBatch(a.pool, len(contents), func(dst []byte, i int) []byte {
+	wb := s.v.NewWriteBatch(a.pool, len(contents), func(dst []byte, i int) []byte {
 		return workload.UniqueChunkInto(dst, opt.ContentSeed, contents[i], blockSize, payloadFill)
 	}, func(i int) *volume.SharedWrite { return shared[contents[i]] })
 	for k, op := range queue {

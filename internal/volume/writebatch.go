@@ -133,16 +133,12 @@ type WriteBatch struct {
 }
 
 // NewWriteBatch starts a run of n writes: fill(dst, i) appends the i-th
-// write's payload to dst and must be a pure function of i.
-func (v *Volume) NewWriteBatch(pool *parallel.Pool, n int, fill func(dst []byte, i int) []byte) *WriteBatch {
-	return v.NewSharedWriteBatch(pool, n, fill, nil)
-}
-
-// NewSharedWriteBatch is NewWriteBatch for a run whose contents other runs
-// of the same batch write too: share(i) is the i-th write's SharedWrite, or
-// nil when no other write names its content. share is called from posted
-// tasks, so it must only read.
-func (v *Volume) NewSharedWriteBatch(pool *parallel.Pool, n int, fill func(dst []byte, i int) []byte, share func(i int) *SharedWrite) *WriteBatch {
+// write's payload to dst and must be a pure function of i. share serves a
+// run whose contents other runs of the same batch write too: share(i) is
+// the i-th write's SharedWrite, or nil when no other write names its
+// content. It is called from posted tasks, so it must only read. A nil
+// share shares nothing.
+func (v *Volume) NewWriteBatch(pool *parallel.Pool, n int, fill func(dst []byte, i int) []byte, share func(i int) *SharedWrite) *WriteBatch {
 	b := &WriteBatch{v: v, pool: pool, fill: fill, share: share, n: n, pending: make(map[dedup.Fingerprint]struct{})}
 	b.slots = make([]preparedWrite, min(n, writeWindows*writeWindow))
 	// One slab for the run's payload and blob scratch (a raw store adds a

@@ -77,7 +77,7 @@ func runFront(t *testing.T, cfg Config, setup func(*Volume), ops []frontOp, lend
 		drive(nil)
 	} else {
 		pool := parallel.New(1)
-		wb := v.NewWriteBatch(pool, len(ids), func(dst []byte, i int) []byte { return append(dst, block(ids[i])...) })
+		wb := v.NewWriteBatch(pool, len(ids), func(dst []byte, i int) []byte { return append(dst, block(ids[i])...) }, nil)
 		_ = pool.ForEach(1+lenders, 0, func(i int) error {
 			if i == 0 {
 				drive(wb)
@@ -294,7 +294,7 @@ func TestWriteBatchOverrun(t *testing.T) {
 	for _, n := range []int{3, 0} {
 		v := newVolume(t, faultConfig())
 		pool := parallel.New(1)
-		wb := v.NewWriteBatch(pool, n, func(dst []byte, i int) []byte { return append(dst, block(i)...) })
+		wb := v.NewWriteBatch(pool, n, func(dst []byte, i int) []byte { return append(dst, block(i)...) }, nil)
 		for i := 0; i < n; i++ {
 			if _, err := wb.Write(int64(i)); err != nil {
 				t.Fatal(err)
