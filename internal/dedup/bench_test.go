@@ -1,16 +1,36 @@
 package dedup
 
 import (
+	"crypto/sha1"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"inlinered/internal/parallel"
 )
 
+// BenchmarkSum4K compares Sum's two kernels at the fixed chunk size and at
+// the CDC mean; each sub-benchmark checks its digest against crypto/sha1.
 func BenchmarkSum4K(b *testing.B) {
-	data := make([]byte, 4096)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		Sum(data)
+	for _, k := range []struct {
+		name string
+		on   bool
+	}{{"shani", true}, {"stdlib", false}} {
+		for _, n := range []int{4 << 10, 6 << 10} {
+			b.Run(fmt.Sprintf("%s/%dK", k.name, n>>10), func(b *testing.B) {
+				withSHANI(b, k.on, func() {
+					data := make([]byte, n)
+					rand.New(rand.NewSource(int64(n))).Read(data)
+					if Sum(data) != Fingerprint(sha1.Sum(data)) {
+						b.Fatal("Sum differs from crypto/sha1")
+					}
+					b.SetBytes(int64(n))
+					for i := 0; i < b.N; i++ {
+						Sum(data)
+					}
+				})
+			})
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package dedup implements the deduplication half of the paper's inline
 // data reduction pipeline: SHA-1 chunk fingerprinting, the bin-based
 // in-memory index of §3.1 (bin buffer + bin tree per bin, hash-prefix
-// truncation, lock-free parallel indexing by bin ownership), a global
-// locked-table baseline for the scaling ablation, and the GPU-resident
-// linear bin tables of §3.1(2) with their batch indexing kernel.
+// truncation, lock-free parallel indexing by bin ownership), and the
+// GPU-resident linear bin tables of §3.1(2) with their batch indexing
+// kernel.
 package dedup
 
 import (
@@ -21,8 +21,14 @@ const FingerprintSize = sha1.Size
 // Fingerprint identifies a chunk's content.
 type Fingerprint [FingerprintSize]byte
 
-// Sum fingerprints a chunk payload.
-func Sum(data []byte) Fingerprint { return sha1.Sum(data) }
+// Sum fingerprints a chunk payload with SHA-1: on the CPU's SHA extensions
+// where CPUID reports them (sha1_amd64.s), else crypto/sha1.
+func Sum(data []byte) Fingerprint {
+	if useSHANI {
+		return sumSHANI(data)
+	}
+	return sha1.Sum(data)
+}
 
 // SumBatch fingerprints chunks through pool in one call; results are
 // positionally aligned with chunks. Hashing has no cross-chunk dependency

@@ -2,15 +2,78 @@ package dedup
 
 import (
 	"crypto/sha1"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func TestSumMatchesSHA1(t *testing.T) {
-	data := []byte("inline data reduction")
-	if Sum(data) != Fingerprint(sha1.Sum(data)) {
-		t.Fatal("Sum must be SHA-1")
+// withSHANI runs fn with Sum's kernel choice set to on; on = true skips
+// where CPUID lacks the SHA extensions.
+func withSHANI(t testing.TB, on bool, fn func()) {
+	t.Helper()
+	if on && !shaniAvailable {
+		t.Skip("CPU lacks SHA-NI (or SSSE3/SSE4.1): Sum is crypto/sha1 here")
 	}
+	saved := useSHANI
+	useSHANI = on
+	defer func() { useSHANI = saved }()
+	fn()
+}
+
+// shaniAvailable is useSHANI before any test overrides it.
+var shaniAvailable = useSHANI
+
+func TestSumMatchesSHA1(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	data := make([]byte, 64<<10)
+	rng.Read(data)
+	lengths := make([]int, 0, 5000+200)
+	for n := 0; n < 5000; n++ {
+		lengths = append(lengths, n)
+	}
+	for i := 0; i < 200; i++ {
+		lengths = append(lengths, rng.Intn(len(data)+1))
+	}
+	for _, on := range []bool{true, false} {
+		t.Run(fmt.Sprintf("shani=%v", on), func(t *testing.T) {
+			withSHANI(t, on, func() {
+				for _, n := range lengths {
+					// Offset by n mod 7 so the kernel also reads unaligned input.
+					off := n % 7
+					if off+n > len(data) {
+						off = 0
+					}
+					p := data[off : off+n]
+					if got, want := Sum(p), Fingerprint(sha1.Sum(p)); got != want {
+						t.Fatalf("len %d: Sum = %v, want %v", n, got, want)
+					}
+				}
+				p := data[:4096]
+				if a := testing.AllocsPerRun(100, func() { Sum(p) }); a != 0 {
+					t.Fatalf("Sum allocates %.1f times per call, want 0", a)
+				}
+			})
+		})
+	}
+}
+
+// FuzzSumMatchesSHA1: on arbitrary input, Sum is crypto/sha1 on both paths.
+func FuzzSumMatchesSHA1(f *testing.F) {
+	for _, n := range []int{0, 1, 55, 56, 63, 64, 119, 120, 4096} {
+		f.Add(make([]byte, n))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want := Fingerprint(sha1.Sum(data))
+		if got := Sum(data); got != want {
+			t.Fatalf("len %d: Sum = %v, want %v (useSHANI %v)", len(data), got, want, useSHANI)
+		}
+		withSHANI(t, false, func() {
+			if got := Sum(data); got != want {
+				t.Fatalf("len %d: stdlib Sum = %v, want %v", len(data), got, want)
+			}
+		})
+	})
 }
 
 func TestStringIsHex(t *testing.T) {

@@ -169,3 +169,26 @@ func BenchmarkPostProcess(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLikelyIncompressible prices the bypass check on a 6 KiB random
+// chunk (the CDC mean): the table-driven check against Entropy, its oracle.
+func BenchmarkLikelyIncompressible(b *testing.B) {
+	data := make([]byte, 6<<10)
+	rand.New(rand.NewSource(6)).Read(data)
+	b.Run("table", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if !LikelyIncompressible(data, 7.2) {
+				b.Fatal("random chunk judged compressible")
+			}
+		}
+	})
+	b.Run("entropy", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if Entropy(data) <= 7.2 {
+				b.Fatal("random chunk judged compressible")
+			}
+		}
+	})
+}
