@@ -1,11 +1,8 @@
 package inlinered
 
 import (
-	"fmt"
-
 	"inlinered/internal/cluster"
 	"inlinered/internal/fault"
-	"inlinered/internal/obs"
 	"inlinered/internal/serve"
 	"inlinered/internal/sim"
 	"inlinered/internal/volume"
@@ -89,22 +86,17 @@ func (opts BlockDeviceOptions) volumeConfig() volume.Config {
 	return cfg
 }
 
-// serveConfig converts the options into the sharded front-end's config.
-func (opts BlockDeviceOptions) serveConfig() (serve.Config, error) {
+// serveConfig converts the options into the sharded front-end's config;
+// serve.New refuses the recorder above one shard.
+func (opts BlockDeviceOptions) serveConfig() serve.Config {
 	sc := serve.Config{Volume: opts.volumeConfig(), Shards: opts.Shards, Parallelism: opts.Parallelism}
-	if opts.Recorder != nil {
-		if opts.Shards > 1 {
-			return serve.Config{}, fmt.Errorf(
-				"inlinered: Recorder requires Shards <= 1 (a recorder serves one volume's lanes)")
-		}
-		sc.Obs = []*obs.Recorder{opts.Recorder}
-	}
-	return sc, nil
+	sc.Volume.Obs = opts.Recorder
+	return sc
 }
 
 // clusterConfig converts the options into the replicated tier's config.
 // The recorder (any node/shard count) captures membership events, not
-// volume lanes, so the serveConfig recorder restriction does not apply.
+// volume lanes, so serve.New's one-shard recorder rule does not apply.
 func (opts BlockDeviceOptions) clusterConfig() cluster.Config {
 	cc := cluster.Config{
 		Volume:        opts.volumeConfig(),

@@ -271,11 +271,7 @@ type Array = serve.Array
 // NewArray builds a sharded array from block-device options (Shards > 1
 // requires Recorder to be nil: a recorder serves one volume's lanes).
 func NewArray(opts BlockDeviceOptions) (*Array, error) {
-	sc, err := opts.serveConfig()
-	if err != nil {
-		return nil, err
-	}
-	return serve.New(sc)
+	return serve.New(opts.serveConfig())
 }
 
 // ClusterServeOptions tune a Cluster.Serve run. They are ServeOptions one

@@ -206,6 +206,7 @@ func New(cfg Config) (*Cluster, error) {
 func (c *Cluster) newNode(id int) (*serve.Array, error) {
 	sc := serve.Config{Volume: c.cfg.Volume, Shards: c.cfg.ShardsPerNode}
 	sc.Volume.Faults.Seed += int64(id) * nodeSeedStride
+	sc.Volume.Obs = nil // Config.Obs records membership, no node's volume lanes
 	arr, err := serve.NewWithPool(sc, c.pool)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %d: %w", id, err)

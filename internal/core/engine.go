@@ -420,12 +420,12 @@ func (e *Engine) precompute(hb *hashedBatch) []reduce.Encoded {
 	e.pre = pre
 	need := 0
 	for _, i := range uniq {
-		need += len(chunks[i]) + blobHeadroom
+		need += len(chunks[i]) + reduce.BlobHeadroom
 	}
 	e.slab = slices.Grow(e.slab[:0], need)
 	off := 0
 	for _, i := range uniq {
-		n := len(chunks[i]) + blobHeadroom
+		n := len(chunks[i]) + reduce.BlobHeadroom
 		pre[i].Blob = e.slab[off : off : off+n]
 		off += n
 	}
@@ -437,10 +437,6 @@ func (e *Engine) precompute(hb *hashedBatch) []reduce.Encoded {
 	metrics.StageCompress.ObserveSince(compressStart)
 	return pre
 }
-
-// blobHeadroom is the extra destination capacity beyond the source length
-// a blob may need (mode byte + uvarint length for the raw fallback).
-const blobHeadroom = 16
 
 // downstream pushes a hashed batch through index → compress → insert/destage.
 func (e *Engine) downstream(hb *hashedBatch) error {
@@ -538,7 +534,7 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 		if pre != nil && pre[i].Blob != nil {
 			enc = pre[i]
 		} else {
-			e.scratch = slices.Grow(e.scratch[:0], len(c)+blobHeadroom)
+			e.scratch = slices.Grow(e.scratch[:0], len(c)+reduce.BlobHeadroom)
 			enc = e.enc.Encode(e.scratch, c)
 		}
 		if enc.Kind == reduce.KindSub {

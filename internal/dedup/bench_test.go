@@ -94,17 +94,20 @@ func BenchmarkBinIndexInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkParallelIndexer8Workers(b *testing.B) {
+func BenchmarkIndexPartitioned8Owners(b *testing.B) {
 	fps := make([]Fingerprint, 1<<16)
 	for i := range fps {
 		fps[i] = fpFor(i % (1 << 14))
 	}
+	pool := parallel.New(8)
+	defer pool.Close()
 	b.SetBytes(int64(len(fps)))
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		x, _ := NewBinIndex(DefaultIndexConfig())
-		pi := NewParallelIndexer(x, 8)
 		b.StartTimer()
-		pi.Process(fps, func(i int) Entry { return Entry{Loc: int64(i)} })
+		if _, err := IndexPartitioned(pool, x, fps, 8, func(i int) Entry { return Entry{Loc: int64(i)} }); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

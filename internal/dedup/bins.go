@@ -71,6 +71,18 @@ type bin struct {
 	tree Tree
 }
 
+// find scans the buffer newest-first (recent chunks are the likely
+// repeats) and returns the slot holding key, or -1, and how many slots it
+// compared.
+func (b *bin) find(key []byte) (slot, scanned int) {
+	for i := len(b.buf) - 1; i >= 0; i-- {
+		if bytes.Equal(b.buf[i].key, key) {
+			return i, len(b.buf) - i
+		}
+	}
+	return -1, len(b.buf)
+}
+
 // Probe reports what one lookup did; the cost model turns this into time.
 type Probe struct {
 	Found         bool
@@ -117,13 +129,13 @@ func (f *Flush) Values() []Entry {
 
 // BinIndex is the bin-based deduplication index. It is not safe for
 // concurrent use as a whole, but disjoint bins are independent: see
-// ParallelIndexer for the lock-free partitioned driver.
+// IndexPartitioned for the lock-free partitioned run.
 type BinIndex struct {
 	cfg  IndexConfig
 	bins []bin
 	rng  *rand.Rand
-	// entries and evicted are atomic because disjoint-bin workers (see
-	// ParallelIndexer) update them concurrently; all other state is
+	// entries and evicted are atomic because disjoint-bin owners (see
+	// IndexPartitioned) update them concurrently; all other state is
 	// per-bin and therefore race-free under bin partitioning.
 	entries atomic.Int64
 	evicted atomic.Int64
@@ -220,21 +232,9 @@ func (x *BinIndex) probeKey(fp *Fingerprint) []byte {
 // Lookup probes the index for a fingerprint: bin buffer first (temporal
 // locality, Figure 1), then the bin tree.
 func (x *BinIndex) Lookup(fp Fingerprint) Probe {
-	b := &x.bins[x.BinOf(fp)]
-	key := x.probeKey(&fp)
-	var p Probe
-	// Scan the buffer newest-first: recent chunks are the likely repeats.
-	for i := len(b.buf) - 1; i >= 0; i-- {
-		p.BufferScanned++
-		if bytes.Equal(b.buf[i].key, key) {
-			p.Found, p.InBuffer, p.Entry = true, true, b.buf[i].val
-			return p
-		}
-	}
-	v, steps, found := b.tree.Get(key)
-	p.TreeSteps = steps
-	if found {
-		p.Found, p.Entry = true, v
+	p := x.LookupBuffer(fp)
+	if !p.Found {
+		p.Entry, p.TreeSteps, p.Found = x.bins[x.BinOf(fp)].tree.Get(x.probeKey(&fp))
 	}
 	return p
 }
@@ -247,16 +247,11 @@ func (x *BinIndex) Lookup(fp Fingerprint) Probe {
 // index design accepts).
 func (x *BinIndex) LookupBuffer(fp Fingerprint) Probe {
 	b := &x.bins[x.BinOf(fp)]
-	key := x.probeKey(&fp)
-	var p Probe
-	for i := len(b.buf) - 1; i >= 0; i-- {
-		p.BufferScanned++
-		if bytes.Equal(b.buf[i].key, key) {
-			p.Found, p.InBuffer, p.Entry = true, true, b.buf[i].val
-			return p
-		}
+	i, scanned := b.find(x.probeKey(&fp))
+	if i < 0 {
+		return Probe{BufferScanned: scanned}
 	}
-	return p
+	return Probe{Found: true, InBuffer: true, Entry: b.buf[i].val, BufferScanned: scanned}
 }
 
 // Insert adds a fingerprint to its bin buffer (the chunk was unique and has
@@ -266,16 +261,12 @@ func (x *BinIndex) LookupBuffer(fp Fingerprint) Probe {
 func (x *BinIndex) Insert(fp Fingerprint, e Entry) InsertResult {
 	binID := x.BinOf(fp)
 	b := &x.bins[binID]
-	probe := x.probeKey(&fp)
-	var res InsertResult
-	for i := len(b.buf) - 1; i >= 0; i-- {
-		res.BufferScanned++
-		if bytes.Equal(b.buf[i].key, probe) {
-			b.buf[i].val = e
-			return res
-		}
+	i, scanned := b.find(x.probeKey(&fp))
+	if i >= 0 {
+		b.buf[i].val = e
+		return InsertResult{BufferScanned: scanned}
 	}
-	res.BufferScanned++
+	res := InsertResult{BufferScanned: scanned + 1} // the append touches one more slot
 	// Only an appended entry needs an owned copy of the suffix.
 	b.buf = append(b.buf, bufEntry{key: fp.Suffix(x.cfg.PrefixBytes), val: e})
 	x.entries.Add(1)
@@ -332,13 +323,11 @@ func (x *BinIndex) flush(binID uint32) *Flush {
 func (x *BinIndex) Remove(fp Fingerprint) (removed bool, bufferScanned, treeSteps int) {
 	b := &x.bins[x.BinOf(fp)]
 	key := x.probeKey(&fp)
-	for i := len(b.buf) - 1; i >= 0; i-- {
-		bufferScanned++
-		if bytes.Equal(b.buf[i].key, key) {
-			b.buf = append(b.buf[:i], b.buf[i+1:]...)
-			x.entries.Add(-1)
-			return true, bufferScanned, 0
-		}
+	i, bufferScanned := b.find(key)
+	if i >= 0 {
+		b.buf = append(b.buf[:i], b.buf[i+1:]...)
+		x.entries.Add(-1)
+		return true, bufferScanned, 0
 	}
 	_, treeSteps, found := b.tree.Get(key)
 	if !found {

@@ -9,6 +9,7 @@ import (
 	"inlinered/internal/core"
 	"inlinered/internal/cpusim"
 	"inlinered/internal/dedup"
+	"inlinered/internal/parallel"
 	"inlinered/internal/sim"
 	"inlinered/internal/workload"
 )
@@ -45,17 +46,22 @@ func E8BinScaling(cfg Config) (*Result, error) {
 	}
 	metrics := map[string]float64{}
 	var binsBase, lockBase float64
-	var results []dedup.ItemResult // reused across thread counts
-	var work []dedup.WorkerWork
-	for _, threads := range []int{1, 2, 4, 8, 16} {
-		// Bin-partitioned: real lock-free run; each worker's virtual time
+	sweep := []int{1, 2, 4, 8, 16}
+	// One pool for the sweep, as wide as its widest point, so every bin
+	// owner can run at once.
+	pool := parallel.New(sweep[len(sweep)-1])
+	defer pool.Close()
+	for _, threads := range sweep {
+		// Bin-partitioned: real lock-free run; each owner's virtual time
 		// is the sum of its own probe+insert cycles; makespan = slowest.
 		idx, err := dedup.NewBinIndex(dedup.DefaultIndexConfig())
 		if err != nil {
 			return nil, err
 		}
-		pi := dedup.NewParallelIndexer(idx, threads)
-		results, work = pi.ProcessInto(results, work, fps, func(i int) dedup.Entry { return dedup.Entry{Loc: int64(i)} })
+		work, err := dedup.IndexPartitioned(pool, idx, fps, threads, func(i int) dedup.Entry { return dedup.Entry{Loc: int64(i)} })
+		if err != nil {
+			return nil, err
+		}
 		var makespan time.Duration
 		for _, w := range work {
 			cycles := float64(w.Items)*cost.ProbeBaseCycles +

@@ -354,11 +354,15 @@ func encodeRange(out, data []byte, from int, p Params) ([]byte, Stats) {
 // Used by pipelines that store chunks without compression but want the
 // uniform self-describing container.
 func StoreRaw(dst, src []byte) []byte {
-	var hdr [binary.MaxVarintLen64 + 1]byte
-	hdr[0] = ModeRaw
-	n := binary.PutUvarint(hdr[1:], uint64(len(src)))
-	dst = append(dst, hdr[:n+1]...)
+	dst = binary.AppendUvarint(append(dst, ModeRaw), uint64(len(src)))
 	return append(dst, src...)
+}
+
+// headerLen is the length of a blob's header — the mode byte and the
+// uvarint source length — for an n-byte source.
+func headerLen(n int) int {
+	var v [binary.MaxVarintLen64]byte
+	return 1 + binary.PutUvarint(v[:], uint64(n))
 }
 
 // tokenScratch recycles token-stream staging buffers: the encoder writes
@@ -374,20 +378,16 @@ var tokenScratchPool = sync.Pool{New: func() any { return new(tokenScratch) }}
 func Compress(dst, src []byte, p Params) ([]byte, Stats) {
 	sc := tokenScratchPool.Get().(*tokenScratch)
 	tokens, st := encodeRange(sc.buf[:0], src, 0, p)
-	var hdr [binary.MaxVarintLen64 + 1]byte
-	n := binary.PutUvarint(hdr[1:], uint64(len(src)))
-	if len(tokens)+n+1 >= len(src) {
+	start := len(dst)
+	if headerLen(len(src))+len(tokens) >= len(src) {
 		// Store raw: compression did not pay.
-		hdr[0] = ModeRaw
-		dst = append(dst, hdr[:n+1]...)
-		dst = append(dst, src...)
-		st = Stats{SrcBytes: len(src), SearchSteps: st.SearchSteps, Positions: st.Positions, DstBytes: n + 1 + len(src)}
+		dst = StoreRaw(dst, src)
+		st = Stats{SrcBytes: len(src), SearchSteps: st.SearchSteps, Positions: st.Positions}
 	} else {
-		hdr[0] = ModeLZSS
-		dst = append(dst, hdr[:n+1]...)
+		dst = binary.AppendUvarint(append(dst, ModeLZSS), uint64(len(src)))
 		dst = append(dst, tokens...)
-		st.DstBytes = n + 1 + len(tokens)
 	}
+	st.DstBytes = len(dst) - start
 	sc.buf = tokens
 	tokenScratchPool.Put(sc)
 	return dst, st

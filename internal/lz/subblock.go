@@ -131,13 +131,8 @@ func PostProcessOrRaw(dst, src []byte, res SubBlockResult) ([]byte, Stats, error
 		return dst, Stats{}, fmt.Errorf("lz: source (%d bytes) does not match lane result (%d bytes)", len(src), res.SrcLen)
 	}
 	blob, st := PostProcess(nil, res)
-	var hdr [binary.MaxVarintLen64 + 1]byte
-	n := binary.PutUvarint(hdr[1:], uint64(len(src)))
-	if len(blob) >= len(src)+n+1 {
-		hdr[0] = ModeRaw
-		dst = append(dst, hdr[:n+1]...)
-		dst = append(dst, src...)
-		return dst, Stats{SrcBytes: len(src), DstBytes: n + 1 + len(src)}, nil
+	if raw := headerLen(len(src)) + len(src); len(blob) >= raw {
+		return StoreRaw(dst, src), Stats{SrcBytes: len(src), DstBytes: raw}, nil
 	}
 	return append(dst, blob...), st, nil
 }

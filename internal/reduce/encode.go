@@ -71,6 +71,11 @@ func (e *Encoder) Encode(dst, chunk []byte) Encoded {
 	return Encoded{Blob: blob, Stats: st, Kind: KindCodec}
 }
 
+// BlobHeadroom is how far past the chunk length an Encode may grow its blob:
+// the raw fallback's mode byte and uvarint length. An empty dst with this
+// much capacity past the chunk length is never reallocated.
+const BlobHeadroom = 16
+
 func storeRaw(dst, chunk []byte, kind Kind) Encoded {
 	blob := lz.StoreRaw(dst, chunk)
 	return Encoded{Blob: blob, Kind: kind, Stats: lz.Stats{SrcBytes: len(chunk), DstBytes: len(blob) - len(dst)}}

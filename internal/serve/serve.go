@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"inlinered/internal/metrics"
-	"inlinered/internal/obs"
 	"inlinered/internal/parallel"
 	"inlinered/internal/sim"
 	"inlinered/internal/volume"
@@ -47,13 +46,11 @@ type Config struct {
 	// capacity; it is distributed across shards by the routing rule. Each
 	// shard gets its own drive, cache, index, and journal region (shards
 	// model independent backend volumes, so physical capacity scales with
-	// the shard count).
+	// the shard count). Volume.Obs records the one shard of a 1-shard
+	// array; a recorder serves one volume's lanes, so more shards refuse it.
 	Volume volume.Config
 	// Shards is the number of independent volumes (0 means 1).
 	Shards int
-	// Obs optionally attaches one recorder per shard (a recorder serves
-	// exactly one volume's lanes). Length must be 0 or Shards.
-	Obs []*obs.Recorder
 	// Parallelism sizes the array's worker pool: Parallelism-1 goroutines
 	// that run whatever is posted — each shard's blob decodes, one item per
 	// missed blob (Array.ReadBatch), the write front's hash and encode
@@ -116,8 +113,8 @@ func NewWithPool(cfg Config, pool *parallel.Pool) (*Array, error) {
 	if int64(n) > cfg.Volume.Blocks {
 		return nil, fmt.Errorf("serve: %d shards over %d blocks leaves empty shards", n, cfg.Volume.Blocks)
 	}
-	if len(cfg.Obs) != 0 && len(cfg.Obs) != n {
-		return nil, fmt.Errorf("serve: need 0 or %d recorders, got %d", n, len(cfg.Obs))
+	if cfg.Volume.Obs != nil && n > 1 {
+		return nil, fmt.Errorf("serve: a recorder serves one volume's lanes, not %d shards", n)
 	}
 	a := &Array{cfg: cfg, blocks: cfg.Volume.Blocks, shards: make([]*shard, n), pool: pool}
 	for i := 0; i < n; i++ {
@@ -131,10 +128,6 @@ func NewWithPool(cfg Config, pool *parallel.Pool) (*Array, error) {
 		// Independent fault streams per shard; shard 0 keeps the original
 		// seed so the 1-shard array is bit-identical to a raw volume.
 		vc.Faults.Seed += int64(i) * shardSeedStride
-		vc.Obs = nil
-		if len(cfg.Obs) == n {
-			vc.Obs = cfg.Obs[i]
-		}
 		v, err := volume.New(vc)
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d: %w", i, err)

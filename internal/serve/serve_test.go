@@ -89,7 +89,7 @@ func TestServeOneShardMatchesRawVolume(t *testing.T) {
 	const cleanEvery = 256
 	cfg.Volume.SegmentBytes = 64 << 10 // small segments, so the cleaner has work
 	recA, recV := obs.NewRecorder(), obs.NewRecorder()
-	cfg.Obs = []*obs.Recorder{recA}
+	cfg.Volume.Obs = recA
 	if a, err = New(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestServeConfigValidation(t *testing.T) {
 	bad := []Config{
 		func() Config { c := testConfig(1); c.Shards = -1; return c }(),
 		func() Config { c := testConfig(2); c.Volume.Blocks = 1; return c }(),
-		func() Config { c := testConfig(2); c.Obs = []*obs.Recorder{obs.NewRecorder()}; return c }(),
+		func() Config { c := testConfig(2); c.Volume.Obs = obs.NewRecorder(); return c }(),
 		func() Config { c := testConfig(1); c.Volume.BlockSize = 8; return c }(),
 	}
 	for i, c := range bad {

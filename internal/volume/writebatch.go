@@ -141,14 +141,15 @@ type WriteBatch struct {
 func (v *Volume) NewWriteBatch(pool *parallel.Pool, n int, fill func(dst []byte, i int) []byte, share func(i int) *SharedWrite) *WriteBatch {
 	b := &WriteBatch{v: v, pool: pool, fill: fill, share: share, n: n, pending: make(map[dedup.Fingerprint]struct{})}
 	b.slots = make([]preparedWrite, min(n, writeWindows*writeWindow))
-	// One slab for the run's payload and blob scratch (a raw store adds a
-	// short header; a blob that outgrows its share just reallocates):
-	// per-slot buffers cost ~7 % of cluster-replicated's throughput.
+	// One slab for the run's payload and blob scratch (a blob's share has
+	// the encoder's headroom, so no encode reallocates): per-slot buffers
+	// cost ~7 % of cluster-replicated's throughput.
 	bs := v.cfg.BlockSize
-	slab := make([]byte, len(b.slots)*(2*bs+16))
+	blob := bs + reduce.BlobHeadroom
+	slab := make([]byte, len(b.slots)*(bs+blob))
 	for i := range b.slots {
 		b.slots[i].payload, slab = slab[:0:bs], slab[bs:]
-		b.slots[i].enc.Blob, slab = slab[:0:bs+16], slab[bs+16:]
+		b.slots[i].enc.Blob, slab = slab[:0:blob], slab[blob:]
 	}
 	b.hashFn, b.encFn = b.hash, b.encode
 	return b
