@@ -204,8 +204,9 @@ const readWarmHitRateFloor = 0.05
 // boot-storm scenario through the batch read path: every desktop
 // re-reading the shared golden image at once.
 //
-// /serial and /parallel disable the read cache so every read decodes its
-// sub-block container, making them a pure decode-throughput contest:
+// /serial and /parallel disable the read cache so every mapped read misses
+// and is charged a decode; each shard batch decodes each distinct sub-block
+// container once, making them a decode-throughput contest over those:
 // /serial pins Parallelism to 1 (the decode fan-out runs inline),
 // /parallel spreads the blob decodes across the worker pool. /warm runs
 // the storm against a cache deliberately smaller than the image's unique
@@ -245,8 +246,8 @@ func BenchmarkReadPathWallClock(b *testing.B) {
 		par   int
 		cache int64
 	}{
-		{"serial", 1, -1},                     // every storm read decodes
-		{"parallel", runtime.NumCPU(), -1},    // every storm read decodes
+		{"serial", 1, -1},                     // every storm read misses
+		{"parallel", runtime.NumCPU(), -1},    // every storm read misses
 		{"warm", runtime.NumCPU(), warmCache}, // undersized cache, hit-rate gated
 	} {
 		b.Run(bc.name, func(b *testing.B) {

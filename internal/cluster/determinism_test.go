@@ -63,24 +63,31 @@ func arrayServeTier(shards int) batchTier {
 
 // arrayReadBatchTier is Array.ReadBatch: a boot storm over 4 shards of
 // indexed sub-block containers, swept over workers and decode parallelism.
-func arrayReadBatchTier() batchTier {
+// The default cache holds the whole image; smallCache gives each shard a
+// sixteenth of it, so a shard's batch misses again on fingerprints whose
+// slots it already evicted — the repeats it decodes once.
+func arrayReadBatchTier(name string, smallCache bool) batchTier {
 	var last *serve.ReadBatchReport
+	var lastLBAs []int64
 	return batchTier{
-		name:    "array-readbatch",
+		name:    name,
 		clients: []int{1, 2, 8},
 		par:     []int{1, 4},
 		run: func(t *testing.T, clients, par int) []byte {
+			spec := workload.DefaultBootStormSpec()
 			vc := volume.DefaultConfig()
 			vc.Blocks = 4096
 			vc.SSD.BlocksPerChannel = 128
 			vc.SegmentBytes = 1 << 20
 			vc.SubBlocks = 4
+			if smallCache {
+				vc.CacheBytes = int64(spec.ImageBlocks) * int64(vc.BlockSize) / 16
+			}
 			a, err := serve.New(serve.Config{Volume: vc, Shards: 4, Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer a.Close()
-			spec := workload.DefaultBootStormSpec()
 			fill, err := spec.Fill()
 			if err != nil {
 				t.Fatal(err)
@@ -96,13 +103,31 @@ func arrayReadBatchTier() batchTier {
 			if err != nil {
 				t.Fatal(err)
 			}
-			last = rep
+			last, lastLBAs = rep, lbas
 			return mustJSON(t, rep)
 		},
 		verify: func(t *testing.T) {
 			if last.DecodedBlobs == 0 {
 				t.Fatalf("the storm decoded no blob: %+v", last.ReadTotals)
 			}
+			if !smallCache {
+				return
+			}
+			// A shard's distinct blobs are at most its distinct LBAs.
+			distinct := make([]map[int64]bool, last.Shards)
+			for _, lba := range lastLBAs {
+				s := lba % int64(last.Shards)
+				if distinct[s] == nil {
+					distinct[s] = map[int64]bool{}
+				}
+				distinct[s][lba] = true
+			}
+			for s, sh := range last.PerShard {
+				if sh.DecodedBlobs > int64(len(distinct[s])) {
+					return
+				}
+			}
+			t.Fatal("no shard charged more decodes than it has distinct blobs; the repeat path went unexercised")
 		},
 	}
 }
@@ -194,7 +219,7 @@ func mustJSON(t *testing.T, rep interface{ JSON() ([]byte, error) }) []byte {
 func TestDeterminismMatrix(t *testing.T) {
 	tiers := []batchTier{
 		arrayServeTier(1), arrayServeTier(2), arrayServeTier(8),
-		arrayReadBatchTier(),
+		arrayReadBatchTier("array-readbatch", false), arrayReadBatchTier("array-readbatch-small-cache", true),
 		clusterServeTier("cluster-serve", 2), clusterServeTier("cluster-serve-1shard", 1),
 		clusterReadBatchTier(),
 	}

@@ -71,9 +71,10 @@ func (r *ReadBatchReport) String() string {
 // volume.ReadBatch as the per-shard drain: under that shard's lock alone,
 // the sequential plan phase (cache, SSD, and virtual-clock accounting in
 // the shard's op order), the decode fan-out over the array's worker pool
-// (one item per missed blob, which also fills its cache slot: one more
-// round on the queue all shards share, the claiming worker lending itself
-// until it is done), and the sequential commit; results go to opt.Sink once
+// (one item per distinct missed blob, which also fills its cache slot and
+// those of the shard batch's repeat misses on it: one more round on the
+// queue all shards share, the claiming worker lending itself until it is
+// done), and the sequential commit; results go to opt.Sink once
 // the lock is released.
 //
 // Shard queues are an order-preserving partition of lbas, so each shard's

@@ -53,7 +53,7 @@ type Config struct {
 	Shards int
 	// Parallelism sizes the array's worker pool: Parallelism-1 goroutines
 	// that run whatever is posted — each shard's blob decodes, one item per
-	// missed blob (Array.ReadBatch), the write front's hash and encode
+	// distinct missed blob (Array.ReadBatch), the write front's hash and encode
 	// groups (Serve) — beside the RunOptions.Clients goroutines draining
 	// queues. They start on the first Serve or ReadBatch and stay parked
 	// until Array.Close. 0 or 1 starts none: batch reads decode inline and

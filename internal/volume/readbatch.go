@@ -15,19 +15,23 @@ import (
 //	Plan   — sequential decision phase: planRead per LBA, in request
 //	         order — the same ordered half the serial ReadInto runs, so
 //	         every charge on the virtual clock is made here. Each miss is
-//	         recorded as a decode job instead of executed.
-//	Run    — parallel work phase: one item per job, in any order, on any
-//	         number of goroutines. An item decodes its blob whole, the
-//	         call ReadInto makes, straight into its read's bytes, writing
-//	         nothing else.
+//	         recorded as a decode job instead of executed; a repeat miss
+//	         on a fingerprint the batch already decodes is linked to that
+//	         fingerprint's first job.
+//	Run    — parallel work phase: one item per distinct blob, in any
+//	         order, on any number of goroutines. An item decodes its blob
+//	         whole, the call ReadInto makes, straight into its first
+//	         job's bytes, then fills the linked repeats: a copy into a
+//	         repeat's own cache slot, the first job's error for all.
 //	Commit — sequential commit phase: failed jobs' errors are wrapped onto
 //	         their reads (pending hits included) and their slots
 //	         un-reserved.
 //
-// No phase copies a block. A read's bytes are where they already live: the
-// cache entry a hit found or a miss reserved (the miss decodes into it), a
-// block of zeros, or — for a miss the cache did not take — a region of the
-// batch buffer. The batch holds a lease on the cache from Plan to its next
+// Only a repeat miss with a slot of its own copies a block. A read's bytes
+// are where they already live: the cache entry a hit found or a miss
+// reserved (the miss decodes into it), a block of zeros, or — for a miss
+// the cache did not take — its first job's bytes or a region of the batch
+// buffer. The batch holds a lease on the cache from Plan to its next
 // Plan or Release, so no buffer it aliases is handed to another fingerprint
 // meanwhile (blockCache.recycle).
 //
@@ -44,10 +48,12 @@ type batchOp struct {
 	err  error
 }
 
-// batchJob is one blob decode charged at plan time and executed by RunItem
-// into its op's bytes.
+// batchJob is one blob decode charged at plan time. RunItem decodes the
+// first job per fingerprint into its op's bytes and fills the repeats
+// chained after it from those.
 type batchJob struct {
-	op   int // owning op
+	op   int   // owning op
+	next int32 // next job on the same fingerprint, -1 at the chain's end
 	fp   dedup.Fingerprint
 	blob []byte
 	err  error
@@ -56,15 +62,16 @@ type batchJob struct {
 // ReadBatch executes batches of reads through the phased plan / run /
 // commit split. A ReadBatch is reusable: each Plan call resets it, and its
 // buffers are recycled across batches. Between Plan and Commit, RunItem
-// calls for distinct items — one per blob to decode — are safe to run
-// concurrently; everything else must be called from one goroutine.
+// calls for distinct items — one per distinct blob to decode — are safe to
+// run concurrently; everything else must be called from one goroutine.
 //
 // The one divergence from the serial path is inherent to batching, and
-// needs a corrupt blob (healthy volumes are bit-identical): a read hitting
-// the cache entry an earlier read of the same batch reserved is priced as a
-// cache hit, and when that decode then fails it reports the decode error —
-// serially the first read would have un-reserved the entry and the second
-// would have missed.
+// needs a corrupt blob (healthy volumes are bit-identical): the entry a
+// failing decode reserved stays in the cache until Commit. A later read of
+// the same batch hitting it is priced as a cache hit and reports the decode
+// error — serially the first read would have un-reserved the entry and the
+// second would have missed — and meanwhile it takes cache space, so it may
+// evict an entry the serial loop would have kept.
 type ReadBatch struct {
 	v       *Volume
 	leased  *blockCache // the cache that granted lease, nil when none is held
@@ -73,7 +80,8 @@ type ReadBatch struct {
 	zero    []byte // one block of zeros: every unmapped read's bytes
 	ops     []batchOp
 	jobs    []batchJob
-	pending map[dedup.Fingerprint]int32 // fp -> job decoding it this batch
+	items   []int32                     // each distinct blob's first job
+	pending map[dedup.Fingerprint]int32 // fp -> first job decoding it this batch
 
 	// What the last Plan moved: the cache counters and the clock.
 	cacheHits, cacheMisses, cacheAdmissions, cacheGhostHits int64
@@ -89,7 +97,7 @@ type ReadBatch struct {
 type ReadTotals struct {
 	Reads           int           `json:"reads"`
 	Errors          int64         `json:"errors"`
-	DecodedBlobs    int64         `json:"decoded_blobs"` // blob decodes executed (misses)
+	DecodedBlobs    int64         `json:"decoded_blobs"` // blob decodes charged (misses); repeats in a batch run once
 	CacheHits       int64         `json:"cache_hits"`    // pending hits on entries reserved earlier in the batch included
 	CacheMisses     int64         `json:"cache_misses"`
 	CacheAdmissions int64         `json:"cache_admissions"` // entries admitted to (or promoted into) the protected segment
@@ -161,6 +169,7 @@ func (b *ReadBatch) Release() {
 	clear(b.ops[:cap(b.ops)])
 	b.ops = b.ops[:0]
 	b.jobs = b.jobs[:0]
+	b.items = b.items[:0]
 	clear(b.pending)
 	b.v = nil
 	batchPool.Put(b)
@@ -192,6 +201,7 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 	b.leased, b.lease = v.cache, v.cache.acquire(len(lbas))
 	b.ops = b.ops[:0]
 	b.jobs = b.jobs[:0]
+	b.items = b.items[:0]
 	b.buf = b.buf[:0]
 	clear(b.pending) // no-op on the nil map of a batch that never missed
 	h0, m0 := v.cache.hits, v.cache.misses
@@ -208,24 +218,32 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 		case p.src == srcCache:
 			op.data = p.cached
 			if j, pend := b.pending[p.fp]; pend {
-				// The entry was reserved by an earlier read in this batch:
-				// its bytes, and its error, come from that job's decode.
+				// The entry was reserved by a read in this batch (the cache
+				// held no entry for fp at its first miss): its bytes, and
+				// its error, come from that fingerprint's decode.
 				op.src, op.job = srcPending, j
 			}
 		case p.src == srcDecode && p.err == nil:
 			op.job, op.data = int32(len(b.jobs)), p.slot
-			b.jobs = append(b.jobs, batchJob{op: i, fp: p.fp, blob: p.blob})
-			if p.slot == nil {
-				op.data = b.region(bs)
-				break
-			}
-			// Only a reserved slot can produce a pending hit, so the map
-			// (allocated lazily, on the first cached miss ever) stays empty —
-			// and untouched — on cache-disabled volumes.
-			if b.pending == nil {
+			jb := batchJob{op: i, next: -1, fp: p.fp, blob: p.blob}
+			if b.pending == nil { // allocated on the first miss ever
 				b.pending = make(map[dedup.Fingerprint]int32, 64)
 			}
-			b.pending[p.fp] = op.job
+			if first, seen := b.pending[p.fp]; seen {
+				// A repeat: charged like any miss, decoded once. Its bytes
+				// are its own slot (filled by a copy) or the first job's.
+				jb.next, b.jobs[first].next = b.jobs[first].next, op.job
+				if op.data == nil {
+					op.data = b.ops[b.jobs[first].op].data
+				}
+			} else {
+				b.pending[p.fp] = op.job
+				b.items = append(b.items, op.job)
+				if op.data == nil {
+					op.data = b.region(bs)
+				}
+			}
+			b.jobs = append(b.jobs, jb)
 		}
 		b.ops = append(b.ops, op)
 	}
@@ -250,20 +268,30 @@ func (b *ReadBatch) region(bs int) []byte {
 }
 
 // Items returns the number of parallel decode items Plan produced: one per
-// blob to decode, so it equals DecodedBlobs.
-func (b *ReadBatch) Items() int { return len(b.jobs) }
+// distinct blob to decode, so it is at most DecodedBlobs.
+func (b *ReadBatch) Items() int { return len(b.items) }
 
-// RunItem decodes job j's blob through decodeBlock, the call ReadInto
-// makes, into its read's bytes: the reserved cache slot, or a region of the
-// batch buffer. Distinct items may run concurrently: each writes only its
-// own bytes and job record.
-func (b *ReadBatch) RunItem(j int) {
-	jb := &b.jobs[j]
+// RunItem decodes item i's blob once through decodeBlock, the call
+// ReadInto makes, into its first job's bytes — the reserved cache slot, or
+// a region of the batch buffer — then gives every repeat chained after it
+// the same error and, on success, a copy into the repeat's own slot (a
+// repeat without one already aliases the first job's bytes). Distinct
+// items may run concurrently: each writes only its own jobs' bytes and
+// records.
+func (b *ReadBatch) RunItem(i int) {
+	jb := &b.jobs[b.items[i]]
 	out := b.ops[jb.op].data
 	// Decoding appends to out[:0]: out's capacity is one block, so on
 	// success the bytes are in out. A corrupt blob that over-decodes moves
 	// to a new array instead, and decodeBlock rejects the size.
 	_, jb.err = decodeBlock(out[:0], jb.blob, len(out))
+	for k := jb.next; k >= 0; k = b.jobs[k].next {
+		r := &b.jobs[k]
+		r.err = jb.err
+		if dst := b.ops[r.op].data; jb.err == nil && &dst[0] != &out[0] {
+			copy(dst, out)
+		}
+	}
 }
 
 // Commit is the sequential commit phase: failed decodes' errors are
@@ -308,14 +336,15 @@ func (b *ReadBatch) Errors() int {
 	return n
 }
 
-// DecodedBlobs returns how many blob decodes the batch executed (cache
-// hits, pending hits, and unmapped reads decode nothing).
+// DecodedBlobs returns how many blob decodes the batch charged: one per
+// miss, repeats included, though RunItem executes one per distinct blob
+// (cache hits, pending hits, and unmapped reads decode nothing).
 func (b *ReadBatch) DecodedBlobs() int { return len(b.jobs) }
 
 // ReadBatch plans, decodes, and commits lbas in one call. The parallel
-// phase — one item per blob to decode — fans out over pool when it is
-// non-nil (a nil pool decodes inline, the determinism baseline). b may be
-// nil to allocate a fresh batch;
+// phase — one item per distinct blob to decode — fans out over pool when
+// it is non-nil (a nil pool decodes inline, the determinism baseline). b
+// may be nil to allocate a fresh batch;
 // passing a previous batch back in — this volume's or another's — recycles
 // its buffers, ends its lease and binds it to v. The returned batch holds
 // the per-read results.

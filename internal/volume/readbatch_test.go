@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"inlinered/internal/fault"
@@ -543,5 +544,158 @@ func TestReadBatchUnreleasedBoundsCacheBuffers(t *testing.T) {
 	}
 	if grew := heap() - base; grew > 256<<10 {
 		t.Fatalf("heap grew %d bytes over 900 unreleased batches", grew)
+	}
+}
+
+// TestReadBatchDecodesEachBlobOnce: with a two-block cache, the reads
+// A B C A B C A evict every slot before its fingerprint comes round again,
+// so the batch charges a decode per read but runs one item per blob. The
+// repeats must still read as N serial ReadInto calls — same bytes, errors,
+// totals and stats, in any item order — and a repeat's own slot must hold
+// its block for later hits. With the cache off the repeats alias the first
+// read's bytes. A corrupt blob fails every read of it with the serial error
+// and leaves no entry behind; its cache counters are the batch's own (its
+// slots stay reserved until Commit, see ReadBatch), but still independent
+// of item order.
+func TestReadBatchDecodesEachBlobOnce(t *testing.T) {
+	lbas := []int64{0, 1, 2, 0, 1, 2, 0}
+	for _, tc := range []struct {
+		name        string
+		cacheBlocks int64
+		corrupt     bool
+	}{{"cache", 2, false}, {"no-cache", 0, false}, {"corrupt", 2, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Volume {
+				cfg := subConfig()
+				cfg.CacheBytes = tc.cacheBlocks * int64(cfg.BlockSize)
+				v := newVolume(t, cfg)
+				for lba := int64(0); lba < 3; lba++ {
+					if _, err := v.Write(lba, block(int(lba))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if blob := v.chunks[v.lbaMap[1]].blob; tc.corrupt {
+					blob[len(blob)-1] ^= 0xFF
+				}
+				return v
+			}
+			type outcome struct {
+				blocks [][]byte
+				errs   []string
+				totals ReadTotals
+				stats  Stats
+			}
+			run := func(order func(n int) []int) (outcome, *Volume, *ReadBatch) {
+				v := build()
+				b := v.NewReadBatch()
+				if err := b.Plan(lbas); err != nil {
+					t.Fatal(err)
+				}
+				if b.Items() != 3 || b.DecodedBlobs() != len(lbas) {
+					t.Fatalf("%d items for %d decodes charged, want 3 for %d", b.Items(), b.DecodedBlobs(), len(lbas))
+				}
+				for _, i := range order(b.Items()) {
+					b.RunItem(i)
+				}
+				b.Commit()
+				var o outcome
+				for i := range lbas {
+					o.blocks = append(o.blocks, append([]byte(nil), b.Block(i)...))
+					o.errs = append(o.errs, fmt.Sprint(b.Err(i)))
+				}
+				o.totals, o.stats = b.Totals(), v.Stats()
+				return o, v, b
+			}
+			inOrder, v, b := run(func(n int) []int {
+				o := make([]int, n)
+				for i := range o {
+					o[i] = i
+				}
+				return o
+			})
+			defer b.Release()
+			for name, order := range map[string]func(n int) []int{
+				"reversed": func(n int) []int { return []int{2, 1, 0}[:n] },
+				"permuted": func(n int) []int { return rand.New(rand.NewSource(42)).Perm(n) },
+			} {
+				got, _, gb := run(order)
+				gb.Release()
+				if !reflect.DeepEqual(got, inOrder) {
+					t.Errorf("%s: items run out of order changed the batch:\n%+v\n%+v", name, got.totals, inOrder.totals)
+				}
+			}
+
+			twin := build()
+			want := ReadTotals{Reads: len(lbas), DecodedBlobs: int64(len(lbas))}
+			start := twin.Now()
+			for i, lba := range lbas {
+				out, _, err := twin.ReadInto(nil, lba)
+				if got := inOrder.errs[i]; got != fmt.Sprint(err) {
+					t.Fatalf("read %d (lba %d): batch error %s, serial %v", i, lba, got, err)
+				}
+				if err != nil {
+					want.Errors++
+				} else if !bytes.Equal(out, inOrder.blocks[i]) {
+					t.Fatalf("read %d (lba %d): batch bytes diverge from serial", i, lba)
+				}
+			}
+			st := twin.Stats()
+			want.CacheHits, want.CacheMisses = st.CacheHits, st.CacheMisses
+			want.CacheAdmissions, want.CacheGhostHits = st.CacheAdmissions, st.CacheGhostHits
+			want.Elapsed = twin.Now() - start
+			if tc.corrupt {
+				if inOrder.totals.Errors != 2 || want.Errors != 2 {
+					t.Fatalf("%d reads failed, want both reads of the corrupt blob", want.Errors)
+				}
+				if _, ok := v.cache.byFP[v.lbaMap[1]]; ok {
+					t.Fatal("a garbage entry for the corrupt blob survived Commit")
+				}
+			} else {
+				if inOrder.totals != want {
+					t.Fatalf("Totals() = %+v, serial twin %+v", inOrder.totals, want)
+				}
+				if !reflect.DeepEqual(inOrder.stats, st) {
+					t.Fatalf("stats diverge from serial:\n%+v\n%+v", inOrder.stats, st)
+				}
+			}
+
+			if tc.cacheBlocks == 0 {
+				for i := 3; i < len(lbas); i++ {
+					if &b.Block(i)[0] != &b.Block(i % 3)[0] {
+						t.Fatalf("uncached repeat %d does not alias its first read's bytes", i)
+					}
+				}
+				return
+			}
+
+			// Every entry left in the cache is a slot the batch reserved for
+			// a repeat and filled by a copy; a batch of hits must read it back.
+			var hot []int64
+			for _, l := range []cacheList{v.cache.prot, v.cache.prob} {
+				for e := l.head; e != nil; e = e.next {
+					first := slices.IndexFunc(lbas, func(lba int64) bool { return v.lbaMap[lba] == e.fp })
+					owner := slices.IndexFunc(b.ops, func(op batchOp) bool { return op.src == srcDecode && &op.data[0] == &e.data[0] })
+					if owner <= first {
+						t.Fatalf("lba %d's cache entry is read %d's slot, not a repeat's", lbas[first], owner)
+					}
+					hot = append(hot, lbas[first])
+				}
+			}
+			if len(hot) == 0 {
+				t.Fatal("the batch left no entry in the cache")
+			}
+			var err error
+			if b, err = v.ReadBatch(b, hot, nil); err != nil {
+				t.Fatal(err)
+			}
+			if hits := b.Totals().CacheHits; hits != int64(len(hot)) {
+				t.Fatalf("%d hits on %d repeats' slots", hits, len(hot))
+			}
+			for i, lba := range hot {
+				if b.Err(i) != nil || !bytes.Equal(b.Block(i), block(int(lba))) {
+					t.Fatalf("lba %d read back from a repeat's slot: err %v, or wrong bytes", lba, b.Err(i))
+				}
+			}
+		})
 	}
 }
