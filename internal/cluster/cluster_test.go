@@ -44,10 +44,10 @@ func testVolume() volume.Config {
 	vc.Index.BinBits = 4
 	vc.Index.BufferEntries = 4
 	vc.Faults = fault.Config{Seed: 42, Rates: fault.Rates{
-		SSDWriteTransient: 0.05,
-		SSDReadTransient:  0.05,
-		SSDLatencySpike:   0.02,
-		JournalTorn:       0.05,
+		fault.SSDWriteTransient: 0.05,
+		fault.SSDReadTransient:  0.05,
+		fault.SSDLatencySpike:   0.02,
+		fault.JournalTorn:       0.05,
 	}}
 	return vc
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"inlinered/internal/fault"
 	"inlinered/internal/workload"
 )
 
@@ -13,10 +14,10 @@ import (
 func stormCluster(t *testing.T, parallelism int) (*Cluster, []int64) {
 	t.Helper()
 	vc := testVolume()
-	vc.Faults.Rates.SSDWriteTransient = 0
-	vc.Faults.Rates.SSDReadTransient = 0
-	vc.Faults.Rates.SSDLatencySpike = 0
-	vc.Faults.Rates.JournalTorn = 0
+	vc.Faults.Rates[fault.SSDWriteTransient] = 0
+	vc.Faults.Rates[fault.SSDReadTransient] = 0
+	vc.Faults.Rates[fault.SSDLatencySpike] = 0
+	vc.Faults.Rates[fault.JournalTorn] = 0
 	vc.CacheBytes = 1 << 20
 	vc.SubBlocks = 4
 	c, err := New(Config{

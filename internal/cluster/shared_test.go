@@ -220,7 +220,7 @@ func TestClusterSharedSlotsReleased(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := testConfig(3, 2, 0.004, 0.05)
 			cfg.NodeFaults.Seed = seed
-			cfg.Volume.Faults.Rates = fault.Rates{SSDWritePermanent: 0.02, SSDWriteTransient: 0.05, JournalTorn: 0.05}
+			cfg.Volume.Faults.Rates = fault.Rates{fault.SSDWritePermanent: 0.02, fault.SSDWriteTransient: 0.05, fault.JournalTorn: 0.05}
 			for _, clients := range []int{1, 3} {
 				cfg.Parallelism = clients
 				c, err := New(cfg)

@@ -117,7 +117,7 @@ func TestGPUDeviceLostFallsBackToCPU(t *testing.T) {
 	for _, mode := range []Mode{GPUDedup, GPUCompress, GPUBoth} {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := testConfig(mode)
-			cfg.Faults = fault.Config{Seed: 5, Rates: fault.Rates{GPUDeviceLost: 1}}
+			cfg.Faults = fault.Config{Seed: 5, Rates: fault.Rates{fault.GPUDeviceLost: 1}}
 			s := testStream(t, 4<<20, 2.0, 2.0, workload.RefUniform)
 			eng, rep := runPipeline(t, PaperPlatform(), cfg, s)
 			if !rep.Faults.GPUDeviceLost {
@@ -145,7 +145,7 @@ func TestGPUDeviceLostFallsBackToCPU(t *testing.T) {
 // already-retired GPU batches valid and re-runs only the pending work.
 func TestDeviceLostMidRun(t *testing.T) {
 	cfg := testConfig(GPUCompress)
-	cfg.Faults = fault.Config{Seed: 11, Rates: fault.Rates{GPUDeviceLost: 0.25}}
+	cfg.Faults = fault.Config{Seed: 11, Rates: fault.Rates{fault.GPUDeviceLost: 0.25}}
 	s := testStream(t, 8<<20, 2.0, 2.0, workload.RefUniform)
 	eng, rep := runPipeline(t, PaperPlatform(), cfg, s)
 	if !rep.Faults.GPUDeviceLost {
@@ -165,7 +165,7 @@ func TestDeviceLostMidRun(t *testing.T) {
 // and the pipeline's output is unharmed.
 func TestTransientWriteRetriesAbsorbed(t *testing.T) {
 	cfg := testConfig(CPUOnly)
-	cfg.Faults = fault.Config{Seed: 21, Rates: fault.Rates{SSDWriteTransient: 0.2}}
+	cfg.Faults = fault.Config{Seed: 21, Rates: fault.Rates{fault.SSDWriteTransient: 0.2}}
 	s := testStream(t, 4<<20, 2.0, 2.0, workload.RefUniform)
 	eng, rep := runPipeline(t, PaperPlatform(), cfg, s)
 	if rep.Faults.SSDWriteRetries == 0 {
@@ -185,7 +185,7 @@ func TestTransientWriteRetriesAbsorbed(t *testing.T) {
 // of the live index with identical metadata), never garbage.
 func TestTornJournalStillRecovers(t *testing.T) {
 	cfg := testConfig(CPUOnly)
-	cfg.Faults = fault.Config{Seed: 31, Rates: fault.Rates{JournalTorn: 0.02}}
+	cfg.Faults = fault.Config{Seed: 31, Rates: fault.Rates{fault.JournalTorn: 0.02}}
 	s := testStream(t, 8<<20, 2.0, 2.0, workload.RefUniform)
 	eng, rep := runPipeline(t, PaperPlatform(), cfg, s)
 	if rep.Faults.JournalTornRecords == 0 {
@@ -260,7 +260,7 @@ func TestIndexEvictionUnderPressure(t *testing.T) {
 	// injected pressure has resident entries to reclaim.
 	cfg.Index.BinBits = 6
 	cfg.Index.BufferEntries = 4
-	cfg.Faults = fault.Config{Seed: 41, Rates: fault.Rates{IndexEvict: 0.05}}
+	cfg.Faults = fault.Config{Seed: 41, Rates: fault.Rates{fault.IndexEvict: 0.05}}
 	s := testStream(t, 4<<20, 3.0, 2.0, workload.RefUniform)
 	eng, rep := runPipeline(t, PaperPlatform(), cfg, s)
 	if rep.Faults.IndexEvictions == 0 {
@@ -277,7 +277,7 @@ func TestIndexEvictionUnderPressure(t *testing.T) {
 // run), count the failure, and stop appending to the image.
 func TestJournalWriteFailureDegrades(t *testing.T) {
 	cfg := testConfig(CPUOnly)
-	cfg.Faults = fault.Config{Seed: 3, Rates: fault.Rates{SSDWritePermanent: 1}}
+	cfg.Faults = fault.Config{Seed: 3, Rates: fault.Rates{fault.SSDWritePermanent: 1}}
 	eng, err := NewEngine(PaperPlatform(), cfg)
 	if err != nil {
 		t.Fatal(err)

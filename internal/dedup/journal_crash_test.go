@@ -200,7 +200,7 @@ func TestRecoverSurvivesBitFlips(t *testing.T) {
 // same seed, same image.
 func TestTornFractionDeterministicImage(t *testing.T) {
 	build := func() []byte {
-		inj := fault.New(fault.Config{Seed: 7, Rates: fault.Rates{JournalTorn: 0.3}})
+		inj := fault.New(fault.Config{Seed: 7, Rates: fault.Rates{fault.JournalTorn: 0.3}})
 		cfg := IndexConfig{BinBits: 4, BufferEntries: 4}
 		idx, _ := NewBinIndex(cfg)
 		w := NewJournalWriter(cfg.PrefixBytes)

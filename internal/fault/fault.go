@@ -2,12 +2,14 @@
 // reduction pipeline's durability-adjacent layers: the SSD drive, the
 // volume log, the dedup journal, and the GPU device.
 //
-// Every injection site draws from its own PRNG stream (derived from the
-// run seed and the fault kind), so two runs with the same seed and the
-// same workload make identical fault decisions, and consulting one site
-// more or less often never perturbs another site's stream. All consults
-// happen on the single-threaded virtual-time control path, so a fixed
-// seed yields bit-identical Reports regardless of host parallelism.
+// A fault Kind indexes a rate (Rates), a fired count (Counts) and a PRNG
+// stream derived from the run seed and the kind, so two runs with the
+// same seed and the same workload make identical fault decisions, and
+// consulting one site more or less often never perturbs another site's
+// stream. All consults happen on the single-threaded virtual-time control
+// path, so a fixed seed yields bit-identical Reports regardless of host
+// parallelism. Adding a kind is one constant plus the method that consults
+// it; NodeRejoinDelay alone is drawn without a rate.
 //
 // The injector is nil-safe: every method on a nil *Injector reports "no
 // fault", so the data plane threads it through unconditionally and pays
@@ -36,7 +38,8 @@ var (
 // IsTransient reports whether err is (or wraps) a transient fault.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
-// Kind enumerates the injectable fault classes.
+// Kind enumerates the injectable fault classes. A kind's stream is seeded
+// from its position, so new kinds go last.
 type Kind int
 
 const (
@@ -53,57 +56,16 @@ const (
 	// ReplicaDivergence silently drops one replica write so replicas
 	// disagree until read-repair or a scrub reconciles them.
 	NodeCrash
+	// NodeRejoinDelay has a stream but no rate: its Rates entry is never
+	// read, because every crash draws exactly one rejoin delay.
 	NodeRejoinDelay
 	ReplicaDivergence
 	numKinds
 )
 
-// String names the fault kind.
-func (k Kind) String() string {
-	switch k {
-	case SSDWriteTransient:
-		return "ssd-write-transient"
-	case SSDWritePermanent:
-		return "ssd-write-permanent"
-	case SSDReadTransient:
-		return "ssd-read-transient"
-	case SSDLatencySpike:
-		return "ssd-latency-spike"
-	case JournalTorn:
-		return "journal-torn"
-	case GPUDeviceLost:
-		return "gpu-device-lost"
-	case IndexEvict:
-		return "index-evict"
-	case NodeCrash:
-		return "node-crash"
-	case NodeRejoinDelay:
-		return "node-rejoin-delay"
-	case ReplicaDivergence:
-		return "replica-divergence"
-	default:
-		return fmt.Sprintf("fault-kind(%d)", int(k))
-	}
-}
-
 // Rates holds the per-opportunity injection probability of each fault
 // kind, in [0,1]. The zero value injects nothing.
-type Rates struct {
-	SSDWriteTransient float64
-	SSDWritePermanent float64
-	SSDReadTransient  float64
-	SSDLatencySpike   float64
-	JournalTorn       float64
-	GPUDeviceLost     float64
-	IndexEvict        float64
-	// Node-level rates, consulted only by the cluster tier. NodeCrash is
-	// the per-operation probability that a healthy node fail-stops;
-	// ReplicaDivergence is the per-replica-write probability that the
-	// replica silently misses the update. NodeRejoinDelay has no rate — its
-	// stream is drawn unconditionally when a crash schedules a rejoin.
-	NodeCrash         float64
-	ReplicaDivergence float64
-}
+type Rates [numKinds]float64
 
 // Uniform sets every survivable fault kind to rate. Permanent SSD write
 // errors stay at zero: they are data loss, not degradation, and belong to
@@ -135,39 +97,30 @@ type Config struct {
 	Seed int64
 	// Rates are the per-kind injection probabilities.
 	Rates Rates
-	// SpikeLatency is the base magnitude of an injected latency spike
-	// (the spike is 1–4× this); 0 means 2ms.
-	SpikeLatency time.Duration
 }
 
 // Enabled reports whether any fault kind has a nonzero rate.
 func (c Config) Enabled() bool { return c.Rates != (Rates{}) }
 
 // Counts reports how many faults of each kind actually fired.
-type Counts struct {
-	SSDWriteTransient int64
-	SSDWritePermanent int64
-	SSDReadTransient  int64
-	SSDLatencySpike   int64
-	JournalTorn       int64
-	GPUDeviceLost     int64
-	IndexEvict        int64
-	NodeCrash         int64
-	ReplicaDivergence int64
-}
+type Counts [numKinds]int64
 
 // Total sums the fired faults across kinds.
 func (c Counts) Total() int64 {
-	return c.SSDWriteTransient + c.SSDWritePermanent + c.SSDReadTransient +
-		c.SSDLatencySpike + c.JournalTorn + c.GPUDeviceLost + c.IndexEvict +
-		c.NodeCrash + c.ReplicaDivergence
+	var n int64
+	for _, v := range c {
+		n += v
+	}
+	return n
 }
+
+// spikeBase is the base of an injected latency spike, which is 1–4× it.
+const spikeBase = 2 * time.Millisecond
 
 // Injector makes deterministic fault decisions. It is not safe for
 // concurrent use; all consults happen on the simulation control path.
 type Injector struct {
-	cfg    Config
-	rates  [numKinds]float64
+	rates  Rates
 	rng    [numKinds]*rand.Rand
 	counts Counts
 }
@@ -175,18 +128,7 @@ type Injector struct {
 // New builds an injector for cfg. A nil *Injector is also valid and
 // injects nothing.
 func New(cfg Config) *Injector {
-	inj := &Injector{cfg: cfg}
-	inj.rates = [numKinds]float64{
-		SSDWriteTransient: cfg.Rates.SSDWriteTransient,
-		SSDWritePermanent: cfg.Rates.SSDWritePermanent,
-		SSDReadTransient:  cfg.Rates.SSDReadTransient,
-		SSDLatencySpike:   cfg.Rates.SSDLatencySpike,
-		JournalTorn:       cfg.Rates.JournalTorn,
-		GPUDeviceLost:     cfg.Rates.GPUDeviceLost,
-		IndexEvict:        cfg.Rates.IndexEvict,
-		NodeCrash:         cfg.Rates.NodeCrash,
-		ReplicaDivergence: cfg.Rates.ReplicaDivergence,
-	}
+	inj := &Injector{rates: cfg.Rates}
 	for k := range inj.rng {
 		// SplitMix64-style seed mixing gives each kind an independent
 		// stream even for adjacent seeds.
@@ -199,7 +141,8 @@ func New(cfg Config) *Injector {
 	return inj
 }
 
-// roll consults kind's stream and records a hit.
+// roll consults kind's stream and records a hit; a kind at rate zero
+// draws nothing.
 func (i *Injector) roll(k Kind) bool {
 	if i == nil || i.rates[k] <= 0 {
 		return false
@@ -207,26 +150,7 @@ func (i *Injector) roll(k Kind) bool {
 	if i.rng[k].Float64() >= i.rates[k] {
 		return false
 	}
-	switch k {
-	case SSDWriteTransient:
-		i.counts.SSDWriteTransient++
-	case SSDWritePermanent:
-		i.counts.SSDWritePermanent++
-	case SSDReadTransient:
-		i.counts.SSDReadTransient++
-	case SSDLatencySpike:
-		i.counts.SSDLatencySpike++
-	case JournalTorn:
-		i.counts.JournalTorn++
-	case GPUDeviceLost:
-		i.counts.GPUDeviceLost++
-	case IndexEvict:
-		i.counts.IndexEvict++
-	case NodeCrash:
-		i.counts.NodeCrash++
-	case ReplicaDivergence:
-		i.counts.ReplicaDivergence++
-	}
+	i.counts[k]++
 	return true
 }
 
@@ -264,11 +188,7 @@ func (i *Injector) Latency() time.Duration {
 	if i == nil || !i.roll(SSDLatencySpike) {
 		return 0
 	}
-	base := i.cfg.SpikeLatency
-	if base <= 0 {
-		base = 2 * time.Millisecond
-	}
-	return base * time.Duration(1+i.rng[SSDLatencySpike].Intn(4))
+	return spikeBase * time.Duration(1+i.rng[SSDLatencySpike].Intn(4))
 }
 
 // TornFraction rolls the torn-journal stream. When it fires, it returns

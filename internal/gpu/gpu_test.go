@@ -256,7 +256,7 @@ func TestDeviceLostKillsLaunches(t *testing.T) {
 	d := New(testConfig())
 	d.SetFaultInjector(fault.New(fault.Config{
 		Seed:  1,
-		Rates: fault.Rates{GPUDeviceLost: 1},
+		Rates: fault.Rates{fault.GPUDeviceLost: 1},
 	}))
 	ran := false
 	k := func() Profile { ran = true; return Profile{} }
@@ -294,7 +294,7 @@ func TestDeviceLossIsDeterministic(t *testing.T) {
 		d := New(testConfig())
 		d.SetFaultInjector(fault.New(fault.Config{
 			Seed:  99,
-			Rates: fault.Rates{GPUDeviceLost: 0.05},
+			Rates: fault.Rates{fault.GPUDeviceLost: 0.05},
 		}))
 		k := func() Profile { return Profile{Items: 1} }
 		var at time.Duration

@@ -86,7 +86,7 @@ func TestJournalTornPrefixRecovers(t *testing.T) {
 	if st != FlushWritten {
 		t.Fatalf("healthy flush: status %v", st)
 	}
-	s.SetFaultInjector(fault.New(fault.Config{Seed: 5, Rates: fault.Rates{JournalTorn: 1}}))
+	s.SetFaultInjector(fault.New(fault.Config{Seed: 5, Rates: fault.Rates{fault.JournalTorn: 1}}))
 	end, st := j.Flush(at, f)
 	if st != FlushTorn || end <= at {
 		t.Fatalf("torn flush: status %v, end %v after %v", st, end, at)
@@ -109,7 +109,7 @@ func TestJournalTornPrefixRecovers(t *testing.T) {
 // caller with the failure; the region then goes dead and later flushes are
 // dropped without drive time or further counting.
 func TestJournalFailedWriteKeepsRetryTimeThenDegrades(t *testing.T) {
-	s := newSubstrate(t, fault.Config{Seed: 3, Rates: fault.Rates{SSDWriteTransient: 1}})
+	s := newSubstrate(t, fault.Config{Seed: 3, Rates: fault.Rates{fault.SSDWriteTransient: 1}})
 	j := &s.Journal
 	f := fabricateFlush(t)
 	const at = 5 * time.Millisecond

@@ -63,7 +63,7 @@ func dirtyArray(t *testing.T, shards int) *Array {
 // clock, and the merged garbage accounting stays sane.
 func TestArrayCleanFirstErrorPropagation(t *testing.T) {
 	a := dirtyArray(t, 4)
-	armShard(a, 1, fault.Config{Seed: 2, Rates: fault.Rates{SSDWritePermanent: 1}})
+	armShard(a, 1, fault.Config{Seed: 2, Rates: fault.Rates{fault.SSDWritePermanent: 1}})
 	now := a.Now()
 
 	cleaned, err := a.Clean()
@@ -121,9 +121,9 @@ func TestArrayTrimErrorPath(t *testing.T) {
 	}
 	for i := range a.shards {
 		armShard(a, i, fault.Config{Seed: int64(i), Rates: fault.Rates{
-			SSDWriteTransient: 0.3,
-			SSDReadTransient:  0.3,
-			SSDWritePermanent: 0.05,
+			fault.SSDWriteTransient: 0.3,
+			fault.SSDReadTransient:  0.3,
+			fault.SSDWritePermanent: 0.05,
 		}})
 	}
 	before := a.Stats()
@@ -172,7 +172,7 @@ func TestServeCountsFaultedOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.shards {
-		armShard(a, i, fault.Config{Seed: int64(i), Rates: fault.Rates{SSDReadTransient: 1}})
+		armShard(a, i, fault.Config{Seed: int64(i), Rates: fault.Rates{fault.SSDReadTransient: 1}})
 	}
 	before := a.Stats()
 	reads := make([]workload.Op, 64)

@@ -264,6 +264,9 @@ func (d *Drive) WriteBytes(at time.Duration, lpn int64, n int) (time.Duration, e
 // cost a read anyway (the host interface returns zeros). Injected read
 // faults fail the whole request before any page is fetched.
 func (d *Drive) Read(at time.Duration, lpn int64, n int) (time.Duration, error) {
+	if lpn < 0 || lpn+int64(n) > d.LogicalPages() {
+		return at, fmt.Errorf("ssd: read [%d,%d) outside logical space of %d pages", lpn, lpn+int64(n), d.LogicalPages())
+	}
 	if err := d.faults.ReadError(); err != nil {
 		d.stats.ReadFaults++
 		d.rec.Instant(d.lane(d.chanFor(lpn)), "read-error", at)

@@ -72,6 +72,29 @@ func TestWriteBeyondLogicalSpace(t *testing.T) {
 	}
 }
 
+// TestReadOutsideLogicalSpace: a read range outside the logical space is
+// rejected the way Write rejects it, before the injector is consulted, so
+// the error is never transient and fetches nothing.
+func TestReadOutsideLogicalSpace(t *testing.T) {
+	d := New(smallConfig())
+	d.SetFaultInjector(fault.New(fault.Config{Seed: 1, Rates: fault.Rates{fault.SSDReadTransient: 1}}))
+	for _, r := range []struct {
+		lpn int64
+		n   int
+	}{{-1, 1}, {d.LogicalPages() - 1, 2}} {
+		_, err := d.Read(0, r.lpn, r.n)
+		if err == nil {
+			t.Fatalf("read [%d,%d) outside the logical space should error", r.lpn, r.lpn+int64(r.n))
+		}
+		if fault.IsTransient(err) {
+			t.Fatalf("read [%d,%d): range error must not be transient: %v", r.lpn, r.lpn+int64(r.n), err)
+		}
+	}
+	if st := d.Stats(); st.HostReadPages != 0 || st.ReadFaults != 0 {
+		t.Fatalf("rejected reads must fetch nothing and consult no injector: %+v", st)
+	}
+}
+
 func TestOverwriteInvalidates(t *testing.T) {
 	d := New(smallConfig())
 	if _, err := d.Write(0, 7, 1); err != nil {
@@ -281,7 +304,7 @@ func TestInjectedWriteFaults(t *testing.T) {
 	d := New(smallConfig())
 	d.SetFaultInjector(fault.New(fault.Config{
 		Seed:  1,
-		Rates: fault.Rates{SSDWriteTransient: 1},
+		Rates: fault.Rates{fault.SSDWriteTransient: 1},
 	}))
 	_, err := d.Write(0, 0, 1)
 	if err == nil || !fault.IsTransient(err) {
@@ -300,7 +323,7 @@ func TestInjectedPermanentWriteFault(t *testing.T) {
 	d := New(smallConfig())
 	d.SetFaultInjector(fault.New(fault.Config{
 		Seed:  1,
-		Rates: fault.Rates{SSDWritePermanent: 1},
+		Rates: fault.Rates{fault.SSDWritePermanent: 1},
 	}))
 	_, err := d.Write(0, 0, 1)
 	if err == nil || !errors.Is(err, fault.ErrPermanent) {
@@ -318,7 +341,7 @@ func TestInjectedReadFaults(t *testing.T) {
 	}
 	d.SetFaultInjector(fault.New(fault.Config{
 		Seed:  2,
-		Rates: fault.Rates{SSDReadTransient: 1},
+		Rates: fault.Rates{fault.SSDReadTransient: 1},
 	}))
 	before := d.Stats().HostReadPages
 	_, err := d.Read(0, 0, 1)
@@ -337,19 +360,18 @@ func TestInjectedReadFaults(t *testing.T) {
 func TestInjectedLatencySpike(t *testing.T) {
 	d := New(smallConfig())
 	d.SetFaultInjector(fault.New(fault.Config{
-		Seed:         3,
-		Rates:        fault.Rates{SSDLatencySpike: 1},
-		SpikeLatency: time.Millisecond,
+		Seed:  3,
+		Rates: fault.Rates{fault.SSDLatencySpike: 1},
 	}))
 	end, err := d.Write(0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if end < time.Millisecond+d.ProgramLatency {
+	if end < 2*time.Millisecond+d.ProgramLatency {
 		t.Fatalf("spiked write finished too early: %v", end)
 	}
-	if end > 4*time.Millisecond+d.ProgramLatency {
-		t.Fatalf("spike exceeds 4x base: %v", end)
+	if end > 8*time.Millisecond+d.ProgramLatency {
+		t.Fatalf("spike exceeds 4x the 2ms base: %v", end)
 	}
 	if d.Stats().LatencySpikes != 1 {
 		t.Fatalf("LatencySpikes = %d, want 1", d.Stats().LatencySpikes)

@@ -82,7 +82,7 @@ func TestReadErrorCommitsTimeAndStats(t *testing.T) {
 	}
 	before := v.Stats()
 	now := v.Now()
-	armFaults(v, fault.Config{Seed: 21, Rates: fault.Rates{SSDReadTransient: 1}})
+	armFaults(v, fault.Config{Seed: 21, Rates: fault.Rates{fault.SSDReadTransient: 1}})
 
 	_, lat, err := v.Read(7)
 	if err == nil {
@@ -175,7 +175,7 @@ func TestUnmappedReadObserved(t *testing.T) {
 // (fingerprint, probe, compress) on the clock and in the write histogram.
 func TestWriteErrorCommitsTimeAndStats(t *testing.T) {
 	v := newVolume(t, faultConfig())
-	armFaults(v, fault.Config{Seed: 4, Rates: fault.Rates{SSDWritePermanent: 1}})
+	armFaults(v, fault.Config{Seed: 4, Rates: fault.Rates{fault.SSDWritePermanent: 1}})
 	now := v.Now()
 
 	lat, err := v.Write(0, block(0))
@@ -237,7 +237,7 @@ func dirtyVolume(t *testing.T) *Volume {
 // virtual clock. Before the fix, cleanSegment returned without v.now = t.
 func TestCleanErrorCommitsTime(t *testing.T) {
 	v := dirtyVolume(t)
-	armFaults(v, fault.Config{Seed: 2, Rates: fault.Rates{SSDWritePermanent: 1}})
+	armFaults(v, fault.Config{Seed: 2, Rates: fault.Rates{fault.SSDWritePermanent: 1}})
 	now := v.Now()
 	if _, err := v.Clean(); err == nil {
 		t.Fatal("permanent write faults must surface from cleaning")
@@ -259,7 +259,7 @@ func TestCleanMidMoveFailureKeepsAccountingConsistent(t *testing.T) {
 	for seed := int64(0); seed < 64; seed++ {
 		v := dirtyVolume(t)
 		movedBefore := v.Stats().MovedBytes
-		armFaults(v, fault.Config{Seed: seed, Rates: fault.Rates{SSDWritePermanent: 0.3}})
+		armFaults(v, fault.Config{Seed: seed, Rates: fault.Rates{fault.SSDWritePermanent: 0.3}})
 		now := v.Now()
 		_, err := v.Clean()
 		st := v.Stats()
@@ -297,7 +297,7 @@ func TestCleanMidMoveFailureKeepsAccountingConsistent(t *testing.T) {
 // JournalFlushLat.Count == JournalRecords + JournalTornRecords.
 func TestTornFlushCountsInJournalHistogram(t *testing.T) {
 	cfg := faultConfig()
-	cfg.Faults = fault.Config{Seed: 5, Rates: fault.Rates{JournalTorn: 0.2}}
+	cfg.Faults = fault.Config{Seed: 5, Rates: fault.Rates{fault.JournalTorn: 0.2}}
 	v := newVolume(t, cfg)
 	for i := 0; i < 300; i++ {
 		if _, err := v.Write(int64(i), block(i)); err != nil {
@@ -320,7 +320,7 @@ func TestTornFlushCountsInJournalHistogram(t *testing.T) {
 func TestDegradedFlushesNotObserved(t *testing.T) {
 	v := newVolume(t, faultConfig())
 	before := v.Stats().JournalFlushLat.Count
-	armFaults(v, fault.Config{Seed: 3, Rates: fault.Rates{SSDWritePermanent: 1}})
+	armFaults(v, fault.Config{Seed: 3, Rates: fault.Rates{fault.SSDWritePermanent: 1}})
 	flush := fabricateFlush(t)
 	v.journalFlush(0, flush) // permanent failure: degrades journaling off
 	v.journalFlush(0, flush) // degraded: dropped silently
@@ -335,7 +335,7 @@ func TestDegradedFlushesNotObserved(t *testing.T) {
 // journalFlush for the write to commit — the clock never loses time.
 func TestJournalFlushDegradeKeepsRetryTime(t *testing.T) {
 	v := newVolume(t, faultConfig())
-	armFaults(v, fault.Config{Seed: 3, Rates: fault.Rates{SSDWriteTransient: 1}})
+	armFaults(v, fault.Config{Seed: 3, Rates: fault.Rates{fault.SSDWriteTransient: 1}})
 	const at = 2 * time.Millisecond
 	end := v.journalFlush(at, fabricateFlush(t))
 	if want := at + 12600*time.Microsecond; end != want {
@@ -384,10 +384,10 @@ func TestClockMonotoneUnderErrors(t *testing.T) {
 	cfg.SegmentBytes = 128 << 10
 	v := newVolume(t, cfg)
 	armFaults(v, fault.Config{Seed: 77, Rates: fault.Rates{
-		SSDWriteTransient: 0.3,
-		SSDReadTransient:  0.3,
-		SSDWritePermanent: 0.02,
-		JournalTorn:       0.1,
+		fault.SSDWriteTransient: 0.3,
+		fault.SSDReadTransient:  0.3,
+		fault.SSDWritePermanent: 0.02,
+		fault.JournalTorn:       0.1,
 	}})
 	rng := rand.New(rand.NewSource(1))
 	last := v.Now()

@@ -125,9 +125,9 @@ func TestVolumeTransientFaultsAbsorbed(t *testing.T) {
 	cfg.Faults = fault.Config{
 		Seed: 42,
 		Rates: fault.Rates{
-			SSDWriteTransient: 0.1,
-			SSDReadTransient:  0.1,
-			SSDLatencySpike:   0.05,
+			fault.SSDWriteTransient: 0.1,
+			fault.SSDReadTransient:  0.1,
+			fault.SSDLatencySpike:   0.05,
 		},
 	}
 	v := newVolume(t, cfg)
@@ -234,7 +234,7 @@ func TestVolumeZeroRateIdentity(t *testing.T) {
 
 func TestVolumeTornJournalRecovers(t *testing.T) {
 	cfg := faultConfig()
-	cfg.Faults = fault.Config{Seed: 5, Rates: fault.Rates{JournalTorn: 0.15}}
+	cfg.Faults = fault.Config{Seed: 5, Rates: fault.Rates{fault.JournalTorn: 0.15}}
 	v := newVolume(t, cfg)
 	for i := 0; i < 300; i++ {
 		if _, err := v.Write(int64(i), block(i)); err != nil {
@@ -273,7 +273,7 @@ func TestVolumeJournalWriteFailureDegrades(t *testing.T) {
 	v := newVolume(t, faultConfig())
 	// Arm a permanent-write injector directly (uniform injection can't
 	// reach this path: a data write would fail first and surface).
-	armFaults(v, fault.Config{Seed: 3, Rates: fault.Rates{SSDWritePermanent: 1}})
+	armFaults(v, fault.Config{Seed: 3, Rates: fault.Rates{fault.SSDWritePermanent: 1}})
 
 	flush := fabricateFlush(t)
 	v.journalFlush(0, flush)

@@ -356,7 +356,7 @@ func TestReadBatchDriveError(t *testing.T) {
 	fillVolume(t, v, 16)
 	// Rate-1 transient read errors exhaust the bounded retries, surfacing
 	// as permanent failures.
-	armFaults(v, fault.Config{Seed: 11, Rates: fault.Rates{SSDReadTransient: 1}})
+	armFaults(v, fault.Config{Seed: 11, Rates: fault.Rates{fault.SSDReadTransient: 1}})
 	before := v.Stats()
 	lbas := []int64{0, 1, 2}
 	b, err := v.ReadBatch(nil, lbas, nil)
@@ -456,7 +456,7 @@ func TestReadBatchTotals(t *testing.T) {
 	if warm := run(0); warm.CacheHits != 1 || warm.CacheMisses != 0 || warm.DecodedBlobs != 0 || warm.HitRate() != 1 {
 		t.Fatalf("warm batch: %+v", warm)
 	}
-	armFaults(v, fault.Config{Seed: 11, Rates: fault.Rates{SSDReadTransient: 1}})
+	armFaults(v, fault.Config{Seed: 11, Rates: fault.Rates{fault.SSDReadTransient: 1}})
 	if failed := run(2, 4001); failed.Reads != 2 || failed.Errors != 1 || failed.CacheMisses != 1 || failed.DecodedBlobs != 0 {
 		t.Fatalf("batch with a drive error: %+v", failed)
 	}

@@ -92,7 +92,7 @@ func TestReadIntoMatchesBatchOnErrors(t *testing.T) {
 			storedBlob(t, v, lba).blob = lz.StoreRaw(nil, make([]byte, v.cfg.BlockSize/2))
 		}, "block size is"},
 		{"drive-read-fault", func(t *testing.T, v *Volume) {
-			armFaults(v, fault.Config{Seed: 11, Rates: fault.Rates{SSDReadTransient: 1}})
+			armFaults(v, fault.Config{Seed: 11, Rates: fault.Rates{fault.SSDReadTransient: 1}})
 		}, "lba 5"},
 	}
 	for _, tc := range cases {

@@ -201,7 +201,7 @@ func TestWriteBatchMatchesPerOpLoop(t *testing.T) {
 			}
 		}},
 		{name: "dead-journal", cfg: faulty(3), setup: func(v *Volume) {
-			armFaults(v, fault.Config{Seed: 3, Rates: fault.Rates{SSDWritePermanent: 1}})
+			armFaults(v, fault.Config{Seed: 3, Rates: fault.Rates{fault.SSDWritePermanent: 1}})
 			v.journalFlush(0, fabricateFlush(t))
 			armFaults(v, fault.Config{Seed: 3, Rates: fault.Uniform(0.03)})
 		}, ops: mixedOps(7, 700), check: func(t *testing.T, st Stats, _ []string) {
