@@ -15,23 +15,23 @@ import (
 // reports allocations, so an allocation regression in the scan or the fill
 // path shows in allocs/op even when ns/op noise hides it.
 
-// benchGear drains a Gear chunker over data with pooled payload buffers and
-// a reused reader — the configuration the benchmark module's chunk.busy_s
-// replay uses — so it measures the chunker (scan + payload copy + read-ahead
-// fill), not the allocator. The engine itself attaches no pool and takes
+// benchGear drains a fresh Gear chunker over data with pooled payload
+// buffers and a reused reader — the configuration the benchmark module's
+// chunk.busy_s replay uses — so it measures the chunker (scan + payload copy
+// + read-ahead fill), not the allocator: allocs/op is the chunker and its
+// read slab, nothing per chunk. The engine itself attaches no pool and takes
 // views: that path is BenchmarkGearCDCViews.
 func benchGear(b *testing.B, data []byte, ref bool) {
 	pool := &testPool{}
 	r := bytes.NewReader(data)
-	g := NewGear(r, DefaultGearConfig())
-	g.ref = ref
-	g.SetBuffers(pool)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset(data)
-		g.Reset(r)
+		g := NewGear(r, DefaultGearConfig())
+		g.ref = ref
+		g.SetBuffers(pool)
 		if drain(b, g, pool) == 0 {
 			b.Fatal("no chunks")
 		}
@@ -59,12 +59,11 @@ func BenchmarkGearCDCRef(b *testing.B) {
 func BenchmarkGearCDCViews(b *testing.B) {
 	data := goldenCorpora()[0].data
 	r := bytes.NewReader(data)
-	g := NewGear(r, DefaultGearConfig())
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Reset(data)
-		g.Reset(r)
+		g := NewGear(r, DefaultGearConfig())
 		for {
 			if _, err := g.Next(); err != nil {
 				break
@@ -127,39 +126,38 @@ func drain(b *testing.B, ck Chunker, pool *testPool) int {
 }
 
 // BenchmarkFixed4KPooled measures the allocs/op floor of the fixed chunker
-// with recycled payload buffers (pair with BenchmarkFixed4K for the delta).
+// with recycled payload buffers (pair with BenchmarkFixed4K for the delta):
+// the chunker itself, nothing per chunk.
 func BenchmarkFixed4KPooled(b *testing.B) {
 	data := goldenCorpora()[0].data
 	pool := &testPool{}
 	r := bytes.NewReader(data)
-	f := NewFixed(r, 4096)
-	f.SetBuffers(pool)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset(data)
-		f.Reset(r)
+		f := NewFixed(r, 4096)
+		f.SetBuffers(pool)
 		drain(b, f, pool)
 	}
 }
 
 // BenchmarkGearCDCPooled measures the allocs/op floor of the Gear chunker
-// with recycled payload buffers, the fixed read-ahead buffer, and Reset
-// between streams — the regression guard for any per-chunk or per-stream
-// allocation sneaking back into the read path.
+// with recycled payload buffers and a fresh chunker per stream: the chunker
+// and its read slab — the regression guard for any per-chunk allocation
+// sneaking back into the read path.
 func BenchmarkGearCDCPooled(b *testing.B) {
 	data := goldenCorpora()[0].data
 	pool := &testPool{}
 	r := bytes.NewReader(data)
-	g := NewGear(r, DefaultGearConfig())
-	g.SetBuffers(pool)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset(data)
-		g.Reset(r)
+		g := NewGear(r, DefaultGearConfig())
+		g.SetBuffers(pool)
 		drain(b, g, pool)
 	}
 }

@@ -43,8 +43,9 @@ type Buffers interface {
 	Put(buf []byte)
 }
 
-// Fixed is a fixed-size chunker. The final chunk of a stream may be
-// shorter than the chunk size.
+// Fixed is a fixed-size chunker over one stream; the next stream gets a
+// fresh chunker. The final chunk of a stream may be shorter than the chunk
+// size.
 type Fixed struct {
 	r      io.Reader
 	size   int
@@ -65,15 +66,6 @@ func NewFixed(r io.Reader, size int) *Fixed {
 // SetBuffers attaches a buffer pool; subsequent chunks' Data slices are
 // drawn from it and the caller must Put them back when done.
 func (f *Fixed) SetBuffers(b Buffers) { f.bufs = b }
-
-// Reset re-targets the chunker at a new stream, keeping its configuration
-// and buffer pool, so long-lived pipelines chunk many streams without
-// reconstructing state.
-func (f *Fixed) Reset(r io.Reader) {
-	f.r = r
-	f.offset = 0
-	f.done = false
-}
 
 // Next returns the next fixed-size chunk.
 func (f *Fixed) Next() (Chunk, error) {
@@ -127,7 +119,7 @@ func DefaultGearConfig() GearConfig {
 // byte, hash = hash<<1 + table[b]; a boundary is declared when the top bits
 // selected by the average-size mask are all zero. Identical content
 // therefore produces identical boundaries regardless of its position in the
-// stream.
+// stream. A Gear chunks one stream; the next stream gets a fresh chunker.
 type Gear struct {
 	cfg   GearConfig
 	table [256]uint64
@@ -138,9 +130,10 @@ type Gear struct {
 	// lengths long so tail room runs out once per readSlack consumed Max
 	// windows, not once per chunk. What happens then depends on who owns
 	// chunk bytes (see fill): with a Buffers pool the one slab is compacted
-	// in place and steady-state chunking allocates nothing; without one the
-	// chunks handed out are views into it, so a new slab takes over and
-	// only the unconsumed tail (< Max bytes) is carried across.
+	// in place and steady-state chunking allocates nothing per chunk;
+	// without one the chunks handed out are views into it, so a new slab
+	// takes over and only the unconsumed tail (< Max bytes) is carried
+	// across.
 	read   []byte
 	start  int
 	end    int
@@ -182,20 +175,6 @@ func NewGear(r io.Reader, cfg GearConfig) *Gear {
 // SetBuffers attaches a buffer pool; subsequent chunks' Data slices are
 // drawn from it and the caller must Put them back when done.
 func (g *Gear) SetBuffers(b Buffers) { g.bufs = b }
-
-// Reset re-targets the chunker at a new stream, keeping its gear table,
-// buffer pool and, with a pool attached, its read slab: a steady-state
-// pooled pipeline chunks any number of streams with zero construction
-// allocations. Without a pool the slab is dropped — views into it are out.
-func (g *Gear) Reset(r io.Reader) {
-	if g.bufs == nil {
-		g.read = nil
-	}
-	g.r = r
-	g.start, g.end = 0, 0
-	g.offset = 0
-	g.eof = false
-}
 
 // Next returns the next content-defined chunk.
 func (g *Gear) Next() (Chunk, error) {

@@ -132,9 +132,7 @@ func FuzzGearBoundaries(f *testing.F) {
 		if !boundariesEqual(fast, slow) {
 			t.Fatalf("cfg %+v over %d bytes: fast %v != ref %v", cfg, len(data), fast, slow)
 		}
-		pooled := NewGear(nil, cfg)
-		pooled.SetBuffers(&testPool{})
-		sameChunks(t, "fuzz", NewGear(nil, cfg), pooled, data, viewReaders[0].wrap)
+		sameChunks(t, "fuzz", func(r io.Reader) pooler { return NewGear(r, cfg) }, &testPool{}, data, viewReaders[0].wrap)
 	})
 }
 
@@ -266,51 +264,6 @@ func TestGearBoundaryGoldens(t *testing.T) {
 	}
 	if checked != len(want) {
 		t.Errorf("checked %d golden entries, file has %d", checked, len(want))
-	}
-}
-
-// TestGearResetReuse pins the Reset contract: a reused chunker must
-// produce exactly the chunks a fresh one would, for both chunker kinds,
-// including after a previous stream ended in EOF.
-func TestGearResetReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	a := make([]byte, 1<<18)
-	rng.Read(a)
-	b := make([]byte, 3<<17)
-	rng.Read(b)
-
-	fresh := boundaryList(t, b, DefaultGearConfig(), false)
-	g := NewGear(bytes.NewReader(a), DefaultGearConfig())
-	if _, err := split(g); err != nil {
-		t.Fatal(err)
-	}
-	g.Reset(bytes.NewReader(b))
-	chunks, err := split(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reused := make([]int64, len(chunks))
-	for i, c := range chunks {
-		reused[i] = c.Offset + int64(len(c.Data))
-	}
-	if !boundariesEqual(fresh, reused) {
-		t.Fatal("Reset gear produced different boundaries than a fresh one")
-	}
-
-	f := NewFixed(bytes.NewReader(a), 4096)
-	if _, err := split(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Reset(bytes.NewReader(b))
-	fixed, err := split(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (len(b) + 4095) / 4096; len(fixed) != want {
-		t.Fatalf("Reset fixed chunker: %d chunks, want %d", len(fixed), want)
-	}
-	if fixed[0].Offset != 0 {
-		t.Fatalf("Reset fixed chunker did not rewind offsets (first offset %d)", fixed[0].Offset)
 	}
 }
 

@@ -38,18 +38,20 @@ var viewReaders = []struct {
 	{"short", func(r io.Reader) io.Reader { return &shortReads{r, rand.New(rand.NewSource(9))} }},
 }
 
-// resetter is what both chunkers offer beyond Chunker.
-type resetter interface {
+// pooler is what both chunkers offer beyond Chunker.
+type pooler interface {
 	Chunker
-	Reset(io.Reader)
+	SetBuffers(Buffers)
 }
 
-// sameChunks runs view (no pool) and pooled over the same bytes and requires
-// identical chunks; it returns the view-mode chunks.
-func sameChunks(t testing.TB, what string, view, pooled resetter, data []byte, wrap func(io.Reader) io.Reader) []Chunk {
+// sameChunks runs a view-mode chunker (no pool) and one drawing from pool
+// over the same bytes and requires identical chunks; it returns the
+// view-mode chunks.
+func sameChunks(t testing.TB, what string, mk func(io.Reader) pooler, pool Buffers, data []byte, wrap func(io.Reader) io.Reader) []Chunk {
 	t.Helper()
-	view.Reset(wrap(bytes.NewReader(data)))
-	pooled.Reset(wrap(bytes.NewReader(data)))
+	view := mk(wrap(bytes.NewReader(data)))
+	pooled := mk(wrap(bytes.NewReader(data)))
+	pooled.SetBuffers(pool)
 	got, err := split(view)
 	if err != nil {
 		t.Fatal(err)
@@ -73,12 +75,12 @@ func sameChunks(t testing.TB, what string, view, pooled resetter, data []byte, w
 }
 
 // TestViewChunksMatchPooledChunks is the differential over the golden corpora
-// and configurations, with each chunker pair Reset from stream to stream. A
-// Reset must not hand out bytes an earlier view still covers, so every
+// and configurations, with one pool shared from stream to stream. A later
+// stream must not hand out bytes an earlier view still covers, so every
 // stream's chunks are checked against their source again after the last one.
 func TestViewChunksMatchPooledChunks(t *testing.T) {
-	check := func(what string, view, pooled resetter) {
-		pooled.(interface{ SetBuffers(Buffers) }).SetBuffers(&testPool{})
+	check := func(what string, mk func(io.Reader) pooler) {
+		pool := &testPool{}
 		type held struct {
 			what   string
 			src    []byte
@@ -92,7 +94,7 @@ func TestViewChunksMatchPooledChunks(t *testing.T) {
 					data = data[:len(data)/8] // a Read per byte: keep it quick
 				}
 				name := what + "/" + c.name + "/" + rd.name
-				all = append(all, held{name, data, sameChunks(t, name, view, pooled, data, rd.wrap)})
+				all = append(all, held{name, data, sameChunks(t, name, mk, pool, data, rd.wrap)})
 			}
 		}
 		for _, h := range all {
@@ -104,15 +106,14 @@ func TestViewChunksMatchPooledChunks(t *testing.T) {
 		}
 	}
 	for _, cfg := range gearConfigs() {
-		check(fmt.Sprintf("gear/%d-%d-%d", cfg.Min, cfg.Avg, cfg.Max), NewGear(nil, cfg), NewGear(nil, cfg))
+		check(fmt.Sprintf("gear/%d-%d-%d", cfg.Min, cfg.Avg, cfg.Max), func(r io.Reader) pooler { return NewGear(r, cfg) })
 	}
 	for _, size := range []int{512, 4096, 5000, slabBytes + 1} {
-		check(fmt.Sprintf("fixed/%d", size), NewFixed(nil, size), NewFixed(nil, size))
+		check(fmt.Sprintf("fixed/%d", size), func(r io.Reader) pooler { return NewFixed(r, size) })
 	}
 	// One-byte chunks (many per slab), on a stream short enough to be quick.
-	pooled := NewFixed(nil, 1)
-	pooled.SetBuffers(&testPool{})
-	sameChunks(t, "fixed/1", NewFixed(nil, 1), pooled, goldenCorpora()[0].data[:3000], viewReaders[0].wrap)
+	sameChunks(t, "fixed/1", func(r io.Reader) pooler { return NewFixed(r, 1) }, &testPool{},
+		goldenCorpora()[0].data[:3000], viewReaders[0].wrap)
 }
 
 // TestViewChunksSurviveTheStream holds every chunk of a 4 MiB stream until

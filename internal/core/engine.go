@@ -46,8 +46,8 @@ type Engine struct {
 
 	gpuLost bool // the device died; all GPU work re-routes to the CPU
 
-	// Latency histograms, observed only with Config.Obs set.
-	histJournal  sim.Histogram
+	// GPU-batch latencies, observed only with Config.Obs set (the journal
+	// times its own flushes).
 	histGPUBatch sim.Histogram
 
 	rep   Report
@@ -168,30 +168,21 @@ func (e *Engine) Index() *dedup.BinIndex { return e.sub.Index }
 
 // JournalImage returns the serialized index journal — the durable form of
 // every bin-buffer flush the run wrote to the SSD's journal region.
-func (e *Engine) JournalImage() []byte { return e.sub.Journal.Image.Bytes() }
+func (e *Engine) JournalImage() []byte { return e.sub.Journal.Image }
 
 // RecoverIndex rebuilds an index from the run's journal — what a restart
 // after a crash would reconstruct. Recovery is lenient: a trailing torn or
 // corrupt record truncates the journal there, and everything before the
 // truncation point is applied as a consistent prefix of the flush history
-// (the returned Recovery says what was salvaged). Entries still in bin
-// buffers at the crash point (never journaled) are absent; their future
-// duplicates would be stored again, the memory-only-index tradeoff of §3.1.
+// (the returned Recovery says what was salvaged; a clean shutdown's image
+// has Recovery.Cause == nil). Entries still in bin buffers at the crash
+// point (never journaled) are absent; their future duplicates would be
+// stored again, the memory-only-index tradeoff of §3.1.
 func (e *Engine) RecoverIndex() (*dedup.BinIndex, dedup.Recovery, error) {
 	if !e.cfg.Dedup {
 		return nil, dedup.Recovery{}, fmt.Errorf("core: no journal: deduplication disabled")
 	}
 	return dedup.RecoverJournal(e.JournalImage(), e.cfg.Index)
-}
-
-// RecoverIndexStrict replays the journal refusing any corruption: a torn
-// or bit-flipped record fails the whole replay with dedup.ErrJournalCorrupt.
-// Use it when the journal is expected pristine (clean shutdown).
-func (e *Engine) RecoverIndexStrict() (*dedup.BinIndex, error) {
-	if !e.cfg.Dedup {
-		return nil, fmt.Errorf("core: no journal: deduplication disabled")
-	}
-	return dedup.ReplayJournal(e.JournalImage(), e.cfg.Index)
 }
 
 // Process runs the whole stream through the pipeline and returns the run
@@ -796,11 +787,8 @@ func (e *Engine) gpuBin(cpuBin uint32) uint32 {
 // then the GPU bin update (Figure 1).
 func (e *Engine) persistFlush(at time.Duration, f *dedup.Flush) error {
 	flushStart := metrics.Clock()
-	end, st := e.sub.Journal.Flush(at, f)
+	e.sub.Journal.Flush(at, f)
 	metrics.StageJournalCore.ObserveSince(flushStart)
-	if st == reduce.FlushWritten && e.cfg.Obs != nil {
-		e.histJournal.Observe(end - at)
-	}
 	if e.gbins == nil || e.gpuLost {
 		return nil
 	}
@@ -862,15 +850,17 @@ func (e *Engine) finish() {
 		r.IndexMemory = e.sub.Index.MemoryBytes()
 		r.IndexEvictions = e.sub.Index.Evicted()
 	}
-	r.Latency.JournalFlush = e.histJournal.Summary()
-	r.Latency.GPUBatch = e.histGPUBatch.Summary()
 	j := &e.sub.Journal
-	r.JournalBytes, r.JournalWrites = j.Bytes, j.Writes
+	if e.cfg.Obs != nil {
+		r.Latency.JournalFlush = j.Latency.Summary()
+	}
+	r.Latency.GPUBatch = e.histGPUBatch.Summary()
+	r.JournalBytes, r.JournalWrites = j.Bytes, j.Writes()
 	r.Faults.SSDWriteRetries = e.sub.WriteRetries
 	r.Faults.JournalWriteFailures = j.Failures
 	if e.sub.Faults != nil {
 		r.Faults.LatencySpikes = r.SSD.LatencySpikes
-		r.Faults.JournalTornRecords = int64(j.Image.TornRecords())
+		r.Faults.JournalTornRecords = j.Torn
 		if e.sub.Index != nil {
 			r.Faults.IndexEvictions = e.sub.Index.FaultEvicted()
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 
 	"inlinered/internal/dedup"
 	"inlinered/internal/fault"
+	"inlinered/internal/obs"
 	"inlinered/internal/workload"
 )
 
@@ -208,9 +210,29 @@ func TestTornJournalStillRecovers(t *testing.T) {
 			t.Fatalf("entry %s: recovered %+v, live %+v", k, e, le)
 		}
 	}
-	// Strict replay must refuse the torn image.
-	if _, err := eng.RecoverIndexStrict(); err == nil {
-		t.Fatal("strict replay must reject a torn journal")
+	if !errors.Is(rcv.Cause, dedup.ErrJournalCorrupt) {
+		t.Fatalf("the tear must be reported as ErrJournalCorrupt, got %v", rcv.Cause)
+	}
+}
+
+// TestEngineTornFlushesCountInJournalHistogram: a torn flush consumed drive
+// time like a whole one, so with a recorder attached the engine's
+// journal-flush histogram counts every region write, whole and torn — the
+// contract the volume keeps for JournalFlushLat.
+func TestEngineTornFlushesCountInJournalHistogram(t *testing.T) {
+	for _, seed := range faultSeeds(t) {
+		cfg := testConfig(CPUOnly)
+		cfg.Obs = obs.NewRecorder()
+		cfg.Faults = fault.Config{Seed: seed, Rates: fault.Rates{fault.JournalTorn: 0.1}}
+		s := testStream(t, 4<<20, 2.0, 2.0, workload.RefUniform)
+		_, rep := runPipeline(t, PaperPlatform(), cfg, s)
+		torn, writes := rep.Faults.JournalTornRecords, rep.JournalWrites
+		if torn == 0 || writes == torn {
+			t.Fatalf("seed %d: want whole and torn records: %d writes, %d torn", seed, writes, torn)
+		}
+		if got := rep.Latency.JournalFlush.Count; got != writes {
+			t.Fatalf("seed %d: journal-flush histogram counts %d flushes, want all %d writes (%d torn)", seed, got, writes, torn)
+		}
 	}
 }
 

@@ -88,7 +88,8 @@ type Report struct {
 }
 
 // PipelineLatency digests the engine-level latency histograms: how long a
-// bin-buffer flush takes to land in the journal region, and the host-side
+// bin-buffer flush takes to land in the journal region (every flush that
+// reached it, torn ones included: Count == JournalWrites), and the host-side
 // turnaround of a GPU compression batch (batch ready → compressed lanes
 // back in host memory — the round trip §3.2(2) amortizes by batching).
 type PipelineLatency struct {

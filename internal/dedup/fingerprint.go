@@ -1,9 +1,12 @@
 // Package dedup implements the deduplication half of the paper's inline
 // data reduction pipeline: SHA-1 chunk fingerprinting, the bin-based
 // in-memory index of §3.1 (bin buffer + bin tree per bin, hash-prefix
-// truncation, lock-free parallel indexing by bin ownership), and the
+// truncation, lock-free parallel indexing by bin ownership), the
 // GPU-resident linear bin tables of §3.1(2) with their batch indexing
-// kernel.
+// kernel, and the index journal's record format with its one replay,
+// which keeps the consistent prefix before any tear. Writing the journal —
+// the image, its counters and where its records land on the drive —
+// belongs to internal/reduce's Journal.
 package dedup
 
 import (

@@ -1,7 +1,6 @@
 package dedup
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,81 +39,21 @@ const journalMagic = 'J'
 // one real storage stacks use for on-disk metadata).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// JournalWriter serializes bin-buffer flushes into a journal image.
-type JournalWriter struct {
-	prefixBytes int
-	buf         bytes.Buffer
-	scratch     []byte
-	records     int
-	torn        int
-}
-
-// NewJournalWriter returns a writer for an index with the given prefix
-// truncation (the key width is implied by it).
-func NewJournalWriter(prefixBytes int) *JournalWriter {
-	if prefixBytes < 0 {
-		prefixBytes = 0
-	}
-	if prefixBytes > FingerprintSize {
-		prefixBytes = FingerprintSize
-	}
-	return &JournalWriter{prefixBytes: prefixBytes}
-}
-
-// encode serializes one flush record (checksum included) into dst.
-func (w *JournalWriter) encode(dst []byte, f *Flush) []byte {
+// AppendJournalRecord appends one flush's record, checksum included, to dst
+// and returns the extended slice. The key width is the flush's own: the
+// suffix its index keeps under PrefixBytes truncation.
+func AppendJournalRecord(dst []byte, f *Flush) []byte {
+	start := len(dst)
 	dst = append(dst, journalMagic)
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		dst = append(dst, tmp[:n]...)
-	}
-	put(uint64(f.Bin))
-	put(uint64(len(f.Entries)))
+	dst = binary.AppendUvarint(dst, uint64(f.Bin))
+	dst = binary.AppendUvarint(dst, uint64(len(f.Entries)))
 	for _, e := range f.Entries {
 		dst = append(dst, e.key...)
-		put(uint64(e.val.Loc))
-		put(uint64(e.val.Size))
+		dst = binary.AppendUvarint(dst, uint64(e.val.Loc))
+		dst = binary.AppendUvarint(dst, uint64(e.val.Size))
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(dst, castagnoli))
-	return append(dst, crc[:]...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
-
-// Append serializes one flush record and returns the bytes written.
-func (w *JournalWriter) Append(f *Flush) int {
-	w.scratch = w.encode(w.scratch[:0], f)
-	w.buf.Write(w.scratch)
-	w.records++
-	return len(w.scratch)
-}
-
-// AppendTorn simulates a crash mid-flush: only the leading frac of the
-// record's bytes reach the image (at least one byte, never the whole
-// record), so recovery will find a torn record at this offset and
-// truncate there. Returns the bytes actually written.
-func (w *JournalWriter) AppendTorn(f *Flush, frac float64) int {
-	w.scratch = w.encode(w.scratch[:0], f)
-	keep := int(frac * float64(len(w.scratch)))
-	if keep < 1 {
-		keep = 1
-	}
-	if keep >= len(w.scratch) {
-		keep = len(w.scratch) - 1
-	}
-	w.buf.Write(w.scratch[:keep])
-	w.torn++
-	return keep
-}
-
-// Bytes returns the journal image accumulated so far.
-func (w *JournalWriter) Bytes() []byte { return w.buf.Bytes() }
-
-// Records returns the number of complete flush records appended.
-func (w *JournalWriter) Records() int { return w.records }
-
-// TornRecords returns the number of torn (partially persisted) records.
-func (w *JournalWriter) TornRecords() int { return w.torn }
 
 // JournalRecord is one decoded flush record and its extent in the image.
 type JournalRecord struct {
@@ -125,7 +64,7 @@ type JournalRecord struct {
 	Vals   []Entry
 }
 
-// Recovery describes what a lenient journal replay salvaged.
+// Recovery describes what a journal replay salvaged.
 type Recovery struct {
 	Records     int  // complete records applied
 	Entries     int  // entries inserted into the recovered index
@@ -197,8 +136,7 @@ func decodeRecord(image []byte, off int, keyLen, bins int) (JournalRecord, error
 // first torn or corrupt one. cfg supplies the key width (PrefixBytes) and
 // bin range the records were written under. The returned Recovery
 // describes where (and why) the scan stopped; it never returns an error
-// for image corruption — only callers that demand a pristine image
-// (ReplayJournal) promote Recovery.Cause to a hard failure.
+// for image corruption.
 func ScanJournal(image []byte, cfg IndexConfig) ([]JournalRecord, Recovery) {
 	keyLen := FingerprintSize - cfg.PrefixBytes
 	bins := 1 << uint(cfg.BinBits)
@@ -234,32 +172,13 @@ func applyRecord(idx *BinIndex, rec JournalRecord) {
 	}
 }
 
-// ReplayJournal rebuilds an index from a journal image in strict mode:
-// any torn or corrupt record fails the whole replay with
-// ErrJournalCorrupt. cfg must match the original index's configuration.
-// Use RecoverJournal for crash recovery, where a trailing torn record is
-// expected and the consistent prefix is wanted.
-func ReplayJournal(image []byte, cfg IndexConfig) (*BinIndex, error) {
-	idx, err := NewBinIndex(cfg)
-	if err != nil {
-		return nil, err
-	}
-	recs, rcv := ScanJournal(image, cfg)
-	if rcv.Truncated {
-		return nil, rcv.Cause
-	}
-	for _, rec := range recs {
-		applyRecord(idx, rec)
-	}
-	return idx, nil
-}
-
 // RecoverJournal rebuilds an index from the longest consistent prefix of
 // a journal image: decoding stops at the first torn or corrupt record
 // (the crash point), every complete record before it is applied, and the
 // returned Recovery reports what was salvaged and where the image was
 // truncated. The error is non-nil only for an unusable configuration —
-// corruption itself is recoverable by construction.
+// corruption itself is recoverable by construction. A caller that expects
+// a pristine image (a clean shutdown) requires Recovery.Cause == nil.
 func RecoverJournal(image []byte, cfg IndexConfig) (*BinIndex, Recovery, error) {
 	idx, err := NewBinIndex(cfg)
 	if err != nil {

@@ -6,35 +6,50 @@ import (
 )
 
 // buildJournaledIndex inserts n fingerprints, journaling every flush, and
-// returns the live index, the journal, and the fingerprints.
-func buildJournaledIndex(t *testing.T, cfg IndexConfig, n int) (*BinIndex, *JournalWriter, []Fingerprint) {
+// returns the live index, the journal image, and the fingerprints.
+func buildJournaledIndex(t *testing.T, cfg IndexConfig, n int) (*BinIndex, []byte, []Fingerprint) {
 	t.Helper()
 	idx, err := NewBinIndex(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewJournalWriter(cfg.PrefixBytes)
+	var img []byte
 	fps := make([]Fingerprint, n)
 	for i := range fps {
 		fps[i] = fpFor(i)
 		ir := idx.Insert(fps[i], Entry{Loc: int64(i), Size: uint32(i % 1000)})
 		if ir.Flush != nil {
-			w.Append(ir.Flush)
+			img = AppendJournalRecord(img, ir.Flush)
 		}
 	}
-	return idx, w, fps
+	return idx, img, fps
+}
+
+// appendRecords journals each flush in order.
+func appendRecords(img []byte, flushes []*Flush) []byte {
+	for _, f := range flushes {
+		img = AppendJournalRecord(img, f)
+	}
+	return img
+}
+
+// replayClean recovers img and requires it to hold no tear.
+func replayClean(t *testing.T, img []byte, cfg IndexConfig) *BinIndex {
+	t.Helper()
+	rec, rcv, err := RecoverJournal(img, cfg)
+	if err != nil || rcv.Cause != nil {
+		t.Fatalf("replay: cause %v, err %v", rcv.Cause, err)
+	}
+	return rec
 }
 
 func TestJournalReplayRecoversFlushedEntries(t *testing.T) {
 	cfg := IndexConfig{BinBits: 6, BufferEntries: 8}
-	live, w, fps := buildJournaledIndex(t, cfg, 5000)
-	if w.Records() == 0 {
+	live, img, fps := buildJournaledIndex(t, cfg, 5000)
+	if len(img) == 0 {
 		t.Fatal("no flushes journaled")
 	}
-	rec, err := ReplayJournal(w.Bytes(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := replayClean(t, img, cfg)
 	// Everything the live index flushed to its trees must be recovered,
 	// with identical metadata.
 	if int(rec.Len()) != live.TreeEntries() {
@@ -63,14 +78,8 @@ func TestJournalReplayRecoversFlushedEntries(t *testing.T) {
 
 func TestJournalReplayAfterFlushAllIsComplete(t *testing.T) {
 	cfg := IndexConfig{BinBits: 4, BufferEntries: 4}
-	live, w, fps := buildJournaledIndex(t, cfg, 1000)
-	for _, f := range live.FlushAll() {
-		w.Append(f)
-	}
-	rec, err := ReplayJournal(w.Bytes(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	live, img, fps := buildJournaledIndex(t, cfg, 1000)
+	rec := replayClean(t, appendRecords(img, live.FlushAll()), cfg)
 	for i, fp := range fps {
 		if p := rec.Lookup(fp); !p.Found || p.Entry.Loc != int64(i) {
 			t.Fatalf("fp %d missing after clean-shutdown replay", i)
@@ -83,14 +92,8 @@ func TestJournalReplayAfterFlushAllIsComplete(t *testing.T) {
 
 func TestJournalWithPrefixTruncation(t *testing.T) {
 	cfg := IndexConfig{BinBits: 16, BufferEntries: 4, PrefixBytes: 2}
-	live, w, fps := buildJournaledIndex(t, cfg, 500)
-	for _, f := range live.FlushAll() {
-		w.Append(f)
-	}
-	rec, err := ReplayJournal(w.Bytes(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	live, img, fps := buildJournaledIndex(t, cfg, 500)
+	rec := replayClean(t, appendRecords(img, live.FlushAll()), cfg)
 	for i, fp := range fps {
 		if p := rec.Lookup(fp); !p.Found {
 			t.Fatalf("truncated fp %d missing after replay", i)
@@ -100,11 +103,8 @@ func TestJournalWithPrefixTruncation(t *testing.T) {
 
 func TestJournalRejectsCorruption(t *testing.T) {
 	cfg := IndexConfig{BinBits: 4, BufferEntries: 4}
-	live, w, _ := buildJournaledIndex(t, cfg, 200)
-	for _, f := range live.FlushAll() {
-		w.Append(f)
-	}
-	good := w.Bytes()
+	live, img, _ := buildJournaledIndex(t, cfg, 200)
+	good := appendRecords(img, live.FlushAll())
 
 	cases := map[string][]byte{
 		"bad magic":  append([]byte{0xFF}, good[1:]...),
@@ -113,29 +113,20 @@ func TestJournalRejectsCorruption(t *testing.T) {
 		"junk count": {journalMagic, 0x01},
 	}
 	for name, img := range cases {
-		if _, err := ReplayJournal(img, cfg); !errors.Is(err, ErrJournalCorrupt) {
-			t.Errorf("%s: want ErrJournalCorrupt, got %v", name, err)
+		if _, rcv, err := RecoverJournal(img, cfg); err != nil || !errors.Is(rcv.Cause, ErrJournalCorrupt) {
+			t.Errorf("%s: want ErrJournalCorrupt, got cause %v, err %v", name, rcv.Cause, err)
 		}
 	}
-	// Mismatched config (different key width) must fail, not mis-replay.
-	if _, err := ReplayJournal(good, IndexConfig{BinBits: 16, BufferEntries: 4, PrefixBytes: 2}); err == nil {
-		t.Error("replay with mismatched prefix should fail")
+	// Mismatched config (different key width) must report corruption, not
+	// mis-replay.
+	if _, rcv, _ := RecoverJournal(good, IndexConfig{BinBits: 16, BufferEntries: 4, PrefixBytes: 2}); rcv.Cause == nil {
+		t.Error("replay with mismatched prefix should report corruption")
 	}
 }
 
 func TestJournalEmptyImage(t *testing.T) {
 	cfg := DefaultIndexConfig()
-	rec, err := ReplayJournal(nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Len() != 0 {
+	if rec := replayClean(t, nil, cfg); rec.Len() != 0 {
 		t.Fatal("empty journal should recover an empty index")
-	}
-}
-
-func TestJournalWriterClampsPrefix(t *testing.T) {
-	if NewJournalWriter(-1) == nil || NewJournalWriter(100) == nil {
-		t.Fatal("writer should clamp silly prefixes")
 	}
 }

@@ -4,28 +4,40 @@ import (
 	"time"
 
 	"inlinered/internal/dedup"
+	"inlinered/internal/sim"
 )
 
 // Journal is the index journal: a region carved from the top 1/16 of the
 // drive's logical space that bin-buffer flushes destage into as sequential
 // writes ("this creates the appropriate sequential writes for the SSD",
 // §3.3), wrapping at the region end, plus the serialized image a post-crash
-// restart replays.
+// restart replays (dedup.RecoverJournal). It is the one place that counts
+// journal records and times their flushes, for both front-ends.
 type Journal struct {
-	// Image is the durable form of every flush that reached the region.
-	Image *dedup.JournalWriter
+	// Image is the durable form of every flush that reached the region:
+	// whole records, and the leading bytes of each torn one.
+	Image []byte
 
-	// Bytes and Writes count the records landed in the region; Failures
-	// counts permanent write failures (at most one: the first degrades
-	// journaling off).
-	Bytes, Writes, Failures int64
+	// Records and Torn count the whole and torn records in Image. Bytes is
+	// what their region writes carried (a torn record's write still ran in
+	// full). Failures counts permanent write failures (at most one: the
+	// first degrades journaling off).
+	Records, Torn, Bytes, Failures int64
+
+	// Latency holds the drive time of every flush that landed in the
+	// region, whole or torn. Torn flushes count: the partial write consumed
+	// real drive time, and hiding it would make the histogram lie about the
+	// time spent flushing. So Latency.N() == Records + Torn. A flush lost to
+	// a permanent write failure (or dropped while journaling is degraded
+	// off) persists nothing and is not observed.
+	Latency sim.Histogram
 
 	s                *Substrate
 	base, cur, limit int64 // region pages [base, limit), next write at cur
 	dead             bool  // a permanent write failure degraded journaling off
 }
 
-func (j *Journal) init(s *Substrate, prefixBytes int) {
+func (j *Journal) init(s *Substrate) {
 	logical := s.Drive.LogicalPages()
 	reserve := logical / 16
 	if reserve < 1 {
@@ -33,8 +45,11 @@ func (j *Journal) init(s *Substrate, prefixBytes int) {
 	}
 	j.s = s
 	j.base, j.cur, j.limit = logical-reserve, logical-reserve, logical
-	j.Image = dedup.NewJournalWriter(prefixBytes)
 }
+
+// Writes returns the region writes that landed: each lands exactly one
+// whole or torn record.
+func (j *Journal) Writes() int64 { return j.Records + j.Torn }
 
 // FirstPage returns the first page of the journal region: everything below
 // it is the front-end's data region.
@@ -44,47 +59,40 @@ func (j *Journal) FirstPage() int64 { return j.base }
 // off for the rest of the run.
 func (j *Journal) Dead() bool { return j.dead }
 
-// FlushStatus says what became of one flush record.
-type FlushStatus int
-
-const (
-	// FlushLost: nothing reached the image — the region was already dead
-	// (no drive time consumed), or this write failed permanently and killed
-	// it (the failed attempt's time is returned).
-	FlushLost FlushStatus = iota
-	// FlushTorn: an injected crash mid-write persisted only a prefix of the
-	// record; recovery truncates the journal there.
-	FlushTorn
-	// FlushWritten: the whole record is durable.
-	FlushWritten
-)
-
 // Flush persists one bin-buffer flush record and returns the completion
-// time of its drive write. An injected torn record simulates a crash
-// mid-write: only the leading bytes reach the image, though the write still
-// occupied the drive. A permanent write failure degrades gracefully —
-// journaling stops, the front-end keeps running on its in-memory index
-// (§3.3's documented tradeoff, minus crash recoverability), the failure is
-// counted, and later flushes are dropped without touching the drive. The
-// clock never loses time: a failed write returns the time its retries and
-// backoff reached, for the caller to commit.
-func (j *Journal) Flush(at time.Duration, f *dedup.Flush) (time.Duration, FlushStatus) {
+// time of its drive write (at itself when the region is already dead); the
+// counters say what became of the record. An injected torn record simulates a crash
+// mid-write: only the leading bytes reach the image (at least one, never
+// all), though the write still occupied the drive. A permanent write
+// failure, torn record or not, degrades gracefully — journaling stops, the
+// front-end keeps running on its in-memory index (§3.3's documented
+// tradeoff, minus crash recoverability), the failure is counted, the image
+// is left as it was, and later flushes are dropped without touching the
+// drive. The clock never loses time: a failed write returns the time its
+// retries and backoff reached, for the caller to commit.
+func (j *Journal) Flush(at time.Duration, f *dedup.Flush) time.Duration {
 	if j.dead {
-		return at, FlushLost
+		return at
 	}
-	if frac, torn := j.s.Faults.TornFraction(); torn {
-		j.Image.AppendTorn(f, frac)
-		end, _ := j.write(at, f.Bytes) // the partial write still happened
-		return end, FlushTorn
-	}
+	frac, torn := j.s.Faults.TornFraction() // drawn before the write's faults
 	end, err := j.write(at, f.Bytes)
 	if err != nil {
 		j.dead = true
 		j.Failures++
-		return end, FlushLost
+		return end
 	}
-	j.Image.Append(f)
-	return end, FlushWritten
+	j.Latency.Observe(end - at)
+	start := len(j.Image)
+	j.Image = dedup.AppendJournalRecord(j.Image, f)
+	if !torn {
+		j.Records++
+		return end
+	}
+	size := len(j.Image) - start
+	keep := min(max(int(frac*float64(size)), 1), size-1)
+	j.Image = j.Image[:start+keep]
+	j.Torn++
+	return end
 }
 
 // write lands one record's pages at the region cursor, wrapping at the
@@ -103,6 +111,5 @@ func (j *Journal) write(at time.Duration, bytes int) (time.Duration, error) {
 	}
 	j.cur += pages
 	j.Bytes += int64(bytes)
-	j.Writes++
 	return end, nil
 }

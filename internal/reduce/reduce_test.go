@@ -42,7 +42,7 @@ func fabricateFlush(t *testing.T) *dedup.Flush {
 
 // TestJournalRegionWrapsAndRecovers fills the region past its end: the
 // cursor wraps to the region's first page instead of running off the drive,
-// every record lands and is counted, and the image replays strictly.
+// every record lands and is counted, and the image replays without a tear.
 func TestJournalRegionWrapsAndRecovers(t *testing.T) {
 	s := newSubstrate(t, fault.Config{})
 	j := &s.Journal
@@ -54,9 +54,9 @@ func TestJournalRegionWrapsAndRecovers(t *testing.T) {
 	writes := (logical-j.FirstPage())*2 + 3 // one page per record: laps the region twice
 	at := time.Duration(0)
 	for i := int64(0); i < writes; i++ {
-		end, st := j.Flush(at, f)
-		if st != FlushWritten || end <= at {
-			t.Fatalf("flush %d: status %v, end %v after %v", i, st, end, at)
+		end := j.Flush(at, f)
+		if j.Records != i+1 || end <= at {
+			t.Fatalf("flush %d: %d records, end %v after %v", i, j.Records, end, at)
 		}
 		if j.cur <= j.base || j.cur > j.limit {
 			t.Fatalf("flush %d left the cursor at page %d, outside (%d,%d]", i, j.cur, j.base, j.limit)
@@ -66,41 +66,43 @@ func TestJournalRegionWrapsAndRecovers(t *testing.T) {
 	if j.cur != j.base+3 {
 		t.Fatalf("cursor at %d after two laps and three records, want %d", j.cur, j.base+3)
 	}
-	if j.Writes != writes || j.Bytes != writes*int64(f.Bytes) || int64(j.Image.Records()) != writes {
-		t.Fatalf("accounting: %d writes, %d bytes, %d records; want %d records of %d bytes",
-			j.Writes, j.Bytes, j.Image.Records(), writes, f.Bytes)
+	if j.Writes() != writes || j.Bytes != writes*int64(f.Bytes) || j.Records != writes || j.Latency.N() != writes {
+		t.Fatalf("accounting: %d writes, %d bytes, %d records, %d timed; want %d records of %d bytes",
+			j.Writes(), j.Bytes, j.Records, j.Latency.N(), writes, f.Bytes)
 	}
-	if _, err := dedup.ReplayJournal(j.Image.Bytes(), dedup.DefaultIndexConfig()); err != nil {
-		t.Fatalf("strict replay of a healthy journal: %v", err)
+	_, rcv, err := dedup.RecoverJournal(j.Image, dedup.DefaultIndexConfig())
+	if err != nil || rcv.Cause != nil || int64(rcv.Records) != writes {
+		t.Fatalf("replay of a healthy journal: %d records, cause %v, err %v", rcv.Records, rcv.Cause, err)
 	}
 }
 
 // TestJournalTornPrefixRecovers: a torn record persists only a prefix, the
-// partial write still occupies the drive, lenient recovery keeps every
-// record before it, and strict replay refuses the image.
+// partial write still occupies the drive and the latency histogram,
+// recovery keeps every record before it, and reports the tear as
+// ErrJournalCorrupt.
 func TestJournalTornPrefixRecovers(t *testing.T) {
 	s := newSubstrate(t, fault.Config{})
 	j := &s.Journal
 	f := fabricateFlush(t)
-	at, st := j.Flush(0, f)
-	if st != FlushWritten {
-		t.Fatalf("healthy flush: status %v", st)
-	}
+	at := j.Flush(0, f)
 	s.SetFaultInjector(fault.New(fault.Config{Seed: 5, Rates: fault.Rates{fault.JournalTorn: 1}}))
-	end, st := j.Flush(at, f)
-	if st != FlushTorn || end <= at {
-		t.Fatalf("torn flush: status %v, end %v after %v", st, end, at)
+	if end := j.Flush(at, f); end <= at {
+		t.Fatalf("torn flush ends at %v, after %v", end, at)
 	}
-	if j.Image.Records() != 1 || j.Image.TornRecords() != 1 || j.Writes != 2 || j.Dead() {
-		t.Fatalf("after one whole and one torn record: %d records, %d torn, %d writes, dead=%v",
-			j.Image.Records(), j.Image.TornRecords(), j.Writes, j.Dead())
+	if j.Records != 1 || j.Torn != 1 || j.Writes() != 2 || j.Latency.N() != 2 || j.Dead() {
+		t.Fatalf("after one whole and one torn record: %d records, %d torn, %d writes, %d timed, dead=%v",
+			j.Records, j.Torn, j.Writes(), j.Latency.N(), j.Dead())
 	}
-	_, rec, err := dedup.RecoverJournal(j.Image.Bytes(), dedup.DefaultIndexConfig())
-	if err != nil || rec.Records != 1 {
-		t.Fatalf("lenient recovery: %d records, err %v; want the one whole record", rec.Records, err)
+	whole := len(dedup.AppendJournalRecord(nil, f))
+	if n := len(j.Image); n <= whole || n >= 2*whole {
+		t.Fatalf("image holds %d bytes; want one %d-byte record and part of another", n, whole)
 	}
-	if _, err := dedup.ReplayJournal(j.Image.Bytes(), dedup.DefaultIndexConfig()); !errors.Is(err, dedup.ErrJournalCorrupt) {
-		t.Fatalf("strict replay of a torn journal: want ErrJournalCorrupt, got %v", err)
+	_, rcv, err := dedup.RecoverJournal(j.Image, dedup.DefaultIndexConfig())
+	if err != nil || rcv.Records != 1 {
+		t.Fatalf("recovery: %d records, err %v; want the one whole record", rcv.Records, err)
+	}
+	if !errors.Is(rcv.Cause, dedup.ErrJournalCorrupt) || rcv.TruncatedAt != whole {
+		t.Fatalf("recovery of a torn journal: cause %v at %d, want ErrJournalCorrupt at %d", rcv.Cause, rcv.TruncatedAt, whole)
 	}
 }
 
@@ -113,9 +115,9 @@ func TestJournalFailedWriteKeepsRetryTimeThenDegrades(t *testing.T) {
 	j := &s.Journal
 	f := fabricateFlush(t)
 	const at = 5 * time.Millisecond
-	end, st := j.Flush(at, f)
-	if st != FlushLost || !j.Dead() || j.Failures != 1 {
-		t.Fatalf("exhausted retries: status %v, dead=%v, failures=%d", st, j.Dead(), j.Failures)
+	end := j.Flush(at, f)
+	if !j.Dead() || j.Failures != 1 || j.Writes() != 0 {
+		t.Fatalf("exhausted retries: dead=%v, failures=%d, writes=%d", j.Dead(), j.Failures, j.Writes())
 	}
 	if want := at + 12600*time.Microsecond; end != want {
 		t.Fatalf("failed flush ends at %v, want %v (the backoff its retries consumed)", end, want)
@@ -124,11 +126,33 @@ func TestJournalFailedWriteKeepsRetryTimeThenDegrades(t *testing.T) {
 		t.Fatalf("retries counted: %d, want %d", s.WriteRetries, fault.MaxRetries)
 	}
 	busy := s.Drive.Horizon()
-	if end, st := j.Flush(end, f); st != FlushLost || end != at+12600*time.Microsecond {
-		t.Fatalf("flush into a dead region: status %v, end %v", st, end)
+	if end := j.Flush(end, f); end != at+12600*time.Microsecond {
+		t.Fatalf("flush into a dead region ends at %v", end)
 	}
-	if j.Failures != 1 || s.WriteRetries != fault.MaxRetries || s.Drive.Horizon() != busy || len(j.Image.Bytes()) != 0 {
+	if j.Failures != 1 || j.Writes() != 0 || s.WriteRetries != fault.MaxRetries || s.Drive.Horizon() != busy || len(j.Image) != 0 || j.Latency.N() != 0 {
 		t.Fatal("a dead region must drop flushes without touching the drive, the counters, or the image")
+	}
+}
+
+// TestJournalTornFlushWriteFailureDegrades: a flush drawn torn whose region
+// write then fails permanently lands nothing. It is lost like any failed
+// flush — the region goes dead, one failure is counted, and neither the
+// image nor the torn count nor the latency histogram moves.
+func TestJournalTornFlushWriteFailureDegrades(t *testing.T) {
+	s := newSubstrate(t, fault.Config{Seed: 3, Rates: fault.Rates{fault.JournalTorn: 1, fault.SSDWriteTransient: 1}})
+	j := &s.Journal
+	f := fabricateFlush(t)
+	const at = 5 * time.Millisecond
+	end := j.Flush(at, f)
+	if !j.Dead() || j.Failures != 1 {
+		t.Fatalf("torn flush with exhausted retries: dead=%v, failures=%d", j.Dead(), j.Failures)
+	}
+	if want := at + 12600*time.Microsecond; end != want {
+		t.Fatalf("failed flush ends at %v, want %v (the backoff its retries consumed)", end, want)
+	}
+	if len(j.Image) != 0 || j.Torn != 0 || j.Records != 0 || j.Writes() != 0 || j.Bytes != 0 || j.Latency.N() != 0 {
+		t.Fatalf("a failed torn write left %d image bytes, %d torn, %d records, %d bytes, %d timed",
+			len(j.Image), j.Torn, j.Records, j.Bytes, j.Latency.N())
 	}
 }
 

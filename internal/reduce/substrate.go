@@ -4,11 +4,12 @@
 // the two must agree on — how the simulated CPU, SSD and bin index are
 // wired together (fault fan-out, trace lanes), how a unique chunk becomes
 // a stored blob and what that costs (Encoder), what an index insert costs,
-// and how bin-buffer flushes are journaled (Journal) — so a change to any
-// of them is one edit that every workload exercises. What differs between
-// the front-ends (batching and GPU arbitration in the engine; the LBA map,
-// log and cache in the volume; the order each commits its steps in) stays
-// with them.
+// and how bin-buffer flushes are journaled (Journal: the image, its record
+// counters and the flush-latency histogram) — so a change to any of them
+// is one edit that every workload exercises. What differs between the
+// front-ends (batching and GPU arbitration in the engine; the LBA map, log
+// and cache in the volume; the order each commits its steps in) stays with
+// them.
 package reduce
 
 import (
@@ -45,16 +46,14 @@ type Substrate struct {
 // of them. A zero faults config injects nothing.
 func New(cpu cpusim.Config, drive ssd.Config, index *dedup.IndexConfig, faults fault.Config) (*Substrate, error) {
 	s := &Substrate{CPU: cpusim.New(cpu), Drive: ssd.New(drive)}
-	prefixBytes := 0
 	if index != nil {
 		idx, err := dedup.NewBinIndex(*index)
 		if err != nil {
 			return nil, err
 		}
 		s.Index = idx
-		prefixBytes = index.PrefixBytes
 	}
-	s.Journal.init(s, prefixBytes)
+	s.Journal.init(s)
 	if faults.Enabled() {
 		s.SetFaultInjector(fault.New(faults))
 	}

@@ -264,8 +264,8 @@ func TestVolumeTornJournalRecovers(t *testing.T) {
 		}
 		return true
 	})
-	if _, err := v.RecoverIndexStrict(); !errors.Is(err, dedup.ErrJournalCorrupt) {
-		t.Fatalf("strict replay of a torn journal: want ErrJournalCorrupt, got %v", err)
+	if !errors.Is(rcv.Cause, dedup.ErrJournalCorrupt) {
+		t.Fatalf("recovery of a torn journal: want ErrJournalCorrupt, got %v", rcv.Cause)
 	}
 }
 
@@ -384,8 +384,8 @@ func TestVolumeCrashPoints(t *testing.T) {
 	if prevRecords == 0 {
 		t.Fatal("full image recovered zero records")
 	}
-	// The clean, uncut image must also satisfy the strict replayer.
-	if _, err := v.RecoverIndexStrict(); err != nil {
-		t.Fatalf("strict replay of a clean journal: %v", err)
+	// The clean, uncut image must replay without a tear.
+	if _, rcv, err := v.RecoverIndex(); err != nil || rcv.Cause != nil {
+		t.Fatalf("replay of a clean journal: cause %v, err %v", rcv.Cause, err)
 	}
 }

@@ -235,7 +235,6 @@ type Volume struct {
 	histW   sim.Histogram
 	histR   sim.Histogram
 	histT   sim.Histogram
-	histJF  sim.Histogram
 
 	now   time.Duration // closed-loop clock: completion of the last request
 	stats Stats
@@ -290,15 +289,15 @@ func (v *Volume) Stats() Stats {
 	st.WriteLat = v.histW.Summary()
 	st.ReadLat = v.histR.Summary()
 	st.TrimLat = v.histT.Summary()
-	st.JournalFlushLat = v.histJF.Summary()
 	st.CacheHits = v.cache.hits
 	st.CacheMisses = v.cache.misses
 	st.CacheAdmissions = v.cache.admissions
 	st.CacheGhostHits = v.cache.ghostHits
 	j := &v.sub.Journal
-	st.JournalRecords = int64(j.Image.Records())
+	st.JournalFlushLat = j.Latency.Summary()
+	st.JournalRecords = j.Records
 	st.JournalBytes = j.Bytes
-	st.JournalTornRecords = int64(j.Image.TornRecords())
+	st.JournalTornRecords = j.Torn
 	st.JournalWriteFailures = j.Failures
 	st.SSDWriteRetries = v.sub.WriteRetries
 	st.LatencySpikes = v.sub.Drive.Stats().LatencySpikes
@@ -320,7 +319,7 @@ type Snapshot struct {
 // Snapshot returns the volume's current accounting. The histograms are
 // copies, so callers merge them without racing the volume's commit path.
 func (v *Volume) Snapshot() Snapshot {
-	return Snapshot{stats: v.Stats(), write: v.histW, read: v.histR, trim: v.histT, journalFlush: v.histJF}
+	return Snapshot{stats: v.Stats(), write: v.histW, read: v.histR, trim: v.histT, journalFlush: v.sub.Journal.Latency}
 }
 
 // Merge folds o into s: counters sum and histogram buckets add.
@@ -348,22 +347,17 @@ func (v *Volume) Drive() *ssd.Drive { return v.sub.Drive }
 
 // JournalImage returns the serialized index journal — the durable form of
 // every bin-buffer flush the volume destaged to the journal region.
-func (v *Volume) JournalImage() []byte { return v.sub.Journal.Image.Bytes() }
+func (v *Volume) JournalImage() []byte { return v.sub.Journal.Image }
 
 // RecoverIndex rebuilds an index from the volume's journal — what a restart
 // after a crash would reconstruct. Recovery is lenient: a trailing torn or
 // corrupt record truncates the journal there, and everything before the
-// truncation point is applied as a consistent prefix of the flush history.
-// Entries still in bin buffers at the crash point (never journaled) are
-// absent; their future duplicates would be stored again.
+// truncation point is applied as a consistent prefix of the flush history
+// (a clean image has Recovery.Cause == nil). Entries still in bin buffers
+// at the crash point (never journaled) are absent; their future duplicates
+// would be stored again.
 func (v *Volume) RecoverIndex() (*dedup.BinIndex, dedup.Recovery, error) {
 	return dedup.RecoverJournal(v.JournalImage(), v.cfg.Index)
-}
-
-// RecoverIndexStrict replays the journal refusing any corruption: a torn or
-// bit-flipped record fails the whole replay with dedup.ErrJournalCorrupt.
-func (v *Volume) RecoverIndexStrict() (*dedup.BinIndex, error) {
-	return dedup.ReplayJournal(v.JournalImage(), v.cfg.Index)
 }
 
 // readDrive is drive.Read under the shared bounded-retry policy
@@ -373,23 +367,14 @@ func (v *Volume) readDrive(at time.Duration, lpn int64, pages int) (time.Duratio
 }
 
 // journalFlush destages one bin-buffer flush through the substrate's
-// journal region (torn-record and degrade-to-memory-only semantics live
-// there) and returns the completion time of the journal write — on a
-// permanent failure, the time the failed attempt's retries reached.
-//
-// Histogram contract: torn flushes COUNT in the journal-flush histogram —
-// the partial write consumed real drive time, and hiding it would make
-// JournalFlushLat lie about the time the volume spent flushing. So
-// JournalFlushLat.Count == JournalRecords + JournalTornRecords. Flushes
-// lost to a permanent write failure (or dropped while journaling is
-// degraded off) persist nothing and are NOT observed.
+// journal region (torn-record and degrade-to-memory-only semantics, and the
+// flush-latency histogram, live there) and returns the completion time of
+// the journal write — on a permanent failure, the time the failed attempt's
+// retries reached.
 func (v *Volume) journalFlush(at time.Duration, f *dedup.Flush) time.Duration {
 	flushStart := metrics.Clock()
-	end, st := v.sub.Journal.Flush(at, f)
+	end := v.sub.Journal.Flush(at, f)
 	metrics.VolumeJournalFlush.ObserveSince(flushStart)
-	if st != reduce.FlushLost {
-		v.histJF.Observe(end - at)
-	}
 	return end
 }
 
