@@ -355,9 +355,10 @@ func (e *Engine) screen(hb *hashedBatch) {
 // — for those chunks concurrently. The commit pass remains the source of
 // truth: it re-probes with interleaved inserts so the virtual-time
 // accounting is bit-identical to a serial run, and it falls back to inline
-// computation for the rare chunk whose prediction was upset by a
-// concurrent-capacity eviction. Returns nil when there is nothing worth
-// fanning out (serial runs, compression off).
+// computation for the rare chunk whose prediction an injected
+// memory-pressure eviction upset (an evicted duplicate commits as unique).
+// Returns nil when there is nothing worth fanning out (serial runs,
+// compression off).
 func (e *Engine) precompute(hb *hashedBatch) []reduce.Encoded {
 	if e.pool.Workers() <= 1 || !e.cfg.Compress {
 		return nil
@@ -848,7 +849,6 @@ func (e *Engine) finish() {
 	if e.sub.Index != nil {
 		r.IndexEntries = e.sub.Index.Len()
 		r.IndexMemory = e.sub.Index.MemoryBytes()
-		r.IndexEvictions = e.sub.Index.Evicted()
 	}
 	j := &e.sub.Journal
 	if e.cfg.Obs != nil {

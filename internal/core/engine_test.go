@@ -534,7 +534,7 @@ func TestJournalRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rcv.Truncated {
+	if rcv.Cause != nil {
 		t.Fatalf("clean shutdown journal reported truncation: %+v", rcv)
 	}
 	// Clean shutdown (finalFlush journals everything): the recovered index

@@ -197,7 +197,7 @@ func TestTornJournalStillRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rcv.Truncated {
+	if rcv.Cause == nil {
 		t.Fatal("a torn journal must report truncation")
 	}
 	live := indexEntrySet(eng.Index())

@@ -70,9 +70,8 @@ type Report struct {
 	GPUIndexBatches  int64 `json:"gpu_index_batches"`
 	GPUIndexedChunks int64 `json:"gpu_indexed_chunks"`
 
-	IndexEntries   int64 `json:"index_entries"`
-	IndexMemory    int64 `json:"index_memory"`
-	IndexEvictions int64 `json:"index_evictions"`
+	IndexEntries int64 `json:"index_entries"`
+	IndexMemory  int64 `json:"index_memory"`
 
 	SSD         ssd.Stats `json:"ssd"`
 	SSDWriteAmp float64   `json:"ssd_write_amp"`

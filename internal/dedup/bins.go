@@ -3,7 +3,6 @@ package dedup
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 
 	"inlinered/internal/fault"
@@ -22,21 +21,13 @@ type IndexConfig struct {
 	// memory optimization). Must satisfy 8*PrefixBytes <= BinBits so the
 	// bin id still implies the dropped bits.
 	PrefixBytes int
-	// MaxEntries caps total resident entries (buffers + trees); 0 means
-	// unlimited. At the cap, a uniformly random entry of the inserting
-	// bin's tree is evicted (random replacement, §3.3) — the index is
-	// memory-only, so evicted duplicates are simply missed, which the
-	// paper accepts for primary storage.
-	MaxEntries int64
-	// Seed drives the random replacement policy deterministically.
-	Seed int64
 }
 
 // DefaultIndexConfig returns the configuration used by the paper-faithful
 // pipeline: 1024 bins (ample for lock-free partitioning across 8 hardware
 // threads), 16-entry bin buffers (a staging buffer sized so bins flush
 // regularly and the tree/GPU side of the index actually fills), no prefix
-// truncation, no cap.
+// truncation.
 func DefaultIndexConfig() IndexConfig {
 	return IndexConfig{BinBits: 10, BufferEntries: 16}
 }
@@ -52,9 +43,6 @@ func (c IndexConfig) Validate() error {
 	if c.PrefixBytes < 0 || 8*c.PrefixBytes > c.BinBits {
 		return fmt.Errorf("dedup: PrefixBytes=%d needs BinBits >= %d (bin id must imply the dropped prefix)",
 			c.PrefixBytes, 8*c.PrefixBytes)
-	}
-	if c.MaxEntries < 0 {
-		return fmt.Errorf("dedup: MaxEntries must be >= 0, got %d", c.MaxEntries)
 	}
 	return nil
 }
@@ -96,7 +84,6 @@ type Probe struct {
 type InsertResult struct {
 	BufferScanned int    // buffer slots touched (append is 1)
 	Flush         *Flush // non-nil when the bin buffer filled and flushed
-	Evicted       int    // entries evicted by the random replacement policy
 }
 
 // Flush is the batch of entries that moved from a bin buffer into the bin
@@ -133,16 +120,14 @@ func (f *Flush) Values() []Entry {
 type BinIndex struct {
 	cfg  IndexConfig
 	bins []bin
-	rng  *rand.Rand
-	// entries and evicted are atomic because disjoint-bin owners (see
-	// IndexPartitioned) update them concurrently; all other state is
-	// per-bin and therefore race-free under bin partitioning.
+	// entries is atomic because disjoint-bin owners (see IndexPartitioned)
+	// update it concurrently; all other state is per-bin and therefore
+	// race-free under bin partitioning.
 	entries atomic.Int64
-	evicted atomic.Int64
 
 	// faults injects memory-pressure evictions (consulted once per
-	// insert, on the sequential commit path only); faultEvicted counts
-	// the entries it dropped, separately from the MaxEntries policy.
+	// insert); faultEvicted counts the entries it dropped. They are the
+	// index's only eviction path: the index grows without bound otherwise.
 	faults       *fault.Injector
 	faultEvicted int64
 }
@@ -155,7 +140,6 @@ func NewBinIndex(cfg IndexConfig) (*BinIndex, error) {
 	return &BinIndex{
 		cfg:  cfg,
 		bins: make([]bin, 1<<uint(cfg.BinBits)),
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
 	}, nil
 }
 
@@ -165,14 +149,12 @@ func (x *BinIndex) Config() IndexConfig { return x.cfg }
 // Len returns the number of resident entries (buffers + trees).
 func (x *BinIndex) Len() int64 { return x.entries.Load() }
 
-// Evicted returns how many entries the random replacement policy dropped.
-func (x *BinIndex) Evicted() int64 { return x.evicted.Load() }
-
 // SetFaultInjector threads a deterministic fault injector through the
 // index: each insert may be followed by a memory-pressure eviction of one
-// resident tree entry (the degraded twin of the MaxEntries policy). Only
-// the sequential insert path consults the injector; lookups never do, so
-// read-only prediction passes cannot perturb the fault schedule.
+// resident tree entry, a uniformly random pick (random replacement, §3.3)
+// whose duplicates are then missed — the memory-only index's accepted
+// loss, forced early. Only inserts consult the injector; lookups never do,
+// so read-only prediction passes cannot perturb the fault schedule.
 func (x *BinIndex) SetFaultInjector(fi *fault.Injector) { x.faults = fi }
 
 // FaultEvicted returns how many entries injected memory pressure dropped.
@@ -270,9 +252,8 @@ func (x *BinIndex) Insert(fp Fingerprint, e Entry) InsertResult {
 	// Only an appended entry needs an owned copy of the suffix.
 	b.buf = append(b.buf, bufEntry{key: fp.Suffix(x.cfg.PrefixBytes), val: e})
 	x.entries.Add(1)
-	res.Evicted = x.enforceCap(binID)
 	if x.faults.EvictIndex() {
-		res.Evicted += x.evictUnderPressure(binID)
+		x.evictUnderPressure(binID)
 	}
 	if len(b.buf) >= x.cfg.BufferEntries {
 		res.Flush = x.flush(binID)
@@ -284,21 +265,21 @@ func (x *BinIndex) Insert(fp Fingerprint, e Entry) InsertResult {
 // injected memory-pressure fault: the inserting bin's tree when it has
 // entries, else the globally largest tree. Buffered (not-yet-flushed)
 // entries are never dropped — memory pressure reclaims the cold, flushed
-// part of the index, mirroring the MaxEntries policy.
-func (x *BinIndex) evictUnderPressure(binID uint32) int {
+// part of the index. Reaching into another bin's tree and drawing from
+// the injector's one stream is why IndexPartitioned gives an index with an
+// injector a single owner.
+func (x *BinIndex) evictUnderPressure(binID uint32) {
 	t := &x.bins[binID].tree
 	if t.Len() == 0 {
 		t = x.largestTree()
 		if t == nil || t.Len() == 0 {
-			return 0
+			return
 		}
 	}
-	if _, _, ok := t.DeleteAt(x.faults.Rank(t.Len())); !ok {
-		return 0
+	if _, _, ok := t.DeleteAt(x.faults.Rank(t.Len())); ok {
+		x.entries.Add(-1)
+		x.faultEvicted++
 	}
-	x.entries.Add(-1)
-	x.faultEvicted++
-	return 1
 }
 
 // flush moves the whole bin buffer into the bin tree.
@@ -348,31 +329,6 @@ func (x *BinIndex) FlushAll() []*Flush {
 		}
 	}
 	return out
-}
-
-// enforceCap applies the random replacement policy: while over MaxEntries,
-// evict a uniformly random tree entry from the inserting bin (falling back
-// to the globally largest tree when the bin's own tree is empty).
-func (x *BinIndex) enforceCap(binID uint32) int {
-	if x.cfg.MaxEntries == 0 {
-		return 0
-	}
-	evicted := 0
-	for x.entries.Load() > x.cfg.MaxEntries {
-		t := &x.bins[binID].tree
-		if t.Len() == 0 {
-			t = x.largestTree()
-			if t == nil || t.Len() == 0 {
-				break // only buffered entries remain; nothing evictable
-			}
-		}
-		if _, _, ok := t.DeleteAt(x.rng.Intn(t.Len())); ok {
-			x.entries.Add(-1)
-			evicted++
-			x.evicted.Add(1)
-		}
-	}
-	return evicted
 }
 
 func (x *BinIndex) largestTree() *Tree {

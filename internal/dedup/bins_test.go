@@ -3,7 +3,12 @@ package dedup
 import (
 	"encoding/binary"
 	"math/rand"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
+
+	"inlinered/internal/fault"
 )
 
 func fpFor(i int) Fingerprint {
@@ -27,7 +32,6 @@ func TestIndexConfigValidation(t *testing.T) {
 		{BinBits: 25, BufferEntries: 4},
 		{BinBits: 8, BufferEntries: 0},
 		{BinBits: 8, BufferEntries: 4, PrefixBytes: 2}, // needs 16 bin bits
-		{BinBits: 8, BufferEntries: 4, MaxEntries: -1},
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {
@@ -165,40 +169,72 @@ func TestPrefixTruncationStillDeduplicates(t *testing.T) {
 	}
 }
 
-func TestRandomReplacementCap(t *testing.T) {
-	x := smallIndex(t, IndexConfig{BinBits: 2, BufferEntries: 2, MaxEntries: 64, Seed: 1})
-	for i := 0; i < 1000; i++ {
-		x.Insert(fpFor(i), Entry{Loc: int64(i)})
+// faultSeeds returns the fault seeds to sweep: the FAULT_SEEDS environment
+// variable (comma-separated, set by the CI fault matrix) or a fixed default.
+func faultSeeds(t *testing.T) []int64 {
+	env := os.Getenv("FAULT_SEEDS")
+	if env == "" {
+		return []int64{1, 7}
 	}
-	if x.Len() > 64 {
-		t.Fatalf("cap exceeded: %d", x.Len())
+	var seeds []int64
+	for _, f := range strings.Split(env, ",") {
+		s, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
+		if err != nil {
+			t.Fatalf("FAULT_SEEDS: %v", err)
+		}
+		seeds = append(seeds, s)
 	}
-	if x.Evicted() == 0 {
-		t.Fatal("expected evictions")
-	}
-	// The index still works: a freshly inserted key is findable.
-	fp := fpFor(99999)
-	x.Insert(fp, Entry{Loc: 1})
-	if p := x.Lookup(fp); !p.Found {
-		t.Fatal("fresh insert missing after evictions")
+	return seeds
+}
+
+func pressuredIndex(t *testing.T, seed int64, rate float64) *BinIndex {
+	t.Helper()
+	x := smallIndex(t, IndexConfig{BinBits: 2, BufferEntries: 2})
+	x.SetFaultInjector(fault.New(fault.Config{Seed: seed, Rates: fault.Rates{fault.IndexEvict: rate}}))
+	return x
+}
+
+// TestIndexEvictKeepsIndexUsable: memory pressure on every insert drops
+// flushed entries only, so each fresh insert is found right after it,
+// FaultEvicted counts what left, and the buffer and tree counts still add
+// up to Len.
+func TestIndexEvictKeepsIndexUsable(t *testing.T) {
+	for _, seed := range faultSeeds(t) {
+		x := pressuredIndex(t, seed, 1)
+		const n = 1000
+		for i := 0; i < n; i++ {
+			x.Insert(fpFor(i), Entry{Loc: int64(i)})
+			if p := x.Lookup(fpFor(i)); !p.Found || p.Entry.Loc != int64(i) {
+				t.Fatalf("seed %d: insert %d not found after it: %+v", seed, i, p)
+			}
+		}
+		if x.FaultEvicted() == 0 || x.Len() != n-x.FaultEvicted() ||
+			x.Len() != int64(x.BufferedEntries()+x.TreeEntries()) {
+			t.Fatalf("seed %d: %d evicted, %d resident (%d buffered + %d in trees) of %d inserted",
+				seed, x.FaultEvicted(), x.Len(), x.BufferedEntries(), x.TreeEntries(), n)
+		}
 	}
 }
 
-func TestCapEvictionCausesMissedDuplicates(t *testing.T) {
-	// §3.1 accepts that a memory-only index "cannot find some duplicate
-	// data"; with a tiny cap, early fingerprints must eventually miss.
-	x := smallIndex(t, IndexConfig{BinBits: 2, BufferEntries: 2, MaxEntries: 16, Seed: 1})
-	for i := 0; i < 500; i++ {
-		x.Insert(fpFor(i), Entry{Loc: int64(i)})
-	}
-	missed := 0
-	for i := 0; i < 100; i++ {
-		if !x.Lookup(fpFor(i)).Found {
-			missed++
+// TestIndexEvictMissesOldDuplicates: §3.1 accepts that a memory-only index
+// "cannot find some duplicate data". Under injected memory pressure early
+// fingerprints miss, exactly as many as FaultEvicted counts.
+func TestIndexEvictMissesOldDuplicates(t *testing.T) {
+	for _, seed := range faultSeeds(t) {
+		x := pressuredIndex(t, seed, 0.5)
+		const n = 500
+		for i := 0; i < n; i++ {
+			x.Insert(fpFor(i), Entry{Loc: int64(i)})
 		}
-	}
-	if missed == 0 {
-		t.Fatal("tiny capped index should miss old duplicates")
+		missed := int64(0)
+		for i := 0; i < n; i++ {
+			if !x.Lookup(fpFor(i)).Found {
+				missed++
+			}
+		}
+		if missed == 0 || missed != x.FaultEvicted() {
+			t.Fatalf("seed %d: %d of %d old duplicates missed, %d evicted", seed, missed, n, x.FaultEvicted())
+		}
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 // Tree is the "bin tree" of §3.1: the in-memory sorted store holding the
 // bulk of a bin's hash-table entries. It is a left-leaning red-black tree
 // keyed on truncated fingerprints, augmented with subtree sizes so a
-// uniformly random entry can be selected for the random replacement policy
-// of §3.3. Probe and insert report the number of nodes touched, which the
+// uniformly random entry can be selected for eviction under memory
+// pressure. Probe and insert report the number of nodes touched, which the
 // CPU cost model converts into virtual time.
 //
 // A Tree is confined to its bin's owning worker, so it needs no locking —
@@ -119,7 +119,7 @@ func (t *Tree) Delete(key []byte) bool {
 }
 
 // DeleteAt removes the entry with the given in-order rank, returning the
-// removed key and entry. Used by the random replacement policy.
+// removed key and entry. Used by memory-pressure eviction.
 func (t *Tree) DeleteAt(rank int) (key []byte, v Entry, ok bool) {
 	key, v, ok = t.KeyAt(rank)
 	if !ok {

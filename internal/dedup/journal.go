@@ -55,8 +55,8 @@ func AppendJournalRecord(dst []byte, f *Flush) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
-// JournalRecord is one decoded flush record and its extent in the image.
-type JournalRecord struct {
+// journalRecord is one decoded flush record and its extent in the image.
+type journalRecord struct {
 	Offset int // byte offset of the record's magic
 	Size   int // record length in bytes, checksum included
 	Bin    uint32
@@ -66,21 +66,21 @@ type JournalRecord struct {
 
 // Recovery describes what a journal replay salvaged.
 type Recovery struct {
-	Records     int  // complete records applied
-	Entries     int  // entries inserted into the recovered index
-	Truncated   bool // the image ended in a torn or corrupt record
-	TruncatedAt int  // byte offset of the first unusable record
-	// Cause is the decode error at the truncation point (nil on a clean
-	// image). It always wraps ErrJournalCorrupt.
+	Records     int // complete records applied
+	Entries     int // entries inserted into the recovered index
+	TruncatedAt int // byte offset of the first unusable record
+	// Cause is the decode error at the truncation point: non-nil exactly
+	// when the image ended in a torn or corrupt record. It always wraps
+	// ErrJournalCorrupt.
 	Cause error
 }
 
 // decodeRecord parses the record starting at off. It validates structure
 // and checksum before returning; a failed parse reports the record
 // unusable without partial effects.
-func decodeRecord(image []byte, off int, keyLen, bins int) (JournalRecord, error) {
-	rec := JournalRecord{Offset: off}
-	corrupt := func(format string, args ...interface{}) (JournalRecord, error) {
+func decodeRecord(image []byte, off int, keyLen, bins int) (journalRecord, error) {
+	rec := journalRecord{Offset: off}
+	corrupt := func(format string, args ...interface{}) (journalRecord, error) {
 		return rec, fmt.Errorf("%w: record at %d: %s", ErrJournalCorrupt, off, fmt.Sprintf(format, args...))
 	}
 	p := off
@@ -132,21 +132,20 @@ func decodeRecord(image []byte, off int, keyLen, bins int) (JournalRecord, error
 	return rec, nil
 }
 
-// ScanJournal decodes an image into its complete records, stopping at the
+// scanJournal decodes an image into its complete records, stopping at the
 // first torn or corrupt one. cfg supplies the key width (PrefixBytes) and
 // bin range the records were written under. The returned Recovery
 // describes where (and why) the scan stopped; it never returns an error
 // for image corruption.
-func ScanJournal(image []byte, cfg IndexConfig) ([]JournalRecord, Recovery) {
+func scanJournal(image []byte, cfg IndexConfig) ([]journalRecord, Recovery) {
 	keyLen := FingerprintSize - cfg.PrefixBytes
 	bins := 1 << uint(cfg.BinBits)
-	var recs []JournalRecord
+	var recs []journalRecord
 	var rcv Recovery
 	off := 0
 	for off < len(image) {
 		rec, err := decodeRecord(image, off, keyLen, bins)
 		if err != nil {
-			rcv.Truncated = true
 			rcv.TruncatedAt = off
 			rcv.Cause = err
 			return recs, rcv
@@ -159,9 +158,9 @@ func ScanJournal(image []byte, cfg IndexConfig) ([]JournalRecord, Recovery) {
 	return recs, rcv
 }
 
-// apply inserts a decoded record straight into the recovered index's bin
+// applyRecord inserts a decoded record straight into the recovered index's bin
 // tree (journaled entries had already flushed when they were written).
-func applyRecord(idx *BinIndex, rec JournalRecord) {
+func applyRecord(idx *BinIndex, rec journalRecord) {
 	b := &idx.bins[rec.Bin]
 	for i, key := range rec.Keys {
 		k := make([]byte, len(key))
@@ -184,7 +183,7 @@ func RecoverJournal(image []byte, cfg IndexConfig) (*BinIndex, Recovery, error) 
 	if err != nil {
 		return nil, Recovery{}, err
 	}
-	recs, rcv := ScanJournal(image, cfg)
+	recs, rcv := scanJournal(image, cfg)
 	for _, rec := range recs {
 		applyRecord(idx, rec)
 	}

@@ -97,7 +97,7 @@ func TestRecoverTruncatesAtTornRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rcv.Truncated {
+	if rcv.Cause == nil {
 		t.Fatal("recovery must report truncation")
 	}
 	if rcv.Records != goodBefore {
@@ -123,9 +123,9 @@ func TestRecoverTruncatesAtTornRecord(t *testing.T) {
 func TestRecoverAtEveryCut(t *testing.T) {
 	cfg := IndexConfig{BinBits: 8, BufferEntries: 4, PrefixBytes: 1}
 	image, ws := buildJournal(t, cfg, 200)
-	recs, rcv := ScanJournal(image, cfg)
-	if rcv.Truncated || len(recs) < 4 {
-		t.Fatalf("need a clean multi-record image, got %d records (truncated=%v)", len(recs), rcv.Truncated)
+	recs, rcv := scanJournal(image, cfg)
+	if rcv.Cause != nil || len(recs) < 4 {
+		t.Fatalf("need a clean multi-record image, got %d records (cause %v)", len(recs), rcv.Cause)
 	}
 
 	// complete[c] = number of records fully contained in image[:c].
@@ -149,11 +149,11 @@ func TestRecoverAtEveryCut(t *testing.T) {
 		}
 		// A cut strictly inside a record leaves trailing torn bytes: that
 		// must be reported. A cut exactly on a record boundary is a clean
-		// prefix — no truncation flag.
+		// prefix — no truncation cause.
 		cleanBoundary := cut == 0 || (complete[cut] > 0 &&
 			cut == recs[complete[cut]-1].Offset+recs[complete[cut]-1].Size)
-		if rcv.Truncated == cleanBoundary {
-			t.Fatalf("cut %d: Truncated=%v, clean boundary=%v", cut, rcv.Truncated, cleanBoundary)
+		if (rcv.Cause == nil) != cleanBoundary {
+			t.Fatalf("cut %d: cause %v, clean boundary=%v", cut, rcv.Cause, cleanBoundary)
 		}
 		if rcv.Records < prevRecords {
 			t.Fatalf("cut %d: recovered records shrank (%d -> %d)", cut, prevRecords, rcv.Records)
@@ -169,7 +169,7 @@ func TestRecoverAtEveryCut(t *testing.T) {
 func TestRecoverSurvivesBitFlips(t *testing.T) {
 	cfg := IndexConfig{BinBits: 4, BufferEntries: 4}
 	image, ws := buildJournal(t, cfg, 200)
-	recs, _ := ScanJournal(image, cfg)
+	recs, _ := scanJournal(image, cfg)
 
 	flipped := make([]byte, len(image))
 	for pos := 0; pos < len(image); pos++ {
@@ -253,7 +253,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rcv.Truncated && !errors.Is(rcv.Cause, ErrJournalCorrupt) {
+		if rcv.Cause != nil && !errors.Is(rcv.Cause, ErrJournalCorrupt) {
 			t.Fatalf("truncation cause must wrap ErrJournalCorrupt: %v", rcv.Cause)
 		}
 		checkNoPhantoms(t, rec, ws)

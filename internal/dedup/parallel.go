@@ -23,14 +23,15 @@ type WorkerWork struct {
 // per-owner work summaries let the simulation cost each owner's virtual time
 // independently.
 //
-// A capped index (MaxEntries > 0) takes one owner only: its random
-// replacement shares one RNG and may evict from other owners' bins.
+// An index with a fault injector takes one owner only: its memory-pressure
+// evictions draw from the injector's one stream and may reach into other
+// owners' bins (see evictUnderPressure).
 func IndexPartitioned(pool *parallel.Pool, idx *BinIndex, fps []Fingerprint, owners int, entry func(i int) Entry) ([]WorkerWork, error) {
 	if owners < 1 {
 		return nil, fmt.Errorf("dedup: need >= 1 bin owner, got %d", owners)
 	}
-	if idx.Config().MaxEntries != 0 && owners > 1 {
-		return nil, errors.New("dedup: a capped index (MaxEntries > 0) cannot be split across bin owners")
+	if idx.faults != nil && owners > 1 {
+		return nil, errors.New("dedup: an index with a fault injector cannot be split across bin owners")
 	}
 	work := make([]WorkerWork, owners)
 	pool.Map(owners, func(w int) {

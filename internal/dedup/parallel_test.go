@@ -159,19 +159,22 @@ func TestIndexPartitionedWorkAccounting(t *testing.T) {
 	}
 }
 
-// TestIndexPartitionedRejectsCappedIndex: random replacement may evict
-// from any bin, so a capped index cannot be split across owners; nor can
-// a run have no owner.
-func TestIndexPartitionedRejectsCappedIndex(t *testing.T) {
+// TestIndexPartitionedRejectsFaultedIndex: memory-pressure evictions draw
+// from one injector stream and may reach any bin, so an index with a fault
+// injector cannot be split across owners; nor can a run have no owner.
+func TestIndexPartitionedRejectsFaultedIndex(t *testing.T) {
 	pool := parallel.New(2)
 	defer pool.Close()
 	fps := []Fingerprint{fpFor(1)}
-	capped := smallIndex(t, IndexConfig{BinBits: 4, BufferEntries: 4, MaxEntries: 10})
-	if _, err := IndexPartitioned(pool, capped, fps, 2, locEntry); err == nil {
-		t.Fatal("capped index with 2 owners accepted")
+	if _, err := IndexPartitioned(pool, smallIndex(t, IndexConfig{BinBits: 4, BufferEntries: 4}), fps, 2, locEntry); err != nil {
+		t.Fatalf("index without injector, 2 owners: %v", err)
 	}
-	if _, err := IndexPartitioned(pool, capped, fps, 1, locEntry); err != nil {
-		t.Fatalf("capped index with 1 owner: %v", err)
+	faulted := pressuredIndex(t, 1, 1)
+	if _, err := IndexPartitioned(pool, faulted, fps, 2, locEntry); err == nil {
+		t.Fatal("index with a fault injector and 2 owners accepted")
+	}
+	if _, err := IndexPartitioned(pool, faulted, fps, 1, locEntry); err != nil {
+		t.Fatalf("index with a fault injector and 1 owner: %v", err)
 	}
 	if _, err := IndexPartitioned(pool, smallIndex(t, IndexConfig{BufferEntries: 4}), fps, 0, locEntry); err == nil {
 		t.Fatal("0 owners accepted")

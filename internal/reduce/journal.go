@@ -14,14 +14,18 @@ import (
 // restart replays (dedup.RecoverJournal). It is the one place that counts
 // journal records and times their flushes, for both front-ends.
 type Journal struct {
-	// Image is the durable form of every flush that reached the region:
-	// whole records, and the leading bytes of each torn one.
+	// Image is the durable form of the flushes the region still holds:
+	// whole records, and the leading bytes of each torn one, in write
+	// order. A record leaves from the front once a later write reaches its
+	// pages (or the cursor wraps past them), so the image is at most one
+	// lap of the region and recovery never replays overwritten records.
 	Image []byte
 
-	// Records and Torn count the whole and torn records in Image. Bytes is
-	// what their region writes carried (a torn record's write still ran in
-	// full). Failures counts permanent write failures (at most one: the
-	// first degrades journaling off).
+	// Records and Torn count every whole and torn record written, those
+	// Image has since dropped included. Bytes is what their region writes
+	// carried (a torn record's write still ran in full). Failures counts
+	// permanent write failures (at most one: the first degrades journaling
+	// off).
 	Records, Torn, Bytes, Failures int64
 
 	// Latency holds the drive time of every flush that landed in the
@@ -33,8 +37,18 @@ type Journal struct {
 	Latency sim.Histogram
 
 	s                *Substrate
-	base, cur, limit int64 // region pages [base, limit), next write at cur
-	dead             bool  // a permanent write failure degraded journaling off
+	base, cur, limit int64        // region pages [base, limit), next write at cur
+	lap              int64        // pages the earlier laps spanned, wrap skips included
+	dead             bool         // a permanent write failure degraded journaling off
+	held             []heldRecord // Image's records, oldest first
+}
+
+// heldRecord is one record in Image: its length there, and lap + the page it
+// starts on. A later write rewrites that page once lap + cur passes it by
+// one region.
+type heldRecord struct {
+	size int
+	pos  int64
 }
 
 func (j *Journal) init(s *Substrate) {
@@ -61,55 +75,51 @@ func (j *Journal) Dead() bool { return j.dead }
 
 // Flush persists one bin-buffer flush record and returns the completion
 // time of its drive write (at itself when the region is already dead); the
-// counters say what became of the record. An injected torn record simulates a crash
-// mid-write: only the leading bytes reach the image (at least one, never
-// all), though the write still occupied the drive. A permanent write
-// failure, torn record or not, degrades gracefully — journaling stops, the
-// front-end keeps running on its in-memory index (§3.3's documented
-// tradeoff, minus crash recoverability), the failure is counted, the image
-// is left as it was, and later flushes are dropped without touching the
-// drive. The clock never loses time: a failed write returns the time its
-// retries and backoff reached, for the caller to commit.
+// counters say what became of the record, and the records whose pages the
+// write reached again leave the front of the image. An injected torn record
+// simulates a crash mid-write: only the leading bytes reach the image (at
+// least one, never all), though the write still occupied the drive. A
+// permanent write failure, torn record or not, degrades gracefully —
+// journaling stops, the front-end keeps running on its in-memory index
+// (§3.3's documented tradeoff, minus crash recoverability), the failure is
+// counted, the image is left as it was, and later flushes are dropped
+// without touching the drive. The clock never loses time: a failed write
+// returns the time its retries and backoff reached, for the caller to
+// commit.
 func (j *Journal) Flush(at time.Duration, f *dedup.Flush) time.Duration {
 	if j.dead {
 		return at
 	}
 	frac, torn := j.s.Faults.TornFraction() // drawn before the write's faults
-	end, err := j.write(at, f.Bytes)
+	pages := max(int64(j.s.Drive.Pages(f.Bytes)), 1)
+	if j.cur+pages > j.limit { // wrap to the region start
+		j.lap += j.limit - j.base
+		j.cur = j.base
+	}
+	end, err := j.s.WriteDrive(at, j.cur, int(pages))
 	if err != nil {
 		j.dead = true
 		j.Failures++
 		return end
 	}
 	j.Latency.Observe(end - at)
-	start := len(j.Image)
-	j.Image = dedup.AppendJournalRecord(j.Image, f)
-	if !torn {
-		j.Records++
-		return end
-	}
-	size := len(j.Image) - start
-	keep := min(max(int(frac*float64(size)), 1), size-1)
-	j.Image = j.Image[:start+keep]
-	j.Torn++
-	return end
-}
-
-// write lands one record's pages at the region cursor, wrapping at the
-// region end, under the substrate's bounded-retry policy.
-func (j *Journal) write(at time.Duration, bytes int) (time.Duration, error) {
-	pages := int64(j.s.Drive.Pages(bytes))
-	if pages == 0 {
-		pages = 1
-	}
-	if j.cur+pages > j.limit {
-		j.cur = j.base
-	}
-	end, err := j.s.WriteDrive(at, j.cur, int(pages))
-	if err != nil {
-		return end, err
-	}
+	j.Bytes += int64(f.Bytes)
+	rec := heldRecord{pos: j.lap + j.cur}
 	j.cur += pages
-	j.Bytes += int64(bytes)
-	return end, nil
+	n, cut := 0, 0
+	for ; n < len(j.held) && j.held[n].pos+j.limit-j.base < j.lap+j.cur; n++ {
+		cut += j.held[n].size // its first page was just rewritten
+	}
+	start := len(j.Image) - cut
+	j.Image = dedup.AppendJournalRecord(j.Image[cut:], f)
+	if torn {
+		size := len(j.Image) - start
+		j.Image = j.Image[:start+min(max(int(frac*float64(size)), 1), size-1)]
+		j.Torn++
+	} else {
+		j.Records++
+	}
+	rec.size = len(j.Image) - start
+	j.held = append(j.held[n:], rec)
+	return end
 }

@@ -3,6 +3,7 @@ package reduce
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -27,13 +28,18 @@ func newSubstrate(t *testing.T, faults fault.Config) *Substrate {
 }
 
 // fabricateFlush builds a real bin-buffer flush from a scratch index.
-func fabricateFlush(t *testing.T) *dedup.Flush {
+func fabricateFlush(t *testing.T) *dedup.Flush { return flushOf(t, "reduce", 64) }
+
+// flushOf builds a one-entry flush of content's fingerprint at loc.
+func flushOf(t *testing.T, content string, loc int64) *dedup.Flush {
 	t.Helper()
-	idx, err := dedup.NewBinIndex(dedup.IndexConfig{BinBits: 4, BufferEntries: 1})
+	cfg := dedup.DefaultIndexConfig()
+	cfg.BufferEntries = 1
+	idx, err := dedup.NewBinIndex(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir := idx.Insert(dedup.Sum([]byte("reduce")), dedup.Entry{Loc: 64, Size: 128})
+	ir := idx.Insert(dedup.Sum([]byte(content)), dedup.Entry{Loc: loc, Size: 128})
 	if ir.Flush == nil {
 		t.Fatal("one-entry buffer did not flush")
 	}
@@ -42,7 +48,10 @@ func fabricateFlush(t *testing.T) *dedup.Flush {
 
 // TestJournalRegionWrapsAndRecovers fills the region past its end: the
 // cursor wraps to the region's first page instead of running off the drive,
-// every record lands and is counted, and the image replays without a tear.
+// every record lands and is counted, and the image keeps exactly the
+// records the region still holds — the last lap's — so the replay recovers
+// those and nothing the drive has overwritten, the torn first record
+// included.
 func TestJournalRegionWrapsAndRecovers(t *testing.T) {
 	s := newSubstrate(t, fault.Config{})
 	j := &s.Journal
@@ -50,29 +59,40 @@ func TestJournalRegionWrapsAndRecovers(t *testing.T) {
 	if got, want := j.FirstPage(), logical-logical/16; got != want {
 		t.Fatalf("journal region starts at page %d, want the top 1/16 (%d)", got, want)
 	}
-	f := fabricateFlush(t)
-	writes := (logical-j.FirstPage())*2 + 3 // one page per record: laps the region twice
+	region := logical - j.FirstPage()
+	writes := region*2 + 3 // one page per record: laps the region twice
+	key := func(i int64) string { return fmt.Sprint("record ", i) }
+	s.SetFaultInjector(fault.New(fault.Config{Seed: 5, Rates: fault.Rates{fault.JournalTorn: 1}}))
 	at := time.Duration(0)
 	for i := int64(0); i < writes; i++ {
-		end := j.Flush(at, f)
-		if j.Records != i+1 || end <= at {
-			t.Fatalf("flush %d: %d records, end %v after %v", i, j.Records, end, at)
+		end := j.Flush(at, flushOf(t, key(i), i))
+		if j.Writes() != i+1 || end <= at {
+			t.Fatalf("flush %d: %d writes, end %v after %v", i, j.Writes(), end, at)
 		}
 		if j.cur <= j.base || j.cur > j.limit {
 			t.Fatalf("flush %d left the cursor at page %d, outside (%d,%d]", i, j.cur, j.base, j.limit)
 		}
+		s.SetFaultInjector(nil) // only the first record tears
 		at = end
 	}
 	if j.cur != j.base+3 {
 		t.Fatalf("cursor at %d after two laps and three records, want %d", j.cur, j.base+3)
 	}
-	if j.Writes() != writes || j.Bytes != writes*int64(f.Bytes) || j.Records != writes || j.Latency.N() != writes {
-		t.Fatalf("accounting: %d writes, %d bytes, %d records, %d timed; want %d records of %d bytes",
-			j.Writes(), j.Bytes, j.Records, j.Latency.N(), writes, f.Bytes)
+	f := fabricateFlush(t)
+	if j.Records != writes-1 || j.Torn != 1 || j.Bytes != writes*int64(f.Bytes) || j.Latency.N() != writes {
+		t.Fatalf("accounting: %d records, %d torn, %d bytes, %d timed; want %d records of %d bytes and one torn",
+			j.Records, j.Torn, j.Bytes, j.Latency.N(), writes-1, f.Bytes)
 	}
-	_, rcv, err := dedup.RecoverJournal(j.Image, dedup.DefaultIndexConfig())
-	if err != nil || rcv.Cause != nil || int64(rcv.Records) != writes {
-		t.Fatalf("replay of a healthy journal: %d records, cause %v, err %v", rcv.Records, rcv.Cause, err)
+	idx, rcv, err := dedup.RecoverJournal(j.Image, dedup.DefaultIndexConfig())
+	if err != nil || rcv.Cause != nil || int64(rcv.Records) != region || idx.Len() != region {
+		t.Fatalf("replay: %d records, %d entries, cause %v, err %v; want the last %d records",
+			rcv.Records, idx.Len(), rcv.Cause, err, region)
+	}
+	for i := int64(0); i < writes; i++ {
+		p := idx.Lookup(dedup.Sum([]byte(key(i))))
+		if held := i >= writes-region; p.Found != held || (held && p.Entry.Loc != i) {
+			t.Fatalf("record %d: recovered %v (%+v), want %v", i, p.Found, p.Entry, held)
+		}
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 // because the cache's worst enemy is the VDI boot storm: a one-touch
 // cyclic scan over a working set larger than the cache defeats LRU
 // completely (every block is evicted strictly before its next use — the
-// second storm pass hits 0%). The policy splits capacity into
+// second storm pass hits 0%). The policy splits the capacity, counted in
+// blocks since every entry is one block, into
 //
 //	probation — a small FIFO (about a quarter of the budget) that absorbs
 //	            first-touch entries, so a scan churns only this segment;
@@ -38,14 +39,12 @@ import (
 // (and therefore every virtual-time report) is bit-identical for any
 // Parallelism, client count, or GOMAXPROCS.
 type blockCache struct {
-	capBytes  int64
-	usedBytes int64
-
-	// protBudget caps the protected segment's bytes; the probation FIFO
-	// uses whatever the protected segment does not.
-	protBudget int64
-	protBytes  int64
-	probBytes  int64
+	// on is false when the volume has no cache bytes at all; a cache
+	// smaller than one block is on but holds nothing. capBlocks bounds the
+	// entries and protCap the protected segment's; the probation FIFO uses
+	// whatever the protected segment does not.
+	on                            bool
+	capBlocks, protCap, blockSize int
 
 	// Intrusive doubly-linked lists (front = most recent / newest) plus
 	// free lists of recycled nodes and payload buffers, so steady-state
@@ -67,7 +66,33 @@ type blockCache struct {
 	live, retiredCap int
 	retired          [][]byte
 
-	hits, misses, admissions, ghostHits int64
+	CacheCounters
+}
+
+// CacheCounters is the read cache's accounting, from the scan-resistant
+// admission policy: hits and misses count lookups, admissions counts
+// entries placed in (or promoted into) the protected segment, and ghost
+// hits count inserts whose fingerprint was recently evicted — the 2Q
+// re-admission signal.
+type CacheCounters struct {
+	CacheHits       int64 `json:"cache_hits"` // a batch's pending hits on entries it reserved included
+	CacheMisses     int64 `json:"cache_misses"`
+	CacheAdmissions int64 `json:"cache_admissions"`
+	CacheGhostHits  int64 `json:"cache_ghost_hits"`
+}
+
+// add sums o into c.
+func (c *CacheCounters) add(o CacheCounters) {
+	c.CacheHits += o.CacheHits
+	c.CacheMisses += o.CacheMisses
+	c.CacheAdmissions += o.CacheAdmissions
+	c.CacheGhostHits += o.CacheGhostHits
+}
+
+// since returns what c counted after the snapshot o.
+func (c CacheCounters) since(o CacheCounters) CacheCounters {
+	return CacheCounters{c.CacheHits - o.CacheHits, c.CacheMisses - o.CacheMisses,
+		c.CacheAdmissions - o.CacheAdmissions, c.CacheGhostHits - o.CacheGhostHits}
 }
 
 // segment tags for cacheEntry.where.
@@ -129,9 +154,8 @@ func (l *cacheList) moveToFront(e *cacheEntry) {
 // ghostList remembers the fingerprints of recently evicted entries in a
 // bounded FIFO ring with O(1) membership. It holds no payload — just the
 // fact that a fingerprint was here recently, the 2Q re-admission signal.
-// Sized lazily on first insert (capacity is a function of the entry size,
-// which the cache does not know until then), so construction allocates
-// nothing for disabled caches.
+// Sized on the cache's first insert, so a cache that never admits a block
+// allocates nothing for it.
 type ghostList struct {
 	ring []dedup.Fingerprint
 	in   map[dedup.Fingerprint]struct{}
@@ -288,23 +312,15 @@ func (s *freqSketch) age() {
 // this access" (the access itself already incremented the sketch).
 const admitEstimateMin = 2
 
-// newBlockCache returns a cache bounded to capBytes of payload (zero or
-// negative capacity disables caching).
-func newBlockCache(capBytes int64) *blockCache {
-	c := &blockCache{
-		capBytes:   capBytes,
-		protBudget: capBytes - capBytes/4,
-		byFP:       make(map[dedup.Fingerprint]*cacheEntry),
-	}
-	return c
-}
-
-// lazyInit sizes the ghost list and sketch once the entry size is known.
-func (c *blockCache) lazyInit(n int) {
-	if c.ghost.ring == nil {
-		entries := int(c.capBytes / int64(n))
-		c.ghost.init(entries * 4)
-		c.sketch.init(entries * 8)
+// newBlockCache returns a cache of blockSize-byte blocks bounded to capBytes
+// of payload (zero or negative capacity disables caching).
+func newBlockCache(capBytes int64, blockSize int) *blockCache {
+	return &blockCache{
+		on:        capBytes > 0,
+		capBlocks: int(max(capBytes, 0) / int64(blockSize)),
+		protCap:   int((capBytes - capBytes/4) / int64(blockSize)),
+		blockSize: blockSize,
+		byFP:      make(map[dedup.Fingerprint]*cacheEntry),
 	}
 }
 
@@ -314,16 +330,16 @@ func (c *blockCache) lazyInit(n int) {
 // bytes: one reserved earlier in the same batch holds its data only after
 // its decode.
 func (c *blockCache) getRef(fp dedup.Fingerprint, lease uint64) (*cacheEntry, bool) {
-	if c.capBytes <= 0 {
+	if !c.on {
 		return nil, false
 	}
 	c.sketch.increment(fp)
 	e, ok := c.byFP[fp]
 	if !ok {
-		c.misses++
+		c.CacheMisses++
 		return nil, false
 	}
-	c.hits++
+	c.CacheHits++
 	e.lease = max(e.lease, lease)
 	if e.where == inProtected {
 		c.prot.moveToFront(e)
@@ -332,27 +348,23 @@ func (c *blockCache) getRef(fp dedup.Fingerprint, lease uint64) (*cacheEntry, bo
 		// protected segment (2Q's A1in → Am move), demoting from the
 		// protected tail if the promotion pushes it over budget.
 		c.prob.remove(e)
-		c.probBytes -= int64(len(e.data))
 		e.where = inProtected
 		c.prot.pushFront(e)
-		c.protBytes += int64(len(e.data))
-		c.admissions++
+		c.CacheAdmissions++
 		c.rebalance()
 	}
 	return e, true
 }
 
 // rebalance demotes protected-tail entries into probation until the
-// protected segment is back under its budget. Demotion moves bytes
-// between segments; total usage is unchanged.
+// protected segment is back under its cap. Demotion moves entries
+// between segments; the total is unchanged.
 func (c *blockCache) rebalance() {
-	for c.protBytes > c.protBudget && c.prot.tail != nil {
+	for c.prot.n > c.protCap {
 		e := c.prot.tail
 		c.prot.remove(e)
-		c.protBytes -= int64(len(e.data))
 		e.where = inProbation
 		c.prob.pushFront(e)
-		c.probBytes += int64(len(e.data))
 	}
 }
 
@@ -364,17 +376,14 @@ func (c *blockCache) evictOne() {
 	e := c.prob.tail
 	if e != nil {
 		c.prob.remove(e)
-		c.probBytes -= int64(len(e.data))
 	} else {
 		e = c.prot.tail
 		if e == nil {
 			return
 		}
 		c.prot.remove(e)
-		c.protBytes -= int64(len(e.data))
 	}
 	delete(c.byFP, e.fp)
-	c.usedBytes -= int64(len(e.data))
 	c.ghost.push(e.fp)
 	if metrics.Enabled() {
 		metrics.CacheEvictionsM.Add(1)
@@ -430,32 +439,34 @@ func (c *blockCache) node() *cacheEntry {
 	return &cacheEntry{}
 }
 
-// reserve places a new n-byte entry for fp, which a getRef just missed,
-// stamped with lease, and returns its data slice for the caller to fill
-// (nil when the cache is off or n oversized). planRead reserves at decision
-// time, so admission, eviction and segment state advance in request order
-// even when the decoded bytes only land after a batch's plan. The slice
-// stays valid if the entry is evicted before the fill: filling an orphan is
+// reserve places a new entry for fp, which a getRef just missed, stamped
+// with lease, and returns its block-sized data slice for the caller to fill
+// (nil when the cache holds no block). planRead reserves at decision time,
+// so admission, eviction and segment state advance in request order even
+// when the decoded bytes only land after a batch's plan. The slice stays
+// valid if the entry is evicted before the fill: filling an orphan is
 // harmless, because a buffer the lease may alias is never reassigned. The
-// buffer comes off the free list when it has one; a volume has one block
-// size, so every buffer there is n bytes.
-func (c *blockCache) reserve(fp dedup.Fingerprint, n int, lease uint64) []byte {
-	if c.capBytes <= 0 || int64(n) > c.capBytes {
+// buffer comes off the free list when it has one.
+func (c *blockCache) reserve(fp dedup.Fingerprint, lease uint64) []byte {
+	if c.capBlocks == 0 {
 		return nil
 	}
-	c.lazyInit(n)
+	if c.ghost.ring == nil {
+		c.ghost.init(c.capBlocks * 4)
+		c.sketch.init(c.capBlocks * 8)
+	}
 
 	// Admission evidence, gathered before any eviction disturbs it.
 	ghostHit := c.ghost.contains(fp)
 	qualified := ghostHit || c.sketch.estimate(fp) >= admitEstimateMin
 	if ghostHit {
-		c.ghostHits++
+		c.CacheGhostHits++
 		c.ghost.removeIfPresent(fp)
 	}
 
 	toProtected := false
 	if qualified {
-		if c.protBytes+int64(n) <= c.protBudget {
+		if c.prot.n < c.protCap {
 			toProtected = true
 		} else if v := c.prot.tail; v != nil &&
 			c.sketch.estimate(fp) > c.sketch.estimate(v.fp) {
@@ -468,7 +479,7 @@ func (c *blockCache) reserve(fp dedup.Fingerprint, n int, lease uint64) []byte {
 		}
 	}
 
-	for c.usedBytes+int64(n) > c.capBytes {
+	for c.len() >= c.capBlocks {
 		c.evictOne()
 	}
 
@@ -478,21 +489,18 @@ func (c *blockCache) reserve(fp dedup.Fingerprint, n int, lease uint64) []byte {
 		e.data = c.bufs[k-1]
 		c.bufs[k-1], c.bufs = nil, c.bufs[:k-1]
 	} else {
-		e.data = make([]byte, n)
+		e.data = make([]byte, c.blockSize)
 	}
 	if toProtected {
 		e.where = inProtected
 		c.prot.pushFront(e)
-		c.protBytes += int64(n)
-		c.admissions++
+		c.CacheAdmissions++
 		c.rebalance()
 	} else {
 		e.where = inProbation
 		c.prob.pushFront(e)
-		c.probBytes += int64(n)
 	}
 	c.byFP[fp] = e
-	c.usedBytes += int64(n)
 	return e.data
 }
 
@@ -507,13 +515,10 @@ func (c *blockCache) remove(fp dedup.Fingerprint) {
 	}
 	if e.where == inProtected {
 		c.prot.remove(e)
-		c.protBytes -= int64(len(e.data))
 	} else {
 		c.prob.remove(e)
-		c.probBytes -= int64(len(e.data))
 	}
 	delete(c.byFP, e.fp)
-	c.usedBytes -= int64(len(e.data))
 	c.recycle(e)
 }
 

@@ -24,7 +24,7 @@ func hit(c *blockCache, fp dedup.Fingerprint) bool {
 }
 
 func fill(c *blockCache, fp dedup.Fingerprint, data []byte) {
-	copy(c.reserve(fp, len(data), 0), data)
+	copy(c.reserve(fp, 0), data)
 }
 
 func TestFreqSketchEstimateAndAging(t *testing.T) {
@@ -118,7 +118,7 @@ func TestGhostListBoundedFIFO(t *testing.T) {
 // qualifies for the protected one.
 func TestCacheScanResistance(t *testing.T) {
 	const bs = 64
-	c := newBlockCache(8 * bs)
+	c := newBlockCache(8*bs, bs)
 	data := make([]byte, bs)
 	hot := []dedup.Fingerprint{tfp(1), tfp(2)}
 	// Serial-path access pattern: lookup, insert on miss.
@@ -134,7 +134,7 @@ func TestCacheScanResistance(t *testing.T) {
 			touch(fp)
 		}
 	}
-	if c.admissions == 0 {
+	if c.CacheAdmissions == 0 {
 		t.Fatal("re-accessed entries must be promoted to the protected segment")
 	}
 	for i := uint64(100); i < 200; i++ {
@@ -147,8 +147,8 @@ func TestCacheScanResistance(t *testing.T) {
 			t.Fatal("scan evicted the hot set — admission policy not scan-resistant")
 		}
 	}
-	if c.usedBytes > c.capBytes {
-		t.Fatalf("over capacity: %d > %d", c.usedBytes, c.capBytes)
+	if c.len() > c.capBlocks {
+		t.Fatalf("over capacity: %d > %d blocks", c.len(), c.capBlocks)
 	}
 }
 
@@ -160,22 +160,22 @@ func TestCacheScanResistance(t *testing.T) {
 // as re-references and pins a protected set, so later passes hit.
 func TestCacheCyclicScanConverges(t *testing.T) {
 	const bs, blocks, workingSet, passes = 64, 8, 32, 5
-	c := newBlockCache(blocks * bs)
+	c := newBlockCache(blocks*bs, bs)
 	data := make([]byte, bs)
 	perPass := make([]int64, passes)
 	for p := 0; p < passes; p++ {
-		before := c.hits
+		before := c.CacheHits
 		for i := uint64(0); i < workingSet; i++ {
 			if !hit(c, tfp(i)) {
 				fill(c, tfp(i), data)
 			}
 		}
-		perPass[p] = c.hits - before
+		perPass[p] = c.CacheHits - before
 	}
 	if perPass[0] != 0 {
 		t.Fatalf("cold pass cannot hit, got %d", perPass[0])
 	}
-	if c.ghostHits == 0 {
+	if c.CacheGhostHits == 0 {
 		t.Fatal("cyclic re-inserts must register as ghost hits")
 	}
 	last := perPass[passes-1]
@@ -197,7 +197,7 @@ func TestCacheCyclicScanConverges(t *testing.T) {
 // inserts + promotions, and the disabled cache counts nothing.
 func TestCacheCountersConsistent(t *testing.T) {
 	const bs = 64
-	c := newBlockCache(4 * bs)
+	c := newBlockCache(4*bs, bs)
 	data := make([]byte, bs)
 	lookups := int64(0)
 	for i := uint64(0); i < 50; i++ {
@@ -207,19 +207,19 @@ func TestCacheCountersConsistent(t *testing.T) {
 			fill(c, fp, data)
 		}
 	}
-	if c.hits+c.misses != lookups {
-		t.Fatalf("hits %d + misses %d != lookups %d", c.hits, c.misses, lookups)
+	if c.CacheHits+c.CacheMisses != lookups {
+		t.Fatalf("hits %d + misses %d != lookups %d", c.CacheHits, c.CacheMisses, lookups)
 	}
-	if c.hits == 0 || c.misses == 0 {
-		t.Fatalf("mixed trace must produce both hits (%d) and misses (%d)", c.hits, c.misses)
+	if c.CacheHits == 0 || c.CacheMisses == 0 {
+		t.Fatalf("mixed trace must produce both hits (%d) and misses (%d)", c.CacheHits, c.CacheMisses)
 	}
 
-	off := newBlockCache(0)
+	off := newBlockCache(0, bs)
 	if hit(off, tfp(1)) {
 		t.Fatal("disabled cache returned data")
 	}
 	fill(off, tfp(1), data)
-	if off.hits != 0 || off.misses != 0 || off.len() != 0 {
+	if off.CacheHits != 0 || off.CacheMisses != 0 || off.len() != 0 {
 		t.Fatal("disabled cache must count nothing")
 	}
 }

@@ -249,7 +249,7 @@ func TestVolumeTornJournalRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rcv.Truncated {
+	if rcv.Cause == nil {
 		t.Fatal("recovery over a torn image should truncate")
 	}
 	// Every recovered entry must point at a live, correctly-sized blob.

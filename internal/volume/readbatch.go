@@ -84,8 +84,8 @@ type ReadBatch struct {
 	pending map[dedup.Fingerprint]int32 // fp -> first job decoding it this batch
 
 	// What the last Plan moved: the cache counters and the clock.
-	cacheHits, cacheMisses, cacheAdmissions, cacheGhostHits int64
-	elapsed                                                 time.Duration
+	cache   CacheCounters
+	elapsed time.Duration
 }
 
 // ReadTotals is the accounting every level of a batch-read report carries
@@ -95,14 +95,11 @@ type ReadBatch struct {
 // clock. Hits + misses can undercount Reads: unmapped reads never consult
 // the cache.
 type ReadTotals struct {
-	Reads           int           `json:"reads"`
-	Errors          int64         `json:"errors"`
-	DecodedBlobs    int64         `json:"decoded_blobs"` // blob decodes charged (misses); repeats in a batch run once
-	CacheHits       int64         `json:"cache_hits"`    // pending hits on entries reserved earlier in the batch included
-	CacheMisses     int64         `json:"cache_misses"`
-	CacheAdmissions int64         `json:"cache_admissions"` // entries admitted to (or promoted into) the protected segment
-	CacheGhostHits  int64         `json:"cache_ghost_hits"` // inserts that re-referenced a recently evicted fingerprint
-	Elapsed         time.Duration `json:"elapsed_ns"`       // virtual; the slowest child's once merged
+	Reads        int   `json:"reads"`
+	Errors       int64 `json:"errors"`
+	DecodedBlobs int64 `json:"decoded_blobs"` // blob decodes charged (misses); repeats in a batch run once
+	CacheCounters
+	Elapsed time.Duration `json:"elapsed_ns"` // virtual; the slowest child's once merged
 }
 
 // Add merges a child's totals into t: counters sum, and Elapsed is the
@@ -111,10 +108,7 @@ func (t *ReadTotals) Add(o ReadTotals) {
 	t.Reads += o.Reads
 	t.Errors += o.Errors
 	t.DecodedBlobs += o.DecodedBlobs
-	t.CacheHits += o.CacheHits
-	t.CacheMisses += o.CacheMisses
-	t.CacheAdmissions += o.CacheAdmissions
-	t.CacheGhostHits += o.CacheGhostHits
+	t.CacheCounters.add(o.CacheCounters)
 	t.Elapsed = max(t.Elapsed, o.Elapsed)
 }
 
@@ -132,9 +126,7 @@ func (t ReadTotals) HitRate() float64 {
 func (b *ReadBatch) Totals() ReadTotals {
 	return ReadTotals{
 		Reads: len(b.ops), Errors: int64(b.Errors()), DecodedBlobs: int64(len(b.jobs)),
-		CacheHits: b.cacheHits, CacheMisses: b.cacheMisses,
-		CacheAdmissions: b.cacheAdmissions, CacheGhostHits: b.cacheGhostHits,
-		Elapsed: b.elapsed,
+		CacheCounters: b.cache, Elapsed: b.elapsed,
 	}
 }
 
@@ -204,8 +196,7 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 	b.items = b.items[:0]
 	b.buf = b.buf[:0]
 	clear(b.pending) // no-op on the nil map of a batch that never missed
-	h0, m0 := v.cache.hits, v.cache.misses
-	a0, g0 := v.cache.admissions, v.cache.ghostHits
+	before := v.cache.CacheCounters
 	start := v.now
 	bs := v.cfg.BlockSize
 	if len(b.zero) != bs {
@@ -247,10 +238,7 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 		}
 		b.ops = append(b.ops, op)
 	}
-	b.cacheHits = v.cache.hits - h0
-	b.cacheMisses = v.cache.misses - m0
-	b.cacheAdmissions = v.cache.admissions - a0
-	b.cacheGhostHits = v.cache.ghostHits - g0
+	b.cache = v.cache.CacheCounters.since(before)
 	b.elapsed = v.now - start
 	return nil
 }

@@ -438,10 +438,12 @@ func TestReadBatchTotals(t *testing.T) {
 		st, got := v.Stats(), b.Totals()
 		want := ReadTotals{
 			Reads: len(lbas), Errors: int64(b.Errors()), DecodedBlobs: int64(b.DecodedBlobs()),
-			CacheHits: st.CacheHits - before.CacheHits, CacheMisses: st.CacheMisses - before.CacheMisses,
-			CacheAdmissions: st.CacheAdmissions - before.CacheAdmissions,
-			CacheGhostHits:  st.CacheGhostHits - before.CacheGhostHits,
-			Elapsed:         v.Now() - start,
+			CacheCounters: CacheCounters{
+				CacheHits: st.CacheHits - before.CacheHits, CacheMisses: st.CacheMisses - before.CacheMisses,
+				CacheAdmissions: st.CacheAdmissions - before.CacheAdmissions,
+				CacheGhostHits:  st.CacheGhostHits - before.CacheGhostHits,
+			},
+			Elapsed: v.Now() - start,
 		}
 		if got != want {
 			t.Fatalf("Totals() = %+v, the volume's own deltas say %+v", got, want)

@@ -127,14 +127,7 @@ type Stats struct {
 	Trims     int64 `json:"trims"`
 	DedupHits int64 `json:"dedup_hits"`
 
-	// Read-cache accounting, from the scan-resistant admission policy:
-	// hits/misses count lookups, admissions counts entries placed in (or
-	// promoted into) the protected segment, and ghost hits count inserts
-	// whose fingerprint was recently evicted — the 2Q re-admission signal.
-	CacheHits       int64 `json:"cache_hits"`
-	CacheMisses     int64 `json:"cache_misses"`
-	CacheAdmissions int64 `json:"cache_admissions"`
-	CacheGhostHits  int64 `json:"cache_ghost_hits"`
+	CacheCounters
 
 	LogicalBytes int64 `json:"logical_bytes"` // live user data (mapped blocks × block size)
 	StoredBytes  int64 `json:"stored_bytes"`  // live compressed bytes in the log
@@ -176,10 +169,7 @@ func (s *Stats) AddCounters(st Stats) {
 	s.Reads += st.Reads
 	s.Trims += st.Trims
 	s.DedupHits += st.DedupHits
-	s.CacheHits += st.CacheHits
-	s.CacheMisses += st.CacheMisses
-	s.CacheAdmissions += st.CacheAdmissions
-	s.CacheGhostHits += st.CacheGhostHits
+	s.CacheCounters.add(st.CacheCounters)
 	s.LogicalBytes += st.LogicalBytes
 	s.StoredBytes += st.StoredBytes
 	s.LogBytes += st.LogBytes
@@ -268,7 +258,7 @@ func New(cfg Config) (*Volume, error) {
 		return nil, fmt.Errorf("volume: drive too small for two %d-byte segments", cfg.SegmentBytes)
 	}
 	v.segments = append(v.segments, segment{})
-	v.cache = newBlockCache(cfg.CacheBytes)
+	v.cache = newBlockCache(cfg.CacheBytes, cfg.BlockSize)
 	if cfg.Obs != nil {
 		// Lane registration order fixes the trace's pid/tid assignment: the
 		// request stream first, then the substrate's CPU and SSD lanes.
@@ -289,10 +279,7 @@ func (v *Volume) Stats() Stats {
 	st.WriteLat = v.histW.Summary()
 	st.ReadLat = v.histR.Summary()
 	st.TrimLat = v.histT.Summary()
-	st.CacheHits = v.cache.hits
-	st.CacheMisses = v.cache.misses
-	st.CacheAdmissions = v.cache.admissions
-	st.CacheGhostHits = v.cache.ghostHits
+	st.CacheCounters = v.cache.CacheCounters
 	j := &v.sub.Journal
 	st.JournalFlushLat = j.Latency.Summary()
 	st.JournalRecords = j.Records
@@ -426,7 +413,7 @@ func (v *Volume) commitWrite(lba int64, data []byte, fp dedup.Fingerprint, spec 
 
 	// The chunk store is authoritative for the duplicate decision (the
 	// probe above charges the index work); a stored chunk is referenced
-	// even if a capped index evicted its entry.
+	// even if memory pressure evicted its index entry.
 	if ref, ok := v.chunks[fp]; ok {
 		ref.refs++
 		v.stats.DedupHits++
@@ -687,7 +674,7 @@ func (v *Volume) planRead(lba int64, lease uint64) (p readPlan) {
 		} else {
 			t = v.sub.Run("decompress", t, cost.DecompressCycles(bs)+cost.StageOverheadCycles)
 			p.blob = ref.blob
-			p.slot = v.cache.reserve(fp, bs, lease)
+			p.slot = v.cache.reserve(fp, lease)
 		}
 	}
 	p.lat = v.commit(&v.stats.Reads, &v.histR, span, start, t, lba)

@@ -185,11 +185,15 @@ func TestWriteBatchMatchesPerOpLoop(t *testing.T) {
 				t.Fatal("3% fault rates never fired")
 			}
 		}},
-		{name: "capped-index", cfg: func() Config {
+		{name: "index-evict", cfg: func() Config {
 			cfg := faulty(7)()
-			cfg.Index.MaxEntries = 24
+			cfg.Faults.Rates[fault.IndexEvict] = 0.5
 			return cfg
-		}, ops: mixedOps(5, 700)},
+		}, ops: mixedOps(5, 700), check: func(t *testing.T, st Stats, _ []string) {
+			if st.IndexEvictions == 0 {
+				t.Fatal("memory pressure never evicted an index entry")
+			}
+		}},
 		{name: "log-full", cfg: func() Config {
 			cfg := faultConfig()
 			cfg.Compress = false

@@ -28,7 +28,7 @@ var optionStructs = []typeID{
 	{"internal/serve", "RunOptions"}, {"internal/serve", "ReadBatchOptions"}, {"internal/serve", "Config"},
 	{"internal/cluster", "Config"}, {"internal/core", "Config"}, {"internal/volume", "Config"},
 	{"internal/lz", "Params"}, {"internal/lz", "SubBlockParams"}, {"internal/reduce", "Encoder"},
-	{"internal/fault", "Config"},
+	{"internal/fault", "Config"}, {"internal/dedup", "IndexConfig"},
 }
 
 // testSeams are the option fields no caller sets, each with why it is still
