@@ -105,7 +105,6 @@ func (l PipelineLatency) Any() bool { return l != (PipelineLatency{}) }
 // bit-identical to a build without injection.
 type FaultStats struct {
 	SSDWriteRetries      int64 `json:"ssd_write_retries"`      // transient write errors cleared by retry
-	SSDReadRetries       int64 `json:"ssd_read_retries"`       // transient read errors cleared by retry
 	LatencySpikes        int64 `json:"latency_spikes"`         // injected latency spikes absorbed
 	JournalTornRecords   int64 `json:"journal_torn_records"`   // flush records torn mid-write
 	JournalWriteFailures int64 `json:"journal_write_failures"` // permanent journal-write failures (journaling degraded off)
@@ -141,8 +140,8 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  ssd: hostW=%d nandW=%d WA=%.2f erases=%d maxErase=%d\n",
 		r.SSD.HostWritePages, r.SSD.NANDWritePages, r.SSDWriteAmp, r.SSD.Erases, r.MaxErase)
 	if r.Faults.Any() {
-		fmt.Fprintf(&b, "  faults: ssd-write-retries=%d ssd-read-retries=%d spikes=%d journal-torn=%d journal-failed=%d gpu-lost=%v gpu-fallback=%d index-evict=%d\n",
-			r.Faults.SSDWriteRetries, r.Faults.SSDReadRetries, r.Faults.LatencySpikes,
+		fmt.Fprintf(&b, "  faults: ssd-write-retries=%d spikes=%d journal-torn=%d journal-failed=%d gpu-lost=%v gpu-fallback=%d index-evict=%d\n",
+			r.Faults.SSDWriteRetries, r.Faults.LatencySpikes,
 			r.Faults.JournalTornRecords, r.Faults.JournalWriteFailures,
 			r.Faults.GPUDeviceLost, r.Faults.GPUFallbackBatches, r.Faults.IndexEvictions)
 	}

@@ -3,7 +3,6 @@ package dedup
 import (
 	"bytes"
 	"fmt"
-	"sync/atomic"
 
 	"inlinered/internal/fault"
 )
@@ -115,15 +114,12 @@ func (f *Flush) Values() []Entry {
 }
 
 // BinIndex is the bin-based deduplication index. It is not safe for
-// concurrent use as a whole, but disjoint bins are independent: see
-// IndexPartitioned for the lock-free partitioned run.
+// concurrent use as a whole, but all its state except the fault injector
+// is per-bin, so disjoint bins share no variable: see IndexPartitioned for
+// the lock-free partitioned run.
 type BinIndex struct {
 	cfg  IndexConfig
 	bins []bin
-	// entries is atomic because disjoint-bin owners (see IndexPartitioned)
-	// update it concurrently; all other state is per-bin and therefore
-	// race-free under bin partitioning.
-	entries atomic.Int64
 
 	// faults injects memory-pressure evictions (consulted once per
 	// insert); faultEvicted counts the entries it dropped. They are the
@@ -147,7 +143,7 @@ func NewBinIndex(cfg IndexConfig) (*BinIndex, error) {
 func (x *BinIndex) Config() IndexConfig { return x.cfg }
 
 // Len returns the number of resident entries (buffers + trees).
-func (x *BinIndex) Len() int64 { return x.entries.Load() }
+func (x *BinIndex) Len() int64 { return int64(x.BufferedEntries() + x.TreeEntries()) }
 
 // SetFaultInjector threads a deterministic fault injector through the
 // index: each insert may be followed by a memory-pressure eviction of one
@@ -251,7 +247,6 @@ func (x *BinIndex) Insert(fp Fingerprint, e Entry) InsertResult {
 	res := InsertResult{BufferScanned: scanned + 1} // the append touches one more slot
 	// Only an appended entry needs an owned copy of the suffix.
 	b.buf = append(b.buf, bufEntry{key: fp.Suffix(x.cfg.PrefixBytes), val: e})
-	x.entries.Add(1)
 	if x.faults.EvictIndex() {
 		x.evictUnderPressure(binID)
 	}
@@ -277,7 +272,6 @@ func (x *BinIndex) evictUnderPressure(binID uint32) {
 		}
 	}
 	if _, _, ok := t.DeleteAt(x.faults.Rank(t.Len())); ok {
-		x.entries.Add(-1)
 		x.faultEvicted++
 	}
 }
@@ -287,11 +281,8 @@ func (x *BinIndex) flush(binID uint32) *Flush {
 	b := &x.bins[binID]
 	f := &Flush{Bin: binID, Entries: b.buf}
 	for _, e := range b.buf {
-		steps, replaced := b.tree.Insert(e.key, e.val)
+		steps, _ := b.tree.Insert(e.key, e.val) // a buffered duplicate of a tree entry collapses
 		f.TreeSteps += steps
-		if replaced {
-			x.entries.Add(-1) // buffered duplicate of a tree entry collapses
-		}
 	}
 	f.Bytes = len(b.buf) * x.EntryBytes()
 	b.buf = nil
@@ -307,7 +298,6 @@ func (x *BinIndex) Remove(fp Fingerprint) (removed bool, bufferScanned, treeStep
 	i, bufferScanned := b.find(key)
 	if i >= 0 {
 		b.buf = append(b.buf[:i], b.buf[i+1:]...)
-		x.entries.Add(-1)
 		return true, bufferScanned, 0
 	}
 	_, treeSteps, found := b.tree.Get(key)
@@ -315,7 +305,6 @@ func (x *BinIndex) Remove(fp Fingerprint) (removed bool, bufferScanned, treeStep
 		return false, bufferScanned, treeSteps
 	}
 	b.tree.Delete(key)
-	x.entries.Add(-1)
 	return true, bufferScanned, treeSteps
 }
 

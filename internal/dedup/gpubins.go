@@ -1,7 +1,6 @@
 package dedup
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"time"
@@ -10,30 +9,41 @@ import (
 )
 
 // GPUBins is the device-resident half of the index described in §3.1(2):
-// every bin is a *linear* table of hash suffixes in device memory (not a
-// tree), because contiguous layout lets wavefront lanes stage entries
-// through local memory without branch-heavy pointer chasing. Only the hash
-// values live on the device; per-chunk metadata stays in host memory and is
-// resolved from the kernel's (hit, slot) result pairs, so device updates are
-// plain array writes with no tree maintenance.
+// every bin is a *linear* table of hash suffixes (not a tree), because
+// contiguous layout lets wavefront lanes stage entries through local memory
+// without branch-heavy pointer chasing. Only the hash values count against
+// device memory; per-chunk metadata stays on the host and is resolved from
+// the kernel's (hit, slot) result pairs, so device updates are plain array
+// writes with no tree maintenance.
+//
+// Each bin is one slot table, in slot order, holding a key and its entry
+// per slot. The simulated kernel's result is defined by a linear scan of
+// the bin (and is *costed* as one), but the scan's outcome is computed
+// through one map from (bin, key) to slot in O(1), so multi-gigabyte runs
+// don't pay O(bin) wall-clock per probe.
 type GPUBins struct {
 	dev       *gpu.Device
-	buf       *gpu.Buffer
 	binBits   int
 	keySize   int
 	capPerBin int
-	counts    []int32   // host shadow of per-bin fill level
-	meta      [][]Entry // host-side metadata per (bin, slot)
-	// slots maps key bytes -> slot within the key's bin. The simulated
-	// kernel's result is defined by a linear scan of the bin (and is
-	// *costed* as one), but the scan's outcome — the first slot holding the
-	// key, or a full-bin miss — is computed through this shadow in O(1) so
-	// multi-gigabyte runs don't pay O(bin) wall-clock per probe.
-	slots    map[string]int32
+	bins      [][]gpuSlot
+	// slots names the newest slot holding a key in its bin.
+	slots    map[binKey]int32
 	rng      *rand.Rand
 	hits     int64
 	misses   int64
 	replaced int64
+}
+
+// gpuSlot is one linear-table slot: the stored suffix and its host metadata.
+type gpuSlot struct {
+	key string
+	e   Entry
+}
+
+type binKey struct {
+	bin uint32
+	key string
 }
 
 // GPUHit is one item's batch-indexing outcome.
@@ -42,9 +52,10 @@ type GPUHit struct {
 	Entry Entry
 }
 
-// NewGPUBins allocates device-resident bins: 2^binBits bins of capPerBin
-// suffix slots each. prefixBytes matches the host index's truncation so the
-// same key bytes are compared on both sides.
+// NewGPUBins returns device-resident bins: 2^binBits bins of capPerBin
+// suffix slots each, refused if their keys would not fit the device's
+// memory. prefixBytes matches the host index's truncation so the same key
+// bytes are compared on both sides.
 func NewGPUBins(dev *gpu.Device, binBits, capPerBin, prefixBytes, seed int) (*GPUBins, error) {
 	if binBits < 0 || binBits > 24 {
 		return nil, fmt.Errorf("dedup: gpu binBits must be in [0,24], got %d", binBits)
@@ -55,45 +66,36 @@ func NewGPUBins(dev *gpu.Device, binBits, capPerBin, prefixBytes, seed int) (*GP
 	if prefixBytes < 0 || 8*prefixBytes > binBits {
 		return nil, fmt.Errorf("dedup: gpu prefixBytes=%d needs binBits >= %d", prefixBytes, 8*prefixBytes)
 	}
-	bins := 1 << uint(binBits)
-	keySize := FingerprintSize - prefixBytes
-	buf, err := dev.Alloc("dedup-bins", bins*capPerBin*keySize)
-	if err != nil {
-		return nil, err
-	}
-	return &GPUBins{
+	g := &GPUBins{
 		dev:       dev,
-		buf:       buf,
 		binBits:   binBits,
-		keySize:   keySize,
+		keySize:   FingerprintSize - prefixBytes,
 		capPerBin: capPerBin,
-		counts:    make([]int32, bins),
-		meta:      make([][]Entry, bins),
-		slots:     make(map[string]int32),
+		bins:      make([][]gpuSlot, 1<<uint(binBits)),
+		slots:     make(map[binKey]int32),
 		rng:       rand.New(rand.NewSource(int64(seed))),
-	}, nil
+	}
+	if n := g.DeviceBytes(); int64(n) > dev.DeviceMemBytes {
+		return nil, fmt.Errorf("dedup: gpu bins need %d bytes of device memory, the device has %d", n, dev.DeviceMemBytes)
+	}
+	return g, nil
 }
 
 // Len returns the number of resident device entries.
 func (g *GPUBins) Len() int {
 	n := 0
-	for _, c := range g.counts {
-		n += int(c)
+	for _, b := range g.bins {
+		n += len(b)
 	}
 	return n
 }
 
-// DeviceBytes returns the device-memory footprint of the bins.
-func (g *GPUBins) DeviceBytes() int { return g.buf.Size() }
+// DeviceBytes returns the device-memory footprint of the bins' key slots.
+func (g *GPUBins) DeviceBytes() int { return len(g.bins) * g.capPerBin * g.keySize }
 
 // Stats returns cumulative hit, miss, and random-replacement counts.
 func (g *GPUBins) Stats() (hits, misses, replaced int64) {
 	return g.hits, g.misses, g.replaced
-}
-
-func (g *GPUBins) slot(bin uint32, s int32) []byte {
-	off := (int(bin)*g.capPerBin + int(s)) * g.keySize
-	return g.buf.Data[off : off+g.keySize]
 }
 
 // BatchIndex probes a batch of fingerprints against the device bins: the
@@ -119,19 +121,14 @@ func (g *GPUBins) BatchIndex(at time.Duration, fps []Fingerprint) (time.Duration
 	perItem := make([]float64, len(fps))
 	var localBytes int64
 	t, prof, err := g.dev.Launch(t, "bin-index", func() gpu.Profile {
-		for i, fp := range fps {
-			bin := fp.Bin(g.binBits)
-			key := fp.Suffix(FingerprintSize - g.keySize)
-			// Linear-scan outcome: the first slot holding the key, or a
-			// full scan of the bin on a miss. The shadow map computes the
-			// same outcome in O(1); sanity of the shadow is checked against
-			// the device bytes.
-			scanned := int(g.counts[bin])
-			if s, ok := g.slots[string(key)]; ok {
-				if !bytes.Equal(g.slot(bin, s), key) {
-					panic("dedup: gpu slot shadow out of sync with device memory")
-				}
-				hits[i] = GPUHit{Found: true, Entry: g.meta[bin][s]}
+		for i := range fps {
+			bin := fps[i].Bin(g.binBits)
+			table := g.bins[bin]
+			// Scan outcome: up to the key's slot on a hit, the whole
+			// table on a miss.
+			scanned := len(table)
+			if s, ok := g.slots[binKey{bin, string(fps[i][FingerprintSize-g.keySize:])}]; ok {
+				hits[i] = GPUHit{Found: true, Entry: table[s].e}
 				scanned = int(s) + 1
 			}
 			perItem[i] = cost.ProbeBaseCycles + float64(scanned)*cost.ProbeEntryCycles
@@ -166,8 +163,8 @@ func (g *GPUBins) BatchIndex(at time.Duration, fps []Fingerprint) (time.Duration
 // table — no kernel launch and "no other hash table update overhead on the
 // GPU". Only the PCIe transfer is charged.
 func (g *GPUBins) Update(at time.Duration, bin uint32, keys [][]byte, vals []Entry) (time.Duration, error) {
-	if int(bin) >= len(g.counts) {
-		return at, fmt.Errorf("dedup: gpu bin %d out of range (%d bins)", bin, len(g.counts))
+	if int(bin) >= len(g.bins) {
+		return at, fmt.Errorf("dedup: gpu bin %d out of range (%d bins)", bin, len(g.bins))
 	}
 	if len(keys) != len(vals) {
 		return at, fmt.Errorf("dedup: gpu update keys (%d) and values (%d) misaligned", len(keys), len(vals))
@@ -176,19 +173,18 @@ func (g *GPUBins) Update(at time.Duration, bin uint32, keys [][]byte, vals []Ent
 		if len(key) != g.keySize {
 			return at, fmt.Errorf("dedup: gpu update key %d has %d bytes, want %d", i, len(key), g.keySize)
 		}
-		var s int32
-		if int(g.counts[bin]) < g.capPerBin {
-			s = g.counts[bin]
-			g.counts[bin]++
-			g.meta[bin] = append(g.meta[bin], Entry{})
+		slot := gpuSlot{string(key), vals[i]}
+		table := g.bins[bin]
+		s := int32(len(table))
+		if len(table) < g.capPerBin {
+			g.bins[bin] = append(table, slot)
 		} else {
 			s = int32(g.rng.Intn(g.capPerBin))
 			g.replaced++
-			delete(g.slots, string(g.slot(bin, s)))
+			delete(g.slots, binKey{bin, table[s].key})
+			table[s] = slot
 		}
-		copy(g.slot(bin, s), key)
-		g.meta[bin][s] = vals[i]
-		g.slots[string(key)] = s
+		g.slots[binKey{bin, slot.key}] = s
 	}
 	return g.dev.TransferToDevice(at, len(keys)*g.keySize), nil
 }

@@ -207,3 +207,25 @@ func TestGPUBinsDivergenceFromUnevenBins(t *testing.T) {
 		t.Fatalf("expected SIMT divergence > 1, got %g", f)
 	}
 }
+
+func TestGPUBinsSuffixInOtherBinMisses(t *testing.T) {
+	// With a dropped prefix, two fingerprints that differ only in that
+	// prefix share a stored suffix but live in different bins: a probe
+	// must resolve only inside its own bin.
+	g := newTestGPUBins(t, testDevice(), 8, 4, 1)
+	owner, other := fpFor(5), fpFor(5)
+	owner[0], other[0] = 0x01, 0x02
+	if _, err := g.Update(0, owner.Bin(8), [][]byte{owner.Suffix(1)}, []Entry{{Loc: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	_, hits, _, err := g.BatchIndex(0, []Fingerprint{other, owner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits[0].Found {
+		t.Fatalf("probe in bin %d hit bin %d's suffix: %+v", other.Bin(8), owner.Bin(8), hits[0])
+	}
+	if !hits[1].Found || hits[1].Entry.Loc != 5 {
+		t.Fatalf("owner's probe missed: %+v", hits[1])
+	}
+}

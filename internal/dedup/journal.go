@@ -165,9 +165,7 @@ func applyRecord(idx *BinIndex, rec journalRecord) {
 	for i, key := range rec.Keys {
 		k := make([]byte, len(key))
 		copy(k, key)
-		if _, replaced := b.tree.Insert(k, rec.Vals[i]); !replaced {
-			idx.entries.Add(1)
-		}
+		b.tree.Insert(k, rec.Vals[i])
 	}
 }
 

@@ -17,11 +17,12 @@ type WorkerWork struct {
 // IndexPartitioned indexes fps into idx without any locking, using the
 // paper's partitioning argument (§3.1(1)): owner w holds the bins where
 // BinOf(fp) % owners == w, one task per owner is posted on pool, and no two
-// tasks ever touch the same bin. Items that share a fingerprint land in the
-// same bin and are handled in stream order by its owner, so every duplicate
-// resolves to its first occurrence's entry(i) whatever the pool's size. The
-// per-owner work summaries let the simulation cost each owner's virtual time
-// independently.
+// tasks ever touch the same bin — nor any other variable, since the index
+// keeps no state outside its bins but the fault injector. Items that share
+// a fingerprint land in the same bin and are handled in stream order by its
+// owner, so every duplicate resolves to its first occurrence's entry(i)
+// whatever the pool's size. The per-owner work summaries let the simulation
+// cost each owner's virtual time independently.
 //
 // An index with a fault injector takes one owner only: its memory-pressure
 // evictions draw from the injector's one stream and may reach into other

@@ -16,9 +16,11 @@
 //     faster than GPU indexing and decides to use the GPU for indexing only
 //     when the CPU is saturated.
 //
-// Kernels are real Go code operating on real device-buffer bytes; they
-// return a Profile describing the work they did, and the device converts
-// that profile into virtual time. Only time is simulated — results are real.
+// Kernels are real Go code operating on their owners' data; they return a
+// Profile describing the work they did, and the device converts that
+// profile into virtual time. Only time is simulated — results are real.
+// Device memory is a budget (Config.DeviceMemBytes) that device-resident
+// structures check their size against.
 package gpu
 
 import (
@@ -178,7 +180,6 @@ type Device struct {
 	Config
 	queue      *sim.Pool
 	link       *sim.Link
-	memUsed    int64
 	kernels    int64
 	profiles   Profiles
 	faults     *fault.Injector
@@ -257,11 +258,11 @@ func (d *Device) SetRecorder(r *obs.Recorder) {
 func (d *Device) Lost() bool { return d.lost }
 
 // Launch runs the kernel called name, enqueued at virtual time at: run
-// executes it functionally (producing real results in device buffers or host
-// memory) and returns the work profile the device charges for. Launch
-// returns the kernel completion time together with that profile. The launch
-// pays the fixed dispatch overhead and then the profile's compute time;
-// kernels on the queue serialize.
+// executes it functionally (producing real results) and returns the work
+// profile the device charges for. Launch returns the kernel completion
+// time together with that profile. The launch pays the fixed dispatch
+// overhead and then the profile's compute time; kernels on the queue
+// serialize.
 //
 // A launch on a lost device fails with fault.ErrDeviceLost without running
 // the kernel. An injected device loss fires during dispatch: the launch
@@ -332,9 +333,9 @@ func (d *Device) Utilization(until time.Duration) float64 { return d.queue.Utili
 // LinkUtilization reports PCIe occupancy over [0, until].
 func (d *Device) LinkUtilization(until time.Duration) float64 { return d.link.Utilization(until) }
 
-// Reset clears the device timeline, statistics, and nothing else: allocated
-// buffers and their contents survive, matching a persistent device-resident
-// index across runs. Use FreeAll to drop buffers too.
+// Reset clears the device timeline and statistics, and nothing else:
+// device-resident structures such as the bin index live with their owners
+// and survive it, matching a persistent index across runs.
 func (d *Device) Reset() {
 	d.queue.Reset()
 	d.link.Reset()

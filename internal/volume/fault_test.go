@@ -269,6 +269,44 @@ func TestVolumeTornJournalRecovers(t *testing.T) {
 	}
 }
 
+// TestIndexEvictVolumeStillDedups: in the volume the chunk map, not the
+// index, decides whether a write is a duplicate, so an entry that memory
+// pressure evicted from the index changes only the probe work — a rewrite
+// of its block is still deduplicated and stores nothing.
+func TestIndexEvictVolumeStillDedups(t *testing.T) {
+	cfg := faultConfig()
+	cfg.Faults = fault.Config{Seed: 7, Rates: fault.Rates{fault.IndexEvict: 1}}
+	v := newVolume(t, cfg)
+	const n = 400
+	for i := 0; i < n; i++ {
+		if _, err := v.Write(int64(i), block(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := v.Stats()
+	var evicted []int
+	for i := 0; i < n; i++ {
+		if !v.sub.Index.Lookup(dedup.Sum(block(i))).Found {
+			evicted = append(evicted, i)
+		}
+	}
+	if len(evicted) == 0 || int64(len(evicted)) != before.IndexEvictions {
+		t.Fatalf("index misses %d of %d blocks, evictions %d", len(evicted), n, before.IndexEvictions)
+	}
+	for _, i := range evicted {
+		if _, err := v.Write(int64(i), block(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := v.Stats()
+	if got := after.DedupHits - before.DedupHits; got != int64(len(evicted)) {
+		t.Fatalf("rewrites of %d evicted blocks deduplicated %d", len(evicted), got)
+	}
+	if after.StoredBytes != before.StoredBytes {
+		t.Fatalf("rewrites of evicted blocks moved stored bytes: %d -> %d", before.StoredBytes, after.StoredBytes)
+	}
+}
+
 func TestVolumeJournalWriteFailureDegrades(t *testing.T) {
 	v := newVolume(t, faultConfig())
 	// Arm a permanent-write injector directly (uniform injection can't

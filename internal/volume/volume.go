@@ -412,8 +412,10 @@ func (v *Volume) commitWrite(lba int64, data []byte, fp dedup.Fingerprint, spec 
 	t = v.sub.Run("probe", t, cost.ProbeCycles(p.BufferScanned, p.TreeSteps))
 
 	// The chunk store is authoritative for the duplicate decision (the
-	// probe above charges the index work); a stored chunk is referenced
-	// even if memory pressure evicted its index entry.
+	// probe above charges the index work): a stored chunk is referenced
+	// even if memory pressure evicted its index entry, so an eviction
+	// moves only the probe work and IndexEvictions, never the duplicate
+	// decision or the stored bytes.
 	if ref, ok := v.chunks[fp]; ok {
 		ref.refs++
 		v.stats.DedupHits++
