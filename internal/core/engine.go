@@ -328,7 +328,7 @@ func (e *Engine) screen(hb *hashedBatch) {
 		return
 	}
 	e.front.wait(hb)
-	gdone, ghits, _, err := e.gbins.BatchIndex(at, hb.fps)
+	gdone, ghits, err := e.gbins.BatchIndex(at, hb.fps)
 	if err != nil {
 		// The only failure a batch probe can hit is device loss. The batch
 		// simply stays unscreened: the CPU index path below handles it, and
@@ -610,7 +610,7 @@ func (e *Engine) flushGPUCompress() error {
 	}
 	e.perLane = perLane
 	var err error
-	t, _, err = e.dev.Launch(t, "subblock-lz", func() gpu.Profile {
+	t, err = e.dev.Launch(t, "subblock-lz", func() gpu.Profile {
 		p := gpu.Wavefronts(perLane, e.dev.WavefrontSize)
 		p.LocalBytes = int64(srcBytes)
 		return p
@@ -793,8 +793,7 @@ func (e *Engine) persistFlush(at time.Duration, f *dedup.Flush) error {
 	if e.gbins == nil || e.gpuLost {
 		return nil
 	}
-	_, err := e.gbins.Update(at, e.gpuBin(f.Bin), f.Keys(), f.Values())
-	return err
+	return e.gbins.Update(at, e.gpuBin(f.Bin), f.Keys(), f.Values())
 }
 
 // finalFlush writes the final partial data page and drains the bin buffers

@@ -230,13 +230,5 @@ func (c *CPU) Run(at time.Duration, cycles float64) (start, end time.Duration) {
 	return c.Pool.Acquire(at, c.Time(cycles))
 }
 
-// Saturated reports whether every hardware thread is busy at virtual time
-// at. The pipeline uses this as the "CPU utilization is full" signal from
-// §3.1(3) when deciding to offload indexing to the GPU.
-func (c *CPU) Saturated(at time.Duration) bool { return c.Pool.Saturated(at) }
-
 // Utilization reports mean thread utilization over [0, until].
 func (c *CPU) Utilization(until time.Duration) float64 { return c.Pool.Utilization(until) }
-
-// Reset clears the CPU's timeline and statistics.
-func (c *CPU) Reset() { c.Pool.Reset() }

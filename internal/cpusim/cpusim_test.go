@@ -48,22 +48,6 @@ func TestRunUsesAllThreads(t *testing.T) {
 	}
 }
 
-func TestSaturated(t *testing.T) {
-	c := New(Config{Name: "t", Threads: 2, ClockHz: 1e9})
-	if c.Saturated(0) {
-		t.Fatal("idle CPU should not be saturated")
-	}
-	c.Run(0, 1e6)
-	c.Run(0, 1e6)
-	if !c.Saturated(0) {
-		t.Fatal("both threads busy: should be saturated")
-	}
-	c.Reset()
-	if c.Saturated(0) {
-		t.Fatal("reset CPU should not be saturated")
-	}
-}
-
 func TestDefaultConfigSane(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.Threads != 8 || cfg.ClockHz != 3.5e9 {

@@ -28,11 +28,8 @@ type GPUBins struct {
 	capPerBin int
 	bins      [][]gpuSlot
 	// slots names the newest slot holding a key in its bin.
-	slots    map[binKey]int32
-	rng      *rand.Rand
-	hits     int64
-	misses   int64
-	replaced int64
+	slots map[binKey]int32
+	rng   *rand.Rand
 }
 
 // gpuSlot is one linear-table slot: the stored suffix and its host metadata.
@@ -93,11 +90,6 @@ func (g *GPUBins) Len() int {
 // DeviceBytes returns the device-memory footprint of the bins' key slots.
 func (g *GPUBins) DeviceBytes() int { return len(g.bins) * g.capPerBin * g.keySize }
 
-// Stats returns cumulative hit, miss, and random-replacement counts.
-func (g *GPUBins) Stats() (hits, misses, replaced int64) {
-	return g.hits, g.misses, g.replaced
-}
-
 // BatchIndex probes a batch of fingerprints against the device bins: the
 // hashes are DMAed to the device, one kernel thread per hash scans its
 // bin's linear table, and the (hit, slot) pairs come back over PCIe; hits
@@ -109,9 +101,9 @@ func (g *GPUBins) Stats() (hits, misses, replaced int64) {
 // lengths.
 // A lost device fails the batch with fault.ErrDeviceLost before any outcome
 // is produced; the caller falls back to the host index.
-func (g *GPUBins) BatchIndex(at time.Duration, fps []Fingerprint) (time.Duration, []GPUHit, gpu.Profile, error) {
+func (g *GPUBins) BatchIndex(at time.Duration, fps []Fingerprint) (time.Duration, []GPUHit, error) {
 	if len(fps) == 0 {
-		return at, nil, gpu.Profile{}, nil
+		return at, nil, nil
 	}
 	// Host -> device: the hash values only (metadata never crosses, §3.1(2)).
 	t := g.dev.TransferToDevice(at, len(fps)*FingerprintSize)
@@ -120,7 +112,7 @@ func (g *GPUBins) BatchIndex(at time.Duration, fps []Fingerprint) (time.Duration
 	cost := g.dev.Cost
 	perItem := make([]float64, len(fps))
 	var localBytes int64
-	t, prof, err := g.dev.Launch(t, "bin-index", func() gpu.Profile {
+	t, err := g.dev.Launch(t, "bin-index", func() gpu.Profile {
 		for i := range fps {
 			bin := fps[i].Bin(g.binBits)
 			table := g.bins[bin]
@@ -139,20 +131,11 @@ func (g *GPUBins) BatchIndex(at time.Duration, fps []Fingerprint) (time.Duration
 		return p
 	})
 	if err != nil {
-		return t, nil, gpu.Profile{}, err
+		return t, nil, err
 	}
 
 	// Device -> host: one (hit, slot) pair per item.
-	t = g.dev.TransferFromDevice(t, len(fps)*8)
-
-	for _, h := range hits {
-		if h.Found {
-			g.hits++
-		} else {
-			g.misses++
-		}
-	}
-	return t, hits, prof, nil
+	return g.dev.TransferFromDevice(t, len(fps)*8), hits, nil
 }
 
 // Update pushes a flushed bin-buffer batch into the device bin, appending
@@ -161,17 +144,18 @@ func (g *GPUBins) BatchIndex(at time.Duration, fps []Fingerprint) (time.Duration
 // arrays, the update is "a direct update process" (§3.1(2)): the host
 // computes the slot placements and DMAs the key bytes straight into the
 // table — no kernel launch and "no other hash table update overhead on the
-// GPU". Only the PCIe transfer is charged.
-func (g *GPUBins) Update(at time.Duration, bin uint32, keys [][]byte, vals []Entry) (time.Duration, error) {
+// GPU". Only the PCIe transfer is charged: it occupies the link that later
+// batches queue behind, and no caller waits on its completion.
+func (g *GPUBins) Update(at time.Duration, bin uint32, keys [][]byte, vals []Entry) error {
 	if int(bin) >= len(g.bins) {
-		return at, fmt.Errorf("dedup: gpu bin %d out of range (%d bins)", bin, len(g.bins))
+		return fmt.Errorf("dedup: gpu bin %d out of range (%d bins)", bin, len(g.bins))
 	}
 	if len(keys) != len(vals) {
-		return at, fmt.Errorf("dedup: gpu update keys (%d) and values (%d) misaligned", len(keys), len(vals))
+		return fmt.Errorf("dedup: gpu update keys (%d) and values (%d) misaligned", len(keys), len(vals))
 	}
 	for i, key := range keys {
 		if len(key) != g.keySize {
-			return at, fmt.Errorf("dedup: gpu update key %d has %d bytes, want %d", i, len(key), g.keySize)
+			return fmt.Errorf("dedup: gpu update key %d has %d bytes, want %d", i, len(key), g.keySize)
 		}
 		slot := gpuSlot{string(key), vals[i]}
 		table := g.bins[bin]
@@ -180,11 +164,11 @@ func (g *GPUBins) Update(at time.Duration, bin uint32, keys [][]byte, vals []Ent
 			g.bins[bin] = append(table, slot)
 		} else {
 			s = int32(g.rng.Intn(g.capPerBin))
-			g.replaced++
 			delete(g.slots, binKey{bin, table[s].key})
 			table[s] = slot
 		}
 		g.slots[binKey{bin, slot.key}] = s
 	}
-	return g.dev.TransferToDevice(at, len(keys)*g.keySize), nil
+	g.dev.TransferToDevice(at, len(keys)*g.keySize)
+	return nil
 }

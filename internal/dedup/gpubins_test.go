@@ -50,8 +50,7 @@ func TestGPUBinsUpdateThenIndex(t *testing.T) {
 	fps := []Fingerprint{fpFor(1), fpFor(2), fpFor(3)}
 	for i, fp := range fps {
 		bin := fp.Bin(8)
-		_, err := g.Update(0, bin, [][]byte{fp.Suffix(0)}, []Entry{{Loc: int64(100 + i)}})
-		if err != nil {
+		if err := g.Update(0, bin, [][]byte{fp.Suffix(0)}, []Entry{{Loc: int64(100 + i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,7 +59,7 @@ func TestGPUBinsUpdateThenIndex(t *testing.T) {
 	}
 
 	batch := []Fingerprint{fpFor(1), fpFor(99), fpFor(3)}
-	done, hits, prof, _ := g.BatchIndex(0, batch)
+	done, hits, _ := g.BatchIndex(0, batch)
 	if done <= 0 {
 		t.Fatal("batch index must consume virtual time")
 	}
@@ -73,19 +72,21 @@ func TestGPUBinsUpdateThenIndex(t *testing.T) {
 	if !hits[2].Found || hits[2].Entry.Loc != 102 {
 		t.Fatalf("hit 2: %+v", hits[2])
 	}
-	if prof.Items != 3 {
-		t.Fatalf("profile items: %d", prof.Items)
+	found := 0
+	for _, h := range hits {
+		if h.Found {
+			found++
+		}
 	}
-	h, m, _ := g.Stats()
-	if h != 2 || m != 1 {
-		t.Fatalf("stats: hits=%d misses=%d", h, m)
+	if len(hits) != 3 || found != 2 {
+		t.Fatalf("outcomes: %d items, %d hits; want 3 and 2", len(hits), found)
 	}
 }
 
 func TestGPUBinsEmptyBatch(t *testing.T) {
 	g := newTestGPUBins(t, testDevice(), 4, 4, 0)
-	done, hits, prof, _ := g.BatchIndex(5*time.Microsecond, nil)
-	if done != 5*time.Microsecond || hits != nil || prof.Items != 0 {
+	done, hits, _ := g.BatchIndex(5*time.Microsecond, nil)
+	if done != 5*time.Microsecond || hits != nil {
 		t.Fatal("empty batch should be free")
 	}
 }
@@ -95,7 +96,7 @@ func TestGPUBinsLaunchOverheadDominatesSmallBatches(t *testing.T) {
 	// total never drops below the launch overhead.
 	dev := testDevice()
 	g := newTestGPUBins(t, dev, 8, 64, 0)
-	done1, _, _, _ := g.BatchIndex(0, []Fingerprint{fpFor(1)})
+	done1, _, _ := g.BatchIndex(0, []Fingerprint{fpFor(1)})
 	if done1 < dev.LaunchOverhead {
 		t.Fatalf("one-item batch beat the launch floor: %v < %v", done1, dev.LaunchOverhead)
 	}
@@ -104,7 +105,7 @@ func TestGPUBinsLaunchOverheadDominatesSmallBatches(t *testing.T) {
 	for i := range big {
 		big[i] = fpFor(i)
 	}
-	done2, _, _, _ := g.BatchIndex(start, big)
+	done2, _, _ := g.BatchIndex(start, big)
 	perItemSmall := done1
 	perItemBig := (done2 - start) / 4096
 	if perItemBig >= perItemSmall {
@@ -117,23 +118,19 @@ func TestGPUBinsRandomReplacement(t *testing.T) {
 	g := newTestGPUBins(t, dev, 0, 8, 0) // one bin, 8 slots
 	for i := 0; i < 50; i++ {
 		fp := fpFor(i)
-		if _, err := g.Update(0, 0, [][]byte{fp.Suffix(0)}, []Entry{{Loc: int64(i)}}); err != nil {
+		if err := g.Update(0, 0, [][]byte{fp.Suffix(0)}, []Entry{{Loc: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if g.Len() != 8 {
 		t.Fatalf("full bin should stay at capacity: %d", g.Len())
 	}
-	_, _, replaced := g.Stats()
-	if replaced != 42 {
-		t.Fatalf("replacements: got %d, want 42", replaced)
-	}
 	// Whatever survived must be resolvable with correct metadata.
 	batch := make([]Fingerprint, 50)
 	for i := range batch {
 		batch[i] = fpFor(i)
 	}
-	_, hits, _, _ := g.BatchIndex(0, batch)
+	_, hits, _ := g.BatchIndex(0, batch)
 	found := 0
 	for i, h := range hits {
 		if h.Found {
@@ -150,13 +147,13 @@ func TestGPUBinsRandomReplacement(t *testing.T) {
 
 func TestGPUBinsUpdateValidation(t *testing.T) {
 	g := newTestGPUBins(t, testDevice(), 4, 4, 0)
-	if _, err := g.Update(0, 999, nil, nil); err == nil {
+	if err := g.Update(0, 999, nil, nil); err == nil {
 		t.Fatal("out-of-range bin should error")
 	}
-	if _, err := g.Update(0, 0, [][]byte{{1}}, []Entry{{}, {}}); err == nil {
+	if err := g.Update(0, 0, [][]byte{{1}}, []Entry{{}, {}}); err == nil {
 		t.Fatal("misaligned keys/values should error")
 	}
-	if _, err := g.Update(0, 0, [][]byte{{1, 2}}, []Entry{{}}); err == nil {
+	if err := g.Update(0, 0, [][]byte{{1, 2}}, []Entry{{}}); err == nil {
 		t.Fatal("wrong key size should error")
 	}
 }
@@ -168,43 +165,54 @@ func TestGPUBinsWithPrefixTruncation(t *testing.T) {
 		t.Fatalf("device bytes: %d", g.DeviceBytes())
 	}
 	fp := fpFor(7)
-	if _, err := g.Update(0, fp.Bin(16), [][]byte{fp.Suffix(2)}, []Entry{{Loc: 7}}); err != nil {
+	if err := g.Update(0, fp.Bin(16), [][]byte{fp.Suffix(2)}, []Entry{{Loc: 7}}); err != nil {
 		t.Fatal(err)
 	}
-	_, hits, _, _ := g.BatchIndex(0, []Fingerprint{fp, fpFor(8)})
+	_, hits, _ := g.BatchIndex(0, []Fingerprint{fp, fpFor(8)})
 	if !hits[0].Found || hits[0].Entry.Loc != 7 || hits[1].Found {
 		t.Fatalf("truncated GPU index broken: %+v", hits)
 	}
 }
 
 func TestGPUBinsDivergenceFromUnevenBins(t *testing.T) {
-	// Items probing bins of very different fill levels in the same
-	// wavefront must produce divergence > 1.
-	dev := testDevice()
-	g := newTestGPUBins(t, dev, 8, 64, 0)
-	// Fill one bin heavily.
-	var heavy Fingerprint
-	for i := 0; ; i++ {
-		if fpFor(i).Bin(8) == 0 {
-			heavy = fpFor(i)
-			break
-		}
+	// Lanes of one wavefront run in lockstep, so a batch that scans 64
+	// entries in one lane finishes later than a batch that scans the same
+	// 64 entries one per lane.
+	fpIn := func(bin, tag, i byte) Fingerprint {
+		var f Fingerprint
+		f[0], f[18], f[19] = bin, tag, i
+		return f
 	}
-	for i := 0; i < 64; i++ {
-		k := heavy.Suffix(0)
-		k[19] = byte(i) // distinct keys in bin 0
-		if _, err := g.Update(0, 0, [][]byte{k}, []Entry{{}}); err != nil {
+	probe := func(fill func(g *GPUBins)) time.Duration {
+		dev := testDevice()
+		g := newTestGPUBins(t, dev, 8, 64, 0)
+		fill(g)
+		batch := make([]Fingerprint, dev.WavefrontSize)
+		for i := range batch {
+			batch[i] = fpIn(byte(i), 1, 0) // misses: each scans its whole bin
+		}
+		done, _, err := g.BatchIndex(0, batch)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return done
 	}
-	batch := make([]Fingerprint, 64)
-	for i := range batch {
-		batch[i] = fpFor(i + 1000) // misses across many bins, most empty
-	}
-	batch[0] = heavy // forces a long scan in lane 0
-	_, _, prof, _ := g.BatchIndex(0, batch)
-	if f := prof.DivergenceFactor(dev.WavefrontSize); f <= 1.0 {
-		t.Fatalf("expected SIMT divergence > 1, got %g", f)
+	uneven := probe(func(g *GPUBins) {
+		for i := 0; i < 64; i++ { // one long bin, the others empty
+			if err := g.Update(0, 0, [][]byte{fpIn(0, 0, byte(i)).Suffix(0)}, []Entry{{}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	even := probe(func(g *GPUBins) {
+		for b := 0; b < 64; b++ { // one entry in each probed bin
+			if err := g.Update(0, uint32(b), [][]byte{fpIn(byte(b), 0, 0).Suffix(0)}, []Entry{{}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if uneven <= even {
+		t.Fatalf("one long bin should finish later than even bins: %v <= %v", uneven, even)
 	}
 }
 
@@ -215,10 +223,10 @@ func TestGPUBinsSuffixInOtherBinMisses(t *testing.T) {
 	g := newTestGPUBins(t, testDevice(), 8, 4, 1)
 	owner, other := fpFor(5), fpFor(5)
 	owner[0], other[0] = 0x01, 0x02
-	if _, err := g.Update(0, owner.Bin(8), [][]byte{owner.Suffix(1)}, []Entry{{Loc: 5}}); err != nil {
+	if err := g.Update(0, owner.Bin(8), [][]byte{owner.Suffix(1)}, []Entry{{Loc: 5}}); err != nil {
 		t.Fatal(err)
 	}
-	_, hits, _, err := g.BatchIndex(0, []Fingerprint{other, owner})
+	_, hits, err := g.BatchIndex(0, []Fingerprint{other, owner})
 	if err != nil {
 		t.Fatal(err)
 	}

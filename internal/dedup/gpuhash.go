@@ -19,9 +19,9 @@ import (
 // integrated design would rather spend on compression offload.
 // A lost device fails the batch with fault.ErrDeviceLost; the caller
 // re-hashes the same chunks on the CPU.
-func GPUBatchHash(dev *gpu.Device, at time.Duration, chunks [][]byte) (time.Duration, []Fingerprint, gpu.Profile, error) {
+func GPUBatchHash(dev *gpu.Device, at time.Duration, chunks [][]byte) (time.Duration, []Fingerprint, error) {
 	if len(chunks) == 0 {
-		return at, nil, gpu.Profile{}, nil
+		return at, nil, nil
 	}
 	total := 0
 	for _, c := range chunks {
@@ -32,7 +32,7 @@ func GPUBatchHash(dev *gpu.Device, at time.Duration, chunks [][]byte) (time.Dura
 	fps := make([]Fingerprint, len(chunks))
 	cost := dev.Cost
 	perLane := make([]float64, len(chunks))
-	t, prof, err := dev.Launch(t, "batch-sha1", func() gpu.Profile {
+	t, err := dev.Launch(t, "batch-sha1", func() gpu.Profile {
 		for i, c := range chunks {
 			fps[i] = Sum(c) // the real digest
 			perLane[i] = float64(len(c)) * cost.HashCyclesPerByte
@@ -42,8 +42,7 @@ func GPUBatchHash(dev *gpu.Device, at time.Duration, chunks [][]byte) (time.Dura
 		return p
 	})
 	if err != nil {
-		return t, nil, gpu.Profile{}, err
+		return t, nil, err
 	}
-	t = dev.TransferFromDevice(t, len(chunks)*FingerprintSize)
-	return t, fps, prof, nil
+	return dev.TransferFromDevice(t, len(chunks)*FingerprintSize), fps, nil
 }

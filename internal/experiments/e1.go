@@ -48,7 +48,7 @@ func E1PrelimIndexing(cfg Config) (*Result, error) {
 	}
 	for i := 0; i < entries; i++ {
 		fp := fpOf(i)
-		if _, err := gbins.Update(0, fp.Bin(gbinBits), [][]byte{fp.Suffix(0)}, []dedup.Entry{{Loc: int64(i)}}); err != nil {
+		if err := gbins.Update(0, fp.Bin(gbinBits), [][]byte{fp.Suffix(0)}, []dedup.Entry{{Loc: int64(i)}}); err != nil {
 			return nil, err
 		}
 	}
@@ -84,7 +84,7 @@ func E1PrelimIndexing(cfg Config) (*Result, error) {
 
 		// GPU: one batch round trip (transfer, kernel, results back).
 		dev.Reset()
-		gpuTime, _, _, _ := gbins.BatchIndex(0, fps)
+		gpuTime, _, _ := gbins.BatchIndex(0, fps)
 
 		ratio := gpuTime.Seconds() / cpuTime.Seconds()
 		if minRatio == 0 || ratio < minRatio {

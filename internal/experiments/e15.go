@@ -43,7 +43,7 @@ func E15GPUHashing(cfg Config) (*Result, error) {
 
 		// GPU: one batch round trip.
 		dev.Reset()
-		gpuTime, fps, _, _ := dedup.GPUBatchHash(dev, 0, chunks)
+		gpuTime, fps, _ := dedup.GPUBatchHash(dev, 0, chunks)
 		for i := range fps {
 			if fps[i] != want[i] {
 				return nil, errMismatch(int64(i), -1)

@@ -126,21 +126,9 @@ func DefaultCostModel() CostModel {
 // over all wavefronts. See Wavefronts for the standard aggregation helper.
 type Profile struct {
 	Items         int     // global work size (threads launched)
-	Waves         int     // wavefronts executed
 	SumWaveCycles float64 // Σ over wavefronts of max lane cycles
 	MaxWaveCycles float64 // most expensive single wavefront (makespan floor)
-	LaneCycles    float64 // Σ over lanes of their individual cycles (for divergence accounting)
 	LocalBytes    int64   // bytes staged through local memory
-}
-
-// DivergenceFactor reports SIMT efficiency loss: executed wave cycles times
-// wavefront width divided by useful lane cycles. 1.0 means no divergence;
-// 2.0 means half the lanes idled on average. Returns 1 for empty profiles.
-func (p Profile) DivergenceFactor(wavefrontSize int) float64 {
-	if p.LaneCycles <= 0 {
-		return 1
-	}
-	return p.SumWaveCycles * float64(wavefrontSize) / p.LaneCycles
 }
 
 // Wavefronts folds a slice of per-item cycle counts into a Profile using the
@@ -158,7 +146,6 @@ func Wavefronts(perItemCycles []float64, w int) Profile {
 		}
 		var max float64
 		for _, c := range perItemCycles[i:end] {
-			p.LaneCycles += c
 			if c > max {
 				max = c
 			}
@@ -167,7 +154,6 @@ func Wavefronts(perItemCycles []float64, w int) Profile {
 		if max > p.MaxWaveCycles {
 			p.MaxWaveCycles = max
 		}
-		p.Waves++
 	}
 	return p
 }
@@ -181,20 +167,11 @@ type Device struct {
 	queue      *sim.Pool
 	link       *sim.Link
 	kernels    int64
-	profiles   Profiles
 	faults     *fault.Injector
 	lost       bool
 	rec        *obs.Recorder
 	laneKernel obs.Lane // command-queue timeline
 	lanePCIe   obs.Lane // DMA timeline
-}
-
-// Profiles accumulates device-wide kernel statistics.
-type Profiles struct {
-	Items         int64
-	Waves         int64
-	SumWaveCycles float64
-	LaneCycles    float64
 }
 
 // New returns a Device for cfg. It panics on nonsensical configurations.
@@ -215,10 +192,6 @@ func New(cfg Config) *Device {
 		link:   sim.NewLink("pcie:"+cfg.Name, cfg.PCIeSetup, cfg.PCIeBytesPerSec),
 	}
 }
-
-// Lanes returns the number of concurrently executing lanes
-// (ComputeUnits × WavefrontSize).
-func (d *Device) Lanes() int { return d.ComputeUnits * d.WavefrontSize }
 
 // ComputeTime converts a kernel profile into pure compute time: wavefronts
 // are distributed across compute units, so the makespan is
@@ -252,43 +225,32 @@ func (d *Device) SetRecorder(r *obs.Recorder) {
 	d.lanePCIe = r.Lane("gpu", "pcie")
 }
 
-// Lost reports whether an injected device loss has killed the GPU. Once
-// lost, the device stays lost; results of kernels that completed before the
-// loss remain valid (they were already copied back or retired).
-func (d *Device) Lost() bool { return d.lost }
-
 // Launch runs the kernel called name, enqueued at virtual time at: run
 // executes it functionally (producing real results) and returns the work
 // profile the device charges for. Launch returns the kernel completion
-// time together with that profile. The launch pays the fixed dispatch
-// overhead and then the profile's compute time; kernels on the queue
-// serialize.
+// time. The launch pays the fixed dispatch overhead and then the profile's
+// compute time; kernels on the queue serialize.
 //
 // A launch on a lost device fails with fault.ErrDeviceLost without running
 // the kernel. An injected device loss fires during dispatch: the launch
 // overhead is charged (the host only learns of the loss from the failed
-// dispatch), the kernel does not run, and the device is dead from then on.
-func (d *Device) Launch(at time.Duration, name string, run func() Profile) (end time.Duration, p Profile, err error) {
+// dispatch), the kernel does not run, and the device is dead from then on;
+// results of kernels that completed before the loss remain valid.
+func (d *Device) Launch(at time.Duration, name string, run func() Profile) (end time.Duration, err error) {
 	if d.lost {
-		return at, Profile{}, fmt.Errorf("gpu: launch %s: %w", name, fault.ErrDeviceLost)
+		return at, fmt.Errorf("gpu: launch %s: %w", name, fault.ErrDeviceLost)
 	}
 	if d.faults.DeviceLost() {
 		d.lost = true
 		_, end = d.queue.Acquire(at, d.LaunchOverhead)
 		d.rec.Instant(d.laneKernel, "device-lost", end)
-		return end, Profile{}, fmt.Errorf("gpu: launch %s: %w", name, fault.ErrDeviceLost)
+		return end, fmt.Errorf("gpu: launch %s: %w", name, fault.ErrDeviceLost)
 	}
-	p = run()
-	dur := d.LaunchOverhead + d.ComputeTime(p)
-	var start time.Duration
-	start, end = d.queue.Acquire(at, dur)
+	p := run()
+	start, end := d.queue.Acquire(at, d.LaunchOverhead+d.ComputeTime(p))
 	d.rec.SpanN(d.laneKernel, name, start, end, "items", int64(p.Items))
 	d.kernels++
-	d.profiles.Items += int64(p.Items)
-	d.profiles.Waves += int64(p.Waves)
-	d.profiles.SumWaveCycles += p.SumWaveCycles
-	d.profiles.LaneCycles += p.LaneCycles
-	return end, p, nil
+	return end, nil
 }
 
 // TransferToDevice charges an n-byte host-to-device DMA arriving at virtual
@@ -306,12 +268,6 @@ func (d *Device) TransferFromDevice(at time.Duration, n int) time.Duration {
 	return end
 }
 
-// TransferTime returns the unqueued time for an n-byte DMA.
-func (d *Device) TransferTime(n int) time.Duration { return d.link.TransferTime(n) }
-
-// Busy reports whether the command queue is occupied at virtual time at.
-func (d *Device) Busy(at time.Duration) bool { return d.queue.Saturated(at) }
-
 // NextFree reports when the command queue frees up.
 func (d *Device) NextFree() time.Duration { return d.queue.NextFree() }
 
@@ -324,21 +280,17 @@ func (d *Device) Horizon() time.Duration {
 // Kernels reports the number of kernels launched so far.
 func (d *Device) Kernels() int64 { return d.kernels }
 
-// Stats returns accumulated kernel statistics.
-func (d *Device) Stats() Profiles { return d.profiles }
-
 // Utilization reports command-queue occupancy over [0, until].
 func (d *Device) Utilization(until time.Duration) float64 { return d.queue.Utilization(until) }
 
 // LinkUtilization reports PCIe occupancy over [0, until].
 func (d *Device) LinkUtilization(until time.Duration) float64 { return d.link.Utilization(until) }
 
-// Reset clears the device timeline and statistics, and nothing else:
+// Reset clears the device timeline and kernel count, and nothing else:
 // device-resident structures such as the bin index live with their owners
 // and survive it, matching a persistent index across runs.
 func (d *Device) Reset() {
 	d.queue.Reset()
 	d.link.Reset()
 	d.kernels = 0
-	d.profiles = Profiles{}
 }

@@ -26,38 +26,21 @@ func testConfig() Config {
 func TestWavefrontsLockstep(t *testing.T) {
 	// 8 items, wavefront of 4: waves cost max(1,2,3,4)=4 and max(10,1,1,1)=10.
 	p := Wavefronts([]float64{1, 2, 3, 4, 10, 1, 1, 1}, 4)
-	if p.Items != 8 || p.Waves != 2 {
-		t.Fatalf("items/waves: %d/%d", p.Items, p.Waves)
+	if p.Items != 8 {
+		t.Fatalf("items: %d", p.Items)
 	}
 	if p.SumWaveCycles != 14 {
 		t.Fatalf("SumWaveCycles: got %g, want 14", p.SumWaveCycles)
 	}
-	if p.LaneCycles != 23 {
-		t.Fatalf("LaneCycles: got %g, want 23", p.LaneCycles)
+	if p.MaxWaveCycles != 10 {
+		t.Fatalf("MaxWaveCycles: got %g, want 10", p.MaxWaveCycles)
 	}
 }
 
 func TestWavefrontsPartialWave(t *testing.T) {
 	p := Wavefronts([]float64{5, 7}, 4)
-	if p.Waves != 1 || p.SumWaveCycles != 7 {
-		t.Fatalf("partial wave: waves=%d sum=%g", p.Waves, p.SumWaveCycles)
-	}
-}
-
-func TestDivergenceFactor(t *testing.T) {
-	// Uniform lanes: no divergence.
-	p := Wavefronts([]float64{3, 3, 3, 3}, 4)
-	if got := p.DivergenceFactor(4); got != 1.0 {
-		t.Fatalf("uniform divergence: got %g, want 1", got)
-	}
-	// One hot lane: wave costs 8, lanes total 8+3 = 11; factor = 8*4/11.
-	p = Wavefronts([]float64{8, 1, 1, 1}, 4)
-	want := 8.0 * 4 / 11
-	if got := p.DivergenceFactor(4); got != want {
-		t.Fatalf("divergence: got %g, want %g", got, want)
-	}
-	if (Profile{}).DivergenceFactor(4) != 1 {
-		t.Fatal("empty profile should report factor 1")
+	if p.Items != 2 || p.SumWaveCycles != 7 || p.MaxWaveCycles != 7 {
+		t.Fatalf("partial wave: items=%d sum=%g max=%g", p.Items, p.SumWaveCycles, p.MaxWaveCycles)
 	}
 }
 
@@ -65,9 +48,9 @@ func TestLaunchChargesOverheadAndCompute(t *testing.T) {
 	d := New(testConfig())
 	// 2 waves of 1000 cycles each on 2 CUs -> 1000 cycles at 1 GHz = 1 µs.
 	k := func() Profile {
-		return Profile{Items: 8, Waves: 2, SumWaveCycles: 2000, LaneCycles: 8000}
+		return Profile{Items: 8, SumWaveCycles: 2000}
 	}
-	end, _, _ := d.Launch(0, "k", k)
+	end, _ := d.Launch(0, "k", k)
 	want := 10*time.Microsecond + time.Microsecond
 	if end != want {
 		t.Fatalf("launch end: got %v, want %v", end, want)
@@ -80,13 +63,13 @@ func TestLaunchChargesOverheadAndCompute(t *testing.T) {
 func TestLaunchSerializesOnQueue(t *testing.T) {
 	d := New(testConfig())
 	k := func() Profile { return Profile{} }
-	end1, _, _ := d.Launch(0, "k", k)
-	end2, _, _ := d.Launch(0, "k", k)
+	end1, _ := d.Launch(0, "k", k)
+	end2, _ := d.Launch(0, "k", k)
 	if end2 != end1+d.LaunchOverhead {
 		t.Fatalf("second kernel should queue: end1=%v end2=%v", end1, end2)
 	}
-	if !d.Busy(0) {
-		t.Fatal("device should be busy at t=0")
+	if d.NextFree() != end2 {
+		t.Fatalf("queue should be busy until the second kernel ends: next free %v, want %v", d.NextFree(), end2)
 	}
 }
 
@@ -97,7 +80,7 @@ func TestLaunchOverheadFloor(t *testing.T) {
 	k := func() Profile {
 		return Wavefronts([]float64{1}, d.WavefrontSize)
 	}
-	end, _, _ := d.Launch(0, "k", k)
+	end, _ := d.Launch(0, "k", k)
 	if end < d.LaunchOverhead {
 		t.Fatalf("kernel finished before launch overhead: %v < %v", end, d.LaunchOverhead)
 	}
@@ -118,9 +101,11 @@ func TestTransfers(t *testing.T) {
 
 func TestResetClearsTimeline(t *testing.T) {
 	d := New(testConfig())
-	d.Launch(0, "k", func() Profile { return Profile{} })
+	end, _ := d.Launch(0, "k", func() Profile { return Profile{} })
+	d.TransferToDevice(0, 1000)
 	d.Reset()
-	if d.Kernels() != 0 || d.Busy(0) {
+	if d.Kernels() != 0 || d.NextFree() != 0 || d.Horizon() != 0 ||
+		d.Utilization(end) != 0 || d.LinkUtilization(end) != 0 {
 		t.Fatal("reset should clear timeline")
 	}
 }
@@ -146,21 +131,31 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// Property: Wavefronts conserves lane cycles and its wave sum is bounded by
-// [LaneCycles/w, LaneCycles] (max per wave is between mean and sum).
+// Property: Wavefronts prices lockstep execution: its wave sum is the sum
+// over wavefronts of their slowest lane, which lies in [total/w, total]
+// (the max per wave is between the mean and the sum), and MaxWaveCycles is
+// the slowest lane of all.
 func TestWavefrontsBoundsProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8, wRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%200) + 1
 		w := int(wRaw%16) + 1
 		cycles := make([]float64, n)
-		var total float64
+		var total, waves, slowest float64
 		for i := range cycles {
 			cycles[i] = float64(rng.Intn(1000))
 			total += cycles[i]
 		}
+		for i := 0; i < n; i += w {
+			var m float64
+			for _, c := range cycles[i:min(i+w, n)] {
+				m = max(m, c)
+			}
+			waves += m
+			slowest = max(slowest, m)
+		}
 		p := Wavefronts(cycles, w)
-		if p.LaneCycles != total {
+		if p.Items != n || p.SumWaveCycles != waves || p.MaxWaveCycles != slowest {
 			return false
 		}
 		return p.SumWaveCycles >= total/float64(w)-1e-9 && p.SumWaveCycles <= total+1e-9
@@ -170,46 +165,25 @@ func TestWavefrontsBoundsProperty(t *testing.T) {
 	}
 }
 
-// Property: divergence factor is always >= 1.
-func TestDivergenceAtLeastOneProperty(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw%100) + 1
-		cycles := make([]float64, n)
-		for i := range cycles {
-			cycles[i] = float64(rng.Intn(100) + 1)
-		}
-		p := Wavefronts(cycles, 8)
-		return p.DivergenceFactor(8) >= 1-1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeviceAccessors(t *testing.T) {
 	cfg := testConfig()
 	d := New(cfg)
-	if d.Lanes() != cfg.ComputeUnits*cfg.WavefrontSize {
-		t.Fatalf("lanes: %d", d.Lanes())
-	}
-	if d.TransferTime(0) != cfg.PCIeSetup {
-		t.Fatalf("zero-byte transfer should cost setup only: %v", d.TransferTime(0))
+	if got := d.TransferToDevice(0, 0); got != cfg.PCIeSetup {
+		t.Fatalf("zero-byte transfer should cost setup only: %v", got)
 	}
 	k := func() Profile {
 		return Wavefronts([]float64{100, 200}, 2)
 	}
-	end, _, _ := d.Launch(0, "acc", k)
+	end, _ := d.Launch(0, "acc", k)
 	if d.NextFree() != end {
 		t.Fatalf("NextFree: %v vs %v", d.NextFree(), end)
+	}
+	if d.Kernels() != 1 {
+		t.Fatalf("kernel count: %d", d.Kernels())
 	}
 	tEnd := d.TransferToDevice(0, 1000)
 	if d.Horizon() < tEnd || d.Horizon() < end {
 		t.Fatal("horizon must cover queue and link")
-	}
-	st := d.Stats()
-	if st.Items != 2 || st.Waves != 1 {
-		t.Fatalf("device stats: %+v", st)
 	}
 	if u := d.Utilization(end); u <= 0 || u > 1 {
 		t.Fatalf("utilization: %g", u)
@@ -230,15 +204,12 @@ func TestDeviceLostKillsLaunches(t *testing.T) {
 	ran := false
 	k := func() Profile { ran = true; return Profile{} }
 
-	end, _, err := d.Launch(0, "victim", k)
+	end, err := d.Launch(0, "victim", k)
 	if err == nil || !errors.Is(err, fault.ErrDeviceLost) || !strings.Contains(err.Error(), "launch victim") {
 		t.Fatalf("want ErrDeviceLost naming the kernel, got %v", err)
 	}
 	if ran {
 		t.Fatal("kernel must not run on a lost device")
-	}
-	if !d.Lost() {
-		t.Fatal("device must report itself lost")
 	}
 	// The failed dispatch still charged its launch overhead.
 	if end != d.LaunchOverhead {
@@ -248,8 +219,9 @@ func TestDeviceLostKillsLaunches(t *testing.T) {
 		t.Fatalf("no kernel completed, counter says %d", d.Kernels())
 	}
 
-	// Every later launch fails fast, without further timeline charges.
-	end2, _, err := d.Launch(end, "victim", k)
+	// The device stays lost: every later launch fails fast, without further
+	// timeline charges.
+	end2, err := d.Launch(end, "victim", k)
 	if err == nil || !errors.Is(err, fault.ErrDeviceLost) {
 		t.Fatalf("launch after loss: want ErrDeviceLost, got %v", err)
 	}
@@ -268,7 +240,7 @@ func TestDeviceLossIsDeterministic(t *testing.T) {
 		k := func() Profile { return Profile{Items: 1} }
 		var at time.Duration
 		for i := 0; i < 400; i++ {
-			end, _, err := d.Launch(at, "k", k)
+			end, err := d.Launch(at, "k", k)
 			if err != nil {
 				return i
 			}

@@ -46,27 +46,6 @@ func TestPoolNegativeServiceClamped(t *testing.T) {
 	}
 }
 
-func TestPoolSaturatedAndBacklog(t *testing.T) {
-	p := NewPool("cpu", 2)
-	if p.Saturated(0) {
-		t.Fatal("fresh pool should not be saturated")
-	}
-	p.Acquire(0, 100)
-	if p.Saturated(0) {
-		t.Fatal("one of two servers busy: not saturated")
-	}
-	p.Acquire(0, 50)
-	if !p.Saturated(0) {
-		t.Fatal("both servers busy: saturated")
-	}
-	if got := p.Backlog(0); got != 50 {
-		t.Fatalf("backlog: got %v, want 50", got)
-	}
-	if got := p.Backlog(60); got != 0 {
-		t.Fatalf("backlog after a server frees: got %v, want 0", got)
-	}
-}
-
 func TestPoolUtilization(t *testing.T) {
 	p := NewPool("cpu", 2)
 	p.Acquire(0, time.Second)
@@ -79,8 +58,9 @@ func TestPoolUtilization(t *testing.T) {
 func TestPoolReset(t *testing.T) {
 	p := NewPool("cpu", 2)
 	p.Acquire(0, 10)
+	p.Acquire(0, 10)
 	p.Reset()
-	if p.Jobs() != 0 || p.BusyTime() != 0 || p.Horizon() != 0 || p.NextFree() != 0 {
+	if p.Horizon() != 0 || p.NextFree() != 0 || p.Utilization(10) != 0 {
 		t.Fatal("reset should clear all state")
 	}
 }
@@ -135,11 +115,9 @@ func TestPoolConservationProperty(t *testing.T) {
 			t.Fatalf("end != start+service: %v != %v+%v", end, start, d)
 		}
 	}
-	if p.BusyTime() != total {
-		t.Fatalf("busy time %v != sum of service %v", p.BusyTime(), total)
-	}
-	if p.Jobs() != 1000 {
-		t.Fatalf("jobs: got %d, want 1000", p.Jobs())
+	// Utilization over a window of 4 s on 4 servers is busy seconds / 16.
+	if got, want := p.Utilization(4*time.Second), total.Seconds()/16; got != want {
+		t.Fatalf("busy time %v s != sum of service %v s", got*16, want*16)
 	}
 }
 

@@ -69,23 +69,30 @@ func TestLinkTransfer(t *testing.T) {
 	if s2 != e1 {
 		t.Fatalf("second transfer start: got %v, want %v", s2, e1)
 	}
-	if l.Bytes() != 1_000_001 || l.Transfers() != 2 {
-		t.Fatalf("accounting: bytes=%d transfers=%d", l.Bytes(), l.Transfers())
+	if got, want := l.Horizon(), e1+10*time.Microsecond+time.Nanosecond; got != want {
+		t.Fatalf("horizon: got %v, want %v", got, want)
+	}
+	if got := l.Utilization(l.Horizon()); got != 1 {
+		t.Fatalf("back-to-back transfers: utilization %g, want 1", got)
 	}
 }
 
 func TestLinkBacklogAndReset(t *testing.T) {
 	l := NewLink("pcie", 0, 1e6)
 	l.Transfer(0, 1000) // busy until 1ms
-	if got := l.Backlog(0); got != time.Millisecond {
-		t.Fatalf("backlog: got %v", got)
+	if got := l.Horizon(); got != time.Millisecond {
+		t.Fatalf("horizon: got %v", got)
 	}
-	if got := l.Backlog(2 * time.Millisecond); got != 0 {
-		t.Fatalf("backlog after free: got %v", got)
+	// A transfer arriving after the link frees starts on arrival.
+	if s, _ := l.Transfer(2*time.Millisecond, 0); s != 2*time.Millisecond {
+		t.Fatalf("transfer after free: start %v", s)
 	}
 	l.Reset()
-	if l.Bytes() != 0 || l.Backlog(0) != 0 {
+	if l.Horizon() != 0 || l.Utilization(time.Millisecond) != 0 {
 		t.Fatal("reset should clear link state")
+	}
+	if s, _ := l.Transfer(0, 1); s != 0 {
+		t.Fatalf("transfer after reset: start %v, want 0", s)
 	}
 }
 
@@ -107,16 +114,16 @@ func TestLinkNegativeBytesClamped(t *testing.T) {
 
 func TestAccessorsAndHorizon(t *testing.T) {
 	p := NewPool("mypool", 3)
-	if p.Name() != "mypool" || p.Servers() != 3 {
+	if p.Servers() != 3 {
 		t.Fatal("pool accessors broken")
 	}
-	p.Acquire(10, 5) // arrival after free: commits a 10-unit gap
-	if p.GapTime() != 10 {
-		t.Fatalf("gap time: got %v, want 10", p.GapTime())
+	p.Acquire(10, 5) // arrival after free: starts on arrival
+	if p.Horizon() != 15 || p.NextFree() != 0 {
+		t.Fatalf("pool horizon %v next-free %v, want 15 and 0", p.Horizon(), p.NextFree())
 	}
 	l := NewLink("mylink", time.Microsecond, 1e9)
-	if l.Name() != "mylink" || l.Bandwidth() != 1e9 {
-		t.Fatal("link accessors broken")
+	if got := l.TransferTime(1e9); got != time.Second+time.Microsecond {
+		t.Fatalf("link transfer time: got %v", got)
 	}
 	_, end := l.Transfer(0, 100)
 	if l.Horizon() != end {

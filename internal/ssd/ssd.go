@@ -220,11 +220,6 @@ func (d *Drive) NominalWriteIOPS() float64 {
 	return float64(d.Channels) / d.ProgramLatency.Seconds()
 }
 
-// NominalWriteBandwidth returns NominalWriteIOPS × page size in bytes/s.
-func (d *Drive) NominalWriteBandwidth() float64 {
-	return d.NominalWriteIOPS() * float64(d.PageSize)
-}
-
 // Write programs n consecutive logical pages starting at lpn, with the
 // request arriving at virtual time at. It returns the completion time of
 // the last page. Pages stripe across channels; overwrites invalidate the

@@ -24,9 +24,6 @@ func TestNominalRates(t *testing.T) {
 	if got := d.NominalWriteIOPS(); got != 80_000 {
 		t.Fatalf("nominal IOPS: got %g, want 80000", got)
 	}
-	if got := d.NominalWriteBandwidth(); got != 80_000*4096 {
-		t.Fatalf("nominal bandwidth: got %g", got)
-	}
 }
 
 func TestPagesRounding(t *testing.T) {
