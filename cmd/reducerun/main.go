@@ -8,7 +8,7 @@
 //	          [-in FILE | -mb N -dedup R -comp R] [-chunk N]
 //	          [-no-dedup] [-no-compress] [-destage] [-seed N]
 //	          [-faults SEED:RATE] [-json] [-trace-out FILE]
-//	          [-metrics-out FILE [-metrics-interval N]]
+//	          [-metrics-out FILE]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //	reducerun -shards N | -nodes N [-replicas R] [-node-faults SEED:RATE]
 //	          [-ops-in FILE | -serve-ops N -writes F -trims F -hotspot F
@@ -32,8 +32,8 @@
 //
 // -metrics-out enables the wall-clock metrics layer and writes a
 // Prometheus text-format snapshot of it (pool utilization, per-stage wall
-// time, Go runtime telemetry) to FILE — once at startup, every
-// -metrics-interval seconds while running, and once at exit. Metrics are a
+// time, Go runtime telemetry) to FILE — once at startup, which checks the
+// path is writable, and once at exit. Metrics are a
 // strict side channel: every report and trace is bit-identical with them
 // on or off.
 //
@@ -77,7 +77,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"inlinered"
 	"inlinered/internal/metrics"
@@ -120,7 +119,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print the report as JSON on stdout (status goes to stderr)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file of the run's virtual-time spans (block modes: -shards 1 only)")
 	metricsOut := flag.String("metrics-out", "", "write wall-clock metrics (Prometheus text format) to this file; a pure side channel — reports are bit-identical with it on or off")
-	metricsInterval := flag.Int("metrics-interval", 0, "seconds between -metrics-out snapshot rewrites while running (0 = final snapshot only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU pprof profile to this file")
 	memProfile := flag.String("memprofile", "", "write a host heap pprof profile to this file")
 	flag.Parse()
@@ -135,7 +133,7 @@ func main() {
 	}
 
 	if *metricsOut != "" {
-		stop, err := metrics.StartSnapshotter(*metricsOut, time.Duration(*metricsInterval)*time.Second)
+		stop, err := metrics.StartSnapshotter(*metricsOut)
 		if err != nil {
 			fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestExpositionRoundTrip drives real values through the handle table,
@@ -168,7 +167,7 @@ func TestHistogramMinMax(t *testing.T) {
 
 func TestWriteFileAtomic(t *testing.T) {
 	path := t.TempDir() + "/metrics.prom"
-	stop, err := StartSnapshotter(path, 0)
+	stop, err := StartSnapshotter(path)
 	if err != nil {
 		t.Fatalf("StartSnapshotter: %v", err)
 	}
@@ -185,27 +184,8 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
-func TestSnapshotterPeriodic(t *testing.T) {
-	path := t.TempDir() + "/metrics.prom"
-	stop, err := StartSnapshotter(path, 5*time.Millisecond)
-	if err != nil {
-		t.Fatalf("StartSnapshotter: %v", err)
-	}
-	defer Disable()
-	time.Sleep(25 * time.Millisecond)
-	if err := stop(); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	if err := stop(); err != nil { // idempotent
-		t.Fatalf("second stop: %v", err)
-	}
-	if err := Validate(mustRead(t, path)); err != nil {
-		t.Fatalf("periodic snapshot invalid: %v", err)
-	}
-}
-
 func TestSnapshotterBadPath(t *testing.T) {
-	if _, err := StartSnapshotter(t.TempDir()+"/no/such/dir/m.prom", 0); err == nil {
+	if _, err := StartSnapshotter(t.TempDir() + "/no/such/dir/m.prom"); err == nil {
 		t.Fatal("want error for unwritable path")
 	}
 	Disable()

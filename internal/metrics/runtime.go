@@ -11,8 +11,7 @@ import (
 // The runtime sampler reads a fixed set of runtime/metrics samples into
 // the go_* gauges and keeps the latest GC pause distribution for
 // exposition. Sampling is explicit (SampleRuntime) — the snapshot writer
-// calls it before every export, so -metrics-interval doubles as the
-// runtime telemetry cadence.
+// calls it before every export, at startup and at exit.
 
 var runtimeState struct {
 	mu      sync.Mutex

@@ -2,16 +2,14 @@ package metrics
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
-// StartSnapshotter enables metrics, writes an immediate exposition
-// snapshot to path (validating the path is writable up front), and — when
-// interval > 0 — keeps rewriting it every interval until stop is called.
-// Every write refreshes the runtime telemetry first. The returned stop
-// writes one final snapshot and reports its error; it is idempotent.
-func StartSnapshotter(path string, interval time.Duration) (stop func() error, err error) {
+// StartSnapshotter enables metrics and writes an immediate exposition
+// snapshot to path, which checks up front that the path is writable. The
+// returned stop refreshes the runtime telemetry and writes the final
+// snapshot, reporting its error.
+func StartSnapshotter(path string) (stop func() error, err error) {
 	Enable()
 	write := func() error {
 		SampleRuntime()
@@ -20,34 +18,7 @@ func StartSnapshotter(path string, interval time.Duration) (stop func() error, e
 	if err := write(); err != nil {
 		return nil, fmt.Errorf("metrics: writing snapshot: %w", err)
 	}
-	if interval <= 0 {
-		return write, nil
-	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				// A failed periodic write (disk full, path removed) is not
-				// worth killing the run for; the final write reports it.
-				_ = write()
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() error {
-		once.Do(func() {
-			close(done)
-			<-finished
-		})
-		return write()
-	}, nil
+	return write, nil
 }
 
 // SummaryLine refreshes the runtime telemetry and renders the one-line

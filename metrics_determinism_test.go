@@ -133,7 +133,7 @@ func TestMetricsSideChannelDeterminism(t *testing.T) {
 // must all be present in valid Prometheus text format.
 func TestMetricsSnapshotFromRealRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.prom")
-	stop, err := metrics.StartSnapshotter(path, 0)
+	stop, err := metrics.StartSnapshotter(path)
 	if err != nil {
 		t.Fatal(err)
 	}
