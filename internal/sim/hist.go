@@ -73,9 +73,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// Counts returns a copy of the bucket counts (for tests and exports).
-func (h *Histogram) Counts() [histBuckets]int64 { return h.counts }
-
 // bucketUpper returns the largest duration bucket b can hold.
 func bucketUpper(b int) time.Duration {
 	if b <= 0 {

@@ -79,7 +79,7 @@ func TestHistogramOrderIndependent(t *testing.T) {
 	if fwd.Summary() != rev.Summary() {
 		t.Fatalf("summaries differ by order:\n%+v\n%+v", fwd.Summary(), rev.Summary())
 	}
-	if fwd.Counts() != rev.Counts() {
+	if fwd.counts != rev.counts {
 		t.Fatalf("bucket counts differ by order")
 	}
 }
@@ -161,7 +161,7 @@ func TestHistogramExtremeDurations(t *testing.T) {
 	if s.P99 != huge {
 		t.Fatalf("P99 = %v, want MaxInt64", s.P99)
 	}
-	c := h.Counts()
+	c := h.counts
 	if c[0] != 1 {
 		t.Fatalf("zero sample not in bucket 0: %v", c[0])
 	}
