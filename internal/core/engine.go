@@ -46,6 +46,12 @@ type Engine struct {
 
 	gpuLost bool // the device died; all GPU work re-routes to the CPU
 
+	// flushes counts bin-buffer flushes and binFlushed[b] is the count at
+	// CPU bin b's last one (both kept only with GPU bins): a screened batch
+	// notes the count it was screened at, and lookup compares.
+	flushes    uint64
+	binFlushed []uint64
+
 	// GPU-batch latencies, observed only with Config.Obs set (the journal
 	// times its own flushes).
 	histGPUBatch sim.Histogram
@@ -139,6 +145,7 @@ func NewEngine(plat Platform, cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		e.gbins = g
+		e.binFlushed = make([]uint64, 1<<uint(cfg.Index.BinBits))
 	}
 	e.dataLimit = sub.Journal.FirstPage() * int64(sub.Drive.PageSize)
 	// Lane registration order fixes the pid/tid assignment: CPU hardware
@@ -283,6 +290,7 @@ type hashedBatch struct {
 	screened  bool
 	ghits     []dedup.GPUHit
 	screenEnd time.Duration
+	flushes   uint64 // Engine.flushes when the batch was screened
 }
 
 // hashBatch schedules stage 1 on the virtual clock: chunking +
@@ -312,7 +320,9 @@ func (e *Engine) hashBatch(hb *hashedBatch) {
 // paper's "CPU utilization is full" regime), so the GPU prescreens the
 // batch while it waits, unless the GPU itself is backlogged ("we decide to
 // use GPU only when ... there is still some work to do for indexing" — a
-// busy GPU queue means there is not).
+// busy GPU queue means there is not). The batch commits only after the
+// batch ahead of it, whose flushes the screen cannot see, so it notes the
+// flush count it was screened at for lookup.
 func (e *Engine) screen(hb *hashedBatch) {
 	if e.gbins == nil || hb.screened || e.gpuLost {
 		return
@@ -343,6 +353,7 @@ func (e *Engine) screen(hb *hashedBatch) {
 	hb.screened = true
 	hb.ghits = ghits
 	hb.screenEnd = mergeEnd
+	hb.flushes = e.flushes
 	e.rep.GPUIndexBatches++
 	e.rep.GPUIndexedChunks += int64(len(hb.fps))
 }
@@ -366,8 +377,9 @@ func (e *Engine) precompute(hb *hashedBatch) []reduce.Encoded {
 	chunks, fps := hb.chunks, hb.fps
 
 	// Pass 1 — sequential dedup decisions. A chunk will commit as unique
-	// iff no screening hit, no index hit, no in-flight twin, and no earlier
-	// first occurrence in this same batch.
+	// iff no screening hit, no index hit (probed by lookup, as the commit
+	// pass probes), no in-flight twin, and no earlier first occurrence in
+	// this same batch.
 	decideStart := metrics.Clock()
 	uniq := e.uniq[:0]
 	if !e.cfg.Dedup {
@@ -380,13 +392,7 @@ func (e *Engine) precompute(hb *hashedBatch) []reduce.Encoded {
 			if hb.screened && hb.ghits[i].Found {
 				continue
 			}
-			var found bool
-			if hb.screened {
-				found = e.sub.Index.LookupBuffer(fps[i]).Found
-			} else {
-				found = e.sub.Index.Lookup(fps[i]).Found
-			}
-			if found {
+			if e.lookup(hb, i).Found {
 				continue
 			}
 			if _, ok := e.inflight[fps[i]]; ok {
@@ -450,7 +456,8 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 	defer metrics.StageCommit.ObserveSince(commitStart)
 
 	// Stages 2+ commit per chunk in stream order: probe (Figure 1: GPU
-	// screening result, bin buffer, bin tree), then for uniques compress →
+	// screening result, then lookup: bin buffer, and the bin tree unless
+	// the screen still covers the chunk's bin), then for uniques compress →
 	// insert → destage. Running probe and insert in stream order keeps
 	// within-batch duplicates exact: a chunk's probe sees every earlier
 	// chunk's insert (or its in-flight entry while the GPU compressor
@@ -474,16 +481,7 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 				dupLoc = hb.ghits[i].Entry.Loc
 				e.rep.DupHitsGPU++
 			default:
-				// A GPU-screened miss can only be a recent (unflushed)
-				// hash: everything the tree holds is mirrored in the GPU
-				// bins, so the CPU checks the bin buffer only. Unscreened
-				// chunks take the full path: bin buffer, then bin tree.
-				var p dedup.Probe
-				if hb.screened {
-					p = e.sub.Index.LookupBuffer(fps[i])
-				} else {
-					p = e.sub.Index.Lookup(fps[i])
-				}
+				p := e.lookup(hb, i)
 				probeCycles := cost.ProbeCycles(p.BufferScanned, p.TreeSteps)
 				ready[i] = e.sub.Run("probe", ready[i], probeCycles)
 				e.rep.Stages.Indexing += e.seconds(probeCycles)
@@ -563,6 +561,20 @@ func (e *Engine) downstream(hb *hashedBatch) error {
 		}
 	}
 	return nil
+}
+
+// lookup probes the host index for chunk i of hb, a GPU miss or an
+// unscreened chunk. A screened miss checks the bin buffer only while the
+// chunk's bin has not flushed since the screen: everything the tree held
+// then was mirrored in the GPU bins. A flush since may have moved a twin
+// from the buffer to the tree behind the screen's back, so such a chunk,
+// like an unscreened one, takes the full path: bin buffer, then bin tree.
+func (e *Engine) lookup(hb *hashedBatch, i int) dedup.Probe {
+	fp := hb.fps[i]
+	if hb.screened && e.binFlushed[e.sub.Index.BinOf(fp)] <= hb.flushes {
+		return e.sub.Index.LookupBuffer(fp)
+	}
+	return e.sub.Index.Lookup(fp)
 }
 
 // cpuSpans names the fused CPU job of a unique chunk by how it was encoded.
@@ -787,6 +799,10 @@ func (e *Engine) gpuBin(cpuBin uint32) uint32 {
 // device: the sequential journal write through the shared journal region,
 // then the GPU bin update (Figure 1).
 func (e *Engine) persistFlush(at time.Duration, f *dedup.Flush) error {
+	if e.binFlushed != nil {
+		e.flushes++
+		e.binFlushed[f.Bin] = e.flushes
+	}
 	flushStart := metrics.Clock()
 	e.sub.Journal.Flush(at, f)
 	metrics.StageJournalCore.ObserveSince(flushStart)

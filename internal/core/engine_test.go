@@ -634,3 +634,34 @@ func TestCDCWithGPUModes(t *testing.T) {
 		}
 	}
 }
+
+// TestGPUModesFindEveryDuplicate runs one stream in cpu-only, gpu-dedup and
+// gpu-both: the GPU screens batch k+1 while batch k commits, and a screened
+// miss must still find a twin that a bin flush in between moved from the
+// bin buffer to the tree, so every mode stores the same unique chunks. Small
+// bins and buffers make flushes frequent enough to hit that window.
+func TestGPUModesFindEveryDuplicate(t *testing.T) {
+	var want *Report
+	for _, m := range []Mode{CPUOnly, GPUDedup, GPUBoth} {
+		cfg := testConfig(m)
+		cfg.Index.BinBits = gpuBinBits
+		cfg.Index.BufferEntries = 4
+		s := testStream(t, 8<<20, 2.0, 2.0, workload.RefUniform)
+		eng, rep := runPipeline(t, PaperPlatform(), cfg, s)
+		s.Reset()
+		if err := eng.VerifyAgainst(s); err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if m != CPUOnly && rep.GPUIndexBatches == 0 {
+			t.Fatalf("%s: no batch was screened on the GPU", m)
+		}
+		if want == nil {
+			want = rep
+			continue
+		}
+		if rep.UniqueChunks != want.UniqueChunks || rep.DupChunks != want.DupChunks {
+			t.Errorf("%s: %d unique / %d duplicate chunks, cpu-only finds %d / %d",
+				m, rep.UniqueChunks, rep.DupChunks, want.UniqueChunks, want.DupChunks)
+		}
+	}
+}

@@ -27,7 +27,7 @@ type GPUBins struct {
 	keySize   int
 	capPerBin int
 	bins      [][]gpuSlot
-	// slots names the newest slot holding a key in its bin.
+	// slots names the slot holding a key in its bin.
 	slots map[binKey]int32
 	rng   *rand.Rand
 }
@@ -138,9 +138,10 @@ func (g *GPUBins) BatchIndex(at time.Duration, fps []Fingerprint) (time.Duration
 	return g.dev.TransferFromDevice(t, len(fps)*8), hits, nil
 }
 
-// Update pushes a flushed bin-buffer batch into the device bin, appending
-// while there is room and falling back to the random replacement policy of
-// §3.3 when the linear table is full. Because the bins are plain linear
+// Update pushes a flushed bin-buffer batch into the device bin: a key the
+// bin already holds has its entry overwritten in place, a new key is
+// appended while there is room, falling back to the random replacement
+// policy of §3.3 when the linear table is full. Because the bins are plain linear
 // arrays, the update is "a direct update process" (§3.1(2)): the host
 // computes the slot placements and DMAs the key bytes straight into the
 // table — no kernel launch and "no other hash table update overhead on the
@@ -157,8 +158,12 @@ func (g *GPUBins) Update(at time.Duration, bin uint32, keys [][]byte, vals []Ent
 		if len(key) != g.keySize {
 			return fmt.Errorf("dedup: gpu update key %d has %d bytes, want %d", i, len(key), g.keySize)
 		}
-		slot := gpuSlot{string(key), vals[i]}
 		table := g.bins[bin]
+		if s, ok := g.slots[binKey{bin, string(key)}]; ok {
+			table[s].e = vals[i] // resident: overwrite in place
+			continue
+		}
+		slot := gpuSlot{string(key), vals[i]}
 		s := int32(len(table))
 		if len(table) < g.capPerBin {
 			g.bins[bin] = append(table, slot)

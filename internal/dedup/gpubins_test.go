@@ -145,6 +145,32 @@ func TestGPUBinsRandomReplacement(t *testing.T) {
 	}
 }
 
+func TestGPUBinsUpdateResidentKeyInPlace(t *testing.T) {
+	// A flush that carries a key its bin already holds overwrites that
+	// slot: the key keeps one slot, so filling the bin later evicts nothing
+	// and the key still resolves, to its newest entry.
+	g := newTestGPUBins(t, testDevice(), 0, 2, 0) // one bin, 2 slots
+	k1, k2 := fpFor(1), fpFor(2)
+	for i, fp := range []Fingerprint{k1, k1, k2} {
+		if err := g.Update(0, 0, [][]byte{fp.Suffix(0)}, []Entry{{Loc: int64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.Len() != 2 {
+		t.Fatalf("resident entries: got %d, want 2", g.Len())
+	}
+	_, hits, err := g.BatchIndex(0, []Fingerprint{k1, k2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hits[0].Found || hits[0].Entry.Loc != 1 {
+		t.Fatalf("k1: %+v, want found at its newest entry (loc 1)", hits[0])
+	}
+	if !hits[1].Found || hits[1].Entry.Loc != 2 {
+		t.Fatalf("k2: %+v", hits[1])
+	}
+}
+
 func TestGPUBinsUpdateValidation(t *testing.T) {
 	g := newTestGPUBins(t, testDevice(), 4, 4, 0)
 	if err := g.Update(0, 999, nil, nil); err == nil {
