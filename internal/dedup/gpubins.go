@@ -141,8 +141,8 @@ func (g *GPUBins) BatchIndex(at time.Duration, fps []Fingerprint) (time.Duration
 // Update pushes a flushed bin-buffer batch into the device bin: a key the
 // bin already holds has its entry overwritten in place, a new key is
 // appended while there is room, falling back to the random replacement
-// policy of §3.3 when the linear table is full. Because the bins are plain linear
-// arrays, the update is "a direct update process" (§3.1(2)): the host
+// policy of §3.3 when the linear table is full. Because the bins are plain
+// linear arrays, the update is "a direct update process" (§3.1(2)): the host
 // computes the slot placements and DMAs the key bytes straight into the
 // table — no kernel launch and "no other hash table update overhead on the
 // GPU". Only the PCIe transfer is charged: it occupies the link that later
