@@ -170,9 +170,6 @@ func NewEngine(plat Platform, cfg Config) (*Engine, error) {
 // experiments).
 func (e *Engine) Drive() *ssd.Drive { return e.sub.Drive }
 
-// Index exposes the engine's CPU bin index for post-run inspection.
-func (e *Engine) Index() *dedup.BinIndex { return e.sub.Index }
-
 // JournalImage returns the serialized index journal — the durable form of
 // every bin-buffer flush the run wrote to the SSD's journal region.
 func (e *Engine) JournalImage() []byte { return e.sub.Journal.Image }

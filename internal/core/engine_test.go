@@ -447,10 +447,10 @@ func TestStageBreakdownGPUCompress(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	s := testStream(t, 1<<20, 2.0, 1.0, workload.RefUniform)
 	eng, _ := runPipeline(t, PaperPlatform(), testConfig(CPUOnly), s)
-	if eng.Drive() == nil || eng.Index() == nil {
+	if eng.Drive() == nil || eng.sub.Index == nil {
 		t.Fatal("accessors should expose the run's resources")
 	}
-	if eng.Index().Len() == 0 {
+	if eng.sub.Index.Len() == 0 {
 		t.Fatal("index should hold the uniques")
 	}
 	if eng.Drive().Stats().HostWritePages == 0 {
@@ -539,8 +539,8 @@ func TestJournalRecovery(t *testing.T) {
 	}
 	// Clean shutdown (finalFlush journals everything): the recovered index
 	// holds every unique chunk's entry.
-	if rec.Len() != eng.Index().Len() {
-		t.Fatalf("recovered %d entries, live %d", rec.Len(), eng.Index().Len())
+	if rec.Len() != eng.sub.Index.Len() {
+		t.Fatalf("recovered %d entries, live %d", rec.Len(), eng.sub.Index.Len())
 	}
 	if rec.Len() != rep.UniqueChunks {
 		t.Fatalf("recovered %d, uniques %d", rec.Len(), rep.UniqueChunks)

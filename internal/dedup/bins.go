@@ -139,9 +139,6 @@ func NewBinIndex(cfg IndexConfig) (*BinIndex, error) {
 	}, nil
 }
 
-// Config returns the index configuration.
-func (x *BinIndex) Config() IndexConfig { return x.cfg }
-
 // Len returns the number of resident entries (buffers + trees).
 func (x *BinIndex) Len() int64 { return int64(x.BufferedEntries() + x.TreeEntries()) }
 

@@ -78,15 +78,6 @@ func NewGPUBins(dev *gpu.Device, binBits, capPerBin, prefixBytes, seed int) (*GP
 	return g, nil
 }
 
-// Len returns the number of resident device entries.
-func (g *GPUBins) Len() int {
-	n := 0
-	for _, b := range g.bins {
-		n += len(b)
-	}
-	return n
-}
-
 // DeviceBytes returns the device-memory footprint of the bins' key slots.
 func (g *GPUBins) DeviceBytes() int { return len(g.bins) * g.capPerBin * g.keySize }
 

@@ -2,8 +2,8 @@
 // reduction pipeline's durability-adjacent layers: the SSD drive, the
 // volume log, the dedup journal, and the GPU device.
 //
-// A fault Kind indexes a rate (Rates), a fired count (Counts) and a PRNG
-// stream derived from the run seed and the kind, so two runs with the
+// A fault Kind indexes a rate (Rates) and a PRNG stream derived from the
+// run seed and the kind, so two runs with the
 // same seed and the same workload make identical fault decisions, and
 // consulting one site more or less often never perturbs another site's
 // stream. All consults happen on the single-threaded virtual-time control
@@ -102,27 +102,14 @@ type Config struct {
 // Enabled reports whether any fault kind has a nonzero rate.
 func (c Config) Enabled() bool { return c.Rates != (Rates{}) }
 
-// Counts reports how many faults of each kind actually fired.
-type Counts [numKinds]int64
-
-// Total sums the fired faults across kinds.
-func (c Counts) Total() int64 {
-	var n int64
-	for _, v := range c {
-		n += v
-	}
-	return n
-}
-
 // spikeBase is the base of an injected latency spike, which is 1–4× it.
 const spikeBase = 2 * time.Millisecond
 
 // Injector makes deterministic fault decisions. It is not safe for
 // concurrent use; all consults happen on the simulation control path.
 type Injector struct {
-	rates  Rates
-	rng    [numKinds]*rand.Rand
-	counts Counts
+	rates Rates
+	rng   [numKinds]*rand.Rand
 }
 
 // New builds an injector for cfg. A nil *Injector is also valid and
@@ -141,17 +128,13 @@ func New(cfg Config) *Injector {
 	return inj
 }
 
-// roll consults kind's stream and records a hit; a kind at rate zero
+// roll consults kind's stream and reports a hit; a kind at rate zero
 // draws nothing.
 func (i *Injector) roll(k Kind) bool {
 	if i == nil || i.rates[k] <= 0 {
 		return false
 	}
-	if i.rng[k].Float64() >= i.rates[k] {
-		return false
-	}
-	i.counts[k]++
-	return true
+	return i.rng[k].Float64() < i.rates[k]
 }
 
 // WriteError rolls the SSD write-error streams: permanent first (it
@@ -249,14 +232,6 @@ func (i *Injector) RejoinDelayOps(min, max int) int {
 // ReplicaDiverges rolls the divergence stream (consulted per non-primary
 // replica write); a hit silently drops that replica's copy of the write.
 func (i *Injector) ReplicaDiverges() bool { return i.roll(ReplicaDivergence) }
-
-// Counts returns how many faults fired so far.
-func (i *Injector) Counts() Counts {
-	if i == nil {
-		return Counts{}
-	}
-	return i.counts
-}
 
 // Retry policy shared by every consumer of transient device errors: a
 // bounded number of attempts with exponential backoff charged to the

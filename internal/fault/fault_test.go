@@ -45,9 +45,6 @@ func TestNilInjectorIsSilent(t *testing.T) {
 			t.Fatalf("nil injector produced a fault: %+v", d)
 		}
 	}
-	if inj.Counts().Total() != 0 {
-		t.Fatal("nil injector counted faults")
-	}
 }
 
 func TestZeroRatesInjectNothing(t *testing.T) {
@@ -72,13 +69,13 @@ func TestSameSeedSameDecisions(t *testing.T) {
 			t.Fatalf("decision %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	ca, cb := New(cfg), New(cfg)
-	drain(ca, 5000)
-	drain(cb, 5000)
-	if ca.Counts() != cb.Counts() {
-		t.Fatalf("counts differ: %+v vs %+v", ca.Counts(), cb.Counts())
+	fired := 0
+	for _, d := range a {
+		if d.writeErr != "" || d.readErr != "" || d.latency != 0 || d.torn || d.lost || d.evict {
+			fired++
+		}
 	}
-	if ca.Counts().Total() == 0 {
+	if fired == 0 {
 		t.Fatal("expected some faults at rate 0.05 over 5000 consults")
 	}
 }
@@ -253,12 +250,6 @@ func TestNodeKindsDeterministicAndIndependent(t *testing.T) {
 	}
 	if crashes == 0 || diverges == 0 {
 		t.Fatalf("node rates never fired over 2000 consults (crashes=%d diverges=%d)", crashes, diverges)
-	}
-	inj := New(cfg)
-	drainNodes(inj, 0)
-	c := inj.Counts()
-	if c[NodeCrash] == 0 || c[ReplicaDivergence] == 0 {
-		t.Fatalf("node fault counts not recorded: %+v", c)
 	}
 }
 

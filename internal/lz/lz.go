@@ -115,15 +115,6 @@ type Stats struct {
 	SearchSteps int
 }
 
-// Ratio returns SrcBytes/DstBytes (the paper's "compression ratio"), or 0
-// when nothing was produced.
-func (s Stats) Ratio() float64 {
-	if s.DstBytes == 0 {
-		return 0
-	}
-	return float64(s.SrcBytes) / float64(s.DstBytes)
-}
-
 func hash4(v uint32) uint32 {
 	return (v * 2654435761) >> hashShift
 }

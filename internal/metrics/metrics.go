@@ -23,7 +23,6 @@ package metrics
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,9 +116,6 @@ type Gauge struct {
 // Set stores the gauge value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adjusts the gauge by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -160,9 +156,6 @@ func (h *Histogram) ObserveSince(start int64) {
 		h.Observe(now - start)
 	}
 }
-
-// N returns the sample count.
-func (h *Histogram) N() int64 { return h.n.Load() }
 
 // Sum returns the sample sum (nanoseconds for duration histograms).
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
@@ -322,45 +315,5 @@ func familiesSnapshot() []*family {
 	defer registry.mu.Unlock()
 	out := make([]*family, len(registry.families))
 	copy(out, registry.families)
-	return out
-}
-
-// SeriesValue looks a registered series up by family name and rendered
-// label block (pass label pairs as in registration; "" labels match the
-// unlabeled series) and returns its raw value: counter/gauge value, or
-// histogram sample count. For tests and summaries.
-func SeriesValue(name string, labelPairs ...string) (int64, bool) {
-	want := renderLabels(labelPairs)
-	registry.mu.Lock()
-	f := registry.byName[name]
-	registry.mu.Unlock()
-	if f == nil {
-		return 0, false
-	}
-	for _, s := range f.series {
-		if s.labels != want {
-			continue
-		}
-		switch {
-		case s.c != nil:
-			return s.c.Value(), true
-		case s.g != nil:
-			return s.g.Value(), true
-		case s.h != nil:
-			return s.h.N(), true
-		}
-	}
-	return 0, false
-}
-
-// Names returns all registered family names, sorted, for tests.
-func Names() []string {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	out := make([]string, 0, len(registry.families))
-	for _, f := range registry.families {
-		out = append(out, f.name)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -34,7 +34,11 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if err := WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	if err := Validate(buf.Bytes(), Names()...); err != nil {
+	var names []string
+	for _, f := range familiesSnapshot() {
+		names = append(names, f.name)
+	}
+	if err := Validate(buf.Bytes(), names...); err != nil {
 		t.Fatalf("exposition failed validation: %v\n%s", err, buf.String())
 	}
 
@@ -66,22 +70,53 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSeriesValue: a series' value reaches the exposition under its own
+// labels, and a histogram's sample count is its _count sample.
 func TestSeriesValue(t *testing.T) {
-	before, ok := SeriesValue("inlinered_pool_map_calls_total", "subsystem", "parallel")
+	value := func(name string, labels ...string) (float64, bool) {
+		var buf bytes.Buffer
+		if err := WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		exp, err := ParseExposition(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sampleValue(exp, name, labels...)
+	}
+	before, ok := value("inlinered_pool_map_calls_total", "subsystem", "parallel")
 	if !ok {
 		t.Fatal("pool map calls series not found")
 	}
 	PoolMapCalls.Add(2)
-	after, _ := SeriesValue("inlinered_pool_map_calls_total", "subsystem", "parallel")
-	if after != before+2 {
-		t.Errorf("SeriesValue delta = %d, want 2", after-before)
+	if after, _ := value("inlinered_pool_map_calls_total", "subsystem", "parallel"); after != before+2 {
+		t.Errorf("exposed delta = %g, want 2", after-before)
 	}
-	if n, ok := SeriesValue("inlinered_stage_wall_seconds", "subsystem", "core", "stage", "chunk"); !ok || n < 0 {
-		t.Errorf("stage histogram series lookup: n=%d ok=%v", n, ok)
+	n0, ok := value("inlinered_stage_wall_seconds_count", "subsystem", "core", "stage", "chunk")
+	if !ok {
+		t.Fatal("stage histogram _count sample not found")
 	}
-	if _, ok := SeriesValue("no_such_family"); ok {
+	StageChunk.Observe(1)
+	if n, _ := value("inlinered_stage_wall_seconds_count", "subsystem", "core", "stage", "chunk"); n != n0+1 {
+		t.Errorf("stage histogram count went %g -> %g, want +1", n0, n)
+	}
+	if _, ok := value("no_such_family"); ok {
 		t.Error("unknown family should not resolve")
 	}
+}
+
+// sampleValue returns the value of the sample name{labels} in exp.
+func sampleValue(exp *Exposition, name string, labels ...string) (float64, bool) {
+	for _, s := range exp.Samples {
+		match := s.Name == name && len(s.Labels) == len(labels)/2
+		for i := 0; match && i < len(labels); i += 2 {
+			match = s.Labels[labels[i]] == labels[i+1]
+		}
+		if match {
+			return s.Value, true
+		}
+	}
+	return 0, false
 }
 
 func TestClockDisabledSentinel(t *testing.T) {
@@ -92,8 +127,8 @@ func TestClockDisabledSentinel(t *testing.T) {
 	h := &Histogram{}
 	h.ObserveSince(-1) // must be a no-op
 	h.ObserveSince(Clock())
-	if h.N() != 0 {
-		t.Fatalf("disabled ObserveSince recorded %d samples", h.N())
+	if n := h.n.Load(); n != 0 {
+		t.Fatalf("disabled ObserveSince recorded %d samples", n)
 	}
 	Enable()
 	defer Disable()
@@ -102,8 +137,8 @@ func TestClockDisabledSentinel(t *testing.T) {
 		t.Fatal("Clock() with metrics on returned sentinel")
 	}
 	h.ObserveSince(start)
-	if h.N() != 1 {
-		t.Fatalf("enabled ObserveSince recorded %d samples, want 1", h.N())
+	if n := h.n.Load(); n != 1 {
+		t.Fatalf("enabled ObserveSince recorded %d samples, want 1", n)
 	}
 }
 

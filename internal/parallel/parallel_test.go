@@ -93,13 +93,13 @@ func TestMapZeroAllocWithMetrics(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Map with metrics on allocates %.1f objects/op steady-state, want 0", allocs)
 	}
-	if n, _ := metrics.SeriesValue("inlinered_pool_map_calls_total", "subsystem", "parallel"); n < 100 {
+	if n := metrics.PoolMapCalls.Value(); n < 100 {
 		t.Fatalf("pool map calls = %d, want >= 100 recorded", n)
 	}
 	if busy := metrics.PoolBusy.Value(); busy <= 0 {
 		t.Fatalf("pool busy ns = %d, want > 0", busy)
 	}
-	if metrics.PoolBatchSize.N() == 0 {
+	if metrics.PoolBatchSize.Sum() == 0 { // every task holds at least one index
 		t.Fatal("batch-size histogram recorded no samples")
 	}
 }

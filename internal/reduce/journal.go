@@ -69,10 +69,6 @@ func (j *Journal) Writes() int64 { return j.Records + j.Torn }
 // it is the front-end's data region.
 func (j *Journal) FirstPage() int64 { return j.base }
 
-// Dead reports whether a permanent write failure has degraded journaling
-// off for the rest of the run.
-func (j *Journal) Dead() bool { return j.dead }
-
 // Flush persists one bin-buffer flush record and returns the completion
 // time of its drive write (at itself when the region is already dead); the
 // counters say what became of the record, and the records whose pages the

@@ -79,9 +79,9 @@ func TestJournalRegionWrapsAndRecovers(t *testing.T) {
 		t.Fatalf("cursor at %d after two laps and three records, want %d", j.cur, j.base+3)
 	}
 	f := fabricateFlush(t)
-	if j.Records != writes-1 || j.Torn != 1 || j.Bytes != writes*int64(f.Bytes) || j.Latency.N() != writes {
+	if j.Records != writes-1 || j.Torn != 1 || j.Bytes != writes*int64(f.Bytes) || j.Latency.Summary().Count != writes {
 		t.Fatalf("accounting: %d records, %d torn, %d bytes, %d timed; want %d records of %d bytes and one torn",
-			j.Records, j.Torn, j.Bytes, j.Latency.N(), writes-1, f.Bytes)
+			j.Records, j.Torn, j.Bytes, j.Latency.Summary().Count, writes-1, f.Bytes)
 	}
 	idx, rcv, err := dedup.RecoverJournal(j.Image, dedup.DefaultIndexConfig())
 	if err != nil || rcv.Cause != nil || int64(rcv.Records) != region || idx.Len() != region {
@@ -109,9 +109,9 @@ func TestJournalTornPrefixRecovers(t *testing.T) {
 	if end := j.Flush(at, f); end <= at {
 		t.Fatalf("torn flush ends at %v, after %v", end, at)
 	}
-	if j.Records != 1 || j.Torn != 1 || j.Writes() != 2 || j.Latency.N() != 2 || j.Dead() {
-		t.Fatalf("after one whole and one torn record: %d records, %d torn, %d writes, %d timed, dead=%v",
-			j.Records, j.Torn, j.Writes(), j.Latency.N(), j.Dead())
+	if j.Records != 1 || j.Torn != 1 || j.Writes() != 2 || j.Latency.Summary().Count != 2 || j.Failures != 0 {
+		t.Fatalf("after one whole and one torn record: %d records, %d torn, %d writes, %d timed, %d failures",
+			j.Records, j.Torn, j.Writes(), j.Latency.Summary().Count, j.Failures)
 	}
 	whole := len(dedup.AppendJournalRecord(nil, f))
 	if n := len(j.Image); n <= whole || n >= 2*whole {
@@ -136,8 +136,8 @@ func TestJournalFailedWriteKeepsRetryTimeThenDegrades(t *testing.T) {
 	f := fabricateFlush(t)
 	const at = 5 * time.Millisecond
 	end := j.Flush(at, f)
-	if !j.Dead() || j.Failures != 1 || j.Writes() != 0 {
-		t.Fatalf("exhausted retries: dead=%v, failures=%d, writes=%d", j.Dead(), j.Failures, j.Writes())
+	if j.Failures != 1 || j.Writes() != 0 {
+		t.Fatalf("exhausted retries: failures=%d, writes=%d", j.Failures, j.Writes())
 	}
 	if want := at + 12600*time.Microsecond; end != want {
 		t.Fatalf("failed flush ends at %v, want %v (the backoff its retries consumed)", end, want)
@@ -149,7 +149,7 @@ func TestJournalFailedWriteKeepsRetryTimeThenDegrades(t *testing.T) {
 	if end := j.Flush(end, f); end != at+12600*time.Microsecond {
 		t.Fatalf("flush into a dead region ends at %v", end)
 	}
-	if j.Failures != 1 || j.Writes() != 0 || s.WriteRetries != fault.MaxRetries || s.Drive.Horizon() != busy || len(j.Image) != 0 || j.Latency.N() != 0 {
+	if j.Failures != 1 || j.Writes() != 0 || s.WriteRetries != fault.MaxRetries || s.Drive.Horizon() != busy || len(j.Image) != 0 || j.Latency.Summary().Count != 0 {
 		t.Fatal("a dead region must drop flushes without touching the drive, the counters, or the image")
 	}
 }
@@ -164,15 +164,20 @@ func TestJournalTornFlushWriteFailureDegrades(t *testing.T) {
 	f := fabricateFlush(t)
 	const at = 5 * time.Millisecond
 	end := j.Flush(at, f)
-	if !j.Dead() || j.Failures != 1 {
-		t.Fatalf("torn flush with exhausted retries: dead=%v, failures=%d", j.Dead(), j.Failures)
+	if j.Failures != 1 {
+		t.Fatalf("torn flush with exhausted retries: failures=%d", j.Failures)
 	}
 	if want := at + 12600*time.Microsecond; end != want {
 		t.Fatalf("failed flush ends at %v, want %v (the backoff its retries consumed)", end, want)
 	}
-	if len(j.Image) != 0 || j.Torn != 0 || j.Records != 0 || j.Writes() != 0 || j.Bytes != 0 || j.Latency.N() != 0 {
+	if len(j.Image) != 0 || j.Torn != 0 || j.Records != 0 || j.Writes() != 0 || j.Bytes != 0 || j.Latency.Summary().Count != 0 {
 		t.Fatalf("a failed torn write left %d image bytes, %d torn, %d records, %d bytes, %d timed",
-			len(j.Image), j.Torn, j.Records, j.Bytes, j.Latency.N())
+			len(j.Image), j.Torn, j.Records, j.Bytes, j.Latency.Summary().Count)
+	}
+	s.SetFaultInjector(nil) // a live region would land the next flush
+	j.Flush(end, f)
+	if j.Writes() != 0 {
+		t.Fatal("the region must stay dead once a write failed")
 	}
 }
 

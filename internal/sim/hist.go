@@ -44,9 +44,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[bits.Len64(uint64(d))]++
 }
 
-// N returns the sample count.
-func (h *Histogram) N() int64 { return h.n }
-
 // Merge folds o's samples into h: bucket counts, sample counts, and sums
 // add; min/max combine. Because the buckets are order-independent, merging
 // per-shard histograms in any order yields bit-identical contents — the

@@ -341,10 +341,12 @@ func TestJournalFlushDegradeKeepsRetryTime(t *testing.T) {
 	if want := at + 12600*time.Microsecond; end != want {
 		t.Fatalf("failed journal flush ends at %v, want %v", end, want)
 	}
+	disarmFaults(v)
+	v.journalFlush(end, fabricateFlush(t)) // degraded: dropped though the write would land
 	st := v.Stats()
-	if st.JournalWriteFailures != 1 || st.SSDWriteRetries != fault.MaxRetries || !v.sub.Journal.Dead() {
-		t.Fatalf("failures=%d retries=%d dead=%v; want 1, %d, true",
-			st.JournalWriteFailures, st.SSDWriteRetries, v.sub.Journal.Dead(), fault.MaxRetries)
+	if st.JournalWriteFailures != 1 || st.SSDWriteRetries != fault.MaxRetries || st.JournalRecords != 0 {
+		t.Fatalf("failures=%d retries=%d records=%d; want 1, %d, 0",
+			st.JournalWriteFailures, st.SSDWriteRetries, st.JournalRecords, fault.MaxRetries)
 	}
 }
 

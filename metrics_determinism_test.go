@@ -199,25 +199,43 @@ func TestMetricsSnapshotFromRealRun(t *testing.T) {
 
 	// The run above must actually have recorded work, not just registered
 	// empty families.
-	if n, _ := metrics.SeriesValue("inlinered_pool_map_calls_total", "subsystem", "parallel"); n == 0 {
+	exp, err := metrics.ParseExposition(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := sampleValue(exp, "inlinered_pool_map_calls_total", "subsystem", "parallel"); n == 0 {
 		t.Error("pipeline run recorded no pool Map calls")
 	}
 	for _, stage := range []string{"chunk", "hash", "front_wait", "dedup_decide", "compress", "commit"} {
-		if n, ok := metrics.SeriesValue("inlinered_stage_wall_seconds", "subsystem", "core", "stage", stage); !ok || n == 0 {
-			t.Errorf("core stage %q recorded no wall-clock samples (ok=%v n=%d)", stage, ok, n)
+		if n, ok := sampleValue(exp, "inlinered_stage_wall_seconds_count", "subsystem", "core", "stage", stage); !ok || n == 0 {
+			t.Errorf("core stage %q recorded no wall-clock samples (ok=%v n=%g)", stage, ok, n)
 		}
 	}
 	for _, stage := range []string{"dispatch", "queue_wait", "shard_drain"} {
-		if n, ok := metrics.SeriesValue("inlinered_stage_wall_seconds", "subsystem", "serve", "stage", stage); !ok || n == 0 {
-			t.Errorf("serve stage %q recorded no wall-clock samples (ok=%v n=%d)", stage, ok, n)
+		if n, ok := sampleValue(exp, "inlinered_stage_wall_seconds_count", "subsystem", "serve", "stage", stage); !ok || n == 0 {
+			t.Errorf("serve stage %q recorded no wall-clock samples (ok=%v n=%g)", stage, ok, n)
 		}
 	}
-	if n, _ := metrics.SeriesValue("inlinered_stage_wall_seconds", "subsystem", "volume", "stage", "journal_flush"); n == 0 {
+	if n, _ := sampleValue(exp, "inlinered_stage_wall_seconds_count", "subsystem", "volume", "stage", "journal_flush"); n == 0 {
 		t.Error("volume journal_flush recorded no wall-clock samples")
 	}
-	if v, _ := metrics.SeriesValue("go_goroutines"); v <= 0 {
+	if v, _ := sampleValue(exp, "go_goroutines"); v <= 0 {
 		t.Error("runtime telemetry not sampled")
 	}
+}
+
+// sampleValue returns the value of the sample name{labels} in exp.
+func sampleValue(exp *metrics.Exposition, name string, labels ...string) (float64, bool) {
+	for _, s := range exp.Samples {
+		match := s.Name == name && len(s.Labels) == len(labels)/2
+		for i := 0; match && i < len(labels); i += 2 {
+			match = s.Labels[labels[i]] == labels[i+1]
+		}
+		if match {
+			return s.Value, true
+		}
+	}
+	return 0, false
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
