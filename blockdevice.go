@@ -79,7 +79,7 @@ func (opts BlockDeviceOptions) volumeConfig() volume.Config {
 	} else if opts.CacheBytes < 0 {
 		cfg.CacheBytes = 0
 	}
-	if opts.FaultRate > 0 {
+	if opts.FaultRate != 0 {
 		cfg.Faults = fault.Config{Seed: opts.FaultSeed, Rates: fault.Uniform(opts.FaultRate)}
 	}
 	cfg.SubBlocks = opts.SubBlocks
@@ -106,7 +106,7 @@ func (opts BlockDeviceOptions) clusterConfig() cluster.Config {
 		Parallelism:   opts.Parallelism,
 		Obs:           opts.Recorder,
 	}
-	if opts.NodeFaultRate > 0 {
+	if opts.NodeFaultRate != 0 {
 		cc.NodeFaults = fault.Config{
 			Seed:  opts.NodeFaultSeed,
 			Rates: fault.NodeUniform(opts.NodeFaultRate, opts.NodeFaultRate),

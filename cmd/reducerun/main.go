@@ -524,7 +524,8 @@ func runBlock(f blockFlags, opts inlinered.BlockDeviceOptions, spec inlinered.Op
 	printReport(rep, tail, jsonOut)
 }
 
-// parseSeedRate parses a SEED:RATE fault knob with RATE in [0,1].
+// parseSeedRate parses a SEED:RATE fault knob; the library rejects a RATE
+// outside [0,1].
 func parseSeedRate(flagName, s string) (seed int64, rate float64, err error) {
 	if s == "" {
 		return 0, 0, nil
@@ -540,9 +541,6 @@ func parseSeedRate(flagName, s string) (seed int64, rate float64, err error) {
 	rate, err = strconv.ParseFloat(s[colon+1:], 64)
 	if err != nil {
 		return 0, 0, fmt.Errorf("%s rate: %w", flagName, err)
-	}
-	if rate < 0 || rate > 1 {
-		return 0, 0, fmt.Errorf("%s rate must be in [0,1], got %g", flagName, rate)
 	}
 	return seed, rate, nil
 }

@@ -137,7 +137,7 @@ func (o Options) config() core.Config {
 	cfg.Mode = o.Mode
 	cfg.Dedup = !o.DisableDedup
 	cfg.Compress = !o.DisableCompression
-	if o.ChunkSize > 0 {
+	if o.ChunkSize != 0 {
 		cfg.ChunkSize = o.ChunkSize
 	}
 	cfg.IncludeDestage = o.IncludeDestage
@@ -147,7 +147,7 @@ func (o Options) config() core.Config {
 		cfg.Chunker = core.CDCChunking
 	}
 	cfg.Parallelism = o.Parallelism
-	if o.FaultRate > 0 {
+	if o.FaultRate != 0 {
 		cfg.Faults = fault.Config{Seed: o.FaultSeed, Rates: fault.Uniform(o.FaultRate)}
 	}
 	cfg.Obs = o.Recorder

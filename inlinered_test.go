@@ -364,3 +364,57 @@ func TestClusterRejectsBadShape(t *testing.T) {
 		t.Fatal("Replicas > Nodes must be rejected")
 	}
 }
+
+// TestOptionsRejectOutOfRange: a fault rate outside [0,1] and a negative
+// chunk size are errors at construction, on every front end, and the
+// bounds themselves are accepted.
+func TestOptionsRejectOutOfRange(t *testing.T) {
+	engine := func(o Options) error { _, err := NewEngine(PaperPlatform(), o); return err }
+	device := func(o BlockDeviceOptions) error {
+		d, err := NewBlockDevice(o)
+		if err == nil {
+			d.Close()
+		}
+		return err
+	}
+	array := func(o BlockDeviceOptions) error {
+		o.Shards = 2
+		a, err := NewArray(o)
+		if err == nil {
+			a.Close()
+		}
+		return err
+	}
+	cluster := func(o BlockDeviceOptions) error {
+		o.Nodes = 3
+		c, err := NewCluster(o)
+		if err == nil {
+			c.Close()
+		}
+		return err
+	}
+	stream := func(s StreamSpec) error { s.TotalBytes = 1 << 20; _, err := NewStream(s); return err }
+	for _, tc := range []struct {
+		name  string
+		err   error
+		valid bool
+	}{
+		{"engine fault rate -1", engine(Options{FaultRate: -1}), false},
+		{"engine fault rate 2", engine(Options{FaultRate: 2}), false},
+		{"engine fault rate 1", engine(Options{FaultRate: 1}), true},
+		{"engine chunk size -4096", engine(Options{ChunkSize: -4096}), false},
+		{"device fault rate -1", device(BlockDeviceOptions{FaultRate: -1}), false},
+		{"device fault rate 2", device(BlockDeviceOptions{FaultRate: 2}), false},
+		{"device fault rate 1", device(BlockDeviceOptions{FaultRate: 1}), true},
+		{"array fault rate -1", array(BlockDeviceOptions{FaultRate: -1}), false},
+		{"array fault rate 2", array(BlockDeviceOptions{FaultRate: 2}), false},
+		{"cluster node fault rate -1", cluster(BlockDeviceOptions{NodeFaultRate: -1}), false},
+		{"cluster node fault rate 2", cluster(BlockDeviceOptions{NodeFaultRate: 2}), false},
+		{"cluster node fault rate 1", cluster(BlockDeviceOptions{NodeFaultRate: 1}), true},
+		{"stream chunk size -1", stream(StreamSpec{ChunkSize: -1}), false},
+	} {
+		if (tc.err == nil) != tc.valid {
+			t.Errorf("%s: err = %v, want valid=%v", tc.name, tc.err, tc.valid)
+		}
+	}
+}

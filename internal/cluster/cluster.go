@@ -173,6 +173,9 @@ func New(cfg Config) (*Cluster, error) {
 	if lo < 1 || hi < lo {
 		return nil, fmt.Errorf("cluster: rejoin delay bounds [%d,%d] invalid", lo, hi)
 	}
+	if err := cfg.NodeFaults.Validate(); err != nil {
+		return nil, fmt.Errorf("cluster: node %w", err)
+	}
 	c := &Cluster{
 		cfg:         cfg,
 		blocks:      cfg.Volume.Blocks,

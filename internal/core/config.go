@@ -232,5 +232,8 @@ func (c Config) Validate() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("core: parallelism must be >= 0, got %d", c.Parallelism)
 	}
+	if err := c.Faults.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	return nil
 }

@@ -102,6 +102,16 @@ type Config struct {
 // Enabled reports whether any fault kind has a nonzero rate.
 func (c Config) Enabled() bool { return c.Rates != (Rates{}) }
 
+// Validate rejects a rate outside [0,1].
+func (c Config) Validate() error {
+	for k, r := range c.Rates {
+		if !(r >= 0 && r <= 1) {
+			return fmt.Errorf("fault: rate of kind %d must be in [0,1], got %g", k, r)
+		}
+	}
+	return nil
+}
+
 // spikeBase is the base of an injected latency spike, which is 1–4× it.
 const spikeBase = 2 * time.Millisecond
 

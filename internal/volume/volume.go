@@ -97,6 +97,9 @@ func (c Config) Validate() error {
 	if c.CleanThreshold <= 0 || c.CleanThreshold >= 1 {
 		return fmt.Errorf("volume: clean threshold must be in (0,1), got %g", c.CleanThreshold)
 	}
+	if err := c.Faults.Validate(); err != nil {
+		return fmt.Errorf("volume: %w", err)
+	}
 	return c.Index.Validate()
 }
 
