@@ -635,14 +635,14 @@ func TestCDCWithGPUModes(t *testing.T) {
 	}
 }
 
-// TestGPUModesFindEveryDuplicate runs one stream in cpu-only, gpu-dedup and
-// gpu-both: the GPU screens batch k+1 while batch k commits, and a screened
+// TestGPUModesFindEveryDuplicate runs one stream in every mode: in gpu-dedup
+// and gpu-both the GPU screens batch k+1 while batch k commits, and a screened
 // miss must still find a twin that a bin flush in between moved from the
 // bin buffer to the tree, so every mode stores the same unique chunks. Small
 // bins and buffers make flushes frequent enough to hit that window.
 func TestGPUModesFindEveryDuplicate(t *testing.T) {
 	var want *Report
-	for _, m := range []Mode{CPUOnly, GPUDedup, GPUBoth} {
+	for _, m := range Modes {
 		cfg := testConfig(m)
 		cfg.Index.BinBits = gpuBinBits
 		cfg.Index.BufferEntries = 4
@@ -652,7 +652,7 @@ func TestGPUModesFindEveryDuplicate(t *testing.T) {
 		if err := eng.VerifyAgainst(s); err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		if m != CPUOnly && rep.GPUIndexBatches == 0 {
+		if m.UsesGPUDedup() && rep.GPUIndexBatches == 0 {
 			t.Fatalf("%s: no batch was screened on the GPU", m)
 		}
 		if want == nil {
