@@ -35,7 +35,8 @@ type BlockDeviceOptions struct {
 	// FaultRate enables deterministic fault injection on the device's
 	// drive, journal, and index (transient SSD errors, latency spikes, torn
 	// journal records, memory-pressure evictions), scheduled by FaultSeed.
-	// 0 disables injection; a fixed seed makes runs bit-identical.
+	// 0 disables injection; a fixed seed makes runs bit-identical. A rate
+	// outside [0,1] is an error, as is one for NodeFaultRate.
 	FaultRate float64
 	FaultSeed int64
 	// Shards splits the device into that many independent volumes behind a

@@ -88,7 +88,8 @@ type Options struct {
 	// (the paper's §4(1) and §4(2) run them in isolation).
 	DisableDedup       bool
 	DisableCompression bool
-	// ChunkSize is the reduction unit; 0 means the paper's 4 KB.
+	// ChunkSize is the reduction unit; 0 means the paper's 4 KB, and a
+	// size below 64 bytes is an error.
 	ChunkSize int
 	// IncludeDestage counts SSD destage completion in the makespan.
 	IncludeDestage bool
@@ -113,6 +114,7 @@ type Options struct {
 	// per-opportunity probability, scheduled by FaultSeed. 0 disables
 	// injection and leaves the Report bit-identical to a build without it;
 	// a fixed seed makes two runs bit-identical, fault counters included.
+	// A rate outside [0,1] is an error.
 	FaultRate float64
 	FaultSeed int64
 	// Recorder attaches an observability recorder (NewRecorder) to the
