@@ -6,6 +6,7 @@ import (
 	"go/ast"
 	"go/build"
 	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
@@ -13,8 +14,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"go/parser"
 )
 
 // optionStructs are the configuration surfaces whose fields the audit checks
@@ -183,10 +182,6 @@ func TestCallerAudit(t *testing.T) {
 		}
 		return dir + "." + strings.Join(parts, ".")
 	}
-	byPkg := map[*types.Package]*auditPkg{}
-	for _, p := range r.pkgs {
-		byPkg[p.types] = p
-	}
 
 	// Declarations: exported functions and methods, top-level types, and
 	// the source ranges of both.
@@ -245,22 +240,36 @@ func TestCallerAudit(t *testing.T) {
 	}
 
 	// Methods used without a call in this module: those of the types the
-	// root package aliases, and those that implement a standard-library
-	// interface.
+	// root package aliases (public API), and those that implement a method
+	// of stdInterfaces.
 	api := map[*types.Func]bool{}
-	for _, p := range r.pkgs {
-		if p.dir != "." {
-			continue
+	root := r.pkgs["inlinered"].types.Scope()
+	for _, n := range root.Names() {
+		if tn, ok := root.Lookup(n).(*types.TypeName); ok && tn.Exported() && tn.IsAlias() {
+			typ := types.Unalias(tn.Type())
+			if ptr, ok := typ.(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			ms := types.NewMethodSet(types.NewPointer(typ))
+			for i := range ms.Len() {
+				api[ms.At(i).Obj().(*types.Func).Origin()] = true
+			}
 		}
-		for _, n := range p.types.Scope().Names() {
-			if tn, ok := p.types.Scope().Lookup(n).(*types.TypeName); ok && tn.Exported() && tn.IsAlias() {
-				for _, m := range methodSet(tn.Type()) {
-					api[m] = true
+	}
+	// ifaceOf maps an interface method to its interface: every one some
+	// code uses, and every one of stdInterfaces, which the standard library
+	// calls.
+	ifaceOf := map[*types.Func]*types.Interface{}
+	for obj := range uses {
+		if im, ok := obj.(*types.Func); ok {
+			if recv := im.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					ifaceOf[im] = iface
 				}
 			}
 		}
 	}
-	var std []*types.Interface
+	byStd := map[*types.Func]bool{}
 	for _, si := range stdInterfaces {
 		scope := types.Universe
 		if si.pkg != "" {
@@ -270,12 +279,15 @@ func TestCallerAudit(t *testing.T) {
 			}
 			scope = pkg.Scope()
 		}
-		std = append(std, scope.Lookup(si.name).Type().Underlying().(*types.Interface))
+		iface := scope.Lookup(si.name).Type().Underlying().(*types.Interface)
+		for i := range iface.NumMethods() {
+			ifaceOf[iface.Method(i)], byStd[iface.Method(i)] = iface, true
+		}
 	}
-	// implements maps a concrete method to the in-module interface methods
-	// it implements.
+	// implements maps a concrete method to the used interface methods it
+	// implements.
 	implements := map[*types.Func][]*types.Func{}
-	var concrete []types.Type
+	var concrete []*types.Pointer // *T for every non-generic, non-interface type T
 	for _, p := range r.pkgs {
 		for _, n := range p.types.Scope().Names() {
 			tn, ok := p.types.Scope().Lookup(n).(*types.TypeName)
@@ -285,40 +297,19 @@ func TestCallerAudit(t *testing.T) {
 			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
 				continue
 			}
-			concrete = append(concrete, tn.Type())
+			concrete = append(concrete, types.NewPointer(tn.Type()))
 		}
 	}
-	for obj := range uses {
-		im, ok := obj.(*types.Func)
-		if !ok || im.Type().(*types.Signature).Recv() == nil {
-			continue
-		}
-		iface, ok := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
-		if !ok {
-			continue
-		}
-		for _, typ := range concrete {
-			ptr := types.NewPointer(typ)
-			if !types.Implements(typ, iface) && !types.Implements(ptr, iface) {
+	for im, iface := range ifaceOf {
+		for _, ptr := range concrete {
+			if !types.Implements(ptr, iface) { // *T's method set holds T's
 				continue
 			}
-			if sel := types.NewMethodSet(ptr).Lookup(im.Pkg(), im.Name()); sel != nil {
-				m := sel.Obj().(*types.Func).Origin()
+			m := types.NewMethodSet(ptr).Lookup(im.Pkg(), im.Name()).Obj().(*types.Func).Origin()
+			if byStd[im] {
+				api[m] = true
+			} else {
 				implements[m] = append(implements[m], im)
-			}
-		}
-	}
-	for _, typ := range concrete {
-		for _, iface := range std {
-			ptr := types.NewPointer(typ)
-			if !types.Implements(typ, iface) && !types.Implements(ptr, iface) {
-				continue
-			}
-			for i := range iface.NumMethods() {
-				im := iface.Method(i)
-				if sel := types.NewMethodSet(ptr).Lookup(im.Pkg(), im.Name()); sel != nil {
-					api[sel.Obj().(*types.Func).Origin()] = true
-				}
 			}
 		}
 	}
@@ -555,18 +546,4 @@ func recvTypeName(fn *types.Func) *types.TypeName {
 		return named.Obj()
 	}
 	return nil
-}
-
-// methodSet returns the methods of *T for a type T, promoted ones included.
-func methodSet(typ types.Type) []*types.Func {
-	typ = types.Unalias(typ)
-	if ptr, ok := typ.(*types.Pointer); ok {
-		typ = ptr.Elem()
-	}
-	ms := types.NewMethodSet(types.NewPointer(typ))
-	out := make([]*types.Func, ms.Len())
-	for i := range ms.Len() {
-		out[i] = ms.At(i).Obj().(*types.Func).Origin()
-	}
-	return out
 }
