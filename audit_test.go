@@ -242,6 +242,10 @@ func TestCallerAudit(t *testing.T) {
 	// Methods used without a call in this module: those of the types the
 	// root package aliases (public API), and those that implement a method
 	// of stdInterfaces.
+	byPkg := map[*types.Package]bool{}
+	for _, p := range r.pkgs {
+		byPkg[p.types] = true
+	}
 	api := map[*types.Func]bool{}
 	root := r.pkgs["inlinered"].types.Scope()
 	for _, n := range root.Names() {
@@ -284,22 +288,41 @@ func TestCallerAudit(t *testing.T) {
 			ifaceOf[iface.Method(i)], byStd[iface.Method(i)] = iface, true
 		}
 	}
-	// implements maps a concrete method to the used interface methods it
-	// implements.
-	implements := map[*types.Func][]*types.Func{}
-	var concrete []*types.Pointer // *T for every non-generic, non-interface type T
+	// concrete holds *T for every non-interface type T declared at top
+	// level, a generic one as each instantiation some expression has.
+	concrete := map[string]*types.Pointer{}
 	for _, p := range r.pkgs {
 		for _, n := range p.types.Scope().Names() {
 			tn, ok := p.types.Scope().Lookup(n).(*types.TypeName)
 			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
 				continue
 			}
-			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+			if named, ok := tn.Type().(*types.Named); !ok || named.TypeParams().Len() == 0 {
+				concrete[tn.Type().String()] = types.NewPointer(tn.Type())
+			}
+		}
+		for _, tv := range p.info.Types {
+			typ := tv.Type
+			if ptr, ok := typ.(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			named, ok := typ.(*types.Named)
+			if !ok || named.TypeArgs().Len() == 0 || types.IsInterface(named) || !byPkg[named.Obj().Pkg()] {
 				continue
 			}
-			concrete = append(concrete, types.NewPointer(tn.Type()))
+			generic := false
+			for i := range named.TypeArgs().Len() {
+				_, param := named.TypeArgs().At(i).(*types.TypeParam)
+				generic = generic || param
+			}
+			if !generic {
+				concrete[named.String()] = types.NewPointer(named)
+			}
 		}
 	}
+	// implements maps a concrete method to the used interface methods it
+	// implements.
+	implements := map[*types.Func][]*types.Func{}
 	for im, iface := range ifaceOf {
 		for _, ptr := range concrete {
 			if !types.Implements(ptr, iface) { // *T's method set holds T's
