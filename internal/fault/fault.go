@@ -3,13 +3,13 @@
 // volume log, the dedup journal, and the GPU device.
 //
 // A fault Kind indexes a rate (Rates) and a PRNG stream derived from the
-// run seed and the kind, so two runs with the
-// same seed and the same workload make identical fault decisions, and
-// consulting one site more or less often never perturbs another site's
-// stream. All consults happen on the single-threaded virtual-time control
-// path, so a fixed seed yields bit-identical Reports regardless of host
-// parallelism. Adding a kind is one constant plus the method that consults
-// it; NodeRejoinDelay alone is drawn without a rate.
+// run seed and the kind, so two runs with the same seed and the same
+// workload make identical fault decisions, and consulting one site more or
+// less often never perturbs another site's stream. All consults happen on
+// the single-threaded virtual-time control path, so a fixed seed yields
+// bit-identical Reports regardless of host parallelism. Adding a kind is
+// one constant plus the method that consults it; NodeRejoinDelay alone is
+// drawn without a rate.
 //
 // The injector is nil-safe: every method on a nil *Injector reports "no
 // fault", so the data plane threads it through unconditionally and pays
