@@ -242,10 +242,6 @@ func TestCallerAudit(t *testing.T) {
 	// Methods used without a call in this module: those of the types the
 	// root package aliases (public API), and those that implement a method
 	// of stdInterfaces.
-	byPkg := map[*types.Package]bool{}
-	for _, p := range r.pkgs {
-		byPkg[p.types] = true
-	}
 	api := map[*types.Func]bool{}
 	root := r.pkgs["inlinered"].types.Scope()
 	for _, n := range root.Names() {
@@ -291,6 +287,10 @@ func TestCallerAudit(t *testing.T) {
 	// concrete holds *T for every non-interface type T declared at top
 	// level, a generic one as each instantiation some expression has.
 	concrete := map[string]*types.Pointer{}
+	inModule := map[*types.Package]bool{}
+	for _, p := range r.pkgs {
+		inModule[p.types] = true
+	}
 	for _, p := range r.pkgs {
 		for _, n := range p.types.Scope().Names() {
 			tn, ok := p.types.Scope().Lookup(n).(*types.TypeName)
@@ -307,7 +307,7 @@ func TestCallerAudit(t *testing.T) {
 				typ = ptr.Elem()
 			}
 			named, ok := typ.(*types.Named)
-			if !ok || named.TypeArgs().Len() == 0 || types.IsInterface(named) || !byPkg[named.Obj().Pkg()] {
+			if !ok || named.TypeArgs().Len() == 0 || types.IsInterface(named) || !inModule[named.Obj().Pkg()] {
 				continue
 			}
 			generic := false
