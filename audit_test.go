@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -151,8 +152,77 @@ func loadRepo(t *testing.T) *repo {
 	return r
 }
 
-// TestCallerAudit fails on every declaration under internal/, cmd/ and
-// examples/ that no non-test code uses, unless unused gives its reason.
+// finding is what the audit reports of one declaration, under one of its
+// three rules.
+type finding struct {
+	rule int
+	what string
+}
+
+// auditOnce runs callerAudit once for every test that reads its findings.
+var (
+	auditOnce  sync.Once
+	auditFound map[string]finding
+)
+
+// auditFindings returns the audit's findings, from a run the first caller
+// makes. If that run fails, its test reports why and the later ones fail too.
+func auditFindings(t *testing.T) map[string]finding {
+	t.Helper()
+	auditOnce.Do(func() { auditFound = callerAudit(t) })
+	if auditFound == nil {
+		t.Fatal("the caller audit did not run; see the first audit test's failure")
+	}
+	return auditFound
+}
+
+// checkRule fails on every finding of rule that unused does not give a
+// reason for.
+func checkRule(t *testing.T, rule int) {
+	t.Helper()
+	var problems []string
+	for id, f := range auditFindings(t) {
+		if _, ok := unused[id]; !ok && f.rule == rule {
+			problems = append(problems, id+" "+f.what)
+		}
+	}
+	sort.Strings(problems)
+	if len(problems) > 0 {
+		t.Fatalf("declarations only tests use (delete them with the state only they read, or give the reason in unused):\n  %s",
+			strings.Join(problems, "\n  "))
+	}
+}
+
+// TestSimulatorMethodsHaveCallers enforces the audit's rule 1: every
+// exported function and method has a non-test use.
+func TestSimulatorMethodsHaveCallers(t *testing.T) { checkRule(t, 1) }
+
+// TestNoUnreferencedTypes enforces the audit's rule 2: every type is named
+// by non-test code.
+func TestNoUnreferencedTypes(t *testing.T) { checkRule(t, 2) }
+
+// TestEveryOptionIsSet enforces the audit's rule 3: every option field is
+// set by non-test code outside its package.
+func TestEveryOptionIsSet(t *testing.T) { checkRule(t, 3) }
+
+// TestUnusedReasonsAreCurrent fails on every entry of unused that the audit
+// does not report, so the map holds exactly what the audit finds.
+func TestUnusedReasonsAreCurrent(t *testing.T) {
+	found := auditFindings(t)
+	var stale []string
+	for id := range unused {
+		if _, ok := found[id]; !ok {
+			stale = append(stale, id)
+		}
+	}
+	sort.Strings(stale)
+	if len(stale) > 0 {
+		t.Fatalf("listed in unused but the audit finds a use, or no such declaration:\n  %s", strings.Join(stale, "\n  "))
+	}
+}
+
+// callerAudit finds every declaration under internal/, cmd/ and examples/
+// that no non-test code uses, with the rule that finds it.
 // Uses count from any non-test file of the repository, benchmark/ included,
 // and resolve to objects through go/types, so a name another declaration
 // shares hides nothing. Three rules:
@@ -170,7 +240,7 @@ func loadRepo(t *testing.T) *repo {
 //     enclosing if conditions read is itself set, so a field that only
 //     forwards an unset option is unset too. An option with one value in use
 //     is a constant.
-func TestCallerAudit(t *testing.T) {
+func callerAudit(t *testing.T) map[string]finding {
 	r := loadRepo(t)
 	audited := func(p *auditPkg) bool {
 		return strings.HasPrefix(p.dir, "internal/") || strings.HasPrefix(p.dir, "cmd/") || strings.HasPrefix(p.dir, "examples/")
@@ -371,9 +441,9 @@ func TestCallerAudit(t *testing.T) {
 			}
 		}
 	}
-	found := map[string]string{} // name -> what the audit finds
+	found := map[string]finding{}
 	for fn := range dead {
-		found[funcs[fn]] = "has no non-test use"
+		found[funcs[fn]] = finding{1, "has no non-test use"}
 	}
 
 	// Rule 2.
@@ -387,7 +457,7 @@ func TestCallerAudit(t *testing.T) {
 			used = used || !own
 		}
 		if !used {
-			found[id] = "is a type no non-test code names"
+			found[id] = finding{2, "is a type no non-test code names"}
 		}
 	}
 
@@ -530,28 +600,13 @@ func TestCallerAudit(t *testing.T) {
 		switch {
 		case set[v]:
 		case len(writes[v]) == 0:
-			found[fieldNames[v]] = "is an option no non-test code outside its package sets"
+			found[fieldNames[v]] = finding{3, "is an option no non-test code outside its package sets"}
 		default:
-			found[fieldNames[v]] = fmt.Sprintf("is set only from options nobody sets (%v)", r.fset.Position(writes[v][0].at))
+			found[fieldNames[v]] = finding{3, fmt.Sprintf("is set only from options nobody sets (%v)", r.fset.Position(writes[v][0].at))}
 		}
 	}
 
-	var problems []string
-	for id, what := range found {
-		if _, ok := unused[id]; !ok {
-			problems = append(problems, id+" "+what)
-		}
-	}
-	for id := range unused {
-		if _, ok := found[id]; !ok {
-			problems = append(problems, id+" is listed in unused but the audit finds a use, or no such declaration")
-		}
-	}
-	sort.Strings(problems)
-	if len(problems) > 0 {
-		t.Fatalf("declarations only tests use (delete them with the state only they read, or give the reason in unused):\n  %s",
-			strings.Join(problems, "\n  "))
-	}
+	return found
 }
 
 // recvTypeName returns the named type of a method's receiver, or nil for a
