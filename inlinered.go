@@ -298,9 +298,6 @@ type ClusterFaultCounters = cluster.FaultCounters
 // ScrubReport summarizes a Cluster.Scrub replica-agreement sweep.
 type ScrubReport = cluster.ScrubReport
 
-// RebalanceReport summarizes a Cluster.AddNode migration.
-type RebalanceReport = cluster.RebalanceReport
-
 // Cluster is the replicated tier over the sharded array: Nodes independent
 // arrays with LBA ranges rendezvous-placed on Replicas of them. Writes
 // replicate to every live owner, reads prefer the primary and fall back to

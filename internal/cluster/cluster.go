@@ -46,7 +46,6 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"time"
@@ -110,10 +109,11 @@ type stKey struct {
 	lba  int64
 }
 
-// Cluster is the replicated front-end. The batch Serve path, the direct
-// ops, Scrub, and AddNode are all safe for concurrent use (a cluster-wide
+// Cluster is the replicated front-end. Membership is fixed at New, and its
+// contents change only through batch Serve calls (Scrub repairs them). Serve,
+// ReadBatch, Read and Scrub are all safe for concurrent use (a cluster-wide
 // mutex serializes metadata; per-node arrays lock independently), but only
-// the batch path promises bit-identical reports.
+// the batch paths promise bit-identical reports.
 type Cluster struct {
 	cfg         Config
 	blocks      int64
@@ -121,23 +121,22 @@ type Cluster struct {
 	replicas    int
 
 	mu    sync.Mutex
-	nodes []*serve.Array // grows by append only (AddNode), so a snapshot taken under mu stays valid
-	dir   [][]int        // owner set per range, primary first
+	nodes []*serve.Array // fixed at New
+	dir   [][]int        // owner set per range, primary first; fixed at New
 	inj   *fault.Injector
 	pool  *parallel.Pool // shared with every node's array: decode workers and posted write-front tasks
 
-	// Directory-plane truth, maintained by the sequencing phase and the
-	// direct ops: per mapped LBA the content id a batch last wrote there
-	// (or direct), and the replica copies known stale.
-	content map[int64]int64
+	// Directory-plane truth, maintained by the sequencing phase: per mapped
+	// LBA the content id a batch last wrote there, and the replica copies
+	// known stale.
+	content map[int64]int32
 	stale   map[stKey]bool
 	// seed is the ContentSeed of every batch so far, once seeded: the one
 	// the remembered content ids turn back into the bytes clients stored.
 	seed   int64
 	seeded bool
 
-	opBase   int64 // cumulative sequenced ops, for the membership timeline
-	draining int   // Serve and ReadBatch calls draining node queues outside mu
+	opBase int64 // cumulative sequenced ops, for the membership timeline
 
 	obs  *obs.Recorder
 	lane obs.Lane
@@ -181,7 +180,7 @@ func New(cfg Config) (*Cluster, error) {
 		blocks:      cfg.Volume.Blocks,
 		rangeBlocks: rb,
 		replicas:    rr,
-		content:     make(map[int64]int64),
+		content:     make(map[int64]int32),
 		stale:       make(map[stKey]bool),
 		obs:         cfg.Obs,
 	}
@@ -228,9 +227,8 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// rendezvousScore ranks node n for range r. Highest-random-weight hashing:
-// adding a node perturbs only the ranges the new node wins, so rebalancing
-// moves the minimum number of ranges.
+// rendezvousScore ranks node n for range r: highest-random-weight hashing,
+// so every range's owner set is a pure function of (range, node count).
 func rendezvousScore(r int, n int) uint64 {
 	return mix64(uint64(r+1)*0x9e3779b97f4a7c15 ^ uint64(n+1)*0xbf58476d1ce4e5b9)
 }
@@ -269,26 +267,8 @@ func (c *Cluster) owners(lba int64) []int {
 	return c.dir[lba/c.rangeBlocks]
 }
 
-// direct marks, in content, a block whose bytes a direct Write stored: it
-// is mapped, but no content id names what it holds (ids are int32s).
-const direct = math.MaxInt64
-
-// contentID returns the content id a batch last wrote at lba; false when the
-// block is unmapped or holds directly-written bytes. Caller holds c.mu.
-func (c *Cluster) contentID(lba int64) (int32, bool) {
-	id, ok := c.content[lba]
-	return int32(id), ok && id != direct
-}
-
-// members returns the node arrays, in node order.
-func (c *Cluster) members() []*serve.Array {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodes
-}
-
 // Nodes returns the node count.
-func (c *Cluster) Nodes() int { return len(c.members()) }
+func (c *Cluster) Nodes() int { return len(c.nodes) }
 
 // Replicas returns the replication factor.
 func (c *Cluster) Replicas() int { return c.replicas }
@@ -300,7 +280,7 @@ func (c *Cluster) Blocks() int64 { return c.blocks }
 // run concurrently in simulated time).
 func (c *Cluster) Now() time.Duration {
 	var now time.Duration
-	for _, a := range c.members() {
+	for _, a := range c.nodes {
 		now = max(now, a.Now())
 	}
 	return now
@@ -308,9 +288,8 @@ func (c *Cluster) Now() time.Duration {
 
 // NodeStats returns each node's merged array stats, in node order.
 func (c *Cluster) NodeStats() []volume.Stats {
-	nodes := c.members()
-	out := make([]volume.Stats, len(nodes))
-	for i, a := range nodes {
+	out := make([]volume.Stats, len(c.nodes))
+	for i, a := range c.nodes {
 		out[i] = a.Stats()
 	}
 	return out
@@ -321,7 +300,7 @@ func (c *Cluster) NodeStats() []volume.Stats {
 // merged across every node's shards).
 func (c *Cluster) Stats() volume.Stats {
 	var out volume.Snapshot
-	for _, a := range c.members() {
+	for _, a := range c.nodes {
 		sn := a.Snapshot()
 		out.Merge(&sn)
 	}
@@ -333,7 +312,7 @@ func (c *Cluster) Stats() volume.Stats {
 // every node array's batch state (see serve.Array.Close). Idempotent; the
 // cluster stays usable.
 func (c *Cluster) Close() {
-	for _, a := range c.members() {
+	for _, a := range c.nodes {
 		a.Close()
 	}
 }
@@ -356,9 +335,10 @@ type FaultCounters struct {
 	NodeCrashes int64 `json:"node_crashes"`
 	NodeRejoins int64 `json:"node_rejoins"`
 	// ReadsFallback served from a non-primary replica because the primary
-	// was down or stale-with-a-fresh-sibling; ReadsStale had no fresh live
-	// replica and served possibly-old data; ReadsUnserved had no live
-	// replica at all (impossible under the single-failure model with R>=2).
+	// was down; ReadsStale served a stale copy with no content id to repair
+	// it from (impossible: only a write marks a copy stale, and the write
+	// records its id); ReadsUnserved had no live replica at all (impossible
+	// under the single-failure model with R>=2).
 	ReadsFallback int64 `json:"reads_fallback"`
 	ReadsStale    int64 `json:"reads_stale"`
 	ReadsUnserved int64 `json:"reads_unserved"`
@@ -451,7 +431,6 @@ type sequencer struct {
 	downCnt  int
 	fc       FaultCounters
 	rep      *Report                       // the batch's report, node results still to fill in
-	nodes    []*serve.Array                // the arrays the queues were routed to
 	shared   map[int32]*volume.SharedWrite // content ids two or more queued writes name
 }
 
@@ -474,8 +453,8 @@ func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 	return c.drain(seq, opt)
 }
 
-// sequence is Serve's phase 1. It leaves the batch announced as draining:
-// drain (or drained) must follow.
+// sequence is Serve's phase 1: it routes ops into per-node queues and
+// updates the directory, so drain must follow.
 func (c *Cluster) sequence(ops []workload.Op, opt RunOptions) (*sequencer, error) {
 	kinds, err := workload.CheckOps(ops, c.blocks)
 	if err != nil {
@@ -532,8 +511,6 @@ func (c *Cluster) sequence(ops []workload.Op, opt RunOptions) (*sequencer, error
 		}
 	}
 	c.opBase += int64(len(ops))
-	seq.nodes = c.nodes
-	c.draining++
 	c.mu.Unlock()
 	seq.rep = &Report{
 		Nodes: nn, Replicas: c.replicas, Ops: len(ops), Writes: kinds.Writes, Reads: kinds.Reads, Trims: kinds.Trims,
@@ -570,9 +547,9 @@ func (c *Cluster) drain(seq *sequencer, opt RunOptions) (*Report, error) {
 	clients := opt.Clients
 	opt.Clients = c.cfg.ShardsPerNode
 	rep := seq.rep
-	err := c.pool.ForEach(len(seq.nodes), clients, func(i int) error {
+	err := c.pool.ForEach(len(c.nodes), clients, func(i int) error {
 		serveStart := metrics.Clock()
-		nodeRep, err := seq.nodes[i].ServeShared(seq.queues[i], opt, seq.shared)
+		nodeRep, err := c.nodes[i].ServeShared(seq.queues[i], opt, seq.shared)
 		metrics.ClusterNodeServe.ObserveSince(serveStart)
 		if err != nil {
 			return fmt.Errorf("cluster: node %d: %w", i, err)
@@ -580,7 +557,6 @@ func (c *Cluster) drain(seq *sequencer, opt RunOptions) (*Report, error) {
 		rep.PerNode[i] = *nodeRep
 		return nil
 	})
-	c.drained()
 	if err != nil {
 		return nil, err
 	}
@@ -590,13 +566,6 @@ func (c *Cluster) drain(seq *sequencer, opt RunOptions) (*Report, error) {
 	}
 	rep.Merged = c.Stats()
 	return rep, nil
-}
-
-// drained ends the drain phase a batch call announced with c.draining++.
-func (c *Cluster) drained() {
-	c.mu.Lock()
-	c.draining--
-	c.mu.Unlock()
 }
 
 // rejoin replays node n's dirty state (in ascending LBA order, so the
@@ -616,7 +585,7 @@ func (c *Cluster) rejoin(seq *sequencer, n int, opIdx int) {
 			seq.queues[n] = append(seq.queues[n], workload.Op{Kind: workload.OpTrim, LBA: lba})
 			seq.fc.RepairWrites++
 		case 'W':
-			content, ok := c.contentID(lba)
+			content, ok := c.content[lba]
 			if !ok {
 				continue
 			}
@@ -645,7 +614,7 @@ func (c *Cluster) rejoin(seq *sequencer, n int, opIdx int) {
 // dirty, a live non-primary may silently diverge (dropped by injection),
 // everyone else gets the op. Caller holds the cluster mutex.
 func (c *Cluster) routeWrite(seq *sequencer, op workload.Op, owners []int) {
-	c.content[op.LBA] = int64(op.Content)
+	c.content[op.LBA] = op.Content
 	for j, n := range owners {
 		if seq.down[n] {
 			seq.dirty[n][op.LBA] = 'W'
@@ -698,15 +667,16 @@ func (c *Cluster) routeRead(seq *sequencer, op workload.Op, owners []int) {
 			serveAt, serveIdx = n, j
 		}
 		if c.stale[stKey{n, op.LBA}] {
-			if content, ok := c.contentID(op.LBA); ok {
+			if content, ok := c.content[op.LBA]; ok {
 				seq.queues[n] = append(seq.queues[n],
 					workload.Op{Kind: workload.OpWrite, LBA: op.LBA, Content: content})
 				seq.fc.ReadRepairs++
 				seq.fc.RepairWrites++
 				delete(c.stale, stKey{n, op.LBA})
 			} else if n == serveAt {
-				// Content not reconstructible (shouldn't happen: direct
-				// writes and trims clear staleness); serve degraded.
+				// Content not reconstructible. Unreachable: only a write
+				// marks a copy stale, and a trim clears staleness; counted
+				// so the tests can assert zero.
 				seq.fc.ReadsStale++
 			}
 		}
@@ -721,51 +691,6 @@ func (c *Cluster) routeRead(seq *sequencer, op workload.Op, owners []int) {
 		seq.fc.ReadsFallback++
 	}
 	seq.queues[serveAt] = append(seq.queues[serveAt], op)
-}
-
-// mutate is a direct write or trim: it records what lba now holds (direct,
-// or nothing), clears the staleness the op supersedes, and applies do to
-// every owner synchronously (membership only changes inside a batch, so all
-// owners are live here). It returns the slowest replica's latency — a
-// replicated mutation completes when its last copy does — and the first
-// error.
-func (c *Cluster) mutate(lba int64, mapped bool, do func(*serve.Array) (time.Duration, error)) (time.Duration, error) {
-	if lba < 0 || lba >= c.blocks {
-		return 0, fmt.Errorf("cluster: lba %d outside [0,%d)", lba, c.blocks)
-	}
-	c.mu.Lock()
-	owners, nodes := c.owners(lba), c.nodes
-	if mapped {
-		c.content[lba] = direct
-	} else {
-		delete(c.content, lba)
-	}
-	for _, n := range owners {
-		delete(c.stale, stKey{n, lba})
-	}
-	c.mu.Unlock()
-	var worst time.Duration
-	var firstErr error
-	for _, n := range owners {
-		lat, err := do(nodes[n])
-		worst = max(worst, lat)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return worst, firstErr
-}
-
-// Write stores one block on every owner. Direct writes carry raw bytes, not
-// content ids, so the directory forgets any id a batch wrote there: a later
-// repair never resurrects the old bytes.
-func (c *Cluster) Write(lba int64, data []byte) (time.Duration, error) {
-	return c.mutate(lba, true, func(a *serve.Array) (time.Duration, error) { return a.Write(lba, data) })
-}
-
-// Trim unmaps one block on every owner.
-func (c *Cluster) Trim(lba int64) (time.Duration, error) {
-	return c.mutate(lba, false, func(a *serve.Array) (time.Duration, error) { return a.Trim(lba) })
 }
 
 // fresh returns the node a healthy-cluster read of lba is served by: the
@@ -843,80 +768,4 @@ func (c *Cluster) Scrub() (*ScrubReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// RebalanceReport summarizes a membership-change migration.
-type RebalanceReport struct {
-	Node          int   `json:"node"`   // id of the node that joined
-	Ranges        int   `json:"ranges"` // total placement ranges
-	RangesMoved   int   `json:"ranges_moved"`
-	BlocksCopied  int64 `json:"blocks_copied"`
-	BlocksTrimmed int64 `json:"blocks_trimmed"`
-}
-
-// AddNode grows the cluster by one node and migrates the ranges whose
-// rendezvous owner set changed: mapped blocks are copied from the old
-// primary to newly-added owners and trimmed from displaced ones.
-// Rendezvous hashing guarantees only ranges the new node wins move, so the
-// migration is minimal. A batch in flight owns the node arrays it is
-// draining, so AddNode fails while one is: retry once it has returned.
-func (c *Cluster) AddNode() (*RebalanceReport, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.draining > 0 {
-		return nil, fmt.Errorf("cluster: AddNode: %d batch calls in flight", c.draining)
-	}
-	id := len(c.nodes)
-	n, err := c.newNode(id)
-	if err != nil {
-		return nil, err
-	}
-	c.nodes = append(c.nodes, n)
-	oldDir := c.dir
-	c.dir = c.buildDirectory(len(c.nodes))
-	rep := &RebalanceReport{Node: id, Ranges: len(c.dir)}
-	for r := range c.dir {
-		oldOwners, newOwners := oldDir[r], c.dir[r]
-		if slices.Equal(oldOwners, newOwners) {
-			continue
-		}
-		rep.RangesMoved++
-		added := ownersDiff(newOwners, oldOwners)
-		removed := ownersDiff(oldOwners, newOwners)
-		lo := int64(r) * c.rangeBlocks
-		hi := lo + c.rangeBlocks
-		if hi > c.blocks {
-			hi = c.blocks
-		}
-		for lba := lo; lba < hi; lba++ {
-			if _, mapped := c.content[lba]; !mapped {
-				continue
-			}
-			if len(added) > 0 {
-				data, _, err := c.nodes[oldOwners[0]].Read(lba)
-				if err != nil {
-					return rep, fmt.Errorf("cluster: migrate lba %d: %w", lba, err)
-				}
-				for _, a := range added {
-					if _, err := c.nodes[a].Write(lba, data); err != nil {
-						return rep, fmt.Errorf("cluster: migrate lba %d to node %d: %w", lba, a, err)
-					}
-					rep.BlocksCopied++
-				}
-			}
-			for _, rm := range removed {
-				if _, err := c.nodes[rm].Trim(lba); err != nil {
-					return rep, fmt.Errorf("cluster: evict lba %d from node %d: %w", lba, rm, err)
-				}
-				rep.BlocksTrimmed++
-				delete(c.stale, stKey{rm, lba})
-			}
-		}
-	}
-	return rep, nil
-}
-
-// ownersDiff returns the members of a not present in b, in a's order.
-func ownersDiff(a, b []int) []int {
-	return slices.DeleteFunc(slices.Clone(a), func(n int) bool { return slices.Contains(b, n) })
 }

@@ -118,6 +118,9 @@ func TestClusterSeedSweep(t *testing.T) {
 			if rep.Faults.ReadsUnserved != 0 {
 				t.Fatalf("%d reads unserved under single failure with R=2", rep.Faults.ReadsUnserved)
 			}
+			if rep.Faults.ReadsStale != 0 {
+				t.Fatalf("%d reads served a stale copy whose content id was lost", rep.Faults.ReadsStale)
+			}
 			if _, err := c.Scrub(); err != nil {
 				t.Fatal(err)
 			}
@@ -212,178 +215,8 @@ func TestClusterDivergenceReadRepair(t *testing.T) {
 	}
 }
 
-// TestAddNodeDuringServe: a batch in flight owns the node arrays it drains,
-// so an AddNode issued meanwhile is refused instead of migrating blocks
-// underneath queues that were routed against the old directory; once the
-// batch has returned the same call rebalances cleanly. Whatever the timing,
-// the replicas agree afterwards and every block reads as on a cluster that
-// was never disturbed.
-func TestAddNodeDuringServe(t *testing.T) {
-	cfg := testConfig(3, 2, 0, 0)
-	cfg.NodeFaults = fault.Config{}
-	ops := testOps(t, 4000)
-	opt := RunOptions{Clients: 2, ContentSeed: 9, CleanEvery: 100}
-	quiet, _, _ := runCluster(t, cfg, ops, 2)
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refused := 0
-	for round := 0; round < 20 && refused == 0; round++ {
-		done := make(chan error, 1)
-		go func() {
-			_, err := c.Serve(ops, opt)
-			done <- err
-		}()
-		for draining := false; !draining && len(done) == 0; {
-			c.mu.Lock()
-			draining = c.draining > 0
-			c.mu.Unlock()
-		}
-		if _, err := c.AddNode(); err != nil {
-			if !strings.Contains(err.Error(), "in flight") {
-				t.Fatal(err)
-			}
-			refused++
-		}
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		if round > 0 { // the undisturbed cluster serves the same batches
-			if _, err := quiet.Serve(ops, opt); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if refused == 0 {
-		t.Error("AddNode was never refused in 20 batches it was issued against")
-	}
-	before := c.Nodes()
-	if reb, err := c.AddNode(); err != nil || reb.Node != before || c.Nodes() != before+1 {
-		t.Fatalf("AddNode on an idle cluster: %+v, %v (%d nodes before, %d after)", reb, err, before, c.Nodes())
-	}
-	for lba := int64(0); lba < c.Blocks(); lba += 7 {
-		got, _, err := c.Read(lba)
-		want, _, werr := quiet.Read(lba)
-		if err != nil || werr != nil || !bytes.Equal(got, want) {
-			t.Fatalf("lba %d differs from the undisturbed cluster's (%v, %v)", lba, err, werr)
-		}
-	}
-	if scrub, err := c.Scrub(); err != nil || scrub.Mismatched != 0 {
-		t.Fatalf("replicas disagree after the rebalance: %+v, %v", scrub, err)
-	}
-}
-
-// TestClusterRebalance: adding a node moves only the ranges the new node
-// wins (rendezvous placement), data survives the migration byte-for-byte,
-// and the grown cluster is in full replica agreement.
-func TestClusterRebalance(t *testing.T) {
-	cfg := testConfig(3, 2, 0, 0)
-	cfg.NodeFaults = fault.Config{}
-	c, _, _ := runCluster(t, cfg, testOps(t, 1000), 3)
-
-	// Snapshot a spread of blocks before the membership change.
-	before := make(map[int64][]byte)
-	for lba := int64(0); lba < c.Blocks(); lba += 37 {
-		data, _, err := c.Read(lba)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before[lba] = bytes.Clone(data)
-	}
-
-	reb, err := c.AddNode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Nodes() != 4 {
-		t.Fatalf("nodes = %d after AddNode, want 4", c.Nodes())
-	}
-	if reb.RangesMoved == 0 || reb.BlocksCopied == 0 {
-		t.Fatalf("rebalance moved nothing: %+v", reb)
-	}
-	if reb.RangesMoved == reb.Ranges {
-		t.Fatalf("rebalance moved every range (%d): not minimal", reb.RangesMoved)
-	}
-
-	for lba, want := range before {
-		got, _, err := c.Read(lba)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("lba %d changed across rebalance", lba)
-		}
-	}
-	scrub, err := c.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scrub.Mismatched != 0 {
-		t.Fatalf("replica disagreement after rebalance: %+v", scrub)
-	}
-
-	// The new directory must still place every range on R distinct nodes.
-	for r, owners := range c.dir {
-		if len(owners) != c.Replicas() {
-			t.Fatalf("range %d has %d owners", r, len(owners))
-		}
-		seen := map[int]bool{}
-		for _, n := range owners {
-			if n < 0 || n >= c.Nodes() || seen[n] {
-				t.Fatalf("range %d owner set invalid: %v", r, owners)
-			}
-			seen[n] = true
-		}
-	}
-}
-
-// TestClusterDirectOps: the direct replicated path round-trips data,
-// places copies on every owner, and trims all of them.
-func TestClusterDirectOps(t *testing.T) {
-	cfg := testConfig(3, 2, 0, 0)
-	cfg.NodeFaults = fault.Config{}
-	cfg.Volume.Faults = fault.Config{}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{0xAB}, int(cfg.Volume.BlockSize))
-	const lba = 129
-	if _, err := c.Write(lba, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := c.Read(lba)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("direct read returned different bytes")
-	}
-	for _, n := range c.owners(lba) {
-		copyGot, _, err := c.nodes[n].Read(lba)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(copyGot, payload) {
-			t.Fatalf("replica on node %d disagrees after direct write", n)
-		}
-	}
-	if _, err := c.Trim(lba); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err = c.Read(lba)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range got {
-		if b != 0 {
-			t.Fatal("read after trim returned nonzero data")
-		}
-	}
-}
-
-// TestClusterValidation: bad configurations and bad ops are rejected.
+// TestClusterValidation: bad configurations and bad ops are rejected, and
+// the valid cluster places every range on Replicas distinct nodes.
 func TestClusterValidation(t *testing.T) {
 	base := func() Config {
 		cfg := testConfig(3, 2, 0, 0)
@@ -416,14 +249,23 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := c.Serve([]workload.Op{{Kind: workload.OpRead, LBA: 1 << 40}}, RunOptions{}); err == nil {
 		t.Error("out-of-range lba accepted")
 	}
-	if _, err := c.Write(-1, nil); err == nil {
-		t.Error("direct write to negative lba accepted")
-	}
 	if _, _, err := c.Read(c.Blocks()); err == nil {
 		t.Error("direct read past capacity accepted")
 	}
-	if _, err := c.Trim(c.Blocks()); err == nil {
-		t.Error("direct trim past capacity accepted")
+	if want := int((c.Blocks() + c.rangeBlocks - 1) / c.rangeBlocks); len(c.dir) != want {
+		t.Fatalf("directory has %d ranges, want %d", len(c.dir), want)
+	}
+	for r, owners := range c.dir {
+		if len(owners) != c.Replicas() {
+			t.Fatalf("range %d has %d owners", r, len(owners))
+		}
+		seen := map[int]bool{}
+		for _, n := range owners {
+			if n < 0 || n >= c.Nodes() || seen[n] {
+				t.Fatalf("range %d owner set invalid: %v", r, owners)
+			}
+			seen[n] = true
+		}
 	}
 }
 

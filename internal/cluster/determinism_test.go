@@ -167,6 +167,9 @@ func clusterServeTier(name string, shardsPerNode int) batchTier {
 			if fc.ReadsUnserved != 0 {
 				t.Fatalf("%d reads unserved: data loss under single failure with R=2", fc.ReadsUnserved)
 			}
+			if fc.ReadsStale != 0 {
+				t.Fatalf("%d reads served a stale copy whose content id was lost", fc.ReadsStale)
+			}
 			if fc.WritesQueued == 0 || fc.RepairWrites == 0 {
 				t.Fatalf("no queued mutations or repairs despite %d crashes: %+v", fc.NodeCrashes, fc)
 			}

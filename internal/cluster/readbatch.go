@@ -79,32 +79,29 @@ func (c *Cluster) ReadBatch(lbas []int64, opt ReadBatchOptions) (*ReadBatchRepor
 	part := lbaPartitions.Get().(*parallel.Partition[int64])
 	defer lbaPartitions.Put(part)
 	c.mu.Lock()
-	nodes := c.nodes
-	out := &ReadBatchReport{Nodes: len(nodes), PerNode: make([]NodeReadReport, len(nodes))}
-	part.Split(len(lbas), len(nodes), func(i int) int {
+	out := &ReadBatchReport{Nodes: len(c.nodes), PerNode: make([]NodeReadReport, len(c.nodes))}
+	part.Split(len(lbas), len(c.nodes), func(i int) int {
 		n := c.fresh(lbas[i])
 		if n != c.owners(lbas[i])[0] {
 			out.Fallbacks++
 		}
 		return n
 	}, func(i int) int64 { return lbas[i] })
-	c.draining++
 	c.mu.Unlock()
 
-	err := c.pool.ForEach(len(nodes), opt.Clients, func(n int) error {
+	err := c.pool.ForEach(len(c.nodes), opt.Clients, func(n int) error {
 		var sink func(k int, block []byte, err error)
 		if opt.Sink != nil {
 			pos := part.Pos[n]
 			sink = func(k int, block []byte, err error) { opt.Sink(pos[k], block, err) }
 		}
-		rep, err := nodes[n].ReadBatch(part.Queues[n], ReadBatchOptions{Sink: sink})
+		rep, err := c.nodes[n].ReadBatch(part.Queues[n], ReadBatchOptions{Sink: sink})
 		if err != nil {
 			return err
 		}
 		out.PerNode[n] = rep.ReadTotals
 		return nil
 	})
-	c.drained()
 	if err != nil {
 		return nil, err
 	}

@@ -147,53 +147,6 @@ func TestClusterReadAndReadBatchAgreeOnReplica(t *testing.T) {
 	}
 }
 
-// TestClusterDirectThenBatch: a direct Write replaces what the directory
-// remembers of a batch-written LBA with "mapped, bytes unknown". No later
-// repair may resurrect the old content id, and a replica that loses the
-// block is healed by Scrub from the primary's bytes — rewritten, not trimmed.
-func TestClusterDirectThenBatch(t *testing.T) {
-	cfg := quietConfig(0.5)
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writes, reads := writeThenRead(128, 128)
-	opt := RunOptions{ContentSeed: 9}
-	if _, err := c.Serve(writes[:64], opt); err != nil {
-		t.Fatal(err)
-	}
-	const lba = 5
-	payload := bytes.Repeat([]byte{0xD1}, cfg.Volume.BlockSize)
-	if _, err := c.Write(lba, payload); err != nil {
-		t.Fatal(err)
-	}
-	// Divergence all around it (LBAs 64..127 share its placement ranges),
-	// then reads of it and its neighbours.
-	if _, err := c.Serve(append(writes[64:], reads...), opt); err != nil {
-		t.Fatal(err)
-	}
-	holds := func(when string) {
-		t.Helper()
-		for _, n := range c.owners(lba) {
-			if got, _, err := c.nodes[n].Read(lba); err != nil || !bytes.Equal(got, payload) {
-				t.Fatalf("%s: node %d lost the direct write (%v)", when, n, err)
-			}
-		}
-	}
-	holds("after a diverging batch")
-	secondary := c.owners(lba)[1]
-	if _, err := c.nodes[secondary].Trim(lba); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Scrub(); err != nil {
-		t.Fatal(err)
-	}
-	holds("after scrub")
-	if scrub, err := c.Scrub(); err != nil || scrub.Mismatched != 0 {
-		t.Fatalf("second scrub: %+v, %v", scrub, err)
-	}
-}
-
 // TestSinkMayReenter: a cluster batch read's Sink runs with no node's shard
 // lock held, so it may read the block back through the cluster.
 func TestSinkMayReenter(t *testing.T) {

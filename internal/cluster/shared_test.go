@@ -195,7 +195,6 @@ func TestClusterSharedPrepareMatchesPerNode(t *testing.T) {
 							t.Fatalf("batch %d node %d: shared run diverged from the per-node one:\n%s\nwant:\n%s", b, i, got, want)
 						}
 					}
-					ref.drained()
 					if b == 1 {
 						// The holders: node 2 of X, node 0 of Y.
 						for _, n := range []int{0, 2} {
