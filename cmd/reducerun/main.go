@@ -524,8 +524,8 @@ func runBlock(f blockFlags, opts inlinered.BlockDeviceOptions, spec inlinered.Op
 	printReport(rep, tail, jsonOut)
 }
 
-// parseSeedRate parses a SEED:RATE fault knob; the library rejects a RATE
-// outside [0,1].
+// parseSeedRate parses a SEED:RATE fault knob and rejects a RATE outside
+// [0,1] under the flag's name, before any work starts.
 func parseSeedRate(flagName, s string) (seed int64, rate float64, err error) {
 	if s == "" {
 		return 0, 0, nil
@@ -541,6 +541,9 @@ func parseSeedRate(flagName, s string) (seed int64, rate float64, err error) {
 	rate, err = strconv.ParseFloat(s[colon+1:], 64)
 	if err != nil {
 		return 0, 0, fmt.Errorf("%s rate: %w", flagName, err)
+	}
+	if !(rate >= 0 && rate <= 1) {
+		return 0, 0, fmt.Errorf("%s rate must be in [0,1], got %g", flagName, rate)
 	}
 	return seed, rate, nil
 }

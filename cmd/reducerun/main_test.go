@@ -68,6 +68,8 @@ func TestBlockFlagsPlan(t *testing.T) {
 				}
 			}},
 		{name: "bad faults", mut: func(f *blockFlags) { f.faults = "7" }, wantErr: "SEED:RATE"},
+		{name: "faults rate above one", mut: func(f *blockFlags) { f.faults = "7:2" }, wantErr: "-faults rate"},
+		{name: "node-faults rate below zero", mut: func(f *blockFlags) { f.nodes = 3; f.nodeFaults = "7:-1" }, wantErr: "-node-faults rate"},
 		{name: "trace-out at one shard", mut: func(f *blockFlags) { f.traceOut = "t.json" },
 			check: func(t *testing.T, o inlinered.BlockDeviceOptions, _ inlinered.OpsSpec) {
 				if o.Recorder == nil {
