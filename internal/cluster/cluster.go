@@ -454,7 +454,8 @@ func (c *Cluster) Serve(ops []workload.Op, opt RunOptions) (*Report, error) {
 }
 
 // sequence is Serve's phase 1: it routes ops into per-node queues and
-// updates the directory, so drain must follow.
+// records their effect in the directory, which holds once drain has served
+// the queues.
 func (c *Cluster) sequence(ops []workload.Op, opt RunOptions) (*sequencer, error) {
 	kinds, err := workload.CheckOps(ops, c.blocks)
 	if err != nil {
